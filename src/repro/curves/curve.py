@@ -25,33 +25,25 @@ __all__ = ["FpOps", "Fp2Ops", "Group", "Point", "CurveSpec"]
 
 
 class FpOps:
-    """Coordinate adapter for G1: opaque values are reduced Python ints."""
+    """Coordinate adapter for G1: opaque values are reduced Python ints.
 
-    __slots__ = ("fq", "tag", "zero", "one")
+    ``add/sub/neg/mul/sqr/inv`` are the :class:`PrimeField` kernels
+    themselves, bound once here, so a coordinate operation in the group law
+    is a single Python call.
+    """
+
+    __slots__ = ("fq", "tag", "zero", "one", "coord_bytes",
+                 "add", "sub", "neg", "mul", "sqr", "inv")
 
     def __init__(self, fq, tag):
         self.fq = fq
         self.tag = tag
         self.zero = 0
         self.one = 1
-
-    def add(self, a, b):
-        return self.fq.add(a, b)
-
-    def sub(self, a, b):
-        return self.fq.sub(a, b)
-
-    def neg(self, a):
-        return self.fq.neg(a)
-
-    def mul(self, a, b):
-        return self.fq.mul(a, b)
-
-    def sqr(self, a):
-        return self.fq.sqr(a)
-
-    def inv(self, a):
-        return self.fq.inv(a)
+        #: Serialized width of one coordinate.
+        self.coord_bytes = fq.nbytes
+        self.add, self.sub, self.neg = fq.add, fq.sub, fq.neg
+        self.mul, self.sqr, self.inv = fq.mul, fq.sqr, fq.inv
 
     def is_zero(self, a):
         return a == 0
@@ -62,33 +54,24 @@ class FpOps:
 
 
 class Fp2Ops:
-    """Coordinate adapter for G2: opaque values are raw ``(c0, c1)`` pairs."""
+    """Coordinate adapter for G2: opaque values are raw ``(c0, c1)`` pairs.
 
-    __slots__ = ("tower", "tag", "zero", "one")
+    ``add/sub/neg/mul/sqr/inv`` are the tower's flat ``f2_*`` kernels
+    themselves, bound once here (see :class:`FpOps`).
+    """
+
+    __slots__ = ("tower", "tag", "zero", "one", "coord_bytes",
+                 "add", "sub", "neg", "mul", "sqr", "inv")
 
     def __init__(self, tower, tag):
         self.tower = tower
         self.tag = tag
         self.zero = (0, 0)
         self.one = (1, 0)
-
-    def add(self, a, b):
-        return self.tower.f2_add(a, b)
-
-    def sub(self, a, b):
-        return self.tower.f2_sub(a, b)
-
-    def neg(self, a):
-        return self.tower.f2_neg(a)
-
-    def mul(self, a, b):
-        return self.tower.f2_mul(a, b)
-
-    def sqr(self, a):
-        return self.tower.f2_sqr(a)
-
-    def inv(self, a):
-        return self.tower.f2_inv(a)
+        #: Serialized width of one coordinate (two base-field elements).
+        self.coord_bytes = 2 * tower.fq.nbytes
+        self.add, self.sub, self.neg = tower.f2_add, tower.f2_sub, tower.f2_neg
+        self.mul, self.sqr, self.inv = tower.f2_mul, tower.f2_sqr, tower.f2_inv
 
     def is_zero(self, a):
         return a == (0, 0)
@@ -342,6 +325,10 @@ class Point:
         if self.is_infinity():
             return None
         ops = self.group.ops
+        if self.Z == ops.one and trace.CURRENT is None:
+            # Already normalized.  Traced runs still report the conversion:
+            # the modeled stages count one inversion per serialized point.
+            return (self.X, self.Y)
         zinv = ops.inv(self.Z)
         zinv2 = ops.sqr(zinv)
         x = ops.mul(self.X, zinv2)

@@ -7,14 +7,17 @@ Both supported curves (BN254 and BLS12-381) use the standard tower
   ``1 + u`` (BLS12-381),
 - ``Fp12 = Fp6[w] / (w^2 - v)``        so that ``w^6 = xi``.
 
-Element types hold raw integers at the bottom and route every base-field
-operation through :class:`repro.fields.prime_field.PrimeField`, so the whole
-tower is automatically visible to the tracer as ``bigint_*`` primitives —
-matching how VTune attributes pairing time to big-integer kernels in the
-paper's Table IV.
+Element types hold raw integers at the bottom.  The ``Fp2`` kernels on
+:class:`TowerParams` are flat lazy-reduction arithmetic (docs/KERNELS.md) and
+``Fp6``/``Fp12`` are built from them alone; each kernel reports to the tracer
+the ``bigint_*`` primitives of the per-operation ``PrimeField`` formulation
+it stands for — matching how VTune attributes pairing time to big-integer
+kernels in the paper's Table IV.
 """
 
 from __future__ import annotations
+
+from repro.perf import trace
 
 __all__ = ["TowerParams", "Fp2", "Fp6", "Fp12"]
 
@@ -27,59 +30,110 @@ class TowerParams:
     fq:
         The base :class:`~repro.fields.prime_field.PrimeField`.
     beta:
-        The quadratic non-residue defining ``Fp2`` (``u^2 = beta``).
+        The quadratic non-residue defining ``Fp2`` (``u^2 = beta``); must
+        be ``-1`` (mod p), anything else raises ``ValueError``.
     xi:
         Pair ``(c0, c1)`` — the ``Fp2`` element defining ``Fp6``
         (``v^3 = xi``); also the sextic-twist factor.
     """
 
     def __init__(self, fq, beta, xi):
-        self.fq = fq
-        self.beta = beta % fq.modulus
-        self.xi = (xi[0] % fq.modulus, xi[1] % fq.modulus)
         p = fq.modulus
+        if beta % p != p - 1:
+            raise ValueError(f"{fq.name}: only beta = -1 is implemented, got {beta}")
         if (p - 1) % 6 != 0:
             raise ValueError(f"{fq.name}: tower requires p = 1 (mod 6)")
+        self.fq = fq
+        self.beta = p - 1
+        self.xi = (xi[0] % p, xi[1] % p)
+        # Hot-path copies for the flat kernels below.
+        self._p = p
+        self._mod = fq._mod
+        self._add_tag, self._sub_tag = fq._add_tag, fq._sub_tag
+        self._mul_tag, self._sqr_tag = fq._mul_tag, fq._sqr_tag
         self._frob = None  # lazily computed Frobenius constants
 
-    # -- raw Fp2 helpers (tuples of ints) --------------------------------------
+    # -- raw Fp2 kernels (tuples of ints) ----------------------------------------
+    #
+    # Exact integers are combined first and reduced once per output
+    # component against ``fq._mod`` (an ``mpz`` under REPRO_BIGINT=gmpy2),
+    # beta = -1 folded into a subtraction.  One tracer guard per kernel
+    # reports the primitives of the per-operation ``PrimeField``
+    # formulation it stands for — ``lincomb``'s rule.
+
+    def _report_product(self, t):
+        # A Karatsuba product with an explicit multiply by beta; a squaring
+        # and a multiply by xi were that product too.
+        t.op(self._mul_tag, 4)
+        t.op(self._add_tag, 3)
+        t.op(self._sub_tag, 2)
 
     def f2_add(self, a, b):
-        fq = self.fq
-        return (fq.add(a[0], b[0]), fq.add(a[1], b[1]))
+        t = trace.CURRENT
+        if t is not None:
+            t.op(self._add_tag, 2)
+        p = self._p
+        c0 = a[0] + b[0]
+        c1 = a[1] + b[1]
+        return (c0 - p if c0 >= p else c0, c1 - p if c1 >= p else c1)
 
     def f2_sub(self, a, b):
-        fq = self.fq
-        return (fq.sub(a[0], b[0]), fq.sub(a[1], b[1]))
+        t = trace.CURRENT
+        if t is not None:
+            t.op(self._sub_tag, 2)
+        p = self._p
+        c0 = a[0] - b[0]
+        c1 = a[1] - b[1]
+        return (c0 + p if c0 < 0 else c0, c1 + p if c1 < 0 else c1)
 
     def f2_neg(self, a):
-        fq = self.fq
-        return (fq.neg(a[0]), fq.neg(a[1]))
+        t = trace.CURRENT
+        if t is not None:
+            t.op(self._add_tag, 2)  # a negation costs one subtract
+        p = self._p
+        return (p - a[0] if a[0] else 0, p - a[1] if a[1] else 0)
 
     def f2_conj(self, a):
         return (a[0], self.fq.neg(a[1]))
 
     def f2_mul(self, a, b):
-        # Karatsuba: 3 base multiplications.
-        fq = self.fq
-        t0 = fq.mul(a[0], b[0])
-        t1 = fq.mul(a[1], b[1])
-        c0 = fq.add(t0, fq.mul(self.beta, t1))
-        c1 = fq.sub(fq.sub(fq.mul(fq.add(a[0], a[1]), fq.add(b[0], b[1])), t0), t1)
-        return (c0, c1)
+        t = trace.CURRENT
+        if t is not None:
+            self._report_product(t)
+        a0, a1 = a
+        b0, b1 = b
+        m = self._mod
+        t0 = a0 * b0
+        t1 = a1 * b1
+        return ((t0 - t1) % m, ((a0 + a1) * (b0 + b1) - t0 - t1) % m)
 
     def f2_sqr(self, a):
-        return self.f2_mul(a, a)
+        t = trace.CURRENT
+        if t is not None:
+            self._report_product(t)
+        a0, a1 = a
+        m = self._mod
+        return ((a0 + a1) * (a0 - a1) % m, (a0 + a0) * a1 % m)
 
     def f2_scale(self, a, k):
-        fq = self.fq
-        return (fq.mul(a[0], k), fq.mul(a[1], k))
+        t = trace.CURRENT
+        if t is not None:
+            t.op(self._mul_tag, 2)
+        m = self._mod
+        return (a[0] * k % m, a[1] * k % m)
 
     def f2_inv(self, a):
+        t = trace.CURRENT
+        if t is not None:
+            t.op(self._sqr_tag, 2)
+            t.op(self._mul_tag, 1)
+            t.op(self._sub_tag, 1)
         fq = self.fq
-        norm = fq.sub(fq.sqr(a[0]), fq.mul(self.beta, fq.sqr(a[1])))
-        ninv = fq.inv(norm)
-        return (fq.mul(a[0], ninv), fq.neg(fq.mul(a[1], ninv)))
+        a0, a1 = a
+        # One reduction for the norm; the inversion-bound tail stays on
+        # PrimeField (fq.inv keeps the zero check and the inversion metric).
+        ninv = fq.inv((a0 * a0 + a1 * a1) % self._mod)
+        return (fq.mul(a0, ninv), fq.neg(fq.mul(a1, ninv)))
 
     def f2_pow(self, a, e):
         acc = (1, 0)
@@ -92,8 +146,15 @@ class TowerParams:
         return acc
 
     def f2_mul_xi(self, a):
-        """Multiply an Fp2 element by the non-residue xi (used by v^3 folds)."""
-        return self.f2_mul(a, self.xi)
+        """Multiply an Fp2 element by the non-residue xi (used by v^3 folds):
+        two small-constant products per component."""
+        t = trace.CURRENT
+        if t is not None:
+            self._report_product(t)
+        a0, a1 = a
+        x0, x1 = self.xi
+        m = self._mod
+        return ((x0 * a0 - x1 * a1) % m, (x0 * a1 + x1 * a0) % m)
 
     # -- Frobenius constants -----------------------------------------------------
 

@@ -16,9 +16,7 @@ __all__ = ["ProvingKey", "VerifyingKey", "Proof"]
 
 def _point_bytes(group):
     """Serialized size of one affine point of *group* (uncompressed)."""
-    if hasattr(group.ops, "fq"):
-        return 2 * group.ops.fq.nbytes
-    return 4 * group.ops.tower.fq.nbytes
+    return 2 * group.ops.coord_bytes
 
 
 @dataclass

@@ -104,14 +104,8 @@ class _Reader:
 # -- point codecs ---------------------------------------------------------------
 
 
-def _coord_bytes(group):
-    if hasattr(group.ops, "fq"):
-        return group.ops.fq.nbytes
-    return 2 * group.ops.tower.fq.nbytes
-
-
 def _write_point(w, group, point):
-    nb = _coord_bytes(group)
+    nb = group.ops.coord_bytes
     aff = point.to_affine()
     if aff is None:
         w.raw(b"\x00" * (2 * nb))
@@ -128,7 +122,7 @@ def _write_point(w, group, point):
 
 
 def _read_point(r, group, subgroup=False):
-    nb = _coord_bytes(group)
+    nb = group.ops.coord_bytes
     offset = r.pos
     blob = r.raw(2 * nb)
     if blob == b"\x00" * (2 * nb):

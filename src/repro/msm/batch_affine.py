@@ -28,10 +28,10 @@ from __future__ import annotations
 from repro.obs import metrics
 from repro.resilience import retry as resilience
 
-__all__ = ["batch_affine_accumulate"]
+__all__ = ["batch_affine_accumulate", "batch_inv"]
 
 
-def _batch_inv(ops, xs):
+def batch_inv(ops, xs):
     """Montgomery simultaneous inversion through a coordinate adapter.
 
     ``3(n-1)`` multiplications plus one inversion; *xs* must be non-zero
@@ -115,7 +115,7 @@ def batch_affine_accumulate(group, n_buckets, entries):
             if m is not None:
                 m.inc("repro_msm_batch_affine_inversions_total")
                 m.observe("repro_msm_batch_affine_wave", len(denoms))
-            invs = _batch_inv(ops, denoms)
+            invs = batch_inv(ops, denoms)
         else:
             invs = []
 

@@ -13,6 +13,7 @@ given a real footprint in the traced address space.
 
 from __future__ import annotations
 
+from repro.msm.batch_affine import batch_inv
 from repro.perf import trace
 from repro.resilience import retry as resilience
 
@@ -49,11 +50,7 @@ class FixedBaseTable:
         per_window = (1 << width) - 1
 
         t = trace.CURRENT
-        if hasattr(group.ops, "fq"):
-            point_bytes = 2 * group.ops.fq.nbytes
-        else:
-            point_bytes = 4 * group.ops.tower.fq.nbytes
-        self._point_bytes = point_bytes
+        point_bytes = self._point_bytes = 2 * group.ops.coord_bytes
         self._table_base = 0
         if t is not None:
             self._table_base = t.malloc(self.n_windows * per_window * point_bytes)
@@ -108,10 +105,30 @@ class FixedBaseTable:
                     acc = acc.add_affine(*entry)
         return acc
 
+    def _normalized(self, points):
+        """Replace every finite point of *points* by its ``Z == 1`` form."""
+        group = self.group
+        ops = group.ops
+        live = [i for i, p in enumerate(points) if not p.is_infinity()]
+        if live:
+            zinvs = batch_inv(ops, [points[i].Z for i in live])
+            for i, zinv in zip(live, zinvs):
+                zinv2 = ops.sqr(zinv)
+                points[i] = group.point_unchecked(
+                    ops.mul(points[i].X, zinv2),
+                    ops.mul(points[i].Y, ops.mul(zinv2, zinv)))
+        return points
+
     def mul_many(self, scalars):
-        """Multiply the base by every scalar (one parallel traced region)."""
+        """Multiply the base by every scalar (one parallel traced region).
+
+        Untraced, the products come back normalized (``Z == 1``) through
+        one shared batch inversion, so every later ``to_affine`` on them —
+        the prover's per-proof query walk, the serializers — is free;
+        traced runs keep the Jacobian walk the model is calibrated on.
+        """
         t = trace.CURRENT
         if t is None:
-            return [self.mul(k) for k in scalars]
+            return self._normalized([self.mul(k) for k in scalars])
         with t.region("fixed_base_mul_many", parallel=True, items=len(scalars)):
             return [self.mul(k) for k in scalars]

@@ -73,10 +73,7 @@ def msm_pippenger(group, points, scalars, window=None):
         faults.CURRENT.check("msm:pippenger")
 
     t = trace.CURRENT
-    if hasattr(group.ops, "fq"):  # G1: affine (x, y) over Fq
-        point_bytes = 2 * group.ops.fq.nbytes
-    else:  # G2: affine (x, y) over Fq2
-        point_bytes = 4 * group.ops.tower.fq.nbytes
+    point_bytes = 2 * group.ops.coord_bytes  # affine (x, y)
     # Buckets hold Jacobian points: three coordinates.
     bucket_bytes = 3 * (point_bytes // 2)
     points_base = buckets_base = heap_base = 0

@@ -127,7 +127,7 @@ def fixed_base_chunk(payload):
                                bits=payload["bits"])
         # codelint: ignore[RC103] -- per-process memo; workers never share it
         _FIXED_BASE_TABLES[key] = table
-    return [_point_out(table.mul(k)) for k in payload["scalars"]]
+    return [_point_out(pt) for pt in table.mul_many(payload["scalars"])]
 
 
 # -- batch verification ------------------------------------------------------------
