@@ -97,9 +97,10 @@ kernel-bench:
 
 # Full kernel differential matrix (docs/KERNELS.md): every optimized MSM
 # kernel x curve x size x worker count must match the reference kernel
-# bit-for-bit, proofs included.  Wider than the tier-1 run.
+# bit-for-bit, proofs included, and the fast pairing its reference
+# element-for-element.  Wider than the tier-1 run.
 kernel-test:
-	REPRO_KERNEL_FULL=1 PYTHONPATH=src pytest -x -q tests/msm tests/fields
+	REPRO_KERNEL_FULL=1 PYTHONPATH=src pytest -x -q tests/msm tests/fields tests/curves
 
 # Parallel-efficiency report (docs/PARALLELISM.md): per-stage speedup,
 # worker busy time, utilization, imbalance, dispatch overhead, and the

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from repro.curves import BN128, PairingEngine
+from repro.curves import BLS12_381, BN128, PairingEngine
 from repro.harness.circuits import build_exponentiate
 from repro.msm import msm_pippenger
 from repro.poly import EvaluationDomain, ntt
@@ -65,9 +65,10 @@ def test_msm_pippenger_256(benchmark, rng):
     benchmark.pedantic(msm_pippenger, args=(g, points, scalars), rounds=3, iterations=1)
 
 
-def test_pairing(benchmark):
-    eng = PairingEngine(BN128)
-    P, Q = BN128.g1.generator, BN128.g2.generator
+@pytest.mark.parametrize("curve", [BN128, BLS12_381], ids=lambda c: c.name)
+def test_pairing(benchmark, curve):
+    eng = PairingEngine(curve)
+    P, Q = curve.g1.generator, curve.g2.generator
     benchmark.pedantic(eng.pairing, args=(P, Q), rounds=3, iterations=1)
 
 

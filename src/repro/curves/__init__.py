@@ -10,7 +10,7 @@ curve axis).
 from repro.curves.curve import CurveSpec, FpOps, Fp2Ops, Group, Point
 from repro.curves.bn128 import BN128
 from repro.curves.bls12_381 import BLS12_381
-from repro.curves.pairing import PairingEngine
+from repro.curves.pairing import PairingEngine, engine_for
 
 _CURVES = {
     "bn128": BN128,
@@ -43,5 +43,6 @@ __all__ = [
     "Group",
     "PairingEngine",
     "Point",
+    "engine_for",
     "get_curve",
 ]

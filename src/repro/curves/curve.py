@@ -363,7 +363,9 @@ class CurveSpec:
     #: BN: the ate loop count 6u+2.  BLS: |x| (with ``x_negative`` set).
     ate_loop: int
     x_negative: bool = False
-    #: Curve family parameter (u for BN, x for BLS) for documentation.
+    #: Curve family parameter (u for BN, x for BLS): ``p``, ``r`` and
+    #: ``ate_loop`` are its family polynomials, and :class:`PairingEngine`
+    #: exponentiates by it in the hard part of the final exponentiation.
     parameter: int = 0
 
     def __repr__(self):

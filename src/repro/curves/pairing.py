@@ -1,14 +1,36 @@
 """Optimal ate pairings for BN254 and BLS12-381.
 
-The Miller loop runs on the *untwisted* image of G2 inside ``E(Fp12)`` with
-affine coordinates, sharing each step's slope between the point update and
-the line evaluation.  This is the textbook formulation (the one py_ecc also
-uses) — slower than projective sparse-multiplication pipelines, but easy to
-audit, and the cost structure (big-integer multiplies dominating) is exactly
-what the paper's verifying-stage characterization depends on.
+Two formulations of one map, selected by ``trace.CURRENT`` alone (the
+selector ``msm_auto``, ``mul_many`` and ``to_affine`` use) and returning the
+same ``Fp12`` elements (``tests/curves/test_pairing_differential.py``):
 
-The final exponentiation does the "easy" part with conjugation/Frobenius and
-the "hard" part by direct exponentiation with ``(p^4 - p^2 + 1) / r``.
+- **Reference** — every traced run, and the oracle of the differential
+  tests.  The Miller loop runs on the *untwisted* image of G2 inside
+  ``E(Fp12)`` with affine coordinates, sharing each step's slope between the
+  point update and the line evaluation (the textbook formulation py_ecc also
+  uses), and the hard part of the final exponentiation is
+  ``f ** ((p^4 - p^2 + 1) / r)`` by square-and-multiply.  Easy to audit, and
+  its cost structure (big-integer multiplies dominating) is what the paper's
+  verifying-stage characterization and the modeled figures rest on.
+- **Fast** — every untraced run.  ``R`` stays in affine coordinates *on the
+  twist* (``Fp2`` slope, one ``f2_inv`` per step) and ``f`` is multiplied by
+  the exact sparse line the reference evaluates,
+
+      ``-yP + (lam*xP) * w    + (y1 - lam*x1) * w^3``     (D-type, BN254)
+      ``-yP + (lam*xP) * w^-1 + (y1 - lam*x1) * w^-3``    (M-type, BLS12-381)
+
+  through :meth:`Fp12.mul_by_line`; a chord through two points of equal
+  ``x`` abandons the call and reruns the reference, so points outside the
+  order-``r`` subgroup behave as they always did.  The hard part
+  runs in the cyclotomic subgroup (Granger–Scott squaring, inversion by
+  conjugation, exponentiation by the curve parameter ``z``) along the family
+  decomposition of the same exponent,
+
+      BN:    ``p^3 + (6z^2 + 1) p^2 + (-36z^3 - 18z^2 - 12z + 1) p``
+             ``+ (-36z^3 - 30z^2 - 18z - 2)``
+      BLS12: ``((z - 1)^2 / 3) (z + p) (z^2 + p^2 - 1) + 1``
+
+  which the constructor checks against ``(p^4 - p^2 + 1) / r`` as integers.
 
 Correctness is established by the bilinearity/non-degeneracy property tests
 in ``tests/curves/test_pairing.py`` plus the end-to-end Groth16 tests — a
@@ -20,7 +42,7 @@ from __future__ import annotations
 from repro.fields.extensions import Fp12
 from repro.perf import trace
 
-__all__ = ["PairingEngine"]
+__all__ = ["PairingEngine", "engine_for"]
 
 
 class PairingEngine:
@@ -35,6 +57,23 @@ class PairingEngine:
         if hard % r != 0:
             raise ValueError(f"{curve.name}: r does not divide p^4 - p^2 + 1")
         self._hard_exponent = hard // r
+        z = curve.parameter
+        # The decomposition the cyclotomic hard part walks (module docstring).
+        if curve.family == "bn":
+            decomposed = (
+                p**3
+                + (6 * z**2 + 1) * p**2
+                + (-36 * z**3 - 18 * z**2 - 12 * z + 1) * p
+                + (-36 * z**3 - 30 * z**2 - 18 * z - 2)
+            )
+        elif (z - 1) % 3 == 0:
+            decomposed = (z - 1) ** 2 // 3 * (z + p) * (z**2 + p**2 - 1) + 1
+        else:
+            decomposed = None
+        if decomposed != self._hard_exponent:
+            raise ValueError(
+                f"{curve.name}: parameter {z} does not generate (p^4 - p^2 + 1) / r"
+            )
         self._one = self.tower.fp12_one()
 
     # -- embeddings ------------------------------------------------------------
@@ -119,6 +158,11 @@ class PairingEngine:
         tracer = trace.CURRENT
         if tracer is not None:
             tracer.op("pairing_miller_loop")
+        else:
+            try:
+                return self._miller_loop_on_twist(P_aff, Q_aff)
+            except ZeroDivisionError:
+                pass  # a degenerate step: the reference decides what it means
         P = self.embed_g1(P_aff)
         Q = self.untwist_g2(Q_aff)
         loop = self.curve.ate_loop
@@ -144,6 +188,63 @@ class PairingEngine:
             f = f.conjugate()
         return f
 
+    # -- Miller loop on the twist (untraced runs) ----------------------------------------
+
+    def _miller_loop_on_twist(self, P_aff, Q_aff):
+        """The element :meth:`miller_loop`'s reference loop returns.  Raises
+        ``ZeroDivisionError`` (from ``f2_inv``) at a chord through two
+        points of equal ``x`` — ``R = +-Q``, impossible for ``Q`` of order
+        ``r`` — where the reference doubles or loses ``R`` to the identity."""
+        t = self.tower
+        add, sub, mul, sqr, inv = t.f2_add, t.f2_sub, t.f2_mul, t.f2_sqr, t.f2_inv
+        bn = self.curve.family == "bn"
+        xP, yP = P_aff
+        s = t.fq.neg(yP)
+        if bn:
+            xp = (xP, 0)
+        else:
+            # The M-type line's w^-1 and w^-3 are w^5 / xi and w^3 / xi.
+            xi_inv = inv(t.xi)
+            xp = t.f2_scale(xi_inv, xP)
+
+        def step(f, lam, x1, y1, x2):
+            """``f`` times the line of slope *lam* through ``R = (x1, y1)``
+            evaluated at P, and ``R`` plus the line's point of abscissa *x2*."""
+            mu = mul(lam, xp)
+            nu = sub(y1, mul(lam, x1))
+            if bn:
+                f = f.mul_by_line(s, mu, nu, 0)
+            else:
+                f = f.mul_by_line(s, mul(nu, xi_inv), mu, 1)
+            x3 = sub(sub(sqr(lam), x1), x2)
+            return f, x3, sub(mul(lam, sub(x1, x3)), y1)
+
+        def chord(x1, y1, x2, y2):
+            return mul(sub(y2, y1), inv(sub(x2, x1)))
+
+        f = self._one
+        xq, yq = x1, y1 = Q_aff
+        loop = self.curve.ate_loop
+        for i in range(loop.bit_length() - 2, -1, -1):
+            x1_sq = sqr(x1)
+            tangent = mul(add(add(x1_sq, x1_sq), x1_sq), inv(add(y1, y1)))
+            f, x1, y1 = step(f.square(), tangent, x1, y1, x1)
+            if (loop >> i) & 1:
+                f, x1, y1 = step(f, chord(x1, y1, xq, yq), x1, y1, xq)
+        if bn:
+            # Frobenius seen from the twist: conjugate, then scale x by
+            # xi^((p-1)/3) and y by xi^((p-1)/2).
+            g1, _g2, gw = t.frobenius_constants
+            gy = mul(g1, gw)
+            conj = t.f2_conj
+            x2, y2 = mul(conj(xq), g1), mul(conj(yq), gy)
+            x3, y3 = mul(conj(x2), g1), t.f2_neg(mul(conj(y2), gy))
+            f, x1, y1 = step(f, chord(x1, y1, x2, y2), x1, y1, x2)
+            f, _, _ = step(f, chord(x1, y1, x3, y3), x1, y1, x3)
+        elif self.curve.x_negative:
+            f = f.conjugate()
+        return f
+
     # -- final exponentiation -----------------------------------------------------------
 
     def final_exponentiation(self, f):
@@ -156,7 +257,58 @@ class PairingEngine:
             raise ZeroDivisionError("final exponentiation of zero (degenerate pairing input)")
         f1 = f.conjugate() * f.inverse()              # f^(p^6 - 1)
         f2 = f1.frobenius().frobenius() * f1          # ... ^(p^2 + 1)
-        return f2 ** self._hard_exponent              # ... ^((p^4 - p^2 + 1)/r)
+        if tracer is not None:
+            return f2 ** self._hard_exponent          # ... ^((p^4 - p^2 + 1)/r)
+        if self.curve.family == "bn":
+            return self._hard_part_bn(f2)
+        return self._hard_part_bls12(f2)
+
+    def _pow_cyclotomic(self, f, e):
+        """``f ** e`` (``e != 0``) for *f* in the cyclotomic subgroup, where
+        squaring is Granger–Scott and the inverse is the conjugate."""
+        acc = f
+        for bit in bin(abs(e))[3:]:
+            acc = acc.cyclotomic_square()
+            if bit == "1":
+                acc = acc * f
+        return acc.conjugate() if e < 0 else acc
+
+    def _hard_part_bn(self, f):
+        """``f ** (l3 p^3 + l2 p^2 + l1 p + l0)`` with the BN coefficients of
+        the module docstring (Scott et al., "On the final exponentiation for
+        calculating pairings on ordinary elliptic curves"): three powers by
+        ``z``, Frobenius maps, and the addition chain for
+        ``y0 y1^2 y2^6 y3^12 y4^18 y5^30 y6^36``."""
+        z = self.curve.parameter
+        a = self._pow_cyclotomic(f, z)
+        b = self._pow_cyclotomic(a, z)
+        c = self._pow_cyclotomic(b, z)
+        f_p = f.frobenius()
+        f_p2 = f_p.frobenius()
+        b_p = b.frobenius()
+        y0 = f_p * f_p2 * f_p2.frobenius()             # p + p^2 + p^3
+        y1 = f.conjugate()                             # -1
+        y2 = b_p.frobenius()                           # z^2 p^2
+        y3 = a.frobenius().conjugate()                 # -z p
+        y4 = (a * b_p).conjugate()                     # -(z + z^2 p)
+        y5 = b.conjugate()                             # -z^2
+        y6 = (c * c.frobenius()).conjugate()           # -(z^3 + z^3 p)
+        t0 = y6.cyclotomic_square() * y4 * y5
+        t1 = y3 * y5 * t0
+        t0 = t0 * y2
+        t1 = (t1.cyclotomic_square() * t0).cyclotomic_square()
+        t0 = (t1 * y1).cyclotomic_square()
+        return t0 * (t1 * y0)
+
+    def _hard_part_bls12(self, f):
+        """``f ** (((z-1)^2 / 3) (z + p) (z^2 + p^2 - 1) + 1)`` — the BLS12
+        hard exponent itself, not its usual multiple by 3."""
+        z = self.curve.parameter
+        pow_ = self._pow_cyclotomic
+        t = pow_(pow_(f, z) * f.conjugate(), (z - 1) // 3)                    # (z-1)^2 / 3
+        t = pow_(t, z) * t.frobenius()                                        # z + p
+        t = pow_(pow_(t, z), z) * t.frobenius().frobenius() * t.conjugate()   # z^2 + p^2 - 1
+        return t * f
 
     # -- public API ------------------------------------------------------------------------
 
@@ -177,3 +329,17 @@ class PairingEngine:
     def pairing_check(self, pairs):
         """True iff ``prod_i e(P_i, Q_i) == 1`` — the Groth16 verify predicate."""
         return self.multi_pairing(pairs).is_one()
+
+
+_ENGINES = {}
+
+
+def engine_for(curve):
+    """The process's one :class:`PairingEngine` for *curve*: the constructor
+    checks the hard-part decomposition, once."""
+    eng = _ENGINES.get(curve.name)
+    if eng is None:
+        eng = PairingEngine(curve)
+        # codelint: ignore[RC103] -- per-process engine memo, keyed by curve
+        _ENGINES[curve.name] = eng
+    return eng

@@ -314,6 +314,25 @@ class Fp6:
         a = self.a
         return Fp6(t, t.f2_mul(a[0], k), t.f2_mul(a[1], k), t.f2_mul(a[2], k))
 
+    def scale_fp(self, k):
+        """Multiply every coefficient by the base-field integer *k*."""
+        t = self.tower
+        a = self.a
+        return Fp6(t, t.f2_scale(a[0], k), t.f2_scale(a[1], k), t.f2_scale(a[2], k))
+
+    def mul_by_01(self, l0, l1):
+        """Multiply by the sparse element ``l0 + l1*v`` (raw Fp2 pairs):
+        6 ``Fp2`` products where the dense product spends 9."""
+        t = self.tower
+        mul, add = t.f2_mul, t.f2_add
+        a0, a1, a2 = self.a
+        return Fp6(
+            t,
+            add(mul(a0, l0), t.f2_mul_xi(mul(a2, l1))),
+            add(mul(a0, l1), mul(a1, l0)),
+            add(mul(a1, l1), mul(a2, l0)),
+        )
+
     def inverse(self):
         # Standard cubic-extension inversion via the adjugate.
         t = self.tower
@@ -409,6 +428,62 @@ class Fp12:
         lo = (a0 + a1) * (a0 + a1.mul_by_v()) - t - t.mul_by_v()
         hi = t + t
         return Fp12(self.tower, lo.a, hi.a)
+
+    def mul_by_line(self, s, l0, l1, k):
+        """``self * (s + (l0 + l1*v) * v**k * w)`` — the sparse product of a
+        Miller step, 12 ``Fp2`` products where the dense one spends 27.
+
+        *s* is a base-field integer, *l0*/*l1* raw Fp2 pairs and *k* is 0 or
+        1: a D-type twist's line fills the slots ``1, w, w^3`` (``k = 0``),
+        an M-type twist's ``1, w^3, w^5`` (``k = 1``).
+        """
+        a0, a1 = self._lo(), self._hi()
+        x = a0.mul_by_01(l0, l1)
+        y = a1.mul_by_01(l0, l1).mul_by_v()          # w * w = v
+        if k:
+            x, y = x.mul_by_v(), y.mul_by_v()
+        lo = a0.scale_fp(s) + y
+        hi = a1.scale_fp(s) + x
+        return Fp12(self.tower, lo.a, hi.a)
+
+    def cyclotomic_square(self):
+        """``self ** 2`` for an element of the cyclotomic subgroup
+        (``self ** (p^4 - p^2 + 1) == 1``, e.g. anything raised to
+        ``(p^6 - 1)(p^2 + 1)``) — Granger–Scott: 9 ``Fp2`` squarings where
+        :meth:`square` spends 18 products.  Wrong for any other element.
+
+        Over ``Fp4 = Fp2[y]``, ``y = w^3``, write ``self = A + B*w + C*w^2``
+        with ``A = g0 + g3*y``, ``B = g1 + g4*y``, ``C = g2 + g5*y``
+        (``g_i`` the coefficient of ``w^i``); then ``self ** 2`` is
+        ``(3A^2 - 2A') + (3y*C^2 + 2B')*w + (3B^2 - 2C')*w^2`` with ``'`` the
+        conjugation ``y -> -y``.
+        """
+        t = self.tower
+        add, sub, sqr, mul_xi = t.f2_add, t.f2_sub, t.f2_sqr, t.f2_mul_xi
+        g0, g2, g4 = self.c0
+        g1, g3, g5 = self.c1
+
+        def fp4_square(a, b):
+            # (a + b*y)^2 with y^2 = xi
+            aa, bb = sqr(a), sqr(b)
+            return add(aa, mul_xi(bb)), sub(sub(sqr(add(a, b)), aa), bb)
+
+        def minus(sq, g):     # 3*sq - 2*g
+            d = sub(sq, g)
+            return add(add(d, d), sq)
+
+        def plus(sq, g):      # 3*sq + 2*g
+            s = add(sq, g)
+            return add(add(s, s), sq)
+
+        a_lo, a_hi = fp4_square(g0, g3)
+        b_lo, b_hi = fp4_square(g1, g4)
+        c_lo, c_hi = fp4_square(g2, g5)
+        return Fp12(
+            t,
+            (minus(a_lo, g0), minus(b_lo, g2), minus(c_lo, g4)),
+            (plus(mul_xi(c_hi), g1), plus(a_hi, g3), plus(b_hi, g5)),
+        )
 
     def __pow__(self, e):
         if e < 0:

@@ -23,22 +23,10 @@ term is annihilated by the random ``r_i``).
 
 from __future__ import annotations
 
-from repro.curves.pairing import PairingEngine
+from repro.curves.pairing import engine_for
 from repro.obs import metrics
 
 __all__ = ["batch_verify"]
-
-_ENGINES = {}
-
-
-def _engine(curve):
-    eng = _ENGINES.get(curve.name)
-    if eng is None:
-        eng = PairingEngine(curve)
-        # codelint: ignore[RC103] -- per-process engine memo, keyed by curve
-        _ENGINES[curve.name] = eng
-    return eng
-
 
 def batch_verify(vk, proofs_with_publics, rng):
     """Verify many proofs against one verifying key in a single check.
@@ -100,4 +88,4 @@ def batch_verify(vk, proofs_with_publics, rng):
     pairs.append((-(vk.alpha1 * sum_r), vk.beta2))
     pairs.append((-acc_l, vk.gamma2))
     pairs.append((-acc_c, vk.delta2))
-    return _engine(curve).pairing_check(pairs)
+    return engine_for(curve).pairing_check(pairs)

@@ -16,26 +16,15 @@ opcodes, Table V).
 
 from __future__ import annotations
 
-from repro.curves.pairing import PairingEngine
+from repro.curves.pairing import engine_for
 from repro.obs import metrics
 from repro.perf import trace
 
 __all__ = ["verify"]
 
-# One engine per curve: the Frobenius/exponent precomputation is shared.
-_ENGINES = {}
-
 #: Modeled bytes of runtime image (node + snarkjs + curve tables) the
 #: verifier cold-starts through before the pairing work begins.
 _RUNTIME_IMAGE_BYTES = 1 << 20
-
-
-def _engine(curve):
-    eng = _ENGINES.get(curve.name)
-    if eng is None:
-        eng = PairingEngine(curve)
-        _ENGINES[curve.name] = eng
-    return eng
 
 
 def verify(vk, proof, publics):
@@ -60,7 +49,7 @@ def verify(vk, proof, publics):
     m = metrics.CURRENT
     if m is not None:
         m.inc("repro_groth16_verify_total")
-    eng = _engine(curve)
+    eng = engine_for(curve)
 
     def _prepare():
         acc = vk.ic[0]

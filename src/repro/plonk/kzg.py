@@ -58,12 +58,12 @@ class KZG:
     """Commit/open/verify against one :class:`SRS`."""
 
     def __init__(self, srs, pairing_engine=None):
-        from repro.curves.pairing import PairingEngine
+        from repro.curves.pairing import engine_for
 
         self.srs = srs
         self.curve = srs.curve
         self.fr = srs.curve.fr
-        self.engine = pairing_engine or PairingEngine(srs.curve)
+        self.engine = pairing_engine or engine_for(srs.curve)
 
     # -- commitments -----------------------------------------------------------
 

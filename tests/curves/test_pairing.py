@@ -1,9 +1,12 @@
 """Pairing correctness: bilinearity, non-degeneracy, and the verifier's
 product-check interface.  These are the properties Groth16 consumes."""
 
+import dataclasses
+
 import pytest
 
-from repro.curves import BLS12_381, BN128, PairingEngine
+from repro.curves import BLS12_381, BN128, PairingEngine, engine_for, get_curve
+from repro.fields.prime_field import PrimeField
 
 
 @pytest.fixture(params=["bn128", "bls12_381"], scope="module")
@@ -93,8 +96,34 @@ class TestInternals:
         with pytest.raises(ZeroDivisionError):
             engine.final_exponentiation(engine.tower.fp12_zero())
 
-    def test_hard_exponent_divisibility_guard(self, engine):
-        # The constructor checked r | p^4 - p^2 + 1; make that explicit.
-        p = engine.curve.fq.modulus
-        r = engine.curve.fr.modulus
-        assert (p**4 - p**2 + 1) % r == 0
+
+class TestConstruction:
+    def test_family_polynomials_rebuild_the_curve(self, engine):
+        # CurveSpec.parameter is what the hard part exponentiates by.
+        curve = engine.curve
+        z, p, r = curve.parameter, curve.fq.modulus, curve.fr.modulus
+        if curve.family == "bn":
+            assert p == 36 * z**4 + 36 * z**3 + 24 * z**2 + 6 * z + 1
+            assert r == 36 * z**4 + 36 * z**3 + 18 * z**2 + 6 * z + 1
+            assert curve.ate_loop == 6 * z + 2
+        else:
+            assert r == z**4 - z**2 + 1
+            assert 3 * (p - z) == (z - 1) ** 2 * r
+            assert curve.ate_loop == abs(z) and curve.x_negative == (z < 0)
+
+    def test_wrong_subgroup_order_is_rejected(self, engine):
+        curve = engine.curve
+        wrong = PrimeField(curve.fr.modulus + 2, "not-r")
+        with pytest.raises(ValueError, match="does not divide"):
+            PairingEngine(dataclasses.replace(curve, fr=wrong))
+
+    @pytest.mark.parametrize("delta", [1, 3, -3])
+    def test_wrong_parameter_is_rejected(self, engine, delta):
+        curve = engine.curve
+        with pytest.raises(ValueError, match="parameter"):
+            PairingEngine(dataclasses.replace(curve, parameter=curve.parameter + delta))
+
+    def test_one_engine_per_curve_and_process(self, engine):
+        curve = engine.curve
+        assert engine_for(get_curve(curve.name)) is engine_for(curve)
+        assert engine_for(curve).curve is curve
