@@ -86,19 +86,19 @@ parallel-check:
 	PYTHONPATH=src python -m repro parallel-check --size 4096 \
 		--workers $(PAR_WORKERS) --min-speedup $(MIN_SPEEDUP)
 
-# MSM kernel speed gate (docs/KERNELS.md): optimized kernels (signed-digit
-# + batch-affine, GLV) must beat the reference Pippenger by
-# $(KERNEL_MIN_SPEEDUP)x on a 2^12 MSM with bit-identical results; exits 0
-# with a SKIP message on single-core machines.
+# MSM kernel speed gate (docs/KERNELS.md): the front door (msm_auto, the
+# kernel the prover runs) must beat the reference Pippenger by
+# $(KERNEL_MIN_SPEEDUP)x on a 2^12 MSM with the same result; exits 0 with a
+# SKIP message on single-core machines.
 KERNEL_MIN_SPEEDUP ?= 1.5
 kernel-bench:
 	PYTHONPATH=src python -m repro kernel-bench --size 4096 \
 		--min-speedup $(KERNEL_MIN_SPEEDUP)
 
-# Full kernel differential matrix (docs/KERNELS.md): every optimized MSM
-# kernel x curve x size x worker count must match the reference kernel
-# bit-for-bit, proofs included, and the fast pairing its reference
-# element-for-element.  Wider than the tier-1 run.
+# Full kernel differential matrix (docs/KERNELS.md): every MSM kernel and
+# the front door x curve x size x worker count must match the reference
+# kernel bit-for-bit, fast proofs must match fully traced ones, and the
+# fast pairing its reference element-for-element.  Wider than the tier-1 run.
 kernel-test:
 	REPRO_KERNEL_FULL=1 PYTHONPATH=src pytest -x -q tests/msm tests/fields tests/curves
 

@@ -2,7 +2,7 @@
 
 Not a paper artifact — these time the substrate itself so regressions in
 the pure-Python kernels are visible: field multiply, curve operations,
-NTT, Pippenger MSM, pairing, and the five protocol stages end-to-end.
+NTT, MSM (reference and front door), pairing, and the five protocol stages end-to-end.
 """
 
 import random
@@ -11,7 +11,7 @@ import pytest
 
 from repro.curves import BLS12_381, BN128, PairingEngine
 from repro.harness.circuits import build_exponentiate
-from repro.msm import msm_pippenger
+from repro.msm import msm_auto, msm_pippenger
 from repro.poly import EvaluationDomain, ntt
 from repro.workflow import Workflow
 
@@ -58,11 +58,20 @@ def test_ntt_1024(benchmark, rng):
     benchmark(ntt, FR, coeffs, domain)
 
 
-def test_msm_pippenger_256(benchmark, rng):
+def _msm_input_256(rng):
     g = BN128.g1
     points = [(g.generator * rng.randrange(1, 1 << 30)).to_affine() for _ in range(256)]
     scalars = [rng.randrange(g.order) for _ in range(256)]
-    benchmark.pedantic(msm_pippenger, args=(g, points, scalars), rounds=3, iterations=1)
+    return g, points, scalars
+
+
+def test_msm_pippenger_256(benchmark, rng):
+    benchmark.pedantic(msm_pippenger, args=_msm_input_256(rng), rounds=3, iterations=1)
+
+
+def test_msm_auto_256(benchmark, rng):
+    # The kernel the prover runs, next to the traced reference above.
+    benchmark.pedantic(msm_auto, args=_msm_input_256(rng), rounds=3, iterations=1)
 
 
 @pytest.mark.parametrize("curve", [BN128, BLS12_381], ids=lambda c: c.name)

@@ -685,18 +685,15 @@ def build_parser():
 
     kbench = sub.add_parser(
         "kernel-bench",
-        help="CI gate: optimized-vs-reference MSM kernel wall time on one "
+        help="CI gate: msm_auto-vs-reference MSM kernel wall time on one "
              "2^12 MSM; skips cleanly on small runners (docs/KERNELS.md)",
     )
     kbench.add_argument("--curve", type=_curve_name, default="bn128")
     kbench.add_argument("--size", type=int, default=4096,
                         help="MSM length (default 4096 = 2^12)")
-    kbench.add_argument("--kernels", default="wnaf,glv",
-                        help="comma-separated optimized kernels to gate "
-                             "(subset of wnaf,glv; default both)")
     kbench.add_argument("--min-speedup", type=float, default=1.5,
-                        help="required speedup of the best optimized kernel "
-                             "over the reference Pippenger (default 1.5)")
+                        help="required speedup of msm_auto over the "
+                             "reference Pippenger (default 1.5)")
     kbench.add_argument("--repeats", type=_positive_int, default=1,
                         help="best-of-N timing runs per kernel (default 1)")
     kbench.add_argument("--min-cores", type=_positive_int, default=2,
@@ -1396,11 +1393,11 @@ def cmd_parallel_check(args, out=print):
 
 
 def cmd_kernel_bench(args, out=print):
-    """Optimized-vs-reference MSM kernel gate (docs/KERNELS.md).
+    """Front-door-vs-reference MSM kernel gate (docs/KERNELS.md).
 
-    Times the reference Pippenger kernel against the optimized kernels on
-    one deterministic MSM input, requires bit-identical results from every
-    kernel, and fails unless the *best* optimized kernel clears
+    Times the reference Pippenger kernel against ``msm_auto`` — the kernel
+    the prover runs — on one deterministic MSM input, requires the same
+    group element from both, and fails unless the front door clears
     ``--min-speedup``.  Self-skips (exit 0) on runners below
     ``--min-cores`` like ``parallel-check`` does.
     """
@@ -1409,23 +1406,14 @@ def cmd_kernel_bench(args, out=print):
     import time as _time
 
     from repro.curves import get_curve
-    from repro.msm.glv import msm_glv
+    from repro.msm.dispatch import msm_auto
     from repro.msm.pippenger import msm_pippenger
-    from repro.msm.wnaf import msm_wnaf
 
     cores = os.cpu_count() or 1
     if cores < args.min_cores:
         out(f"kernel-bench: SKIP — {cores} core(s) available, gate needs "
             f">= {args.min_cores} for stable timings")
         return 0
-
-    known = {"wnaf": msm_wnaf, "glv": msm_glv}
-    names = [k.strip() for k in args.kernels.split(",") if k.strip()]
-    bad = [k for k in names if k not in known]
-    if bad or not names:
-        raise ValueError(
-            f"--kernels must be a non-empty subset of {','.join(sorted(known))}, "
-            f"got {args.kernels!r}")
 
     curve = get_curve(args.curve)
     group = curve.g1
@@ -1446,38 +1434,29 @@ def cmd_kernel_bench(args, out=print):
         return best, result
 
     ref_s, ref = _best_of(msm_pippenger)
-    rows = []
-    identical = True
-    for name in names:
-        opt_s, opt = _best_of(known[name])
-        same = opt == ref
-        identical = identical and same
-        rows.append({"kernel": name, "seconds": opt_s,
-                     "speedup": ref_s / opt_s if opt_s > 0 else float("inf"),
-                     "identical": same})
+    fast_s, fast = _best_of(msm_auto)
+    identical = fast == ref
+    speedup = ref_s / fast_s if fast_s > 0 else float("inf")
 
-    record = {"curve": args.curve, "size": args.size,
-              "reference_seconds": ref_s, "kernels": rows,
-              "min_speedup": args.min_speedup}
     if args.as_json:
-        out(json.dumps(record, indent=2))
+        out(json.dumps({"curve": args.curve, "size": args.size,
+                        "reference_seconds": ref_s, "seconds": fast_s,
+                        "speedup": speedup, "identical": identical,
+                        "min_speedup": args.min_speedup}, indent=2))
     else:
         out(f"kernel-bench: {args.curve} G1 n={args.size} — reference "
-            f"pippenger {ref_s:.3f}s")
-        for row in rows:
-            out(f"kernel-bench:   {row['kernel']:<5s} {row['seconds']:.3f}s "
-                f"speedup {row['speedup']:.2f}x, result "
-                f"{'identical' if row['identical'] else 'DIFFERS'}")
+            f"pippenger {ref_s:.3f}s, msm_auto {fast_s:.3f}s, speedup "
+            f"{speedup:.2f}x, result "
+            f"{'identical' if identical else 'DIFFERS'}")
     if not identical:
-        out("kernel-bench: FAIL — an optimized kernel disagrees with the "
-            "reference result")
+        out("kernel-bench: FAIL — msm_auto disagrees with the reference "
+            "result")
         return 1
-    best = max(row["speedup"] for row in rows)
-    if best < args.min_speedup:
-        out(f"kernel-bench: FAIL — best speedup {best:.2f}x below required "
+    if speedup < args.min_speedup:
+        out(f"kernel-bench: FAIL — speedup {speedup:.2f}x below required "
             f"{args.min_speedup:.2f}x")
         return 1
-    out(f"kernel-bench: OK — best speedup {best:.2f}x "
+    out(f"kernel-bench: OK — speedup {speedup:.2f}x "
         f">= {args.min_speedup:.2f}x")
     return 0
 

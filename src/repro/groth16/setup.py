@@ -29,7 +29,7 @@ from repro.qap.qap import column_evaluations_at, qap_domain
 __all__ = ["setup"]
 
 
-def setup(curve, circuit, rng, fixed_base_width=3):
+def setup(curve, circuit, rng):
     """Run the trusted setup for *circuit* on *curve*.
 
     Parameters
@@ -41,9 +41,6 @@ def setup(curve, circuit, rng, fixed_base_width=3):
     rng:
         A ``random.Random``; its five draws are the toxic waste.  Use a
         fresh, discarded generator in production settings.
-    fixed_base_width:
-        Window width for the fixed-base tables (see
-        :class:`~repro.msm.fixed_base.FixedBaseTable`).
 
     Returns
     -------
@@ -94,8 +91,9 @@ def setup(curve, circuit, rng, fixed_base_width=3):
             ic_scalars, l_scalars, h_scalars = _prepare_scalars()
 
     # -- group commitments -------------------------------------------------------
-    g1_table = FixedBaseTable(curve.g1.generator, width=fixed_base_width)
-    g2_table = FixedBaseTable(curve.g2.generator, width=fixed_base_width)
+    # Width 3 is what the traced setup's figures are calibrated on.
+    g1_table = FixedBaseTable(curve.g1.generator, width=3)
+    g2_table = FixedBaseTable(curve.g2.generator, width=3)
 
     def _mul_many(table, scalars):
         """Table sweep, fanned out through the worker pool when one is

@@ -21,7 +21,7 @@ safe.  Cache traffic is observable: when a metrics registry is active
 Delete the directory or set ``REPRO_CACHE=0`` to disable caching.
 
 Entries are stored with a sha256 trailer
-(:func:`repro.resilience.checkpoint.write_checksummed`); a truncated or
+(:class:`repro.resilience.checkpoint.CellStore`); a truncated or
 bit-flipped file is **evicted** on read — counted under
 ``repro_harness_cache_evictions_total`` — and the cell recomputed, so the
 cache self-heals instead of silently serving garbage.  ``profile_run``
@@ -43,13 +43,8 @@ from repro.harness.circuits import build_workload
 from repro.obs import ledger, metrics
 from repro.perf.analysis import analyze_stage
 from repro.perf.trace import Tracer
-from repro.resilience.checkpoint import (
-    SweepCheckpoint,
-    read_checksummed,
-    write_checksummed,
-)
+from repro.resilience.checkpoint import CellStore, SweepCheckpoint
 from repro.resilience.degrade import run_with_memory_guard
-from repro.resilience.errors import ArtifactCorruption
 from repro.workflow import STAGES, Workflow
 
 __all__ = ["DEFAULT_SIZES", "PAPER_SIZES", "profile_run", "profile_sweep"]
@@ -87,7 +82,8 @@ def _source_fingerprint():
     return _FINGERPRINT
 
 
-def _cache_dir():
+def _disk_cache():
+    """The on-disk profile cache, or ``None`` when disabled or unwritable."""
     if os.environ.get("REPRO_CACHE", "1") == "0":
         return None
     base = os.environ.get("REPRO_CACHE_DIR")
@@ -95,9 +91,10 @@ def _cache_dir():
         base = os.path.join(os.getcwd(), ".repro_cache")
     try:
         os.makedirs(base, exist_ok=True)
-        return base
     except OSError:
         return None
+    return CellStore(base, hit_metric="repro_harness_cache_disk_hits_total",
+                     eviction_metric="repro_harness_cache_evictions_total")
 
 
 def profile_run(curve_name, size, seed=0, mem_sample=DEFAULT_MEM_SAMPLE,
@@ -115,29 +112,16 @@ def profile_run(curve_name, size, seed=0, mem_sample=DEFAULT_MEM_SAMPLE,
             m.inc("repro_harness_cache_memo_hits_total")
         return _MEMO[key]
 
-    cache_dir = _cache_dir()
-    path = None
-    if cache_dir is not None:
-        fname = (f"profile_{workload}_{curve_name}_{size}_{seed}_"
-                 f"{mem_sample}_{key[-1]}.pkl")
-        path = os.path.join(cache_dir, fname)
-        if os.path.exists(path):
-            try:
-                profiles = read_checksummed(path)
-            except ArtifactCorruption:
-                # Truncated / bit-flipped / pre-checksum entry: evict it
-                # so the cache heals, then recompute the cell.
-                try:
-                    os.remove(path)
-                except OSError:
-                    pass
-                if m is not None:
-                    m.inc("repro_harness_cache_evictions_total")
-            else:
-                _MEMO[key] = profiles
-                if m is not None:
-                    m.inc("repro_harness_cache_disk_hits_total")
-                return profiles
+    cache = _disk_cache()
+    fname = (f"profile_{workload}_{curve_name}_{size}_{seed}_"
+             f"{mem_sample}_{key[-1]}.pkl")
+    if cache is not None:
+        # A truncated / bit-flipped / pre-checksum entry is evicted by the
+        # store, so the cache heals and the cell is recomputed.
+        profiles = cache.load(fname)
+        if profiles is not None:
+            _MEMO[key] = profiles
+            return profiles
 
     if m is not None:
         m.inc("repro_harness_cache_misses_total")
@@ -177,9 +161,9 @@ def profile_run(curve_name, size, seed=0, mem_sample=DEFAULT_MEM_SAMPLE,
         ))
 
     _MEMO[key] = profiles
-    if path is not None:
+    if cache is not None:
         try:
-            write_checksummed(path, profiles)
+            cache.store(fname, profiles)
         except OSError:
             pass  # cache is best-effort
     return profiles

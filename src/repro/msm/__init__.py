@@ -1,27 +1,23 @@
 """Multi-scalar multiplication kernels.
 
 MSM is the dominant kernel of Groth16's setup and proving stages (the module
-PipeZK and DistMSM accelerate).  Implementations (docs/KERNELS.md):
+PipeZK and DistMSM accelerate).  Production code calls
+:func:`repro.msm.dispatch.msm_auto`, the one front door (which kernel runs,
+and why nothing selects it: docs/KERNELS.md); the kernels behind it are
 
-- :func:`repro.msm.naive.msm_naive` — per-point double-and-add baseline
-  (the ablation comparator),
 - :func:`repro.msm.pippenger.msm_pippenger` — windowed bucket method, the
-  reference kernel every optimization is differentially gated against (and
-  the kernel modeled runs always see),
-- :func:`repro.msm.wnaf.msm_wnaf` — signed-digit buckets (half the bucket
-  count) with batch-affine accumulation (Montgomery simultaneous
-  inversion),
-- :func:`repro.msm.glv.msm_glv` — GLV endomorphism decomposition feeding
-  half-width scalars into the signed-digit kernel (G1 only; falls back to
-  ``msm_wnaf`` elsewhere),
-- :func:`repro.msm.dispatch.msm_auto` — the production entry point: picks
-  the fastest applicable kernel, honours ``REPRO_MSM``, keeps traced runs
-  on the reference kernel,
+  reference every optimization is differentially gated against and the
+  kernel traced runs see,
+- :func:`repro.msm.glv.msm_glv` — GLV endomorphism split on G1 feeding
+  half-width scalars to :func:`repro.msm.wnaf.msm_wnaf`, the signed-digit /
+  batch-affine bucket kernel it falls back to whole on G2,
+- :func:`repro.msm.naive.msm_naive` — per-point double-and-add: the degrade
+  ladder's last rung and the tests' oracle,
 - :class:`repro.msm.fixed_base.FixedBaseTable` — fixed-base comb used by the
   trusted setup, where thousands of scalars share one base point.
 """
 
-from repro.msm.dispatch import MSM_MODES, msm_auto, msm_mode
+from repro.msm.dispatch import msm_auto
 from repro.msm.fixed_base import FixedBaseTable
 from repro.msm.glv import GLVParams, decompose_scalar, glv_params, msm_glv
 from repro.msm.naive import msm_naive
@@ -32,12 +28,10 @@ from repro.msm.wnaf import msm_wnaf, optimal_signed_window
 __all__ = [
     "FixedBaseTable",
     "GLVParams",
-    "MSM_MODES",
     "decompose_scalar",
     "glv_params",
     "msm_auto",
     "msm_glv",
-    "msm_mode",
     "msm_naive",
     "msm_pippenger",
     "msm_wnaf",

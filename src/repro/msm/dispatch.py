@@ -1,71 +1,46 @@
-"""MSM kernel dispatch: one entry point, per-optimization selection.
+"""The MSM front door: one entry point, nothing to set.
 
-:func:`msm_auto` is what the prover (:func:`repro.resilience.degrade.
-resilient_msm`) and the parallel chunk task (``msm_chunk``) call.  It
-routes to the fastest applicable kernel:
+:func:`msm_auto` is what the prover (through
+:func:`repro.resilience.degrade.resilient_msm`), the pool's chunk task
+(``msm_chunk``) and KZG's ``commit`` call.  Which kernel runs follows from
+what the process can observe, never from an option:
 
-- **traced runs always use the reference kernel** — the analytical model's
-  figures and tables are calibrated against the textbook Pippenger
-  structure, so optimized kernels stay out of modeled runs exactly like
-  the worker pool does (``active_pool()`` returns ``None`` under a
-  tracer);
-- ``REPRO_MSM`` overrides the choice per process: ``auto`` (default),
-  ``glv``, ``wnaf``, ``pippenger``/``reference``, ``naive`` — the switch
-  the differential matrix and the ``kernel-bench`` gate use to compare
-  kernels on identical inputs;
-- ``auto`` picks GLV for groups with the endomorphism (G1 of both curves)
-  and the signed-digit kernel otherwise (G2).
+- under a tracer, the reference :func:`~repro.msm.pippenger.msm_pippenger`
+  (the pinning rule, docs/KERNELS.md);
+- with a worker pool installed and the input large enough for it,
+  :func:`repro.parallel.kernels.msm_parallel`, whose chunks come back
+  through this door inside the workers (where no pool is installed);
+- otherwise the fast kernel, :func:`~repro.msm.glv.msm_glv`: the GLV split
+  on groups with the endomorphism (G1), the signed-digit / batch-affine
+  kernel alone on the others (G2).
 
-Every kernel computes the same group element, so the choice is invisible
-in proof/pk/vk bytes — ``tests/msm/test_kernel_differential.py`` pins
-that cross product.
+Every route computes the same group element, so the choice is invisible
+in proof/pk/vk bytes — ``tests/msm/test_kernel_differential.py`` pins it.
 """
 
 from __future__ import annotations
 
-import os
-
-from repro.msm.glv import glv_params, msm_glv
-from repro.msm.naive import msm_naive
+from repro.msm.glv import msm_glv
 from repro.msm.pippenger import msm_pippenger
-from repro.msm.wnaf import msm_wnaf
+from repro.parallel.pool import active_pool
 from repro.perf import trace
 
-__all__ = ["msm_auto", "msm_mode", "MSM_MODES"]
-
-#: Recognized ``REPRO_MSM`` values.
-MSM_MODES = ("auto", "glv", "wnaf", "pippenger", "reference", "naive")
+__all__ = ["msm_auto"]
 
 
-def msm_mode():
-    """The process's MSM kernel selection (validated ``REPRO_MSM``)."""
-    mode = os.environ.get("REPRO_MSM", "auto").strip().lower() or "auto"
-    if mode not in MSM_MODES:
-        raise ValueError(
-            f"REPRO_MSM must be one of {', '.join(MSM_MODES)}, got {mode!r}"
-        )
-    return mode
-
-
-def msm_auto(group, points, scalars, window=None):
-    """Compute ``sum_i scalars[i] * points[i]`` with the selected kernel.
+def msm_auto(group, points, scalars):
+    """Compute ``sum_i scalars[i] * points[i]``.
 
     Same contract as every MSM kernel: affine raw-coordinate tuples
     (``None`` for infinity), plain integer scalars, identical result bytes
     whichever kernel runs.
     """
     if trace.CURRENT is not None:
-        # Modeled runs must keep seeing the reference algorithm.
-        return msm_pippenger(group, points, scalars, window=window)
-    mode = msm_mode()
-    if mode == "auto":
-        if glv_params(group) is not None:
-            return msm_glv(group, points, scalars, window=window)
-        return msm_wnaf(group, points, scalars, window=window)
-    if mode == "glv":
-        return msm_glv(group, points, scalars, window=window)
-    if mode == "wnaf":
-        return msm_wnaf(group, points, scalars, window=window)
-    if mode == "naive":
-        return msm_naive(group, points, scalars)
-    return msm_pippenger(group, points, scalars, window=window)
+        return msm_pippenger(group, points, scalars)
+    pool = active_pool()
+    if pool is not None and pool.enabled_for(len(points), "msm"):
+        # Lazy: repro.parallel.kernels imports from this package.
+        from repro.parallel.kernels import msm_parallel
+
+        return msm_parallel(group, points, scalars, pool)
+    return msm_glv(group, points, scalars)

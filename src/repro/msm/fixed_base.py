@@ -125,7 +125,8 @@ class FixedBaseTable:
         Untraced, the products come back normalized (``Z == 1``) through
         one shared batch inversion, so every later ``to_affine`` on them —
         the prover's per-proof query walk, the serializers — is free;
-        traced runs keep the Jacobian walk the model is calibrated on.
+        traced runs keep the Jacobian walk (the pinning rule,
+        docs/KERNELS.md).
         """
         t = trace.CURRENT
         if t is None:

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from math import isqrt
 
 from repro.fields.prime_field import PrimeField
-from repro.msm.wnaf import msm_wnaf
+from repro.msm.terms import live_terms
+from repro.msm.wnaf import msm_wnaf, signed_bucket_msm
 from repro.obs import metrics
-from repro.perf import trace
 from repro.resilience import retry as resilience
 
 __all__ = ["GLVParams", "glv_params", "decompose_scalar", "msm_glv"]
@@ -166,14 +166,7 @@ def msm_glv(group, points, scalars, window=None):
     params = glv_params(group)
     if params is None:
         return msm_wnaf(group, points, scalars, window=window)
-    if len(points) != len(scalars):
-        raise ValueError(f"points/scalars length mismatch: {len(points)} vs {len(scalars)}")
-    order = group.order
-    pairs = [
-        (pt, k % order)
-        for pt, k in zip(points, scalars)
-        if pt is not None and k % order != 0
-    ]
+    pairs = live_terms(group, points, scalars, window)
     if not pairs:
         return group.infinity()
 
@@ -181,14 +174,11 @@ def msm_glv(group, points, scalars, window=None):
     if m is not None:
         m.inc("repro_msm_glv_calls_total")
         m.inc("repro_msm_glv_decompositions_total", len(pairs))
-    t = trace.CURRENT
-    if t is not None:
-        t.op("glv_decompose", len(pairs))
 
     fq = group.ops.fq
+    order = group.order
     beta = params.beta
-    half_points = []
-    half_scalars = []
+    halves = []  # live (point, half-width scalar) terms, signs folded into the points
     for i, (pt, k) in enumerate(pairs):
         # Cooperative deadline poll amortized over the decomposition loop.
         if not i & 255:
@@ -197,16 +187,12 @@ def msm_glv(group, points, scalars, window=None):
         k1, k2 = decompose_scalar(params, order, k)
         x, y = pt
         if k1 > 0:
-            half_points.append(pt)
-            half_scalars.append(k1)
+            halves.append((pt, k1))
         elif k1 < 0:
-            half_points.append((x, fq.neg(y)))
-            half_scalars.append(-k1)
+            halves.append(((x, fq.neg(y)), -k1))
         if k2 > 0:
-            half_points.append((fq.mul(beta, x), y))
-            half_scalars.append(k2)
+            halves.append(((fq.mul(beta, x), y), k2))
         elif k2 < 0:
-            half_points.append((fq.mul(beta, x), fq.neg(y)))
-            half_scalars.append(-k2)
+            halves.append(((fq.mul(beta, x), fq.neg(y)), -k2))
 
-    return msm_wnaf(group, half_points, half_scalars, window=window)
+    return signed_bucket_msm(group, halves, window)

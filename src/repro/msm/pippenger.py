@@ -17,6 +17,7 @@ Instrumentation notes (what the paper's analyses see):
 
 from __future__ import annotations
 
+from repro.msm.terms import live_terms
 from repro.obs import metrics
 from repro.perf import trace
 from repro.resilience import faults
@@ -47,20 +48,11 @@ def msm_pippenger(group, points, scalars, window=None):
     *points* are affine raw-coordinate tuples (``None`` entries and zero
     scalars are skipped), *scalars* plain integers (reduced mod group order).
     """
-    if len(points) != len(scalars):
-        raise ValueError(f"points/scalars length mismatch: {len(points)} vs {len(scalars)}")
-    if window is not None and not 1 <= window <= 32:
-        raise ValueError(f"window width must be in [1, 32], got {window}")
-    order = group.order
-    pairs = [
-        (pt, k % order)
-        for pt, k in zip(points, scalars)
-        if pt is not None and k % order != 0
-    ]
+    pairs = live_terms(group, points, scalars, window)
     if not pairs:
         return group.infinity()
     c = window or optimal_window(len(pairs))
-    nbits = order.bit_length()
+    nbits = group.order.bit_length()
     n_windows = (nbits + c - 1) // c
     mask = (1 << c) - 1
 

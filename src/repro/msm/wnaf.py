@@ -29,12 +29,12 @@ from __future__ import annotations
 
 from repro.msm.batch_affine import batch_affine_accumulate
 from repro.msm.recode import signed_windows, signed_windows_len
+from repro.msm.terms import live_terms
 from repro.obs import metrics
-from repro.perf import trace
 from repro.resilience import faults
 from repro.resilience import retry as resilience
 
-__all__ = ["msm_wnaf", "optimal_signed_window"]
+__all__ = ["msm_wnaf", "optimal_signed_window", "signed_bucket_msm"]
 
 #: Relative costs (in field-call units) of one batch-affine pair addition
 #: and one fold slot (mixed + full Jacobian addition), used by the window
@@ -66,20 +66,18 @@ def optimal_signed_window(n, nbits):
 def msm_wnaf(group, points, scalars, window=None):
     """Compute ``sum_i scalars[i] * points[i]`` with signed-digit buckets.
 
-    Same contract as the reference kernel: *points* are affine
-    raw-coordinate tuples (``None`` entries and zero scalars are skipped),
-    *scalars* plain integers (reduced mod the group order).
+    Same contract as the reference kernel (:func:`repro.msm.terms.live_terms`):
+    *points* are affine raw-coordinate tuples (``None`` entries and zero
+    scalars are skipped), *scalars* plain integers (reduced mod the group
+    order).
     """
-    if len(points) != len(scalars):
-        raise ValueError(f"points/scalars length mismatch: {len(points)} vs {len(scalars)}")
-    if window is not None and not 1 <= window <= 32:
-        raise ValueError(f"window width must be in [1, 32], got {window}")
-    order = group.order
-    pairs = [
-        (pt, k % order)
-        for pt, k in zip(points, scalars)
-        if pt is not None and k % order != 0
-    ]
+    return signed_bucket_msm(group, live_terms(group, points, scalars, window), window)
+
+
+def signed_bucket_msm(group, pairs, window=None):
+    """The bucket kernel proper over ``(point, scalar)`` *pairs* that are
+    already live (finite point, ``0 < scalar``) — what :func:`msm_wnaf`
+    filters down to and the GLV split produces directly."""
     if not pairs:
         return group.infinity()
     # Window count follows the widest actual scalar (not the order): GLV
@@ -103,15 +101,12 @@ def msm_wnaf(group, points, scalars, window=None):
     neg = ops.neg
     rows = [signed_windows(k, c, n_digits) for _pt, k in pairs]
 
-    t = trace.CURRENT
     window_sums = []
     for w in range(n_digits):
         # Cooperative deadline poll between the independent window passes,
         # like the reference kernel.
         if resilience.DEADLINE is not None:
             resilience.DEADLINE.check()
-        if t is not None:
-            t.op("msm_signed_digit", len(pairs))
         entries = []
         for i, (pt, _k) in enumerate(pairs):
             d = rows[i][w]

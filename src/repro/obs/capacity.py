@@ -39,12 +39,7 @@ import os
 from dataclasses import dataclass, field
 
 from repro.obs import metrics
-from repro.resilience.checkpoint import (
-    DEFAULT_DIR as CHECKPOINT_BASE,
-    read_checksummed,
-    write_checksummed,
-)
-from repro.resilience.errors import ArtifactCorruption
+from repro.resilience.checkpoint import DEFAULT_DIR as CHECKPOINT_BASE, CellStore
 
 __all__ = [
     "CapacityCell",
@@ -290,45 +285,15 @@ def _capacity_key(common, configs):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-class _CapacityCheckpoint:
-    """Per-cell checksummed persistence for one capacity sweep — the
-    ``SweepCheckpoint`` idiom with capacity-cell naming.  Corrupt cells
-    self-heal: evict, count, recompute."""
-
-    def __init__(self, common, configs, base_dir=None):
-        self.key = _capacity_key(common, configs)
-        base = base_dir or CHECKPOINT_BASE
-        self.dir = os.path.join(base, f"capacity_{self.key}")
-        self._manifest = dict(common)
-        self._manifest["cells"] = [c.config_key for c in configs]
-
-    def _cell_path(self, config):
-        return os.path.join(self.dir, f"cell_{config.config_key}.pkl")
-
-    def _ensure_dir(self):
-        os.makedirs(self.dir, exist_ok=True)
-        manifest = os.path.join(self.dir, "MANIFEST.json")
-        if not os.path.exists(manifest):
-            with open(manifest, "w") as f:
-                json.dump(self._manifest, f, indent=2, sort_keys=True)
-
-    def load(self, config):
-        """The checkpointed capacity block for *config*, or ``None``."""
-        path = self._cell_path(config)
-        if not os.path.exists(path):
-            return None
-        try:
-            return read_checksummed(path)
-        except ArtifactCorruption:
-            os.remove(path)
-            m = metrics.CURRENT
-            if m is not None:
-                m.inc("repro_resilience_checkpoint_evictions_total")
-            return None
-
-    def store(self, config, block):
-        self._ensure_dir()
-        write_checksummed(self._cell_path(config), block)
+def _capacity_store(common, configs, base_dir=None):
+    """The checksummed per-cell store of one capacity sweep (corrupt cells
+    self-heal: evict, count, recompute)."""
+    manifest = dict(common)
+    manifest["cells"] = [c.config_key for c in configs]
+    return CellStore(
+        os.path.join(base_dir or CHECKPOINT_BASE,
+                     f"capacity_{_capacity_key(common, configs)}"),
+        manifest=manifest)
 
 
 def _measure_cell(config, mix=None, deadline_s=None, max_inflight=64,
@@ -403,11 +368,12 @@ def run_capacity_sweep(workers_list=(1,), batch_windows=(0.0,),
                             rps_list, **common)
     if not configs:
         raise ValueError("empty capacity matrix — nothing to sweep")
-    ckpt = _CapacityCheckpoint(common, configs, base_dir=checkpoint_dir)
+    ckpt = _capacity_store(common, configs, base_dir=checkpoint_dir)
     book = ledger_mod.Ledger(ledger_path) if ledger_path else None
     cells = []
     for i, config in enumerate(configs):
-        block = ckpt.load(config) if resume else None
+        cell_file = f"cell_{config.config_key}.pkl"
+        block = ckpt.load(cell_file) if resume else None
         if block is not None:
             cell = CapacityCell.from_block(block)
             cell.resumed = True
@@ -416,7 +382,7 @@ def run_capacity_sweep(workers_list=(1,), batch_windows=(0.0,),
                 config, mix=mix, deadline_s=deadline_s,
                 max_inflight=max_inflight, bad_verify_pct=bad_verify_pct)
             cell = _fill_cell(config, load)
-            ckpt.store(config, cell.to_capacity_block())
+            ckpt.store(cell_file, cell.to_capacity_block())
             if book is not None:
                 book.append(ledger_mod.make_record(
                     kind="capacity", curve=cell.curve, size=cell.size,

@@ -33,6 +33,7 @@ from a serial fault.
 
 from __future__ import annotations
 
+from repro.msm.terms import live_terms
 from repro.obs import metrics
 from repro.resilience import faults
 from repro.resilience import retry as resilience
@@ -101,29 +102,19 @@ def _mark_fired(spec):
 # -- MSM ---------------------------------------------------------------------------
 
 
-def msm_parallel(group, points, scalars, pool, window=None):
-    """Chunked Pippenger MSM: partial sums in workers, reduced here.
+def msm_parallel(group, points, scalars, pool):
+    """Chunked MSM: partial sums in workers, reduced here.
 
-    Drop-in for :func:`repro.msm.pippenger.msm_pippenger` (same filtering
-    and fault-site cadence); the returned point equals the serial result.
+    Same input contract and fault-site cadence as the serial kernels; each
+    chunk re-enters :func:`repro.msm.dispatch.msm_auto` inside its worker,
+    and the returned point equals the serial result.
     """
-    if len(points) != len(scalars):
-        raise ValueError(
-            f"points/scalars length mismatch: {len(points)} vs {len(scalars)}")
-    if window is not None and not 1 <= window <= 32:
-        raise ValueError(f"window width must be in [1, 32], got {window}")
-    order = group.order
-    pairs = [
-        (pt, k % order)
-        for pt, k in zip(points, scalars)
-        if pt is not None and k % order != 0
-    ]
+    pairs = live_terms(group, points, scalars)
     if not pairs:
         return group.infinity()
 
     m = metrics.CURRENT
     if m is not None:
-        m.inc("repro_msm_pippenger_calls_total")
         m.observe("repro_msm_points", len(pairs))
         m.inc("repro_parallel_msm_total")
     spec, fault_ctx = _arm_site("msm:pippenger")
@@ -138,7 +129,6 @@ def msm_parallel(group, points, scalars, pool, window=None):
             "group": group.name,
             "points": [pt for pt, _ in pairs[start:stop]],
             "scalars": [k for _, k in pairs[start:stop]],
-            "window": window,
         }
         for start, stop in slices
     ]

@@ -44,10 +44,8 @@ telemetry black box without giving up the hard reset
 (``_reset_worker_globals``) that keeps untelemetered workers silent.
 
 The process-global ``CURRENT`` slot follows the repo-wide idiom
-(``trace.CURRENT`` etc.): kernels check ``parallel.CURRENT`` and stay on
-the serial path when it is ``None``, when the pool has one worker, or
-when a tracer is active (the analytical model must keep seeing the
-serial algorithms).
+(``trace.CURRENT`` etc.): kernels ask :func:`active_pool` and stay on the
+serial path when it returns ``None`` or the pool has one worker.
 """
 
 from __future__ import annotations
@@ -646,8 +644,7 @@ class WorkerPool:
 
 def active_pool():
     """The installed pool when parallel execution should engage, else
-    ``None`` — i.e. also ``None`` whenever a tracer is active, so modeled
-    runs always see the serial algorithms."""
+    ``None`` — also under a tracer (the pinning rule, docs/KERNELS.md)."""
     pool = CURRENT
     if pool is None:
         return None

@@ -48,20 +48,16 @@ def _point_out(point):
 def msm_chunk(payload):
     """Partial MSM over one chunk of the (points, scalars) input.
 
-    Routes through the serial kernel dispatcher (``msm_auto``), so chunked
-    parallel MSMs ride the same optimized fast path (GLV / signed-digit /
-    batch-affine) as serial runs — including the ``msm:pippenger``
-    fault-site check every bucket kernel performs, which is how a shipped
-    chaos fault fires in here — and returns the partial sum as an affine
-    tuple.
+    Goes back through the MSM front door (``msm_auto``; no pool is
+    installed in here, so the fast serial kernel runs) — including the
+    ``msm:pippenger`` fault-site check every bucket kernel performs, which
+    is how a shipped chaos fault fires in here — and returns the partial
+    sum as an affine tuple.
     """
     from repro.msm.dispatch import msm_auto
 
     group = resolve_group(payload["group"])
-    return _point_out(
-        msm_auto(group, payload["points"], payload["scalars"],
-                 window=payload.get("window"))
-    )
+    return _point_out(msm_auto(group, payload["points"], payload["scalars"]))
 
 
 # -- NTT ---------------------------------------------------------------------------

@@ -116,16 +116,6 @@ COSTS = {
                         cycles=60, code_bytes=900, function="fft"),
     "msm_digit": OpCost(compute=4, control=6, data=5, loads=3, stores=1,
                         cycles=8, mispred=0.06, code_bytes=700, function="msm"),
-    # Signed-digit scatter of the wNAF kernel: the digit extraction plus
-    # carry/negation handling (slightly branchier than the unsigned digit).
-    "msm_signed_digit": OpCost(compute=5, control=7, data=5, loads=3, stores=1,
-                               cycles=9, mispred=0.07, code_bytes=800,
-                               function="msm"),
-    # One GLV scalar split: two ~384x256-bit multiplies, two rounded
-    # divisions and the Babai recombination — all word-parallel bigint work.
-    "glv_decompose": OpCost(compute=60, control=12, data=40, loads=16, stores=8,
-                            cycles=90, mispred=0.1, code_bytes=1600,
-                            function="msm"),
     "fixed_base_digit": OpCost(compute=3, control=5, data=4, loads=2, stores=1,
                                cycles=6, mispred=0.04, code_bytes=600, function="msm"),
     # The pairing runs inside the JIT-compiled JS big-number library: its

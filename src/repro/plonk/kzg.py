@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.msm.dispatch import msm_auto
 from repro.msm.fixed_base import FixedBaseTable
-from repro.msm.pippenger import msm_pippenger
 
 __all__ = ["SRS", "KZG"]
 
@@ -36,11 +36,11 @@ class SRS:
         return len(self.g1_powers)
 
     @classmethod
-    def generate(cls, curve, size, rng, fixed_base_width=4):
+    def generate(cls, curve, size, rng):
         """Sample tau and build the SRS (the universal trusted setup)."""
         fr = curve.fr
         tau = fr.rand_nonzero(rng)
-        table = FixedBaseTable(curve.g1.generator, width=fixed_base_width)
+        table = FixedBaseTable(curve.g1.generator)
         powers = []
         acc = 1
         for _ in range(size):
@@ -73,7 +73,7 @@ class KZG:
             raise ValueError(
                 f"polynomial degree {len(coeffs) - 1} exceeds SRS size {self.srs.size}"
             )
-        return msm_pippenger(self.curve.g1, self.srs.g1_powers[: len(coeffs)], coeffs)
+        return msm_auto(self.curve.g1, self.srs.g1_powers[: len(coeffs)], coeffs)
 
     # -- openings ----------------------------------------------------------------
 

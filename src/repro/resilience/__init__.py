@@ -35,6 +35,7 @@ give-ups land in the run ledger next to the kernel counters.  See
 """
 
 from repro.resilience.checkpoint import (
+    CellStore,
     SweepCheckpoint,
     read_checksummed,
     write_checksummed,
@@ -67,6 +68,7 @@ from repro.resilience.retry import (
 
 __all__ = [
     "ArtifactCorruption",
+    "CellStore",
     "Deadline",
     "FaultInjector",
     "FaultSpec",

@@ -1,25 +1,27 @@
 """Sweep checkpoints and self-verifying pickle payloads.
 
-Two layers:
+Three layers:
 
 - :func:`write_checksummed` / :func:`read_checksummed` — the one on-disk
   pickle format of the repo: payload followed by a 32-byte sha256 trailer,
   written atomically (tmp + rename).  A truncated, bit-flipped or
   foreign-format file raises
   :class:`~repro.resilience.errors.ArtifactCorruption` instead of
-  deserializing garbage; the harness disk cache and the sweep checkpoints
-  both use it.
+  deserializing garbage.
+- :class:`CellStore` — a directory of such files with the load / evict /
+  count / store-with-manifest logic every cell cache shares: the sweep
+  checkpoints below, the capacity checkpoints (:mod:`repro.obs.capacity`)
+  and the harness disk cache (:func:`repro.harness.runner.profile_run`).
+  Corrupt cells are **self-healing**: a failed load evicts the file, bumps
+  the store's eviction counter, and reports a miss so the cell is simply
+  recomputed.
 - :class:`SweepCheckpoint` — per-cell persistence for ``profile_sweep``
-  under ``results/checkpoints/sweep_<key>/``: one checksummed file per
-  (workload, curve, size, seed) cell plus a human-readable
-  ``MANIFEST.json``.  A killed sweep resumes by loading every finished
-  cell and recomputing only the rest (``python -m repro sweep --resume``);
-  because cells hold the deterministic model profiles, a resumed sweep's
-  results are identical to an uninterrupted run's.
-
-Corrupt cells are **self-healing**: load failures evict the file, bump
-``repro_resilience_checkpoint_evictions_total``, and report a miss so the
-cell is simply recomputed.
+  under ``results/checkpoints/sweep_<key>/``: one cell per
+  (workload, curve, size, seed) plus a human-readable ``MANIFEST.json``.
+  A killed sweep resumes by loading every finished cell and recomputing
+  only the rest (``python -m repro sweep --resume``); because cells hold
+  the deterministic model profiles, a resumed sweep's results are
+  identical to an uninterrupted run's.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from repro.obs import metrics
 from repro.resilience.errors import ArtifactCorruption
 
 __all__ = [
+    "CellStore",
     "DEFAULT_DIR",
     "SweepCheckpoint",
     "read_checksummed",
@@ -92,6 +95,54 @@ def sweep_key(workload, curve_names, sizes, seed, mem_sample, fingerprint):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+class CellStore:
+    """A directory of checksummed cells: load, evict on corruption, count,
+    store — the one implementation behind the sweep checkpoints, the
+    capacity checkpoints and the harness disk cache.
+
+    *manifest*, when given, is written once as ``MANIFEST.json`` beside the
+    first stored cell.  A missing cell and a corrupt one both load as
+    ``None``; the corrupt file is removed and *eviction_metric* bumped, so
+    the caller simply recomputes.  *hit_metric* (optional) counts loads.
+    """
+
+    def __init__(self, directory, manifest=None, hit_metric=None,
+                 eviction_metric="repro_resilience_checkpoint_evictions_total"):
+        self.dir = directory
+        self._manifest = manifest
+        self._hit_metric = hit_metric
+        self._eviction_metric = eviction_metric
+
+    def load(self, name):
+        path = os.path.join(self.dir, name)
+        if not os.path.exists(path):
+            return None
+        m = metrics.CURRENT
+        try:
+            cell = read_checksummed(path)
+        except ArtifactCorruption:
+            try:
+                os.remove(path)
+            except OSError:
+                pass
+            if m is not None:
+                m.inc(self._eviction_metric)
+            return None
+        if m is not None:
+            if self._hit_metric is not None:
+                m.inc(self._hit_metric)
+        return cell
+
+    def store(self, name, cell):
+        os.makedirs(self.dir, exist_ok=True)
+        manifest = os.path.join(self.dir, "MANIFEST.json")
+        if self._manifest is not None and not os.path.exists(manifest):
+            with open(manifest, "w") as f:
+                json.dump(self._manifest, f, indent=2, sort_keys=True)
+                f.write("\n")
+        write_checksummed(os.path.join(self.dir, name), cell)
+
+
 class SweepCheckpoint:
     """Per-cell checkpoint store for one sweep configuration."""
 
@@ -99,52 +150,26 @@ class SweepCheckpoint:
                  fingerprint, base_dir=None):
         self.key = sweep_key(workload, curve_names, sizes, seed, mem_sample,
                              fingerprint)
-        base = base_dir or DEFAULT_DIR
-        self.dir = os.path.join(base, f"sweep_{self.key}")
-        self._manifest = {
-            "workload": workload,
-            "curves": list(curve_names),
-            "sizes": list(sizes),
-            "seed": seed,
-            "mem_sample": mem_sample,
-            "fingerprint": fingerprint,
-        }
-
-    def _cell_path(self, curve_name, size):
-        return os.path.join(self.dir, f"cell_{curve_name}_{size}.pkl")
-
-    def _ensure_dir(self):
-        os.makedirs(self.dir, exist_ok=True)
-        manifest = os.path.join(self.dir, "MANIFEST.json")
-        if not os.path.exists(manifest):
-            with open(manifest, "w") as f:
-                json.dump(self._manifest, f, indent=2, sort_keys=True)
-                f.write("\n")
+        self.dir = os.path.join(base_dir or DEFAULT_DIR, f"sweep_{self.key}")
+        self._cells = CellStore(
+            self.dir,
+            manifest={
+                "workload": workload,
+                "curves": list(curve_names),
+                "sizes": list(sizes),
+                "seed": seed,
+                "mem_sample": mem_sample,
+                "fingerprint": fingerprint,
+            },
+            hit_metric="repro_resilience_checkpoint_hits_total")
 
     def load(self, curve_name, size):
         """The stored profiles for one cell, or ``None`` (missing cells
         and corrupt — then evicted — cells both read as ``None``)."""
-        path = self._cell_path(curve_name, size)
-        if not os.path.exists(path):
-            return None
-        m = metrics.CURRENT
-        try:
-            profiles = read_checksummed(path)
-        except ArtifactCorruption:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-            if m is not None:
-                m.inc("repro_resilience_checkpoint_evictions_total")
-            return None
-        if m is not None:
-            m.inc("repro_resilience_checkpoint_hits_total")
-        return profiles
+        return self._cells.load(f"cell_{curve_name}_{size}.pkl")
 
     def store(self, curve_name, size, profiles):
-        self._ensure_dir()
-        write_checksummed(self._cell_path(curve_name, size), profiles)
+        self._cells.store(f"cell_{curve_name}_{size}.pkl", profiles)
 
     def completed_cells(self):
         """Sorted (curve, size) pairs with a stored cell file."""

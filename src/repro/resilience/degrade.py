@@ -3,11 +3,11 @@
 Three policies, each trading speed or precision for forward progress and
 each observable through ``repro_resilience_*`` metrics:
 
-- :func:`resilient_msm` — the prover's MSM entry point: Pippenger first,
-  and on a kernel :class:`~repro.resilience.errors.TransientFault` fall
-  back to the naive double-and-add kernel (slower, but structurally too
-  simple to share the bucket kernel's failure).  The success path adds
-  one ``try`` frame over calling Pippenger directly.
+- :func:`resilient_msm` — the prover's MSM entry point: the front door
+  :func:`repro.msm.dispatch.msm_auto` first, and on a kernel
+  :class:`~repro.resilience.errors.TransientFault` fall back to the naive
+  double-and-add kernel (slower, but structurally too simple to share the
+  bucket kernel's failure).  The success path adds one ``try`` frame.
 - :func:`batch_verify_bisect` — when the folded batch check fails it can
   only say "some proof is bad"; bisection re-checks halves and verifies
   singleton leaves individually, returning the exact offending indices
@@ -30,32 +30,20 @@ __all__ = [
 ]
 
 
-def resilient_msm(group, points, scalars, window=None):
-    """Bucket-method MSM with naive-kernel fallback on a transient fault.
+def resilient_msm(group, points, scalars):
+    """The MSM front door with naive-kernel fallback on a transient fault.
 
-    The happy path routes through :func:`repro.msm.dispatch.msm_auto`, so
-    the prover picks up the optimized kernels (GLV / signed-digit /
-    batch-affine — docs/KERNELS.md) wherever they apply.
-
-    With a worker pool installed (:mod:`repro.parallel`) and the input
-    large enough, the Pippenger leg runs as the chunked parallel kernel —
-    a worker-side transient fault surfaces here typed, so the same
-    fallback contract covers both execution modes.
+    A fault inside a pool worker surfaces here typed like a serial one,
+    so the one fallback covers both execution modes.
     """
     # Lazy kernel imports: the MSM package instruments its hot paths with
     # resilience fault sites, so importing it here at module load would
     # be circular.
     from repro.msm.dispatch import msm_auto
     from repro.msm.naive import msm_naive
-    from repro.parallel.pool import active_pool
 
     try:
-        pool = active_pool()
-        if pool is not None and pool.enabled_for(len(points), "msm"):
-            from repro.parallel.kernels import msm_parallel
-
-            return msm_parallel(group, points, scalars, pool, window=window)
-        return msm_auto(group, points, scalars, window=window)
+        return msm_auto(group, points, scalars)
     except TransientFault:
         m = metrics.CURRENT
         if m is not None:

@@ -44,9 +44,9 @@ KINDS = ("prove", "verify")
 PHASES = ("admission", "queue_wait", "coalesce_delay", "retry_backoff",
           "compute", "settle")
 
-#: Tolerance (seconds) on the phase-accounting invariant: phases are
-#: marked with their own clock reads, so they can disagree with the
-#: separately read ``total_s`` by scheduler noise, never by more.
+#: Tolerance (seconds) on the phase-accounting invariant: ``total_s`` is
+#: read off the closed phase clock, so only float rounding separates it
+#: from the phase sum.
 PHASE_TOLERANCE_S = 1e-3
 
 #: Every terminal state of a request.  ``ok`` may still mean "proof

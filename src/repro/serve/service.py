@@ -425,8 +425,8 @@ class ProvingService:
                     proof_bytes=proof.size_bytes(),
                     queue_wait_s=queue_wait,
                     service_s=time.perf_counter() - exec_start,
-                    total_s=job.elapsed(), attempts=attempts,
-                    degraded=degraded, compute_detail=detail))
+                    attempts=attempts, degraded=degraded,
+                    compute_detail=detail))
                 return
             # Retryable fault: async backoff, then go again.
             self.counts["retries"] += 1
@@ -602,8 +602,8 @@ class ProvingService:
                         request_id=job.request_id, kind="verify",
                         status="ok", accepted=ok or i not in bad_set,
                         queue_wait_s=waits[job.request_id],
-                        service_s=service_s, total_s=job.elapsed(),
-                        attempts=attempts, batched=len(live)))
+                        service_s=service_s, attempts=attempts,
+                        batched=len(live)))
                 return
         for job in live:
             self._resolve(job, self._error_result(
@@ -653,8 +653,8 @@ class ProvingService:
         return JobResult(
             request_id=job.request_id, kind=job.kind, status=status,
             error_code=code, error=one_line, queue_wait_s=queue_wait,
-            service_s=service_s, total_s=job.elapsed(), attempts=attempts,
-            batched=batched, degraded=degraded)
+            service_s=service_s, attempts=attempts, batched=batched,
+            degraded=degraded)
 
     def _resolve(self, job, result):
         if job.accounted:
@@ -662,10 +662,11 @@ class ProvingService:
         job.accounted = True
         self._outstanding -= 1
         # Close the phase clock before handing the result out: the tail
-        # since the last mark is settle, so the phases partition the
-        # request's lifetime and sum to total_s within tolerance on
-        # every resolution path.
+        # since the last mark is settle, and total_s is read off the
+        # closed clock, so on every resolution path the phases partition
+        # the request's lifetime and sum to total_s up to float rounding.
         result.phases = job.finish_phases()
+        result.total_s = job.phase_cursor - job.admitted_ts
         result.start_s = max(0.0, job.admitted_ts - self._t0)
         # A caller may have cancelled the future (e.g. a load generator
         # torn down mid-run); the accounting above must still happen or

@@ -16,18 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.curves import BLS12_381, BN128, PairingEngine
 from repro.fields.extensions import Fp12
-from repro.perf.trace import Tracer, tracing
+from tests.oracle import reference
 
 CURVES = {"bn128": BN128, "bls12_381": BLS12_381}
 ENGINES = {name: PairingEngine(curve) for name, curve in CURVES.items()}
 
 #: Parametrization, not a fixture: hypothesis rejects function-scoped fixtures.
 both_curves = pytest.mark.parametrize("name", sorted(CURVES))
-
-
-def reference(fn, *args):
-    with tracing(Tracer()):
-        return fn(*args)
 
 
 def outcome(fn, *args):

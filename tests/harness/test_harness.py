@@ -1,7 +1,10 @@
 """Harness tests: circuit generators, profile runner/cache, report rendering,
 and the experiment reducers on a miniature sweep."""
 
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -117,6 +120,46 @@ class TestRunner:
         assert records[0]["kind"] == "profile_run"
         assert records[0]["size"] == 16
         assert [s["stage"] for s in records[0]["stages"]] == list(STAGES)
+
+    def test_traced_counts_ignore_process_history(self):
+        # Nothing a traced stage counts may be derived lazily under
+        # whichever tracer gets there first: the cache key cannot see
+        # what the process ran before the profile.
+        cold = _profile_in_fresh_process(untraced_workflow_first=False)
+        warm = _profile_in_fresh_process(untraced_workflow_first=True)
+        assert cold == warm
+
+
+_HISTORY_SCRIPT = """
+import json, sys
+from repro.curves import get_curve
+from repro.harness.circuits import build_workload
+from repro.harness.runner import profile_run
+from repro.workflow import Workflow
+
+curves = ("bn128", "bls12_381")
+if sys.argv[1] == "warm":
+    for name in curves:
+        curve = get_curve(name)
+        builder, inputs = build_workload("exponentiate", curve, 8)
+        with Workflow(curve, builder, inputs, seed=0) as wf:
+            wf.run_all()
+print(json.dumps({
+    name: {stage: [p.loads, p.stores, p.instructions]
+           for stage, p in profile_run(name, 8).items()}
+    for name in curves}))
+"""
+
+
+def _profile_in_fresh_process(untraced_workflow_first):
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    result = subprocess.run(
+        [sys.executable, "-c", _HISTORY_SCRIPT,
+         "warm" if untraced_workflow_first else "cold"],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=os.path.abspath(src), REPRO_CACHE="0"))
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
 
 
 class TestExperimentsOnMiniSweep:

@@ -1,11 +1,12 @@
 """Optimized <-> reference MSM kernel differential suite (docs/KERNELS.md).
 
 Every optimization of the kernel speed campaign — signed-digit buckets,
-batch-affine accumulation, GLV decomposition, the ``msm_auto`` dispatcher,
+batch-affine accumulation, GLV decomposition, the ``msm_auto`` front door,
 and the lazy-reduction field paths underneath them — must be invisible in
 results: bit-identical MSM outputs across the kernel cross product, and
-byte-identical proof/pk/vk artifacts when the optimized kernels power a
-full proving run (serial and pooled).
+byte-identical proof/pk/vk artifacts between a fast run (serial and
+pooled) and the reference run — the same workflow with every stage traced
+(the pinning rule; nothing else selects a kernel).
 
 The default matrix is trimmed to keep tier-1 wall time sane; the CI
 ``kernel-bench`` job sets ``REPRO_KERNEL_FULL=1`` to run the full grid —
@@ -19,7 +20,7 @@ import random
 import pytest
 
 from repro.curves import get_curve
-from repro.msm.dispatch import msm_auto, msm_mode
+from repro.msm.dispatch import msm_auto
 from repro.msm.glv import msm_glv
 from repro.msm.naive import msm_naive
 from repro.msm.pippenger import msm_pippenger
@@ -137,35 +138,11 @@ class TestKernelCrossProduct:
 
 
 class TestDispatch:
-    def test_env_override_selects_kernel(self, monkeypatch):
-        from repro.obs.metrics import MetricsRegistry, collecting
-
-        group = _group("bn128.G1")
-        points, scalars = _msm_inputs("bn128.G1", 64)
-        reference = msm_pippenger(group, points, scalars)
-        expected_metric = {
-            "wnaf": "repro_msm_wnaf_calls_total",
-            "glv": "repro_msm_glv_calls_total",
-            "pippenger": "repro_msm_pippenger_calls_total",
-            "reference": "repro_msm_pippenger_calls_total",
-        }
-        for mode, metric in expected_metric.items():
-            monkeypatch.setenv("REPRO_MSM", mode)
-            with collecting(MetricsRegistry()) as m:
-                assert msm_auto(group, points, scalars) == reference
-            assert m.counter(metric) >= 1, (mode, metric)
-        monkeypatch.setenv("REPRO_MSM", "naive")
-        assert msm_auto(group, points, scalars) == reference
-
-    def test_unknown_mode_is_typed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MSM", "turbo")
-        with pytest.raises(ValueError):
-            msm_mode()
-
     def test_auto_prefers_glv_on_g1_wnaf_on_g2(self, monkeypatch):
         from repro.obs.metrics import MetricsRegistry, collecting
 
-        monkeypatch.delenv("REPRO_MSM", raising=False)
+        # The retired override names the other kernel; nothing reads it.
+        monkeypatch.setenv("REPRO_MSM", "pippenger")
         for group_name, metric in (
             ("bn128.G1", "repro_msm_glv_calls_total"),
             ("bn128.G2", "repro_msm_wnaf_calls_total"),
@@ -175,11 +152,11 @@ class TestDispatch:
             with collecting(MetricsRegistry()) as m:
                 msm_auto(group, points, scalars)
             assert m.counter(metric) >= 1, group_name
+            assert m.counter("repro_msm_pippenger_calls_total") == 0
 
     def test_traced_runs_stay_on_reference_kernel(self, monkeypatch):
         # The analytical model must keep seeing the textbook kernel: under
-        # an active tracer msm_auto routes to msm_pippenger even when the
-        # env explicitly asks for an optimized kernel.
+        # an active tracer msm_auto routes to msm_pippenger.
         from repro.obs.metrics import MetricsRegistry, collecting
         from repro.perf.trace import Tracer, tracing
 
@@ -196,48 +173,38 @@ PROVE_CELLS = ([(c, s) for c in ("bn128", "bls12_381") for s in SIZES]
                if FULL else [("bn128", 64), ("bls12_381", 64)])
 
 
-def _proven_workflow(curve, size, workers=None, msm_mode_env=None,
-                     monkeypatch=None):
+def _proven_workflow(curve, size, workers=None, traced=False):
+    """One full workflow: fast kernels by default, the reference kernels of
+    every stage with *traced* (a tracer per stage, as ``profile_run`` does)."""
     from repro.harness.circuits import build_workload
-    from repro.workflow import Workflow
+    from repro.perf.trace import Tracer
+    from repro.workflow import STAGES, Workflow
 
-    if msm_mode_env is not None:
-        monkeypatch.setenv("REPRO_MSM", msm_mode_env)
-    try:
-        builder, inputs = build_workload("exponentiate", curve, size)
-        wf = Workflow(curve, builder, inputs, seed=0, workers=workers)
-        if workers and workers > 1:
-            wf._pool = WorkerPool(workers, min_msm=4, min_ntt=4,
-                                  min_witness=4, min_batch=2)
-        with wf:
-            wf.run_all()
-        assert wf.accepted is True
-        return wf
-    finally:
-        if msm_mode_env is not None:
-            monkeypatch.delenv("REPRO_MSM", raising=False)
+    builder, inputs = build_workload("exponentiate", curve, size)
+    wf = Workflow(curve, builder, inputs, seed=0, workers=workers)
+    if workers and workers > 1:
+        wf._pool = WorkerPool(workers, min_msm=4, min_ntt=4,
+                              min_witness=4, min_batch=2)
+    with wf:
+        wf.run_all({stage: Tracer() for stage in STAGES} if traced else None)
+    assert wf.accepted is True
+    return wf
 
 
 class TestProofByteDifferential:
-    """Each optimized kernel must leave proof/pk/vk bytes untouched."""
+    """The fast kernels must leave proof/pk/vk bytes untouched."""
 
-    @pytest.mark.parametrize("mode", ["wnaf", "glv", "auto"])
     @pytest.mark.parametrize("curve_name,size", PROVE_CELLS)
-    def test_proof_bytes_identical_per_kernel(self, curve_name, size, mode,
-                                              monkeypatch):
+    def test_proof_bytes_identical_per_kernel(self, curve_name, size):
         from repro.groth16.serialize import (
             pk_to_bytes,
             proof_to_bytes,
             vk_to_bytes,
         )
 
-        if not FULL and mode != "auto" and curve_name != "bn128":
-            pytest.skip("trimmed matrix (set REPRO_KERNEL_FULL=1)")
         curve = get_curve(curve_name)
-        reference = _proven_workflow(curve, size, msm_mode_env="reference",
-                                     monkeypatch=monkeypatch)
-        optimized = _proven_workflow(curve, size, msm_mode_env=mode,
-                                     monkeypatch=monkeypatch)
+        reference = _proven_workflow(curve, size, traced=True)
+        optimized = _proven_workflow(curve, size)
         assert (proof_to_bytes(optimized.proof)
                 == proof_to_bytes(reference.proof))
         assert vk_to_bytes(optimized.vk) == vk_to_bytes(reference.vk)
@@ -245,11 +212,10 @@ class TestProofByteDifferential:
         assert optimized.witness == reference.witness
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_pooled_proof_bytes_identical(self, workers, monkeypatch):
+    def test_pooled_proof_bytes_identical(self, workers):
         from repro.groth16.serialize import proof_to_bytes
 
         curve = get_curve("bn128")
-        reference = _proven_workflow(curve, 64, msm_mode_env="reference",
-                                     monkeypatch=monkeypatch)
+        reference = _proven_workflow(curve, 64, traced=True)
         pooled = _proven_workflow(curve, 64, workers=max(workers, 2))
         assert proof_to_bytes(pooled.proof) == proof_to_bytes(reference.proof)

@@ -81,16 +81,6 @@ class TestMSMDifferential:
         assert par == serial
         assert par.to_affine() == serial.to_affine()
 
-    def test_explicit_window_respected(self):
-        group = BN128.g1
-        points, scalars = _msm_inputs("bn128.G1", 64)
-        with WorkerPool(2, min_msm=2) as pool:
-            for window in (1, 4, 13):
-                assert (msm_parallel(group, points, scalars, pool,
-                                     window=window)
-                        == msm_pippenger(group, points, scalars,
-                                         window=window))
-
 
 class TestNTTDifferential:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)

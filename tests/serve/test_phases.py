@@ -5,6 +5,7 @@ seeded chaos-under-load runs.  A breakdown that does not add up diagnoses
 nothing, so the invariant is what the pareto sweep stands on."""
 
 import asyncio
+import time
 
 import pytest
 
@@ -19,7 +20,7 @@ from repro.serve import (
     run_chaos_load,
     run_loadtest,
 )
-from repro.serve.jobs import PHASE_TOLERANCE_S, JobResult
+from repro.serve.jobs import PHASE_TOLERANCE_S, Job, JobResult
 
 
 def fast_service(**kwargs):
@@ -127,6 +128,61 @@ class TestResolutionPaths:
         flushed = [r for r in results if r.status == "timeout"]
         assert flushed, "a 10ms drain with 6 queued proofs must flush"
         assert_consistent(results)
+
+
+class TestClosedClock:
+    """``total_s`` is read off the closed phase clock, so a pause between
+    building a result and resolving it cannot open a gap between the two."""
+
+    @pytest.fixture(autouse=True)
+    def slow_finish(self, monkeypatch):
+        finish = Job.finish_phases
+
+        def delayed(job):
+            time.sleep(0.005)
+            return finish(job)
+
+        monkeypatch.setattr(Job, "finish_phases", delayed)
+
+    @staticmethod
+    def assert_exact(results, status):
+        hit = [r for r in results if r.status == status]
+        assert hit, (status, [r.status for r in results])
+        for r in hit:
+            assert abs(r.phase_error()) < 1e-6, (r.status, r.phase_error())
+            assert r.phases["settle"] >= 0.005
+
+    def test_ok(self):
+        report = run_load(fast_service(), rps=20, duration_s=0.3, seed=1)
+        assert {r.kind for r in report.results} == {"prove", "verify"}
+        self.assert_exact(report.results, "ok")
+
+    def test_timeout(self):
+        report = run_load(fast_service(size=64), rps=20, duration_s=0.2,
+                          seed=3, mix={"prove": 1}, deadline_s=0.001)
+        self.assert_exact(report.results, "timeout")
+
+    def test_error(self):
+        async def main():
+            svc = fast_service()
+            await svc.start()
+            try:
+                with faults.injecting([FaultSpec("serve:prove", "oom", hit=1)]):
+                    return await svc.submit("prove")
+            finally:
+                await svc.drain()
+
+        self.assert_exact([asyncio.run(main())], "error")
+
+    def test_drain_flushed(self):
+        async def main():
+            svc = fast_service(size=64, max_queue=16)
+            await svc.start()
+            futures = [svc.submit_nowait("prove") for _ in range(6)]
+            await svc.drain(timeout_s=0.01)
+            return await asyncio.gather(*futures)
+
+        self.assert_exact(asyncio.run(main()), "timeout")
 
 
 class TestChaosUnderLoad:

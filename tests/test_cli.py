@@ -1,5 +1,6 @@
 """CLI tests (``python -m repro``)."""
 
+import json
 import os
 
 import pytest
@@ -61,6 +62,46 @@ class TestCommands:
         assert code == 0
         for name in ARTIFACTS:
             assert os.path.exists(tmp_path / f"{name}.txt"), name
+
+
+class TestKernelBench:
+    """``kernel-bench``: msm_auto against the reference kernel.  The input
+    is tiny, so the thresholds are set where timing noise cannot reach."""
+
+    BASE = ["kernel-bench", "--size", "64", "--min-cores", "1"]
+
+    def test_ok(self):
+        code, out = run_cli(self.BASE + ["--min-speedup", "0.01"])
+        assert code == 0
+        assert "result identical" in out
+        assert "kernel-bench: OK" in out
+
+    def test_speedup_below_threshold_fails(self):
+        code, out = run_cli(self.BASE + ["--min-speedup", "1000"])
+        assert code == 1
+        assert "kernel-bench: FAIL" in out and "1000.00x" in out
+
+    def test_small_runner_skips(self):
+        code, out = run_cli(["kernel-bench", "--size", "64",
+                             "--min-cores", "999"])
+        assert code == 0
+        assert "kernel-bench: SKIP" in out
+
+    def test_json_shape(self):
+        code, out = run_cli(self.BASE + ["--min-speedup", "0.01", "--json"])
+        assert code == 0
+        record = json.loads(out[:out.rindex("}") + 1])
+        assert set(record) == {"curve", "size", "reference_seconds",
+                               "seconds", "speedup", "identical",
+                               "min_speedup"}
+        assert record["curve"] == "bn128" and record["size"] == 64
+        assert record["identical"] is True
+        assert record["speedup"] == pytest.approx(
+            record["reference_seconds"] / record["seconds"])
+
+    def test_no_kernel_selection(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["kernel-bench", "--kernels", "glv"])
 
 
 class TestCurveValidation:
