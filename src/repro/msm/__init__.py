@@ -22,7 +22,7 @@ from repro.msm.fixed_base import FixedBaseTable
 from repro.msm.glv import GLVParams, decompose_scalar, glv_params, msm_glv
 from repro.msm.naive import msm_naive
 from repro.msm.pippenger import msm_pippenger, optimal_window
-from repro.msm.recode import signed_windows, signed_windows_len, wnaf
+from repro.msm.recode import signed_windows, signed_windows_len
 from repro.msm.wnaf import msm_wnaf, optimal_signed_window
 
 __all__ = [
@@ -39,5 +39,4 @@ __all__ = [
     "optimal_window",
     "signed_windows",
     "signed_windows_len",
-    "wnaf",
 ]

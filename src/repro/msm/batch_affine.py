@@ -1,8 +1,8 @@
-"""Batch-affine bucket accumulation for the signed-digit MSM kernel.
+"""Batch-affine point addition: the wave primitive and the bucket kernel on it.
 
 The reference kernel accumulates buckets in Jacobian coordinates: each
 mixed addition costs ~11 field multiplications but needs no inversion.
-Real provers instead keep buckets *affine* and amortize the one inversion
+Real provers instead keep points *affine* and amortize the one inversion
 an affine addition needs across a whole wave of independent additions with
 Montgomery's simultaneous-inversion trick (3 multiplications per element
 plus a single inversion — the same trick as
@@ -10,12 +10,14 @@ plus a single inversion — the same trick as
 then costs ~6 multiplications: ``lambda = (y2-y1)/(x2-x1)``,
 ``x3 = lambda^2 - x1 - x2``, ``y3 = lambda*(x1-x3) - y1``.
 
-Waves are built by pairing: every bucket pairs up its pending points, all
-pairs across all buckets share one batched inversion, and the halved
-pending lists go around again — ``O(log(max occupancy))`` rounds.  The
+:func:`batch_affine_add` is one such wave; the MSM's buckets and the
+fixed-base walk (:mod:`repro.msm.fixed_base`) are both built from it.  The
 doubling (``P + P``, denominator ``2y``) and cancellation (``P + (-P)``,
 result infinity) cases are classified *before* the batch so the inversion
-input is never zero.
+input is never zero.  Bucket waves are built by pairing: every bucket
+pairs up its pending points, all pairs across all buckets share one wave,
+and the halved pending lists go around again — ``O(log(max occupancy))``
+rounds.
 
 Everything runs through the group's coordinate adapter
 (:class:`~repro.curves.curve.FpOps` / ``Fp2Ops``), so the kernel serves G1
@@ -28,7 +30,7 @@ from __future__ import annotations
 from repro.obs import metrics
 from repro.resilience import retry as resilience
 
-__all__ = ["batch_affine_accumulate", "batch_inv"]
+__all__ = ["batch_affine_accumulate", "batch_affine_add", "batch_inv"]
 
 
 def batch_inv(ops, xs):
@@ -51,6 +53,46 @@ def batch_inv(ops, xs):
     return out
 
 
+def batch_affine_add(ops, ps, qs):
+    """One wave: the list of ``ps[i] + qs[i]`` behind one shared inversion.
+
+    Operands and results are affine ``(x, y)`` tuples in the adapter's raw
+    representation, ``None`` for infinity.
+    """
+    # Cooperative deadline poll once per wave — the unit of work of the
+    # bucket rounds and of the fixed-base walk alike.
+    if resilience.DEADLINE is not None:
+        resilience.DEADLINE.check()
+    add, sub, mul, sqr = ops.add, ops.sub, ops.mul, ops.sqr
+    out = [None] * len(ps)
+    slots, nums, denoms = [], [], []  # sums that need a slope num / denom
+    for i, (p, q) in enumerate(zip(ps, qs)):
+        if p is None or q is None:
+            out[i] = q if p is None else p
+        elif p[0] != q[0]:
+            slots.append(i)
+            nums.append(sub(q[1], p[1]))
+            denoms.append(sub(q[0], p[0]))
+        elif p[1] == q[1] and not ops.is_zero(p[1]):
+            xx = sqr(p[0])  # doubling: lambda = 3*x^2 / (2*y)  (a = 0 curves)
+            slots.append(i)
+            nums.append(add(add(xx, xx), xx))
+            denoms.append(add(p[1], p[1]))
+        # else P + (-P) or 2 * (x, 0): infinity
+    if not denoms:
+        return out
+    m = metrics.CURRENT
+    if m is not None:
+        m.inc("repro_msm_batch_affine_inversions_total")
+        m.observe("repro_msm_batch_affine_wave", len(denoms))
+    for i, num, inv in zip(slots, nums, batch_inv(ops, denoms)):
+        x1, y1 = ps[i]
+        lam = mul(num, inv)
+        x3 = sub(sub(sqr(lam), x1), qs[i][0])
+        out[i] = (x3, sub(mul(lam, sub(x1, x3)), y1))
+    return out
+
+
 def batch_affine_accumulate(group, n_buckets, entries):
     """Sum *entries* into affine buckets with batched-inversion additions.
 
@@ -68,70 +110,28 @@ def batch_affine_accumulate(group, n_buckets, entries):
     Returns a list of ``n_buckets`` affine ``(x, y)`` tuples (``None`` for
     an empty/cancelled bucket).
     """
-    ops = group.ops
     pending = [[] for _ in range(n_buckets)]
     for bucket, pt in entries:
         pending[bucket - 1].append(pt)
 
-    m = metrics.CURRENT
     while True:
-        # Cooperative deadline poll once per pairing round — each round is
-        # a full pass over every occupied bucket.
-        if resilience.DEADLINE is not None:
-            resilience.DEADLINE.check()
         # One pairing round: each bucket contributes len(items)//2
-        # independent additions; all their denominators share one
-        # inversion batch.
-        pairs = []  # (bucket index, P, Q)
-        for b in range(n_buckets):
-            items = pending[b]
+        # independent additions, all of them in one wave (which polls the
+        # cooperative deadline).
+        owners, ps, qs = [], [], []
+        for b, items in enumerate(pending):
             k = len(items)
             if k < 2:
                 continue
-            nxt = []
-            for i in range(0, k - 1, 2):
-                pairs.append((b, items[i], items[i + 1]))
-            if k & 1:
-                nxt.append(items[-1])
-            pending[b] = nxt
-        if not pairs:
+            even = k - (k & 1)
+            owners += [b] * (even // 2)
+            ps += items[0:even:2]
+            qs += items[1:even:2]
+            pending[b] = items[even:]
+        if not owners:
             break
-
-        denoms = []
-        kinds = []  # aligned with pairs: "add" | "dbl" | None (infinity)
-        for _b, (x1, y1), (x2, y2) in pairs:
-            if x1 != x2:
-                kinds.append("add")
-                denoms.append(ops.sub(x2, x1))
-            elif y1 == y2:
-                if ops.is_zero(y1):
-                    kinds.append(None)  # 2 * (x, 0) = infinity
-                else:
-                    kinds.append("dbl")
-                    denoms.append(ops.add(y1, y1))
-            else:
-                kinds.append(None)  # P + (-P) = infinity
-        if denoms:
-            if m is not None:
-                m.inc("repro_msm_batch_affine_inversions_total")
-                m.observe("repro_msm_batch_affine_wave", len(denoms))
-            invs = batch_inv(ops, denoms)
-        else:
-            invs = []
-
-        j = 0
-        for (b, (x1, y1), (x2, y2)), kind in zip(pairs, kinds):
-            if kind is None:
-                continue
-            inv = invs[j]
-            j += 1
-            if kind == "add":
-                lam = ops.mul(ops.sub(y2, y1), inv)
-            else:  # doubling: lambda = 3*x^2 / (2*y)  (a = 0 curves)
-                xx = ops.sqr(x1)
-                lam = ops.mul(ops.add(ops.add(xx, xx), xx), inv)
-            x3 = ops.sub(ops.sub(ops.sqr(lam), x1), x2)
-            y3 = ops.sub(ops.mul(lam, ops.sub(x1, x3)), y1)
-            pending[b].append((x3, y3))
+        for b, total in zip(owners, batch_affine_add(group.ops, ps, qs)):
+            if total is not None:
+                pending[b].append(total)
 
     return [items[0] if items else None for items in pending]

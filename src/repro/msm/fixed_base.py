@@ -1,23 +1,54 @@
-"""Fixed-base scalar multiplication with a windowed table.
+"""Fixed-base scalar multiplication: a stored window table and a batch walk.
 
 The trusted setup multiplies one base point (the generator, or ``Z(tau)/
 delta`` style derived points) by thousands of distinct scalars.  A one-time
-table of ``(2^w - 1)`` multiples per w-bit window reduces each subsequent
-multiplication to at most ``ceil(bits/w)`` mixed additions.
-
-The table build and the per-scalar walks are both instrumented: the large
-sequential table (the reason the setup stage's loads dwarf its stores by
-~10x in Fig. 5 — the table is written once and read for every scalar) is
-given a real footprint in the traced address space.
+table of ``(2^w - 1)`` multiples per w-bit window reduces a multiplication
+to at most ``ceil(bits/w)`` mixed additions.  That stored table serves the
+single :meth:`FixedBaseTable.mul` and every *traced* call; its build and
+its per-scalar walks are instrumented, so the large sequential table (the
+reason the setup stage's loads dwarf its stores by ~10x in Fig. 5: written
+once, read for every scalar) has a real footprint in the traced address
+space.  An untraced :meth:`FixedBaseTable.mul_many` stores no table: it
+walks all scalars together, window by window, in affine coordinates over
+rows it streams and drops (docs/KERNELS.md, "Fixed-base batch walk").
 """
 
 from __future__ import annotations
 
-from repro.msm.batch_affine import batch_inv
+from contextlib import nullcontext
+
+from repro.msm.batch_affine import batch_affine_add
+from repro.msm.recode import signed_windows_len
 from repro.perf import trace
 from repro.resilience import retry as resilience
 
 __all__ = ["FixedBaseTable"]
+
+
+def _walk_width(bits, n):
+    """Signed window width of the batch walk over *n* live scalars: every
+    window costs one addition a scalar plus its ``2^(w-1)``-entry row."""
+    return min(range(1, 17),
+               key=lambda w: signed_windows_len(bits, w) * (n + (1 << (w - 1))))
+
+
+def _digit_columns(ks, w):
+    """Yield the signed ``w``-bit digit of every scalar of *ks*, window by
+    window until all are spent: the columns of the (zero-padded)
+    :func:`repro.msm.recode.signed_windows` rows, one at a time."""
+    ks = list(ks)
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    while any(ks):
+        column = []
+        for i, k in enumerate(ks):
+            d = k & mask
+            k >>= w
+            if d > half:  # borrow: the digit goes negative, the rest carries
+                d -= mask + 1
+                k += 1
+            ks[i] = k
+            column.append(d)
+        yield column
 
 
 class FixedBaseTable:
@@ -28,10 +59,13 @@ class FixedBaseTable:
     base:
         A group :class:`~repro.curves.curve.Point`.
     width:
-        Window width in bits (4 is a good default for the setup sizes the
+        Window width in bits of the stored table — what :meth:`mul` and
+        traced calls walk (4 is a good default for the setup sizes the
         harness sweeps; 8 halves the adds per scalar at 16x the table).
+        The untraced batch walk sizes its own streamed rows.
     bits:
-        Scalar bit width to support (defaults to the group order's width).
+        Scalar bit width to support (defaults to the group order's width);
+        a reduced scalar that does not fit raises ``ValueError``.
     """
 
     def __init__(self, base, width=4, bits=None):
@@ -44,6 +78,7 @@ class FixedBaseTable:
             raise ValueError(f"table bit width must be >= 1, got {bits}")
         group = base.group
         self.group = group
+        self.base = base
         self.width = width
         self.bits = bits or group.order.bit_length()
         self.n_windows = (self.bits + width - 1) // width
@@ -59,11 +94,8 @@ class FixedBaseTable:
         # so the per-scalar walk uses cheap mixed additions.
         table = []
         window_base = base
-        region = t.region("fixed_base_table_build", parallel=True, items=self.n_windows) \
-            if t is not None else None
-        if region is not None:
-            region.__enter__()
-        try:
+        with (t.region("fixed_base_table_build", parallel=True, items=self.n_windows)
+              if t is not None else nullcontext()):
             for _k in range(self.n_windows):
                 row = []
                 acc = group.infinity()
@@ -74,18 +106,22 @@ class FixedBaseTable:
                 window_base = acc + window_base  # == 2^width * previous base
                 if t is not None:
                     t.mem_block(self._table_base, per_window * point_bytes, write=True)
-        finally:
-            if region is not None:
-                region.__exit__(None, None, None)
         self._table = table
+
+    def _reduced(self, scalar):
+        """``scalar mod order``, which must fit the table's ``bits``."""
+        k = scalar % self.group.order
+        if k >> self.bits:
+            raise ValueError(f"scalar {scalar} does not fit in {self.bits} bits")
+        return k
 
     def mul(self, scalar):
         """Return ``scalar * base`` using at most ``n_windows`` additions."""
         # Cooperative deadline poll per scalar — one table walk is the
-        # kernel's smallest unit of work (mul_many inherits the poll).
+        # kernel's smallest unit of work (a traced mul_many inherits it).
         if resilience.DEADLINE is not None:
             resilience.DEADLINE.check()
-        k = scalar % self.group.order
+        k = self._reduced(scalar)
         if k == 0:
             return self.group.infinity()
         t = trace.CURRENT
@@ -105,31 +141,39 @@ class FixedBaseTable:
                     acc = acc.add_affine(*entry)
         return acc
 
-    def _normalized(self, points):
-        """Replace every finite point of *points* by its ``Z == 1`` form."""
-        group = self.group
-        ops = group.ops
-        live = [i for i, p in enumerate(points) if not p.is_infinity()]
-        if live:
-            zinvs = batch_inv(ops, [points[i].Z for i in live])
-            for i, zinv in zip(live, zinvs):
-                zinv2 = ops.sqr(zinv)
-                points[i] = group.point_unchecked(
-                    ops.mul(points[i].X, zinv2),
-                    ops.mul(points[i].Y, ops.mul(zinv2, zinv)))
-        return points
-
     def mul_many(self, scalars):
-        """Multiply the base by every scalar (one parallel traced region).
+        """Multiply the base by every scalar.
 
-        Untraced, the products come back normalized (``Z == 1``) through
-        one shared batch inversion, so every later ``to_affine`` on them —
-        the prover's per-proof query walk, the serializers — is free;
-        traced runs keep the Jacobian walk (the pinning rule,
-        docs/KERNELS.md).
+        Under a tracer: the per-scalar Jacobian walk of the stored table in
+        one parallel region (the pinning rule, docs/KERNELS.md).  Untraced:
+        the window-major batch walk — per window, the row ``d * 2^(w*j) *
+        base`` grows by doubling its length a wave at a time, every live
+        accumulator adds the entry its signed digit selects in one wave
+        behind one shared inversion, and the row is dropped; the products
+        are ``Z == 1`` by construction.
         """
         t = trace.CURRENT
-        if t is None:
-            return self._normalized([self.mul(k) for k in scalars])
-        with t.region("fixed_base_mul_many", parallel=True, items=len(scalars)):
-            return [self.mul(k) for k in scalars]
+        if t is not None:
+            with t.region("fixed_base_mul_many", parallel=True, items=len(scalars)):
+                return [self.mul(k) for k in scalars]
+        group, ops = self.group, self.group.ops
+        out = [group.infinity() for _ in scalars]
+        live = {i: k for i, k in enumerate(map(self._reduced, scalars)) if k}
+        if not live:
+            return out
+        w = _walk_width(self.bits, len(live))
+        accs, row = [None] * len(live), [self.base.to_affine()]
+        for column in _digit_columns(live.values(), w):
+            while len(row) < 1 << (w - 1):
+                row += batch_affine_add(ops, row, [row[-1]] * len(row))
+            picks = []
+            for d in column:
+                pt = row[abs(d) - 1] if d else None
+                # Negating the entry of a negative digit is free in affine.
+                picks.append((pt[0], ops.neg(pt[1])) if d < 0 and pt else pt)
+            accs = batch_affine_add(ops, accs, picks)
+            row = batch_affine_add(ops, row[-1:], row[-1:])  # 2^w * this base
+        for i, acc in zip(live, accs):
+            if acc is not None:
+                out[i] = group.point_unchecked(*acc)
+        return out

@@ -1,25 +1,18 @@
-"""Signed-digit scalar recoders for the optimized MSM kernels.
+"""Signed-digit scalar recoder for the optimized MSM kernels.
 
-Two encodings, both of which halve the bucket count of a windowed MSM by
+:func:`signed_windows` halves the bucket count of a windowed MSM by
 exploiting the fact that negating a short-Weierstrass point is free
-(``(x, y) -> (x, -y)``):
-
-- :func:`signed_windows` — fixed-width windows with digits in
-  ``[-(2^(c-1) - 1), 2^(c-1)]``: the recoding the bucket kernel uses, one
-  digit per window position (dense, trivially alignable across scalars);
-- :func:`wnaf` — width-``w`` non-adjacent form with odd digits in
-  ``(-2^(w-1), 2^(w-1))``: the sparse sliding-window form (at most one
-  nonzero digit in any ``w`` consecutive positions), used by single-scalar
-  walks and kept here as the reference encoding the property suite checks
-  the dense recoder against.
-
-Both are pure integer transforms with exact round-trip identities, which is
-what the hypothesis suite in ``tests/msm/test_kernel_properties.py`` pins.
+(``(x, y) -> (x, -y)``): fixed-width windows with digits in
+``[-(2^(c-1) - 1), 2^(c-1)]``, one digit per window position (dense,
+trivially alignable across scalars).  The fixed-base batch walk
+(:mod:`repro.msm.fixed_base`) derives the same digits a window at a time.
+A pure integer transform with an exact round-trip identity, which the
+hypothesis suite in ``tests/msm/test_kernel_properties.py`` pins.
 """
 
 from __future__ import annotations
 
-__all__ = ["signed_windows", "signed_windows_len", "wnaf", "wnaf_value"]
+__all__ = ["signed_windows", "signed_windows_len"]
 
 
 def signed_windows_len(nbits, c):
@@ -67,40 +60,3 @@ def signed_windows(k, c, n_digits):
             f"scalar {k} does not fit in {n_digits} signed {c}-bit windows"
         )
     return digits
-
-
-# codelint: ignore[RC501] -- pure integer transform over one scalar's bits
-def wnaf(k, w):
-    """Width-*w* non-adjacent form of non-negative *k* (least digit first).
-
-    Returns a digit list with ``k == sum_i digits[i] * 2^i`` where every
-    nonzero digit is odd, lies in ``(-2^(w-1), 2^(w-1))``, and any window
-    of ``w`` consecutive digits holds at most one nonzero entry.
-    """
-    if w < 2:
-        raise ValueError(f"wNAF width must be >= 2, got {w}")
-    if k < 0:
-        raise ValueError(f"wnaf expects a non-negative scalar, got {k}")
-    full = 1 << w
-    half = 1 << (w - 1)
-    digits = []
-    while k:
-        if k & 1:
-            d = k & (full - 1)
-            if d >= half:
-                d -= full
-            k -= d
-        else:
-            d = 0
-        digits.append(d)
-        k >>= 1
-    return digits
-
-
-# codelint: ignore[RC501] -- round-trip helper for the property suite
-def wnaf_value(digits):
-    """Exact integer a :func:`wnaf` digit list encodes (round-trip check)."""
-    acc = 0
-    for d in reversed(digits):
-        acc = (acc << 1) + d
-    return acc

@@ -44,11 +44,11 @@ class SRS:
         powers = []
         acc = 1
         for _ in range(size):
-            powers.append(table.mul(acc).to_affine())
+            powers.append(acc)
             acc = fr.mul(acc, tau)
         return cls(
             curve=curve,
-            g1_powers=powers,
+            g1_powers=[pt.to_affine() for pt in table.mul_many(powers)],
             g2_gen=curve.g2.generator,
             g2_tau=curve.g2.generator * tau,
         )

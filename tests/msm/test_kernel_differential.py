@@ -213,9 +213,16 @@ class TestProofByteDifferential:
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_pooled_proof_bytes_identical(self, workers):
-        from repro.groth16.serialize import proof_to_bytes
+        from repro.groth16.serialize import (
+            pk_to_bytes,
+            proof_to_bytes,
+            vk_to_bytes,
+        )
 
         curve = get_curve("bn128")
         reference = _proven_workflow(curve, 64, traced=True)
         pooled = _proven_workflow(curve, 64, workers=max(workers, 2))
         assert proof_to_bytes(pooled.proof) == proof_to_bytes(reference.proof)
+        # Setup is pooled too: its chunks run the batch walk in the workers.
+        assert vk_to_bytes(pooled.vk) == vk_to_bytes(reference.vk)
+        assert pk_to_bytes(pooled.pk) == pk_to_bytes(reference.pk)

@@ -4,7 +4,6 @@ Hypothesis pins the algebraic invariants each optimization rests on:
 
 - signed-window recoding is an exact integer transform with digits in
   ``[-(2^(c-1) - 1), 2^(c-1)]``;
-- wNAF digits are odd, bounded, non-adjacent, and round-trip;
 - GLV decomposition satisfies ``k1 + lam*k2 = k (mod r)`` with half-width
   halves, and the derived constants are genuine roots of ``x^2 + x + 1``;
 - batch-affine bucket accumulation matches naive group addition, including
@@ -20,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.curves import BLS12_381, BN128
 from repro.msm.batch_affine import batch_affine_accumulate
 from repro.msm.glv import decompose_scalar, glv_params
-from repro.msm.recode import signed_windows, signed_windows_len, wnaf, wnaf_value
+from repro.msm.recode import signed_windows, signed_windows_len
 from repro.msm.wnaf import optimal_signed_window
 
 R_BN = BN128.g1.order
@@ -66,42 +65,6 @@ class TestSignedWindows:
             signed_windows_len(256, 0)
         with pytest.raises(ValueError):
             signed_windows_len(0, 4)
-
-
-class TestWnaf:
-    @settings(max_examples=200, deadline=None)
-    @given(k=st.integers(min_value=0, max_value=(1 << 256) - 1),
-           w=st.integers(min_value=2, max_value=8))
-    def test_round_trip_digits_odd_bounded_nonadjacent(self, k, w):
-        digits = wnaf(k, w)
-        assert wnaf_value(digits) == k
-        half = 1 << (w - 1)
-        for d in digits:
-            if d:
-                assert d & 1, "nonzero wNAF digits must be odd"
-                assert -half < d < half
-        # Non-adjacency: any w consecutive digits hold <= 1 nonzero entry.
-        for i in range(len(digits)):
-            window = digits[i:i + w]
-            assert sum(1 for d in window if d) <= 1
-
-    @settings(max_examples=100, deadline=None)
-    @given(k=st.integers(min_value=1, max_value=(1 << 256) - 1))
-    def test_sparser_than_binary(self, k):
-        # Expected nonzero density of width-w NAF is 1/(w+1); require the
-        # weaker but universal bound: no denser than plain binary.
-        digits = wnaf(k, 4)
-        assert sum(1 for d in digits if d) <= bin(k).count("1")
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            wnaf(5, 1)
-        with pytest.raises(ValueError):
-            wnaf(-5, 4)
-
-    def test_zero(self):
-        assert wnaf(0, 4) == []
-        assert wnaf_value([]) == 0
 
 
 class TestOptimalSignedWindow:
