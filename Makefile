@@ -3,7 +3,8 @@
 .PHONY: install test lint codelint bench artifacts slow clean profile \
 	perf-check chaos deep-profile drift-check refresh-baseline \
 	parallel-test parallel-check parallel-report measured serve loadtest \
-	pareto capacity-check refresh-capacity-baseline kernel-bench kernel-test
+	pareto capacity-check refresh-capacity-baseline kernel-bench kernel-test \
+	bench-test
 
 # Seeds for the chaos smoke (override: make chaos CHAOS_SEEDS="0 7 42").
 CHAOS_SEEDS ?= 0 1 2 3
@@ -31,6 +32,13 @@ codelint:
 
 bench:
 	pytest benchmarks/ --benchmark-only
+
+# The benchmark's own tests (bench/README.md).  Not part of tier-1
+# (testpaths = ["tests"]): the traced pass rebinds program names by string,
+# so this is where a rename under src/ shows as a KeyError;
+# tests/test_bench_targets.py guards the names alone inside tier-1.
+bench-test:
+	PYTHONPATH=src python -m pytest bench/ -q
 
 artifacts:
 	python -m repro run all --out results/

@@ -107,6 +107,10 @@ class Group:
         self.b = b
         self.order = order
         self.cofactor = cofactor
+        #: Non-adjacent form of ``order``, most significant digit first (for
+        #: :meth:`in_subgroup`): bit ``i`` of ``3r`` minus bit ``i`` of ``r``.
+        self._order_naf = [(3 * order >> i & 1) - (order >> i & 1)
+                           for i in range((3 * order).bit_length() - 1, 0, -1)]
         self._dbl_tag = f"ec_dbl_{ops.tag}"
         self._add_tag = f"ec_add_{ops.tag}"
         gx, gy = generator
@@ -147,19 +151,23 @@ class Group:
         return self.generator * k
 
     def in_subgroup(self, pt):
-        """True iff *pt* lies in the order-``r`` subgroup (O(log r) doublings).
+        """True iff ``[r]pt`` is the identity, *pt* a point of the curve.
 
-        ``Point.__mul__`` reduces its scalar mod ``order`` — correct inside
-        the subgroup, but ``pt * order`` would degenerate to ``pt * 0`` and
-        accept everything — so this runs its own unreduced ladder.
+        With cofactor 1 the curve has exactly ``r`` points and there is
+        nothing to compute.  Otherwise an unreduced ladder (``Point.__mul__``
+        reduces its scalar mod ``order``, so ``pt * order`` would be
+        ``pt * 0`` and accept everything) over the non-adjacent form of
+        ``r``, adding ``+-pt`` in affine coordinates.
         """
-        if pt.is_infinity():
+        if pt.is_infinity() or self.cofactor == 1:
             return True
+        x, y = pt.to_affine()
+        minus_y = self.ops.neg(y)
         acc = self.infinity()
-        for bit in bin(self.order)[2:]:
+        for digit in self._order_naf:
             acc = acc.double()
-            if bit == "1":
-                acc = acc + pt
+            if digit:
+                acc = acc.add_affine(x, y if digit > 0 else minus_y)
         return acc.is_infinity()
 
 

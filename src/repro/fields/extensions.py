@@ -58,6 +58,8 @@ class TowerParams:
         gw = self.f2_pow(self.xi, (p - 1) // 6)
         g1 = self.f2_sqr(gw)
         self.frobenius_constants = (g1, self.f2_sqr(g1), gw)
+        #: ``1 / xi``, for the same reason: an M-type twist's lines carry it.
+        self.xi_inv = self.f2_inv(self.xi)
 
     # -- raw Fp2 kernels (tuples of ints) ----------------------------------------
     #

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from repro.curves.pairing import engine_for
 from repro.obs import metrics
+from repro.perf import trace
 
 __all__ = ["batch_verify"]
 
@@ -71,21 +72,20 @@ def batch_verify(vk, proofs_with_publics, rng):
     acc_l = g1.infinity()
     acc_c = g1.infinity()
     for proof, publics in batch:
-        if len(publics) != len(vk.ic) - 1:
-            raise ValueError(
-                f"expected {len(vk.ic) - 1} public inputs, got {len(publics)}"
-            )
         # 128-bit weights keep the folding cheap without weakening the check.
         r = rng.getrandbits(128) | 1
         sum_r = fr.add(sum_r, r % fr.modulus)
-        vk_x = vk.ic[0]
-        for coeff, point in zip(publics, vk.ic[1:]):
-            vk_x = vk_x + point * (coeff % fr.modulus)
+        vk_x = vk.fold_publics(publics)
         pairs.append((proof.a * r, proof.b))
         acc_l = acc_l + vk_x * r
         acc_c = acc_c + proof.c * r
 
-    pairs.append((-(vk.alpha1 * sum_r), vk.beta2))
-    pairs.append((-acc_l, vk.gamma2))
-    pairs.append((-acc_c, vk.delta2))
+    # The fixed legs walk stored lines; a traced fold keeps the points (the
+    # pinning rule: tracers never meet, or build, the vk's prepared form).
+    g2 = vk
+    if trace.CURRENT is None:
+        g2 = vk.prepared
+    pairs.append((-(vk.alpha1 * sum_r), g2.beta2))
+    pairs.append((-acc_l, g2.gamma2))
+    pairs.append((-acc_c, g2.delta2))
     return engine_for(curve).pairing_check(pairs)

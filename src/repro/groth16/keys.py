@@ -10,8 +10,12 @@ Fig. 5 are exactly the zkey stream).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
-__all__ = ["ProvingKey", "VerifyingKey", "Proof"]
+from repro.curves.pairing import engine_for
+
+__all__ = ["ProvingKey", "VerifyingKey", "PreparedVerifyingKey", "Proof"]
 
 
 def _point_bytes(group):
@@ -64,7 +68,19 @@ class ProvingKey:
         )
 
 
-@dataclass
+class PreparedVerifyingKey(NamedTuple):
+    """What a pairing check reuses of one :class:`VerifyingKey`: its G2
+    constants as line tables (:meth:`PairingEngine.prepare`) and the Miller
+    value of ``(alpha1, beta2)`` — *before* the final exponentiation, so that
+    multiplying it in gives the very ``Fp12`` element four loops would."""
+
+    beta2: object
+    gamma2: object
+    delta2: object
+    alpha_beta: object
+
+
+@dataclass(frozen=True)
 class VerifyingKey:
     """The verifier's half: four constants plus one commitment per public wire.
 
@@ -78,6 +94,33 @@ class VerifyingKey:
     delta2: object
     ic: list
     public_wires: list
+
+    @cached_property
+    def prepared(self):
+        """The :class:`PreparedVerifyingKey`, built by the first untraced
+        check and kept on this object alone: not a field, so it is neither
+        compared nor serialised, and ``dataclasses.replace`` starts without."""
+        eng = engine_for(self.curve)
+        beta2, gamma2, delta2 = (
+            eng.prepare(q.to_affine()) for q in (self.beta2, self.gamma2, self.delta2))
+        return PreparedVerifyingKey(
+            beta2, gamma2, delta2, eng.miller_loop(self.alpha1.to_affine(), beta2))
+
+    def check_publics(self, publics):
+        """Raise ``ValueError`` unless *publics* has one value per public
+        wire after wire 0."""
+        if len(publics) != len(self.ic) - 1:
+            raise ValueError(f"expected {len(self.ic) - 1} public inputs, got {len(publics)}")
+
+    def fold_publics(self, publics):
+        """``ic[0] + sum_k publics[k] * ic[k + 1]`` — the G1 point the
+        public inputs contribute to the pairing check."""
+        self.check_publics(publics)
+        r = self.curve.fr.modulus
+        acc = self.ic[0]
+        for coeff, point in zip(publics, self.ic[1:]):
+            acc = acc + point * (coeff % r)
+        return acc
 
     def size_bytes(self):
         g1 = _point_bytes(self.curve.g1)

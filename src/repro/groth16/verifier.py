@@ -5,7 +5,9 @@ One small MSM over the public inputs and a four-term product of pairings:
     ``e(A, B) = e(alpha, beta) * e(vk_x, gamma) * e(C, delta)``
 
 checked as ``e(-A, B) * e(alpha, beta) * e(vk_x, gamma) * e(C, delta) == 1``
-with a single shared final exponentiation.
+with a single shared final exponentiation.  Untraced, the three terms that
+do not depend on the proof come from ``vk.prepared``; a traced run walks
+all four (the pinning rule, docs/KERNELS.md).
 
 Constant work regardless of circuit size — which is why the paper's Fig. 5
 shows flat loads/stores, Fig. 6 a flat speedup, and the execution time is
@@ -40,35 +42,19 @@ def verify(vk, proof, publics):
         Values of the public wires in ``vk.public_wires[1:]`` order — what
         :func:`~repro.groth16.witness.public_inputs` returns.
     """
-    if len(publics) != len(vk.ic) - 1:
-        raise ValueError(
-            f"expected {len(vk.ic) - 1} public inputs, got {len(publics)}"
-        )
-    curve = vk.curve
     t = trace.CURRENT
     m = metrics.CURRENT
     if m is not None:
         m.inc("repro_groth16_verify_total")
-    eng = engine_for(curve)
-
-    def _prepare():
-        acc = vk.ic[0]
-        for coeff, point in zip(publics, vk.ic[1:]):
-            acc = acc + point * (coeff % curve.fr.modulus)
-        return acc
-
-    def _check(vk_x):
-        return eng.pairing_check(
-            [
-                (-proof.a, proof.b),
-                (vk.alpha1, vk.beta2),
-                (vk_x, vk.gamma2),
-                (proof.c, vk.delta2),
-            ]
-        )
-
+    eng = engine_for(vk.curve)
     if t is None:
-        return _check(_prepare())
+        # Only what depends on the proof: three legs of one shared loop, two
+        # over stored lines, times the stored Miller value of (alpha, beta).
+        fixed = vk.prepared
+        return eng.pairing_check(
+            [(-proof.a, proof.b), (vk.fold_publics(publics), fixed.gamma2),
+             (proof.c, fixed.delta2)],
+            fixed.alpha_beta)
 
     with t.region("verify_parse_proof", parallel=False):
         # Runtime startup: node + snarkjs module load, vkey/proof JSON parse.
@@ -80,7 +66,7 @@ def verify(vk, proof, publics):
         t.memcpy(t.malloc(proof.size_bytes()), 0, proof.size_bytes())
         t.op("json_parse_field", 16)
     with t.region("verify_prepare_inputs", parallel=True, items=max(len(publics), 1)):
-        vk_x = _prepare()
+        vk_x = vk.fold_publics(publics)
     # The four Miller loops are independent (parallelizable); the shared
     # final exponentiation is the serial tail.
     with t.region("verify_miller_loops", parallel=True, items=4):

@@ -227,6 +227,8 @@ class ProvingService:
         (self._curve_obj, self._circuit, self._pk, self._vk,
          self._witness, self._publics, self._proof0) = \
             ARTIFACT_CACHE.get(key, build)
+        # Cold start pays for the vk's line tables; no verify request does.
+        self._vk.prepared
 
     async def drain(self, timeout_s=None):
         """Stop admitting, let in-flight jobs finish or deadline-out,
@@ -323,11 +325,12 @@ class ProvingService:
             if payload is None:
                 payload = (self._proof0, list(self._publics))
             _proof, publics = payload
-            if len(publics) != len(self._vk.ic) - 1:
+            try:
+                self._vk.check_publics(publics)
+            except ValueError as exc:
                 raise ArtifactCorruption(
-                    "verify request rejected at admission",
-                    artifact="publics", expected=len(self._vk.ic) - 1,
-                    actual=len(publics))
+                    f"verify request rejected at admission: {exc}",
+                    artifact="publics") from exc
         if deadline_s is None:
             deadline_s = self.default_deadline_s
         self._next_id += 1

@@ -1,8 +1,9 @@
 """The two formulations of the pairing agree (docs/KERNELS.md, "Pairing kernels").
 
-``PairingEngine`` runs the twist-coordinate sparse-line Miller loop and the
-cyclotomic hard part when no tracer is installed, and the textbook loop on
-``E(Fp12)`` with ``f ** hard_exponent`` under one.  ``trace.CURRENT`` is the
+``PairingEngine`` runs the shared-squaring sparse-line Miller loop over line
+sequences (walked live, or stored by ``prepare``) and the cyclotomic hard
+part when no tracer is installed, and the textbook loop on ``E(Fp12)`` with
+``f ** hard_exponent`` under one.  ``trace.CURRENT`` is the
 only selector, so the reference of every test here is the same public call
 made under ``tracing(Tracer())`` — and the contract is equality of ``Fp12``
 elements, not of pairings up to a final exponentiation.
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.curves import BLS12_381, BN128, PairingEngine
+from repro.curves.pairing import PreparedG2
 from repro.fields.extensions import Fp12
 from tests.oracle import reference
 
@@ -163,6 +165,42 @@ class TestFastEqualsReference:
             assert eng.pairing_check(pairs) == reference(eng.pairing_check, pairs)
         assert eng.pairing_check(cancelling) and eng.pairing_check([])
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_shared_loop_is_the_product_of_reference_loops(self, name, n):
+        # Live points and tables mixed, identities on either side: one loop,
+        # f squared once a step, the element of n separate reference loops.
+        eng = ENGINES[name]
+        c = eng.curve
+        rng = random.Random(f"{name}:{n}")
+        product = eng.tower.fp12_one()
+        pairs = [((c.g1.generator * 3).to_affine(), None)]
+        for i in range(n):
+            P = c.g1.random_point(rng).to_affine()
+            Q = c.g2.random_point(rng).to_affine()
+            product = product * reference(eng.miller_loop, P, Q)
+            pairs.append((P, eng.prepare(Q) if (i + n) % 2 else Q))
+        pairs.insert(n // 2, (None, eng.prepare(c.g2.generator.to_affine())))
+        assert eng._miller_loops(pairs) == product
+        assert eng._miller_loops(pairs[::-1]) == product
+
+    def test_prepared_point_is_the_live_point(self, name):
+        eng = ENGINES[name]
+        c = eng.curve
+        P, Q = c.g1.generator * 5, c.g2.generator * 9
+        table = eng.prepare(Q.to_affine())
+        assert isinstance(table, PreparedG2) and table.point == Q.to_affine()
+        assert len(table.lines) == {"bn128": 102, "bls12_381": 68}[name]
+        assert eng.prepare(table) is table and eng.prepare(None) is None
+        f = reference(eng.miller_loop, P.to_affine(), Q.to_affine())
+        assert eng.miller_loop(P.to_affine(), table) == f
+        assert reference(eng.miller_loop, P.to_affine(), table) == f
+        pairs = [(P, Q), (-P, Q)]
+        stored = [(P, table), (-P, table)]
+        assert eng.multi_pairing(stored) == reference(eng.multi_pairing, pairs)
+        assert eng.multi_pairing(stored[:1], f) == reference(eng.multi_pairing, pairs[:1], f)
+        assert reference(eng.multi_pairing, stored) == reference(eng.multi_pairing, pairs)
+        assert eng.pairing_check(stored) and not eng.pairing_check(stored, f)
+
 
 @both_curves
 class TestDegenerateInputs:
@@ -170,7 +208,9 @@ class TestDegenerateInputs:
         eng = ENGINES[name]
         P = (eng.curve.g1.generator * 11).to_affine()
         for Q in cofactor_points(eng.curve, 2):
-            assert outcome(eng.miller_loop, P, Q) == outcome(reference, eng.miller_loop, P, Q)
+            expected = outcome(reference, eng.miller_loop, P, Q)
+            assert outcome(eng.miller_loop, P, Q) == expected
+            assert outcome(eng.miller_loop, P, eng.prepare(Q)) == expected
 
     @pytest.mark.parametrize("extra", [0, 2], ids=["vertical-chord", "chord-is-tangent"])
     def test_chord_through_equal_abscissas_reruns_the_reference(self, name, extra):
@@ -181,11 +221,23 @@ class TestDegenerateInputs:
         eng = PairingEngine(dataclasses.replace(curve, ate_loop=curve.fr.modulus + extra))
         P, Q = curve.g1.generator.to_affine(), curve.g2.generator.to_affine()
         with pytest.raises(ZeroDivisionError):
-            eng._miller_loop_on_twist(P, Q)
-        got = outcome(eng.miller_loop, P, Q)
-        assert got == outcome(reference, eng.miller_loop, P, Q)
+            list(eng._lines(Q))
+        table = eng.prepare(Q)
+        assert table.point == Q and table.lines is None
+        expected = outcome(reference, eng.miller_loop, P, Q)
         # BN's Frobenius additions then meet R = None; BLS12 returns.
-        assert (got is TypeError) == (name == "bn128" and extra == 0)
+        assert (expected is TypeError) == (name == "bn128" and extra == 0)
+        assert outcome(eng.miller_loop, P, Q) == expected          # walked live
+        assert outcome(eng.miller_loop, P, table) == expected      # inside prepare
+        # Among other pairs: that pair alone runs the reference.
+        P2, Q2 = (curve.g1.generator * 3).to_affine(), (curve.g2.generator * 5).to_affine()
+        among = [(P2, Q2), (P, Q), (P2, eng.prepare(Q2))]
+        if expected is TypeError:
+            with pytest.raises(TypeError):
+                eng._miller_loops(among)
+        else:
+            other = reference(eng.miller_loop, P2, Q2)
+            assert eng._miller_loops(among) == other * expected * other
 
 
 # -- the selector ----------------------------------------------------------------------
@@ -197,7 +249,7 @@ class TestTracePinsTheReference:
         eng = ENGINES[name]
         c = eng.curve
         calls = []
-        for owner, attr in [(PairingEngine, "_miller_loop_on_twist"),
+        for owner, attr in [(PairingEngine, "_miller_loops"),
                             (PairingEngine, "_pow_cyclotomic"),
                             (Fp12, "mul_by_line"), (Fp12, "cyclotomic_square")]:
             original = getattr(owner, attr)
@@ -210,5 +262,5 @@ class TestTracePinsTheReference:
         traced = reference(eng.pairing, c.g1.generator, c.g2.generator)
         assert calls == []
         assert eng.pairing(c.g1.generator, c.g2.generator) == traced
-        assert set(calls) == {"_miller_loop_on_twist", "_pow_cyclotomic",
+        assert set(calls) == {"_miller_loops", "_pow_cyclotomic",
                               "mul_by_line", "cyclotomic_square"}

@@ -102,6 +102,30 @@ class TestServiceIntegration:
         assert counters["repro_serve_pk_cache_misses_total"] == 1
         assert counters["repro_serve_pk_cache_hits_total"] == 1
 
+    def test_start_prepares_the_verifying_key_once_per_cell(self):
+        # Cold start pays for the vk's line tables and stored Miller value;
+        # a cache hit hands the second instance the same prepared object,
+        # and the first verify request finds it there.
+        ARTIFACT_CACHE.clear()
+        cold = fast_service(seed=11)
+        assert cold._vk is None
+        started(cold)
+        assert "prepared" in vars(cold._vk)
+        memo = cold._vk.prepared
+        warm = started(fast_service(seed=11))
+        assert warm._vk is cold._vk and warm._vk.prepared is memo
+
+        async def main():
+            async with fast_service(seed=11) as svc:
+                assert svc._vk.prepared is memo
+                return await svc.submit("verify")
+
+        result = asyncio.run(main())
+        assert result.status == "ok" and result.accepted is True
+        assert result.resolved_typed
+        assert abs(result.phase_sum - result.total_s) < 1e-3
+        assert cold._vk.prepared is memo
+
     def test_distinct_cells_do_not_collide(self):
         ARTIFACT_CACHE.clear()
         a = started(fast_service(seed=11))

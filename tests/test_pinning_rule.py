@@ -14,10 +14,12 @@ import pytest
 
 from repro import parallel
 from repro.curves import BN128, PairingEngine
+from repro.groth16 import generate_witness, prove, public_inputs, setup, verify
 from repro.msm import FixedBaseTable, msm_auto
 from repro.obs.metrics import MetricsRegistry, collecting
 from repro.parallel.pool import WorkerPool
 from repro.perf.trace import Tracer, tracing
+from tests.conftest import make_pow_circuit
 from tests.oracle import reference
 
 G1, G2 = BN128.g1, BN128.g2
@@ -84,7 +86,7 @@ def test_to_affine(group):
 def test_pairing_engine(monkeypatch):
     eng = PairingEngine(BN128)
     fast_only = []
-    for attr in ("_miller_loop_on_twist", "_hard_part_bn"):
+    for attr in ("_miller_loops", "_hard_part_bn"):
         original = getattr(PairingEngine, attr)
 
         def spy(*args, _original=original, _attr=attr):
@@ -100,10 +102,27 @@ def test_pairing_engine(monkeypatch):
     assert tracer.total_counts()["pairing_miller_loop"] == 1
 
     f_fast = eng.miller_loop(P, Q)
-    assert fast_only == ["_miller_loop_on_twist"]
+    assert fast_only == ["_miller_loops"]
     assert f_fast == f_ref
     assert eng.final_exponentiation(f_fast) == e_ref
-    assert fast_only == ["_miller_loop_on_twist", "_hard_part_bn"]
+    assert fast_only == ["_miller_loops", "_hard_part_bn"]
+
+
+def test_traced_verify_never_meets_the_prepared_key():
+    # Four reference loops in their regions; the vk's memo (line tables and
+    # the stored Miller value) is neither read nor built under a tracer.
+    circuit, inputs = make_pow_circuit(BN128, 4)
+    rng = random.Random(29)
+    pk, vk = setup(BN128, circuit, rng)
+    witness = generate_witness(circuit, inputs)
+    proof, publics = prove(pk, circuit, witness, rng), public_inputs(circuit, witness)
+    assert "prepared" not in vars(vk)
+    ok, tracer, _ = traced(verify, vk, proof, publics)
+    assert ok is True
+    assert tracer.total_counts()["pairing_miller_loop"] == 4
+    assert "verify_miller_loops" in region_names(tracer)
+    assert "prepared" not in vars(vk)
+    assert verify(vk, proof, publics) is True and "prepared" in vars(vk)
 
 
 def test_active_pool():
