@@ -6,6 +6,7 @@ Generators are the EIP-196/197 standard points used by snarkjs.
 """
 
 from repro.curves.curve import CurveSpec, Fp2Ops, FpOps, Group
+from repro.curves.endomorphism import phi, psi
 from repro.fields.params import BN254_ATE_LOOP, BN254_FQ, BN254_FR, BN254_TOWER, BN254_U
 
 __all__ = ["BN128"]
@@ -29,6 +30,7 @@ _g1 = Group(
     generator=(1, 2),
     order=BN254_FR.modulus,
     cofactor=1,
+    endomorphisms=phi(BN254_FQ, BN254_FR.modulus),
 )
 
 # b2 = 3 / (9 + u) in Fq2.
@@ -41,6 +43,7 @@ _g2 = Group(
     generator=(_G2_GENERATOR_X, _G2_GENERATOR_Y),
     order=BN254_FR.modulus,
     cofactor=_G2_COFACTOR,
+    endomorphisms=psi(BN254_TOWER, BN254_FR.modulus, t=6 * BN254_U**2 + 1),
 )
 
 BN128 = CurveSpec(

@@ -18,10 +18,30 @@ control-flow share in the paper's Table V comes from.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
+from math import gcd
 
+from repro.curves.endomorphism import decompose_scalar
 from repro.perf import trace
 
 __all__ = ["FpOps", "Fp2Ops", "Group", "Point", "CurveSpec"]
+
+
+def _wnaf(k, width):
+    """Width-*width* non-adjacent form of ``k >= 0``, least significant digit
+    first: odd digits of magnitude below ``2^(width-1)``, each followed by at
+    least ``width - 1`` zeros (width 2 is the plain NAF)."""
+    full, half, digits = 1 << width, 1 << (width - 1), []
+    while k:
+        d = 0
+        if k & 1:
+            d = k & (full - 1)
+            if d >= half:
+                d -= full
+            k -= d
+        digits.append(d)
+        k >>= 1
+    return digits
 
 
 class FpOps:
@@ -98,23 +118,28 @@ class Group:
     order:
         Prime order ``r`` of the subgroup.
     cofactor:
-        Curve cofactor (recorded for documentation/subgroup checks).
+        Curve cofactor: ``#E = cofactor * order``.
+    endomorphisms:
+        Candidate :class:`~repro.curves.endomorphism.Endomorphism` records;
+        the first that passes :meth:`_admit` becomes ``self.endomorphism``
+        (``None`` without candidates), and ``ValueError`` if none does.
     """
 
-    def __init__(self, name, ops, b, generator, order, cofactor=1):
+    def __init__(self, name, ops, b, generator, order, cofactor=1, endomorphisms=()):
         self.name = name
         self.ops = ops
         self.b = b
         self.order = order
         self.cofactor = cofactor
-        #: Non-adjacent form of ``order``, most significant digit first (for
-        #: :meth:`in_subgroup`): bit ``i`` of ``3r`` minus bit ``i`` of ``r``.
-        self._order_naf = [(3 * order >> i & 1) - (order >> i & 1)
-                           for i in range((3 * order).bit_length() - 1, 0, -1)]
         self._dbl_tag = f"ec_dbl_{ops.tag}"
         self._add_tag = f"ec_add_{ops.tag}"
         gx, gy = generator
         self.generator = self.point(gx, gy)
+        self.endomorphism = None  # what _admit's own multiplications see
+        self.endomorphism = endo = self._admit(endomorphisms)
+        #: What :meth:`in_subgroup` walks, most significant digit first: the
+        #: non-adjacent form of ``|eigen|``, or of ``order`` with no record.
+        self._member_naf = _wnaf(abs(endo.eigen) if endo else order, 2)[::-1]
 
     def __repr__(self):
         return f"Group({self.name})"
@@ -150,25 +175,53 @@ class Group:
         k = rng.randrange(1, self.order)
         return self.generator * k
 
+    def _admit(self, candidates):
+        """The first of *candidates* that is a sound membership test.
+
+        For ``sigma`` with ``sigma^2 + c*sigma + d = 0`` on the whole curve
+        and ``sigma = [a]`` on the subgroup: if ``a^2 + c*a + d = m * r`` and
+        ``gcd(m, cofactor) = 1`` then ``sigma(P) = [a]P  <=>  [r]P = O``
+        (``[m*r]P = O`` and ``[cofactor*r]P = O`` leave ``ord P | r``; the
+        converse is the check on the generator).
+        """
+        gen = self.generator
+        for endo in candidates:
+            (c, d), a = endo.char, endo.eigen
+            m, rem = divmod(a * a + c * a + d, self.order)
+            image = gen * abs(a)  # gen * a would widen a negative a to a + r
+            if a < 0:
+                image = -image
+            if (rem == 0 and gcd(m, self.cofactor) == 1
+                    and endo.map(*gen.to_affine()) == image.to_affine()):
+                return endo
+        if candidates:
+            raise ValueError(f"{self.name}: no endomorphism record passes its identity, "
+                             "cofactor and generator checks")
+        return None
+
     def in_subgroup(self, pt):
         """True iff ``[r]pt`` is the identity, *pt* a point of the curve.
 
         With cofactor 1 the curve has exactly ``r`` points and there is
-        nothing to compute.  Otherwise an unreduced ladder (``Point.__mul__``
-        reduces its scalar mod ``order``, so ``pt * order`` would be
-        ``pt * 0`` and accept everything) over the non-adjacent form of
-        ``r``, adding ``+-pt`` in affine coordinates.
+        nothing to compute.  Otherwise one unreduced ladder (``Point.__mul__``
+        reduces its scalar mod ``order``) over ``_member_naf``, adding
+        ``+-pt`` in affine coordinates: ``[|a|]pt`` against ``+-sigma(pt)``
+        (:meth:`_admit` has the proof), or ``[r]pt`` against the identity
+        on a group without a record.
         """
         if pt.is_infinity() or self.cofactor == 1:
             return True
         x, y = pt.to_affine()
         minus_y = self.ops.neg(y)
         acc = self.infinity()
-        for digit in self._order_naf:
+        for digit in self._member_naf:
             acc = acc.double()
             if digit:
                 acc = acc.add_affine(x, y if digit > 0 else minus_y)
-        return acc.is_infinity()
+        endo = self.endomorphism
+        if endo is None:
+            return acc.is_infinity()
+        return acc == Point(self, *endo.map(x, minus_y if endo.eigen < 0 else y), self.ops.one)
 
 
 class Point:
@@ -311,12 +364,18 @@ class Point:
         return self + (-other)
 
     def __mul__(self, k):
-        """Scalar multiplication (left-to-right double-and-add)."""
+        """``[k mod r]self``, *self* in the order-``r`` subgroup:
+        :meth:`_mul_wnaf`, and left-to-right double-and-add under a tracer
+        (the pinning rule, docs/KERNELS.md) or where that declines."""
         if not isinstance(k, int):
             return NotImplemented
         k %= self.group.order
         if k == 0 or self.is_infinity():
             return self.group.infinity()
+        if trace.CURRENT is None:
+            fast = self._mul_wnaf(k)
+            if fast is not None:
+                return fast
         acc = self.group.infinity()
         for bit in bin(k)[2:]:
             acc = acc.double()
@@ -325,6 +384,55 @@ class Point:
         return acc
 
     __rmul__ = __mul__
+
+    def _mul_wnaf(self, k):
+        """``[k]self`` by width-4 wNAF over the odd multiples ``1, 3, 5, 7``,
+        or ``None`` when one of them is the identity (order 3, 5 or 7).
+
+        One shared inversion (Montgomery's trick) makes the table affine, so
+        every addition is mixed.  Where the group's endomorphism has a
+        lattice basis, ``k`` splits into two half-width streams walked over
+        the table and its image on one doubling chain.
+        """
+        group = self.group
+        ops = group.ops
+        mul, neg = ops.mul, ops.neg
+        twice = self.double()
+        odd = [self]
+        for _ in range(3):
+            odd.append(odd[-1] + twice)
+        prefix = [ops.one]
+        for pt in odd:
+            if ops.is_zero(pt.Z):
+                return None
+            prefix.append(mul(prefix[-1], pt.Z))
+        inv = ops.inv(prefix[-1])
+        table = [None] * 4
+        for i in (3, 2, 1, 0):
+            pt = odd[i]
+            zinv, inv = mul(inv, prefix[i]), mul(inv, pt.Z)
+            zinv2 = ops.sqr(zinv)
+            table[i] = (mul(pt.X, zinv2), mul(pt.Y, mul(zinv2, zinv)))
+        endo = group.endomorphism
+        if endo is not None and endo.basis is not None:
+            k1, k2 = decompose_scalar(endo.basis, group.order, k)
+            halves = [(k1, table), (k2, [endo.map(x, y) for x, y in table])]
+        else:
+            halves = [(k, table)]
+        streams, tables = [], []
+        for half, tab in halves:
+            if half < 0:
+                tab = [(x, neg(y)) for x, y in tab]
+            streams.append(_wnaf(abs(half), 4))
+            # digit d (odd, |d| < 8) selects entry d >> 1: 0..3, or -1..-4.
+            tables.append(tab + [(x, neg(y)) for x, y in reversed(tab)])
+        acc = group.infinity()
+        for digits in reversed(list(zip_longest(*streams, fillvalue=0))):
+            acc = acc.double()
+            for d, tab in zip(digits, tables):
+                if d:
+                    acc = acc.add_affine(*tab[d >> 1])
+        return acc
 
     # -- coordinates --------------------------------------------------------------------
 

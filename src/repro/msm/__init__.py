@@ -19,7 +19,7 @@ and why nothing selects it: docs/KERNELS.md); the kernels behind it are
 
 from repro.msm.dispatch import msm_auto
 from repro.msm.fixed_base import FixedBaseTable
-from repro.msm.glv import GLVParams, decompose_scalar, glv_params, msm_glv
+from repro.msm.glv import msm_glv
 from repro.msm.naive import msm_naive
 from repro.msm.pippenger import msm_pippenger, optimal_window
 from repro.msm.recode import signed_windows, signed_windows_len
@@ -27,9 +27,6 @@ from repro.msm.wnaf import msm_wnaf, optimal_signed_window
 
 __all__ = [
     "FixedBaseTable",
-    "GLVParams",
-    "decompose_scalar",
-    "glv_params",
     "msm_auto",
     "msm_glv",
     "msm_naive",

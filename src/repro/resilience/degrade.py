@@ -62,9 +62,17 @@ def batch_verify_bisect(vk, proofs_with_publics, rng):
     from repro.groth16.verifier import verify
 
     batch = list(proofs_with_publics)
+    m = metrics.CURRENT
+    if len(batch) == 1:
+        # A paced service's median batch: the fold would cost four scalar
+        # multiplications and a fourth pairing leg more than ``verify``.
+        if verify(vk, *batch[0]):
+            return True, []
+        if m is not None:
+            m.inc("repro_resilience_batch_bad_proofs_total")
+        return False, [0]
     if batch_verify(vk, batch, rng):
         return True, []
-    m = metrics.CURRENT
     if m is not None:
         m.inc("repro_resilience_batch_bisections_total")
 

@@ -1,11 +1,17 @@
 """Group-law tests for G1 and G2 on both curves."""
 
+import os
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.curves import BLS12_381, BN128, get_curve
+from repro.curves.curve import FpOps, Group
+from repro.fields.prime_field import PrimeField
+from tests.oracle import ladder_mul, reference
+
+FULL = os.environ.get("REPRO_KERNEL_FULL") == "1"
 
 GROUPS = [
     ("bn128.G1", BN128.g1),
@@ -145,6 +151,45 @@ class TestScalarMul:
 
     def test_rmul(self, group):
         assert 3 * group.generator == group.generator * 3
+
+
+class TestScalarMulAgainstReference:
+    """Untraced ``P * k`` (wNAF over an affine odd table, GLV-interleaved on
+    G1) against the same call under a tracer: binary double-and-add."""
+
+    def test_edge_and_random_scalars(self, group):
+        r = group.order
+        rng = random.Random(7)
+        scalars = [0, 1, 2, r - 1, r, r + 1, 2**127, 2**128 - 1, -5]
+        scalars += [rng.randrange(r) for _ in range(6)]
+        P = group.generator * 0xC0FFEE + group.generator
+        assert P.Z != group.ops.one
+        for pt in (P, P.normalize(), group.infinity()):
+            for k in scalars:
+                got = pt * k
+                assert got == reference(pt.__mul__, k) == k * pt
+                assert got == ladder_mul(pt, k % r)
+
+    @pytest.mark.parametrize("name", [name for name, _ in GROUPS])
+    @settings(max_examples=500 if FULL else 25, deadline=None)
+    @given(k=st.integers(min_value=-(1 << 260), max_value=1 << 260), m=st.integers(1, 1 << 64))
+    def test_any_scalar_any_subgroup_point(self, name, k, m):
+        # Parametrized, not the fixture: hypothesis rejects function scope.
+        # 25 examples a group in tier-1, 500 under REPRO_KERNEL_FULL=1.
+        pt = dict(GROUPS)[name].generator * m
+        assert pt * k == reference(pt.__mul__, k)
+
+    def test_every_point_and_scalar_of_a_toy_group(self):
+        # y^2 = x^3 + 1 over F_7: 12 points, orders 1, 2, 3 and 6.  The odd
+        # table of an order-3 point holds 3P = O (the fast route declines);
+        # an order-2 point doubles to O inside it.
+        fq = PrimeField(7, "toy.Fq")
+        toy = Group("toy.G1", FpOps(fq, "g1_toy"), 1, (0, 1), order=3, cofactor=4)
+        points = [toy.point(x, y) for x in range(7) for y in range(7) if toy.on_curve(x, y)]
+        assert len(points) == 11
+        for pt in points + [toy.infinity(), points[3].double()]:
+            for k in range(-4, 8):
+                assert pt * k == reference(pt.__mul__, k) == ladder_mul(pt, k % 3)
 
 
 class TestCoordinates:

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.curves import BLS12_381, BN128, PairingEngine
 from repro.curves.pairing import PreparedG2
 from repro.fields.extensions import Fp12
-from tests.oracle import reference
+from tests.oracle import cofactor_points, reference
 
 CURVES = {"bn128": BN128, "bls12_381": BLS12_381}
 ENGINES = {name: PairingEngine(curve) for name, curve in CURVES.items()}
@@ -47,40 +47,6 @@ def random_fp12(tower, rng):
 def easy_part(f):
     f1 = f.conjugate() * f.inverse()
     return f1.frobenius().frobenius() * f1
-
-
-def f2_sqrt(tower, a):
-    """A square root of the Fp2 pair *a*, or ``None`` (complex method)."""
-    fq = tower.fq
-    a0, a1 = a
-    norm = fq.add(fq.sqr(a0), fq.sqr(a1))
-    if fq.legendre(norm) == -1:
-        return None
-    for s in (fq.sqrt(norm), fq.neg(fq.sqrt(norm))):
-        x0_sq = fq.mul(fq.add(a0, s), fq.inv(2))
-        if fq.legendre(x0_sq) == 1:
-            x0 = fq.sqrt(x0_sq)
-            root = (x0, fq.mul(a1, fq.inv(fq.add(x0, x0))))
-            if tower.f2_sqr(root) == a:
-                return root
-    return None
-
-
-def cofactor_points(curve, count):
-    """On-curve twist points outside the order-``r`` subgroup: the cofactor
-    is ~2^254 (~2^380), so every small ``x`` with a square right-hand side
-    gives one."""
-    t, g2 = curve.tower, curve.g2
-    found = []
-    c = 1
-    while len(found) < count:
-        x = (c, 1)
-        y = f2_sqrt(t, t.f2_add(t.f2_mul(t.f2_sqr(x), x), g2.b))
-        if y is not None:
-            assert g2.on_curve(x, y) and not g2.in_subgroup(g2.point(x, y))
-            found.append((x, y))
-        c += 1
-    return found
 
 
 # -- the field kernels ----------------------------------------------------------------

@@ -24,6 +24,7 @@ from repro.groth16.serialize import (
 )
 from repro.resilience.errors import ArtifactCorruption
 from tests.conftest import make_pow_circuit
+from tests.oracle import cofactor_points, rogue_g1_point
 
 
 @pytest.fixture(scope="module")
@@ -108,23 +109,6 @@ class TestTruncationAndPadding:
                 vk_from_bytes(vk_blob[:cut])
 
 
-def _rogue_g1_point():
-    """An on-curve BLS12-381 G1 point outside the r-subgroup.
-
-    G1's cofactor is ~2**125, so almost every x with a square RHS gives a
-    full-order point; x=4 is the first (p ≡ 3 mod 4, so sqrt = rhs^((p+1)/4)).
-    """
-    g = BLS12_381.g1
-    p = g.ops.fq.modulus
-    x = 4
-    rhs = (pow(x, 3, p) + g.b) % p
-    y = pow(rhs, (p + 1) // 4, p)
-    assert y * y % p == rhs
-    pt = g.point(x, y)
-    assert not g.in_subgroup(pt)
-    return pt
-
-
 class TestSubgroupCheck:
     @pytest.fixture(scope="class")
     def bls_session(self):
@@ -145,7 +129,18 @@ class TestSubgroupCheck:
         _, _, proof = bls_session
         blob = proof_to_bytes(proof)
         # Offset 8 (magic + curve id) is proof.a, a G1 point.
-        bad = self._splice_g1(blob, 8, _rogue_g1_point())
+        bad = self._splice_g1(blob, 8, rogue_g1_point(BLS12_381.g1))
+        with pytest.raises(ArtifactCorruption, match="subgroup"):
+            proof_from_bytes(bad)
+
+    def test_proof_with_rogue_point_in_c_rejected(self, bls_session):
+        _, _, proof = bls_session
+        blob = proof_to_bytes(proof)
+        # proof.c is the last G1 point (BN128's G1 has cofactor 1: every
+        # point of its curve is in the subgroup, nothing to splice there).
+        g1 = BLS12_381.g1
+        offset = len(blob) - 2 * g1.ops.coord_bytes
+        bad = _spliced(blob, offset, _encode(g1, rogue_g1_point(g1).to_affine()))
         with pytest.raises(ArtifactCorruption, match="subgroup"):
             proof_from_bytes(bad)
 
@@ -153,7 +148,7 @@ class TestSubgroupCheck:
         _, vk, _ = bls_session
         blob = vk_to_bytes(vk)
         # Offset 8 is vk.alpha1, a G1 point.
-        bad = self._splice_g1(blob, 8, _rogue_g1_point())
+        bad = self._splice_g1(blob, 8, rogue_g1_point(BLS12_381.g1))
         with pytest.raises(ArtifactCorruption, match="subgroup"):
             vk_from_bytes(bad)
 
@@ -161,7 +156,7 @@ class TestSubgroupCheck:
         pk, _, _ = bls_session
         blob = pk_to_bytes(pk)
         # Offset 12 (magic + curve id + domain_size) is pk.alpha1.
-        bad = self._splice_g1(blob, 12, _rogue_g1_point())
+        bad = self._splice_g1(blob, 12, rogue_g1_point(BLS12_381.g1))
         with pytest.raises(ArtifactCorruption, match="subgroup"):
             pk_from_bytes(bad)
 
@@ -174,3 +169,46 @@ class TestSubgroupCheck:
         blob[8: 8 + fq.nbytes] = fq.modulus.to_bytes(fq.nbytes, "little")
         with pytest.raises(ArtifactCorruption, match="not a valid curve point"):
             vk_from_bytes(bytes(blob))
+
+
+def _encode(group, pt):
+    fq = group.ops.fq if hasattr(group.ops, "fq") else group.ops.tower.fq
+    x, y = pt
+    coords = (x, y) if isinstance(x, int) else (*x, *y)
+    return b"".join(fq.to_bytes(c) for c in coords)
+
+
+def _spliced(blob, offset, enc):
+    assert blob[offset: offset + len(enc)] != enc
+    return blob[:offset] + enc + blob[offset + len(enc):]
+
+
+class TestRogueG2AtEveryCheckedOffset:
+    """On the twist, outside the subgroup (certified by the ``[r]P`` ladder
+    of ``tests/oracle.py``), at each G2 slot of a proof and of a vk, on both
+    curves: rejected typed, before any pairing."""
+
+    @pytest.fixture(scope="class", params=[BN128, BLS12_381], ids=lambda c: c.name)
+    def session(self, request):
+        curve = request.param
+        circ, inputs = make_pow_circuit(curve, 4)
+        rng = random.Random(53)
+        pk, vk = setup(curve, circ, rng)
+        proof = prove(pk, circ, generate_witness(circ, inputs), rng)
+        return curve, proof_to_bytes(proof), vk_to_bytes(vk)
+
+    @pytest.mark.parametrize("slot", ["proof.b", "vk.beta2", "vk.gamma2", "vk.delta2"])
+    def test_rogue_g2_point(self, session, slot):
+        curve, proof_blob, vk_blob = session
+        g1_bytes, g2_bytes = (2 * g.ops.coord_bytes for g in (curve.g1, curve.g2))
+        (rogue,) = cofactor_points(curve, 1)
+        enc = _encode(curve.g2, rogue)
+        assert len(enc) == g2_bytes
+        # Both start magic + curve id (8 bytes) + one G1 point (a / alpha1).
+        index = ["proof.b", "vk.beta2", "vk.gamma2", "vk.delta2"].index(slot)
+        offset = 8 + g1_bytes + max(0, index - 1) * g2_bytes
+        parse, blob = (proof_from_bytes, proof_blob) if index == 0 else (vk_from_bytes, vk_blob)
+        assert parse(blob) is not None
+        with pytest.raises(ArtifactCorruption, match="subgroup") as info:
+            parse(_spliced(blob, offset, enc))
+        assert f"offset {offset}" in str(info.value)

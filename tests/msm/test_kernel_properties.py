@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.curves import BLS12_381, BN128
+from repro.curves.endomorphism import decompose_scalar
+from repro.msm import glv
 from repro.msm.batch_affine import batch_affine_accumulate
-from repro.msm.glv import decompose_scalar, glv_params
 from repro.msm.recode import signed_windows, signed_windows_len
 from repro.msm.wnaf import optimal_signed_window
 
@@ -95,63 +96,65 @@ def g1(request):
 
 
 class TestGLVParams:
+    # The record lives on the group (repro.curves.endomorphism), derived and
+    # checked at construction; lambda is its eigenvalue, beta is phi(1, .).
     def test_lambda_is_cube_root_in_fr(self, g1):
-        params = glv_params(g1)
-        assert params is not None
+        endo = g1.endomorphism
+        assert endo is not None
         r = g1.order
-        lam = params.lam
+        lam = endo.eigen % r
         assert (lam * lam + lam + 1) % r == 0
         assert pow(lam, 3, r) == 1 and lam != 1
 
     def test_beta_is_cube_root_in_fq(self, g1):
-        params = glv_params(g1)
         q = g1.ops.fq.modulus
-        beta = params.beta
-        assert pow(beta, 3, q) == 1 and beta != 1
+        beta, y = g1.endomorphism.map(1, 5)
+        assert pow(beta, 3, q) == 1 and beta != 1 and y == 5
 
     def test_endomorphism_matches_lambda_on_generator(self, g1):
-        params = glv_params(g1)
-        fq = g1.ops.fq
-        gx, gy = g1.generator.to_affine()
-        phi_g = g1.point_unchecked(fq.mul(params.beta, gx), gy)
-        assert phi_g == g1.generator * params.lam
+        endo = g1.endomorphism
+        phi_g = g1.point(*endo.map(*g1.generator.to_affine()))
+        assert phi_g == g1.generator * endo.eigen
 
     def test_short_vectors_in_lattice(self, g1):
-        params = glv_params(g1)
+        endo = g1.endomorphism
         r = g1.order
-        for a, b in (params.v1, params.v2):
-            assert (a + b * params.lam) % r == 0
+        for a, b in endo.basis:
+            assert (a + b * endo.eigen) % r == 0
             # "Short": both coordinates near sqrt(r).
             assert abs(a).bit_length() <= r.bit_length() // 2 + 2
             assert abs(b).bit_length() <= r.bit_length() // 2 + 2
 
     def test_g2_has_no_params(self):
-        assert glv_params(BN128.g2) is None
-        assert glv_params(BLS12_381.g2) is None
+        # psi has no two-dimensional split: the G2 MSM is not decomposed.
+        assert BN128.g2.endomorphism.basis is None
+        assert BLS12_381.g2.endomorphism.basis is None
 
     def test_memoized(self, g1):
-        assert glv_params(g1) is glv_params(g1)
+        # Nothing to memoize: an attribute set by Group.__init__.
+        assert vars(g1)["endomorphism"] is g1.endomorphism
+        assert not hasattr(glv, "_PARAMS") and not hasattr(glv, "glv_params")
 
 
 class TestDecomposeScalar:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_recomposition_and_half_width(self, g1, data):
-        params = glv_params(g1)
+        endo = g1.endomorphism
         r = g1.order
         k = data.draw(st.integers(min_value=0, max_value=r - 1))
-        k1, k2 = decompose_scalar(params, r, k)
-        assert (k1 + k2 * params.lam) % r == k % r
+        k1, k2 = decompose_scalar(endo.basis, r, k)
+        assert (k1 + k2 * endo.eigen) % r == k % r
         bound = r.bit_length() // 2 + 2
         assert abs(k1).bit_length() <= bound
         assert abs(k2).bit_length() <= bound
 
     def test_edge_scalars(self, g1):
-        params = glv_params(g1)
+        endo = g1.endomorphism
         r = g1.order
         for k in (0, 1, 2, r - 1, (r - 1) // 2, r // 2 + 1):
-            k1, k2 = decompose_scalar(params, r, k)
-            assert (k1 + k2 * params.lam) % r == k % r
+            k1, k2 = decompose_scalar(endo.basis, r, k)
+            assert (k1 + k2 * endo.eigen) % r == k % r
 
 
 class TestBatchAffineAccumulate:

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from repro.curves import BN128
+from repro.curves import BLS12_381, BN128
 from repro.groth16 import generate_witness, prove, public_inputs, setup, verify
+from repro.groth16.batch import batch_verify
 from repro.msm.naive import msm_naive
 from repro.obs import metrics
 from repro.resilience import faults
@@ -99,6 +100,35 @@ class TestBatchBisect:
         ok, bad = batch_verify_bisect(vk, batch, random.Random(3))
         assert not ok
         assert bad == list(range(len(batch)))
+
+
+class TestBatchOfOne:
+    """A paced service's median batch has one member, and that is a
+    ``verify``: same verdict and bad indices as the fold, weights not drawn."""
+
+    @pytest.mark.parametrize("curve", [BN128, BLS12_381], ids=lambda c: c.name)
+    @pytest.mark.parametrize("poisoned", [False, True], ids=["good", "bad"])
+    def test_same_answer_as_the_fold_and_rng_untouched(self, curve, poisoned):
+        circ, _ = make_pow_circuit(curve, 4)
+        rng = random.Random(67)
+        pk, vk = setup(curve, circ, rng)
+        w = generate_witness(circ, {"x": 3})
+        proof, publics = prove(pk, circ, w, rng), public_inputs(circ, w)
+        if poisoned:
+            publics = [(publics[0] + 1) % curve.fr.modulus]
+        weights = random.Random(1)
+        before = weights.getstate()
+        with metrics.collecting() as reg:
+            ok, bad = batch_verify_bisect(vk, [(proof, publics)], weights)
+        assert weights.getstate() == before
+        assert ok is batch_verify(vk, [(proof, publics)], random.Random(1)) is not poisoned
+        assert bad == ([0] if poisoned else [])
+        assert reg.counter("repro_groth16_verify_total") == 1
+        assert reg.counter("repro_groth16_batch_verify_total") == 0
+        assert reg.counter("repro_resilience_batch_bad_proofs_total") == poisoned
+        # Two members still fold (and draw).
+        batch_verify_bisect(vk, [(proof, publics)] * 2, weights)
+        assert weights.getstate() != before
 
 
 class TestMemoryGuard:

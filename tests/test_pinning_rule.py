@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro import parallel
-from repro.curves import BN128, PairingEngine
+from repro.curves import BN128, PairingEngine, Point
 from repro.groth16 import generate_witness, prove, public_inputs, setup, verify
 from repro.msm import FixedBaseTable, msm_auto
 from repro.obs.metrics import MetricsRegistry, collecting
@@ -81,6 +81,31 @@ def test_to_affine(group):
     assert fast_metrics.counter("repro_field_inv_total") == 0
     assert ref_metrics.counter("repro_field_inv_total") == 1
     assert tracer.total_counts()[BN128.fq._inv_tag] == 1
+
+
+@pytest.mark.parametrize("group", [G1, G2], ids=["G1", "G2"])
+def test_point_mul(group, monkeypatch):
+    fast_only = []
+    original = Point._mul_wnaf
+
+    def spy(self, k):
+        fast_only.append(k)
+        return original(self, k)
+
+    monkeypatch.setattr(Point, "_mul_wnaf", spy)
+    point = group.generator * 3
+    k = random.Random(31).randrange(group.order)
+    assert fast_only == [3]
+    ref, tracer, _ = traced(point.__mul__, k)
+    assert fast_only == [3]
+    # The loop the modeled stages count: an addition a set bit and a
+    # doubling a bit, less the first of each (the accumulator is O).
+    counts = tracer.total_counts()
+    assert counts[group._add_tag] == bin(k).count("1") - 1
+    assert counts[group._dbl_tag] == k.bit_length() - 1
+    fast = point * k
+    assert fast_only == [3, k]
+    assert fast == ref and fast.to_affine() == ref.to_affine()
 
 
 def test_pairing_engine(monkeypatch):
