@@ -1,18 +1,14 @@
 # Convenience targets; see README.md.
 
-.PHONY: install test lint codelint bench artifacts slow clean profile \
-	perf-check chaos deep-profile drift-check refresh-baseline \
-	parallel-test parallel-check parallel-report measured serve loadtest \
-	pareto capacity-check refresh-capacity-baseline kernel-bench kernel-test \
-	bench-test
+.PHONY: install test lint codelint artifacts slow clean profile \
+	chaos deep-profile drift-check parallel-test parallel-report measured \
+	serve loadtest pareto kernel-test bench-test
 
 # Seeds for the chaos smoke (override: make chaos CHAOS_SEEDS="0 7 42").
 CHAOS_SEEDS ?= 0 1 2 3
 
-# Ledgers for the telemetry targets (override on the command line).
+# Ledger for the telemetry targets (override on the command line).
 PROFILE_LEDGER ?= results/runs/profile.jsonl
-BASELINE_LEDGER ?= results/runs/baseline-ci.jsonl
-PERF_THRESHOLD ?= 500
 
 install:
 	pip install -e . || python setup.py develop
@@ -30,9 +26,6 @@ lint:
 codelint:
 	PYTHONPATH=src python -m repro codelint
 
-bench:
-	pytest benchmarks/ --benchmark-only
-
 # The benchmark's own tests (bench/README.md).  Not part of tier-1
 # (testpaths = ["tests"]): the traced pass rebinds program names by string,
 # so this is where a rename under src/ shows as a KeyError;
@@ -40,8 +33,10 @@ bench:
 bench-test:
 	PYTHONPATH=src python -m pytest bench/ -q
 
+# Regenerate the committed paper artifacts; tests/paper/test_results_golden.py
+# holds results/*.txt to what this writes.
 artifacts:
-	python -m repro run all --out results/
+	PYTHONPATH=src python -m repro run all --out results/
 
 slow:
 	REPRO_SLOW=1 pytest tests/harness/test_large_scale.py
@@ -49,10 +44,6 @@ slow:
 profile:
 	PYTHONPATH=src python -m repro profile --curve bn128 --size 64 \
 		--ledger $(PROFILE_LEDGER)
-
-perf-check:
-	PYTHONPATH=src python -m repro perf-check $(BASELINE_LEDGER) \
-		$(PROFILE_LEDGER) --threshold $(PERF_THRESHOLD) --min-seconds 0.02
 
 # Deep-profile one small cell (deterministic profiling is ~50x slower than
 # the bare run, so keep --size small); writes flamegraph artifacts under
@@ -67,14 +58,6 @@ drift-check:
 	PYTHONPATH=src python -m repro report --compare-model \
 		--curves bn128 --sizes 64
 
-# Regenerate the committed CI baseline ledger after an intentional perf
-# change (docs/PROFILING.md documents the workflow: run on a quiet
-# machine, eyeball the diff, commit with the change that justified it).
-refresh-baseline:
-	rm -f $(BASELINE_LEDGER)
-	PYTHONPATH=src python -m repro profile --curve bn128 --size 64 \
-		--label ci-baseline --ledger $(BASELINE_LEDGER)
-
 # Full serial<->parallel differential matrix plus the chaos-under-workers
 # seeds (docs/PARALLELISM.md).  Wider than the tier-1 run: sizes 2^6..2^10,
 # workers {1,2,4}, both curves.
@@ -84,24 +67,6 @@ parallel-test:
 		PYTHONPATH=src python -m repro chaos --seed $$seed --faults 3 \
 			--size 64 --workers 2 || exit 1; \
 	done
-
-# Proving speedup gate: >= $(MIN_SPEEDUP)x at $(PAR_WORKERS) workers for
-# 2^12 constraints; exits 0 with a SKIP message on machines with fewer
-# cores than $(PAR_WORKERS).
-PAR_WORKERS ?= 4
-MIN_SPEEDUP ?= 1.3
-parallel-check:
-	PYTHONPATH=src python -m repro parallel-check --size 4096 \
-		--workers $(PAR_WORKERS) --min-speedup $(MIN_SPEEDUP)
-
-# MSM kernel speed gate (docs/KERNELS.md): the front door (msm_auto, the
-# kernel the prover runs) must beat the reference Pippenger by
-# $(KERNEL_MIN_SPEEDUP)x on a 2^12 MSM with the same result; exits 0 with a
-# SKIP message on single-core machines.
-KERNEL_MIN_SPEEDUP ?= 1.5
-kernel-bench:
-	PYTHONPATH=src python -m repro kernel-bench --size 4096 \
-		--min-speedup $(KERNEL_MIN_SPEEDUP)
 
 # Full kernel differential matrix (docs/KERNELS.md): every MSM kernel and
 # the front door x curve x size x worker count must match the reference
@@ -159,30 +124,12 @@ loadtest:
 # cells from checksummed checkpoints; make pareto PARETO_FLAGS=--fresh
 # discards them.
 CAPACITY_LEDGER ?= results/runs/capacity.jsonl
-CAPACITY_BASELINE ?= results/runs/baseline-capacity.jsonl
 PARETO_FLAGS ?=
 pareto:
 	PYTHONPATH=src python -m repro pareto --workers 1,2 \
 		--batch-windows 0,0.05 --queue-depths 8,32 --rps 8 \
 		--duration 2 --size 32 --seed 7 \
 		--ledger $(CAPACITY_LEDGER) $(PARETO_FLAGS)
-
-# Capacity SLO gate: re-measure the committed baseline's configurations
-# fresh and fail on p99 regression / throughput collapse / frontier
-# collapse (docs/CAPACITY.md).  Loose threshold: serving latency is
-# noisy across machines.
-CAPACITY_THRESHOLD ?= 50
-capacity-check:
-	PYTHONPATH=src python -m repro capacity-check $(CAPACITY_BASELINE) \
-		--threshold $(CAPACITY_THRESHOLD)
-
-# Regenerate the committed capacity baseline after an intentional
-# serving-layer change (same workflow as refresh-baseline).
-refresh-capacity-baseline:
-	rm -f $(CAPACITY_BASELINE)
-	PYTHONPATH=src python -m repro pareto --workers 1 --batch-windows 0 \
-		--queue-depths 8,32 --rps 8 --duration 2 --size 32 --seed 7 \
-		--fresh --ledger $(CAPACITY_BASELINE)
 
 chaos:
 	@for seed in $(CHAOS_SEEDS); do \
@@ -192,5 +139,6 @@ chaos:
 	PYTHONPATH=src pytest -x -q tests/resilience
 
 clean:
-	rm -rf .repro_cache .pytest_cache .hypothesis results
+	rm -rf .repro_cache .pytest_cache .hypothesis \
+		results/runs results/prof results/checkpoints results/parallel
 	find . -name __pycache__ -type d -exec rm -rf {} +

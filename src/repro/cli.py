@@ -5,7 +5,6 @@
     python -m repro run all --out results/
     python -m repro run fig6 --measured --workers 1,2,4 [--sizes 4096]
     python -m repro prove --curve bn128 --exponent 64 --x 3 [--out DIR]
-    python -m repro parallel-check [--size 4096] [--workers 4] [--min-speedup 1.3]
     python -m repro parallel-report [--size 4096] [--workers 1,2,4] [--json]
     python -m repro verify DIR
     python -m repro lint [--circuit NAME] [--json] [--strict]
@@ -13,14 +12,14 @@
     python -m repro profile --curve bn128 --size 64 [--json]
     python -m repro deep-profile --curve bn128 --size 8 [--json]
     python -m repro report --compare-model [--sizes 64] [--curves bn128]
-    python -m repro perf-check BASE.jsonl NEW.jsonl --threshold 10 [--metric cpu]
     python -m repro sweep [--resume] [--sizes ...] [--curves ...]
     python -m repro chaos --seed 0 --faults 4
     python -m repro chaos --under-load --seed 0 --rps 8 --duration 2
     python -m repro serve [--workers 4] [--rps 8 --duration 10]
     python -m repro loadtest --rps 8 --duration 10 --mix prove:verify
+    python -m repro pareto --workers 1,2 --batch-windows 0,0.05 --rps 8
 
-``run`` drives the same experiment reducers the benchmark suite asserts
+``run`` drives the same experiment reducers ``tests/paper/`` asserts
 against; ``prove`` runs the five-stage protocol once and reports timings
 (``--out`` also serializes proof/vk/publics); ``verify`` checks such saved
 artifacts, rejecting corrupted blobs with a typed error; ``lint`` runs the
@@ -35,16 +34,16 @@ stages under the real-interpreter deep profiler (hot functions, measured
 opcode mix, allocations — docs/PROFILING.md) and writes collapsed-stack +
 speedscope flamegraph artifacts; ``report --compare-model`` re-measures a
 small sweep and gates the cost model against it via :mod:`repro.obs.drift`
-(exit 1 on drift); ``perf-check`` diffs two
-ledgers per (stage, curve, size) and exits non-zero on regression — the CI
-perf gate; ``sweep`` runs the profiling sweep with per-cell checkpoints so
-a killed run resumes (docs/ROBUSTNESS.md); ``chaos`` replays a seeded
-fault schedule through the pipeline and reports recovery outcomes
-(``--under-load`` replays it against the live proving service instead);
+(exit 1 on drift); ``sweep`` runs the profiling sweep with per-cell
+checkpoints so a killed run resumes (docs/ROBUSTNESS.md); ``chaos``
+replays a seeded fault schedule through the pipeline and reports recovery
+outcomes (``--under-load`` replays it against the live service instead);
 ``serve`` runs the fault-tolerant async proving service until SIGTERM
 (graceful drain) or for a bounded self-traffic run; ``loadtest`` drives
-the service open-loop and appends a schema-v4 ``service`` block to the
-run ledger (docs/SERVING.md).  ``prove``/``verify``/``sweep`` accept
+the service open-loop and appends a schema-v5 ``service`` block to the
+run ledger (docs/SERVING.md); ``pareto`` sweeps service configurations
+into a throughput-vs-p99 frontier with a knee recommendation
+(docs/CAPACITY.md).  ``prove``/``verify``/``sweep`` accept
 ``--timeout SECONDS``: a cooperative wall-clock budget enforced through
 the same deadline machinery the service uses — an expired run exits 2
 with ``error[timeout]: ...``, never a traceback.
@@ -57,12 +56,9 @@ collects cross-process worker telemetry);
 run the pipeline under a worker pool (chaos then proves faults inside
 workers still come back typed; profile merges worker telemetry into its
 ledger record and can export the per-worker-lane timeline via
-``--worker-trace``); ``parallel-check`` is the CI speedup
-gate — it times the proving stage serial vs. pooled and exits 1 below
-the threshold, skipping cleanly on machines without enough cores;
-``parallel-report`` turns a measured worker sweep into per-worker busy
-time, parallel efficiency, imbalance and dispatch overhead, with the
-Amdahl fit as a drift reference.
+``--worker-trace``); ``parallel-report`` turns a measured worker sweep
+into per-worker busy time, parallel efficiency, imbalance and dispatch
+overhead, with the Amdahl fit as a drift reference.
 
 Every verb exits **2** with a one-line ``error[<code>]: ...`` message —
 never a traceback — on bad input or corrupted artifacts
@@ -417,30 +413,6 @@ def build_parser():
                              "instead of computing it from repro.perf")
     report.add_argument("--json", action="store_true", dest="as_json")
 
-    check = sub.add_parser(
-        "perf-check",
-        help="diff two run ledgers per (stage, curve, size); exit 1 on "
-             "regression beyond the threshold",
-    )
-    check.add_argument("base", help="baseline ledger (JSONL)")
-    check.add_argument("new", help="candidate ledger (JSONL)")
-    check.add_argument("--threshold", type=float, default=10.0, metavar="PCT",
-                       help="allowed wall-time growth per cell, in percent "
-                            "(default 10)")
-    check.add_argument("--min-seconds", type=float, default=0.001,
-                       help="ignore slowdowns smaller than this many "
-                            "seconds (noise floor, default 0.001)")
-    check.add_argument("--metric", choices=("wall", "cpu", "rss"),
-                       default="wall",
-                       help="per-stage metric to gate on: wall seconds "
-                            "(default), span CPU seconds, or span peak-RSS "
-                            "delta in KB")
-    check.add_argument("--min-delta", type=float, default=None,
-                       help="metric-unit noise floor overriding "
-                            "--min-seconds (KB for --metric rss, "
-                            "default 256)")
-    check.add_argument("--json", action="store_true", dest="as_json")
-
     sweep = sub.add_parser(
         "sweep",
         help="run the profiling sweep with per-cell checkpoints under "
@@ -639,69 +611,6 @@ def build_parser():
                         help="do not append ledger records")
     pareto.add_argument("--json", action="store_true", dest="as_json")
 
-    capcheck = sub.add_parser(
-        "capacity-check",
-        help="capacity SLO gate: compare capacity ledger cells against a "
-             "committed baseline; exit 1 when p99 regresses or the "
-             "frontier collapses (docs/CAPACITY.md)",
-    )
-    capcheck.add_argument("base", help="baseline capacity ledger (JSONL)")
-    capcheck.add_argument("--new", default=None, metavar="PATH",
-                          help="candidate capacity ledger; without it the "
-                               "baseline's configurations are re-measured "
-                               "fresh on this machine")
-    capcheck.add_argument("--threshold", type=float, default=50.0,
-                          metavar="PCT",
-                          help="allowed p99 growth / throughput drop per "
-                               "cell in percent (default 50 — serving "
-                               "latency is noisier than stage wall time)")
-    capcheck.add_argument("--min-delta", type=float, default=0.005,
-                          metavar="SECONDS",
-                          help="ignore p99 growth smaller than this many "
-                               "seconds (noise floor, default 0.005)")
-    capcheck.add_argument("--duration", type=_positive_float, default=None,
-                          metavar="SECONDS",
-                          help="re-measure override: per-cell duration "
-                               "(default: each baseline cell's own)")
-    capcheck.add_argument("--json", action="store_true", dest="as_json")
-
-    pcheck = sub.add_parser(
-        "parallel-check",
-        help="CI gate: proving-stage speedup under the parallel backend; "
-             "skips cleanly on machines with too few cores "
-             "(docs/PARALLELISM.md)",
-    )
-    pcheck.add_argument("--curve", type=_curve_name, default="bn128")
-    pcheck.add_argument("--size", type=int, default=4096,
-                        help="constraint count (default 4096 = 2^12)")
-    pcheck.add_argument("--workers", type=_positive_int, default=4)
-    pcheck.add_argument("--min-speedup", type=float, default=1.3,
-                        help="required proving speedup at --workers "
-                             "(default 1.3)")
-    pcheck.add_argument("--repeats", type=_positive_int, default=1,
-                        help="best-of-N timing runs per backend (default 1)")
-    pcheck.add_argument("--workload", default="exponentiate")
-    pcheck.add_argument("--seed", type=int, default=0)
-
-    kbench = sub.add_parser(
-        "kernel-bench",
-        help="CI gate: msm_auto-vs-reference MSM kernel wall time on one "
-             "2^12 MSM; skips cleanly on small runners (docs/KERNELS.md)",
-    )
-    kbench.add_argument("--curve", type=_curve_name, default="bn128")
-    kbench.add_argument("--size", type=int, default=4096,
-                        help="MSM length (default 4096 = 2^12)")
-    kbench.add_argument("--min-speedup", type=float, default=1.5,
-                        help="required speedup of msm_auto over the "
-                             "reference Pippenger (default 1.5)")
-    kbench.add_argument("--repeats", type=_positive_int, default=1,
-                        help="best-of-N timing runs per kernel (default 1)")
-    kbench.add_argument("--min-cores", type=_positive_int, default=2,
-                        help="skip (exit 0) on machines with fewer cores — "
-                             "busy single-core runners time too noisily "
-                             "(default 2)")
-    kbench.add_argument("--seed", type=int, default=0)
-    kbench.add_argument("--json", action="store_true", dest="as_json")
     return parser
 
 
@@ -727,22 +636,19 @@ def cmd_list(_args, out=print):
         "'repro lint' (circuit static analysis),")
     out("      'repro codelint' (codebase invariant analysis: "
         "worker-safety / determinism / error discipline),")
-    out("      'repro profile' (runtime telemetry + run ledger), "
-        "'repro perf-check' (ledger diff gate),")
+    out("      'repro profile' (runtime telemetry + run ledger),")
     out("      'repro deep-profile' (measured hot functions / opcode mix "
         "/ allocations + flamegraphs),")
     out("      'repro report --compare-model' (model-vs-measured drift "
         "gate),")
     out("      'repro run fig6 --measured --workers 1,2,4' (real worker "
-        "sweep), 'repro parallel-check' (speedup gate),")
+        "sweep),")
     out("      'repro serve' (fault-tolerant async proving service), "
         "'repro loadtest' (open-loop latency/shedding report),")
     out("      'repro chaos --under-load' (seeded faults against live "
         "service traffic),")
     out("      'repro pareto' (capacity sweep: throughput-vs-p99 frontier "
-        "+ knee + phase breakdown),")
-    out("      'repro capacity-check' (capacity SLO gate vs a committed "
-        "baseline ledger)")
+        "+ knee + phase breakdown)")
     return 0
 
 
@@ -1085,25 +991,6 @@ def cmd_report(args, out=print):
     return 0 if all(r.ok for r in reports) else 1
 
 
-def cmd_perf_check(args, out=print):
-    from repro.obs import ledger
-    from repro.obs.perfcheck import perf_check
-
-    try:
-        base = ledger.read_ledger(args.base)
-        new = ledger.read_ledger(args.new)
-    except OSError as exc:
-        out(f"cannot read ledger: {exc}")
-        return 2
-    report = perf_check(base, new, threshold_pct=args.threshold,
-                        min_seconds=args.min_seconds, metric=args.metric,
-                        min_delta=args.min_delta)
-    out(report.to_json(indent=2) if args.as_json else report.render_text())
-    if not report.deltas:
-        return 2
-    return 1 if report.regressions else 0
-
-
 def cmd_sweep(args, out=print):
     from repro.resilience.checkpoint import DEFAULT_DIR as CKPT_DIR
     from repro.resilience.retry import deadline_scope
@@ -1310,157 +1197,6 @@ def cmd_pareto(args, out=print):
     return 0 if report.ok else 1
 
 
-def cmd_capacity_check(args, out=print):
-    from repro.obs import ledger
-    from repro.obs.capacity import capacity_check, remeasure_baseline
-
-    try:
-        base = ledger.read_ledger(args.base)
-    except OSError as exc:
-        out(f"cannot read ledger: {exc}")
-        return 2
-    if args.new is not None:
-        try:
-            new = ledger.read_ledger(args.new)
-        except OSError as exc:
-            out(f"cannot read ledger: {exc}")
-            return 2
-    else:
-        if not args.as_json:
-            out("capacity-check: re-measuring the baseline "
-                "configuration(s) fresh ...")
-        new = remeasure_baseline(base, duration_s=args.duration)
-    report = capacity_check(base, new, threshold_pct=args.threshold,
-                            min_delta_s=args.min_delta)
-    out(report.to_json(indent=2) if args.as_json else report.render_text())
-    if not report.checks:
-        return 2
-    return 0 if report.ok else 1
-
-
-def cmd_parallel_check(args, out=print):
-    from repro.curves import get_curve
-    from repro.groth16.serialize import proof_to_bytes
-    from repro.harness.circuits import build_workload
-    from repro.workflow import Workflow
-
-    cores = os.cpu_count() or 1
-    if cores < args.workers:
-        out(f"parallel-check: SKIP — {cores} core(s) available, gate needs "
-            f">= {args.workers} to demand a {args.min_speedup:.2f}x speedup")
-        return 0
-
-    curve = get_curve(args.curve)
-    builder, inputs = build_workload(args.workload, curve, args.size)
-    # One workflow: compile/setup/witness once, then time proving twice —
-    # serial baseline first, then under the pool (flipping .workers before
-    # the pool property first materializes it).  The pooled timings run
-    # under a worker-telemetry collector so the verdict line can say not
-    # just how fast the pool was but how busy the workers were.
-    from repro.obs import worker as obs_worker
-
-    with Workflow(curve, builder, inputs, seed=args.seed, workers=1) as wf:
-        for stage in ("compile", "setup", "witness"):
-            wf.run_stage(stage)
-        serial_s = min(wf.run_stage("proving").elapsed
-                       for _ in range(args.repeats))
-        serial_bytes = proof_to_bytes(wf.proof)
-        wf.workers = args.workers
-        with obs_worker.collecting_tasks(label="parallel-check") as tel:
-            parallel_s = min(wf.run_stage("proving").elapsed
-                             for _ in range(args.repeats))
-        identical = proof_to_bytes(wf.proof) == serial_bytes
-
-    speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
-    out(f"parallel-check: proving {args.workload}/{args.curve} "
-        f"n={args.size} — serial {serial_s:.3f}s, "
-        f"{args.workers}w {parallel_s:.3f}s, speedup {speedup:.2f}x "
-        f"(need >= {args.min_speedup:.2f}x), proof bytes "
-        f"{'identical' if identical else 'DIFFER'}")
-    if tel.tasks:
-        out(f"parallel-check: worker utilization {tel.utilization():.2f}, "
-            f"busy-time imbalance {tel.imbalance():.2f}, dispatch overhead "
-            f"{tel.dispatch_overhead_s():.4f}s over {len(tel.tasks)} task(s) "
-            f"in {len(tel.maps)} map(s)")
-    if not identical:
-        out("parallel-check: FAIL — parallel proof bytes differ from serial")
-        return 1
-    if speedup < args.min_speedup:
-        out("parallel-check: FAIL — speedup below threshold")
-        return 1
-    out("parallel-check: OK")
-    return 0
-
-
-def cmd_kernel_bench(args, out=print):
-    """Front-door-vs-reference MSM kernel gate (docs/KERNELS.md).
-
-    Times the reference Pippenger kernel against ``msm_auto`` — the kernel
-    the prover runs — on one deterministic MSM input, requires the same
-    group element from both, and fails unless the front door clears
-    ``--min-speedup``.  Self-skips (exit 0) on runners below
-    ``--min-cores`` like ``parallel-check`` does.
-    """
-    import json
-    import random
-    import time as _time
-
-    from repro.curves import get_curve
-    from repro.msm.dispatch import msm_auto
-    from repro.msm.pippenger import msm_pippenger
-
-    cores = os.cpu_count() or 1
-    if cores < args.min_cores:
-        out(f"kernel-bench: SKIP — {cores} core(s) available, gate needs "
-            f">= {args.min_cores} for stable timings")
-        return 0
-
-    curve = get_curve(args.curve)
-    group = curve.g1
-    rng = random.Random(args.seed)
-    # Deterministic input; points are cheap small multiples of the
-    # generator, scalars full-width (what the prover's MSMs look like).
-    points = [(group.generator * rng.randrange(1, 1 << 20)).to_affine()
-              for _ in range(args.size)]
-    scalars = [rng.randrange(group.order) for _ in range(args.size)]
-
-    def _best_of(fn):
-        best, result = None, None
-        for _ in range(args.repeats):
-            t0 = _time.perf_counter()
-            result = fn(group, points, scalars)
-            dt = _time.perf_counter() - t0
-            best = dt if best is None or dt < best else best
-        return best, result
-
-    ref_s, ref = _best_of(msm_pippenger)
-    fast_s, fast = _best_of(msm_auto)
-    identical = fast == ref
-    speedup = ref_s / fast_s if fast_s > 0 else float("inf")
-
-    if args.as_json:
-        out(json.dumps({"curve": args.curve, "size": args.size,
-                        "reference_seconds": ref_s, "seconds": fast_s,
-                        "speedup": speedup, "identical": identical,
-                        "min_speedup": args.min_speedup}, indent=2))
-    else:
-        out(f"kernel-bench: {args.curve} G1 n={args.size} — reference "
-            f"pippenger {ref_s:.3f}s, msm_auto {fast_s:.3f}s, speedup "
-            f"{speedup:.2f}x, result "
-            f"{'identical' if identical else 'DIFFERS'}")
-    if not identical:
-        out("kernel-bench: FAIL — msm_auto disagrees with the reference "
-            "result")
-        return 1
-    if speedup < args.min_speedup:
-        out(f"kernel-bench: FAIL — speedup {speedup:.2f}x below required "
-            f"{args.min_speedup:.2f}x")
-        return 1
-    out(f"kernel-bench: OK — speedup {speedup:.2f}x "
-        f">= {args.min_speedup:.2f}x")
-    return 0
-
-
 def cmd_parallel_report(args, out=print):
     from repro.obs import format as obs_format
     from repro.obs.worker import build_parallel_report
@@ -1581,12 +1317,9 @@ def main(argv=None, out=print):
                "verify": cmd_verify, "lint": cmd_lint,
                "codelint": cmd_codelint,
                "profile": cmd_profile, "deep-profile": cmd_deep_profile,
-               "report": cmd_report, "perf-check": cmd_perf_check,
-               "sweep": cmd_sweep, "chaos": cmd_chaos,
+               "report": cmd_report, "sweep": cmd_sweep, "chaos": cmd_chaos,
                "serve": cmd_serve, "loadtest": cmd_loadtest,
-               "pareto": cmd_pareto, "capacity-check": cmd_capacity_check,
-               "parallel-check": cmd_parallel_check,
-               "kernel-bench": cmd_kernel_bench,
+               "pareto": cmd_pareto,
                "parallel-report": cmd_parallel_report}[args.command]
     try:
         return handler(args, out=out)

@@ -110,9 +110,18 @@ def setup(curve, circuit, rng):
                 return fixed_base_mul_many(table, scalars, pool)
         return table.mul_many(scalars)
 
+    def _mul_each(table, scalars):
+        """``_mul_many`` untraced.  Under a tracer, one ``mul`` a scalar
+        inside the caller's region: ``mul_many`` opens its own parallel
+        region, which would model the serial G2 section as parallel and
+        leave the L section's traffic outside the caller's scales."""
+        if t is None:
+            return _mul_many(table, scalars)
+        return [table.mul(k) for k in scalars]
+
     def _commit_g1():
         l_wires = list(l_scalars)
-        l_points = _mul_many(g1_table, [l_scalars[i] for i in l_wires])
+        l_points = _mul_each(g1_table, [l_scalars[i] for i in l_wires])
         return dict(
             alpha1=g1_table.mul(alpha),
             beta1=g1_table.mul(beta),
@@ -129,7 +138,7 @@ def setup(curve, circuit, rng):
             beta2=g2_table.mul(beta),
             delta2=g2_table.mul(delta),
             gamma2=g2_table.mul(gamma),
-            b2_query=_mul_many(g2_table, v),
+            b2_query=_mul_each(g2_table, v),
         )
 
     if t is None:

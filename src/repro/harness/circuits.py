@@ -93,21 +93,23 @@ def build_poseidon_chain(curve, n_constraints, preimage=777):
 
 def build_range_batch(curve, n_constraints, seed=3):
     """A batch of independent 16-bit range checks sized to roughly
-    *n_constraints* — the bit-decomposition-heavy workload class."""
+    *n_constraints* (to the nearest whole check) — the
+    bit-decomposition-heavy workload class."""
     b = CircuitBuilder(f"range_batch_{n_constraints}", curve.fr)
-    per_check = 2 * (16 + 1) + 18 + 2  # num_to_bits x2 + comparator + glue
-    checks = max(1, n_constraints // per_check)
     inputs = {}
     rng_state = seed
     ok_acc = b.constant(1)
-    for i in range(checks):
+    while True:
+        before = len(b.constraints)
         rng_state = (rng_state * 1103515245 + 12345) % (1 << 31)
-        v = rng_state % 50_000
-        name = f"v{i}"
+        name = f"v{len(inputs)}"
         sig = b.private_input(name)
-        inputs[name] = v
+        inputs[name] = rng_state % 50_000
         ok = gadgets.less_than(b, sig, b.constant(60_000), 16)
         ok_acc = b.mul(ok_acc, ok)
+        per_check = len(b.constraints) - before
+        if len(b.constraints) + per_check / 2 >= n_constraints:
+            break
     b.output(ok_acc, "all_in_range")
     return b, inputs
 

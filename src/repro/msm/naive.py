@@ -1,7 +1,7 @@
 """Baseline MSM: independent double-and-add per term.
 
 O(n * log r) group operations — the comparator for the Pippenger ablation
-bench (``benchmarks/test_bench_ablation_msm.py``).
+test (``tests/paper/test_ablation_msm.py``).
 """
 
 from __future__ import annotations

@@ -22,9 +22,6 @@ Modules
     Machine fingerprint (CPU model, cores, Python) and git revision.
 :mod:`repro.obs.ledger`
     Append-only JSONL run ledger under ``results/runs/``.
-:mod:`repro.obs.perfcheck`
-    Diff two ledgers per (stage, curve, size) — the CI perf-regression
-    gate behind ``python -m repro perf-check``.
 :mod:`repro.obs.worker`
     Cross-process worker telemetry: the parent-side collector that the
     :class:`~repro.parallel.pool.WorkerPool` feeds per-task telemetry
@@ -41,7 +38,6 @@ ledger record schema.
 from repro.obs.fingerprint import git_revision, machine_fingerprint
 from repro.obs.ledger import Ledger, make_record, read_ledger, recording_to
 from repro.obs.metrics import MetricsRegistry, collecting
-from repro.obs.perfcheck import perf_check
 from repro.obs.spans import Span, recording, render_spans, span, spanned
 from repro.obs.worker import WorkerTelemetry, build_parallel_report, collecting_tasks
 
@@ -56,7 +52,6 @@ __all__ = [
     "git_revision",
     "machine_fingerprint",
     "make_record",
-    "perf_check",
     "read_ledger",
     "recording",
     "recording_to",

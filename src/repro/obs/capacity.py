@@ -1,10 +1,10 @@
-"""Serving-capacity sweep, Pareto frontier, and the capacity SLO gate.
+"""Serving-capacity sweep and Pareto frontier.
 
 The paper decomposes where proving time goes for one request at a time;
 this module asks the serving-layer version of the same question: *for a
 given latency SLO, which (workers x batch-window x queue-depth)
 configuration maximizes throughput — and where does each millisecond
-go?*  Three pieces:
+go?*  Two pieces:
 
 - :func:`run_capacity_sweep` — a seeded ``loadtest`` matrix over worker
   counts x verify batch windows x admission queue depths x offered RPS.
@@ -19,10 +19,6 @@ go?*  Three pieces:
   throughput-vs-p99 set and the knee (max perpendicular distance from
   the frontier's normalized chord): the configuration after which extra
   throughput starts costing disproportionate tail latency.
-- :func:`capacity_check` — the regression gate (``python -m repro
-  capacity-check``): per-cell p99 and throughput deltas against a
-  committed baseline ledger plus a frontier-collapse check, with
-  perf-check's exit discipline (1 = regression, 2 = nothing compared).
 
 Every cell also re-checks the phase-accounting invariant (phases sum to
 ``total_s`` within tolerance, :meth:`~repro.serve.jobs.JobResult.
@@ -43,14 +39,10 @@ from repro.resilience.checkpoint import DEFAULT_DIR as CHECKPOINT_BASE, CellStor
 
 __all__ = [
     "CapacityCell",
-    "CapacityCheckReport",
     "CapacityReport",
-    "CellCheck",
-    "capacity_check",
     "diagnose",
     "knee_point",
     "pareto_frontier",
-    "remeasure_baseline",
     "run_capacity_sweep",
     "sweep_configs",
 ]
@@ -398,40 +390,6 @@ def run_capacity_sweep(workers_list=(1,), batch_windows=(0.0,),
                           ledger_path=ledger_path)
 
 
-def remeasure_baseline(base_records, duration_s=None, mix=None,
-                       progress=None):
-    """Fresh schema-v5 capacity records for every configuration present
-    in *base_records* — the ``capacity-check`` read-modify path when no
-    candidate ledger is supplied.  No checkpointing: a gate must measure
-    now, not resume yesterday.  *duration_s* overrides each baseline
-    cell's own load duration (throughput and percentiles are rates, so a
-    shorter gate run still compares fairly, just more noisily).
-    """
-    from repro.obs import ledger as ledger_mod
-
-    baseline = _index_capacity(base_records)
-    records = []
-    for i, key in enumerate(sorted(baseline)):
-        b = baseline[key]
-        config = CapacityCell(
-            workers=b.workers, batch_window_s=b.batch_window_s,
-            max_queue=b.max_queue, rps=b.rps,
-            duration_s=float(duration_s) if duration_s else b.duration_s,
-            curve=b.curve, size=b.size, workload=b.workload, seed=b.seed)
-        load, registry = _measure_cell(config, mix=mix)
-        cell = _fill_cell(config, load)
-        records.append(ledger_mod.make_record(
-            kind="capacity", curve=cell.curve, size=cell.size,
-            workload=cell.workload, seed=cell.seed, stages=[],
-            metrics=registry.snapshot(),
-            label=f"capacity {cell.config_key}",
-            service=load.to_service_block(),
-            capacity=cell.to_capacity_block()))
-        if progress is not None:
-            progress(i + 1, len(baseline), cell)
-    return records
-
-
 # -- the report -------------------------------------------------------------------
 
 
@@ -550,176 +508,3 @@ class CapacityReport:
             f"max |error| {self.max_abs_phase_error_s * 1e3:.3f}ms, "
             f"{self.phase_violations} violation(s)")
         return "\n".join(lines)
-
-
-# -- the gate ---------------------------------------------------------------------
-
-
-@dataclass
-class CellCheck:
-    """One compared configuration cell in the capacity gate."""
-
-    key: str
-    base_p99_s: float
-    new_p99_s: float
-    p99_delta_pct: float
-    base_rps: float
-    new_rps: float
-    rps_delta_pct: float
-    p99_regressed: bool
-    rps_collapsed: bool
-
-    @property
-    def regressed(self):
-        return self.p99_regressed or self.rps_collapsed
-
-
-@dataclass
-class CapacityCheckReport:
-    """The capacity gate's verdict: per-cell deltas plus the frontier
-    comparison."""
-
-    threshold_pct: float
-    min_delta_s: float
-    checks: list
-    missing_in_new: list
-    missing_in_base: list
-    base_best_rps: float
-    new_best_rps: float
-    frontier_collapsed: bool
-
-    @property
-    def regressions(self):
-        return [c for c in self.checks if c.regressed]
-
-    @property
-    def ok(self):
-        """True iff something was compared and neither a cell nor the
-        frontier regressed (an empty comparison proves nothing)."""
-        return (bool(self.checks) and not self.regressions
-                and not self.frontier_collapsed)
-
-    def render_text(self):
-        lines = [
-            f"capacity-check: threshold {self.threshold_pct:+.1f}% "
-            f"(min abs {self.min_delta_s * 1e3:.1f} ms), "
-            f"{len(self.checks)} cell(s) compared",
-        ]
-        for c in sorted(self.checks, key=lambda c: -c.p99_delta_pct):
-            mark = "REGRESSED" if c.regressed else "ok"
-            why = ""
-            if c.p99_regressed:
-                why = " [p99]"
-            elif c.rps_collapsed:
-                why = " [throughput]"
-            lines.append(
-                f"  {mark:9s} {c.key:<24s} "
-                f"p99 {c.base_p99_s * 1e3:8.2f}ms -> "
-                f"{c.new_p99_s * 1e3:8.2f}ms ({c.p99_delta_pct:+7.1f}%)  "
-                f"tput {c.base_rps:6.2f} -> {c.new_rps:6.2f} ok/s "
-                f"({c.rps_delta_pct:+7.1f}%){why}")
-        for key in self.missing_in_new:
-            lines.append(f"  missing   {key:<24s} (in baseline only; "
-                         f"skipped)")
-        for key in self.missing_in_base:
-            lines.append(f"  new       {key:<24s} (no baseline; skipped)")
-        mark = "COLLAPSED" if self.frontier_collapsed else "ok"
-        lines.append(
-            f"  frontier  {mark}: best throughput "
-            f"{self.base_best_rps:.2f} -> {self.new_best_rps:.2f} ok/s")
-        if not self.checks:
-            lines.append("  no overlapping cells — nothing compared")
-        else:
-            lines.append(
-                f"result: {len(self.regressions)} cell regression(s)"
-                + (", frontier collapsed" if self.frontier_collapsed
-                   else ""))
-        return "\n".join(lines)
-
-    def to_json(self, indent=None):
-        return json.dumps({
-            "threshold_pct": self.threshold_pct,
-            "min_delta_s": self.min_delta_s,
-            "compared": len(self.checks),
-            "regressions": len(self.regressions),
-            "frontier_collapsed": self.frontier_collapsed,
-            "base_best_rps": self.base_best_rps,
-            "new_best_rps": self.new_best_rps,
-            "checks": [vars(c) for c in
-                       sorted(self.checks, key=lambda c: c.key)],
-            "missing_in_new": self.missing_in_new,
-            "missing_in_base": self.missing_in_base,
-        }, indent=indent, sort_keys=True)
-
-
-def _index_capacity(records):
-    """Latest :class:`CapacityCell` per configuration key in a ledger's
-    records; records without a parseable ``capacity`` block contribute
-    nothing (older-schema ledgers gate nothing but never crash)."""
-    cells = {}
-    for rec in records:
-        block = rec.get("capacity")
-        if not isinstance(block, dict):
-            continue
-        try:
-            cell = CapacityCell.from_block(block)
-        except (KeyError, TypeError, ValueError):
-            continue
-        ts = rec.get("ts", 0)
-        prev = cells.get(cell.config_key)
-        if prev is None or ts >= prev[0]:
-            cells[cell.config_key] = (ts, cell)
-    return {key: cell for key, (ts, cell) in cells.items()}
-
-
-def capacity_check(base_records, new_records, threshold_pct=25.0,
-                   min_delta_s=0.005):
-    """Compare two ledgers' capacity cells; returns a
-    :class:`CapacityCheckReport`.
-
-    A cell regresses when its p99 grows past the threshold **and** by
-    more than *min_delta_s* (tiny cells are scheduler noise), or when
-    its throughput drops below ``base * (1 - threshold)``.  The frontier
-    collapses when the best achieved throughput drops the same way —
-    the sweep-wide symptom of a serving regression that per-cell noise
-    thresholds might individually forgive.
-    """
-    if threshold_pct < 0:
-        raise ValueError(
-            f"threshold must be non-negative, got {threshold_pct}")
-    base = _index_capacity(base_records)
-    new = _index_capacity(new_records)
-    frac = threshold_pct / 100.0
-    checks = []
-    for key in sorted(base.keys() & new.keys()):
-        b, n = base[key], new[key]
-        p99_delta = ((n.p99_s - b.p99_s) / b.p99_s * 100.0
-                     if b.p99_s > 0 else 0.0)
-        rps_delta = ((n.throughput_rps - b.throughput_rps)
-                     / b.throughput_rps * 100.0
-                     if b.throughput_rps > 0 else 0.0)
-        checks.append(CellCheck(
-            key=key,
-            base_p99_s=b.p99_s, new_p99_s=n.p99_s, p99_delta_pct=p99_delta,
-            base_rps=b.throughput_rps, new_rps=n.throughput_rps,
-            rps_delta_pct=rps_delta,
-            p99_regressed=(n.p99_s > b.p99_s * (1.0 + frac)
-                           and (n.p99_s - b.p99_s) > min_delta_s),
-            rps_collapsed=(b.throughput_rps > 0
-                           and n.throughput_rps
-                           < b.throughput_rps * (1.0 - frac)),
-        ))
-    base_best = max((c.throughput_rps for c in base.values()), default=0.0)
-    new_best = max((c.throughput_rps for c in new.values()), default=0.0)
-    collapsed = bool(base) and bool(new) and base_best > 0 \
-        and new_best < base_best * (1.0 - frac)
-    return CapacityCheckReport(
-        threshold_pct=threshold_pct,
-        min_delta_s=min_delta_s,
-        checks=checks,
-        missing_in_new=sorted(base.keys() - new.keys()),
-        missing_in_base=sorted(new.keys() - base.keys()),
-        base_best_rps=base_best,
-        new_best_rps=new_best,
-        frontier_collapsed=collapsed,
-    )

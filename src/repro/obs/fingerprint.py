@@ -2,8 +2,7 @@
 
 The paper's Table I pins every measurement to a machine description (CPU
 model, core count, software versions); a ledger record does the same so
-that runs from different checkouts and hosts stay comparable — and so the
-perf-regression gate can refuse to compare apples to oranges.
+that runs from different checkouts and hosts stay comparable.
 """
 
 from __future__ import annotations

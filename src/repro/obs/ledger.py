@@ -3,9 +3,8 @@
 Every telemetered run — a ``Workflow.run_all``, a harness ``profile_run``,
 a ``python -m repro profile`` — appends one self-describing JSON record:
 machine fingerprint (Table I style), git revision, the (curve, size,
-workload) cell, the per-stage span tree, and a metrics snapshot.  Two
-ledgers from different machines or commits then diff cleanly with
-:mod:`repro.obs.perfcheck` / ``python -m repro perf-check``.
+workload) cell, the per-stage span tree, and a metrics snapshot, so
+records from different machines or commits stay comparable.
 
 Recording is **opt-in**: the module-level ``CURRENT`` slot is ``None``
 unless a ledger is installed (:func:`install`, :func:`recording_to`, or
@@ -41,9 +40,7 @@ Version history: v1 had no ``profile`` field and no lifted per-stage
 v4 had no ``capacity`` block (``pareto`` sweep cells,
 :mod:`repro.obs.capacity`) and its ``service`` block carried no
 ``phases`` breakdown or per-distribution ``n``.  Readers treat every
-versioned field as optional, so v1–v4 ledgers keep loading and
-``perf-check`` works across mixed-version ledgers (``--metric cpu``/
-``rss`` simply skips v1 cells whose stage records carry no span).
+versioned field as optional, so v1–v4 ledgers keep loading.
 """
 
 from __future__ import annotations
@@ -136,8 +133,8 @@ def make_record(kind, curve, size, workload, stages, seed=None, metrics=None,
 def read_ledger(path):
     """Parse a JSONL ledger into a list of record dicts.
 
-    Malformed lines are skipped (a crashed writer must not wedge the
-    perf gate); a missing file raises ``OSError`` as usual.
+    Malformed lines are skipped (a crashed writer must not wedge its
+    readers); a missing file raises ``OSError`` as usual.
     """
     records = []
     with open(path) as f:

@@ -88,7 +88,7 @@ class WorkerTelemetry:
     """Accumulates one run's cross-process task telemetry in the parent.
 
     Install with :func:`collecting_tasks` (or let ``profile --workers``,
-    ``run --measured``, ``parallel-report`` and ``parallel-check`` do it);
+    ``run --measured`` and ``parallel-report`` do it);
     while installed, every ``WorkerPool.map`` records one *map window*
     (dispatch-to-settle wall interval) plus one *task record* per
     envelope.  All ``start_s`` offsets are relative to the collector's

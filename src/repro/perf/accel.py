@@ -9,7 +9,7 @@ families* (the Table IV buckets), it computes the projected stage and
 protocol speedups, with an explicit offload overhead per accelerated call
 region.
 
-Used by ``benchmarks/test_bench_accel_whatif.py`` to reproduce the
+Used by ``tests/paper/test_accel_whatif.py`` to reproduce the
 PipeZK-style gap, and available to users sizing their own accelerators::
 
     from repro.perf.accel import AcceleratorSpec, project_protocol

@@ -5,7 +5,7 @@ Section IV-A notes that snarkjs implements both Groth16 and PLONK and that
 why the paper profiles Groth16.  This package implements a complete
 KZG-based PLONK (Gabizon-Williamson-Ciobotaru 2019) over the same curve
 and kernel substrate, so that comparison is reproducible here
-(``benchmarks/test_bench_plonk_vs_groth16.py``).
+(``tests/paper/test_plonk_vs_groth16.py``).
 
 Protocol notes (documented deviations from the paper-spec for clarity, not
 soundness):

@@ -50,9 +50,8 @@ class StageResult:
         the workflow, the harness and the obs layer.
 
         When a span was recorded, its CPU time, peak-RSS delta and GC
-        count are also lifted to the top level so the perf gate
-        (``perf-check --metric {wall,cpu,rss}``) can index them without
-        digging through span trees.
+        count are also lifted to the top level so ledger readers can
+        index them without digging through span trees.
         """
         rec = {
             "stage": self.stage,

@@ -10,6 +10,7 @@ import pytest
 
 from repro.circuit import compile_circuit
 from repro.curves import BN128
+from repro.groth16 import generate_witness
 from repro.harness import circuits, experiments, report
 from repro.harness.runner import profile_run, profile_sweep
 from repro.workflow import STAGES
@@ -25,6 +26,15 @@ class TestCircuitGenerators:
     def test_exponentiate_rejects_zero(self):
         with pytest.raises(ValueError):
             circuits.build_exponentiate(BN128, 0)
+
+    @pytest.mark.parametrize("size", [128, 512, 2048])
+    def test_range_batch_lands_near_the_size_asked(self, size):
+        # Whole checks of 19 constraints: to the nearest check, so within
+        # 10 % from 2^7 up.
+        b, inputs = circuits.build_range_batch(BN128, size)
+        circ = compile_circuit(b)
+        assert abs(circ.n_constraints - size) <= 0.1 * size
+        assert circ.r1cs.is_satisfied(generate_witness(circ, inputs))
 
     def test_hash_preimage_shape(self):
         b, inputs = circuits.build_hash_preimage(BN128, chain_length=3)

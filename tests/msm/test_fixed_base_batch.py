@@ -5,7 +5,7 @@ An untraced ``FixedBaseTable.mul_many`` walks all scalars window by window
 in affine coordinates; under a tracer the same call is the per-scalar
 Jacobian walk of the stored table, which is the reference here
 (``tests/oracle.py``).  The default matrix keeps tier-1 short; the CI
-``kernel-bench`` job and ``make kernel-test`` set ``REPRO_KERNEL_FULL=1``
+``kernel-test`` job and ``make kernel-test`` set ``REPRO_KERNEL_FULL=1``
 for four groups x 2^6..2^11 scalars.
 """
 

@@ -9,7 +9,7 @@ pooled) and the reference run — the same workflow with every stage traced
 (the pinning rule; nothing else selects a kernel).
 
 The default matrix is trimmed to keep tier-1 wall time sane; the CI
-``kernel-bench`` job sets ``REPRO_KERNEL_FULL=1`` to run the full grid —
+``kernel-test`` job sets ``REPRO_KERNEL_FULL=1`` to run the full grid —
 curves x sizes {2^6..2^10} x kernels x workers {1,4} — mirroring the
 ``REPRO_PARALLEL_FULL`` idiom of the parallel suite.
 """

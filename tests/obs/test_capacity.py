@@ -1,6 +1,6 @@
 """Capacity sweep tests: frontier/knee math, bottleneck diagnosis, the
-resumable checkpointed sweep with schema-v5 ledger records, the
-capacity-check gate, and the CLI verbs' exit discipline."""
+resumable checkpointed sweep with schema-v5 ledger records, and the
+``pareto`` verb's exit discipline."""
 
 import json
 import os
@@ -10,11 +10,9 @@ import pytest
 from repro.obs import ledger
 from repro.obs.capacity import (
     CapacityCell,
-    capacity_check,
     diagnose,
     knee_point,
     pareto_frontier,
-    remeasure_baseline,
     run_capacity_sweep,
     sweep_configs,
 )
@@ -158,89 +156,6 @@ class TestSweep:
         assert doc["phase_violations"] == 0
         assert doc["surveyed_requests"] > 0
 
-    def test_remeasure_baseline_reruns_every_config(self, tmp_path):
-        kwargs = self.sweep_kwargs(tmp_path)
-        run_capacity_sweep(**kwargs)
-        base = ledger.read_ledger(kwargs["ledger_path"])
-        fresh = remeasure_baseline(base, duration_s=0.3)
-        assert len(fresh) == 1
-        assert fresh[0]["capacity"]["config"]["max_queue"] == 4
-        assert fresh[0]["schema"] == 5
-
-
-def record(cellobj, ts=1.0):
-    """A minimal ledger record wrapping one capacity block."""
-    return {"schema": 5, "kind": "capacity", "ts": ts,
-            "capacity": cellobj.to_capacity_block()}
-
-
-class TestGate:
-    def test_clean_comparison_is_ok(self):
-        base = [record(cell(10, 0.10))]
-        new = [record(cell(10.2, 0.11, rps=10))]
-        report = capacity_check(base, new, threshold_pct=25.0)
-        assert report.ok
-        assert not report.regressions
-        assert not report.frontier_collapsed
-
-    def test_p99_regression_fails(self):
-        base = [record(cell(10, 0.10))]
-        new = [record(cell(10, 0.20))]  # +100% p99, +100ms
-        report = capacity_check(base, new, threshold_pct=25.0)
-        assert not report.ok
-        assert report.regressions[0].p99_regressed
-
-    def test_tiny_absolute_growth_is_noise(self):
-        base = [record(cell(10, 0.001))]
-        new = [record(cell(10, 0.003))]  # +200% but only +2ms
-        report = capacity_check(base, new, threshold_pct=25.0,
-                                min_delta_s=0.005)
-        assert report.ok
-
-    def test_throughput_collapse_fails(self):
-        base = [record(cell(10, 0.10))]
-        new = [record(cell(3, 0.10, rps=10))]
-        report = capacity_check(base, new, threshold_pct=25.0)
-        assert not report.ok
-        assert report.regressions[0].rps_collapsed
-        assert report.frontier_collapsed
-
-    def test_latest_record_per_cell_wins(self):
-        base = [record(cell(10, 0.50), ts=1.0),
-                record(cell(10, 0.10), ts=2.0)]
-        new = [record(cell(10, 0.12))]
-        report = capacity_check(base, new, threshold_pct=25.0)
-        assert report.ok  # compared against the newer 0.10s baseline
-        assert report.checks[0].base_p99_s == 0.10
-
-    def test_disjoint_cells_compare_nothing(self):
-        base = [record(cell(10, 0.10, rps=10))]
-        new = [record(cell(10, 0.10, rps=20))]
-        report = capacity_check(base, new)
-        assert not report.checks
-        assert not report.ok
-        assert report.missing_in_new and report.missing_in_base
-
-    def test_older_schema_records_are_skipped(self):
-        legacy = {"schema": 4, "kind": "loadtest", "ts": 1.0,
-                  "service": {"throughput_rps": 5.0}}
-        report = capacity_check([legacy], [legacy])
-        assert not report.checks
-
-    def test_render_and_json(self):
-        base = [record(cell(10, 0.10))]
-        new = [record(cell(10, 0.30))]
-        report = capacity_check(base, new, threshold_pct=25.0)
-        text = report.render_text()
-        assert "REGRESSED" in text and "frontier" in text
-        doc = json.loads(report.to_json())
-        assert doc["regressions"] == 1
-        assert doc["compared"] == 1
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            capacity_check([], [], threshold_pct=-1)
-
 
 class TestCLI:
     def run_cli(self, argv):
@@ -250,7 +165,7 @@ class TestCLI:
         code = main(argv, out=lines.append)
         return code, "\n".join(str(ln) for ln in lines)
 
-    def test_pareto_then_capacity_check(self, tmp_path):
+    def test_pareto(self, tmp_path):
         led = str(tmp_path / "cap.jsonl")
         argv = ["pareto", "--workers", "1", "--batch-windows", "0",
                 "--queue-depths", "4", "--rps", "6", "--duration", "0.3",
@@ -264,25 +179,3 @@ class TestCLI:
         code, text = self.run_cli(argv)
         assert code == 0
         assert "(resumed)" in text
-        # Self-comparison via --new is clean.
-        code, text = self.run_cli(["capacity-check", led, "--new", led])
-        assert code == 0, text
-        # A perturbed baseline (faster than reality can match) fails.
-        perturbed = str(tmp_path / "perturbed.jsonl")
-        recs = ledger.read_ledger(led)
-        for rec in recs:
-            rec["capacity"]["latency_s"]["p99"] = 1e-4
-            rec["capacity"]["throughput_rps"] = 1e6
-        with open(perturbed, "w") as f:
-            for rec in recs:
-                f.write(json.dumps(rec) + "\n")
-        code, text = self.run_cli(
-            ["capacity-check", perturbed, "--new", led])
-        assert code == 1
-        assert "REGRESSED" in text
-
-    def test_capacity_check_missing_ledger_is_usage_error(self, tmp_path):
-        code, text = self.run_cli(
-            ["capacity-check", str(tmp_path / "nope.jsonl"),
-             "--new", str(tmp_path / "nope.jsonl")])
-        assert code == 2

@@ -1,5 +1,5 @@
-"""CLI tests for the telemetry verbs: ``repro profile`` and
-``repro perf-check``."""
+"""CLI tests for the telemetry verbs: ``repro profile``, ``deep-profile``
+and ``report --compare-model``."""
 
 import json
 
@@ -54,7 +54,7 @@ class TestProfileCommand:
         assert rec["schema"] == 5
         assert rec["metrics"]["counters"]["repro_groth16_verify_total"] == 1
         assert rec["profile"] is None  # plain profile carries no deep block
-        # v2 lifts span cpu/rss/gc to the stage record for perf-check
+        # v2 lifts span cpu/rss/gc to the stage record
         for s in rec["stages"]:
             assert "cpu_s" in s and "rss_peak_delta_kb" in s
 
@@ -83,65 +83,6 @@ class TestProfileCommand:
         names = [e["name"] for e in measured["traceEvents"]]
         for stage in STAGES:
             assert stage in names
-
-
-class TestPerfCheckCommand:
-    def write_ledger(self, path, wall):
-        from tests.obs.test_perfcheck import record
-        with open(path, "w") as f:
-            f.write(json.dumps(record({"proving": wall})) + "\n")
-
-    def test_pass_exit_zero(self, tmp_path):
-        a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
-        self.write_ledger(a, 1.0)
-        self.write_ledger(b, 1.05)
-        code, out = run_cli(["perf-check", a, b, "--threshold", "10"])
-        assert code == 0
-        assert "no regressions" in out
-
-    def test_regression_exit_one(self, tmp_path):
-        a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
-        self.write_ledger(a, 1.0)
-        self.write_ledger(b, 2.0)
-        code, out = run_cli(["perf-check", a, b, "--threshold", "10"])
-        assert code == 1
-        assert "REGRESSED" in out
-
-    def test_missing_file_exit_two(self, tmp_path):
-        a = str(tmp_path / "a.jsonl")
-        self.write_ledger(a, 1.0)
-        code, out = run_cli(["perf-check", a, str(tmp_path / "nope.jsonl")])
-        assert code == 2
-        assert "cannot read" in out
-
-    def test_no_overlap_exit_two(self, tmp_path):
-        a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
-        self.write_ledger(a, 1.0)
-        with open(b, "w") as f:
-            f.write(json.dumps({"kind": "profile", "stages": [],
-                                "curve": "other", "size": 1,
-                                "workload": "w", "ts": 1}) + "\n")
-        code, out = run_cli(["perf-check", a, b])
-        assert code == 2
-        assert "nothing compared" in out
-
-    def test_json_output(self, tmp_path):
-        a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
-        self.write_ledger(a, 1.0)
-        self.write_ledger(b, 1.0)
-        code, out = run_cli(["perf-check", a, b, "--json"])
-        assert code == 0
-        assert json.loads(out)["compared"] == 1
-
-    def test_end_to_end_with_real_profiles(self, tmp_path):
-        """Two real profile runs of the same cell pass a generous gate."""
-        a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
-        assert run_cli(["profile", "--size", "8", "--ledger", a])[0] == 0
-        assert run_cli(["profile", "--size", "8", "--ledger", b])[0] == 0
-        code, out = run_cli(["perf-check", a, b, "--threshold", "500",
-                             "--min-seconds", "0.05"])
-        assert code == 0
-        assert "5 cell(s) compared" in out
 
 
 def fake_deep_run(monkeypatch):

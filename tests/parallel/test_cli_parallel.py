@@ -1,6 +1,4 @@
-"""CLI surface of the parallel backend: flags, measured mode, the gate."""
-
-import os
+"""CLI surface of the parallel backend: flags and measured mode."""
 
 import pytest
 
@@ -31,12 +29,6 @@ class TestParser:
             ["prove", "--workers", "2"]).workers == 2
         assert build_parser().parse_args(
             ["chaos", "--workers", "4"]).workers == 4
-
-    def test_parallel_check_defaults(self):
-        args = build_parser().parse_args(["parallel-check"])
-        assert args.size == 4096
-        assert args.workers == 4
-        assert args.min_speedup == pytest.approx(1.3)
 
 
 class TestCommands:
@@ -70,33 +62,3 @@ class TestCommands:
         ])
         assert code == 0
         assert "outcome:" in out
-
-    def test_parallel_check_skips_or_gates(self):
-        # On a big machine the gate really runs (and must pass at this
-        # tiny size only if it hits the speedup, which we cannot promise),
-        # so pin the skip path instead by demanding more workers than
-        # cores.
-        want = (os.cpu_count() or 1) + 1
-        code, out = run_cli([
-            "parallel-check", "--size", "16", "--workers", str(want),
-        ])
-        assert code == 0
-        assert "SKIP" in out
-
-    def test_parallel_check_runs_when_cores_allow(self):
-        # --workers 1 always "fits" the machine; speedup is then ~1.0 so
-        # a sub-1.0 threshold exercises the full measurement path, and an
-        # absurd threshold exercises the failure exit.
-        code, out = run_cli([
-            "parallel-check", "--size", "16", "--workers", "1",
-            "--min-speedup", "0.01",
-        ])
-        assert code == 0
-        assert "bytes identical" in out
-
-        code, out = run_cli([
-            "parallel-check", "--size", "16", "--workers", "1",
-            "--min-speedup", "1000",
-        ])
-        assert code == 1
-        assert "below threshold" in out

@@ -222,8 +222,7 @@ class TestWorkflowPoolWiring:
 
     def test_installed_pool_reaches_kernels_through_workflow(self):
         # A pool installed around the workflow (parallel_pool) engages even
-        # when the workflow itself was built serial — the CLI's
-        # parallel-check leans on the same property.
+        # when the workflow itself was built serial.
         from repro.harness.circuits import build_workload
         from repro.workflow import Workflow
 

@@ -2,8 +2,8 @@
 
 Runs real (tiny) workflows per worker count and checks shapes and
 invariants; it cannot assert actual speedup > 1 — CI boxes and this
-container may have a single core — that is ``repro parallel-check``'s
-job, which self-skips on small machines.
+container may have a single core — that is the benchmark's job
+(``pool_speedup`` on ``pool-bls12_381-1024-w2``, bench/README.md).
 """
 
 import pytest

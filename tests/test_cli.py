@@ -1,11 +1,15 @@
 """CLI tests (``python -m repro``)."""
 
-import json
+import argparse
 import os
+import re
 
 import pytest
 
+import repro.cli
 from repro.cli import ARTIFACTS, build_parser, main
+
+REPO = os.path.join(os.path.dirname(__file__), "..")
 
 
 def run_cli(argv):
@@ -30,6 +34,27 @@ class TestParser:
     def test_bad_sizes(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "fig4", "--sizes", "0"])
+
+
+class TestVerbLists:
+    """Every place that enumerates the verbs names exactly the parser's
+    sub-commands."""
+
+    @staticmethod
+    def braced_verbs(*path):
+        with open(os.path.join(REPO, *path)) as f:
+            listing = re.search(r"python -m repro\s+\{([^}]*)\}", f.read())
+        return set("".join(listing.group(1).split()).split(","))
+
+    def test_docstring_readme_and_verify_skill_agree_with_the_parser(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        verbs = set(sub.choices)
+        assert set(re.findall(r"python -m repro ([a-z-]+)",
+                              repro.cli.__doc__)) == verbs
+        assert self.braced_verbs("README.md") == verbs
+        assert self.braced_verbs(".claude", "skills", "verify",
+                                 "SKILL.md") == verbs
 
 
 class TestCommands:
@@ -62,46 +87,6 @@ class TestCommands:
         assert code == 0
         for name in ARTIFACTS:
             assert os.path.exists(tmp_path / f"{name}.txt"), name
-
-
-class TestKernelBench:
-    """``kernel-bench``: msm_auto against the reference kernel.  The input
-    is tiny, so the thresholds are set where timing noise cannot reach."""
-
-    BASE = ["kernel-bench", "--size", "64", "--min-cores", "1"]
-
-    def test_ok(self):
-        code, out = run_cli(self.BASE + ["--min-speedup", "0.01"])
-        assert code == 0
-        assert "result identical" in out
-        assert "kernel-bench: OK" in out
-
-    def test_speedup_below_threshold_fails(self):
-        code, out = run_cli(self.BASE + ["--min-speedup", "1000"])
-        assert code == 1
-        assert "kernel-bench: FAIL" in out and "1000.00x" in out
-
-    def test_small_runner_skips(self):
-        code, out = run_cli(["kernel-bench", "--size", "64",
-                             "--min-cores", "999"])
-        assert code == 0
-        assert "kernel-bench: SKIP" in out
-
-    def test_json_shape(self):
-        code, out = run_cli(self.BASE + ["--min-speedup", "0.01", "--json"])
-        assert code == 0
-        record = json.loads(out[:out.rindex("}") + 1])
-        assert set(record) == {"curve", "size", "reference_seconds",
-                               "seconds", "speedup", "identical",
-                               "min_speedup"}
-        assert record["curve"] == "bn128" and record["size"] == 64
-        assert record["identical"] is True
-        assert record["speedup"] == pytest.approx(
-            record["reference_seconds"] / record["seconds"])
-
-    def test_no_kernel_selection(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["kernel-bench", "--kernels", "glv"])
 
 
 class TestCurveValidation:

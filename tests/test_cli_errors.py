@@ -129,12 +129,6 @@ class TestArgumentErrors:
                          env_extra={"REPRO_WORKERS": ""})
         assert result.returncode == 0, (result.stdout, result.stderr)
 
-    def test_perf_check_missing_ledger(self, tmp_path):
-        result = run_cli("perf-check", str(tmp_path / "a.jsonl"),
-                         str(tmp_path / "b.jsonl"))
-        assert result.returncode == 2
-        assert "Traceback" not in result.stderr
-
 
 class TestChaosVerb:
     def test_smoke_run_is_acceptable(self):
