@@ -4,12 +4,12 @@ The resilience layer's per-stage deadline (PR 3) is *cooperative*: a
 kernel that never calls ``Deadline.check()`` cannot be timed out, so a
 runaway MSM or NTT defeats the chaos contract.  RC501 requires every
 public loop-bearing function in the configured hot modules to reach a
-``DEADLINE`` poll — directly or through its callees (``msm_pippenger``
+``RUN.deadline`` poll — directly or through its callees (``msm_pippenger``
 polls once per window, so ``msm_auto`` inherits the property).
 
 ========  ========  ====================================================
 RC501     error     public function in a hot module contains a loop but
-                    never reaches a ``resilience.DEADLINE.check()`` poll
+                    never reaches a ``RUN.deadline.check()`` poll
 ========  ========  ====================================================
 
 Intentionally unpolled leaves (e.g. the serial reference transforms the
@@ -32,14 +32,13 @@ def _has_loop(fn_node):
 
 
 def _polls_directly(index, fn):
-    """True when *fn* contains ``<slot DEADLINE>.check(...)`` (through a
-    module alias or a local binding of the slot)."""
+    """True when *fn* contains ``RUN.deadline.check(...)`` (directly or
+    through a local bound from the field)."""
     bound = set()  # locals holding the slot value
     for node in ast.walk(fn.node):
         if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                 and isinstance(node.targets[0], ast.Name) \
-                and index.slot_read(fn, node.value) is not None \
-                and index.slot_read(fn, node.value)[1] == "DEADLINE":
+                and index.slot_read(fn, node.value) == "deadline":
             bound.add(node.targets[0].id)
     for node in ast.walk(fn.node):
         if not (isinstance(node, ast.Call)
@@ -47,8 +46,7 @@ def _polls_directly(index, fn):
                 and node.func.attr == "check"):
             continue
         recv = node.func.value
-        slot = index.slot_read(fn, recv)
-        if slot is not None and slot[1] == "DEADLINE":
+        if index.slot_read(fn, recv) == "deadline":
             return True
         if isinstance(recv, ast.Name) and recv.id in bound:
             return True
@@ -85,7 +83,7 @@ def check_deadline_polls(index):
                     f"polls the cooperative Deadline; a stage timeout "
                     f"cannot interrupt it",
             line=fn.lineno, symbol=fn.qualname,
-            suggestion="poll 'if resilience.DEADLINE is not None: "
-                       "resilience.DEADLINE.check()' inside the loop, "
+            suggestion="poll 'if RUN.deadline is not None: "
+                       "RUN.deadline.check()' inside the loop, "
                        "or suppress for serial reference kernels",
         )

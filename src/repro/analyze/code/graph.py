@@ -41,9 +41,10 @@ GENERIC_METHODS = frozenset({
     "groups", "match", "search",
 })
 
-#: Module-level slot names whose ``is None`` guard discipline RC4xx/RC5xx
-#: enforce (auto-discovered per module; see :meth:`CodeIndex.slots`).
-SLOT_NAMES = ("CURRENT", "DEADLINE")
+#: Module-level name of the run-context object (``repro.context.RUN``):
+#: reads of its ``__slots__`` fields are what RC4xx/RC5xx reason about and
+#: stores to them what RC103 flags (see :meth:`CodeIndex.slot_read`).
+CONTEXT_NAME = "RUN"
 
 
 def dotted_name(node):
@@ -119,7 +120,7 @@ class CodeIndex:
         self.module_globals = {}   # module -> set of module-level names
         self.mutable_globals = {}  # module -> names bound to mutable literals
         self.task_registries = {}  # module -> {task name: value node}
-        self._slots = set()        # (module, attr) CURRENT/DEADLINE slots
+        self.context_fields = {}   # module defining RUN -> its __slots__
         self._calls = {}           # qualname -> frozenset of callee qualnames
         for mod in modules.values():
             self._index_module(mod)
@@ -153,10 +154,9 @@ class CodeIndex:
                                           ast.ListComp, ast.DictComp,
                                           ast.SetComp)):
                         mutable.add(tgt.id)
-                    if (tgt.id in SLOT_NAMES
-                            and isinstance(value, ast.Constant)
-                            and value.value is None):
-                        self._slots.add((mod.name, tgt.id))
+                    if tgt.id == CONTEXT_NAME and isinstance(value, ast.Call):
+                        self.context_fields[mod.name] = self._class_slots(
+                            f"{mod.name}.{dotted_name(value.func)}")
                     if (tgt.id == self.config.worker_registry
                             and isinstance(value, ast.Dict)):
                         self.task_registries[mod.name] = {
@@ -166,6 +166,17 @@ class CodeIndex:
         globs.update(top_aliases)
         self.module_globals[mod.name] = globs
         self.mutable_globals[mod.name] = mutable
+
+    def _class_slots(self, qual):
+        """String entries of the ``__slots__`` tuple of class *qual*."""
+        for item in getattr(self.classes.get(qual), "body", ()):
+            if isinstance(item, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__"
+                    for t in item.targets):
+                return frozenset(
+                    e.value for e in getattr(item.value, "elts", ())
+                    if isinstance(e, ast.Constant))
+        return frozenset()
 
     def _index_class(self, mod, node):
         qual = f"{mod.name}.{node.name}"
@@ -199,11 +210,6 @@ class CodeIndex:
                         nested=True)
 
     # -- name resolution ----------------------------------------------------------
-
-    @property
-    def slots(self):
-        """``(module, attr)`` pairs of discovered CURRENT/DEADLINE slots."""
-        return self._slots
 
     def resolve_export(self, qual, _depth=0):
         """Chase package re-exports: ``repro.groth16.prove`` ->
@@ -247,26 +253,26 @@ class CodeIndex:
 
     # -- slots --------------------------------------------------------------------
 
-    def slot_read(self, fn, node):
-        """Identify a CURRENT/DEADLINE slot read.
+    def context_module(self, fn, expr):
+        """The module whose run-context object *expr* names inside *fn*
+        (``RUN`` however it was imported), else ``None``."""
+        base = dotted_name(expr)
+        resolved = self.resolve_name(fn, base) if base else None
+        module, _, leaf = (resolved or "").rpartition(".")
+        if leaf == CONTEXT_NAME and module in self.context_fields:
+            return module
+        return None
 
-        Returns ``(module, attr)`` when the Load-context expression *node*
-        reads a discovered slot — either ``<modalias>.CURRENT`` from
-        anywhere or a bare ``CURRENT`` name inside its defining module —
-        else ``None``.
+    def slot_read(self, fn, node):
+        """The field name when the Load-context expression *node* reads a
+        field of the run context (``RUN.metrics`` -> ``"metrics"``), else
+        ``None``.  Methods of the object (``RUN.clear``) are not fields.
         """
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            base = dotted_name(node.value)
-            if base is not None and node.attr in SLOT_NAMES:
-                resolved = self.resolve_name(fn, base)
-                if resolved is None and base in self.modules:
-                    resolved = base
-                if resolved in self.modules and \
-                        (resolved, node.attr) in self._slots:
-                    return (resolved, node.attr)
-        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            if (fn.module, node.id) in self._slots:
-                return (fn.module, node.id)
+            module = self.context_module(fn, node.value)
+            if module is not None \
+                    and node.attr in self.context_fields[module]:
+                return node.attr
         return None
 
     # -- call graph ---------------------------------------------------------------

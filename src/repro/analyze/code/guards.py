@@ -1,10 +1,10 @@
-"""RC4xx guard-idiom: telemetry slots stay behind ``is None`` guards.
+"""RC4xx guard-idiom: run-context fields stay behind ``is None`` guards.
 
-Every observability subsystem exposes one process-global slot
-(``metrics.CURRENT``, ``spans.CURRENT``, ``faults.CURRENT``,
-``resilience.DEADLINE``, ...) that is ``None`` unless installed, so an
-uninstrumented run pays a single attribute read.  Code outside the
-defining module must therefore *guard* every slot use:
+Every ambient instrument is one field of the run context
+(``RUN.metrics``, ``RUN.spans``, ``RUN.faults``, ``RUN.deadline``, ...;
+docs/ARCHITECTURE.md) that is ``None`` unless installed, so an
+uninstrumented run pays a single attribute read.  Code must therefore
+*guard* every use of a field:
 
 ========  ========  ====================================================
 RC401     error     slot use (direct or through a local binding) not
@@ -16,7 +16,7 @@ RC402     error     metric name literal does not match
 The dominance analysis recognizes the idioms the codebase actually uses:
 an enclosing ``if X is not None:`` (use in the body), ``if X is None:``
 (use in the else branch), conditional expressions, ``and`` chains, and
-the early-return form ``x = mod.CURRENT`` / ``if x is None: return``.
+the early-return form ``x = RUN.metrics`` / ``if x is None: return``.
 """
 
 from __future__ import annotations
@@ -153,22 +153,23 @@ def _stmt_blocks(node):
 
 
 def _slot_uses(index, fn):
-    """Yield ``(node, key)`` for every cross-module slot use in *fn*."""
+    """Yield ``(node, key, parents, field)`` for every run-context field
+    use in *fn*."""
     parents = _parents(fn.node)
     tracked = {}  # local var name -> (slot, assign lineno)
     binding_reads = set()  # id() of slot reads that only feed a binding
     reads = []
     for node in ast.walk(fn.node):
         slot = index.slot_read(fn, node)
-        if slot is not None and slot[0] != fn.module:
+        if slot is not None:
             reads.append((node, slot))
         if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                 and isinstance(node.targets[0], ast.Name):
-            # ``t = mod.CURRENT`` and ``t = mod.CURRENT if traced else
-            # None`` both bind the slot; the *uses* of t are checked.
+            # ``t = RUN.tracer`` and ``t = RUN.tracer if traced else
+            # None`` both bind the field; the *uses* of t are checked.
             for sub in ast.walk(node.value):
                 vslot = index.slot_read(fn, sub)
-                if vslot is not None and vslot[0] != fn.module:
+                if vslot is not None:
                     tracked[node.targets[0].id] = (vslot, node.lineno)
                     binding_reads.add(id(sub))
     for node, slot in reads:
@@ -200,14 +201,13 @@ def check_guard_idiom(index):
         for node, key, parents, slot in _slot_uses(index, fn):
             if _guarded(node, key, parents, fn.node):
                 continue
-            slot_name = f"{slot[0]}.{slot[1]}"
             yield fn.module, Diagnostic(
                 code="RC401", severity=ERROR,
-                message=f"{fn.name!r} uses telemetry slot {slot_name} "
-                        f"without an 'is None' guard; the slot is None "
+                message=f"{fn.name!r} uses run-context field RUN.{slot} "
+                        f"without an 'is None' guard; the field is None "
                         f"on uninstrumented runs",
                 line=node.lineno, symbol=fn.qualname,
-                suggestion=f"guard with 'if {slot[1]} is not None:'",
+                suggestion=f"guard with 'if RUN.{slot} is not None:'",
             )
         for node in ast.walk(fn.node):
             if not (isinstance(node, ast.Call)

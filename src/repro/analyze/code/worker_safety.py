@@ -11,7 +11,8 @@ RC102     error     worker task signature is not exactly one positional
                     payload parameter
 RC103     error     worker-reachable code writes shared module-global
                     state (``global`` rebinding, subscript/attribute
-                    stores on module globals, cross-module slot writes)
+                    stores on module globals, stores to a field of the
+                    run context — ``context.scoped`` is its one writer)
 RC104     warning   worker task declares a mutable default argument
 ========  ========  ====================================================
 
@@ -81,6 +82,13 @@ def _global_writes(index, fn):
             declared_global.update(node.names)
     locals_ = _local_names(fn.node) - declared_global
     for node in ast.walk(fn.node):
+        # ``setattr(RUN, field, value)``: the dynamic spelling of a store
+        # to the run context, sanctioned only in the module that owns it.
+        if isinstance(node, ast.Call) and node.args \
+                and dotted_name(node.func) == "setattr" \
+                and index.context_module(fn, node.args[0]) \
+                not in (None, fn.module):
+            yield (node.lineno, "stores to a run-context field with setattr")
         targets = ()
         if isinstance(node, ast.Assign):
             targets = node.targets

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.circuit.r1cs import R1CS, Constraint
-from repro.perf import trace
+from repro.context import RUN
 
 __all__ = ["CompiledCircuit", "compile_circuit"]
 
@@ -99,7 +99,7 @@ def compile_circuit(builder, check=False):
     error-severity diagnostic — e.g. an under-constrained output or an
     unsatisfiable constant row.
     """
-    t = trace.CURRENT
+    t = RUN.tracer
     fr = builder.fr
     if t is None:
         constraints = [
@@ -194,7 +194,7 @@ def _normalize(fr, row, traced=False):
 
     Traced cost: one Montgomery-form conversion multiply plus a reduction
     add per nonzero coefficient (what circom's field writer performs)."""
-    t = trace.CURRENT if traced else None
+    t = RUN.tracer if traced else None
     out = {}
     for wire, coeff in row.items():
         if t is not None:

@@ -694,8 +694,7 @@ def _run_measured(args, out):
             kwargs["size"] = args.sizes[0] if args.sizes else 4096
         if name == "fig6" and max(workers) > 1:
             # Strong-scaling runs double as the worker-telemetry source:
-            # ledger records (if one is installed) gain the v3 workers
-            # block and the sweep prints pool utilization below.
+            # the sweep prints pool utilization below.
             kwargs["telemetry"] = True
         out(f"measured {name}: curve={curve} workers={workers} "
             f"{'base_size' if name == 'fig7' else 'size'}="

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from math import gcd
 
+from repro.context import RUN
 from repro.curves.endomorphism import decompose_scalar
-from repro.perf import trace
 
 __all__ = ["FpOps", "Fp2Ops", "Group", "Point", "CurveSpec"]
 
@@ -268,7 +268,7 @@ class Point:
         ops = self.group.ops
         if self.is_infinity() or ops.is_zero(self.Y):
             return self.group.infinity()
-        t = trace.CURRENT
+        t = RUN.tracer
         if t is not None:
             t.op(self.group._dbl_tag)
         X, Y, Z = self.X, self.Y, self.Z
@@ -297,7 +297,7 @@ class Point:
             return other
         if other.is_infinity():
             return self
-        t = trace.CURRENT
+        t = RUN.tracer
         if t is not None:
             t.op(self.group._add_tag)
         X1, Y1, Z1 = self.X, self.Y, self.Z
@@ -330,7 +330,7 @@ class Point:
         ops = self.group.ops
         if self.is_infinity():
             return Point(self.group, x2, y2, ops.one)
-        t = trace.CURRENT
+        t = RUN.tracer
         if t is not None:
             t.op(self.group._add_tag)
         X1, Y1, Z1 = self.X, self.Y, self.Z
@@ -372,7 +372,7 @@ class Point:
         k %= self.group.order
         if k == 0 or self.is_infinity():
             return self.group.infinity()
-        if trace.CURRENT is None:
+        if RUN.tracer is None:
             fast = self._mul_wnaf(k)
             if fast is not None:
                 return fast
@@ -441,7 +441,7 @@ class Point:
         if self.is_infinity():
             return None
         ops = self.group.ops
-        if self.Z == ops.one and trace.CURRENT is None:
+        if self.Z == ops.one and RUN.tracer is None:
             # Already normalized; traced runs still pay the conversion
             # (the pinning rule, docs/KERNELS.md).
             return (self.X, self.Y)

@@ -43,8 +43,8 @@ non-degenerate bilinear map is precisely the interface Groth16 consumes.
 
 from __future__ import annotations
 
+from repro.context import RUN
 from repro.fields.extensions import Fp12
-from repro.perf import trace
 
 __all__ = ["PairingEngine", "PreparedG2", "engine_for"]
 
@@ -175,7 +175,7 @@ class PairingEngine:
         point (raw Fp2 pairs) or a :class:`PreparedG2`.  Returns 1 if either
         input is the identity.
         """
-        tracer = trace.CURRENT
+        tracer = RUN.tracer
         if tracer is None:
             return self._miller_loops([(P_aff, Q_aff)])
         if P_aff is None or Q_aff is None:
@@ -308,7 +308,7 @@ class PairingEngine:
 
     def final_exponentiation(self, f):
         """Map a Miller value to the order-r cyclotomic subgroup."""
-        tracer = trace.CURRENT
+        tracer = RUN.tracer
         if tracer is not None:
             tracer.op("pairing_final_exp")
         if f.is_zero():
@@ -382,7 +382,7 @@ class PairingEngine:
         the standard verifier optimization (one final exp per proof).  A
         ``Q_i`` may be a :class:`PreparedG2`, and *f* a Miller value to
         multiply in first (a fixed pair's, computed once)."""
-        if trace.CURRENT is None:
+        if RUN.tracer is None:
             prod = self._miller_loops([(P.to_affine(), Q.to_affine()) for P, Q in pairs])
         else:
             prod = self._one

@@ -17,7 +17,7 @@ kernels in the paper's Table IV.
 
 from __future__ import annotations
 
-from repro.perf import trace
+from repro.context import RUN
 
 __all__ = ["TowerParams", "Fp2", "Fp6", "Fp12"]
 
@@ -77,7 +77,7 @@ class TowerParams:
         t.op(self._sub_tag, 2)
 
     def f2_add(self, a, b):
-        t = trace.CURRENT
+        t = RUN.tracer
         if t is not None:
             t.op(self._add_tag, 2)
         p = self._p
@@ -86,7 +86,7 @@ class TowerParams:
         return (c0 - p if c0 >= p else c0, c1 - p if c1 >= p else c1)
 
     def f2_sub(self, a, b):
-        t = trace.CURRENT
+        t = RUN.tracer
         if t is not None:
             t.op(self._sub_tag, 2)
         p = self._p
@@ -95,7 +95,7 @@ class TowerParams:
         return (c0 + p if c0 < 0 else c0, c1 + p if c1 < 0 else c1)
 
     def f2_neg(self, a):
-        t = trace.CURRENT
+        t = RUN.tracer
         if t is not None:
             t.op(self._add_tag, 2)  # a negation costs one subtract
         p = self._p
@@ -105,7 +105,7 @@ class TowerParams:
         return (a[0], self.fq.neg(a[1]))
 
     def f2_mul(self, a, b):
-        t = trace.CURRENT
+        t = RUN.tracer
         if t is not None:
             self._report_product(t)
         a0, a1 = a
@@ -116,7 +116,7 @@ class TowerParams:
         return ((t0 - t1) % m, ((a0 + a1) * (b0 + b1) - t0 - t1) % m)
 
     def f2_sqr(self, a):
-        t = trace.CURRENT
+        t = RUN.tracer
         if t is not None:
             self._report_product(t)
         a0, a1 = a
@@ -124,14 +124,14 @@ class TowerParams:
         return ((a0 + a1) * (a0 - a1) % m, (a0 + a0) * a1 % m)
 
     def f2_scale(self, a, k):
-        t = trace.CURRENT
+        t = RUN.tracer
         if t is not None:
             t.op(self._mul_tag, 2)
         m = self._mod
         return (a[0] * k % m, a[1] * k % m)
 
     def f2_inv(self, a):
-        t = trace.CURRENT
+        t = RUN.tracer
         if t is not None:
             t.op(self._sqr_tag, 2)
             t.op(self._mul_tag, 1)
@@ -156,7 +156,7 @@ class TowerParams:
     def f2_mul_xi(self, a):
         """Multiply an Fp2 element by the non-residue xi (used by v^3 folds):
         two small-constant products per component."""
-        t = trace.CURRENT
+        t = RUN.tracer
         if t is not None:
             self._report_product(t)
         a0, a1 = a

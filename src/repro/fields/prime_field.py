@@ -10,9 +10,8 @@ multiply produces on x86.
 
 from __future__ import annotations
 
+from repro.context import RUN
 from repro.fields import bigint
-from repro.obs import metrics
-from repro.perf import trace
 
 __all__ = ["PrimeField", "Fp"]
 
@@ -72,7 +71,7 @@ class PrimeField:
 
     def add(self, a, b):
         """Return ``(a + b) mod p`` for reduced inputs."""
-        t = trace.CURRENT
+        t = RUN.tracer
         if t is not None:
             t.op(self._add_tag)
         c = a + b
@@ -80,7 +79,7 @@ class PrimeField:
 
     def sub(self, a, b):
         """Return ``(a - b) mod p`` for reduced inputs."""
-        t = trace.CURRENT
+        t = RUN.tracer
         if t is not None:
             t.op(self._sub_tag)
         c = a - b
@@ -88,21 +87,21 @@ class PrimeField:
 
     def neg(self, a):
         """Return ``-a mod p``."""
-        t = trace.CURRENT
+        t = RUN.tracer
         if t is not None:
             t.op(self._neg_tag)
         return self.modulus - a if a else 0
 
     def mul(self, a, b):
         """Return ``a * b mod p``."""
-        t = trace.CURRENT
+        t = RUN.tracer
         if t is not None:
             t.op(self._mul_tag)
         return a * b % self._mod
 
     def sqr(self, a):
         """Return ``a^2 mod p``."""
-        t = trace.CURRENT
+        t = RUN.tracer
         if t is not None:
             t.op(self._sqr_tag)
         return a * a % self._mod
@@ -118,10 +117,10 @@ class PrimeField:
         if a == 0:
             # codelint: ignore[RC301] -- mirrors Python division semantics
             raise ZeroDivisionError(f"{self.name}: inversion of zero")
-        t = trace.CURRENT
+        t = RUN.tracer
         if t is not None:
             t.op(self._inv_tag)
-        m = metrics.CURRENT
+        m = RUN.metrics
         if m is not None:
             m.inc("repro_field_inv_total")
         return bigint.invmod(a, self._mod)
@@ -134,7 +133,7 @@ class PrimeField:
         """Return ``a^e mod p`` (``e`` may be any integer; 0^0 == 1)."""
         if e < 0:
             return bigint.powmod(self.inv(a), -e, self._mod)
-        t = trace.CURRENT
+        t = RUN.tracer
         if t is not None:
             # Square-and-multiply: ~bits squarings + ~bits/2 multiplies.
             nbits = max(e.bit_length(), 1)
@@ -163,7 +162,7 @@ class PrimeField:
         for c, v in pairs:
             acc += c * v
             n += 1
-        t = trace.CURRENT
+        t = RUN.tracer
         if t is not None:
             if n:
                 t.op(self._mul_tag, n)
@@ -182,7 +181,7 @@ class PrimeField:
         xs = list(xs)
         if not xs:
             return []
-        m = metrics.CURRENT
+        m = RUN.metrics
         if m is not None:
             m.observe("repro_field_batch_inv_size", len(xs))
         prefix = [0] * len(xs)

@@ -23,9 +23,8 @@ term is annihilated by the random ``r_i``).
 
 from __future__ import annotations
 
+from repro.context import RUN
 from repro.curves.pairing import engine_for
-from repro.obs import metrics
-from repro.perf import trace
 
 __all__ = ["batch_verify"]
 
@@ -47,7 +46,7 @@ def batch_verify(vk, proofs_with_publics, rng):
     batch is vacuously valid.
     """
     batch = list(proofs_with_publics)
-    m = metrics.CURRENT
+    m = RUN.metrics
     if m is not None:
         m.inc("repro_groth16_batch_verify_total")
         m.observe("repro_groth16_batch_size", len(batch))
@@ -83,7 +82,7 @@ def batch_verify(vk, proofs_with_publics, rng):
     # The fixed legs walk stored lines; a traced fold keeps the points (the
     # pinning rule: tracers never meet, or build, the vk's prepared form).
     g2 = vk
-    if trace.CURRENT is None:
+    if RUN.tracer is None:
         g2 = vk.prepared
     pairs.append((-(vk.alpha1 * sum_r), g2.beta2))
     pairs.append((-acc_l, g2.gamma2))

@@ -14,9 +14,8 @@ whose fingerprint dominates the paper's findings:
 
 from __future__ import annotations
 
+from repro.context import RUN
 from repro.groth16.keys import Proof
-from repro.obs import metrics
-from repro.perf import trace
 from repro.poly.domain import EvaluationDomain
 from repro.qap.qap import compute_h
 from repro.resilience.degrade import resilient_msm
@@ -47,8 +46,8 @@ def prove(pk, circuit, witness, rng):
     curve = pk.curve
     fr = curve.fr
     r1cs = circuit.r1cs
-    t = trace.CURRENT
-    m = metrics.CURRENT
+    t = RUN.tracer
+    m = RUN.metrics
     if m is not None:
         m.inc("repro_groth16_prove_total")
         m.observe("repro_groth16_prove_constraints", r1cs.n_constraints)

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import struct
 
+from repro.context import RUN
 from repro.groth16.keys import Proof, ProvingKey, VerifyingKey
-from repro.resilience import faults
 from repro.resilience.errors import ArtifactCorruption
 
 __all__ = [
@@ -190,8 +190,8 @@ def _check_header(r, magic):
 
 
 def proof_to_bytes(proof):
-    if faults.CURRENT is not None:
-        faults.CURRENT.check("serialize:proof")
+    if RUN.faults is not None:
+        RUN.faults.check("serialize:proof")
     w = _Writer()
     _header(w, _MAGIC_PROOF, proof.curve)
     _write_point(w, proof.curve.g1, proof.a)
@@ -201,8 +201,8 @@ def proof_to_bytes(proof):
 
 
 def proof_from_bytes(data):
-    if faults.CURRENT is not None:
-        faults.CURRENT.check("serialize:proof")
+    if RUN.faults is not None:
+        RUN.faults.check("serialize:proof")
     r = _Reader(data, artifact="proof")
     curve = _check_header(r, _MAGIC_PROOF)
     a = _read_point(r, curve.g1, subgroup=True)
@@ -216,8 +216,8 @@ def proof_from_bytes(data):
 
 
 def vk_to_bytes(vk):
-    if faults.CURRENT is not None:
-        faults.CURRENT.check("serialize:vk")
+    if RUN.faults is not None:
+        RUN.faults.check("serialize:vk")
     w = _Writer()
     _header(w, _MAGIC_VK, vk.curve)
     _write_point(w, vk.curve.g1, vk.alpha1)
@@ -232,8 +232,8 @@ def vk_to_bytes(vk):
 
 
 def vk_from_bytes(data):
-    if faults.CURRENT is not None:
-        faults.CURRENT.check("serialize:vk")
+    if RUN.faults is not None:
+        RUN.faults.check("serialize:vk")
     r = _Reader(data, artifact="verifying key")
     curve = _check_header(r, _MAGIC_VK)
     alpha1 = _read_point(r, curve.g1, subgroup=True)
@@ -256,8 +256,8 @@ def vk_from_bytes(data):
 
 
 def pk_to_bytes(pk):
-    if faults.CURRENT is not None:
-        faults.CURRENT.check("serialize:pk")
+    if RUN.faults is not None:
+        RUN.faults.check("serialize:pk")
     w = _Writer()
     _header(w, _MAGIC_PK, pk.curve)
     w.u32(pk.domain_size)
@@ -278,8 +278,8 @@ def pk_to_bytes(pk):
 
 
 def pk_from_bytes(data):
-    if faults.CURRENT is not None:
-        faults.CURRENT.check("serialize:pk")
+    if RUN.faults is not None:
+        RUN.faults.check("serialize:pk")
     r = _Reader(data, artifact="proving key")
     curve = _check_header(r, _MAGIC_PK)
     domain_size = r.u32()

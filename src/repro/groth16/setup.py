@@ -21,9 +21,9 @@ Instrumented to match the stage's fingerprint in the paper:
 
 from __future__ import annotations
 
+from repro.context import RUN
 from repro.groth16.keys import ProvingKey, VerifyingKey
 from repro.msm.fixed_base import FixedBaseTable
-from repro.perf import trace
 from repro.qap.qap import column_evaluations_at, qap_domain
 
 __all__ = ["setup"]
@@ -49,7 +49,7 @@ def setup(curve, circuit, rng):
     fr = curve.fr
     r1cs = circuit.r1cs
     domain = qap_domain(r1cs)
-    t = trace.CURRENT
+    t = RUN.tracer
 
     # -- toxic waste --------------------------------------------------------
     tau = fr.rand_nonzero(rng)

@@ -18,9 +18,8 @@ opcodes, Table V).
 
 from __future__ import annotations
 
+from repro.context import RUN
 from repro.curves.pairing import engine_for
-from repro.obs import metrics
-from repro.perf import trace
 
 __all__ = ["verify"]
 
@@ -42,8 +41,8 @@ def verify(vk, proof, publics):
         Values of the public wires in ``vk.public_wires[1:]`` order — what
         :func:`~repro.groth16.witness.public_inputs` returns.
     """
-    t = trace.CURRENT
-    m = metrics.CURRENT
+    t = RUN.tracer
+    m = RUN.metrics
     if m is not None:
         m.inc("repro_groth16_verify_total")
     eng = engine_for(vk.curve)

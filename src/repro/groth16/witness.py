@@ -17,7 +17,7 @@ the stage's fingerprint from the paper:
 
 from __future__ import annotations
 
-from repro.perf import trace
+from repro.context import RUN
 
 __all__ = ["generate_witness", "public_inputs", "WitnessError"]
 
@@ -71,7 +71,7 @@ def generate_witness(circuit, inputs):
         On missing or unknown input names.
     """
     fr = circuit.r1cs.fr
-    t = trace.CURRENT
+    t = RUN.tracer
 
     missing = sorted(set(circuit.input_wires) - set(inputs))
     if missing:

@@ -38,9 +38,9 @@ import hashlib
 import os
 
 import repro
+from repro.context import RUN
 from repro.curves import get_curve
 from repro.harness.circuits import build_workload
-from repro.obs import ledger, metrics
 from repro.perf.analysis import analyze_stage
 from repro.perf.trace import Tracer
 from repro.resilience.checkpoint import CellStore, SweepCheckpoint
@@ -106,7 +106,7 @@ def profile_run(curve_name, size, seed=0, mem_sample=DEFAULT_MEM_SAMPLE,
     ``"exponentiate"``.  Returns ``{stage: StageProfile}``.
     """
     key = (curve_name, size, seed, mem_sample, workload, _source_fingerprint())
-    m = metrics.CURRENT
+    m = RUN.metrics
     if key in _MEMO:
         if m is not None:
             m.inc("repro_harness_cache_memo_hits_total")
@@ -143,22 +143,11 @@ def profile_run(curve_name, size, seed=0, mem_sample=DEFAULT_MEM_SAMPLE,
             raise RuntimeError(
                 f"profiled workflow produced a rejected proof ({curve_name}, n={size})"
             )
-        return wf, profiles
+        return profiles
 
     # Memory guard: under ResourceExhausted the cell is re-run with a
     # coarser mem_sample — degraded memory *precision*, not a lost sweep.
-    (wf, profiles), _effective = run_with_memory_guard(_compute, mem_sample)
-
-    if ledger.CURRENT is not None:
-        ledger.CURRENT.append(ledger.make_record(
-            kind="profile_run",
-            curve=curve_name,
-            size=size,
-            workload=workload,
-            seed=seed,
-            stages=[wf.results[s].to_record() for s in STAGES],
-            metrics=m.snapshot() if m is not None else None,
-        ))
+    profiles, _effective = run_with_memory_guard(_compute, mem_sample)
 
     _MEMO[key] = profiles
     if cache is not None:

@@ -27,8 +27,7 @@ primitives.
 
 from __future__ import annotations
 
-from repro.obs import metrics
-from repro.resilience import retry as resilience
+from repro.context import RUN
 
 __all__ = ["batch_affine_accumulate", "batch_affine_add", "batch_inv"]
 
@@ -61,8 +60,8 @@ def batch_affine_add(ops, ps, qs):
     """
     # Cooperative deadline poll once per wave — the unit of work of the
     # bucket rounds and of the fixed-base walk alike.
-    if resilience.DEADLINE is not None:
-        resilience.DEADLINE.check()
+    if RUN.deadline is not None:
+        RUN.deadline.check()
     add, sub, mul, sqr = ops.add, ops.sub, ops.mul, ops.sqr
     out = [None] * len(ps)
     slots, nums, denoms = [], [], []  # sums that need a slope num / denom
@@ -81,7 +80,7 @@ def batch_affine_add(ops, ps, qs):
         # else P + (-P) or 2 * (x, 0): infinity
     if not denoms:
         return out
-    m = metrics.CURRENT
+    m = RUN.metrics
     if m is not None:
         m.inc("repro_msm_batch_affine_inversions_total")
         m.observe("repro_msm_batch_affine_wave", len(denoms))

@@ -20,10 +20,10 @@ in proof/pk/vk bytes — ``tests/msm/test_kernel_differential.py`` pins it.
 
 from __future__ import annotations
 
+from repro.context import RUN
 from repro.msm.glv import msm_glv
 from repro.msm.pippenger import msm_pippenger
 from repro.parallel.pool import active_pool
-from repro.perf import trace
 
 __all__ = ["msm_auto"]
 
@@ -35,7 +35,7 @@ def msm_auto(group, points, scalars):
     (``None`` for infinity), plain integer scalars, identical result bytes
     whichever kernel runs.
     """
-    if trace.CURRENT is not None:
+    if RUN.tracer is not None:
         return msm_pippenger(group, points, scalars)
     pool = active_pool()
     if pool is not None and pool.enabled_for(len(points), "msm"):

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 
+from repro.context import RUN
 from repro.msm.batch_affine import batch_affine_add
 from repro.msm.recode import signed_windows_len
-from repro.perf import trace
-from repro.resilience import retry as resilience
 
 __all__ = ["FixedBaseTable"]
 
@@ -84,7 +83,7 @@ class FixedBaseTable:
         self.n_windows = (self.bits + width - 1) // width
         per_window = (1 << width) - 1
 
-        t = trace.CURRENT
+        t = RUN.tracer
         point_bytes = self._point_bytes = 2 * group.ops.coord_bytes
         self._table_base = 0
         if t is not None:
@@ -119,12 +118,12 @@ class FixedBaseTable:
         """Return ``scalar * base`` using at most ``n_windows`` additions."""
         # Cooperative deadline poll per scalar — one table walk is the
         # kernel's smallest unit of work (a traced mul_many inherits it).
-        if resilience.DEADLINE is not None:
-            resilience.DEADLINE.check()
+        if RUN.deadline is not None:
+            RUN.deadline.check()
         k = self._reduced(scalar)
         if k == 0:
             return self.group.infinity()
-        t = trace.CURRENT
+        t = RUN.tracer
         mask = (1 << self.width) - 1
         acc = self.group.infinity()
         per_window = mask
@@ -152,7 +151,7 @@ class FixedBaseTable:
         behind one shared inversion, and the row is dropped; the products
         are ``Z == 1`` by construction.
         """
-        t = trace.CURRENT
+        t = RUN.tracer
         if t is not None:
             with t.region("fixed_base_mul_many", parallel=True, items=len(scalars)):
                 return [self.mul(k) for k in scalars]

@@ -16,11 +16,10 @@ signed-digit path.
 
 from __future__ import annotations
 
+from repro.context import RUN
 from repro.curves.endomorphism import decompose_scalar
 from repro.msm.terms import live_terms
 from repro.msm.wnaf import msm_wnaf, signed_bucket_msm
-from repro.obs import metrics
-from repro.resilience import retry as resilience
 
 __all__ = ["msm_glv"]
 
@@ -39,7 +38,7 @@ def msm_glv(group, points, scalars, window=None):
     if not pairs:
         return group.infinity()
 
-    m = metrics.CURRENT
+    m = RUN.metrics
     if m is not None:
         m.inc("repro_msm_glv_calls_total")
         m.inc("repro_msm_glv_decompositions_total", len(pairs))
@@ -51,8 +50,8 @@ def msm_glv(group, points, scalars, window=None):
     for i, (pt, k) in enumerate(pairs):
         # Cooperative deadline poll amortized over the decomposition loop.
         if not i & 255:
-            if resilience.DEADLINE is not None:
-                resilience.DEADLINE.check()
+            if RUN.deadline is not None:
+                RUN.deadline.check()
         k1, k2 = decompose_scalar(basis, order, k)
         x, y = pt
         if k1 > 0:

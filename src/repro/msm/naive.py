@@ -6,8 +6,7 @@ test (``tests/paper/test_ablation_msm.py``).
 
 from __future__ import annotations
 
-from repro.perf import trace
-from repro.resilience import retry as resilience
+from repro.context import RUN
 
 __all__ = ["msm_naive"]
 
@@ -20,22 +19,22 @@ def msm_naive(group, points, scalars):
     """
     if len(points) != len(scalars):
         raise ValueError(f"points/scalars length mismatch: {len(points)} vs {len(scalars)}")
-    t = trace.CURRENT
+    t = RUN.tracer
     acc = group.infinity()
     if t is None:
         for pt, k in zip(points, scalars):
             # Cooperative deadline poll per term — each term is a full
             # double-and-add, the kernel's natural preemption point.
-            if resilience.DEADLINE is not None:
-                resilience.DEADLINE.check()
+            if RUN.deadline is not None:
+                RUN.deadline.check()
             if pt is None or k % group.order == 0:
                 continue
             acc = acc + group.point_unchecked(*pt) * k
         return acc
     with t.region("msm_naive", parallel=True, items=len(points)):
         for pt, k in zip(points, scalars):
-            if resilience.DEADLINE is not None:
-                resilience.DEADLINE.check()
+            if RUN.deadline is not None:
+                RUN.deadline.check()
             if pt is None or k % group.order == 0:
                 continue
             acc = acc + group.point_unchecked(*pt) * k

@@ -17,11 +17,8 @@ Instrumentation notes (what the paper's analyses see):
 
 from __future__ import annotations
 
+from repro.context import RUN
 from repro.msm.terms import live_terms
-from repro.obs import metrics
-from repro.perf import trace
-from repro.resilience import faults
-from repro.resilience import retry as resilience
 
 __all__ = ["msm_pippenger", "optimal_window"]
 
@@ -56,15 +53,15 @@ def msm_pippenger(group, points, scalars, window=None):
     n_windows = (nbits + c - 1) // c
     mask = (1 << c) - 1
 
-    m = metrics.CURRENT
+    m = RUN.metrics
     if m is not None:
         m.inc("repro_msm_pippenger_calls_total")
         m.inc("repro_msm_windows_total", n_windows)
         m.observe("repro_msm_points", len(pairs))
-    if faults.CURRENT is not None:
-        faults.CURRENT.check("msm:pippenger")
+    if RUN.faults is not None:
+        RUN.faults.check("msm:pippenger")
 
-    t = trace.CURRENT
+    t = RUN.tracer
     point_bytes = 2 * group.ops.coord_bytes  # affine (x, y)
     # Buckets hold Jacobian points: three coordinates.
     bucket_bytes = 3 * (point_bytes // 2)
@@ -84,8 +81,8 @@ def msm_pippenger(group, points, scalars, window=None):
     for w in range(n_windows):
         # Cooperative deadline poll between the (independent) window
         # passes — the natural preemption point of the kernel.
-        if resilience.DEADLINE is not None:
-            resilience.DEADLINE.check()
+        if RUN.deadline is not None:
+            RUN.deadline.check()
         shift = w * c
         if t is None:
             buckets = [None] * mask

@@ -27,12 +27,10 @@ edge scalars (0, 1, ``order - 1``, ``>= order``) and identity points.
 
 from __future__ import annotations
 
+from repro.context import RUN
 from repro.msm.batch_affine import batch_affine_accumulate
 from repro.msm.recode import signed_windows, signed_windows_len
 from repro.msm.terms import live_terms
-from repro.obs import metrics
-from repro.resilience import faults
-from repro.resilience import retry as resilience
 
 __all__ = ["msm_wnaf", "optimal_signed_window", "signed_bucket_msm"]
 
@@ -87,15 +85,15 @@ def signed_bucket_msm(group, pairs, window=None):
     n_digits = signed_windows_len(nbits, c)
     half = 1 << (c - 1)
 
-    m = metrics.CURRENT
+    m = RUN.metrics
     if m is not None:
         m.inc("repro_msm_wnaf_calls_total")
         m.inc("repro_msm_windows_total", n_digits)
         m.observe("repro_msm_points", len(pairs))
-    if faults.CURRENT is not None:
+    if RUN.faults is not None:
         # Same fault site as the reference kernel: chaos faults shipped at
         # the MSM site fire regardless of which bucket kernel is active.
-        faults.CURRENT.check("msm:pippenger")
+        RUN.faults.check("msm:pippenger")
 
     ops = group.ops
     neg = ops.neg
@@ -105,8 +103,8 @@ def signed_bucket_msm(group, pairs, window=None):
     for w in range(n_digits):
         # Cooperative deadline poll between the independent window passes,
         # like the reference kernel.
-        if resilience.DEADLINE is not None:
-            resilience.DEADLINE.check()
+        if RUN.deadline is not None:
+            RUN.deadline.check()
         entries = []
         for i, (pt, _k) in enumerate(pairs):
             d = rows[i][w]

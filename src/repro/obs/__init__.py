@@ -17,7 +17,7 @@ Modules
 :mod:`repro.obs.metrics`
     Process-global metrics registry — counters, gauges, fixed-boundary
     histograms — that the hot paths (MSM, NTT, field inversions, batch
-    verify) increment behind a ``CURRENT is None`` guard.
+    verify) increment behind a ``RUN.metrics is None`` guard.
 :mod:`repro.obs.fingerprint`
     Machine fingerprint (CPU model, cores, Python) and git revision.
 :mod:`repro.obs.ledger`
@@ -27,16 +27,17 @@ Modules
     :class:`~repro.parallel.pool.WorkerPool` feeds per-task telemetry
     blocks into, and the ``parallel-report`` efficiency analysis.
 
-Every collector in this package is **off by default** and guarded the same
-way the tracer is (module-level ``CURRENT is None``), so untelemetered runs
-pay at most a handful of attribute checks per protocol stage.
+Every collector in this package is **off by default**: a ``None`` field of
+the run context (:mod:`repro.context`; docs/ARCHITECTURE.md, "Run
+context"), so untelemetered runs pay at most a handful of attribute checks
+per protocol stage.
 
 See ``docs/OBSERVABILITY.md`` for the span/metric naming scheme and the
 ledger record schema.
 """
 
 from repro.obs.fingerprint import git_revision, machine_fingerprint
-from repro.obs.ledger import Ledger, make_record, read_ledger, recording_to
+from repro.obs.ledger import Ledger, make_record, read_ledger
 from repro.obs.metrics import MetricsRegistry, collecting
 from repro.obs.spans import Span, recording, render_spans, span, spanned
 from repro.obs.worker import WorkerTelemetry, build_parallel_report, collecting_tasks
@@ -54,7 +55,6 @@ __all__ = [
     "make_record",
     "read_ledger",
     "recording",
-    "recording_to",
     "render_spans",
     "span",
     "spanned",

@@ -1,23 +1,20 @@
 """Append-only JSONL run ledger under ``results/runs/``.
 
-Every telemetered run — a ``Workflow.run_all``, a harness ``profile_run``,
-a ``python -m repro profile`` — appends one self-describing JSON record:
-machine fingerprint (Table I style), git revision, the (curve, size,
-workload) cell, the per-stage span tree, and a metrics snapshot, so
-records from different machines or commits stay comparable.
+The verbs that measure — ``profile``, ``deep-profile``, ``loadtest``,
+``pareto`` — each append one self-describing JSON record: machine
+fingerprint (Table I style), git revision, the (curve, size, workload)
+cell, the per-stage span tree, and a metrics snapshot, so records from
+different machines or commits stay comparable.  Recording is explicit:
+a verb builds its record with :func:`make_record` and appends it to the
+file it names (:meth:`Ledger.append`); nothing is written ambiently.
 
-Recording is **opt-in**: the module-level ``CURRENT`` slot is ``None``
-unless a ledger is installed (:func:`install`, :func:`recording_to`, or
-the ``REPRO_LEDGER=<path>`` environment variable at import time), so the
-test suite's thousands of workflow runs write nothing.
-
-Record schema (version 5) — see ``docs/OBSERVABILITY.md`` for a worked
-example::
+Record shape (``SCHEMA_VERSION`` 5) — this is the one description; the
+modules that build a block point here, and ``docs/OBSERVABILITY.md`` has a
+worked example::
 
     {
       "schema": 5,
-      "kind": "profile" | "workflow" | "profile_run" | "deep-profile"
-              | "loadtest" | "serve" | "capacity",
+      "kind": "profile" | "deep-profile" | "loadtest" | "serve" | "capacity",
       "ts": <unix seconds>,
       "label": <free-form or null>,
       "machine": {...machine_fingerprint()...},
@@ -33,14 +30,7 @@ example::
       "capacity": {...CapacityCell.to_capacity_block()...} | null
     }
 
-Version history: v1 had no ``profile`` field and no lifted per-stage
-``cpu_s``/``rss_peak_delta_kb``/``gc_collections``; v2 had no
-``workers`` block (cross-process worker telemetry, PR 7); v3 had no
-``service`` block (proving-service load reports, :mod:`repro.serve`);
-v4 had no ``capacity`` block (``pareto`` sweep cells,
-:mod:`repro.obs.capacity`) and its ``service`` block carried no
-``phases`` breakdown or per-distribution ``n``.  Readers treat every
-versioned field as optional, so v1–v4 ledgers keep loading.
+Every block is ``null`` unless the run that wrote the record produced it.
 """
 
 from __future__ import annotations
@@ -48,7 +38,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import contextmanager
 
 from repro.obs.fingerprint import fingerprint_id, git_revision, machine_fingerprint
 
@@ -56,20 +45,14 @@ __all__ = [
     "DEFAULT_DIR",
     "Ledger",
     "SCHEMA_VERSION",
-    "install",
     "make_record",
     "read_ledger",
-    "recording_to",
-    "uninstall",
 ]
 
 SCHEMA_VERSION = 5
 
 #: Conventional ledger directory (relative to the working directory).
 DEFAULT_DIR = os.path.join("results", "runs")
-
-#: The process-global ledger slot; ``None`` means run recording is off.
-CURRENT = None
 
 
 class Ledger:
@@ -95,7 +78,7 @@ class Ledger:
 def make_record(kind, curve, size, workload, stages, seed=None, metrics=None,
                 label=None, profile=None, workers=None, service=None,
                 capacity=None):
-    """Assemble one schema-v5 record.
+    """Assemble one record (shape in the module docstring).
 
     *stages* is a list of stage dicts (``StageResult.to_record()`` shape);
     *metrics* a :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`;
@@ -149,36 +132,3 @@ def read_ledger(path):
             if isinstance(rec, dict):
                 records.append(rec)
     return records
-
-
-def install(path):
-    """Install a process-global :class:`Ledger` at *path*; every
-    subsequent ``Workflow.run_all`` / ``profile_run`` appends to it."""
-    global CURRENT
-    if CURRENT is not None:
-        raise RuntimeError(f"a ledger is already active ({CURRENT.path})")
-    CURRENT = Ledger(path)
-    return CURRENT
-
-
-def uninstall():
-    global CURRENT
-    CURRENT = None
-
-
-@contextmanager
-def recording_to(path):
-    """Scoped form of :func:`install` / :func:`uninstall`."""
-    ledger = install(path)
-    try:
-        yield ledger
-    finally:
-        uninstall()
-
-
-# Environment opt-in: REPRO_LEDGER=<path> records every workflow run of
-# the process without touching calling code (used by the Make/CI targets).
-_env_path = os.environ.get("REPRO_LEDGER")
-if _env_path:
-    CURRENT = Ledger(_env_path)
-del _env_path

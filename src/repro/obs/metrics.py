@@ -8,10 +8,10 @@ the proving stage issue?" without paying for a full trace.
 Design rules, mirroring :mod:`repro.perf.trace`:
 
 - **Off by default, near-zero when off.**  Instrumentation sites guard on
-  the module-level ``metrics.CURRENT is None``; a disabled site costs one
-  attribute load and an ``is None`` check.  Sites live at *kernel-call*
-  granularity (one check per NTT, not per butterfly) so even the check is
-  amortized over thousands of field operations.
+  ``RUN.metrics is None`` (the run context, docs/ARCHITECTURE.md); a
+  disabled site costs one attribute load and an ``is None`` check.  Sites
+  live at *kernel-call* granularity (one check per NTT, not per butterfly)
+  so even the check is amortized over thousands of field operations.
 - **Deterministic bucket math.**  Histogram boundaries are fixed at
   creation (default: powers of two) and bucket selection is pure value
   arithmetic — no wall-clock reads, so two runs of the same workload
@@ -27,20 +27,15 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left
-from contextlib import contextmanager
+
+from repro.context import scoped
 
 __all__ = [
     "DEFAULT_BUCKETS",
     "MetricsRegistry",
     "TIME_BUCKETS",
     "collecting",
-    "current_registry",
 ]
-
-#: The process-global registry slot; ``None`` means collection is off.
-#: Instrumentation sites read this module attribute directly
-#: (``metrics.CURRENT``), exactly like ``trace.CURRENT``.
-CURRENT = None
 
 #: Default histogram boundaries: powers of two over the full sweep range
 #: (circuit sizes, MSM point counts and batch sizes are all ~powers of two).
@@ -54,11 +49,6 @@ TIME_BUCKETS = (0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
                 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0)
 
 _NAME_RE = re.compile(r"^repro(_[a-z0-9]+)+$")
-
-
-def current_registry():
-    """Return the active :class:`MetricsRegistry`, or ``None`` when off."""
-    return CURRENT
 
 
 def _check_name(name):
@@ -218,19 +208,12 @@ class MetricsRegistry:
         return "\n".join(lines) if lines else "(no metrics recorded)"
 
 
-@contextmanager
 def collecting(registry=None):
-    """Install *registry* (or a fresh one) as the process-global registry.
+    """Install *registry* (or a fresh one) as ``RUN.metrics``.
 
     Nested collection is rejected for the same reason nested tracing is:
     two live registries would silently split the counts.
     """
-    global CURRENT
-    if CURRENT is not None:
-        raise RuntimeError("a metrics registry is already active")
-    registry = registry if registry is not None else MetricsRegistry()
-    CURRENT = registry
-    try:
-        yield registry
-    finally:
-        CURRENT = None
+    return scoped("metrics",
+                  registry if registry is not None else MetricsRegistry(),
+                  busy=RuntimeError("a metrics registry is already active"))

@@ -26,12 +26,13 @@ can be held against reality (:mod:`repro.obs.drift` is the gate):
   for flamegraph tooling and the speedscope export in
   :mod:`repro.perf.export`.
 
-Like every collector in :mod:`repro.obs`, the profiler is **off by
-default** behind the module-level ``CURRENT is None`` guard:
-``Workflow.run_stage`` checks the slot once per stage, so unprofiled runs
-pay one attribute read.  Enabled, a deep-profiled stage is documented to
-stay within :data:`ENABLED_OVERHEAD_BOUND` of its unprofiled wall time
-(the overhead contract test enforces it).
+The profiler is not ambient: nothing in the pipeline looks for one.
+:func:`deep_profile_run` wraps each ``Workflow.run_stage`` call in
+:meth:`DeepProfiler.stage` itself, so an unprofiled run has no hook to
+check for, and a profile includes ``run_stage``'s own few frames.
+Enabled, a deep-profiled stage is documented to stay within
+:data:`ENABLED_OVERHEAD_BOUND` of its unprofiled wall time (the overhead
+contract test enforces it).
 
 Caveats worth knowing: cumulative time double-counts recursive frames
 (standard deterministic-profiler behavior); the opcode mix assumes each
@@ -55,21 +56,14 @@ from dataclasses import dataclass, field
 from repro.perf.opcodes import OPCODE_CLASSES, classify_opname
 
 __all__ = [
-    "CURRENT",
     "DeepProfiler",
     "ENABLED_OVERHEAD_BOUND",
     "FuncStat",
     "StageDeepProfile",
     "classify_function",
     "deep_profile_run",
-    "profiling",
     "render_deep_profile",
 ]
-
-#: The process-global profiler slot; ``None`` means deep profiling is off.
-#: ``Workflow.run_stage`` reads this module attribute directly, exactly
-#: like ``trace.CURRENT`` / ``spans.CURRENT``.
-CURRENT = None
 
 #: Documented bound on the wall-time slowdown of a deep-profiled stage
 #: versus an unprofiled one (pure-Python call-dense code under a
@@ -185,7 +179,7 @@ class StageDeepProfile:
         return self.functions[:n]
 
     def to_dict(self, top_functions=20, top_stacks=200):
-        """JSON-ready form — the per-stage entry of the ledger's v2
+        """JSON-ready form — the per-stage entry of the ledger record's
         ``profile`` block.  Bounded: only the hottest *top_functions*
         functions and *top_stacks* stacks are persisted."""
         stacks = sorted(self.stacks.items(), key=lambda kv: -kv[1])[:top_stacks]
@@ -303,8 +297,7 @@ class DeepProfiler:
 
     @contextmanager
     def stage(self, name):
-        """Measure one stage.  Installed by ``Workflow.run_stage`` when
-        this profiler is the process-global :data:`CURRENT`."""
+        """Measure everything run inside the ``with`` as stage *name*."""
         if sys.getprofile() is not None:
             raise RuntimeError("a profile hook is already installed")
         col = _Collector()
@@ -399,7 +392,7 @@ class DeepProfiler:
     def measured_blocks(self):
         """``{stage: {"family_shares", "opcode_shares", "wall_s"}}`` — the
         shape :func:`repro.obs.drift.check_drift` consumes (also embedded
-        in every v2 ledger ``profile`` block)."""
+        in every ledger ``profile`` block)."""
         return {
             name: {
                 "wall_s": p.wall_s,
@@ -410,7 +403,7 @@ class DeepProfiler:
         }
 
     def to_profile_block(self, top_functions=20, top_stacks=200):
-        """The ledger's v2 ``profile`` block (bounded, JSON-ready)."""
+        """The ledger record's ``profile`` block (bounded, JSON-ready)."""
         return {
             "profiler": {
                 "backend": BACKEND,
@@ -423,22 +416,6 @@ class DeepProfiler:
                 for name, p in self.stages.items()
             },
         }
-
-
-@contextmanager
-def profiling(profiler=None):
-    """Install *profiler* (or a fresh :class:`DeepProfiler`) as the
-    process-global deep profiler; yields it.  Nested deep profiling is
-    rejected, mirroring :func:`repro.obs.spans.recording`."""
-    global CURRENT
-    if CURRENT is not None:
-        raise RuntimeError("a deep profiler is already active")
-    prof = profiler if profiler is not None else DeepProfiler()
-    CURRENT = prof
-    try:
-        yield prof
-    finally:
-        CURRENT = None
 
 
 def deep_profile_run(curve_name, size, workload="exponentiate", seed=0,
@@ -457,8 +434,8 @@ def deep_profile_run(curve_name, size, workload="exponentiate", seed=0,
     builder, inputs = build_workload(workload, curve, size)
     wf = Workflow(curve, builder, inputs, seed=seed)
     profiler = DeepProfiler(alloc=alloc)
-    with profiling(profiler):
-        for stage in STAGES:
+    for stage in STAGES:
+        with profiler.stage(stage):
             wf.run_stage(stage)
     if wf.accepted is not True:
         raise RuntimeError(

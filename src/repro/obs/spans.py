@@ -19,10 +19,9 @@ Each span records:
   counts (see :func:`attach_counters`), linking the runtime view to the
   modeled one.
 
-Disabled-path cost: ``span()`` first reads the module-level ``CURRENT``
-slot; when it is ``None`` (no :func:`recording` active) the context
-manager yields immediately without touching the clocks — the same
-near-zero-overhead idiom as ``trace.CURRENT``.
+Disabled-path cost: ``span()`` first reads ``RUN.spans`` (the run context,
+docs/ARCHITECTURE.md); when it is ``None`` (no :func:`recording` active)
+the context manager yields immediately without touching the clocks.
 """
 
 from __future__ import annotations
@@ -32,6 +31,8 @@ import gc
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+
+from repro.context import RUN, scoped
 
 try:
     import resource
@@ -50,10 +51,6 @@ __all__ = [
     "span",
     "spanned",
 ]
-
-#: The process-global recorder slot; ``None`` means spans are off.
-CURRENT = None
-
 
 def _rss_peak_kb():
     if resource is None:
@@ -158,7 +155,7 @@ class SpanRecorder:
 
 def current_span():
     """The innermost open :class:`Span`, or ``None`` when not recording."""
-    rec = CURRENT
+    rec = RUN.spans
     return rec.innermost if rec is not None else None
 
 
@@ -169,7 +166,7 @@ def span(name, **meta):
     No-op (yields ``None``) when no :func:`recording` is active, so call
     sites need no guard of their own.
     """
-    rec = CURRENT
+    rec = RUN.spans
     if rec is None:
         yield None
         return
@@ -200,7 +197,7 @@ def spanned(name=None):
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            if CURRENT is None:
+            if RUN.spans is None:
                 return fn(*args, **kwargs)
             with span(label):
                 return fn(*args, **kwargs)
@@ -218,7 +215,7 @@ def attach_counters(counts):
     ledger record carries both the measured and the modeled view.  No-op
     when not recording.
     """
-    rec = CURRENT
+    rec = RUN.spans
     if rec is None:
         return
     target = rec.innermost.counters
@@ -239,7 +236,7 @@ def graft(subtree, offset_s=None, **meta):
     clock, so the offset is the task's envelope-entry time minus the
     recorder's ``t0``).  Extra keyword *meta* lands on the subtree root.
     """
-    rec = CURRENT
+    rec = RUN.spans
     if rec is None:
         return None
     parent = rec.innermost
@@ -260,7 +257,7 @@ def attach_meta(**meta):
     The parallel pool uses this to attach per-worker attribution (pid ->
     tasks/wall/cpu) to its ``parallel:*`` spans.  No-op when not recording.
     """
-    rec = CURRENT
+    rec = RUN.spans
     if rec is None:
         return
     rec.innermost.meta.update(meta)
@@ -268,21 +265,17 @@ def attach_meta(**meta):
 
 @contextmanager
 def recording(label="run"):
-    """Install a fresh :class:`SpanRecorder` as the process-global recorder.
+    """Install a fresh :class:`SpanRecorder` as ``RUN.spans``.
 
     Yields the recorder; its ``root`` span closes when the context exits.
     Nested recording is rejected (one telemetry tree per run).
     """
-    global CURRENT
-    if CURRENT is not None:
-        raise RuntimeError("a span recorder is already active")
-    rec = SpanRecorder(label)
-    CURRENT = rec
-    try:
-        yield rec
-    finally:
-        rec._close(rec.root)
-        CURRENT = None
+    with scoped("spans", SpanRecorder(label),
+                busy=RuntimeError("a span recorder is already active")) as rec:
+        try:
+            yield rec
+        finally:
+            rec._close(rec.root)
 
 
 def render_spans(root):

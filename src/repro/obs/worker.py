@@ -26,27 +26,27 @@ lights it up:
   ``repro_parallel_chunk_imbalance_ratio`` gauges.
 
 The collector accumulates per-task records and per-map windows, renders
-into the ledger's schema-v3 ``workers`` block
-(:meth:`WorkerTelemetry.to_workers_block`), exports to a per-worker-lane
-chrome trace (:func:`repro.perf.export.worker_tasks_to_chrome_trace`),
-and backs ``python -m repro parallel-report``
-(:func:`build_parallel_report`), which turns a measured worker sweep
+into the ledger record's ``workers`` block
+(:meth:`WorkerTelemetry.to_workers_block`; the record shape is described
+in :mod:`repro.obs.ledger`), exports to a per-worker-lane chrome trace
+(:func:`repro.perf.export.worker_tasks_to_chrome_trace`), and backs
+``python -m repro parallel-report`` (:func:`build_parallel_report`),
+which turns a measured worker sweep
 into per-worker busy time, parallel efficiency, imbalance and dispatch
 overhead — cross-checked against the Amdahl fit of the same measured
 wall times (the :mod:`repro.harness.measured` drift-reference pattern).
 
-The process-global ``CURRENT`` slot follows the repo-wide idiom
-(``metrics.CURRENT`` etc.): ``None`` means worker telemetry is off, and
-the pool's dispatch/settle paths pay one attribute read plus an
-``is None`` check.
+The collector lives in ``RUN.tasks`` (the run context,
+docs/ARCHITECTURE.md): ``None`` means worker telemetry is off and the pool
+ships no telemetry context.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from repro.context import scoped
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
@@ -56,10 +56,6 @@ __all__ = [
     "build_parallel_report",
     "collecting_tasks",
 ]
-
-#: The process-global collector slot; ``None`` means worker telemetry is
-#: off and the pool ships no telemetry context.
-CURRENT = None
 
 #: Documented ceiling on how much the *enabled* telemetry path may slow a
 #: worker task down (ratio of telemetered to plain envelope CPU time on a
@@ -211,7 +207,7 @@ class WorkerTelemetry:
                      + total["decode_s"], 6)
 
     def to_workers_block(self):
-        """The ledger schema-v3 ``workers`` block (plain JSON data)."""
+        """The ledger record's ``workers`` block (plain JSON data)."""
         return {
             "backend": self.backend,
             "workers": self.workers,
@@ -228,20 +224,14 @@ class WorkerTelemetry:
         }
 
 
-@contextmanager
 def collecting_tasks(collector=None, label="parallel"):
-    """Install *collector* (or a fresh one) as the process-global worker
-    telemetry collector; the pool then ships telemetry contexts with
-    every task.  Nested collection is rejected like nested metrics."""
-    global CURRENT
-    if CURRENT is not None:
-        raise RuntimeError("a worker telemetry collector is already active")
-    collector = collector if collector is not None else WorkerTelemetry(label)
-    CURRENT = collector
-    try:
-        yield collector
-    finally:
-        CURRENT = None
+    """Install *collector* (or a fresh one) as ``RUN.tasks``; the pool then
+    ships telemetry contexts with every task.  Nested collection is
+    rejected like nested metrics."""
+    return scoped("tasks",
+                  collector if collector is not None else WorkerTelemetry(label),
+                  busy=RuntimeError(
+                      "a worker telemetry collector is already active"))
 
 
 # -- the parallel-efficiency report -------------------------------------------------

@@ -33,10 +33,9 @@ from a serial fault.
 
 from __future__ import annotations
 
+from repro.context import RUN
 from repro.msm.terms import live_terms
-from repro.obs import metrics
 from repro.resilience import faults
-from repro.resilience import retry as resilience
 from repro.resilience.errors import ReproError
 
 __all__ = [
@@ -58,7 +57,7 @@ def _point_in(group, aff):
 
 def _arm_site(site):
     """Arm the fault site (serial cadence) and return ``(spec, ctxs_entry)``."""
-    inj = faults.CURRENT
+    inj = RUN.faults
     if inj is None:
         return None, None
     spec = inj.arm(site)
@@ -94,7 +93,7 @@ def _mark_fired(spec):
     if spec.fired:
         return
     spec.fired = True
-    m = metrics.CURRENT
+    m = RUN.metrics
     if m is not None:
         m.inc("repro_resilience_faults_injected_total")
 
@@ -113,13 +112,13 @@ def msm_parallel(group, points, scalars, pool):
     if not pairs:
         return group.infinity()
 
-    m = metrics.CURRENT
+    m = RUN.metrics
     if m is not None:
         m.observe("repro_msm_points", len(pairs))
         m.inc("repro_parallel_msm_total")
     spec, fault_ctx = _arm_site("msm:pippenger")
-    if resilience.DEADLINE is not None:
-        resilience.DEADLINE.check()
+    if RUN.deadline is not None:
+        RUN.deadline.check()
 
     from repro.parallel.pool import chunk_slices
 
@@ -162,21 +161,21 @@ def ntt_transform_parallel(field, values, root, pool):
     if k < 2:
         from repro.poly.ntt import transform_raw
 
-        if faults.CURRENT is not None:
-            faults.CURRENT.check("ntt:transform")
-        if resilience.DEADLINE is not None:
-            resilience.DEADLINE.check()
+        if RUN.faults is not None:
+            RUN.faults.check("ntt:transform")
+        if RUN.deadline is not None:
+            RUN.deadline.check()
         return transform_raw(list(values), root, r)
 
-    m = metrics.CURRENT
+    m = RUN.metrics
     if m is not None:
         m.inc("repro_ntt_transforms_total")
         m.inc("repro_ntt_butterflies_total", (n >> 1) * (n.bit_length() - 1))
         m.observe("repro_ntt_size", n)
         m.inc("repro_parallel_ntt_total")
     spec, fault_ctx = _arm_site("ntt:transform")
-    if resilience.DEADLINE is not None:
-        resilience.DEADLINE.check()
+    if RUN.deadline is not None:
+        RUN.deadline.check()
 
     sub_root = pow(root, k, r)
     payloads = [
@@ -221,8 +220,8 @@ def witness_levels(circuit):
     if plan is not None:
         return plan
     # Cooperative deadline poll before the O(program) planning sweep.
-    if resilience.DEADLINE is not None:
-        resilience.DEADLINE.check()
+    if RUN.deadline is not None:
+        RUN.deadline.check()
     wire_level = {}
     step_level = []
     for step in circuit.program:
@@ -266,14 +265,14 @@ def run_witness_program(circuit, fr, signals, pool):
 
     program = circuit.program
     modulus = fr.modulus
-    m = metrics.CURRENT
+    m = RUN.metrics
     if m is not None:
         m.inc("repro_parallel_witness_levels_total", 0)
 
     for level in witness_levels(circuit):
         # Poll once per dependency level — between fan-outs, never inside.
-        if resilience.DEADLINE is not None:
-            resilience.DEADLINE.check()
+        if RUN.deadline is not None:
+            RUN.deadline.check()
         muls = []
         for idx in level:
             step = program[idx]
@@ -344,7 +343,7 @@ def fixed_base_mul_many(table, scalars, pool):
         }
         for start, stop in chunk_slices(len(scalars), pool.workers)
     ]
-    m = metrics.CURRENT
+    m = RUN.metrics
     if m is not None:
         m.inc("repro_parallel_fixed_base_total")
     chunks, _ = pool.map("fixed_base_chunk", payloads, label="fixed_base")
@@ -366,8 +365,8 @@ def batch_verify_parallel(vk, batch, rng, pool):
     from repro.parallel.pool import chunk_slices
 
     vk_blob = vk_to_bytes(vk)
-    if resilience.DEADLINE is not None:
-        resilience.DEADLINE.check()
+    if RUN.deadline is not None:
+        RUN.deadline.check()
     payloads = []
     for start, stop in chunk_slices(len(batch), pool.workers):
         chunk = batch[start:stop]
@@ -376,7 +375,7 @@ def batch_verify_parallel(vk, batch, rng, pool):
             "proofs": [(proof_to_bytes(p), list(publics)) for p, publics in chunk],
             "seed": rng.getrandbits(64),
         })
-    m = metrics.CURRENT
+    m = RUN.metrics
     if m is not None:
         m.inc("repro_parallel_batch_verify_total")
     results, _ = pool.map("batch_verify_chunk", payloads, label="batch_verify")

@@ -11,9 +11,9 @@ backends share one contract:
 ``process``
     A lazily created ``multiprocessing`` pool.  Workers are forked, so
     they inherit the parent's loaded modules for free; the task envelope
-    then *resets every process-global instrumentation slot* (trace,
-    metrics, spans, profiler, faults, retry policy/deadline) so a worker
-    never double-reports into telemetry the parent also records.
+    then *clears the run context* (``RUN.clear()``: tracer, metrics,
+    spans, worker telemetry, pool, faults, deadline) so a worker never
+    double-reports into telemetry the parent also records.
 
 The error contract — the part the resilience layer depends on — is that
 exceptions never cross the process boundary as pickled tracebacks.  The
@@ -31,7 +31,7 @@ cannot inherit: the remaining seconds of the parent's cooperative
 *inside* the worker (see ``FaultInjector.arm``).
 
 When a :class:`~repro.obs.worker.WorkerTelemetry` collector is installed
-(``obs.worker.CURRENT``), the same context additionally carries
+(``RUN.tasks``), the same context additionally carries
 ``telemetry: True`` plus a dispatch timestamp, and the envelope answers
 with an opt-in telemetry block: per-task wall/CPU time, peak-RSS delta,
 queue wait, payload decode / result encode timings and byte sizes, the
@@ -40,11 +40,11 @@ task's metric deltas (captured under a fresh registry, so the snapshot
 blocks back into the parent — ``MetricsRegistry.merge``, span grafting
 under the dispatching span, pool-level queue-wait/task-wall histograms
 and utilization/imbalance gauges — so the worker layer stops being a
-telemetry black box without giving up the hard reset
-(``_reset_worker_globals``) that keeps untelemetered workers silent.
+telemetry black box without giving up the hard reset that keeps
+untelemetered workers silent.
 
-The process-global ``CURRENT`` slot follows the repo-wide idiom
-(``trace.CURRENT`` etc.): kernels ask :func:`active_pool` and stay on the
+The installed pool is ``RUN.pool`` (the run context,
+docs/ARCHITECTURE.md): kernels ask :func:`active_pool` and stay on the
 serial path when it returns ``None`` or the pool has one worker.
 """
 
@@ -56,6 +56,9 @@ import threading
 import time
 from contextlib import contextmanager, nullcontext
 
+from repro.context import RUN, scoped
+from repro.obs import metrics, spans
+from repro.resilience import faults
 from repro.resilience import retry as resilience
 from repro.resilience.errors import (
     AdmissionError,
@@ -79,9 +82,6 @@ __all__ = [
     "using",
     "workers_from_env",
 ]
-
-#: The process-global pool slot; ``None`` means parallel execution is off.
-CURRENT = None
 
 #: Environment variable read by :func:`workers_from_env` (the no-flag way
 #: to turn the backend on: ``REPRO_WORKERS=4 python -m repro prove ...``).
@@ -177,31 +177,9 @@ def decode_error(enc, task=None):
 # -- worker side -------------------------------------------------------------------
 
 
-def _reset_worker_globals():
-    """Clear every process-global instrumentation slot a forked worker
-    inherited.  The parent owns telemetry; workers compute."""
-    global CURRENT
-    from repro.obs import ledger, metrics, prof, spans
-    from repro.obs import worker as obs_worker
-    from repro.perf import trace
-    from repro.resilience import faults
-
-    trace.CURRENT = None
-    metrics.CURRENT = None
-    spans.CURRENT = None
-    prof.CURRENT = None
-    ledger.CURRENT = None
-    obs_worker.CURRENT = None
-    faults.CURRENT = None
-    resilience.CURRENT = None
-    resilience.DEADLINE = None
-    CURRENT = None
-
-
 def _run_task(fn_name, payload, ctx):
     """Look up and run one registry task under the shipped context."""
     from repro.parallel import tasks
-    from repro.resilience import faults
 
     fn = tasks.TASKS.get(fn_name)
     if fn is None:
@@ -220,7 +198,7 @@ def _run_task(fn_name, payload, ctx):
         return run(), []
     # Re-arm the shipped fault spec in this worker.  The parent already
     # matched the hit cadence, so the spec fires on the first site check
-    # here (hit=1); ``injecting`` is safe because worker globals are clear.
+    # here (hit=1); ``injecting`` is safe because the run context is clear.
     spec = faults.FaultSpec(fault["site"], fault["kind"], hit=1)
     with faults.injecting([spec]):
         result = run()
@@ -233,14 +211,12 @@ def _run_task_telemetered(fn_name, payload, ctx, wall0):
     Only reached when the parent shipped ``telemetry: True`` (a
     :class:`~repro.obs.worker.WorkerTelemetry` collector is installed), so
     the plain path in :func:`_worker_envelope` stays untouched.  The task
-    runs under a *fresh* metrics registry and span recorder — worker
-    globals were just reset, so installing them cannot nest — which makes
+    runs under a *fresh* metrics registry and span recorder — the run
+    context was just cleared, so installing them cannot nest — which makes
     the shipped snapshot exactly the task's delta.  Returns
     ``(value, fired, telemetry_block)``; the result-encode fields are
     filled in by the envelope after the task clocks stop.
     """
-    from repro.obs import metrics, spans
-
     sent = ctx.get("sent_ts")
     tel = {
         "t0": wall0,
@@ -272,7 +248,7 @@ def _worker_envelope(job):
     plain dict; never lets an exception propagate to the pool machinery.
     """
     fn_name, payload, ctx = job
-    _reset_worker_globals()
+    RUN.clear()
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
     tel = None
@@ -418,9 +394,6 @@ class WorkerPool:
         error after all tasks settle.  Returns ``(results, fired)`` where
         *fired* lists fault-spec dicts that fired inside workers.
         """
-        from repro.obs import spans
-        from repro.obs import worker as obs_worker
-
         if self._closed:
             # Both backends refuse new work after close(); the process
             # path would raise from _ensure_pool anyway, the serial path
@@ -429,11 +402,11 @@ class WorkerPool:
         payloads = list(payloads)
         if not payloads:
             return [], []
-        tel = obs_worker.CURRENT
+        tel = RUN.tasks
         base_ctx = {}
-        if resilience.DEADLINE is not None:
+        if RUN.deadline is not None:
             base_ctx["deadline_s"] = max(
-                0.001, resilience.DEADLINE.seconds - resilience.DEADLINE.elapsed()
+                0.001, RUN.deadline.seconds - RUN.deadline.elapsed()
             )
         ship_telemetry = tel is not None and self.backend == "process"
         jobs = []
@@ -471,9 +444,9 @@ class WorkerPool:
                                 parent_encode=parent_encode)
 
     def _run_serial(self, job, telemetry=False):
-        """Inline execution with the same envelope semantics, minus the
-        telemetry-slot reset (we *are* the parent process).  The pool slot
-        alone is cleared so an inline task never re-enters a kernel.
+        """Inline execution with the same envelope semantics, minus
+        ``RUN.clear()`` (we *are* the parent process).  ``RUN.pool`` alone
+        is hidden so an inline task never re-enters a kernel.
 
         With *telemetry* on, the envelope grows a light telemetry block:
         the parent's registry and span recorder are already live (nested
@@ -482,37 +455,31 @@ class WorkerPool:
         execution can still measure — the peak-RSS delta and zeroed wire
         costs (nothing crosses a process boundary).
         """
-        global CURRENT
         fn_name, payload, ctx = job
-        from repro.obs import spans
         from repro.parallel import tasks
-        from repro.resilience import faults
 
         wall0 = time.perf_counter()
         cpu0 = time.process_time()
         rss0 = spans._rss_peak_kb() if telemetry else 0
         fired = []
-        prev_pool = CURRENT
-        # codelint: ignore[RC103] -- serial backend: parent-side save/restore
-        CURRENT = None
         try:
-            fn = tasks.TASKS.get(fn_name)
-            if fn is None:
-                raise WorkerCrash(f"unknown worker task {fn_name!r}", task=fn_name)
-            fault = (ctx or {}).get("fault")
-            if fault is not None:
-                fired = [dict(fault, fired=True)]
-                raise faults.make_fault(
-                    faults.FaultSpec(fault["site"], fault["kind"], hit=1))
-            if telemetry:
-                with spans.span(f"task:{fn_name}"):
+            with scoped("pool", None):
+                fn = tasks.TASKS.get(fn_name)
+                if fn is None:
+                    raise WorkerCrash(f"unknown worker task {fn_name!r}",
+                                      task=fn_name)
+                fault = (ctx or {}).get("fault")
+                if fault is not None:
+                    fired = [dict(fault, fired=True)]
+                    raise faults.make_fault(
+                        faults.FaultSpec(fault["site"], fault["kind"], hit=1))
+                if telemetry:
+                    with spans.span(f"task:{fn_name}"):
+                        ok, out = True, fn(payload)
+                else:
                     ok, out = True, fn(payload)
-            else:
-                ok, out = True, fn(payload)
         except BaseException as exc:  # noqa: BLE001
             ok, out = False, encode_error(exc)
-        finally:
-            CURRENT = prev_pool  # codelint: ignore[RC103] -- restores the saved slot
         env = {
             "ok": ok, "value": out, "fired": fired, "pid": os.getpid(),
             "wall_s": time.perf_counter() - wall0,
@@ -534,14 +501,12 @@ class WorkerPool:
 
     def _settle(self, envelopes, fn_name, label=None, telemetry=None,
                 map_start=None, parent_encode=None):
-        from repro.obs import metrics, spans
-
         results = []
         first_err = None
         fired = []
         by_pid = {}
         task_records = []
-        m = metrics.CURRENT
+        m = RUN.metrics
         for i, env in enumerate(envelopes):
             fired.extend(env.get("fired") or [])
             stats = self.worker_stats.setdefault(
@@ -569,7 +534,7 @@ class WorkerPool:
         if m is not None:
             m.inc("repro_parallel_maps_total")
             m.inc("repro_parallel_tasks_total", len(envelopes))
-        if spans.CURRENT is not None:
+        if RUN.spans is not None:
             spans.attach_meta(**{
                 f"parallel:{label or fn_name}": {
                     "backend": self.backend,
@@ -598,9 +563,6 @@ class WorkerPool:
         """Fold one envelope's telemetry block into the parent's live
         telemetry (metrics merge, span graft, pool histograms) and return
         the task record for the collector."""
-        from repro.obs import spans
-        from repro.obs.metrics import TIME_BUCKETS
-
         rec = {
             "pid": env["pid"],
             "task": fn_name,
@@ -624,7 +586,7 @@ class WorkerPool:
                 if m is not None:
                     m.merge(tb["metrics"])
                 telemetry.merge_metrics(tb["metrics"])
-            rec_now = spans.CURRENT
+            rec_now = RUN.spans
             if rec_now is not None:
                 if tb.get("spans") is not None:
                     spans.graft(tb["spans"],
@@ -632,10 +594,10 @@ class WorkerPool:
                                 worker_pid=env["pid"])
         if m is not None:
             m.observe("repro_parallel_task_wall_seconds", env["wall_s"],
-                      buckets=TIME_BUCKETS)
+                      buckets=metrics.TIME_BUCKETS)
             if tb is not None:
                 m.observe("repro_parallel_queue_wait_seconds",
-                          tb["queue_wait_s"], buckets=TIME_BUCKETS)
+                          tb["queue_wait_s"], buckets=metrics.TIME_BUCKETS)
         return rec
 
 
@@ -645,34 +607,19 @@ class WorkerPool:
 def active_pool():
     """The installed pool when parallel execution should engage, else
     ``None`` — also under a tracer (the pinning rule, docs/KERNELS.md)."""
-    pool = CURRENT
-    if pool is None:
-        return None
-    from repro.perf import trace
-
-    if trace.CURRENT is not None:
-        return None
-    return pool
+    return RUN.pool if RUN.tracer is None else None
 
 
-@contextmanager
 def using(pool):
-    """Install an existing :class:`WorkerPool` as ``CURRENT``.
+    """Install an existing :class:`WorkerPool` as ``RUN.pool``.
 
     Reentrant for the *same* pool (the workflow wraps every stage; nested
     kernels re-enter); a different pool underneath an active one is a bug.
     """
-    global CURRENT
-    if pool is None or CURRENT is pool:
-        yield pool
-        return
-    if CURRENT is not None:
-        raise PoolStateError("a worker pool is already active")
-    CURRENT = pool
-    try:
-        yield pool
-    finally:
-        CURRENT = None
+    if pool is None or RUN.pool is pool:
+        return nullcontext(pool)
+    return scoped("pool", pool,
+                  busy=PoolStateError("a worker pool is already active"))
 
 
 @contextmanager

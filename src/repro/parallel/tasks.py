@@ -18,7 +18,7 @@ bit-identical to the serial algorithms.
 
 from __future__ import annotations
 
-from repro.resilience import retry as resilience
+from repro.context import RUN
 
 __all__ = ["TASKS", "resolve_group"]
 
@@ -70,12 +70,11 @@ def ntt_sub(payload):
     here) and the cooperative deadline, then runs the raw serial kernel.
     """
     from repro.poly.ntt import transform_raw
-    from repro.resilience import faults
 
-    if faults.CURRENT is not None:
-        faults.CURRENT.check("ntt:transform")
-    if resilience.DEADLINE is not None:
-        resilience.DEADLINE.check()
+    if RUN.faults is not None:
+        RUN.faults.check("ntt:transform")
+    if RUN.deadline is not None:
+        RUN.deadline.check()
     return transform_raw(payload["values"], payload["root"], payload["modulus"])
 
 
@@ -148,13 +147,20 @@ def batch_verify_chunk(payload):
 
 def selftest_square(payload):
     """Trivial task for pool contract tests (also checks a fault site)."""
-    from repro.resilience import faults
-
-    if faults.CURRENT is not None:
-        faults.CURRENT.check("parallel:selftest")
-    if resilience.DEADLINE is not None:
-        resilience.DEADLINE.check()
+    if RUN.faults is not None:
+        RUN.faults.check("parallel:selftest")
+    if RUN.deadline is not None:
+        RUN.deadline.check()
     return payload["x"] * payload["x"]
+
+
+def selftest_context(payload):
+    """``id()`` of every attached run-context field where the task runs,
+    ``None`` for detached ones (the worker-reset contract,
+    tests/test_context.py)."""
+    attached = ((name, getattr(RUN, name)) for name in RUN.__slots__)
+    return {name: value if value is None else id(value)
+            for name, value in attached}
 
 
 def selftest_fail(payload):
@@ -178,5 +184,6 @@ TASKS = {
     "fixed_base_chunk": fixed_base_chunk,
     "batch_verify_chunk": batch_verify_chunk,
     "selftest_square": selftest_square,
+    "selftest_context": selftest_context,
     "selftest_fail": selftest_fail,
 }

@@ -25,9 +25,9 @@ The façade :mod:`repro.perf.analysis` runs all four analyses over a traced
 stage in one call.
 """
 
-from repro.perf.trace import Tracer, current_tracer, tracing
+from repro.perf.trace import Tracer, tracing
 
-__all__ = ["Tracer", "current_tracer", "tracing"]
+__all__ = ["Tracer", "tracing"]
 
 # Analysis entry points are imported lazily by consumers
 # (repro.perf.analysis / repro.perf.advisor) to keep this package — which

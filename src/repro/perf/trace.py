@@ -3,14 +3,15 @@
 The paper observes the circom/snarkjs stack with VTune, ``perf`` and
 DynamoRIO.  This reproduction instead instruments its own ZKP implementation
 directly: hot primitives (big-integer field operations, copies, allocations,
-loop control) report themselves to a process-global :class:`Tracer`, and the
-kernels additionally report the *addresses* their major data structures touch
-and the *parallel structure* of their loops.
+loop control) report themselves to the :class:`Tracer` in ``RUN.tracer``
+(the run context, docs/ARCHITECTURE.md), and the kernels additionally
+report the *addresses* their major data structures touch and the *parallel
+structure* of their loops.
 
 Design constraints honoured here:
 
 - **Near-zero cost when disabled.**  Every instrumentation site guards on
-  ``trace.CURRENT is None`` so that untraced runs (correctness tests, plain
+  ``RUN.tracer is None`` so that untraced runs (correctness tests, plain
   proving) stay fast.
 - **Bounded event volume.**  Per-primitive *counts* are aggregated in place;
   only memory accesses produce an event list, and kernels may emit *burst*
@@ -31,45 +32,30 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from repro.context import scoped
+
 __all__ = [
     "AddressSpace",
     "MemEvent",
     "RegionRecord",
     "Tracer",
-    "current_tracer",
     "tracing",
 ]
-
-# The process-global tracer slot.  Instrumentation sites read this module
-# attribute directly (``trace.CURRENT``); ``None`` means tracing is off.
-CURRENT = None
 
 #: Size in bytes of one cache line in the simulated machines (all three CPUs
 #: in Table I use 64-byte lines).
 CACHE_LINE = 64
 
 
-def current_tracer():
-    """Return the active :class:`Tracer`, or ``None`` when tracing is off."""
-    return CURRENT
-
-
-@contextmanager
 def tracing(tracer):
-    """Install *tracer* as the process-global tracer for the duration.
+    """Install *tracer* as ``RUN.tracer`` for the duration.
 
     Nested tracing is rejected: the harness runs every protocol stage under
     its own fresh tracer, and silently stacking tracers would double-count
     work.
     """
-    global CURRENT
-    if CURRENT is not None:
-        raise RuntimeError("a tracer is already active; nested tracing is not supported")
-    CURRENT = tracer
-    try:
-        yield tracer
-    finally:
-        CURRENT = None
+    return scoped("tracer", tracer, busy=RuntimeError(
+        "a tracer is already active; nested tracing is not supported"))
 
 
 # Memory event layout (plain tuples for speed):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.perf import trace
+from repro.context import RUN
 from repro.plonk.setup import SELECTOR_NAMES
 from repro.plonk.transcript import Transcript
 from repro.poly.domain import EvaluationDomain
@@ -80,7 +80,7 @@ def plonk_prove(pre, values, rng):
     domain = pre.domain
     kzg = pre.kzg
     compiled = pre.compiled
-    t = trace.CURRENT
+    t = RUN.tracer
 
     bad = compiled.check(values)
     if bad is not None:

@@ -12,10 +12,7 @@ NTT, and the source of the proving stage's bandwidth demand in Table III.
 
 from __future__ import annotations
 
-from repro.obs import metrics
-from repro.perf import trace
-from repro.resilience import faults
-from repro.resilience import retry as resilience
+from repro.context import RUN
 
 __all__ = ["ntt", "intt", "coset_ntt", "coset_intt", "bit_reverse_permute",
            "transform_raw"]
@@ -79,7 +76,7 @@ def _transform(field, values, root, tracer_label):
         raise ValueError(f"NTT length must be a power of two, got {n}")
     if n <= 1:
         return values
-    t = trace.CURRENT
+    t = RUN.tracer
     if t is None:
         # Parallel fast path: decimated sub-transforms in the worker pool
         # (never under a tracer — the analytical model sees the serial
@@ -94,15 +91,15 @@ def _transform(field, values, root, tracer_label):
             return ntt_transform_parallel(field, values, root, pool)
     # One metrics check per transform — amortized over (n/2)·log2(n)
     # butterflies, so the disabled path stays on the fast branch below.
-    m = metrics.CURRENT
+    m = RUN.metrics
     if m is not None:
         m.inc("repro_ntt_transforms_total")
         m.inc("repro_ntt_butterflies_total", (n >> 1) * (n.bit_length() - 1))
         m.observe("repro_ntt_size", n)
-    if faults.CURRENT is not None:
-        faults.CURRENT.check("ntt:transform")
-    if resilience.DEADLINE is not None:
-        resilience.DEADLINE.check()
+    if RUN.faults is not None:
+        RUN.faults.check("ntt:transform")
+    if RUN.deadline is not None:
+        RUN.deadline.check()
     r = field.modulus
     if t is None:
         # Untraced fast path: raw modular arithmetic.
@@ -146,7 +143,7 @@ def intt(field, evals, domain):
     out = _transform(field, list(evals), domain.omega_inv, "intt")
     n_inv = domain.n_inv
     r = field.modulus
-    t = trace.CURRENT
+    t = RUN.tracer
     if t is None:
         return [v * n_inv % r for v in out]
     with t.region("intt_scale", parallel=True, items=len(out)):
@@ -156,7 +153,7 @@ def intt(field, evals, domain):
 def _coset_scale(field, values, g):
     """Scale ``values[i] *= g^i`` (entering/leaving the evaluation coset)."""
     r = field.modulus
-    t = trace.CURRENT
+    t = RUN.tracer
     out = [0] * len(values)
     acc = 1
     if t is None:

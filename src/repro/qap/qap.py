@@ -22,10 +22,10 @@ test-suite's equivalence checks.
 
 from __future__ import annotations
 
+from repro.context import RUN
 from repro.poly.domain import EvaluationDomain
 from repro.poly.ntt import coset_intt, coset_ntt, intt
 from repro.poly.polynomial import Polynomial
-from repro.perf import trace
 from repro.resilience.errors import ArtifactCorruption
 
 __all__ = ["qap_domain", "column_evaluations_at", "column_polynomials", "compute_h"]
@@ -44,7 +44,7 @@ def column_evaluations_at(r1cs, domain, tau):
     way snarkjs' setup walks the constraint matrices once.
     """
     f = r1cs.fr
-    t = trace.CURRENT
+    t = RUN.tracer
     lag = domain.lagrange_at(tau)
     u = [0] * r1cs.n_wires
     v = [0] * r1cs.n_wires
@@ -123,7 +123,7 @@ def compute_h(r1cs, witness, domain):
     """
     f = r1cs.fr
     n = domain.size
-    t = trace.CURRENT
+    t = RUN.tracer
 
     az = [0] * n
     bz = [0] * n

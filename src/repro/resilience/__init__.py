@@ -10,13 +10,13 @@ package makes failure a modeled, observable event:
     ``ArtifactCorruption``, ``ResourceExhausted``, terminal
     ``StageError`` — and the ``is_retryable`` policy line.
 :mod:`repro.resilience.faults`
-    Deterministic seeded fault injection behind a ``CURRENT is None``
-    guard, with sites at every stage boundary and in the MSM/NTT/
-    serialize hot paths.
+    Deterministic seeded fault injection behind a ``RUN.faults is None``
+    guard (the run context, docs/ARCHITECTURE.md), with sites at every
+    stage boundary and in the MSM/NTT/serialize hot paths.
 :mod:`repro.resilience.retry`
     Exponential backoff with seeded jitter, cooperative per-stage
     deadlines, and the :class:`~repro.resilience.retry.ResiliencePolicy`
-    that ``Workflow.run_stage`` consults.
+    a ``Workflow`` is given (``policy=``).
 :mod:`repro.resilience.checkpoint`
     Checksummed pickle payloads and per-cell sweep checkpoints under
     ``results/checkpoints/`` (``python -m repro sweep --resume``).
@@ -62,7 +62,6 @@ from repro.resilience.retry import (
     Deadline,
     ResiliencePolicy,
     RetryPolicy,
-    resilient,
     with_retry,
 )
 
@@ -87,7 +86,6 @@ __all__ = [
     "injecting",
     "is_retryable",
     "read_checksummed",
-    "resilient",
     "resilient_msm",
     "run_with_memory_guard",
     "schedule",

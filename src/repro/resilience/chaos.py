@@ -1,9 +1,10 @@
 """Seeded chaos driver: run the pipeline under a fault schedule.
 
 ``run_chaos`` derives a deterministic fault plan from a seed, installs
-the injector, a fresh metrics registry and a retry/deadline policy, runs
-the full five-stage workflow plus a proof/vk serialization round-trip,
-and reduces what happened to a :class:`ChaosReport`:
+the injector and a fresh metrics registry, gives the workflow a
+retry/deadline policy, runs the full five stages plus a proof/vk
+serialization round-trip, and reduces what happened to a
+:class:`ChaosReport`:
 
 - ``recovered`` — every injected fault was absorbed (retried or
   degraded; the counters say which) and the final proof verified;
@@ -24,12 +25,7 @@ import json
 from repro.obs import metrics
 from repro.resilience import faults
 from repro.resilience.errors import ReproError, StageError
-from repro.resilience.retry import (
-    ResiliencePolicy,
-    RetryPolicy,
-    resilient,
-    with_retry,
-)
+from repro.resilience.retry import ResiliencePolicy, RetryPolicy, with_retry
 
 __all__ = ["ChaosReport", "run_chaos"]
 
@@ -118,16 +114,16 @@ def run_chaos(seed=0, n_faults=3, curve="bn128", size=32,
         plan = faults.schedule(seed, n_faults, sites=sites or faults.ALL_SITES)
     curve_obj = get_curve(curve)
     builder, inputs = build_workload(workload, curve_obj, size)
-    wf = Workflow(curve_obj, builder, inputs, seed=seed, workers=workers)
     # sleep=None: chaos replays the backoff *schedule* without paying the
     # wall-clock for it, keeping CI smoke runs fast and deterministic.
     policy = ResiliencePolicy(
         retry=RetryPolicy(max_attempts=max_attempts, seed=seed, sleep=None))
+    wf = Workflow(curve_obj, builder, inputs, seed=seed, workers=workers,
+                  policy=policy)
     registry = metrics.MetricsRegistry()
 
     status, error = "recovered", None
-    with metrics.collecting(registry), faults.injecting(plan), \
-            resilient(policy):
+    with metrics.collecting(registry), faults.injecting(plan):
         try:
             wf.run_all()
 

@@ -31,7 +31,7 @@ import json
 import os
 import pickle
 
-from repro.obs import metrics
+from repro.context import RUN
 from repro.resilience.errors import ArtifactCorruption
 
 __all__ = [
@@ -117,7 +117,7 @@ class CellStore:
         path = os.path.join(self.dir, name)
         if not os.path.exists(path):
             return None
-        m = metrics.CURRENT
+        m = RUN.metrics
         try:
             cell = read_checksummed(path)
         except ArtifactCorruption:

@@ -20,7 +20,7 @@ each observable through ``repro_resilience_*`` metrics:
 
 from __future__ import annotations
 
-from repro.obs import metrics
+from repro.context import RUN
 from repro.resilience.errors import ResourceExhausted, TransientFault
 
 __all__ = [
@@ -45,7 +45,7 @@ def resilient_msm(group, points, scalars):
     try:
         return msm_auto(group, points, scalars)
     except TransientFault:
-        m = metrics.CURRENT
+        m = RUN.metrics
         if m is not None:
             m.inc("repro_resilience_msm_fallbacks_total")
         return msm_naive(group, points, scalars)
@@ -62,7 +62,7 @@ def batch_verify_bisect(vk, proofs_with_publics, rng):
     from repro.groth16.verifier import verify
 
     batch = list(proofs_with_publics)
-    m = metrics.CURRENT
+    m = RUN.metrics
     if len(batch) == 1:
         # A paced service's median batch: the fold would cost four scalar
         # multiplications and a fourth pairing leg more than ``verify``.
@@ -102,7 +102,7 @@ def run_with_memory_guard(run_cell, mem_sample, max_downshifts=3, factor=8):
     *factor* on each :class:`ResourceExhausted` (at most *max_downshifts*
     times; the last failure propagates).  Returns
     ``(result, effective_mem_sample)``."""
-    m = metrics.CURRENT
+    m = RUN.metrics
     for shift in range(max_downshifts + 1):
         try:
             return run_cell(mem_sample), mem_sample

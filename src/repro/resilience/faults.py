@@ -1,15 +1,15 @@
 """Deterministic, seeded fault injection.
 
 The chaos machinery of the resilience layer: a :class:`FaultInjector`
-installed in the process-global ``CURRENT`` slot (the same idiom as
-``trace.CURRENT`` / ``metrics.CURRENT``) arms a *plan* of
-:class:`FaultSpec` entries, and instrumented **sites** — every stage
-boundary plus the MSM/NTT/serialize hot paths — ask it whether to fail:
+installed as ``RUN.faults`` (the run context, docs/ARCHITECTURE.md) arms a
+*plan* of :class:`FaultSpec` entries, and instrumented **sites** — every
+stage boundary plus the MSM/NTT/serialize hot paths — ask it whether to
+fail:
 
-    if faults.CURRENT is not None:
-        faults.CURRENT.check("msm:pippenger")
+    if RUN.faults is not None:
+        RUN.faults.check("msm:pippenger")
 
-A disabled site costs one module-attribute load and an ``is None`` test,
+A disabled site costs one attribute load and an ``is None`` test,
 so production runs pay nothing.  Each spec names a site, a fault kind from
 the :mod:`repro.resilience.errors` taxonomy, and the 1-based invocation of
 that site at which it fires; it fires **once** and is then consumed, which
@@ -21,9 +21,8 @@ reproducible end to end (``python -m repro chaos --seed 0 --faults 4``).
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
 
-from repro.obs import metrics
+from repro.context import RUN, scoped
 from repro.resilience.errors import (
     ArtifactCorruption,
     ResourceExhausted,
@@ -41,9 +40,6 @@ __all__ = [
     "make_fault",
     "schedule",
 ]
-
-#: The process-global injector slot; ``None`` means injection is off.
-CURRENT = None
 
 #: Fault kind -> taxonomy class raised at the site.
 KINDS = {
@@ -113,7 +109,7 @@ class FaultInjector:
             if spec.fired or spec.site != site or spec.hit != n:
                 continue
             spec.fired = True
-            m = metrics.CURRENT
+            m = RUN.metrics
             if m is not None:
                 m.inc("repro_resilience_faults_injected_total")
             raise _make_fault(spec)
@@ -177,16 +173,9 @@ def schedule(seed, n_faults, sites=PIPELINE_SITES, kinds=None, max_hit=2):
     return plan
 
 
-@contextmanager
 def injecting(plan_or_injector):
-    """Install a :class:`FaultInjector` (or wrap a plan) as ``CURRENT``."""
-    global CURRENT
-    if CURRENT is not None:
-        raise RuntimeError("a fault injector is already active")
+    """Install a :class:`FaultInjector` (or wrap a plan) as ``RUN.faults``."""
     inj = (plan_or_injector if isinstance(plan_or_injector, FaultInjector)
            else FaultInjector(plan_or_injector))
-    CURRENT = inj
-    try:
-        yield inj
-    finally:
-        CURRENT = None
+    return scoped("faults", inj,
+                  busy=RuntimeError("a fault injector is already active"))

@@ -4,15 +4,13 @@
 jitter — two runs with the same seed sleep the same schedule, keeping
 chaos runs reproducible.  :class:`Deadline` is a cooperative per-stage
 time budget: the hot kernels (MSM window loop, NTT transforms) poll
-``retry.DEADLINE`` between parallel passes, so a stage that blows its
+``RUN.deadline`` between parallel passes, so a stage that blows its
 budget raises :class:`~repro.resilience.errors.StageTimeout` from inside
 the work rather than being silently awaited forever.
 
-:class:`ResiliencePolicy` binds the two and is what
-``Workflow.run_stage`` consults through the process-global ``CURRENT``
-slot (installed with :func:`resilient`, the same ``is None``-guarded
-idiom as tracing/metrics): when no policy is active the workflow behaves
-exactly as before; when one is, every stage runs under
+:class:`ResiliencePolicy` binds the two and is what ``Workflow`` is given
+(``Workflow(..., policy=)``): without one the workflow runs each stage
+body once; with one, every stage runs under
 :meth:`ResiliencePolicy.execute_stage` — fault-site check, deadline
 scope, retry loop, and a terminal
 :class:`~repro.resilience.errors.StageError` wrap.
@@ -22,10 +20,8 @@ from __future__ import annotations
 
 import random
 import time
-from contextlib import contextmanager
 
-from repro.obs import metrics
-from repro.resilience import faults
+from repro.context import RUN, scoped
 from repro.resilience.errors import StageError, StageTimeout, is_retryable
 
 __all__ = [
@@ -33,16 +29,8 @@ __all__ = [
     "ResiliencePolicy",
     "RetryPolicy",
     "deadline_scope",
-    "resilient",
     "with_retry",
 ]
-
-#: The process-global policy slot consulted by ``Workflow.run_stage``.
-CURRENT = None
-
-#: The active cooperative deadline (or ``None``); polled by hot kernels as
-#: ``if retry.DEADLINE is not None: retry.DEADLINE.check()``.
-DEADLINE = None
 
 
 class RetryPolicy:
@@ -93,7 +81,7 @@ def with_retry(fn, policy=None, label="call"):
     """Run ``fn()`` under *policy*, re-attempting retryable taxonomy
     faults; the last failure propagates unchanged."""
     policy = policy or DEFAULT_POLICY
-    m = metrics.CURRENT
+    m = RUN.metrics
     for attempt in range(1, policy.max_attempts + 1):
         try:
             return fn()
@@ -127,7 +115,7 @@ class Deadline:
     def check(self):
         elapsed = self.elapsed()
         if elapsed > self.seconds:
-            m = metrics.CURRENT
+            m = RUN.metrics
             if m is not None:
                 m.inc("repro_resilience_deadline_expirations_total")
             raise StageTimeout(
@@ -137,17 +125,12 @@ class Deadline:
             )
 
 
-@contextmanager
 def deadline_scope(seconds, stage=None):
-    """Install a :class:`Deadline` in the ``DEADLINE`` slot (nested scopes
-    keep the tighter—outer—deadline visible again on exit)."""
-    global DEADLINE
-    previous = DEADLINE
-    DEADLINE = Deadline(seconds, stage=stage) if seconds is not None else previous
-    try:
-        yield DEADLINE
-    finally:
-        DEADLINE = previous
+    """Install a :class:`Deadline` as ``RUN.deadline`` (nested scopes keep
+    the tighter—outer—deadline visible again on exit); ``None`` seconds
+    leaves the current one in place."""
+    return scoped("deadline", Deadline(seconds, stage=stage)
+                  if seconds is not None else RUN.deadline)
 
 
 class ResiliencePolicy:
@@ -165,13 +148,13 @@ class ResiliencePolicy:
         taxonomy fault chained."""
         last = None
         attempts = 0
-        m = metrics.CURRENT
+        m = RUN.metrics
         for attempt in range(1, self.retry.max_attempts + 1):
             attempts = attempt
             try:
                 with deadline_scope(self.deadlines.get(stage), stage=stage) as dl:
-                    if faults.CURRENT is not None:
-                        faults.CURRENT.check(f"stage:{stage}")
+                    if RUN.faults is not None:
+                        RUN.faults.check(f"stage:{stage}")
                     artifact = impl()
                     # Post-hoc enforcement for stages whose body never
                     # reaches a cooperative poll point.
@@ -190,17 +173,3 @@ class ResiliencePolicy:
         if m is not None:
             m.inc("repro_resilience_giveups_total")
         raise StageError(stage, last, attempts=attempts) from last
-
-
-@contextmanager
-def resilient(policy=None, **kwargs):
-    """Install a :class:`ResiliencePolicy` (built from *kwargs* when not
-    given) as the process-global stage-execution policy."""
-    global CURRENT
-    if CURRENT is not None:
-        raise RuntimeError("a resilience policy is already active")
-    CURRENT = policy if policy is not None else ResiliencePolicy(**kwargs)
-    try:
-        yield CURRENT
-    finally:
-        CURRENT = None

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 
-from repro.obs import metrics
+from repro.context import RUN
 
 __all__ = ["CircuitBreaker"]
 
@@ -70,7 +70,7 @@ class CircuitBreaker:
     def record_success(self):
         """A pool-executed job finished: close the breaker."""
         if self._opened_at is not None or self._failures:
-            m = metrics.CURRENT
+            m = RUN.metrics
             if m is not None:
                 m.set_gauge("repro_serve_breaker_open", 0)
         self._failures = 0
@@ -88,7 +88,7 @@ class CircuitBreaker:
         self._opened_at = self._clock()
         if tripped:
             self.trips += 1
-            m = metrics.CURRENT
+            m = RUN.metrics
             if m is not None:
                 m.inc("repro_serve_breaker_trips_total")
                 m.set_gauge("repro_serve_breaker_open", 1)

@@ -14,8 +14,9 @@ so the chaos-under-load suite can assert on exact request stories.
 
 :class:`LoadReport` aggregates the terminal
 :class:`~repro.serve.jobs.JobResult`\\ s into the latency/throughput/
-shed-rate summary the CLI prints, and renders the ledger's schema-v4
-``service`` block (:meth:`LoadReport.to_service_block`).
+shed-rate summary the CLI prints, and renders the ledger record's
+``service`` block (:meth:`LoadReport.to_service_block`; record shape in
+:mod:`repro.obs.ledger`).
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ class LoadReport:
                 "max_abs_error_s": round(max_err, 9)}
 
     def to_service_block(self):
-        """The ledger ``service`` block (schema v4; v5 adds ``phases``)."""
+        """The ledger record's ``service`` block (:mod:`repro.obs.ledger`)."""
         ok_lat = [r.total_s for r in self.results if r.status == "ok"]
         ok_wait = [r.queue_wait_s for r in self.results if r.status == "ok"]
         depths = self.depth_samples or [0]

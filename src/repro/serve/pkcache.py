@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.obs import metrics
+from repro.context import RUN
 
 __all__ = ["DEFAULT_MAX_ENTRIES", "PKCache"]
 
@@ -65,7 +65,7 @@ class PKCache:
         Inserting beyond ``max_entries`` evicts the least recently used
         entry and bumps the eviction counter.
         """
-        m = metrics.CURRENT
+        m = RUN.metrics
         art = self._entries.get(key)
         if art is not None:
             self._entries.move_to_end(key)

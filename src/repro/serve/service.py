@@ -49,8 +49,8 @@ hangs:
 Execution model: one dedicated compute thread (the GIL makes CPU-bound
 threads pointless anyway; real parallelism comes from the worker pool
 the compute thread fans MSM/NTT chunks out to).  Serializing compute
-also makes the process-global resilience slots (deadline, fault
-injector, pool) race-free without changing their idiom.
+also keeps the run context's fields (deadline, fault injector, pool)
+race-free: one thread installs and reads them.
 """
 
 from __future__ import annotations
@@ -62,9 +62,8 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
 from repro import parallel
-from repro.obs import metrics
+from repro.context import RUN
 from repro.obs.metrics import TIME_BUCKETS
-from repro.resilience import faults
 from repro.resilience import retry as resilience
 from repro.resilience.errors import (
     AdmissionError,
@@ -311,7 +310,7 @@ class ProvingService:
         if not self._started:
             raise AdmissionError("service is not running")
         self.counts["submitted"] += 1
-        m = metrics.CURRENT
+        m = RUN.metrics
         if m is not None:
             m.inc("repro_serve_requests_total")
         if self._draining:
@@ -433,7 +432,7 @@ class ProvingService:
                 return
             # Retryable fault: async backoff, then go again.
             self.counts["retries"] += 1
-            m = metrics.CURRENT
+            m = RUN.metrics
             if m is not None:
                 m.inc("repro_serve_retries_total")
             if attempts < self.retry.max_attempts:
@@ -459,14 +458,13 @@ class ProvingService:
         request's fan-out.
         """
         from repro.groth16 import prove
-        from repro.obs import worker as obs_worker
 
-        collector = obs_worker.CURRENT
+        collector = RUN.tasks
         n0 = 0
         if collector is not None:
             n0 = len(collector.tasks)
         with resilience.deadline_scope(remaining, stage="serve:proving"):
-            inj = faults.CURRENT
+            inj = RUN.faults
             if inj is not None:
                 inj.check("serve:prove")
             cm = (parallel.using(self._pool) if use_pool
@@ -532,7 +530,7 @@ class ProvingService:
         self.counts["verify_batches"] += 1
         if len(live) > 1:
             self.counts["verify_coalesced"] += len(live)
-        m = metrics.CURRENT
+        m = RUN.metrics
         if m is not None:
             m.inc("repro_serve_verify_batches_total")
             m.observe("repro_serve_verify_batch_size", len(live))
@@ -620,7 +618,7 @@ class ProvingService:
         from repro.resilience.degrade import batch_verify_bisect
 
         with resilience.deadline_scope(remaining, stage="serve:verifying"):
-            inj = faults.CURRENT
+            inj = RUN.faults
             if inj is not None:
                 inj.check("serve:verify")
             use_pool = self._pool is not None and self.breaker.allow_pool()
@@ -682,7 +680,7 @@ class ProvingService:
                 self.counts["rejected"] += 1
         else:
             self.counts[result.status] = self.counts.get(result.status, 0) + 1
-        m = metrics.CURRENT
+        m = RUN.metrics
         if m is not None:
             m.inc(f"repro_serve_{job.kind}_resolved_total")
             if result.status == "timeout":

@@ -18,15 +18,13 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.circuit.compiler import compile_circuit
+from repro.context import RUN
 from repro.groth16 import generate_witness, prove, public_inputs, setup, verify
 from repro import parallel
-from repro.obs import ledger, metrics, prof, spans
-from repro.obs import worker as obs_worker
+from repro.obs import spans
 from repro.obs.spans import Span
 from repro.perf import trace
 from repro.perf.trace import Tracer
-from repro.resilience import faults
-from repro.resilience import retry as resilience
 from repro.resilience.errors import StageOrderError
 
 __all__ = ["STAGES", "StageResult", "Workflow"]
@@ -85,6 +83,10 @@ class Workflow:
         lazy :class:`~repro.parallel.pool.WorkerPool` that every stage
         runs under — release it with :meth:`close` (or use the workflow
         as a context manager).  Results are bit-identical either way.
+    policy:
+        A :class:`~repro.resilience.retry.ResiliencePolicy` every stage
+        then runs under (retry, per-stage deadlines, a terminal
+        ``StageError``); ``None`` runs each stage body once, bare.
 
     Stages communicate through attributes (``circuit``, ``pk``, ``vk``,
     ``witness``, ``proof``, ``accepted``); :meth:`run_stage` executes one
@@ -92,11 +94,13 @@ class Workflow:
     whole protocol in order.
     """
 
-    def __init__(self, curve, builder, inputs, seed=0, workers=None):
+    def __init__(self, curve, builder, inputs, seed=0, workers=None,
+                 policy=None):
         self.curve = curve
         self.builder = builder
         self.inputs = dict(inputs)
         self.seed = seed
+        self.policy = policy
         self.workers = workers if workers is not None else parallel.workers_from_env()
         self.circuit = None
         self.pk = None
@@ -173,17 +177,6 @@ class Workflow:
         with trace.tracing(tracer):
             return impl()
 
-    def _execute_profiled(self, stage, impl, tracer):
-        """Run the stage body, under the deep profiler when one is the
-        process-global :data:`repro.obs.prof.CURRENT` — the same
-        ``CURRENT is None`` guard as spans and faults, so unprofiled
-        runs pay one attribute read."""
-        profiler = prof.CURRENT
-        if profiler is None:
-            return self._execute(impl, tracer)
-        with profiler.stage(stage):
-            return self._execute(impl, tracer)
-
     def run_stage(self, stage, tracer=None):
         """Execute one stage, optionally under *tracer*; returns a
         :class:`StageResult` (also recorded in :attr:`results`).
@@ -193,14 +186,12 @@ class Workflow:
         primitive counts attached; otherwise only the plain wall-clock
         ``elapsed`` is taken, as before.
 
-        When a resilience policy is installed
-        (:func:`repro.resilience.retry.resilient`) the stage body runs
-        under it — fault-site check, per-stage deadline, retry with
-        backoff — and a terminal failure raises
+        When the workflow was given a *policy* the stage body runs under
+        it — fault-site check, per-stage deadline, retry with backoff —
+        and a terminal failure raises
         :class:`~repro.resilience.errors.StageError` carrying the typed
-        fault.  Without a policy the behavior is unchanged (injected
-        faults, if any, propagate raw); ``elapsed`` always spans every
-        attempt.
+        fault.  Without a policy injected faults, if any, propagate raw;
+        ``elapsed`` always spans every attempt.
         """
         try:
             impl = getattr(self, f"_stage_{stage}")
@@ -210,27 +201,26 @@ class Workflow:
         recorded_spans = []
 
         def body():
-            if spans.CURRENT is None:
-                return self._execute_profiled(stage, impl, tracer)
+            if RUN.spans is None:
+                return self._execute(impl, tracer)
             with spans.span(stage, curve=self.curve.name,
                             circuit=self.builder.name) as sp:
                 recorded_spans.append(sp)
-                artifact = self._execute_profiled(stage, impl, tracer)
+                artifact = self._execute(impl, tracer)
                 if tracer is not None:
                     spans.attach_counters(tracer.total_counts())
             return artifact
 
-        tel = obs_worker.CURRENT
+        tel = RUN.tasks
         if tel is not None:
             tel.begin_stage(stage)
-        policy = resilience.CURRENT
         with parallel.using(self.pool):
-            if policy is None:
-                if faults.CURRENT is not None:
-                    faults.CURRENT.check(f"stage:{stage}")
+            if self.policy is None:
+                if RUN.faults is not None:
+                    RUN.faults.check(f"stage:{stage}")
                 artifact = body()
             else:
-                artifact = policy.execute_stage(stage, body)
+                artifact = self.policy.execute_stage(stage, body)
         sp = recorded_spans[-1] if recorded_spans else None
         elapsed = time.perf_counter() - start
         result = StageResult(stage=stage, artifact=artifact, elapsed=elapsed,
@@ -240,32 +230,8 @@ class Workflow:
 
     def run_all(self, tracers=None):
         """Run every stage in order.  *tracers* may map stage name ->
-        :class:`~repro.perf.trace.Tracer`.  Returns :attr:`results`.
-
-        When a run ledger is installed (:mod:`repro.obs.ledger`), the
-        completed run appends one record with every stage's
-        :meth:`StageResult.to_record`.
-        """
+        :class:`~repro.perf.trace.Tracer`.  Returns :attr:`results`."""
         tracers = tracers or {}
         for stage in STAGES:
             self.run_stage(stage, tracers.get(stage))
-        if ledger.CURRENT is not None:
-            registry = metrics.CURRENT
-            profiler = prof.CURRENT
-            tel = obs_worker.CURRENT
-            workers_block = None
-            if tel is not None:
-                workers_block = tel.to_workers_block() if tel.tasks else None
-            ledger.CURRENT.append(ledger.make_record(
-                kind="workflow",
-                curve=self.curve.name,
-                size=self.circuit.n_constraints,
-                workload=self.builder.name,
-                seed=self.seed,
-                stages=[self.results[s].to_record() for s in STAGES],
-                metrics=registry.snapshot() if registry is not None else None,
-                profile=(profiler.to_profile_block()
-                         if profiler is not None else None),
-                workers=workers_block,
-            ))
         return self.results

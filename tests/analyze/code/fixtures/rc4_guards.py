@@ -1,26 +1,26 @@
-"""Seeded RC4xx violations: unguarded slot use and a bad metric name."""
+"""Seeded RC4xx violations: unguarded field use and a bad metric name."""
 
-import rc4_slot
+from rc4_slot import RUN
 
 
 def unguarded_use():
-    rc4_slot.CURRENT.inc("repro_fixture_total")  # -> RC401
+    RUN.metrics.inc("repro_fixture_total")  # -> RC401
 
 
 def bad_metric_name():
-    reg = rc4_slot.CURRENT
+    reg = RUN.metrics
     if reg is not None:
         reg.inc("FixtureBadName")  # -> RC402
     return reg
 
 
 def guarded_use():
-    if rc4_slot.CURRENT is not None:
-        rc4_slot.CURRENT.inc("repro_fixture_ok_total")  # clean
+    if RUN.metrics is not None:
+        RUN.metrics.inc("repro_fixture_ok_total")  # clean
 
 
 def guarded_binding():
-    reg = rc4_slot.CURRENT
+    reg = RUN.metrics
     if reg is None:
         return None
     reg.inc("repro_fixture_bound_total")  # clean

@@ -1,6 +1,14 @@
-"""Telemetry-slot module for the RC4xx fixture (the defining side)."""
+"""Run-context module for the RC4xx fixture (the defining side)."""
 
-CURRENT = None
+
+class _Run:
+    __slots__ = ("metrics",)
+
+    def __init__(self):
+        self.metrics = None
+
+
+RUN = _Run()
 
 
 class Registry:

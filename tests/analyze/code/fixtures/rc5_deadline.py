@@ -3,7 +3,15 @@
 Analyzed with ``hot_modules=("rc5_deadline",)``.
 """
 
-DEADLINE = None
+
+class _Run:
+    __slots__ = ("deadline",)
+
+    def __init__(self):
+        self.deadline = None
+
+
+RUN = _Run()
 
 
 def hot_loop(values):  # -> RC501
@@ -13,11 +21,11 @@ def hot_loop(values):  # -> RC501
     return total
 
 
-def polled_loop(values):  # clean: polls the slot inside the loop
+def polled_loop(values):  # clean: polls the field inside the loop
     total = 0
     for v in values:
-        if DEADLINE is not None:
-            DEADLINE.check()
+        if RUN.deadline is not None:
+            RUN.deadline.check()
         total += v
     return total
 

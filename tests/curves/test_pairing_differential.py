@@ -3,7 +3,7 @@
 ``PairingEngine`` runs the shared-squaring sparse-line Miller loop over line
 sequences (walked live, or stored by ``prepare``) and the cyclotomic hard
 part when no tracer is installed, and the textbook loop on ``E(Fp12)`` with
-``f ** hard_exponent`` under one.  ``trace.CURRENT`` is the
+``f ** hard_exponent`` under one.  ``RUN.tracer`` is the
 only selector, so the reference of every test here is the same public call
 made under ``tracing(Tracer())`` — and the contract is equality of ``Fp12``
 elements, not of pairings up to a final exponentiation.

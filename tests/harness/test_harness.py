@@ -115,22 +115,6 @@ class TestRunner:
         assert reg.counter("repro_harness_cache_memo_hits_total") == 1
         assert reg.counter("repro_harness_cache_disk_hits_total") == 1
 
-    def test_profile_run_appends_ledger_record(self, tmp_path, monkeypatch):
-        from repro.harness import runner
-        from repro.obs import ledger
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        path = str(tmp_path / "led.jsonl")
-        runner._MEMO.clear()
-        with ledger.recording_to(path):
-            profile_run("bn128", 16)   # computed: appends
-            profile_run("bn128", 16)   # memo hit: no second record
-        records = ledger.read_ledger(path)
-        assert len(records) == 1
-        assert records[0]["kind"] == "profile_run"
-        assert records[0]["size"] == 16
-        assert [s["stage"] for s in records[0]["stages"]] == list(STAGES)
-
     def test_traced_counts_ignore_process_history(self):
         # Nothing a traced stage counts may be derived lazily under
         # whichever tracer gets there first: the cache key cannot see

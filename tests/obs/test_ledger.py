@@ -1,18 +1,15 @@
 """Ledger and fingerprint tests: record schema, JSONL round-trip,
-robustness to corrupt lines, and the opt-in global slot."""
+and robustness to corrupt lines."""
 
 import json
-import subprocess
-import sys
 
 import pytest
 
-from repro.obs import fingerprint, ledger
+from repro.obs import fingerprint
 from repro.obs.ledger import (
     Ledger,
     make_record,
     read_ledger,
-    recording_to,
 )
 
 
@@ -142,49 +139,3 @@ class TestLedgerFile:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):
             read_ledger(str(tmp_path / "nope.jsonl"))
-
-
-class TestGlobalSlot:
-    def test_off_by_default(self):
-        assert ledger.CURRENT is None
-
-    def test_recording_to_installs_and_restores(self, tmp_path):
-        path = str(tmp_path / "led.jsonl")
-        with recording_to(path) as led:
-            assert ledger.CURRENT is led
-            led.append({"x": 1})
-        assert ledger.CURRENT is None
-        assert read_ledger(path) == [{"x": 1}]
-
-    def test_double_install_rejected(self, tmp_path):
-        with recording_to(str(tmp_path / "a.jsonl")):
-            with pytest.raises(RuntimeError, match="already active"):
-                ledger.install(str(tmp_path / "b.jsonl"))
-        assert ledger.CURRENT is None
-
-    def test_env_var_activates_recording(self, tmp_path):
-        """REPRO_LEDGER=<path> makes a fresh process append workflow runs."""
-        import os
-
-        import repro
-
-        path = tmp_path / "env.jsonl"
-        code = (
-            "from repro.curves import BN128\n"
-            "from repro.harness.circuits import build_exponentiate\n"
-            "from repro.workflow import Workflow\n"
-            "b, inputs = build_exponentiate(BN128, 4)\n"
-            "Workflow(BN128, b, inputs).run_all()\n"
-        )
-        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        env["REPRO_LEDGER"] = str(path)
-        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-        subprocess.run([sys.executable, "-c", code], check=True, env=env,
-                       timeout=120)
-        records = read_ledger(str(path))
-        assert len(records) == 1
-        assert records[0]["kind"] == "workflow"
-        assert records[0]["size"] == 4
-        assert [s["stage"] for s in records[0]["stages"]] == [
-            "compile", "setup", "witness", "proving", "verifying"]

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.obs import metrics
+from repro.context import RUN
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry, collecting
 
 
@@ -82,28 +82,20 @@ class TestHistogram:
 
 class TestGlobalGuard:
     def test_off_by_default(self):
-        assert metrics.CURRENT is None
-        assert metrics.current_registry() is None
+        assert RUN.metrics is None
 
     def test_collecting_installs_and_restores(self):
         with collecting() as r:
-            assert metrics.CURRENT is r
-            metrics.CURRENT.inc("repro_test_calls_total")
-        assert metrics.CURRENT is None
+            assert RUN.metrics is r
+            RUN.metrics.inc("repro_test_calls_total")
+        assert RUN.metrics is None
         assert r.counter("repro_test_calls_total") == 1
-
-    def test_nested_collecting_rejected(self):
-        with collecting():
-            with pytest.raises(RuntimeError, match="already active"):
-                with collecting():
-                    pass
-        assert metrics.CURRENT is None
 
     def test_restores_on_exception(self):
         with pytest.raises(KeyError):
             with collecting():
                 raise KeyError("boom")
-        assert metrics.CURRENT is None
+        assert RUN.metrics is None
 
 
 class TestRendering:

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from repro.obs import prof
-from repro.obs.prof import DeepProfiler, classify_function, profiling
+from repro.obs.prof import DeepProfiler, classify_function
 
 
 def busy(n=200):
@@ -147,12 +147,12 @@ class TestWorkflowWiring:
 
         b, inputs = build_exponentiate(BN128, 4)
         wf = Workflow(BN128, b, inputs)
-        with profiling(profiler):
-            wf.run_stage("compile")
-            wf.run_stage("witness")
+        for stage in ("compile", "witness"):  # as deep_profile_run does
+            with profiler.stage(stage):
+                wf.run_stage(stage)
         return wf
 
-    def test_stages_profiled_via_current_slot(self):
+    def test_stages_profiled_around_run_stage(self):
         p = DeepProfiler(alloc=False)
         self.run_cheap_stages(p)
         assert set(p.stages) == {"compile", "witness"}
@@ -167,22 +167,9 @@ class TestWorkflowWiring:
 
         b, inputs = build_exponentiate(BN128, 4)
         wf = Workflow(BN128, b, inputs)
-        assert prof.CURRENT is None
         wf.run_stage("compile")
         assert sys.getprofile() is None
         assert wf.results["compile"].artifact is not None
-
-    def test_profiling_slot_restored(self):
-        with profiling() as p:
-            assert prof.CURRENT is p
-        assert prof.CURRENT is None
-
-    def test_nested_profiling_rejected(self):
-        with profiling():
-            with pytest.raises(RuntimeError, match="already active"):
-                with profiling():
-                    pass  # pragma: no cover
-        assert prof.CURRENT is None
 
 
 class TestViews:

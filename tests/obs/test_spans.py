@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.obs import spans
+from repro.context import RUN
 from repro.obs.spans import (
     attach_counters,
     current_span,
@@ -18,7 +18,7 @@ from repro.obs.spans import (
 
 class TestDisabledPath:
     def test_off_by_default(self):
-        assert spans.CURRENT is None
+        assert RUN.spans is None
         assert current_span() is None
 
     def test_span_is_noop_without_recorder(self):
@@ -79,19 +79,12 @@ class TestRecording:
                 gc.collect()
         assert rec.root.children[0].gc_collections >= 1
 
-    def test_nested_recording_rejected(self):
-        with recording():
-            with pytest.raises(RuntimeError, match="already active"):
-                with recording():
-                    pass
-        assert spans.CURRENT is None
-
     def test_restores_on_exception(self):
         with pytest.raises(ValueError):
             with recording():
                 with span("broken"):
                     raise ValueError("boom")
-        assert spans.CURRENT is None
+        assert RUN.spans is None
 
     def test_current_span_tracks_innermost(self):
         with recording() as rec:

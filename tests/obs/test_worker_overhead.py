@@ -4,7 +4,7 @@ Two promises from docs/PARALLELISM.md:
 
 * **Disabled path is free.**  Without an installed collector the pool
   ships no telemetry context and the envelope attaches no block — the
-  cost is one module-attribute read plus an ``is None`` check per map.
+  cost is one attribute read plus an ``is None`` check per map.
 * **Enabled path is bounded.**  With a collector on, a compute-bound
   task may slow down by at most ``ENABLED_OVERHEAD_BOUND`` (the capture
   cost — one fresh registry, one span recorder, a few clock reads, one
@@ -12,7 +12,7 @@ Two promises from docs/PARALLELISM.md:
   chunk-sized work).
 
 The envelope is exercised in-process (it is a plain function); that calls
-``_reset_worker_globals``, which is safe here because these tests never
+``RUN.clear()``, which is safe here because these tests never
 hold a live parent-side collector while doing so.
 """
 
@@ -22,8 +22,8 @@ import time
 
 import pytest
 
+from repro.context import RUN
 from repro.fields import BN254_FR
-from repro.obs import worker as obs_worker
 from repro.obs.worker import ENABLED_OVERHEAD_BOUND
 from repro.parallel.pool import WorkerPool, _worker_envelope
 
@@ -65,7 +65,7 @@ class TestDisabledPath:
         results, _ = pool.map("selftest_square", [{"x": i} for i in range(4)])
         pool.close()
         assert results == [0, 1, 4, 9]
-        assert obs_worker.CURRENT is None  # precondition of the contract
+        assert RUN.tasks is None  # precondition of the contract
         for _, _, ctx in shipped:
             assert "telemetry" not in ctx
             assert "packed" not in ctx
@@ -136,8 +136,8 @@ class TestEnabledPath:
 
 @pytest.fixture(autouse=True)
 def _no_leaked_collector():
-    """The envelope resets worker globals in-process; make sure the tests
+    """The envelope clears the run context in-process; make sure the tests
     above really do run collector-free and leave the slot clean."""
-    assert obs_worker.CURRENT is None
+    assert RUN.tasks is None
     yield
-    assert obs_worker.CURRENT is None
+    assert RUN.tasks is None

@@ -2,7 +2,7 @@
 
 Covers the protocol end to end: metric-delta merge, span grafting with
 timeline rebase, the pool's task/map records on both backends, pool-level
-metrics, the ledger v3 ``workers`` block, the per-worker-lane chrome
+metrics, the ledger record's ``workers`` block, the per-worker-lane chrome
 trace, and the ``parallel-report`` analysis.
 """
 
@@ -10,9 +10,8 @@ import json
 
 import pytest
 
-from repro.curves import BN128
+from repro.context import RUN
 from repro.obs import metrics, spans
-from repro.obs import worker as obs_worker
 from repro.obs.metrics import DEFAULT_BUCKETS, TIME_BUCKETS, MetricsRegistry
 from repro.obs.spans import Span
 from repro.obs.worker import WorkerTelemetry, collecting_tasks
@@ -97,18 +96,11 @@ class TestSpanGraft:
         assert dispatch.children == [grafted]
 
     def test_graft_is_noop_when_not_recording(self):
-        assert spans.CURRENT is None
+        assert RUN.spans is None
         assert spans.graft(self._subtree()) is None
 
 
 class TestCollector:
-    def test_nested_collection_rejected(self):
-        with collecting_tasks():
-            with pytest.raises(RuntimeError, match="already active"):
-                with collecting_tasks():
-                    pass
-        assert obs_worker.CURRENT is None
-
     def test_record_map_aggregates(self):
         tel = WorkerTelemetry()
         tel.begin_stage("proving")
@@ -222,29 +214,6 @@ class TestWorkerTrace:
 
     def test_block_is_json_clean(self):
         json.dumps(self._block())
-
-
-class TestLedgerV3Workers:
-    def test_workflow_record_carries_workers_block(self, tmp_path):
-        from repro.harness.circuits import build_workload
-        from repro.obs import ledger
-        from repro.workflow import Workflow
-
-        path = tmp_path / "runs.jsonl"
-        builder, inputs = build_workload("exponentiate", BN128, 128)
-        with ledger.recording_to(str(path)), collecting_tasks():
-            with Workflow(BN128, builder, inputs, seed=0, workers=2) as wf:
-                wf.run_all()
-                assert wf.accepted is True
-        (rec,) = ledger.read_ledger(str(path))
-        assert rec["schema"] == 5
-        block = rec["workers"]
-        assert block["backend"] == "process" and block["workers"] == 2
-        assert block["totals"]["tasks"] == len(block["tasks"])
-        stages = {t["stage"] for t in block["tasks"]}
-        assert stages <= {"compile", "setup", "witness", "proving",
-                          "verifying"}
-        json.dumps(rec)
 
 
 class TestParallelReport:

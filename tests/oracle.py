@@ -1,7 +1,7 @@
 """Oracles the fast routes are compared with.
 
 *The tracer* (docs/KERNELS.md, "The pinning rule"): every fast kernel has a
-textbook twin that the same public call runs under ``trace.CURRENT``, so the
+textbook twin that the same public call runs under ``RUN.tracer``, so the
 reference value of a differential test is that call made under a throwaway
 tracer — no second entry point, no environment.
 

@@ -36,9 +36,10 @@ def front_end_shares():
     curve = get_curve("bn128")
     builder, inputs = build_workload("exponentiate", curve, SIZE)
     profiler = prof.DeepProfiler()
-    with prof.profiling(profiler), Workflow(curve, builder, inputs) as wf:
-        wf.run_stage("compile")
-        wf.run_stage("witness")
+    with Workflow(curve, builder, inputs) as wf:
+        for stage in ("compile", "witness"):
+            with profiler.stage(stage):
+                wf.run_stage(stage)
     return {stage: p.family_shares() for stage, p in profiler.stages.items()}
 
 

@@ -319,13 +319,6 @@ class TestInstallation:
             with using(outer), using(None):
                 assert active_pool() is outer
 
-    def test_conflicting_pools_raise(self):
-        with WorkerPool(2) as a, WorkerPool(2) as b:
-            with using(a):
-                with pytest.raises(RuntimeError):
-                    with using(b):
-                        pass
-
     def test_tracer_suppresses_the_pool(self):
         from repro.perf.trace import Tracer, tracing
 

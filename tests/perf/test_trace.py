@@ -2,32 +2,26 @@
 
 import pytest
 
-from repro.perf import trace
+from repro.context import RUN
 from repro.perf.trace import AddressSpace, Tracer, tracing
 
 
 class TestLifecycle:
     def test_current_none_by_default(self):
-        assert trace.current_tracer() is None
+        assert RUN.tracer is None
 
     def test_tracing_installs_and_removes(self):
         tr = Tracer()
         with tracing(tr) as got:
             assert got is tr
-            assert trace.current_tracer() is tr
-        assert trace.current_tracer() is None
-
-    def test_nested_tracing_rejected(self):
-        with tracing(Tracer()):
-            with pytest.raises(RuntimeError, match="already active"):
-                with tracing(Tracer()):
-                    pass
+            assert RUN.tracer is tr
+        assert RUN.tracer is None
 
     def test_tracer_removed_on_exception(self):
         with pytest.raises(ValueError):
             with tracing(Tracer()):
                 raise ValueError("boom")
-        assert trace.current_tracer() is None
+        assert RUN.tracer is None
 
     def test_invalid_mem_sample(self):
         with pytest.raises(ValueError):

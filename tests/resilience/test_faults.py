@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.context import RUN
 from repro.obs import metrics
-from repro.resilience import faults
 from repro.resilience.errors import (
     ArtifactCorruption,
     ResourceExhausted,
@@ -83,19 +83,13 @@ class TestSchedule:
 
 class TestInjectingContext:
     def test_installs_and_clears_current(self):
-        assert faults.CURRENT is None
+        assert RUN.faults is None
         with injecting([FaultSpec("stage:setup", "transient")]) as inj:
-            assert faults.CURRENT is inj
-        assert faults.CURRENT is None
-
-    def test_nesting_rejected(self):
-        with injecting([]):
-            with pytest.raises(RuntimeError, match="already active"):
-                with injecting([]):
-                    pass
+            assert RUN.faults is inj
+        assert RUN.faults is None
 
     def test_cleared_even_after_fault(self):
         with pytest.raises(TransientFault):
             with injecting([FaultSpec("x", "transient")]) as inj:
                 inj.check("x")
-        assert faults.CURRENT is None
+        assert RUN.faults is None

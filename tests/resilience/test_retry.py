@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.context import RUN
 from repro.curves import BN128
 from repro.obs import metrics
-from repro.resilience import faults, retry
+from repro.resilience import faults
 from repro.resilience.errors import (
     ResourceExhausted,
     StageError,
@@ -17,7 +18,6 @@ from repro.resilience.retry import (
     ResiliencePolicy,
     RetryPolicy,
     deadline_scope,
-    resilient,
     with_retry,
 )
 from repro.workflow import Workflow
@@ -27,13 +27,13 @@ def _no_sleep_policy(max_attempts=3, seed=0):
     return RetryPolicy(max_attempts=max_attempts, seed=seed, sleep=None)
 
 
-def _workflow(exponent=8, seed=0):
+def _workflow(exponent=8, seed=0, policy=None):
     from repro.circuit import CircuitBuilder, gadgets
 
     b = CircuitBuilder(f"pow{exponent}", BN128.fr)
     x = b.private_input("x")
     b.output(gadgets.exponentiate(b, x, exponent), "y")
-    return Workflow(BN128, b, {"x": 3}, seed=seed)
+    return Workflow(BN128, b, {"x": 3}, seed=seed, policy=policy)
 
 
 class TestRetryPolicy:
@@ -98,15 +98,15 @@ class TestDeadline:
         assert info.value.deadline_s == 0.0
 
     def test_scope_installs_and_restores(self):
-        assert retry.DEADLINE is None
+        assert RUN.deadline is None
         with deadline_scope(60, stage="x") as dl:
-            assert retry.DEADLINE is dl
-        assert retry.DEADLINE is None
+            assert RUN.deadline is dl
+        assert RUN.deadline is None
 
     def test_none_seconds_is_passthrough(self):
         with deadline_scope(None, stage="x") as dl:
             assert dl is None
-            assert retry.DEADLINE is None
+            assert RUN.deadline is None
 
     def test_kernel_polls_deadline(self):
         # The MSM window loop must notice an already-expired deadline.
@@ -121,21 +121,19 @@ class TestDeadline:
 
 class TestStageExecution:
     def test_stage_retry_recovers_and_proof_verifies(self):
-        wf = _workflow()
+        wf = _workflow(policy=ResiliencePolicy(retry=_no_sleep_policy()))
         plan = [FaultSpec("stage:proving", "transient", hit=1)]
-        with metrics.collecting() as reg, \
-                faults.injecting(plan), \
-                resilient(ResiliencePolicy(retry=_no_sleep_policy())):
+        with metrics.collecting() as reg, faults.injecting(plan):
             wf.run_all()
         assert wf.accepted is True
         assert reg.counter("repro_resilience_retries_total") == 1
         assert reg.counter("repro_resilience_stage_proving_retries_total") == 1
 
     def test_exhausted_retries_wrap_in_stage_error(self):
-        wf = _workflow()
+        wf = _workflow(
+            policy=ResiliencePolicy(retry=_no_sleep_policy(max_attempts=2)))
         plan = [FaultSpec("stage:setup", "transient", hit=n) for n in (1, 2)]
-        with faults.injecting(plan), \
-                resilient(ResiliencePolicy(retry=_no_sleep_policy(max_attempts=2))):
+        with faults.injecting(plan):
             with pytest.raises(StageError) as info:
                 wf.run_all()
         assert info.value.stage == "setup"
@@ -143,10 +141,9 @@ class TestStageExecution:
         assert info.value.attempts == 2
 
     def test_non_retryable_fails_fast_typed(self):
-        wf = _workflow()
+        wf = _workflow(policy=ResiliencePolicy(retry=_no_sleep_policy()))
         plan = [FaultSpec("stage:witness", "oom", hit=1)]
-        with faults.injecting(plan) as inj, \
-                resilient(ResiliencePolicy(retry=_no_sleep_policy())):
+        with faults.injecting(plan) as inj:
             with pytest.raises(StageError) as info:
                 wf.run_all()
         assert isinstance(info.value.fault, ResourceExhausted)
@@ -154,12 +151,11 @@ class TestStageExecution:
         assert inj.pending() == []
 
     def test_stage_deadline_enforced_via_policy(self):
-        wf = _workflow()
         policy = ResiliencePolicy(retry=_no_sleep_policy(max_attempts=2),
                                   deadlines={"proving": 0.0})
-        with resilient(policy):
-            with pytest.raises(StageError) as info:
-                wf.run_all()
+        wf = _workflow(policy=policy)
+        with pytest.raises(StageError) as info:
+            wf.run_all()
         assert info.value.stage == "proving"
         assert isinstance(info.value.fault, StageTimeout)
 
@@ -169,9 +165,3 @@ class TestStageExecution:
         with faults.injecting(plan):
             with pytest.raises(TransientFault):
                 wf.run_stage("compile")
-
-    def test_nested_policies_rejected(self):
-        with resilient():
-            with pytest.raises(RuntimeError, match="already active"):
-                with resilient():
-                    pass

@@ -4,7 +4,7 @@ import pytest
 
 from repro.curves import BN128
 from repro.harness.circuits import build_exponentiate
-from repro.obs import ledger, metrics, spans
+from repro.obs import metrics, spans
 from repro.perf.trace import Tracer
 from repro.workflow import STAGES, Workflow
 
@@ -136,32 +136,15 @@ class TestTelemetry:
         assert any(k.startswith("bigint_") for k in proving.counters)
         assert proving.to_dict() == wf.results["proving"].to_record()["span"]
 
-    def test_run_all_appends_one_ledger_record(self, tmp_path):
-        path = str(tmp_path / "led.jsonl")
+    def test_run_all_counts_into_the_active_registry(self):
         wf = make_workflow()
-        with ledger.recording_to(path):
+        with metrics.collecting() as registry:
             wf.run_all()
-        records = ledger.read_ledger(path)
-        assert len(records) == 1
-        rec = records[0]
-        assert rec["kind"] == "workflow"
-        assert rec["curve"] == "bn128"
-        assert rec["size"] == 8
-        assert rec["seed"] == 0
-        assert [s["stage"] for s in rec["stages"]] == list(STAGES)
-        assert rec["metrics"] is None  # no registry was active
-
-    def test_ledger_record_carries_metrics_snapshot(self, tmp_path):
-        path = str(tmp_path / "led.jsonl")
-        wf = make_workflow()
-        with ledger.recording_to(path), metrics.collecting():
-            wf.run_all()
-        (rec,) = ledger.read_ledger(path)
-        assert rec["metrics"]["counters"]["repro_groth16_prove_total"] == 1
-        assert rec["metrics"]["counters"]["repro_groth16_verify_total"] == 1
+        counters = registry.snapshot()["counters"]
+        assert counters["repro_groth16_prove_total"] == 1
+        assert counters["repro_groth16_verify_total"] == 1
         # Untraced runs dispatch MSMs through the optimized kernels
         # (docs/KERNELS.md): GLV on G1, signed-digit on G2.
-        counters = rec["metrics"]["counters"]
         msm_calls = sum(counters.get(name, 0) for name in (
             "repro_msm_pippenger_calls_total",
             "repro_msm_wnaf_calls_total",
@@ -169,11 +152,3 @@ class TestTelemetry:
         ))
         assert msm_calls >= 4
         assert counters["repro_msm_glv_calls_total"] >= 1
-
-    def test_run_stage_alone_does_not_append(self, tmp_path):
-        path = str(tmp_path / "led.jsonl")
-        wf = make_workflow()
-        with ledger.recording_to(path):
-            wf.run_stage("compile")
-        with pytest.raises(OSError):
-            ledger.read_ledger(path)
