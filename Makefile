@@ -47,7 +47,7 @@ profile:
 
 # Deep-profile one small cell (deterministic profiling is ~50x slower than
 # the bare run, so keep --size small); writes flamegraph artifacts under
-# results/prof/ and a record to results/runs/deep-profile.jsonl.
+# results/prof/ (add --ledger PATH to keep the run record).
 DEEP_SIZE ?= 8
 deep-profile:
 	PYTHONPATH=src python -m repro deep-profile --curve bn128 \
@@ -55,8 +55,7 @@ deep-profile:
 
 # Model-vs-measured drift gate (docs/PROFILING.md); exit 1 on drift.
 drift-check:
-	PYTHONPATH=src python -m repro report --compare-model \
-		--curves bn128 --sizes 64
+	PYTHONPATH=src python -m repro report --curves bn128 --sizes 64
 
 # Full serial<->parallel differential matrix plus the chaos-under-workers
 # seeds (docs/PARALLELISM.md).  Wider than the tier-1 run: sizes 2^6..2^10,
@@ -86,8 +85,7 @@ REPORT_SIZE ?= 1024
 REPORT_WORKERS ?= 1,2,4
 parallel-report:
 	PYTHONPATH=src python -m repro parallel-report --size $(REPORT_SIZE) \
-		--workers $(REPORT_WORKERS) \
-		--worker-trace results/parallel/worker_trace.json
+		--workers $(REPORT_WORKERS)
 
 # Measured Fig. 6 (strong scaling) on real worker processes; Fig. 7 and
 # Table VI accept the same flags (docs/PARALLELISM.md).
@@ -104,9 +102,10 @@ serve:
 	PYTHONPATH=src python -m repro serve --size 64 --rps $(SERVE_RPS) \
 		--duration $(SERVE_DURATION)
 
-# Open-loop load smoke + chaos-under-load gate: p50/p95/p99 into the
-# ledger's schema-v5 service block; every request must resolve typed
-# even with seeded faults firing inside the live service.
+# Open-loop load smoke + chaos-under-load gate: p50/p95/p99 and the phase
+# breakdown (the schema-v5 service block; --ledger PATH keeps it); every
+# request must resolve typed even with seeded faults firing inside the
+# live service.
 LOAD_RPS ?= 16
 LOAD_DURATION ?= 3
 loadtest:

@@ -17,7 +17,11 @@ import sys
 
 from repro.curves import get_curve
 from repro.harness.circuits import build_exponentiate
-from repro.perf.export import counters_to_csv, to_chrome_trace
+from repro.perf.export import (
+    counters_to_csv,
+    regions_to_spans,
+    spans_to_chrome_trace,
+)
 from repro.perf.trace import Tracer
 from repro.workflow import STAGES, Workflow
 
@@ -45,7 +49,7 @@ def main():
     json_path = os.path.join("results", f"{stage}_trace.json")
     csv_path = os.path.join("results", f"{stage}_counters.csv")
     with open(json_path, "w") as f:
-        f.write(to_chrome_trace(tracer))
+        f.write(spans_to_chrome_trace(regions_to_spans({stage: tracer})))
     with open(csv_path, "w") as f:
         f.write(counters_to_csv(tracer))
     print(f"wrote {json_path} (open in chrome://tracing or ui.perfetto.dev)")

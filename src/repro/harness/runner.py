@@ -27,9 +27,9 @@ bit-flipped file is **evicted** on read — counted under
 cache self-heals instead of silently serving garbage.  ``profile_run``
 also runs under the resilience memory guard: a cell that raises
 :class:`~repro.resilience.errors.ResourceExhausted` is re-run with a
-coarser ``mem_sample`` (docs/ROBUSTNESS.md), and ``profile_sweep`` can
-checkpoint each finished cell so a killed sweep resumes where it died
-(``python -m repro sweep --resume``).
+coarser ``mem_sample`` (docs/ROBUSTNESS.md).  The disk cache is also the
+resume path: a killed sweep reloads every finished cell and recomputes only
+the rest.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from repro.curves import get_curve
 from repro.harness.circuits import build_workload
 from repro.perf.analysis import analyze_stage
 from repro.perf.trace import Tracer
-from repro.resilience.checkpoint import CellStore, SweepCheckpoint
+from repro.resilience.checkpoint import CellStore
 from repro.resilience.degrade import run_with_memory_guard
 from repro.workflow import STAGES, Workflow
 
@@ -160,36 +160,18 @@ def profile_run(curve_name, size, seed=0, mem_sample=DEFAULT_MEM_SAMPLE,
 
 def profile_sweep(curve_names=("bn128", "bls12_381"), sizes=DEFAULT_SIZES,
                   seed=0, mem_sample=DEFAULT_MEM_SAMPLE,
-                  workload="exponentiate", checkpoint=None, resume=True):
+                  workload="exponentiate"):
     """The paper's full sweep: ``{(curve, size): {stage: StageProfile}}``.
 
-    With *checkpoint* set (``True`` for the conventional
-    ``results/checkpoints/`` or a base-directory path), every finished
-    cell is persisted through a :class:`SweepCheckpoint`; when *resume*
-    is also true, previously stored cells are loaded back instead of
-    recomputed — so a sweep killed mid-way picks up exactly where it
-    died.  Stored cells are the deterministic model profiles, making a
-    resumed sweep's results identical to an uninterrupted run's.
+    Each finished cell lands in :func:`profile_run`'s disk cache, so a
+    sweep killed mid-way picks up where it died; cells are the
+    deterministic model profiles, making a resumed sweep's results
+    identical to an uninterrupted run's.
     """
-    ckpt = None
-    if checkpoint:
-        ckpt = SweepCheckpoint(
-            workload, curve_names, sizes, seed, mem_sample,
-            _source_fingerprint(),
-            base_dir=checkpoint if isinstance(checkpoint, str) else None,
-        )
-    out = {}
-    for curve_name in curve_names:
-        for size in sizes:
-            profiles = None
-            if ckpt is not None and resume:
-                profiles = ckpt.load(curve_name, size)
-            if profiles is None:
-                profiles = profile_run(
-                    curve_name, size, seed=seed, mem_sample=mem_sample,
-                    workload=workload,
-                )
-                if ckpt is not None:
-                    ckpt.store(curve_name, size, profiles)
-            out[(curve_name, size)] = profiles
-    return out
+    return {
+        (curve_name, size): profile_run(curve_name, size, seed=seed,
+                                        mem_sample=mem_sample,
+                                        workload=workload)
+        for curve_name in curve_names
+        for size in sizes
+    }

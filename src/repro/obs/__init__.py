@@ -21,7 +21,8 @@ Modules
 :mod:`repro.obs.fingerprint`
     Machine fingerprint (CPU model, cores, Python) and git revision.
 :mod:`repro.obs.ledger`
-    Append-only JSONL run ledger under ``results/runs/``.
+    Append-only JSONL run ledger (written only where ``--ledger`` names
+    a file).
 :mod:`repro.obs.worker`
     Cross-process worker telemetry: the parent-side collector that the
     :class:`~repro.parallel.pool.WorkerPool` feeds per-task telemetry
@@ -37,7 +38,7 @@ ledger record schema.
 """
 
 from repro.obs.fingerprint import git_revision, machine_fingerprint
-from repro.obs.ledger import Ledger, make_record, read_ledger
+from repro.obs.ledger import Ledger, make_record
 from repro.obs.metrics import MetricsRegistry, collecting
 from repro.obs.spans import Span, recording, render_spans, span, spanned
 from repro.obs.worker import WorkerTelemetry, build_parallel_report, collecting_tasks
@@ -53,7 +54,6 @@ __all__ = [
     "git_revision",
     "machine_fingerprint",
     "make_record",
-    "read_ledger",
     "recording",
     "render_spans",
     "span",

@@ -4,8 +4,8 @@ EXPERIMENTS.md's contract is that the *shapes* of the modeled analyses are
 the reproduction target.  This module enforces that contract against real
 execution: the deep profiler (:mod:`repro.obs.prof`) measures what the
 interpreter actually ran, the cost model (:mod:`repro.perf`) predicts it,
-and :func:`check_drift` fails (exit 1 through ``python -m repro report
---compare-model``) when the two disagree beyond calibrated thresholds —
+and :func:`check_drift` fails (exit 1 through ``python -m repro
+report``) when the two disagree beyond calibrated thresholds —
 so the model can no longer drift silently as the codebase grows.
 
 Two comparisons per stage:

@@ -1,12 +1,13 @@
-"""Append-only JSONL run ledger under ``results/runs/``.
+"""Append-only JSONL run ledger.
 
 The verbs that measure — ``profile``, ``deep-profile``, ``loadtest``,
-``pareto`` — each append one self-describing JSON record: machine
+``pareto`` — each build one self-describing JSON record: machine
 fingerprint (Table I style), git revision, the (curve, size, workload)
 cell, the per-stage span tree, and a metrics snapshot, so records from
 different machines or commits stay comparable.  Recording is explicit:
-a verb builds its record with :func:`make_record` and appends it to the
-file it names (:meth:`Ledger.append`); nothing is written ambiently.
+a verb builds its record with :func:`make_record`, prints it under
+``--json``, and appends it (:meth:`Ledger.append`) only where
+``--ledger PATH`` names a file; nothing is written ambiently.
 
 Record shape (``SCHEMA_VERSION`` 5) — this is the one description; the
 modules that build a block point here, and ``docs/OBSERVABILITY.md`` has a
@@ -42,17 +43,12 @@ import time
 from repro.obs.fingerprint import fingerprint_id, git_revision, machine_fingerprint
 
 __all__ = [
-    "DEFAULT_DIR",
     "Ledger",
     "SCHEMA_VERSION",
     "make_record",
-    "read_ledger",
 ]
 
 SCHEMA_VERSION = 5
-
-#: Conventional ledger directory (relative to the working directory).
-DEFAULT_DIR = os.path.join("results", "runs")
 
 
 class Ledger:
@@ -70,9 +66,6 @@ class Ledger:
         with open(self.path, "a") as f:
             f.write(json.dumps(record, sort_keys=True) + "\n")
         return record
-
-    def read(self):
-        return read_ledger(self.path)
 
 
 def make_record(kind, curve, size, workload, stages, seed=None, metrics=None,
@@ -111,24 +104,3 @@ def make_record(kind, curve, size, workload, stages, seed=None, metrics=None,
         "service": service,
         "capacity": capacity,
     }
-
-
-def read_ledger(path):
-    """Parse a JSONL ledger into a list of record dicts.
-
-    Malformed lines are skipped (a crashed writer must not wedge its
-    readers); a missing file raises ``OSError`` as usual.
-    """
-    records = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(rec, dict):
-                records.append(rec)
-    return records

@@ -424,7 +424,7 @@ def deep_profile_run(curve_name, size, workload="exponentiate", seed=0,
 
     Returns ``(workflow, profiler)``; raises ``RuntimeError`` when the
     profiled run produces a rejected proof.  The CLI's ``deep-profile``
-    and ``report --compare-model`` verbs both drive this.
+    and ``report`` verbs both drive this.
     """
     from repro.curves import get_curve
     from repro.harness.circuits import build_workload

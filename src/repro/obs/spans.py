@@ -230,7 +230,7 @@ def graft(subtree, offset_s=None, **meta):
     This is how worker span lanes re-enter the parent's telemetry tree
     (:mod:`repro.obs.worker`): the worker records the subtree under its
     own throwaway recorder and ships ``root.to_dict()``; the parent calls
-    ``graft(subtree, offset_s=..., worker_pid=pid)`` at settle time.
+    ``graft(subtree, offset_s=..., lane="worker <pid>")`` at settle time.
     *offset_s*, when given, rebases every ``start_s`` in the subtree onto
     this recorder's timeline (worker and parent share the monotonic
     clock, so the offset is the task's envelope-entry time minus the

@@ -19,7 +19,9 @@ lights it up:
   envelope's telemetry block into the installed collector, merges metric
   deltas into the active parent registry
   (:meth:`~repro.obs.metrics.MetricsRegistry.merge`), grafts worker span
-  lanes under the dispatching span (:func:`repro.obs.spans.graft`), and
+  lanes — each task bar with its wire costs — under the dispatching span
+  (:func:`repro.obs.spans.graft`; ``profile --workers N --span-trace``
+  renders them one lane per worker pid), and
   emits pool-level series: the ``repro_parallel_queue_wait_seconds`` and
   ``repro_parallel_task_wall_seconds`` histograms and the
   ``repro_parallel_worker_utilization`` /
@@ -28,8 +30,7 @@ lights it up:
 The collector accumulates per-task records and per-map windows, renders
 into the ledger record's ``workers`` block
 (:meth:`WorkerTelemetry.to_workers_block`; the record shape is described
-in :mod:`repro.obs.ledger`), exports to a per-worker-lane chrome trace
-(:func:`repro.perf.export.worker_tasks_to_chrome_trace`), and backs
+in :mod:`repro.obs.ledger`) and backs
 ``python -m repro parallel-report`` (:func:`build_parallel_report`),
 which turns a measured worker sweep
 into per-worker busy time, parallel efficiency, imbalance and dispatch

@@ -38,8 +38,10 @@ queue wait, payload decode / result encode timings and byte sizes, the
 task's metric deltas (captured under a fresh registry, so the snapshot
 *is* the delta) and a compact span subtree.  ``_settle`` merges the
 blocks back into the parent — ``MetricsRegistry.merge``, span grafting
-under the dispatching span, pool-level queue-wait/task-wall histograms
-and utilization/imbalance gauges — so the worker layer stops being a
+under the dispatching span (each task bar on its ``worker <pid>`` lane
+with its wire costs, the map's utilization / imbalance on the
+``parallel:*`` span), pool-level queue-wait/task-wall histograms and
+utilization/imbalance gauges — so the worker layer stops being a
 telemetry black box without giving up the hard reset that keeps
 untelemetered workers silent.
 
@@ -549,6 +551,9 @@ class WorkerPool:
                 start_s=map_start - telemetry.t0,
                 wall_s=time.perf_counter() - map_start,
                 task_records=task_records)
+            # Innermost here is the ``parallel:*`` span map() opened.
+            spans.attach_meta(utilization=map_rec["utilization"],
+                              imbalance=map_rec["imbalance"])
             if m is not None:
                 m.set_gauge("repro_parallel_worker_utilization",
                             map_rec["utilization"])
@@ -589,9 +594,14 @@ class WorkerPool:
             rec_now = RUN.spans
             if rec_now is not None:
                 if tb.get("spans") is not None:
+                    # The grafted task bar carries its wire costs, so the
+                    # span trace alone shows why a lane sat idle.
                     spans.graft(tb["spans"],
                                 offset_s=tb["t0"] - rec_now.t0,
-                                worker_pid=env["pid"])
+                                lane=f"worker {env['pid']}",
+                                **{k: rec[k] for k in (
+                                    "queue_wait_s", "decode_s", "encode_s",
+                                    "payload_bytes", "result_bytes")})
         if m is not None:
             m.observe("repro_parallel_task_wall_seconds", env["wall_s"],
                       buckets=metrics.TIME_BUCKETS)

@@ -1,45 +1,42 @@
-"""Trace export: Chrome-trace JSON and flat CSV for external inspection.
+"""Trace export: Chrome-trace JSON, flat CSV and flamegraph formats.
 
-``to_chrome_trace`` converts a stage trace's region tree into the Trace
-Event Format that ``chrome://tracing`` / Perfetto render, with region
-durations taken from the cost model's cycle weights and per-region counter
-annotations — the closest equivalent to opening a VTune recording of the
-stage.  ``stages_to_chrome_trace`` stitches the per-stage documents into
-one (each stage on its own pid track), ``spans_to_chrome_trace`` renders
-a *measured* :mod:`repro.obs.spans` tree on real wall-clock time (worker
-subtrees on their own tid lanes), ``worker_tasks_to_chrome_trace``
-renders a ledger ``workers`` block with one pid lane per worker process,
-``requests_to_chrome_trace`` renders a load run's per-request phase
-breakdowns with one pid lane per request class, and ``counters_to_csv``
-dumps the primitive counters for spreadsheet workflows.
+Everything the repo renders for ``chrome://tracing`` / Perfetto is a tree
+of timed bars, so there is **one** Trace Event writer,
+:func:`spans_to_chrome_trace`, over :class:`repro.obs.spans.Span` trees.
+Measured span trees go in as they are; two converters put the other
+recordings on the same shape: :func:`regions_to_spans` (per-stage
+:class:`~repro.perf.trace.Tracer` region trees on the cost model's clock —
+the closest equivalent to opening a VTune recording of the stage) and
+:func:`requests_to_spans` (a load run's per-request phase breakdowns).
 
-The deep profiler's collapsed stacks (:mod:`repro.obs.prof`) export two
-ways: ``collapsed_to_text`` emits the classic ``flamegraph.pl`` /
-``inferno`` input format (one ``stack weight`` line per unique stack) and
+``counters_to_csv`` dumps a tracer's primitive counters for spreadsheet
+workflows.  The deep profiler's collapsed stacks (:mod:`repro.obs.prof`)
+export two ways: ``collapsed_to_text`` emits the classic ``flamegraph.pl``
+/ ``inferno`` input format (one ``stack weight`` line per unique stack) and
 ``to_speedscope`` emits a speedscope JSON document with one sampled
 profile per protocol stage.
 
-Stage ordering is deterministic everywhere: the five canonical protocol
-stages first (Fig. 1 order), then any extra keys sorted — so two exports
-of the same run are byte-identical regardless of dict construction order,
-and pid/profile indices are stable across machines.
+Ordering is deterministic everywhere — canonical protocol stages first
+(Fig. 1 order), extra keys sorted, tid lanes in natural label order — so
+two exports of the same run are byte-identical regardless of dict
+construction order.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
+from repro.obs.spans import Span
 from repro.perf.costmodel import aggregate
 
 __all__ = [
     "collapsed_to_text",
     "counters_to_csv",
-    "requests_to_chrome_trace",
+    "regions_to_spans",
+    "requests_to_spans",
     "spans_to_chrome_trace",
-    "stages_to_chrome_trace",
-    "to_chrome_trace",
     "to_speedscope",
-    "worker_tasks_to_chrome_trace",
 ]
 
 #: Canonical stage order (mirrors ``repro.workflow.STAGES``, which this
@@ -54,264 +51,114 @@ def _ordered_stages(mapping):
     return known + extras
 
 
-# -- shared lane plumbing -----------------------------------------------------------
-#
-# Every chrome-trace emitter in this module routes through these two
-# helpers so pid/tid assignment has exactly one definition.  Perfetto
-# collapses events that share a (pid, tid) pair onto one track, so the
-# old hardcoded ``tid=1`` folded logically-concurrent lanes (worker
-# tasks, per-stage sub-timelines) into a single visual thread.
+def _natural(label):
+    """Sort key that puts ``worker 9`` before ``worker 10``."""
+    return [int(part) if part.isdigit() else part
+            for part in re.split(r"(\d+)", label)]
 
 
-def _event(name, ts_us, dur_us, pid, tid, args=None):
-    """One complete ("X") Trace Event with the shared field layout."""
-    ev = {
-        "name": name,
-        "ph": "X",
-        "ts": round(ts_us, 3),
-        "dur": round(max(dur_us, 0.001), 3),
-        "pid": pid,
-        "tid": tid,
-    }
-    if args is not None:
-        ev["args"] = args
-    return ev
+def spans_to_chrome_trace(roots):
+    """Render :class:`~repro.obs.spans.Span` trees as Trace Event Format
+    JSON (a string) — the one chrome-trace writer.
 
-
-def _lane_ids(keys, start=1, ordered=False):
-    """Deterministic lane assignment: *keys* -> consecutive integer lane
-    ids beginning at *start*.  Keys are sorted unless *ordered* says the
-    caller already fixed a canonical order (e.g. protocol stages).  Either
-    way the mapping is stable across runs and machines."""
-    if not ordered:
-        keys = sorted(keys)
-    return {key: start + i for i, key in enumerate(keys)}
-
-
-def _lane_names(kind, names_by_id):
-    """Metadata ("M") events naming pid or tid lanes in the trace UI.
-
-    *kind* is ``"process_name"`` or ``"thread_name"``; *names_by_id* maps
-    the lane id to its display name.  For thread lanes the caller supplies
-    ``(pid, tid)`` tuples as ids.
+    Each root in the list *roots* gets its own ``pid`` lane (in the order
+    given) named after it.  Inside a pid, tid 1 is the main lane; a span
+    carrying ``meta["lane"]`` moves itself and its subtree onto the tid
+    lane of that label, so Perfetto shows worker tasks or concurrent
+    requests side by side instead of collapsed onto one thread.  ``args``
+    is the span's meta plus whichever of cpu seconds, peak-RSS delta and
+    GC collections it measured.
     """
-    events = []
-    for lane, label in sorted(names_by_id.items()):
-        pid, tid = lane if isinstance(lane, tuple) else (lane, 0)
-        events.append({
-            "name": kind,
-            "ph": "M",
-            "pid": pid,
-            "tid": tid,
-            "args": {"name": label},
+    bars, names = [], []
+
+    def name_lane(kind, pid, tid, label):
+        names.append({"name": kind, "ph": "M", "pid": pid, "tid": tid,
+                      "args": {"name": label}})
+
+    def emit(sp, pid, tid, lanes):
+        tid = lanes.get(sp.meta.get("lane"), tid)
+        measured = {"cpu_s": round(sp.cpu_s, 6),
+                    "rss_peak_delta_kb": sp.rss_peak_delta_kb,
+                    "gc_collections": sp.gc_collections}
+        bars.append({
+            "name": sp.name, "ph": "X",
+            "ts": round(sp.start_s * 1e6, 3),
+            "dur": round(max(sp.wall_s * 1e6, 0.001), 3),
+            "pid": pid, "tid": tid,
+            "args": {**{k: v for k, v in measured.items() if v}, **sp.meta},
         })
-    return events
+        for child in sp.children:
+            emit(child, pid, tid, lanes)
+
+    for pid, root in enumerate(roots, start=1):
+        labels = sorted({sp.meta["lane"] for sp in root.walk()
+                         if "lane" in sp.meta}, key=_natural)
+        lanes = {label: tid for tid, label in enumerate(labels, start=2)}
+        emit(root, pid, 1, lanes)
+        name_lane("process_name", pid, 0, root.name)
+        for label, tid in [("main", 1), *lanes.items()] if lanes else ():
+            name_lane("thread_name", pid, tid, label)
+    return json.dumps({
+        "traceEvents": bars + names,
+        "displayTimeUnit": "ms",
+        "otherData": {"roots": [root.name for root in roots]},
+    }, indent=1)
 
 
-def _region_cycles(rec, memo):
-    """Total cycles of a region including its children (memoized by id)."""
-    key = id(rec)
-    if key not in memo:
-        own = aggregate(rec.counts).cycles
-        memo[key] = own + sum(_region_cycles(ch, memo) for ch in rec.children)
-    return memo[key]
-
-
-def to_chrome_trace(tracer, freq_ghz=3.0, pid=1, tid=1):
-    """Render the region tree as Trace Event Format JSON (a string).
+def regions_to_spans(stage_tracers, freq_ghz=3.0):
+    """``{stage: Tracer}`` -> one root :class:`~repro.obs.spans.Span` per
+    stage (canonical order, extras sorted) on the cost model's clock.
 
     Durations are modeled cycles converted at *freq_ghz*; sibling regions
-    are laid out sequentially, children nested within parents, matching
-    how the work actually interleaves on one thread.  *pid*/*tid* place
-    the whole document on one lane (callers that stitch documents, e.g.
-    :func:`stages_to_chrome_trace`, assign lanes via the shared helper).
+    are laid out sequentially after their parent's own work, children
+    nested within parents, matching how the work interleaves on one
+    thread.  Each tracer's ``<root>`` region is renamed to its stage.
     """
-    events = []
-    memo = {}
+    us_per_cycle = 1.0 / (freq_ghz * 1e3)
 
-    def emit(rec, start_us):
-        dur_cycles = _region_cycles(rec, memo)
-        dur_us = dur_cycles / (freq_ghz * 1e3)
-        summary = aggregate(rec.counts)
-        events.append(_event(rec.name, start_us, dur_us, pid, tid, {
+    def convert(rec, name, start_us, depth):
+        own = aggregate(rec.counts)
+        sp = Span(name=name, depth=depth, start_s=start_us / 1e6, meta={
             "parallel": rec.parallel,
             "items": rec.items,
-            "instructions": round(summary.instructions),
-            "cycles": round(summary.cycles),
-        }))
-        # Children laid out after this region's own (pre-child) work.
-        own_us = aggregate(rec.counts).cycles / (freq_ghz * 1e3)
-        child_start = start_us + own_us
+            "instructions": round(own.instructions),
+            "cycles": round(own.cycles),
+        })
+        dur_us = own.cycles * us_per_cycle
+        cursor = start_us + dur_us
         for ch in rec.children:
-            emit(ch, child_start)
-            child_start += max(_region_cycles(ch, memo) / (freq_ghz * 1e3), 0.001)
+            child = convert(ch, ch.name, cursor, depth + 1)
+            sp.children.append(child)
+            dur_us += child.wall_s * 1e6
+            cursor += max(child.wall_s * 1e6, 0.001)
+        sp.wall_s = dur_us / 1e6
+        return sp
 
-    emit(tracer.root, 0.0)
-    return json.dumps({
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {"label": tracer.label, "clock_ticks": tracer.clock},
-    }, indent=1)
-
-
-def stages_to_chrome_trace(stage_tracers, freq_ghz=3.0):
-    """Merge per-stage tracers into one Trace Event document (a string).
-
-    *stage_tracers* maps stage name -> :class:`~repro.perf.trace.Tracer`;
-    each stage is rendered with :func:`to_chrome_trace` and lands on its
-    own ``pid`` track (canonical protocol order, extras sorted), so the
-    five protocol stages line up side by side in Perfetto and pid
-    assignment does not depend on mapping construction order.
-    """
-    events = []
-    labels = {}
-    lanes = _lane_ids(_ordered_stages(stage_tracers), ordered=True)
-    for stage, pid in lanes.items():
-        tracer = stage_tracers[stage]
-        doc = json.loads(to_chrome_trace(tracer, freq_ghz=freq_ghz, pid=pid))
-        for ev in doc["traceEvents"]:
-            if ev["name"] == "<root>":
-                ev["name"] = stage
-            events.append(ev)
-        labels[str(pid)] = stage
-    events.extend(_lane_names("process_name",
-                              {pid: stage for stage, pid in lanes.items()}))
-    return json.dumps({
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {"stages": labels},
-    }, indent=1)
+    return [convert(stage_tracers[stage].root, stage, 0.0, 0)
+            for stage in _ordered_stages(stage_tracers)]
 
 
-def spans_to_chrome_trace(root, pid=1):
-    """Render a measured :class:`~repro.obs.spans.Span` tree as Trace Event
-    JSON (a string) — real wall-clock ``ts``/``dur``, unlike the modeled
-    cycle timeline of :func:`to_chrome_trace`.
+def requests_to_spans(results):
+    """:class:`~repro.serve.jobs.JobResult` s -> one root
+    :class:`~repro.obs.spans.Span` per request class (``prove`` /
+    ``verify``, sorted) on the service's shared timeline.
 
-    Subtrees grafted from workers (``meta["worker_pid"]``, see
-    :func:`repro.obs.spans.graft`) land on their own ``tid`` lane per
-    worker pid — tid 1 is the parent process — so Perfetto shows worker
-    task bars side by side instead of collapsed onto the main thread.
-    """
-    events = []
-    worker_pids = {sp.meta["worker_pid"] for sp in root.walk()
-                   if "worker_pid" in sp.meta}
-    lanes = _lane_ids(worker_pids, start=2)
-
-    def emit(sp, tid):
-        wpid = sp.meta.get("worker_pid")
-        if wpid is not None:
-            tid = lanes[wpid]
-        events.append(_event(sp.name, sp.start_s * 1e6, sp.wall_s * 1e6,
-                             pid, tid, {
-            "cpu_s": round(sp.cpu_s, 6),
-            "rss_peak_delta_kb": sp.rss_peak_delta_kb,
-            "gc_collections": sp.gc_collections,
-            **({"meta": sp.meta} if sp.meta else {}),
-        }))
-        for child in sp.children:
-            emit(child, tid)
-
-    emit(root, 1)
-    names = {(pid, 1): "main"}
-    for wpid, tid in lanes.items():
-        names[(pid, tid)] = f"worker {wpid}"
-    events.extend(_lane_names("thread_name", names))
-    return json.dumps({
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {"source": "repro.obs.spans", "root": root.name},
-    }, indent=1)
-
-
-def worker_tasks_to_chrome_trace(workers_block):
-    """Render a ledger ``workers`` block
-    (:meth:`~repro.obs.worker.WorkerTelemetry.to_workers_block`) as Trace
-    Event JSON (a string) with **one pid lane per worker**.
-
-    Lane 1 is the parent: one bar per ``WorkerPool.map`` window
-    (dispatch to settle).  Each worker OS pid gets its own lane with one
-    bar per task, so stragglers, queue gaps and serial holes between maps
-    are directly visible in Perfetto.  All timestamps share the
-    collector's timeline (``start_s`` offsets in seconds).
-    """
-    events = []
-    lanes = _lane_ids({t["pid"] for t in workers_block.get("tasks", ())},
-                      start=2)
-    for m in workers_block.get("maps", ()):
-        events.append(_event(
-            f"map:{m['label']}", m["start_s"] * 1e6, m["wall_s"] * 1e6,
-            1, 1, {
-                "stage": m.get("stage"),
-                "backend": m.get("backend"),
-                "workers": m.get("workers"),
-                "n_tasks": m.get("n_tasks"),
-                "busy_s": m.get("busy_s"),
-                "utilization": m.get("utilization"),
-                "imbalance": m.get("imbalance"),
-            }))
-    for t in workers_block.get("tasks", ()):
-        if "start_s" not in t:
-            continue
-        events.append(_event(
-            t.get("label") or t["task"], t["start_s"] * 1e6,
-            t["wall_s"] * 1e6, lanes[t["pid"]], 1, {
-                "task": t["task"],
-                "stage": t.get("stage"),
-                "cpu_s": t.get("cpu_s"),
-                "queue_wait_s": t.get("queue_wait_s"),
-                "decode_s": t.get("decode_s"),
-                "encode_s": t.get("encode_s"),
-                "payload_bytes": t.get("payload_bytes"),
-                "result_bytes": t.get("result_bytes"),
-                "rss_peak_delta_kb": t.get("rss_peak_delta_kb"),
-            }))
-    names = {1: "parent (map windows)"}
-    for wpid, lane in lanes.items():
-        names[lane] = f"worker pid {wpid}"
-    events.extend(_lane_names("process_name", names))
-    return json.dumps({
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "source": "repro.obs.worker",
-            "backend": workers_block.get("backend"),
-            "workers": workers_block.get("workers"),
-            "utilization": workers_block.get("utilization"),
-            "imbalance": workers_block.get("imbalance"),
-        },
-    }, indent=1)
-
-
-def requests_to_chrome_trace(results):
-    """Render a load run's per-request phase breakdowns
-    (:class:`~repro.serve.jobs.JobResult` objects carrying ``phases`` /
-    ``start_s``) as Trace Event JSON (a string).
-
-    One **pid lane per request class** (``prove`` / ``verify``, sorted)
-    and one tid per request within its class, so Perfetto shows each
-    class's requests stacked side by side on the service's shared
-    timeline (``start_s`` offsets from service start).  Every request
-    gets a parent bar spanning ``total_s`` plus one sub-bar per recorded
-    phase.  Phase bars are laid out sequentially in canonical
+    Every request is a bar spanning ``total_s`` on its own ``request
+    <id>`` lane, tiled by one sub-bar per recorded phase in canonical
     :data:`~repro.serve.jobs.PHASES` order — the durations are the
     *additive* accounting buckets, so a retried request's two compute
-    attempts render as one consolidated ``compute`` bar, not the exact
-    interleaving.  Untracked results (client-side sheds with no phase
-    dict) are skipped.
+    attempts render as one ``compute`` bar, not the exact interleaving.
+    Untracked results (client-side sheds, no phase dict) are skipped.
     """
     from repro.serve.jobs import PHASES
 
-    traced = [r for r in results if r.phases]
-    lanes = _lane_ids({r.kind for r in traced})
-    events = []
-    names = {}
-    for r in sorted(traced, key=lambda r: (r.kind, r.request_id)):
-        pid, tid = lanes[r.kind], r.request_id
-        names[(pid, tid)] = f"request {r.request_id}"
-        events.append(_event(
-            f"{r.kind} #{r.request_id} [{r.status}]",
-            r.start_s * 1e6, r.total_s * 1e6, pid, tid, {
+    roots = {}
+    for r in sorted((r for r in results if r.phases),
+                    key=lambda r: (r.kind, r.request_id)):
+        bar = Span(
+            name=f"{r.kind} #{r.request_id} [{r.status}]", depth=1,
+            start_s=r.start_s, wall_s=r.total_s, meta={
+                "lane": f"request {r.request_id}",
                 "status": r.status,
                 "error_code": r.error_code,
                 "attempts": r.attempts,
@@ -320,26 +167,18 @@ def requests_to_chrome_trace(results):
                 "phase_error_s": round(r.phase_error(), 9),
                 **({"compute_detail": r.compute_detail}
                    if r.compute_detail else {}),
-            }))
+            })
         cursor = r.start_s
         for phase in PHASES:
             dur = r.phases.get(phase, 0.0)
-            if dur <= 0:
-                continue
-            events.append(_event(phase, cursor * 1e6, dur * 1e6, pid, tid))
-            cursor += dur
-    events.extend(_lane_names("process_name",
-                              {pid: kind for kind, pid in lanes.items()}))
-    events.extend(_lane_names("thread_name", names))
-    return json.dumps({
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "source": "repro.serve",
-            "requests": len(traced),
-            "classes": sorted(lanes),
-        },
-    }, indent=1)
+            if dur > 0:
+                bar.children.append(Span(name=phase, depth=2, start_s=cursor,
+                                         wall_s=dur))
+                cursor += dur
+        roots.setdefault(r.kind, Span(name=r.kind, depth=0)).children.append(bar)
+    for root in roots.values():  # service start to the class's last settle
+        root.wall_s = max(bar.start_s + bar.wall_s for bar in root.children)
+    return list(roots.values())
 
 
 def counters_to_csv(tracer):

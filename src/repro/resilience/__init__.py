@@ -18,8 +18,8 @@ package makes failure a modeled, observable event:
     deadlines, and the :class:`~repro.resilience.retry.ResiliencePolicy`
     a ``Workflow`` is given (``policy=``).
 :mod:`repro.resilience.checkpoint`
-    Checksummed pickle payloads and per-cell sweep checkpoints under
-    ``results/checkpoints/`` (``python -m repro sweep --resume``).
+    Checksummed pickle payloads and the self-healing cell store behind
+    the harness disk cache and the capacity checkpoints.
 :mod:`repro.resilience.degrade`
     Graceful degradation: Pippenger→naive MSM fallback, batch-verify
     bisection to the exact bad proof indices, and the harness memory
@@ -36,7 +36,6 @@ give-ups land in the run ledger next to the kernel counters.  See
 
 from repro.resilience.checkpoint import (
     CellStore,
-    SweepCheckpoint,
     read_checksummed,
     write_checksummed,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "StageError",
     "StageOrderError",
     "StageTimeout",
-    "SweepCheckpoint",
     "TransientFault",
     "batch_verify_bisect",
     "classify",

@@ -1,6 +1,6 @@
-"""Sweep checkpoints and self-verifying pickle payloads.
+"""Self-verifying pickle payloads and the cell store built on them.
 
-Three layers:
+Two layers:
 
 - :func:`write_checksummed` / :func:`read_checksummed` — the one on-disk
   pickle format of the repo: payload followed by a 32-byte sha256 trailer,
@@ -9,19 +9,12 @@ Three layers:
   :class:`~repro.resilience.errors.ArtifactCorruption` instead of
   deserializing garbage.
 - :class:`CellStore` — a directory of such files with the load / evict /
-  count / store-with-manifest logic every cell cache shares: the sweep
-  checkpoints below, the capacity checkpoints (:mod:`repro.obs.capacity`)
-  and the harness disk cache (:func:`repro.harness.runner.profile_run`).
-  Corrupt cells are **self-healing**: a failed load evicts the file, bumps
-  the store's eviction counter, and reports a miss so the cell is simply
-  recomputed.
-- :class:`SweepCheckpoint` — per-cell persistence for ``profile_sweep``
-  under ``results/checkpoints/sweep_<key>/``: one cell per
-  (workload, curve, size, seed) plus a human-readable ``MANIFEST.json``.
-  A killed sweep resumes by loading every finished cell and recomputing
-  only the rest (``python -m repro sweep --resume``); because cells hold
-  the deterministic model profiles, a resumed sweep's results are
-  identical to an uninterrupted run's.
+  count / store-with-manifest logic every cell cache shares: the capacity
+  checkpoints (:mod:`repro.obs.capacity`) and the harness disk cache
+  (:func:`repro.harness.runner.profile_run`), which is what lets a killed
+  ``repro run`` resume.  Corrupt cells are **self-healing**: a failed load
+  evicts the file, bumps the store's eviction counter, and reports a miss
+  so the cell is simply recomputed.
 """
 
 from __future__ import annotations
@@ -37,7 +30,6 @@ from repro.resilience.errors import ArtifactCorruption
 __all__ = [
     "CellStore",
     "DEFAULT_DIR",
-    "SweepCheckpoint",
     "read_checksummed",
     "write_checksummed",
 ]
@@ -86,19 +78,10 @@ def read_checksummed(path):
         ) from exc
 
 
-def sweep_key(workload, curve_names, sizes, seed, mem_sample, fingerprint):
-    """Stable 16-hex identity of one sweep configuration."""
-    text = json.dumps(
-        [workload, list(curve_names), list(sizes), seed, mem_sample, fingerprint],
-        sort_keys=True,
-    )
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
 class CellStore:
     """A directory of checksummed cells: load, evict on corruption, count,
-    store — the one implementation behind the sweep checkpoints, the
-    capacity checkpoints and the harness disk cache.
+    store — the one implementation behind the capacity checkpoints and
+    the harness disk cache.
 
     *manifest*, when given, is written once as ``MANIFEST.json`` beside the
     first stored cell.  A missing cell and a corrupt one both load as
@@ -141,45 +124,3 @@ class CellStore:
                 json.dump(self._manifest, f, indent=2, sort_keys=True)
                 f.write("\n")
         write_checksummed(os.path.join(self.dir, name), cell)
-
-
-class SweepCheckpoint:
-    """Per-cell checkpoint store for one sweep configuration."""
-
-    def __init__(self, workload, curve_names, sizes, seed, mem_sample,
-                 fingerprint, base_dir=None):
-        self.key = sweep_key(workload, curve_names, sizes, seed, mem_sample,
-                             fingerprint)
-        self.dir = os.path.join(base_dir or DEFAULT_DIR, f"sweep_{self.key}")
-        self._cells = CellStore(
-            self.dir,
-            manifest={
-                "workload": workload,
-                "curves": list(curve_names),
-                "sizes": list(sizes),
-                "seed": seed,
-                "mem_sample": mem_sample,
-                "fingerprint": fingerprint,
-            },
-            hit_metric="repro_resilience_checkpoint_hits_total")
-
-    def load(self, curve_name, size):
-        """The stored profiles for one cell, or ``None`` (missing cells
-        and corrupt — then evicted — cells both read as ``None``)."""
-        return self._cells.load(f"cell_{curve_name}_{size}.pkl")
-
-    def store(self, curve_name, size, profiles):
-        self._cells.store(f"cell_{curve_name}_{size}.pkl", profiles)
-
-    def completed_cells(self):
-        """Sorted (curve, size) pairs with a stored cell file."""
-        if not os.path.isdir(self.dir):
-            return []
-        cells = []
-        for name in os.listdir(self.dir):
-            if name.startswith("cell_") and name.endswith(".pkl"):
-                stem = name[len("cell_"):-len(".pkl")]
-                curve_name, _, size = stem.rpartition("_")
-                if curve_name and size.isdigit():
-                    cells.append((curve_name, int(size)))
-        return sorted(cells)

@@ -1,5 +1,6 @@
 """Shared fixtures: curves, deterministic RNGs, and small compiled circuits."""
 
+import json
 import random
 
 import pytest
@@ -28,6 +29,12 @@ def bls12_381():
 def rng():
     """Deterministic RNG; tests must not depend on global random state."""
     return random.Random(0xC0FFEE)
+
+
+def read_jsonl(path):
+    """The records of a JSONL run ledger, as the tests that wrote it read it."""
+    with open(path) as f:
+        return [json.loads(line) for line in f]
 
 
 def make_pow_circuit(curve, exponent=8):

@@ -7,7 +7,6 @@ import os
 
 import pytest
 
-from repro.obs import ledger
 from repro.obs.capacity import (
     CapacityCell,
     diagnose,
@@ -16,6 +15,7 @@ from repro.obs.capacity import (
     run_capacity_sweep,
     sweep_configs,
 )
+from tests.conftest import read_jsonl
 
 
 def cell(tput, p99, rps=None, workers=1, bw=0.0, q=16, ok=10, **kwargs):
@@ -115,7 +115,7 @@ class TestSweep:
         assert first.ok
         assert first.phase_violations == 0
         assert not any(c.resumed for c in first.cells)
-        recs = ledger.read_ledger(kwargs["ledger_path"])
+        recs = read_jsonl(kwargs["ledger_path"])
         assert len(recs) == 1
         assert recs[0]["schema"] == 5
         assert recs[0]["kind"] == "capacity"
@@ -129,7 +129,7 @@ class TestSweep:
         assert second.cells[0].throughput_rps \
             == first.cells[0].throughput_rps
         assert second.cells[0].p99_s == first.cells[0].p99_s
-        assert len(ledger.read_ledger(kwargs["ledger_path"])) == 1
+        assert len(read_jsonl(kwargs["ledger_path"])) == 1
 
     def test_corrupt_checkpoint_self_heals(self, tmp_path):
         kwargs = self.sweep_kwargs(tmp_path)

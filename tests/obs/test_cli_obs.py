@@ -1,13 +1,13 @@
 """CLI tests for the telemetry verbs: ``repro profile``, ``deep-profile``
-and ``report --compare-model``."""
+and ``report``."""
 
 import json
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.obs.ledger import read_ledger
 from repro.workflow import STAGES
+from tests.conftest import read_jsonl
 
 
 def run_cli(argv):
@@ -37,7 +37,7 @@ class TestProfileCommand:
         for stage in STAGES:  # the span tree covers all five stages
             assert stage in out
         assert "repro_groth16_prove_total 1" in out
-        records = read_ledger(path)
+        records = read_jsonl(path)
         assert len(records) == 1
         rec = records[0]
         assert rec["kind"] == "profile"
@@ -47,10 +47,12 @@ class TestProfileCommand:
         assert all(s["span"] is not None for s in rec["stages"])
 
     def test_json_output_is_the_record(self, tmp_path):
+        path = tmp_path / "led.jsonl"
         code, out = run_cli(["profile", "--size", "8", "--json",
-                             "--ledger", str(tmp_path / "led.jsonl")])
+                             "--ledger", str(path)])
         assert code == 0
         rec = json.loads(out)
+        assert read_jsonl(path) == [rec]  # --ledger appends what --json prints
         assert rec["schema"] == 5
         assert rec["metrics"]["counters"]["repro_groth16_verify_total"] == 1
         assert rec["profile"] is None  # plain profile carries no deep block
@@ -58,27 +60,31 @@ class TestProfileCommand:
         for s in rec["stages"]:
             assert "cpu_s" in s and "rss_peak_delta_kb" in s
 
-    def test_no_ledger_writes_nothing(self, tmp_path):
-        path = tmp_path / "led.jsonl"
-        code, _ = run_cli(["profile", "--size", "8", "--no-ledger",
-                           "--ledger", str(path)])
+    def test_without_ledger_flag_nothing_is_written(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out = run_cli(["profile", "--size", "8"])
         assert code == 0
-        assert not path.exists()
+        assert "ledger:" not in out
+        assert list(tmp_path.iterdir()) == []
 
-    def test_unknown_workload_is_usage_error(self, tmp_path):
-        code, out = run_cli(["profile", "--size", "8", "--workload", "bogus",
-                             "--no-ledger"])
-        assert code == 2
-        assert "bad workload" in out
+    @pytest.mark.parametrize("bad", [["--workload", "bogus"],
+                                     ["--size", "-3"], ["--size", "0"]])
+    def test_bad_cell_is_a_parse_time_usage_error(self, bad, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["profile", *bad])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown workload" in err or "positive integer" in err
 
     def test_chrome_and_span_traces_written(self, tmp_path):
         ct = tmp_path / "ct.json"
         st = tmp_path / "st.json"
-        code, _ = run_cli(["profile", "--size", "8", "--no-ledger",
+        code, _ = run_cli(["profile", "--size", "8",
                            "--chrome-trace", str(ct), "--span-trace", str(st)])
         assert code == 0
         modeled = json.loads(ct.read_text())
-        assert sorted(modeled["otherData"]["stages"].values()) == sorted(STAGES)
+        assert modeled["otherData"]["roots"] == list(STAGES)
         measured = json.loads(st.read_text())
         names = [e["name"] for e in measured["traceEvents"]]
         for stage in STAGES:
@@ -97,8 +103,6 @@ def fake_deep_run(monkeypatch):
         return sum(i * i for i in range(200))
 
     def fake(curve_name, size, workload="exponentiate", seed=0, alloc=True):
-        if workload not in ("exponentiate", "hash_chain", "matmul"):
-            raise KeyError(workload)
         profiler = prof.DeepProfiler(alloc=alloc)
         results = {}
         for stage in STAGES:
@@ -141,7 +145,7 @@ class TestDeepProfileCommand:
         assert first.startswith("compile;")
         doc = json.loads(speedscope.read_text())
         assert [p["name"] for p in doc["profiles"]] == list(STAGES)
-        records = read_ledger(led)
+        records = read_jsonl(led)
         assert len(records) == 1
         rec = records[0]
         assert rec["kind"] == "deep-profile"
@@ -155,7 +159,7 @@ class TestDeepProfileCommand:
     def test_json_output_is_the_record(self, tmp_path, monkeypatch):
         fake_deep_run(monkeypatch)
         monkeypatch.chdir(tmp_path)
-        code, out = run_cli(["deep-profile", "--size", "4", "--no-ledger",
+        code, out = run_cli(["deep-profile", "--size", "4",
                              "--no-artifacts", "--json"])
         assert code == 0
         rec = json.loads(out)
@@ -165,7 +169,7 @@ class TestDeepProfileCommand:
     def test_no_artifacts_flag(self, tmp_path, monkeypatch):
         fake_deep_run(monkeypatch)
         monkeypatch.chdir(tmp_path)
-        code, _ = run_cli(["deep-profile", "--size", "4", "--no-ledger",
+        code, _ = run_cli(["deep-profile", "--size", "4",
                            "--no-artifacts"])
         assert code == 0
         assert not (tmp_path / "results").exists()
@@ -174,20 +178,20 @@ class TestDeepProfileCommand:
         fake_deep_run(monkeypatch)
         c = tmp_path / "x.collapsed"
         s = tmp_path / "x.speedscope.json"
-        code, _ = run_cli(["deep-profile", "--size", "4", "--no-ledger",
+        code, _ = run_cli(["deep-profile", "--size", "4",
                            "--collapsed", str(c), "--speedscope", str(s)])
         assert code == 0
         assert c.exists() and s.exists()
 
-    def test_unknown_workload_is_usage_error(self, monkeypatch):
-        fake_deep_run(monkeypatch)
-        code, out = run_cli(["deep-profile", "--size", "4", "--no-ledger",
-                             "--no-artifacts", "--workload", "bogus"])
-        assert code == 2
-        assert "bad workload" in out
+    def test_unknown_workload_is_a_parse_time_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["deep-profile", "--size", "4", "--no-artifacts",
+                     "--workload", "bogus"])
+        assert exc.value.code == 2
+        assert "unknown workload 'bogus'" in capsys.readouterr().err
 
 
-class TestReportCompareModel:
+class TestReport:
     """The drift gate through the CLI.  Measurement is stubbed (full
     deep-profiled runs take minutes; CI's drift-smoke job runs one for
     real); the modeled side comes from --model-json fixtures, proving the
@@ -238,7 +242,7 @@ class TestReportCompareModel:
 
     def test_agreeing_model_exits_zero(self, tmp_path, monkeypatch):
         self.stub_measurement(monkeypatch)
-        code, out = run_cli(["report", "--compare-model", "--model-json",
+        code, out = run_cli(["report", "--model-json",
                              self.write_model(tmp_path, self.GOOD_MODEL)])
         assert code == 0
         assert "model and measurement agree" in out
@@ -252,23 +256,17 @@ class TestReportCompareModel:
         bad["proving"]["opcode_shares"] = {"compute": 5.0, "control": 20.0,
                                            "data": 75.0, "other": 0.0}
         self.stub_measurement(monkeypatch)
-        code, out = run_cli(["report", "--compare-model", "--model-json",
+        code, out = run_cli(["report", "--model-json",
                              self.write_model(tmp_path, bad)])
         assert code == 1
         assert "MODEL DRIFT detected" in out
 
     def test_json_output(self, tmp_path, monkeypatch):
         self.stub_measurement(monkeypatch)
-        code, out = run_cli(["report", "--compare-model", "--json",
-                             "--model-json",
+        code, out = run_cli(["report", "--json", "--model-json",
                              self.write_model(tmp_path, self.GOOD_MODEL)])
         assert code == 0
         docs = json.loads(out)
         assert len(docs) == 1  # default sweep: bn128 x (64,)
         assert docs[0]["cell"] == "exponentiate/bn128/64"
         assert docs[0]["ok"] is True
-
-    def test_without_flag_is_usage_error(self):
-        code, out = run_cli(["report"])
-        assert code == 2
-        assert "--compare-model" in out

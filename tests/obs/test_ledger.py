@@ -1,16 +1,10 @@
-"""Ledger and fingerprint tests: record schema, JSONL round-trip,
-and robustness to corrupt lines."""
+"""Ledger and fingerprint tests: record schema and JSONL round-trip."""
 
 import json
 
-import pytest
-
 from repro.obs import fingerprint
-from repro.obs.ledger import (
-    Ledger,
-    make_record,
-    read_ledger,
-)
+from repro.obs.ledger import Ledger, make_record
+from tests.conftest import read_jsonl
 
 
 class TestFingerprint:
@@ -110,7 +104,7 @@ class TestMakeRecord:
         led.append(v3)
         led.append(make_record(kind="profile", curve="bn128", size=64,
                                workload="exponentiate", seed=0, stages=[]))
-        records = read_ledger(str(path))
+        records = read_jsonl(path)
         assert [r["schema"] for r in records] == [1, 2, 3, 5]
         assert "profile" not in records[0]
         assert "workers" not in records[1]
@@ -125,17 +119,10 @@ class TestLedgerFile:
         path = tmp_path / "runs" / "led.jsonl"  # parent dir created lazily
         led = Ledger(str(path))
         for i in range(3):
-            led.append({"schema": 1, "i": i})
-        records = read_ledger(str(path))
-        assert [r["i"] for r in records] == [0, 1, 2]
-        assert led.read() == records
+            assert led.append({"schema": 1, "i": i}) == {"schema": 1, "i": i}
+        assert [r["i"] for r in read_jsonl(path)] == [0, 1, 2]
 
-    def test_corrupt_lines_skipped(self, tmp_path):
+    def test_one_sorted_json_line_per_record(self, tmp_path):
         path = tmp_path / "led.jsonl"
-        path.write_text('{"ok": 1}\nnot json\n\n[1,2]\n{"ok": 2}\n')
-        records = read_ledger(str(path))
-        assert [r["ok"] for r in records] == [1, 2]
-
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(OSError):
-            read_ledger(str(tmp_path / "nope.jsonl"))
+        Ledger(str(path)).append({"b": 1, "a": {"d": 2, "c": 3}})
+        assert path.read_text() == '{"a": {"c": 3, "d": 2}, "b": 1}\n'

@@ -16,7 +16,6 @@ from repro.obs.metrics import DEFAULT_BUCKETS, TIME_BUCKETS, MetricsRegistry
 from repro.obs.spans import Span
 from repro.obs.worker import WorkerTelemetry, collecting_tasks
 from repro.parallel.pool import WorkerPool
-from repro.perf.export import worker_tasks_to_chrome_trace
 
 PAYLOADS = [{"x": i} for i in range(8)]
 
@@ -155,11 +154,18 @@ class TestPoolIntegration:
         assert 0 <= reg.gauge("repro_parallel_worker_utilization") <= 1.0
         assert reg.gauge("repro_parallel_chunk_imbalance_ratio") >= 1.0
         # Worker span lanes grafted under the dispatching span.
-        grafted = [sp for sp in rec.root.walk()
-                   if sp.meta.get("worker_pid") is not None]
+        grafted = [sp for sp in rec.root.walk() if "lane" in sp.meta]
         assert len(grafted) == len(PAYLOADS)
-        assert {sp.meta["worker_pid"] for sp in grafted} == \
-            {t["pid"] for t in tel.tasks}
+        assert {sp.meta["lane"] for sp in grafted} == \
+            {f"worker {t['pid']}" for t in tel.tasks}
+        # Each grafted task bar carries its record's wire costs.
+        for sp in grafted:
+            assert sp.meta["payload_bytes"] > 0
+            assert sp.meta["result_bytes"] > 0
+        window = next(sp for sp in rec.root.walk()
+                      if sp.name == "parallel:unit")
+        assert window.meta["utilization"] == tel.maps[0]["utilization"]
+        assert window.meta["imbalance"] == tel.maps[0]["imbalance"]
 
     def test_serial_backend_records_light_blocks(self):
         with collecting_tasks() as tel, spans.recording("unit") as rec:
@@ -191,29 +197,12 @@ class TestPoolIntegration:
                 assert set(stats) == {"tasks", "wall_s", "cpu_s"}
 
 
-class TestWorkerTrace:
-    def _block(self):
+class TestWorkersBlock:
+    def test_block_is_json_clean(self):
         with collecting_tasks() as tel:
             with WorkerPool(2) as pool:
                 pool.map("selftest_square", PAYLOADS, label="unit")
-        return tel.to_workers_block()
-
-    def test_one_pid_lane_per_worker(self):
-        block = self._block()
-        doc = json.loads(worker_tasks_to_chrome_trace(block))
-        events = doc["traceEvents"]
-        bars = [e for e in events if e["ph"] == "X"]
-        worker_lanes = {e["pid"] for e in bars} - {1}
-        assert len(worker_lanes) == len(block["per_worker"])
-        assert any(e["pid"] == 1 and e["name"] == "map:unit" for e in bars)
-        names = {e["pid"]: e["args"]["name"] for e in events
-                 if e["ph"] == "M" and e["name"] == "process_name"}
-        assert names[1] == "parent (map windows)"
-        assert all(n.startswith("worker pid ")
-                   for pid, n in names.items() if pid != 1)
-
-    def test_block_is_json_clean(self):
-        json.dumps(self._block())
+        json.dumps(tel.to_workers_block())
 
 
 class TestParallelReport:

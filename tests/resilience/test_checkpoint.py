@@ -1,5 +1,6 @@
-"""Checksummed payloads, sweep checkpoints, and kill-and-resume semantics."""
+"""Checksummed payloads, the cell store, and kill-and-resume semantics."""
 
+import glob
 import os
 import pickle
 
@@ -8,9 +9,8 @@ import pytest
 from repro.harness import runner
 from repro.obs import metrics
 from repro.resilience.checkpoint import (
-    SweepCheckpoint,
+    CellStore,
     read_checksummed,
-    sweep_key,
     write_checksummed,
 )
 from repro.resilience.errors import ArtifactCorruption
@@ -54,52 +54,52 @@ class TestChecksummedPayload:
         assert os.listdir(tmp_path) == ["x.pkl"]
 
 
-class TestSweepCheckpoint:
-    def _ckpt(self, tmp_path):
-        return SweepCheckpoint("exponentiate", ("bn128",), (8, 16), 0, 1,
-                              "fp0", base_dir=str(tmp_path))
-
+class TestCellStore:
     def test_store_load_roundtrip(self, tmp_path):
-        ck = self._ckpt(tmp_path)
-        ck.store("bn128", 8, {"stage": "data"})
-        assert ck.load("bn128", 8) == {"stage": "data"}
-        assert ck.load("bn128", 16) is None
-        assert ck.completed_cells() == [("bn128", 8)]
+        store = CellStore(str(tmp_path / "cells"))
+        store.store("cell_bn128_8.pkl", {"stage": "data"})
+        assert store.load("cell_bn128_8.pkl") == {"stage": "data"}
+        assert store.load("cell_bn128_16.pkl") is None
 
-    def test_key_depends_on_configuration(self):
-        base = sweep_key("exponentiate", ("bn128",), (8,), 0, 1, "fp")
-        assert sweep_key("exponentiate", ("bn128",), (8,), 1, 1, "fp") != base
-        assert sweep_key("exponentiate", ("bn128",), (8,), 0, 1, "other") != base
-        assert sweep_key("range", ("bn128",), (8,), 0, 1, "fp") != base
-
-    def test_manifest_written(self, tmp_path):
-        ck = self._ckpt(tmp_path)
-        ck.store("bn128", 8, {})
-        assert os.path.exists(os.path.join(ck.dir, "MANIFEST.json"))
+    def test_manifest_written_once(self, tmp_path):
+        store = CellStore(str(tmp_path), manifest={"seed": 0})
+        store.store("a.pkl", {})
+        manifest = tmp_path / "MANIFEST.json"
+        before = manifest.read_text()
+        store.store("b.pkl", {})
+        assert manifest.read_text() == before
 
     def test_corrupt_cell_self_heals(self, tmp_path):
-        ck = self._ckpt(tmp_path)
-        ck.store("bn128", 8, {"good": 1})
-        cell = os.path.join(ck.dir, "cell_bn128_8.pkl")
+        store = CellStore(str(tmp_path))
+        store.store("cell.pkl", {"good": 1})
+        cell = str(tmp_path / "cell.pkl")
         data = bytearray(open(cell, "rb").read())
         data[-1] ^= 0xFF  # break the digest trailer
         open(cell, "wb").write(bytes(data))
         with metrics.collecting() as reg:
-            assert ck.load("bn128", 8) is None
+            assert store.load("cell.pkl") is None
         assert not os.path.exists(cell)  # evicted
         assert reg.counter("repro_resilience_checkpoint_evictions_total") == 1
 
 
 class TestKillAndResume:
+    """A killed sweep resumes from ``profile_run``'s self-healing disk
+    cache: finished cells load, only the rest are recomputed."""
+
     CURVES = ("bn128",)
     SIZES = (8, 16, 32)
 
     @pytest.fixture(autouse=True)
-    def _isolated_harness(self, monkeypatch):
-        # No memo/disk cache: every computed cell is a real profile_run,
-        # so call counts below measure recomputation precisely.
+    def cache_dir(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        self.new_process(monkeypatch)
+        return tmp_path
+
+    @staticmethod
+    def new_process(monkeypatch):
+        """Drop the in-process memo, as a rerun after a kill would."""
         monkeypatch.setattr(runner, "_MEMO", {})
-        monkeypatch.setenv("REPRO_CACHE", "0")
 
     @staticmethod
     def _deterministic(profiles):
@@ -109,84 +109,79 @@ class TestKillAndResume:
             for stage, p in profiles.items()
         }
 
-    def test_interrupted_sweep_resumes_without_recompute(self, tmp_path,
-                                                         monkeypatch):
-        ckpt_a = str(tmp_path / "interrupted")
-        ckpt_b = str(tmp_path / "reference")
+    def sweep(self):
+        with metrics.collecting() as reg:
+            cells = runner.profile_sweep(curve_names=self.CURVES,
+                                         sizes=self.SIZES)
+        return cells, reg
 
+    def interrupted_sweep(self, monkeypatch, after):
+        """Run the sweep, killing it once *after* cells have finished."""
         real = runner.profile_run
-        calls = []
+        done = []
 
         def killing(curve_name, size, **kw):
-            if len(calls) == 2:
+            if len(done) == after:
                 raise KeyboardInterrupt  # simulated mid-sweep kill
-            calls.append((curve_name, size))
+            done.append((curve_name, size))
             return real(curve_name, size, **kw)
 
         monkeypatch.setattr(runner, "profile_run", killing)
         with pytest.raises(KeyboardInterrupt):
-            runner.profile_sweep(curve_names=self.CURVES, sizes=self.SIZES,
-                                 checkpoint=ckpt_a)
-        assert len(calls) == 2  # two cells finished before the kill
+            self.sweep()
+        monkeypatch.setattr(runner, "profile_run", real)
+        self.new_process(monkeypatch)
+        return done
 
-        # The finished cells' checkpoint bytes, pre-resume.
-        ck = SweepCheckpoint("exponentiate", self.CURVES, self.SIZES, 0, 1,
-                             runner._source_fingerprint(), base_dir=ckpt_a)
-        stored_before = {
-            cell: open(os.path.join(ck.dir, f"cell_{cell[0]}_{cell[1]}.pkl"),
-                       "rb").read()
-            for cell in ck.completed_cells()
-        }
-        assert len(stored_before) == 2
+    def test_interrupted_sweep_resumes_without_recompute(self, cache_dir,
+                                                         monkeypatch):
+        done = self.interrupted_sweep(monkeypatch, after=2)
+        assert done == [("bn128", 8), ("bn128", 16)]
+        stored = {path: open(path, "rb").read()
+                  for path in glob.glob(str(cache_dir / "profile_*.pkl"))}
+        assert len(stored) == 2  # the finished cells, pre-resume
 
-        def counting(curve_name, size, **kw):
-            calls.append((curve_name, size))
-            return real(curve_name, size, **kw)
-
-        monkeypatch.setattr(runner, "profile_run", counting)
-        resumed = runner.profile_sweep(curve_names=self.CURVES,
-                                       sizes=self.SIZES,
-                                       checkpoint=ckpt_a, resume=True)
-
+        resumed, reg = self.sweep()
         # Only the unfinished cell was recomputed ...
-        assert len(calls) == 3
-        assert calls[2] == ("bn128", 32)
+        assert reg.counter("repro_harness_cache_disk_hits_total") == 2
+        assert reg.counter("repro_harness_cache_misses_total") == 1
         # ... and the finished cells' stored bytes are untouched.
-        for cell, before in stored_before.items():
-            path = os.path.join(ck.dir, f"cell_{cell[0]}_{cell[1]}.pkl")
+        for path, before in stored.items():
             assert open(path, "rb").read() == before
+        assert len(glob.glob(str(cache_dir / "profile_*.pkl"))) == 3
 
         # The resumed sweep matches an uninterrupted reference run on
         # every deterministic model output.
-        reference = runner.profile_sweep(curve_names=self.CURVES,
-                                         sizes=self.SIZES,
-                                         checkpoint=ckpt_b)
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        self.new_process(monkeypatch)
+        reference, ref_reg = self.sweep()
+        assert ref_reg.counter("repro_harness_cache_misses_total") == 3
         assert sorted(resumed) == sorted(reference)
         for cell in reference:
             assert self._deterministic(resumed[cell]) == \
                 self._deterministic(reference[cell])
 
-    def test_checkpoint_hits_counted(self, tmp_path):
-        base = str(tmp_path / "ck")
-        runner.profile_sweep(curve_names=("bn128",), sizes=(8,),
-                             checkpoint=base)
-        with metrics.collecting() as reg:
-            runner.profile_sweep(curve_names=("bn128",), sizes=(8,),
-                                 checkpoint=base, resume=True)
-        assert reg.counter("repro_resilience_checkpoint_hits_total") == 1
+    def test_bit_flipped_cell_is_evicted_and_recomputed(self, cache_dir,
+                                                        monkeypatch):
+        intact, _ = self.sweep()
+        victim = glob.glob(str(cache_dir / "profile_*_bn128_16_*.pkl"))[0]
+        data = bytearray(open(victim, "rb").read())
+        data[len(data) // 2] ^= 0x01
+        open(victim, "wb").write(bytes(data))
 
-    def test_resume_off_recomputes(self, tmp_path, monkeypatch):
-        base = str(tmp_path / "ck")
-        runner.profile_sweep(curve_names=("bn128",), sizes=(8,),
-                             checkpoint=base)
-        calls = []
-        real = runner.profile_run
+        self.new_process(monkeypatch)
+        healed, reg = self.sweep()
+        assert reg.counter("repro_harness_cache_evictions_total") == 1
+        assert reg.counter("repro_harness_cache_misses_total") == 1
+        assert reg.counter("repro_harness_cache_disk_hits_total") == 2
+        assert read_checksummed(victim)  # rewritten whole
+        for cell in intact:
+            assert self._deterministic(healed[cell]) == \
+                self._deterministic(intact[cell])
 
-        def counting(curve_name, size, **kw):
-            calls.append(1)
-            return real(curve_name, size, **kw)
-
-        monkeypatch.setattr(runner, "profile_run", counting)
-        runner.profile_sweep(curve_names=("bn128",), sizes=(8,),
-                             checkpoint=base, resume=False)
-        assert calls == [1]
+    def test_cache_off_recomputes(self, monkeypatch):
+        self.sweep()
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        self.new_process(monkeypatch)
+        _, reg = self.sweep()
+        assert reg.counter("repro_harness_cache_misses_total") == 3

@@ -6,8 +6,7 @@ import re
 
 import pytest
 
-import repro.cli
-from repro.cli import ARTIFACTS, build_parser, main
+from repro.cli import ARTIFACTS, OPTIONS, VERBS, build_parser, main
 
 REPO = os.path.join(os.path.dirname(__file__), "..")
 
@@ -36,9 +35,16 @@ class TestParser:
             build_parser().parse_args(["run", "fig4", "--sizes", "0"])
 
 
+def verb_parsers():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
 class TestVerbLists:
-    """Every place that enumerates the verbs names exactly the parser's
-    sub-commands."""
+    """The parser, the dispatch and ``repro list`` are generated from
+    ``VERBS``; the two prose listings that can still drift name exactly
+    its verbs."""
 
     @staticmethod
     def braced_verbs(*path):
@@ -46,15 +52,58 @@ class TestVerbLists:
             listing = re.search(r"python -m repro\s+\{([^}]*)\}", f.read())
         return set("".join(listing.group(1).split()).split(","))
 
-    def test_docstring_readme_and_verify_skill_agree_with_the_parser(self):
-        sub = next(a for a in build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        verbs = set(sub.choices)
-        assert set(re.findall(r"python -m repro ([a-z-]+)",
-                              repro.cli.__doc__)) == verbs
-        assert self.braced_verbs("README.md") == verbs
+    def test_readme_and_verify_skill_agree_with_the_verb_table(self):
+        assert self.braced_verbs("README.md") == set(VERBS)
         assert self.braced_verbs(".claude", "skills", "verify",
-                                 "SKILL.md") == verbs
+                                 "SKILL.md") == set(VERBS)
+
+    def test_parser_and_list_are_generated_from_the_verb_table(self):
+        assert list(verb_parsers()) == list(VERBS)
+        _, out = run_cli(["list"])
+        for name, verb in VERBS.items():
+            assert f"  {name:16s}{verb.help}" in out
+
+
+class TestOptionTable:
+    """Each option name means one thing on every verb that carries it."""
+
+    def test_one_type_and_help_per_option_name(self):
+        seen = {}
+        for verb, parser in verb_parsers().items():
+            for action in parser._actions:
+                if isinstance(action, argparse._HelpAction):
+                    continue
+                name = (action.option_strings[0] if action.option_strings
+                        else action.dest)
+                # The type is the table's, or its comma-list form (a tuple
+                # of that element); the verb's own default is appended to
+                # the one help text.
+                element = OPTIONS[name].get("type")
+                assert (action.type is element
+                        or action.type("1") == (element("1"),)), (verb, name)
+                declared = (type(action), action.dest,
+                            re.sub(r" \(default: [^)]*\)$", "", action.help))
+                assert seen.setdefault(name, declared) == declared, \
+                    (verb, name)
+        assert len(seen) == 50
+
+    def test_exposed_option_count(self):
+        exposed = sum(
+            not isinstance(action, argparse._HelpAction)
+            for parser in verb_parsers().values()
+            for action in parser._actions)
+        assert exposed <= 127
+
+    def test_verbs_pass_their_own_defaults_as_data(self):
+        sizes = {verb: parser.get_default("size")
+                 for verb, parser in verb_parsers().items()
+                 if parser.get_default("size") is not None}
+        assert sizes == {"profile": 64, "deep-profile": 8,
+                         "parallel-report": 4096, "chaos": 32, "serve": 64,
+                         "loadtest": 32, "pareto": 32}
+        pareto = build_parser().parse_args(["pareto"])
+        assert (pareto.workers, pareto.rps) == ((1,), (8.0,))
+        assert build_parser().parse_args(["loadtest"]).rps == 8.0
 
 
 class TestCommands:

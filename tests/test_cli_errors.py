@@ -93,8 +93,46 @@ class TestArgumentErrors:
         assert "positive" in result.stderr
         assert "Traceback" not in result.stderr
 
-    def test_sweep_bad_size_is_typed(self):
-        result = run_cli("sweep", "--sizes", "0", "--curves", "bn128")
+    def test_run_bad_size_is_typed(self):
+        result = run_cli("run", "fig4", "--sizes", "0", "--curves", "bn128")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("profile", "--size", "-3"),
+        ("profile", "--workload", "nope"),
+        ("deep-profile", "--workload", "nope"),
+        ("prove", "--exponent", "0"),
+    ])
+    def test_bad_cell_rejected_at_parse_time_on_stderr(self, argv):
+        result = run_cli(*argv)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert "error: argument" in result.stderr
+
+    def test_run_rejects_a_bad_workload_before_announcing_the_sweep(self):
+        result = run_cli("run", "fig4", "--workload", "nope")
+        assert result.returncode == 2
+        assert "profiling sweep" not in result.stdout
+        assert "unknown workload 'nope'" in result.stderr
+
+    @pytest.mark.parametrize("verb", [("loadtest",),
+                                      ("chaos", "--under-load")])
+    @pytest.mark.parametrize("bad", ["250", "-5"])
+    def test_bad_verify_pct_outside_0_100_rejected(self, verb, bad):
+        result = run_cli(*verb, "--bad-verify-pct", bad)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "percentage in 0-100" in result.stderr
+
+    @pytest.mark.parametrize("gone", [
+        ("sweep",), ("report", "--compare-model"),
+        ("profile", "--no-ledger"), ("profile", "--worker-trace", "w.json"),
+        ("parallel-report", "--worker-trace", "w.json"),
+    ])
+    def test_deleted_verb_and_flags_are_usage_errors(self, gone):
+        result = run_cli(*gone)
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
 
@@ -147,16 +185,21 @@ class TestChaosVerb:
                                     "typed-failure")
 
 
-class TestSweepVerb:
-    def test_checkpointed_resume_roundtrip(self, tmp_path):
-        args = ("sweep", "--curves", "bn128", "--sizes", "8",
-                "--checkpoint-dir", str(tmp_path))
-        first = run_cli(*args)
+class TestRunResumes:
+    def test_rerun_loads_the_cached_cell(self, tmp_path):
+        """The profile cache is the resume path: a second ``run`` over the
+        same cell leaves the stored cell untouched and prints the same
+        counter-based table."""
+        args = ("run", "table5", "--curves", "bn128", "--sizes", "8")
+        env = {"REPRO_CACHE": "1", "REPRO_CACHE_DIR": str(tmp_path)}
+        first = run_cli(*args, env_extra=env)
         assert first.returncode == 0, (first.stdout, first.stderr)
-        assert "1 cell(s) done" in first.stdout
-        second = run_cli(*args, "--resume")
+        (cell,) = tmp_path.glob("profile_*.pkl")
+        stored = cell.read_bytes()
+        second = run_cli(*args, env_extra=env)
         assert second.returncode == 0
-        assert "(resuming)" in second.stdout
+        assert second.stdout == first.stdout
+        assert cell.read_bytes() == stored
 
 
 class TestTimeoutFlag:
@@ -169,9 +212,8 @@ class TestTimeoutFlag:
         result = run_cli("verify", str(artifacts), "--timeout", "0.000001")
         assert_typed_failure(result, "timeout")
 
-    def test_sweep_timeout_is_typed(self, tmp_path):
-        result = run_cli("sweep", "--curves", "bn128", "--sizes", "8",
-                         "--checkpoint-dir", str(tmp_path),
+    def test_run_timeout_is_typed(self):
+        result = run_cli("run", "fig4", "--curves", "bn128", "--sizes", "8",
                          "--timeout", "0.000001")
         assert_typed_failure(result, "timeout")
 
@@ -191,7 +233,7 @@ class TestTimeoutFlag:
 class TestLoadtestVerb:
     def test_smoke_run_emits_service_block(self):
         result = run_cli("loadtest", "--rps", "20", "--duration", "0.3",
-                         "--size", "8", "--no-ledger", "--json")
+                         "--size", "8", "--json")
         assert result.returncode == 0, (result.stdout, result.stderr)
         record = json.loads(result.stdout)
         assert record["schema"] == 5
@@ -202,13 +244,30 @@ class TestLoadtestVerb:
 
     def test_text_report_and_ledger_append(self, tmp_path):
         path = tmp_path / "loadtest.jsonl"
+        trace = tmp_path / "requests.json"
         result = run_cli("loadtest", "--rps", "10", "--duration", "0.3",
-                         "--size", "8", "--ledger", str(path))
+                         "--size", "8", "--ledger", str(path),
+                         "--request-trace", str(trace))
         assert result.returncode == 0, (result.stdout, result.stderr)
         assert "throughput" in result.stdout
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["service"]["requests"]["sent"] >= 1
+        block = json.loads(lines[0])["service"]
+        assert block["requests"]["sent"] >= 1
+        # The request trace: one named tid lane per traced request.
+        events = json.loads(trace.read_text())["traceEvents"]
+        lanes = [e["args"]["name"] for e in events
+                 if e["name"] == "thread_name" and e["args"]["name"] != "main"]
+        assert lanes and all(n.startswith("request ") for n in lanes)
+        assert len(lanes) == sum(1 for e in events if "#" in e["name"])
+
+    def test_without_ledger_flag_the_working_directory_stays_empty(
+            self, tmp_path):
+        result = run_cli("loadtest", "--rps", "10", "--duration", "0.3",
+                         "--size", "8", cwd=str(tmp_path))
+        assert result.returncode == 0, (result.stdout, result.stderr)
+        assert "ledger:" not in result.stdout
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("bad", ["sign", "prove=x", ""])
     def test_bad_mix_rejected_at_parse_time(self, bad):
