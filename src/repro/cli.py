@@ -800,7 +800,7 @@ def cmd_parallel_report(args, out=print):
         out(f"parallel-report: note — sweeping up to {top} workers on "
             f"{cores} core(s); efficiency at oversubscribed counts "
             f"reflects time-slicing, not the algorithm")
-    report, _tel = build_parallel_report(
+    report = build_parallel_report(
         curve=args.curve, size=args.size, workers=args.workers,
         workload=args.workload, seed=args.seed, repeats=args.repeats)
     obs_format.emit_record(report.to_dict(), args.as_json, out,

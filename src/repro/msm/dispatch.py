@@ -1,15 +1,15 @@
 """The MSM front door: one entry point, nothing to set.
 
 :func:`msm_auto` is what the prover (through
-:func:`repro.resilience.degrade.resilient_msm`), the pool's chunk task
-(``msm_chunk``) and KZG's ``commit`` call.  Which kernel runs follows from
-what the process can observe, never from an option:
+:func:`repro.resilience.degrade.resilient_msm`) and KZG's ``commit`` call.
+Which kernel runs follows from what the process can observe, never from an
+option:
 
 - under a tracer, the reference :func:`~repro.msm.pippenger.msm_pippenger`
   (the pinning rule, docs/KERNELS.md);
-- with a worker pool installed and the input large enough for it,
-  :func:`repro.parallel.kernels.msm_parallel`, whose chunks come back
-  through this door inside the workers (where no pool is installed);
+- with a worker pool installed, :func:`repro.parallel.kernels.msm_parallel`:
+  from ``pool.min_msm`` *live* terms up each worker sums a slice of the
+  windows, below it ``msm_glv`` runs in this process;
 - otherwise the fast kernel, :func:`~repro.msm.glv.msm_glv`: the GLV split
   on groups with the endomorphism (G1), the signed-digit / batch-affine
   kernel alone on the others (G2).
@@ -38,7 +38,7 @@ def msm_auto(group, points, scalars):
     if RUN.tracer is not None:
         return msm_pippenger(group, points, scalars)
     pool = active_pool()
-    if pool is not None and pool.enabled_for(len(points), "msm"):
+    if pool is not None:
         # Lazy: repro.parallel.kernels imports from this package.
         from repro.parallel.kernels import msm_parallel
 

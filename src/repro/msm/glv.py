@@ -19,24 +19,23 @@ from __future__ import annotations
 from repro.context import RUN
 from repro.curves.endomorphism import decompose_scalar
 from repro.msm.terms import live_terms
-from repro.msm.wnaf import msm_wnaf, signed_bucket_msm
+from repro.msm.wnaf import signed_bucket_msm
 
 __all__ = ["msm_glv"]
 
 
-def msm_glv(group, points, scalars, window=None):
+def msm_glv(group, points, scalars, window=None, part=None):
     """MSM via GLV decomposition feeding one half-width signed-digit MSM.
 
-    Falls back to :func:`~repro.msm.wnaf.msm_wnaf` unchanged when the
-    group has no usable endomorphism (G2), so callers can route every
-    group through this entry point.
+    Falls back to the plain signed-digit kernel when the group has no
+    usable endomorphism (G2), so callers can route every group through
+    this entry point.  ``part`` is the kernel's window slice; every slice
+    repeats the split over all terms.
     """
-    endo = group.endomorphism
-    if endo is None or endo.basis is None:
-        return msm_wnaf(group, points, scalars, window=window)
     pairs = live_terms(group, points, scalars, window)
-    if not pairs:
-        return group.infinity()
+    endo = group.endomorphism
+    if endo is None or endo.basis is None or not pairs:
+        return signed_bucket_msm(group, pairs, window, part)
 
     m = RUN.metrics
     if m is not None:
@@ -63,4 +62,4 @@ def msm_glv(group, points, scalars, window=None):
         elif k2 < 0:
             halves.append((phi(x, fq.neg(y)), -k2))
 
-    return signed_bucket_msm(group, halves, window)
+    return signed_bucket_msm(group, halves, window, part)

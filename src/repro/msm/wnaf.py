@@ -72,10 +72,12 @@ def msm_wnaf(group, points, scalars, window=None):
     return signed_bucket_msm(group, live_terms(group, points, scalars, window), window)
 
 
-def signed_bucket_msm(group, pairs, window=None):
+def signed_bucket_msm(group, pairs, window=None, part=None):
     """The bucket kernel proper over ``(point, scalar)`` *pairs* that are
     already live (finite point, ``0 < scalar``) — what :func:`msm_wnaf`
-    filters down to and the GLV split produces directly."""
+    filters down to and the GLV split produces directly.  ``part=(j, k)``
+    walks only windows ``[j*n//k, (j+1)*n//k)`` of the ``n`` and shifts
+    their sum by ``2^(c*lo)``: the ``k`` slices add up to the full sum."""
     if not pairs:
         return group.infinity()
     # Window count follows the widest actual scalar (not the order): GLV
@@ -84,11 +86,13 @@ def signed_bucket_msm(group, pairs, window=None):
     c = window or optimal_signed_window(len(pairs), nbits)
     n_digits = signed_windows_len(nbits, c)
     half = 1 << (c - 1)
+    j, k = part or (0, 1)
+    lo, hi = j * n_digits // k, (j + 1) * n_digits // k
 
     m = RUN.metrics
     if m is not None:
         m.inc("repro_msm_wnaf_calls_total")
-        m.inc("repro_msm_windows_total", n_digits)
+        m.inc("repro_msm_windows_total", hi - lo)
         m.observe("repro_msm_points", len(pairs))
     if RUN.faults is not None:
         # Same fault site as the reference kernel: chaos faults shipped at
@@ -100,7 +104,7 @@ def signed_bucket_msm(group, pairs, window=None):
     rows = [signed_windows(k, c, n_digits) for _pt, k in pairs]
 
     window_sums = []
-    for w in range(n_digits):
+    for w in range(lo, hi):
         # Cooperative deadline poll between the independent window passes,
         # like the reference kernel.
         if RUN.deadline is not None:
@@ -116,12 +120,14 @@ def signed_bucket_msm(group, pairs, window=None):
         window_sums.append(_fold_affine(group, buckets))
 
     # Horner combine from the most significant window down (identical to
-    # the reference kernel's combine step).
+    # the reference kernel's combine step), then a slice's shift.
     acc = group.infinity()
     for ws in reversed(window_sums):
         for _ in range(c):
             acc = acc.double()
         acc = acc + ws
+    for _ in range(c * lo):
+        acc = acc.double()
     return acc
 
 

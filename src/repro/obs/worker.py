@@ -45,7 +45,7 @@ ships no telemetry context.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.context import scoped
 from repro.obs.metrics import MetricsRegistry
@@ -339,15 +339,14 @@ def _amdahl_efficiency(serial_fraction, n):
 def build_parallel_report(curve="bn128", size=4096, workers=(1, 2, 4),
                           workload="exponentiate", seed=0, repeats=1):
     """Run a measured worker sweep and distill it into a
-    :class:`ParallelReport` (plus the top-count collector, for exports).
+    :class:`ParallelReport`.
 
     Reuses :func:`repro.harness.measured.measured_stage_times` — the same
     runner behind ``run fig6 --measured`` — with telemetry collection on,
     then fits Amdahl's law to the measured speedups
     (:func:`repro.perf.scaling.amdahl_fit`) as the drift reference for the
-    task-level efficiency attribution.  Returns ``(report, collector)``
-    where *collector* is the :class:`WorkerTelemetry` of the top worker
-    count (``None`` when the sweep never left serial).
+    task-level efficiency attribution, read off the :class:`WorkerTelemetry`
+    of the top worker count.
     """
     import os
 
@@ -409,11 +408,10 @@ def build_parallel_report(curve="bn128", size=4096, workers=(1, 2, 4),
         per_worker, totals = {}, _per_worker_zero() | {"maps": 0, "window_s": 0.0}
         utilization, imbalance, overhead_s = 0.0, 1.0, 0.0
 
-    report = ParallelReport(
+    return ParallelReport(
         curve=curve, size=size, workload=workload, seed=seed,
         workers=workers, top=top, cpu_count=os.cpu_count() or 1,
         stages=stages, per_worker=per_worker, totals=totals,
         utilization=utilization, imbalance=imbalance,
         dispatch_overhead_s=overhead_s,
     )
-    return report, tel

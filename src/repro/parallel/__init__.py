@@ -3,8 +3,9 @@
 The layer that turns the repo's *analytical* scaling story (Fig. 6/7,
 Table VI via :mod:`repro.perf.scaling`) into a *measured* one: a worker
 pool (:mod:`~repro.parallel.pool`) plus parent-side kernels
-(:mod:`~repro.parallel.kernels`) that chunk the MSM/NTT/witness/batch
-hot paths across real processes and reassemble bit-identical results.
+(:mod:`~repro.parallel.kernels`) that split the MSM (by window) and the
+NTT/witness/batch hot paths across real processes and reassemble
+bit-identical results.
 
 Usage::
 

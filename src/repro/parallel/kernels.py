@@ -6,13 +6,17 @@ verification — by fanning chunks out through the installed
 :class:`~repro.parallel.pool.WorkerPool` and reassembling the partial
 results into *exactly* the value the serial algorithm produces:
 
-- **MSM** — the group sum is associative and the arithmetic exact, so
-  partial sums over scalar chunks recombine to the identical point (the
-  serialized affine form is bit-identical; intermediate Jacobian ``Z``
-  coordinates may differ, which serialization normalizes away).
+- **MSM** — window slicing: the serial kernel's result is the Horner sum
+  ``sum_w 2^(c*w) * S_w`` over its window sums ``S_w``; worker ``j`` of
+  ``k`` recodes the full live term list exactly as the serial kernel does
+  and returns ``2^(c*lo) * sum_{lo <= w < hi} 2^(c*(w-lo)) * S_w`` for its
+  window range.  The group arithmetic is exact, so the ``k`` partials add
+  up to the identical point (the serialized affine form is bit-identical;
+  intermediate Jacobian ``Z`` coordinates may differ, which serialization
+  normalizes away).
 - **NTT** — decimation by ``k``: sub-transform ``j`` is the length-``n/k``
-  NTT of ``x[j::k]`` under ``root^k``, and the parent combines
-  ``X[t] = sum_j root^(j*t) * Sub_j[t mod n/k]``.  Modular arithmetic is
+  NTT of ``x[j::k]`` under ``root^k``, and the parent runs the last
+  ``log2 k`` radix-2 butterfly stages over them.  Modular arithmetic is
   exact, and the transform is mathematically unique, so the output ints
   equal the serial ones.
 - **witness** — steps are grouped into dependency *levels* (a step's
@@ -34,6 +38,7 @@ from a serial fault.
 from __future__ import annotations
 
 from repro.context import RUN
+from repro.msm.glv import msm_glv
 from repro.msm.terms import live_terms
 from repro.resilience import faults
 from repro.resilience.errors import ReproError
@@ -102,15 +107,18 @@ def _mark_fired(spec):
 
 
 def msm_parallel(group, points, scalars, pool):
-    """Chunked MSM: partial sums in workers, reduced here.
+    """Window-sliced MSM: ``k = pool.workers`` slices of the windows in
+    workers, their partial sums added here.
 
-    Same input contract and fault-site cadence as the serial kernels; each
-    chunk re-enters :func:`repro.msm.dispatch.msm_auto` inside its worker,
-    and the returned point equals the serial result.
+    Same input contract and fault-site cadence as the serial kernels.
+    Below ``pool.min_msm`` live terms the serial
+    :func:`~repro.msm.glv.msm_glv` runs in this process; otherwise every
+    worker gets the full live term list and slice ``(j, k)`` of its windows
+    (``msm_window_slice``), and the returned point equals the serial result.
     """
     pairs = live_terms(group, points, scalars)
-    if not pairs:
-        return group.infinity()
+    if not pool.enabled_for(len(pairs), "msm"):
+        return msm_glv(group, points, scalars)
 
     m = RUN.metrics
     if m is not None:
@@ -120,18 +128,15 @@ def msm_parallel(group, points, scalars, pool):
     if RUN.deadline is not None:
         RUN.deadline.check()
 
-    from repro.parallel.pool import chunk_slices
-
-    slices = chunk_slices(len(pairs), pool.workers)
+    live_points = [pt for pt, _ in pairs]
+    live_scalars = [s for _, s in pairs]
+    k = pool.workers
     payloads = [
-        {
-            "group": group.name,
-            "points": [pt for pt, _ in pairs[start:stop]],
-            "scalars": [k for _, k in pairs[start:stop]],
-        }
-        for start, stop in slices
+        {"group": group.name, "points": live_points, "scalars": live_scalars,
+         "part": (j, k)}
+        for j in range(k)
     ]
-    partials = _mapped(pool, "msm_chunk", payloads, spec=spec,
+    partials = _mapped(pool, "msm_window_slice", payloads, spec=spec,
                        fault_ctx=fault_ctx, label="msm")
     acc = group.infinity()
     for aff in partials:
@@ -185,25 +190,24 @@ def ntt_transform_parallel(field, values, root, pool):
     subs = _mapped(pool, "ntt_sub", payloads, spec=spec,
                    fault_ctx=fault_ctx, label="ntt")
 
-    # Parent combine: X[t] = sum_j root^(j*t) * Sub_j[t mod m_len].
-    m_len = n // k
-    w_pows = [1] * n
-    acc = 1
-    for i in range(1, n):
-        acc = acc * root % r
-        w_pows[i] = acc
-    out = [0] * n
-    for t_idx in range(n):
-        tm = t_idx % m_len
-        total = 0
-        jt = 0
-        for j in range(k):
-            total += w_pows[jt] * subs[j][tm]
-            jt += t_idx
-            if jt >= n:
-                jt %= n
-        out[t_idx] = total % r
-    return out
+    # Parent combine: the last log2(k) radix-2 stages.  With K subs left,
+    # sub j is the NTT of x[j::K] under root^K; merging subs j and j + K/2
+    # gives that of x[j::K/2] under w = root^(K/2):
+    # Y[t] = E[t] + w^t O[t], Y[t + m] = E[t] - w^t O[t] (w^m = -1).
+    while len(subs) > 1:
+        half = len(subs) // 2
+        w = pow(root, half, r)
+        m_len = len(subs[0])
+        twiddles = [1] * m_len
+        for t in range(1, m_len):
+            twiddles[t] = twiddles[t - 1] * w % r
+        merged = []
+        for even, odd in zip(subs[:half], subs[half:]):
+            odd = [o * tw % r for o, tw in zip(odd, twiddles)]
+            merged.append([(e + o) % r for e, o in zip(even, odd)]
+                          + [(e - o) % r for e, o in zip(even, odd)])
+        subs = merged
+    return subs[0]
 
 
 # -- witness -----------------------------------------------------------------------

@@ -66,7 +66,6 @@ from repro.resilience.errors import (
     AdmissionError,
     ArtifactCorruption,
     PoolStateError,
-    ReproError,
     ResourceExhausted,
     StageOrderError,
     StageTimeout,
@@ -301,13 +300,15 @@ class WorkerPool:
     backend:
         Force ``"serial"`` or ``"process"`` (defaults by worker count).
     min_msm / min_ntt / min_witness / min_batch:
-        Smallest input sizes worth fanning out; below them kernels stay
-        serial.  Tests lower these so tiny differential cells still
-        exercise the parallel paths.
+        Smallest input sizes worth fanning out (for an MSM, live terms);
+        below them kernels stay serial.  ``min_ntt`` is the crossover
+        measured with two workers on two cores: a pooled NTT loses up to
+        2^11 and wins from 2^12 (docs/PARALLELISM.md).  Tests lower these
+        so tiny differential cells still exercise the parallel paths.
     """
 
     def __init__(self, workers=None, backend=None, *,
-                 min_msm=64, min_ntt=64, min_witness=64, min_batch=2):
+                 min_msm=64, min_ntt=4096, min_witness=64, min_batch=2):
         if workers is None:
             workers = workers_from_env(default=1)
         workers = int(workers)

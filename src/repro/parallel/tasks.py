@@ -10,10 +10,10 @@ raw-coordinate tuples (``None`` for infinity), exactly the form the
 serial MSM kernels already consume.
 
 Determinism contract (docs/PARALLELISM.md): each task computes a
-well-defined mathematical object — a partial group sum, a length-m
-sub-NTT, a batch of field products — whose exact value does not depend
-on which worker computed it, so parents can reassemble results that are
-bit-identical to the serial algorithms.
+well-defined mathematical object — the shifted sum of a slice of an MSM's
+windows, a length-m sub-NTT, a batch of field products — whose exact value
+does not depend on which worker computed it, so parents can reassemble
+results that are bit-identical to the serial algorithms.
 """
 
 from __future__ import annotations
@@ -45,19 +45,21 @@ def _point_out(point):
 # -- MSM ---------------------------------------------------------------------------
 
 
-def msm_chunk(payload):
-    """Partial MSM over one chunk of the (points, scalars) input.
+def msm_window_slice(payload):
+    """Slice ``part = (j, k)`` of the windows of the full live MSM.
 
-    Goes back through the MSM front door (``msm_auto``; no pool is
-    installed in here, so the fast serial kernel runs) — including the
-    ``msm:pippenger`` fault-site check every bucket kernel performs, which
-    is how a shipped chaos fault fires in here — and returns the partial
-    sum as an affine tuple.
+    Runs the serial fast kernel (:func:`~repro.msm.glv.msm_glv`: the same
+    GLV split and signed recoding over *all* terms, so ``c`` and the window
+    count agree across slices) on windows ``[j*n//k, (j+1)*n//k)`` only,
+    and returns ``2^(c*lo)`` times their Horner sum as an affine tuple.
+    The kernel's ``msm:pippenger`` fault-site check is how a shipped chaos
+    fault fires in here.
     """
-    from repro.msm.dispatch import msm_auto
+    from repro.msm.glv import msm_glv
 
     group = resolve_group(payload["group"])
-    return _point_out(msm_auto(group, payload["points"], payload["scalars"]))
+    return _point_out(msm_glv(group, payload["points"], payload["scalars"],
+                              part=payload["part"]))
 
 
 # -- NTT ---------------------------------------------------------------------------
@@ -178,7 +180,7 @@ def selftest_fail(payload):
 
 #: Name -> callable registry the worker envelope dispatches through.
 TASKS = {
-    "msm_chunk": msm_chunk,
+    "msm_window_slice": msm_window_slice,
     "ntt_sub": ntt_sub,
     "witness_mul_chunk": witness_mul_chunk,
     "fixed_base_chunk": fixed_base_chunk,

@@ -77,14 +77,14 @@ class TestCodeIndex:
     def test_worker_roots_resolve_registered_tasks(self):
         index = CodeIndex(load_tree(default_root()), CodelintConfig())
         roots = index.worker_roots()
-        assert "repro.parallel.tasks.msm_chunk" in roots
+        assert "repro.parallel.tasks.msm_window_slice" in roots
         assert "repro.parallel.tasks.ntt_sub" in roots
 
     def test_worker_reachability_crosses_modules(self):
         index = CodeIndex(load_tree(default_root()), CodelintConfig())
         reach = index.worker_reachable()
-        # msm_chunk runs Pippenger inside the worker process.
-        assert "repro.msm.pippenger.msm_pippenger" in reach
+        # msm_window_slice runs the signed-digit bucket kernel in the worker.
+        assert "repro.msm.wnaf.signed_bucket_msm" in reach
 
     def test_stage_roots_match_workflow_methods(self):
         index = CodeIndex(load_tree(default_root()), CodelintConfig())

@@ -91,7 +91,7 @@ class TestKernelCrossProduct:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("group_name", GROUP_NAMES)
     def test_chunked_parallel_rides_fast_path(self, group_name, workers):
-        # msm_parallel routes chunks through msm_auto inside workers; the
+        # msm_parallel runs window slices of msm_glv inside workers; the
         # reassembled sum must match the serial reference bit-for-bit.
         from repro.parallel.kernels import msm_parallel
 

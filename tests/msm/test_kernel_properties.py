@@ -8,7 +8,9 @@ Hypothesis pins the algebraic invariants each optimization rests on:
   halves, and the derived constants are genuine roots of ``x^2 + x + 1``;
 - batch-affine bucket accumulation matches naive group addition, including
   the doubling and cancellation corner cases that bypass the inversion
-  batch.
+  batch;
+- the window slices ``msm_glv(..., part=(j, k))`` the pool's MSM map runs
+  add up to the full MSM, and split its window passes without loss.
 """
 
 import random
@@ -16,12 +18,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.curves import BLS12_381, BN128
+from repro.curves import BLS12_381, BN128, get_curve
 from repro.curves.endomorphism import decompose_scalar
 from repro.msm import glv
 from repro.msm.batch_affine import batch_affine_accumulate
+from repro.msm.glv import msm_glv
+from repro.msm.pippenger import msm_pippenger
 from repro.msm.recode import signed_windows, signed_windows_len
 from repro.msm.wnaf import optimal_signed_window
+from repro.obs import metrics
 
 R_BN = BN128.g1.order
 EDGE_SCALARS = [0, 1, 2, R_BN - 1, R_BN, R_BN + 1, 2 * R_BN - 1]
@@ -224,3 +229,69 @@ class TestBatchAffineAccumulate:
                 pt = (pt[0], group.ops.neg(pt[1]))
             entries.append((r.randrange(1, n_buckets + 1), pt))
         self._check(group, n_buckets, entries)
+
+
+#: Slice counts: whole, even and uneven splits, and more slices than windows.
+PART_COUNTS = [1, 2, 3, 5, 40]
+
+
+@pytest.fixture(params=["bn128.G1", "bn128.G2", "bls12_381.G1", "bls12_381.G2"],
+                scope="module")
+def slice_case(request):
+    curve_name, _, sub = request.param.partition(".")
+    group = getattr(get_curve(curve_name), sub.lower())
+    order = group.order
+    r = random.Random(request.param)
+    points = [(group.generator * r.randrange(1, 1 << 16)).to_affine()
+              for _ in range(12)]
+    scalars = [0, 1, order - 1, order, order + 5, 2 * order - 1]
+    scalars += [r.randrange(order) for _ in range(len(points) - len(scalars))]
+    points[-1] = None  # an identity point among the live scalars
+    return group, points, scalars
+
+
+def _counters(fn):
+    with metrics.collecting() as reg:
+        fn()
+    return (reg.counter("repro_msm_windows_total"),
+            reg.counter("repro_msm_glv_decompositions_total"))
+
+
+class TestWindowSlices:
+    """The slice contract the pool's window-sliced MSM
+    (``repro.parallel.kernels.msm_parallel``) rests on: slice ``(j, k)``
+    returns ``2^(c*lo)`` times the Horner sum of its windows, so the ``k``
+    slices add up to the serial result."""
+
+    @pytest.mark.parametrize("k", PART_COUNTS)
+    def test_slices_sum_to_the_serial_msm(self, slice_case, k):
+        group, points, scalars = slice_case
+        total = group.infinity()
+        for j in range(k):
+            total = total + msm_glv(group, points, scalars, part=(j, k))
+        assert total == msm_glv(group, points, scalars)
+        assert total.to_affine() == msm_pippenger(group, points, scalars).to_affine()
+
+    @pytest.mark.parametrize("k", PART_COUNTS)
+    def test_counters_under_slicing(self, slice_case, k):
+        group, points, scalars = slice_case
+        windows, decompositions = _counters(lambda: msm_glv(group, points, scalars))
+        sliced_windows, sliced_decompositions = _counters(lambda: [
+            msm_glv(group, points, scalars, part=(j, k)) for j in range(k)])
+        # Every window pass runs in exactly one slice ...
+        assert sliced_windows == windows
+        # ... but every slice repeats the GLV split over all live terms:
+        # the decomposition counter reads k times the serial one (the work
+        # the window-sliced map duplicates; none on G2, which has no split).
+        assert sliced_decompositions == k * decompositions
+        assert (decompositions > 0) == (group.endomorphism.basis is not None)
+
+    def test_slices_past_the_window_count_are_infinity(self, slice_case):
+        group, _points, _scalars = slice_case
+        point = group.generator.to_affine()
+        parts = [msm_glv(group, [point], [1], part=(j, 40)) for j in range(40)]
+        assert sum(not p.is_infinity() for p in parts) == 1
+        total = group.infinity()
+        for p in parts:
+            total = total + p
+        assert total == group.generator

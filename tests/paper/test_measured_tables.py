@@ -24,6 +24,11 @@ from repro.workflow import Workflow
 
 SIZE = 8
 
+#: Compile and witness alone are cheap to profile; at SIZE the fixed
+#: workflow overhead is about a quarter of them and the compiler share
+#: sits at the 0.5 line, at this size the overhead is about 1 %.
+FRONT_END_SIZE = 256
+
 
 @pytest.fixture(scope="module")
 def profiled():
@@ -34,7 +39,7 @@ def profiled():
 def front_end_shares():
     """Family shares of compile and witness alone, deep-profiled once."""
     curve = get_curve("bn128")
-    builder, inputs = build_workload("exponentiate", curve, SIZE)
+    builder, inputs = build_workload("exponentiate", curve, FRONT_END_SIZE)
     profiler = prof.DeepProfiler()
     with Workflow(curve, builder, inputs) as wf:
         for stage in ("compile", "witness"):
@@ -59,9 +64,8 @@ class TestMeasuredTable4:
         assert hottest.module == "repro.fields.extensions"
 
     def test_compile_and_witness_are_compiler_family(self):
-        # Both stages last about a millisecond at this size, so one GC pass
-        # or one preemption inside a single run decides the shares (seen in
-        # 1-3 % of runs): profile the pair five times and take the median.
+        # One GC pass or one preemption inside a single run can still move
+        # the shares: profile the pair five times and take the median.
         runs = [front_end_shares() for _ in range(5)]
         for stage in ("compile", "witness"):
             share = statistics.median(r[stage].get("compiler", 0.0) for r in runs)

@@ -1,13 +1,14 @@
 """Serial <-> parallel differential suite: results must be bit-identical.
 
-The determinism contract (docs/PARALLELISM.md): chunked MSM partial sums,
-decimated sub-NTTs, leveled witness evaluation and fanned-out fixed-base
-sweeps all compute the *same mathematical objects* as the serial kernels,
-so parents reassemble results that serialize to identical bytes.
+The determinism contract (docs/PARALLELISM.md): window-sliced MSM partial
+sums, decimated sub-NTTs, leveled witness evaluation and fanned-out
+fixed-base sweeps all compute the *same mathematical objects* as the serial
+kernels, so parents reassemble results that serialize to identical bytes.
 
 The default matrix is trimmed to keep tier-1 wall time sane; the CI
 ``parallel-smoke`` job sets ``REPRO_PARALLEL_FULL=1`` to run the full
-grid — curves x sizes {2^6..2^10} x workers {1,2,4}.
+grid — curves x sizes {2^6..2^10} x workers {1,2,3,4} (3 splits the
+windows unevenly).
 """
 
 import os
@@ -32,9 +33,9 @@ from repro.poly.ntt import transform_raw
 FULL = os.environ.get("REPRO_PARALLEL_FULL") == "1"
 
 SIZES = tuple(2 ** i for i in range(6, 11)) if FULL else (64, 256)
-WORKER_COUNTS = (1, 2, 4) if FULL else (1, 2)
+WORKER_COUNTS = (1, 2, 3, 4) if FULL else (1, 2)
 GROUP_NAMES = (["bn128.G1", "bn128.G2", "bls12_381.G1", "bls12_381.G2"]
-               if FULL else ["bn128.G1", "bls12_381.G1"])
+               if FULL else ["bn128.G1", "bls12_381.G1", "bls12_381.G2"])
 
 FR = BN254_FR
 
@@ -102,6 +103,17 @@ class TestNTTDifferential:
         serial = transform_raw(list(values), d.omega_inv, FR.modulus)
         with WorkerPool(2, min_ntt=2) as pool:
             assert ntt_transform_parallel(FR, list(values), d.omega_inv,
+                                          pool) == serial
+
+    def test_four_subs_take_two_combine_stages(self):
+        # k = 4: the parent merges the sub-transforms in two radix-2 stages
+        # (the serial backend runs the four tasks inline, no processes).
+        d = EvaluationDomain(FR, 64)
+        r = random.Random(0xD2)
+        values = [FR.rand(r) for _ in range(64)]
+        serial = transform_raw(list(values), d.omega, FR.modulus)
+        with WorkerPool(4, backend="serial", min_ntt=2) as pool:
+            assert ntt_transform_parallel(FR, list(values), d.omega,
                                           pool) == serial
 
 

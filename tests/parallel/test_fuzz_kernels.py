@@ -1,8 +1,8 @@
 """Property/edge-case fuzz for the MSM and NTT kernels, serial + parallel.
 
 Hypothesis drives random (points, scalars) vectors — including identity
-points, zero scalars, scalars >= the group order, and lengths that do not
-divide evenly into worker chunks — and asserts the serial Pippenger, the
+points, zero scalars, scalars >= the group order, and window counts that
+do not divide evenly into worker slices — and asserts the serial Pippenger, the
 naive reference, and the parallel kernel all agree.  The fixed edge-case
 tests pin the boundaries the fuzz might under-sample: empty inputs,
 single elements, all-zero vectors, and window validation (the
@@ -39,7 +39,7 @@ def pool2():
 
 @pytest.fixture(scope="module")
 def pool3():
-    # Three workers: every non-multiple-of-3 length exercises uneven chunks.
+    # Three workers: MSM window counts rarely divide by 3 (uneven slices).
     with WorkerPool(3, min_msm=1, min_ntt=1) as p:
         yield p
 
@@ -108,7 +108,7 @@ class TestMSMEdgeCases:
     @pytest.mark.parametrize("window", [0, -1, 33])
     def test_bad_window_raises_serial_and_parallel(self, window):
         points, scalars = POINTS[1:5], [1, 2, 3, 4]
-        # msm_parallel takes no window: its chunks go through the front door.
+        # msm_parallel takes no window: its slices let the kernel choose.
         with pytest.raises(ValueError):
             msm_pippenger(G1, points, scalars, window=window)
 

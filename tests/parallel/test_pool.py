@@ -110,6 +110,12 @@ class TestConstruction:
         with WorkerPool(1, min_msm=1) as pool:
             assert not pool.enabled_for(1 << 20, "msm")  # one worker: never
 
+    def test_default_ntt_threshold_is_the_two_core_crossover(self):
+        # A pooled NTT loses to the serial one up to 2^11 on two cores.
+        with WorkerPool(2) as pool:
+            assert not pool.enabled_for(1 << 11, "ntt")
+            assert pool.enabled_for(1 << 12, "ntt")
+
 
 @pytest.fixture(params=["serial", "process"])
 def pool(request):
@@ -190,9 +196,10 @@ class TestEncodeDecode:
         assert isinstance(exc, TypeError)
 
     def test_unknown_becomes_worker_crash_with_context(self):
-        exc = decode_error(encode_error(KeyError("missing")), task="msm_chunk")
+        exc = decode_error(encode_error(KeyError("missing")),
+                           task="msm_window_slice")
         assert isinstance(exc, WorkerCrash)
-        assert exc.task == "msm_chunk"
+        assert exc.task == "msm_window_slice"
         assert exc.exc_type == "KeyError"
 
 

@@ -129,7 +129,7 @@ class TestMeasuredTrace:
         assert lane_names(doc, "process_name") == {(1, 0): "run"}
 
     def test_grafted_worker_subtrees_get_tid_lanes(self):
-        subtree = {"name": "task:msm_chunk", "start_s": 0.1, "wall_s": 0.05,
+        subtree = {"name": "task:msm_window_slice", "start_s": 0.1, "wall_s": 0.05,
                    "cpu_s": 0.05, "rss_peak_delta_kb": 0,
                    "gc_collections": 0,
                    "children": [{"name": "inner", "start_s": 0.12,
@@ -150,9 +150,9 @@ class TestMeasuredTrace:
         assert {b["tid"] for b in by_name["parallel:msm"]} == {1}
         assert lane_names(doc, "thread_name") == {
             (1, 1): "main", (1, 2): "worker 999", (1, 3): "worker 4001"}
-        assert sorted(b["tid"] for b in by_name["task:msm_chunk"]) == [2, 3]
+        assert sorted(b["tid"] for b in by_name["task:msm_window_slice"]) == [2, 3]
         assert sorted(b["tid"] for b in by_name["inner"]) == [2, 3]
-        on_4001 = next(b for b in by_name["task:msm_chunk"] if b["tid"] == 3)
+        on_4001 = next(b for b in by_name["task:msm_window_slice"] if b["tid"] == 3)
         assert on_4001["args"]["queue_wait_s"] == 0.002
 
     def test_pool_worker_bars_carry_the_wire_costs(self):
