@@ -2,7 +2,7 @@
 
 .PHONY: install test lint codelint artifacts slow clean profile \
 	chaos deep-profile drift-check parallel-test parallel-report measured \
-	serve loadtest pareto kernel-test bench-test
+	serve loadtest kernel-test bench-test
 
 # Seeds for the chaos smoke (override: make chaos CHAOS_SEEDS="0 7 42").
 CHAOS_SEEDS ?= 0 1 2 3
@@ -102,33 +102,20 @@ serve:
 	PYTHONPATH=src python -m repro serve --size 64 --rps $(SERVE_RPS) \
 		--duration $(SERVE_DURATION)
 
-# Open-loop load smoke + chaos-under-load gate: p50/p95/p99 and the phase
-# breakdown (the schema-v5 service block; --ledger PATH keeps it); every
-# request must resolve typed even with seeded faults firing inside the
-# live service.
+# Open-loop load smoke, then the same load with a seeded fault plan armed
+# inside the live service: p50/p95/p99 and the phase breakdown (the ledger
+# service block; --ledger PATH keeps it); every request must resolve typed
+# with phases that add up, faults or not.
 LOAD_RPS ?= 16
 LOAD_DURATION ?= 3
 loadtest:
 	PYTHONPATH=src python -m repro loadtest --rps $(LOAD_RPS) \
 		--duration $(LOAD_DURATION) --size 32
 	@for seed in 0 1 2; do \
-		PYTHONPATH=src python -m repro chaos --under-load --seed $$seed \
-			--faults 4 --size 32 --rps $(LOAD_RPS) --duration 1.5 \
-			|| exit 1; \
+		PYTHONPATH=src python -m repro loadtest --faults 4 --seed $$seed \
+			--size 32 --rps $(LOAD_RPS) --duration 1.5 || exit 1; \
 	done
 	PYTHONPATH=src pytest -x -q tests/serve
-
-# Capacity sweep -> throughput-vs-p99 frontier + knee recommendation
-# (docs/CAPACITY.md).  Resumable: interrupted sweeps replay finished
-# cells from checksummed checkpoints; make pareto PARETO_FLAGS=--fresh
-# discards them.
-CAPACITY_LEDGER ?= results/runs/capacity.jsonl
-PARETO_FLAGS ?=
-pareto:
-	PYTHONPATH=src python -m repro pareto --workers 1,2 \
-		--batch-windows 0,0.05 --queue-depths 8,32 --rps 8 \
-		--duration 2 --size 32 --seed 7 \
-		--ledger $(CAPACITY_LEDGER) $(PARETO_FLAGS)
 
 chaos:
 	@for seed in $(CHAOS_SEEDS); do \
@@ -139,5 +126,5 @@ chaos:
 
 clean:
 	rm -rf .repro_cache .pytest_cache .hypothesis \
-		results/runs results/prof results/checkpoints results/parallel
+		results/runs results/prof results/parallel
 	find . -name __pycache__ -type d -exec rm -rf {} +

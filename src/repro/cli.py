@@ -87,7 +87,6 @@ def _comma_list(item, noun):
 
 _POSITIVE_INT = _number(int, "a positive integer", lambda n: n >= 1)
 _POSITIVE = _number(float, "a positive number", lambda v: v > 0)
-_NON_NEGATIVE = _number(float, "a non-negative number", lambda v: v >= 0)
 _PERCENT = _number(float, "a percentage in 0-100", lambda v: 0 <= v <= 100)
 
 
@@ -165,11 +164,6 @@ OPTIONS = {
                                    "instead of evaluating the model"),
     "--repeats": dict(type=_POSITIVE_INT, default=1,
                       help="best-of-N measured runs per cell"),
-    "--checkpoint-dir": dict(metavar="DIR",
-                             help="checkpoint base directory "
-                                  "(unset: results/checkpoints)"),
-    "--fresh": dict(_FLAG, help="re-measure every cell, ignoring "
-                                "checkpoints (resume is the default)"),
     # the service
     "--max-queue": dict(type=_POSITIVE_INT, default=16,
                         help="admission queue depth"),
@@ -177,16 +171,10 @@ OPTIONS = {
                            help="in-flight cap"),
     "--deadline": dict(type=_POSITIVE, metavar="SECONDS",
                        help="per-request deadline"),
-    "--queue-depths": dict(type=_comma_list(_POSITIVE_INT, "integer"),
-                           default=(16,), metavar="N,N,...",
-                           help="admission queue depths to sweep"),
-    "--batch-windows": dict(type=_comma_list(_NON_NEGATIVE, "float"),
-                            default=(0.0, 0.005), metavar="S,S,...",
-                            help="verify batch windows in seconds"),
     # traffic
-    "--rps": dict(type=_POSITIVE, noun="rate", metavar="R",
+    "--rps": dict(type=_POSITIVE, metavar="R",
                   help="open-loop request rate (serve: unset idles until "
-                       "SIGTERM; pareto: a comma list of offered rates)"),
+                       "SIGTERM)"),
     "--duration": dict(type=_POSITIVE, metavar="SECONDS",
                        help="traffic duration"),
     "--mix": dict(type=_traffic_mix, default="prove:verify",
@@ -194,15 +182,13 @@ OPTIONS = {
     "--bad-verify-pct": dict(type=_PERCENT, default=0.0, metavar="PCT",
                              help="share of verify requests poisoned with "
                                   "a wrong public input (0-100)"),
-    "--under-load": dict(_FLAG, help="inject the fault schedule into the "
-                                     "live proving service while open-loop "
-                                     "traffic flows (the service and "
-                                     "traffic options apply); every "
-                                     "request must resolve typed"),
-    "--faults": dict(type=_POSITIVE_INT, default=4,
-                     help="number of faults in the schedule"),
+    "--faults": dict(type=_POSITIVE_INT, metavar="N",
+                     help="number of faults in the seeded schedule "
+                          "(loadtest: armed once the service has started; "
+                          "unset runs without faults)"),
     "--max-attempts": dict(type=_POSITIVE_INT, default=3,
-                           help="retry budget per stage"),
+                           help="retry budget per stage (loadtest: per "
+                                "request, with --faults)"),
     # output
     "--json": dict(_FLAG, dest="as_json",
                    help="print the machine-readable record or report "
@@ -226,7 +212,7 @@ OPTIONS = {
     "--request-trace": dict(metavar="PATH",
                             help="write the per-request phase bars as "
                                  "chrome-trace JSON, one lane per request "
-                                 "(docs/CAPACITY.md)"),
+                                 "(docs/SERVING.md)"),
     "--top": dict(type=_POSITIVE_INT, default=8,
                   help="hot functions shown per stage"),
     "--no-alloc": dict(_FLAG, help="skip tracemalloc allocation tracking "
@@ -614,21 +600,6 @@ def cmd_report(args, out=print):
 def cmd_chaos(args, out=print):
     from repro.resilience.chaos import run_chaos
 
-    if args.under_load:
-        from repro.serve import run_chaos_load
-
-        report = run_chaos_load(
-            seed=args.seed, n_faults=args.faults, rps=args.rps,
-            duration_s=args.duration, mix=args.mix, curve=args.curve,
-            size=args.size, workload=args.workload, workers=args.workers,
-            max_queue=args.max_queue, max_inflight=args.max_inflight,
-            deadline_s=args.deadline, bad_verify_pct=args.bad_verify_pct,
-            max_attempts=args.max_attempts,
-        )
-        out(report.to_json(indent=2) if args.as_json else report.render_text())
-        # 0: every request resolved typed; 1: a hang or an untyped escape.
-        return 0 if report.acceptable else 1
-
     report = run_chaos(
         seed=args.seed, n_faults=args.faults, curve=args.curve,
         size=args.size, workload=args.workload,
@@ -640,14 +611,14 @@ def cmd_chaos(args, out=print):
     return 0 if report.acceptable else 1
 
 
-def _service(args):
+def _service(args, **policy):
     from repro.serve import ProvingService
 
     return ProvingService(
         curve=args.curve, size=args.size, workload=args.workload,
         workers=args.workers, max_queue=args.max_queue,
         max_inflight=args.max_inflight, default_deadline_s=args.deadline,
-        seed=args.seed)
+        seed=args.seed, **policy)
 
 
 def cmd_serve(args, out=print):
@@ -700,18 +671,36 @@ def cmd_serve(args, out=print):
 
 def cmd_loadtest(args, out=print):
     import asyncio
+    from contextlib import nullcontext
 
     from repro.obs import format as obs_format
     from repro.obs import ledger, metrics
-    from repro.serve import run_loadtest
+    from repro.resilience import faults
+    from repro.resilience.retry import RetryPolicy
+    from repro.serve import SERVE_SITES, CircuitBreaker, run_loadtest
 
     registry = metrics.MetricsRegistry()
-    service = _service(args)
+    plan = None
+    if args.faults is None:
+        service = _service(args)
+    else:
+        # Backoff is recorded, not slept, and the breaker recloses fast,
+        # so one seed replays one fault story in a short run.
+        service = _service(
+            args, retry=RetryPolicy(max_attempts=args.max_attempts,
+                                    seed=args.seed, sleep=None),
+            breaker=CircuitBreaker(cooldown_s=0.05))
+        plan = faults.schedule(
+            args.seed, args.faults,
+            sites=SERVE_SITES + ("msm:pippenger", "ntt:transform"))
 
     async def _main():
         await service.start()
+        # Armed after start(): the warm-up setup and proof are not the
+        # target, the serving window is.
+        armed = faults.injecting(plan) if plan is not None else nullcontext()
         try:
-            with metrics.collecting(registry):
+            with metrics.collecting(registry), armed:
                 return await run_loadtest(
                     service, rps=args.rps, duration_s=args.duration,
                     mix=args.mix, seed=args.seed,
@@ -730,9 +719,11 @@ def cmd_loadtest(args, out=print):
         metrics=registry.snapshot(),
         label=args.label,
         service=load.to_service_block(),
+        faults=None if plan is None else [spec.to_dict() for spec in plan],
     )
     obs_format.emit_record(record, args.as_json, out, render=[
         load.render_text,
+        None if plan is None else lambda: "\n".join(faults.render_plan(plan)),
     ])
     if args.request_trace:
         from repro.perf.export import requests_to_spans, spans_to_chrome_trace
@@ -743,51 +734,9 @@ def cmd_loadtest(args, out=print):
             out, "request-trace", quiet=args.as_json)
     if args.ledger:
         obs_format.append_record(record, args.ledger, out, quiet=args.as_json)
-    # 1 on a typed-resolution breach: the loadtest doubles as a liveness
-    # gate for the serving layer.
-    return 1 if load.unresolved else 0
-
-
-def cmd_pareto(args, out=print):
-    from repro.obs.capacity import run_capacity_sweep
-
-    total = (len(args.workers) * len(args.batch_windows)
-             * len(args.queue_depths) * len(args.rps))
-    if not args.as_json:
-        out(f"capacity sweep: {total} cell(s) — "
-            f"workers={','.join(map(str, args.workers))} "
-            f"batch_windows={','.join(f'{w:g}' for w in args.batch_windows)} "
-            f"queue_depths={','.join(map(str, args.queue_depths))} "
-            f"rps={','.join(f'{r:g}' for r in args.rps)} "
-            f"duration={args.duration:g}s seed={args.seed}"
-            + (" (fresh)" if args.fresh else " (resumable)"))
-
-    def progress(i, n, cell):
-        if not args.as_json:
-            out(f"  [{i}/{n}] {cell.config_label}: "
-                f"{cell.throughput_rps:.2f} ok/s "
-                f"p99={cell.p99_s * 1e3:.1f}ms [{cell.diagnosis}]"
-                + (" (resumed)" if cell.resumed else ""))
-
-    report = run_capacity_sweep(
-        workers_list=args.workers, batch_windows=args.batch_windows,
-        queue_depths=args.queue_depths, rps_list=args.rps,
-        duration_s=args.duration, curve=args.curve, size=args.size,
-        workload=args.workload, seed=args.seed, mix=args.mix,
-        deadline_s=args.deadline, max_inflight=args.max_inflight,
-        checkpoint_dir=args.checkpoint_dir, resume=not args.fresh,
-        ledger_path=args.ledger, progress=progress)
-    if args.as_json:
-        out(report.to_json(indent=2))
-    else:
-        out("")
-        out(report.render_text())
-        if args.ledger:
-            out(f"ledger: capacity records in {args.ledger}")
-        out(f"checkpoints: {report.checkpoint_dir}")
-    # 1 when nothing completed or the phase accounting broke: a sweep
-    # whose breakdowns do not add up diagnoses nothing.
-    return 0 if report.ok else 1
+    # 1 on any breach of the serving contract (LoadReport.violations): the
+    # loadtest doubles as the liveness gate of the serving layer.
+    return 1 if load.violations else 0
 
 
 def cmd_parallel_report(args, out=print):
@@ -961,32 +910,23 @@ VERBS = {
         [*_cell(4096), opt("--workers", (1, 2, 4), many=True), "--repeats",
          "--json"]),
     "chaos": Verb(
-        "run the pipeline (--under-load: the live service) under a "
-        "seeded fault schedule; exit 0 iff every fault ends typed "
-        "(docs/ROBUSTNESS.md)",
+        "run the pipeline under a seeded fault schedule; exit 0 iff every "
+        "fault ends typed (docs/ROBUSTNESS.md)",
         cmd_chaos,
-        [*_cell(32), "--faults", "--max-attempts", "--json", "--under-load",
-         *_SERVICE, *_traffic(8.0, 2.0), "--bad-verify-pct"]),
+        [*_cell(32), opt("--faults", 4), "--max-attempts", "--workers",
+         "--json"]),
     "serve": Verb(
         "run the fault-tolerant async proving service; SIGTERM drains "
         "in-flight jobs and exits 0 (docs/SERVING.md)",
         cmd_serve, [*_cell(64), *_SERVICE, *_traffic(None, 5.0)]),
     "loadtest": Verb(
         "open-loop load against the proving service: latency "
-        "percentiles, shedding, phase breakdown; exit 1 on any "
-        "typed-resolution breach (docs/SERVING.md)",
+        "percentiles, shedding, phase breakdown; --faults N arms a "
+        "seeded fault plan; exit 1 on any request that resolves untyped "
+        "or whose phases do not add up (docs/SERVING.md)",
         cmd_loadtest,
         [*_cell(32), *_SERVICE, *_traffic(8.0, 5.0), "--bad-verify-pct",
-         *_RECORD, "--request-trace"]),
-    "pareto": Verb(
-        "seeded capacity sweep over workers x batch windows x queue "
-        "depths x rps: the throughput-vs-p99 frontier and its knee "
-        "(docs/CAPACITY.md)",
-        cmd_pareto,
-        [*_cell(32), opt("--workers", (1,), many=True), "--batch-windows",
-         "--queue-depths", opt("--rps", (8.0,), many=True),
-         opt("--duration", 2.0), "--mix", "--deadline", "--max-inflight",
-         "--checkpoint-dir", "--fresh", "--ledger", "--json"]),
+         "--faults", "--max-attempts", *_RECORD, "--request-trace"]),
 }
 
 

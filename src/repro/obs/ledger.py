@@ -1,7 +1,7 @@
 """Append-only JSONL run ledger.
 
-The verbs that measure — ``profile``, ``deep-profile``, ``loadtest``,
-``pareto`` — each build one self-describing JSON record: machine
+The verbs that measure — ``profile``, ``deep-profile``, ``loadtest`` —
+each build one self-describing JSON record: machine
 fingerprint (Table I style), git revision, the (curve, size, workload)
 cell, the per-stage span tree, and a metrics snapshot, so records from
 different machines or commits stay comparable.  Recording is explicit:
@@ -9,13 +9,13 @@ a verb builds its record with :func:`make_record`, prints it under
 ``--json``, and appends it (:meth:`Ledger.append`) only where
 ``--ledger PATH`` names a file; nothing is written ambiently.
 
-Record shape (``SCHEMA_VERSION`` 5) — this is the one description; the
+Record shape (``SCHEMA_VERSION`` 6) — this is the one description; the
 modules that build a block point here, and ``docs/OBSERVABILITY.md`` has a
 worked example::
 
     {
-      "schema": 5,
-      "kind": "profile" | "deep-profile" | "loadtest" | "serve" | "capacity",
+      "schema": 6,
+      "kind": "profile" | "deep-profile" | "loadtest",
       "ts": <unix seconds>,
       "label": <free-form or null>,
       "machine": {...machine_fingerprint()...},
@@ -28,10 +28,12 @@ worked example::
       "profile": {...DeepProfiler.to_profile_block()...} | null,
       "workers": {...WorkerTelemetry.to_workers_block()...} | null,
       "service": {...LoadReport.to_service_block()...} | null,
-      "capacity": {...CapacityCell.to_capacity_block()...} | null
+      "faults": [ {"site", "kind", "hit", "fired"}, ... ] | null
     }
 
-Every block is ``null`` unless the run that wrote the record produced it.
+Every block is ``null`` unless the run that wrote the record produced it;
+``faults`` is the plan ``loadtest --faults`` armed, each spec's ``fired``
+flag read after the run.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ __all__ = [
     "make_record",
 ]
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 class Ledger:
@@ -70,7 +72,7 @@ class Ledger:
 
 def make_record(kind, curve, size, workload, stages, seed=None, metrics=None,
                 label=None, profile=None, workers=None, service=None,
-                capacity=None):
+                faults=None):
     """Assemble one record (shape in the module docstring).
 
     *stages* is a list of stage dicts (``StageResult.to_record()`` shape);
@@ -80,9 +82,9 @@ def make_record(kind, curve, size, workload, stages, seed=None, metrics=None,
     :meth:`~repro.obs.worker.WorkerTelemetry.to_workers_block` (``None``
     for serial or untelemetered runs); *service* a
     :meth:`~repro.serve.loadgen.LoadReport.to_service_block` (``None``
-    for runs that did not go through the proving service); *capacity* a
-    :meth:`~repro.obs.capacity.CapacityCell.to_capacity_block` (``None``
-    outside ``pareto`` sweep cells).
+    for runs that did not go through the proving service); *faults* the
+    armed plan as :meth:`~repro.resilience.faults.FaultSpec.to_dict` s
+    (``None`` for runs without injected faults).
     """
     fp = machine_fingerprint()
     return {
@@ -102,5 +104,5 @@ def make_record(kind, curve, size, workload, stages, seed=None, metrics=None,
         "profile": profile,
         "workers": workers,
         "service": service,
-        "capacity": capacity,
+        "faults": faults,
     }

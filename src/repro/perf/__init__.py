@@ -30,5 +30,5 @@ from repro.perf.trace import Tracer, tracing
 __all__ = ["Tracer", "tracing"]
 
 # Analysis entry points are imported lazily by consumers
-# (repro.perf.analysis / repro.perf.advisor) to keep this package — which
+# (repro.perf.analysis) to keep this package — which
 # the field layer imports on its hot path — free of heavy imports.

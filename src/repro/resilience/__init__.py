@@ -19,7 +19,7 @@ package makes failure a modeled, observable event:
     a ``Workflow`` is given (``policy=``).
 :mod:`repro.resilience.checkpoint`
     Checksummed pickle payloads and the self-healing cell store behind
-    the harness disk cache and the capacity checkpoints.
+    the harness disk cache.
 :mod:`repro.resilience.degrade`
     Graceful degradation: Pippenger→naive MSM fallback, batch-verify
     bisection to the exact bad proof indices, and the harness memory

@@ -75,14 +75,10 @@ class ChaosReport:
         lines = [
             f"chaos run: seed={self.seed} faults={len(self.plan)} "
             f"curve={self.curve} size={self.size} workload={self.workload}",
-            "plan:",
+            *faults.render_plan(self.plan),
+            f"outcome: {self.status}"
+            + (f" — {self.error}" if self.error else ""),
         ]
-        for spec in self.plan:
-            state = "fired  " if spec.fired else "pending"
-            lines.append(f"  [{state}] {spec.kind:9s} at {spec.site} "
-                         f"(hit {spec.hit})")
-        lines.append(f"outcome: {self.status}"
-                     + (f" — {self.error}" if self.error else ""))
         if self.counters:
             lines.append("recovery counters:")
             for name, value in sorted(self.counters.items()):

@@ -9,8 +9,7 @@ Two layers:
   :class:`~repro.resilience.errors.ArtifactCorruption` instead of
   deserializing garbage.
 - :class:`CellStore` — a directory of such files with the load / evict /
-  count / store-with-manifest logic every cell cache shares: the capacity
-  checkpoints (:mod:`repro.obs.capacity`) and the harness disk cache
+  count / store logic of the harness disk cache
   (:func:`repro.harness.runner.profile_run`), which is what lets a killed
   ``repro run`` resume.  Corrupt cells are **self-healing**: a failed load
   evicts the file, bumps the store's eviction counter, and reports a miss
@@ -20,7 +19,6 @@ Two layers:
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pickle
 
@@ -29,13 +27,9 @@ from repro.resilience.errors import ArtifactCorruption
 
 __all__ = [
     "CellStore",
-    "DEFAULT_DIR",
     "read_checksummed",
     "write_checksummed",
 ]
-
-#: Conventional checkpoint directory (relative to the working directory).
-DEFAULT_DIR = os.path.join("results", "checkpoints")
 
 _DIGEST_BYTES = 32
 
@@ -80,19 +74,15 @@ def read_checksummed(path):
 
 class CellStore:
     """A directory of checksummed cells: load, evict on corruption, count,
-    store — the one implementation behind the capacity checkpoints and
-    the harness disk cache.
+    store — the harness disk cache.
 
-    *manifest*, when given, is written once as ``MANIFEST.json`` beside the
-    first stored cell.  A missing cell and a corrupt one both load as
-    ``None``; the corrupt file is removed and *eviction_metric* bumped, so
-    the caller simply recomputes.  *hit_metric* (optional) counts loads.
+    A missing cell and a corrupt one both load as ``None``; the corrupt
+    file is removed and *eviction_metric* bumped, so the caller simply
+    recomputes.  *hit_metric* (optional) counts loads.
     """
 
-    def __init__(self, directory, manifest=None, hit_metric=None,
-                 eviction_metric="repro_resilience_checkpoint_evictions_total"):
+    def __init__(self, directory, eviction_metric, hit_metric=None):
         self.dir = directory
-        self._manifest = manifest
         self._hit_metric = hit_metric
         self._eviction_metric = eviction_metric
 
@@ -118,9 +108,4 @@ class CellStore:
 
     def store(self, name, cell):
         os.makedirs(self.dir, exist_ok=True)
-        manifest = os.path.join(self.dir, "MANIFEST.json")
-        if self._manifest is not None and not os.path.exists(manifest):
-            with open(manifest, "w") as f:
-                json.dump(self._manifest, f, indent=2, sort_keys=True)
-                f.write("\n")
         write_checksummed(os.path.join(self.dir, name), cell)

@@ -38,6 +38,7 @@ __all__ = [
     "PIPELINE_SITES",
     "injecting",
     "make_fault",
+    "render_plan",
     "schedule",
 ]
 
@@ -171,6 +172,18 @@ def schedule(seed, n_faults, sites=PIPELINE_SITES, kinds=None, max_hit=2):
         hit = 1 if site.startswith("stage:") else rng.randrange(1, max_hit + 1)
         plan.append(FaultSpec(site, rng.choice(kinds), hit=hit))
     return plan
+
+
+def render_plan(plan):
+    """Text lines of *plan*: a count line, then one line per spec with its
+    fired flag (the ``chaos`` and ``loadtest --faults`` reports)."""
+    fired = sum(1 for spec in plan if spec.fired)
+    lines = [f"plan: {len(plan)} fault(s), {fired} fired"]
+    for spec in plan:
+        state = "fired  " if spec.fired else "pending"
+        lines.append(f"  [{state}] {spec.kind:9s} at {spec.site} "
+                     f"(hit {spec.hit})")
+    return lines
 
 
 def injecting(plan_or_injector):

@@ -4,13 +4,12 @@ The serving layer in front of the measured pipeline: bounded admission
 (:class:`~repro.serve.service.ProvingService`), per-request cooperative
 deadlines, retry + circuit breaking over the worker pool, coalesced
 batch verification with poisoned-member isolation, and graceful drain.
-:mod:`~repro.serve.loadgen` drives it open-loop for the ``loadtest``
-CLI verb; :mod:`~repro.serve.chaosload` replays seeded fault plans under
-live traffic (``chaos --under-load``).  See docs/SERVING.md.
+:mod:`~repro.serve.loadgen` drives it open-loop for the ``serve`` and
+``loadtest`` CLI verbs; ``loadtest --faults N`` arms a seeded fault plan
+while the traffic flows.  See docs/SERVING.md.
 """
 
 from repro.serve.breaker import CircuitBreaker
-from repro.serve.chaosload import ChaosLoadReport, run_chaos_load
 from repro.serve.jobs import KINDS, PHASES, STATUSES, Job, JobResult
 from repro.serve.loadgen import LoadReport, parse_mix, run_loadtest
 from repro.serve.pkcache import PKCache
@@ -18,7 +17,6 @@ from repro.serve.service import ARTIFACT_CACHE, SERVE_SITES, ProvingService
 
 __all__ = [
     "ARTIFACT_CACHE",
-    "ChaosLoadReport",
     "CircuitBreaker",
     "Job",
     "JobResult",
@@ -30,6 +28,5 @@ __all__ = [
     "SERVE_SITES",
     "STATUSES",
     "parse_mix",
-    "run_chaos_load",
     "run_loadtest",
 ]

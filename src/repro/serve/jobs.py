@@ -20,8 +20,8 @@ construction, their sum telescopes to ``total_s`` — the accounting
 invariant (:meth:`JobResult.phases_consistent`) then checks that *every*
 resolution path of the service (ok, shed, timeout, retried,
 coalesced-bisected, drain-flushed) kept the bookkeeping straight, which
-is what the phase-breakdown report and the ``pareto`` capacity sweep
-stand on.
+is what the phase-breakdown report stands on and what ``loadtest``
+gates.
 """
 
 from __future__ import annotations
@@ -99,12 +99,13 @@ class JobResult:
     @property
     def resolved_typed(self):
         """The robustness contract: a known status, and errors carry a
-        taxonomy code."""
+        taxonomy code (``"untyped"``, what ``classify`` says of a foreign
+        exception, is the absence of one)."""
         if self.status not in STATUSES:
             return False
         if self.status == "ok":
             return True
-        return bool(self.error_code)
+        return bool(self.error_code) and self.error_code != "untyped"
 
     @property
     def phase_sum(self):

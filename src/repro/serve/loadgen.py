@@ -10,13 +10,15 @@ admission layer exists to handle.
 
 The generator is fully seeded — the prove/verify interleaving and the
 choice of poisoned verify payloads replay bit-identically for one seed —
-so the chaos-under-load suite can assert on exact request stories.
+so the suite can assert on exact request stories, also with a seeded
+fault plan armed around the run (``loadtest --faults``).
 
 :class:`LoadReport` aggregates the terminal
 :class:`~repro.serve.jobs.JobResult`\\ s into the latency/throughput/
-shed-rate summary the CLI prints, and renders the ledger record's
+shed-rate summary the CLI prints, renders the ledger record's
 ``service`` block (:meth:`LoadReport.to_service_block`; record shape in
-:mod:`repro.obs.ledger`).
+:mod:`repro.obs.ledger`), and lists the contract breaches
+(:attr:`LoadReport.violations`) that make ``loadtest`` exit 1.
 """
 
 from __future__ import annotations
@@ -145,6 +147,19 @@ class LoadReport:
         """Requests that broke the typed-resolution contract (must be 0)."""
         return [r for r in self.results if not r.resolved_typed]
 
+    @property
+    def violations(self):
+        """The serving contract's breaches, one line each: a request that
+        did not resolve typed, or one whose phases do not sum to its
+        ``total_s``.  ``loadtest`` exits 1 on any."""
+        out = [f"request {r.request_id} ({r.kind}) did not resolve typed: "
+               f"status={r.status!r} error_code={r.error_code!r}"
+               for r in self.unresolved]
+        out.extend(f"request {r.request_id} ({r.kind}) phases sum "
+                   f"{r.phase_sum:.6f}s != total {r.total_s:.6f}s"
+                   for r in self.results if not r.phases_consistent())
+        return out
+
     def error_codes(self):
         codes = {}
         for r in self.results:
@@ -225,6 +240,7 @@ class LoadReport:
             },
             "breaker": self.stats.get("breaker"),
             "phases": self.phase_breakdown(),
+            "violations": self.violations,
         }
 
     def render_text(self):
@@ -267,6 +283,7 @@ class LoadReport:
             codes = " ".join(f"{k}={v}"
                              for k, v in sorted(b["error_codes"].items()))
             lines.append(f"  error codes {codes}")
+        lines.extend(f"  VIOLATION: {v}" for v in b["violations"])
         return "\n".join(lines)
 
 

@@ -12,7 +12,7 @@ the full prepared artifact tuple (curve, circuit, pk, vk, witness,
 publics, sample proof), with
 
 - ``repro_serve_pk_cache_hits_total`` / ``repro_serve_pk_cache_misses_total``
-  counters so a capacity run can see whether mixed traffic is
+  counters so a loadtest record shows whether mixed traffic is
   setup-bound, and
 - ``repro_serve_pk_cache_evictions_total`` plus a hard ``max_entries``
   bound so a long-lived process serving many cells cannot hold every

@@ -41,10 +41,8 @@ hangs:
   histograms in the metrics registry and — when the PR 7 worker
   collector is installed — a worker-side split of the compute phase.
   The phases partition the request lifetime by construction, so their
-  sum equals ``total_s`` within tolerance on every resolution path;
-  the capacity sweep (:mod:`repro.obs.capacity`) diagnoses each
-  configuration as queue-, compute- or coalescing-bound from exactly
-  this breakdown.
+  sum equals ``total_s`` within tolerance on every resolution path, and
+  ``loadtest`` exits 1 on any request where it does not.
 
 Execution model: one dedicated compute thread (the GIL makes CPU-bound
 threads pointless anyway; real parallelism comes from the worker pool
@@ -82,8 +80,8 @@ from repro.serve.pkcache import PKCache
 __all__ = ["ARTIFACT_CACHE", "ProvingService", "SERVE_SITES"]
 
 #: Fault-injection sites checked inside the service's compute closures
-#: (the chaos-under-load schedule draws from these plus the kernel sites
-#: that prove/verify reach naturally).
+#: (``loadtest --faults`` draws its schedule from these plus the kernel
+#: sites that prove/verify reach naturally).
 SERVE_SITES = ("serve:prove", "serve:verify")
 
 #: Queue sentinel that stops the executor loops.
@@ -91,7 +89,7 @@ _STOP = object()
 
 #: Per-process proving-key cache: (curve, workload, size, seed) ->
 #: prepared artifacts, so several services in one process (a loadtest
-#: then a chaos run, or every cell of a capacity sweep) pay for
+#: then a second one with faults armed, or every test of a suite) pay for
 #: compile/setup/witness once per cell — LRU-bounded with hit/miss/
 #: eviction counters (:mod:`repro.serve.pkcache`).
 ARTIFACT_CACHE = PKCache()

@@ -53,7 +53,7 @@ class TestProfileCommand:
         assert code == 0
         rec = json.loads(out)
         assert read_jsonl(path) == [rec]  # --ledger appends what --json prints
-        assert rec["schema"] == 5
+        assert rec["schema"] == 6
         assert rec["metrics"]["counters"]["repro_groth16_verify_total"] == 1
         assert rec["profile"] is None  # plain profile carries no deep block
         # v2 lifts span cpu/rss/gc to the stage record
@@ -149,7 +149,7 @@ class TestDeepProfileCommand:
         assert len(records) == 1
         rec = records[0]
         assert rec["kind"] == "deep-profile"
-        assert rec["schema"] == 5
+        assert rec["schema"] == 6
         assert rec["profile"]["profiler"]["backend"] == "sys.setprofile"
         assert set(rec["profile"]["stages"]) == set(STAGES)
         for stage_block in rec["profile"]["stages"].values():

@@ -39,7 +39,7 @@ class TestMakeRecord:
             seed=0, stages=[{"stage": "compile", "elapsed_s": 0.01, "span": None}],
             metrics={"counters": {}}, label="unit",
         )
-        assert rec["schema"] == 5
+        assert rec["schema"] == 6
         assert rec["kind"] == "profile"
         assert rec["machine_id"] == fingerprint.fingerprint_id(rec["machine"])
         assert rec["ts"] > 0
@@ -48,6 +48,7 @@ class TestMakeRecord:
         assert rec["profile"] is None  # unprofiled runs carry no block
         assert rec["workers"] is None  # serial runs carry no workers block
         assert rec["service"] is None  # non-serving runs carry no block
+        assert rec["faults"] is None  # runs without injected faults neither
         json.dumps(rec)  # must be JSON-serializable as-is
 
     def test_record_carries_profile_block(self):
@@ -83,9 +84,24 @@ class TestMakeRecord:
             kind="loadtest", curve="bn128", size=32,
             workload="exponentiate", seed=0, stages=[], service=block,
         )
-        assert rec["schema"] == 5
+        assert rec["schema"] == 6
         assert rec["service"] == block
         json.dumps(rec)
+
+    def test_record_carries_faults_block(self):
+        """v6: the armed plan, each spec with its fired flag, replaces the
+        v5 ``capacity`` block."""
+        plan = [{"site": "serve:prove", "kind": "transient", "hit": 1,
+                 "fired": True},
+                {"site": "ntt:transform", "kind": "oom", "hit": 2,
+                 "fired": False}]
+        rec = make_record(
+            kind="loadtest", curve="bn128", size=32,
+            workload="exponentiate", seed=0, stages=[], faults=plan,
+        )
+        assert rec["faults"] == plan
+        assert "capacity" not in rec
+        assert json.loads(json.dumps(rec))["faults"] == plan
 
     def test_v1_through_v3_records_still_load(self, tmp_path):
         """Pre-upgrade lines — v1 (no profile field, no lifted per-stage
@@ -105,7 +121,7 @@ class TestMakeRecord:
         led.append(make_record(kind="profile", curve="bn128", size=64,
                                workload="exponentiate", seed=0, stages=[]))
         records = read_jsonl(path)
-        assert [r["schema"] for r in records] == [1, 2, 3, 5]
+        assert [r["schema"] for r in records] == [1, 2, 3, 6]
         assert "profile" not in records[0]
         assert "workers" not in records[1]
         assert "service" not in records[2]

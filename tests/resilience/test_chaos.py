@@ -89,6 +89,14 @@ class TestSeededRuns:
         text = report.render_text()
         assert "outcome:" in text and "plan:" in text
 
+    def test_text_report_prints_the_shared_plan_lines(self):
+        report = run_chaos(seed=1, n_faults=2, size=SIZE)
+        lines = report.render_text().splitlines()
+        plan_lines = faults.render_plan(report.plan)
+        assert lines[1:1 + len(plan_lines)] == plan_lines
+        assert lines[1 + len(plan_lines)].startswith(
+            f"outcome: {report.status}")
+
     def test_fault_free_run_recovers_trivially(self):
         report = run_chaos(seed=0, size=SIZE, plan=[])
         assert report.recovered

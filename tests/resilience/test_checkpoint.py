@@ -54,23 +54,18 @@ class TestChecksummedPayload:
         assert os.listdir(tmp_path) == ["x.pkl"]
 
 
+EVICTIONS = "repro_harness_cache_evictions_total"
+
+
 class TestCellStore:
     def test_store_load_roundtrip(self, tmp_path):
-        store = CellStore(str(tmp_path / "cells"))
+        store = CellStore(str(tmp_path / "cells"), EVICTIONS)
         store.store("cell_bn128_8.pkl", {"stage": "data"})
         assert store.load("cell_bn128_8.pkl") == {"stage": "data"}
         assert store.load("cell_bn128_16.pkl") is None
 
-    def test_manifest_written_once(self, tmp_path):
-        store = CellStore(str(tmp_path), manifest={"seed": 0})
-        store.store("a.pkl", {})
-        manifest = tmp_path / "MANIFEST.json"
-        before = manifest.read_text()
-        store.store("b.pkl", {})
-        assert manifest.read_text() == before
-
     def test_corrupt_cell_self_heals(self, tmp_path):
-        store = CellStore(str(tmp_path))
+        store = CellStore(str(tmp_path), EVICTIONS)
         store.store("cell.pkl", {"good": 1})
         cell = str(tmp_path / "cell.pkl")
         data = bytearray(open(cell, "rb").read())
@@ -79,7 +74,23 @@ class TestCellStore:
         with metrics.collecting() as reg:
             assert store.load("cell.pkl") is None
         assert not os.path.exists(cell)  # evicted
-        assert reg.counter("repro_resilience_checkpoint_evictions_total") == 1
+        assert reg.counter(EVICTIONS) == 1
+
+    def test_store_writes_only_the_cell(self, tmp_path):
+        store = CellStore(str(tmp_path / "cells"), EVICTIONS)
+        store.store("a.pkl", {})
+        store.store("b.pkl", {})
+        assert sorted(os.listdir(tmp_path / "cells")) == ["a.pkl", "b.pkl"]
+
+    def test_hit_metric_counts_loads_not_misses(self, tmp_path):
+        hits = "repro_harness_cache_hits_total"
+        store = CellStore(str(tmp_path), EVICTIONS, hit_metric=hits)
+        store.store("cell.pkl", {"good": 1})
+        with metrics.collecting() as reg:
+            assert store.load("cell.pkl") == {"good": 1}
+            assert store.load("missing.pkl") is None
+        assert reg.counter(hits) == 1
+        assert reg.counter(EVICTIONS) == 0
 
 
 class TestKillAndResume:

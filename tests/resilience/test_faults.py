@@ -10,7 +10,13 @@ from repro.resilience.errors import (
     StageTimeout,
     TransientFault,
 )
-from repro.resilience.faults import FaultInjector, FaultSpec, injecting, schedule
+from repro.resilience.faults import (
+    FaultInjector,
+    FaultSpec,
+    injecting,
+    render_plan,
+    schedule,
+)
 
 
 class TestFaultSpec:
@@ -93,3 +99,27 @@ class TestInjectingContext:
             with injecting([FaultSpec("x", "transient")]) as inj:
                 inj.check("x")
         assert RUN.faults is None
+
+
+class TestRenderPlan:
+    def test_count_line_then_one_line_per_spec(self):
+        plan = [FaultSpec("serve:prove", "transient", hit=1),
+                FaultSpec("ntt:transform", "oom", hit=2)]
+        assert render_plan(plan) == [
+            "plan: 2 fault(s), 0 fired",
+            "  [pending] transient at serve:prove (hit 1)",
+            "  [pending] oom       at ntt:transform (hit 2)",
+        ]
+
+    def test_fired_flags_are_read_at_render_time(self):
+        inj = FaultInjector([FaultSpec("stage:setup", "transient"),
+                             FaultSpec("stage:proving", "transient")])
+        with pytest.raises(TransientFault):
+            inj.check("stage:setup")
+        lines = render_plan(inj.plan)
+        assert lines[0] == "plan: 2 fault(s), 1 fired"
+        assert lines[1].startswith("  [fired  ] transient at stage:setup")
+        assert lines[2].startswith("  [pending] transient at stage:proving")
+
+    def test_empty_plan(self):
+        assert render_plan([]) == ["plan: 0 fault(s), 0 fired"]

@@ -1,15 +1,28 @@
 """Load-generator tests: mix parsing, open-loop accounting, the ledger
-service block, and determinism of the seeded request story."""
+service block, determinism of the seeded request story, the
+``loadtest`` exit gate, and the service ``loadtest --faults`` builds."""
 
 import asyncio
 import json
 
 import pytest
 
+from repro.cli import main
 from repro.obs.ledger import make_record
+from repro.resilience import faults
 from repro.resilience.retry import RetryPolicy
-from repro.serve import CircuitBreaker, ProvingService, parse_mix, run_loadtest
-from repro.serve.loadgen import _dist, percentile
+from repro.serve import (
+    SERVE_SITES,
+    CircuitBreaker,
+    ProvingService,
+    parse_mix,
+    run_loadtest,
+)
+from repro.serve.jobs import Job, JobResult
+from repro.serve.loadgen import LoadReport, _dist, percentile
+
+#: The sites ``loadtest --faults`` draws its schedule from.
+SITES = SERVE_SITES + ("msm:pippenger", "ntt:transform")
 
 
 def fast_service(**kwargs):
@@ -197,3 +210,135 @@ class TestLoadReport:
         report = asyncio.run(main())
         assert report.sent < 300  # nowhere near the full 30s schedule
         assert not report.unresolved
+
+
+class TestLoadtestGate:
+    """``loadtest`` exits 1 on exactly what ``LoadReport.violations``
+    lists: a request that resolves untyped, or one whose phases do not add
+    up to its total."""
+
+    @staticmethod
+    def loadtest(*argv):
+        lines = []
+        code = main(["loadtest", "--size", "8", "--rps", "10", "--duration",
+                     "0.3", *argv], out=lines.append)
+        return code, "\n".join(lines)
+
+    def test_untyped_error_is_not_resolved_typed(self):
+        r = JobResult(request_id=1, kind="prove", status="error",
+                      error_code="untyped",
+                      error="error[untyped]: RuntimeError: boom")
+        assert not r.resolved_typed
+
+    def test_untyped_escape_fails_the_gate(self, monkeypatch):
+        def boom(self, use_pool, remaining, seed):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(ProvingService, "_compute_prove", boom)
+        code, out = self.loadtest("--mix", "prove")
+        assert code == 1
+        assert "unresolved=3" in out
+        assert "did not resolve typed" in out
+
+    def test_phase_violation_fails_the_gate(self, monkeypatch):
+        finish = Job.finish_phases
+
+        def skewed(job):
+            phases = finish(job)
+            phases["settle"] += 1.0
+            return phases
+
+        monkeypatch.setattr(Job, "finish_phases", skewed)
+        code, out = self.loadtest()
+        assert code == 1
+        assert "unresolved=0" in out
+        assert "phases sum" in out
+
+    @pytest.mark.parametrize("result,typed", [
+        (JobResult(1, "prove", "ok"), True),
+        (JobResult(2, "prove", "timeout", error_code="timeout"), True),
+        (JobResult(3, "verify", "shed", error_code="admission"), True),
+        (JobResult(4, "prove", "error", error_code=None), False),
+        (JobResult(5, "prove", "lost", error_code="timeout"), False),
+    ])
+    def test_resolved_typed_needs_a_known_status_and_a_taxonomy_code(
+            self, result, typed):
+        assert result.resolved_typed is typed
+
+
+def synthetic_report(results):
+    return LoadReport(rps=1.0, duration_s=1.0, mix={"prove": 1}, seed=0,
+                      results=results, wall_s=1.0, depth_samples=[0],
+                      stats={})
+
+
+class TestViolations:
+    CLEAN = JobResult(1, "prove", "ok", total_s=0.5,
+                      phases={"queue_wait": 0.1, "compute": 0.4})
+
+    def test_clean_run_has_none(self):
+        report = synthetic_report([self.CLEAN])
+        assert report.violations == []
+        assert "VIOLATION" not in report.render_text()
+
+    def test_untyped_request_is_listed(self):
+        escaped = JobResult(2, "verify", "error", error_code="untyped")
+        report = synthetic_report([self.CLEAN, escaped])
+        assert report.violations == [
+            "request 2 (verify) did not resolve typed: status='error' "
+            "error_code='untyped'"]
+
+    def test_phase_gap_is_listed(self):
+        skewed = JobResult(3, "prove", "ok", total_s=0.5,
+                           phases={"compute": 0.3})
+        report = synthetic_report([skewed])
+        assert report.violations == [
+            "request 3 (prove) phases sum 0.300000s != total 0.500000s"]
+
+    def test_one_list_feeds_the_block_and_the_text(self):
+        report = synthetic_report([
+            JobResult(4, "prove", "bogus", total_s=0.2,
+                      phases={"compute": 0.1})])
+        assert len(report.violations) == 2  # untyped *and* inconsistent
+        assert report.to_service_block()["violations"] == report.violations
+        text = report.render_text()
+        for line in report.violations:
+            assert f"  VIOLATION: {line}" in text
+
+
+class TestLoadtestService:
+    """Without ``--faults`` the verb builds the service it always built;
+    with it, the seeded no-sleep retry policy and the fast breaker."""
+
+    @staticmethod
+    def built_service(monkeypatch, *argv):
+        built = []
+        init = ProvingService.__init__
+
+        def capture(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(ProvingService, "__init__", capture)
+        lines = []
+        code = main(["loadtest", "--size", "8", "--rps", "10", "--duration",
+                     "0.2", "--json", *argv], out=lines.append)
+        assert code == 0, lines
+        (service,) = built
+        return service, json.loads(lines[0])
+
+    def test_without_faults_the_service_is_unchanged(self, monkeypatch):
+        service, record = self.built_service(monkeypatch)
+        assert service.retry.sleeps
+        assert service.retry.max_attempts == 3
+        assert service.breaker.cooldown_s == CircuitBreaker().cooldown_s
+        assert record["faults"] is None
+
+    def test_faults_arm_the_seeded_retry_and_fast_breaker(self, monkeypatch):
+        service, record = self.built_service(
+            monkeypatch, "--faults", "2", "--max-attempts", "4")
+        assert not service.retry.sleeps
+        assert service.retry.max_attempts == 4
+        assert service.breaker.cooldown_s == 0.05
+        assert [spec["site"] for spec in record["faults"]] == [
+            spec.site for spec in faults.schedule(0, 2, sites=SITES)]

@@ -1,8 +1,9 @@
 """The phase-accounting invariant: every :class:`JobResult` — ok, shed,
 timeout, retried, coalesced-bisected, drain-flushed — carries phases that
 sum to its ``total_s`` within 1e-3, on every resolution path, including
-seeded chaos-under-load runs.  A breakdown that does not add up diagnoses
-nothing, so the invariant is what the pareto sweep stands on."""
+seeded fault plans armed under load (``loadtest --faults``).  A breakdown
+that does not add up diagnoses nothing, so ``loadtest`` exits 1 on any
+request that breaks it."""
 
 import asyncio
 import time
@@ -13,14 +14,9 @@ from repro.obs import metrics
 from repro.resilience import faults
 from repro.resilience.faults import FaultSpec
 from repro.resilience.retry import RetryPolicy
-from repro.serve import (
-    CircuitBreaker,
-    PHASES,
-    ProvingService,
-    run_chaos_load,
-    run_loadtest,
-)
+from repro.serve import CircuitBreaker, PHASES, ProvingService, run_loadtest
 from repro.serve.jobs import PHASE_TOLERANCE_S, Job, JobResult
+from tests.serve.test_chaosload import chaos_run
 
 
 def fast_service(**kwargs):
@@ -188,10 +184,9 @@ class TestClosedClock:
 class TestChaosUnderLoad:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_every_chaos_request_is_consistent(self, seed):
-        report = run_chaos_load(seed=seed, n_faults=4, size=8, rps=20,
-                                duration_s=0.5)
-        assert report.acceptable, report.violations
-        for r in report.load.results:
+        _, load = chaos_run(seed=seed, n_faults=4)
+        assert load.violations == []
+        for r in load.results:
             assert r.phases_consistent(tol=PHASE_TOLERANCE_S), (
                 seed, r.request_id, r.status, r.phases, r.total_s)
 

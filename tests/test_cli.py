@@ -85,14 +85,14 @@ class TestOptionTable:
                             re.sub(r" \(default: [^)]*\)$", "", action.help))
                 assert seen.setdefault(name, declared) == declared, \
                     (verb, name)
-        assert len(seen) == 50
+        assert len(seen) == 45
 
     def test_exposed_option_count(self):
         exposed = sum(
             not isinstance(action, argparse._HelpAction)
             for parser in verb_parsers().values()
             for action in parser._actions)
-        assert exposed <= 127
+        assert exposed <= 105
 
     def test_verbs_pass_their_own_defaults_as_data(self):
         sizes = {verb: parser.get_default("size")
@@ -100,10 +100,39 @@ class TestOptionTable:
                  if parser.get_default("size") is not None}
         assert sizes == {"profile": 64, "deep-profile": 8,
                          "parallel-report": 4096, "chaos": 32, "serve": 64,
-                         "loadtest": 32, "pareto": 32}
-        pareto = build_parser().parse_args(["pareto"])
-        assert (pareto.workers, pareto.rps) == ((1,), (8.0,))
-        assert build_parser().parse_args(["loadtest"]).rps == 8.0
+                         "loadtest": 32}
+        report = build_parser().parse_args(["parallel-report"])
+        assert report.workers == (1, 2, 4)
+        loadtest = build_parser().parse_args(["loadtest"])
+        assert (loadtest.rps, loadtest.faults) == (8.0, None)
+        assert build_parser().parse_args(["chaos"]).faults == 4
+
+    @staticmethod
+    def option_names(verb):
+        return {action.option_strings[0]
+                for action in verb_parsers()[verb]._actions
+                if action.option_strings
+                and not isinstance(action, argparse._HelpAction)}
+
+    def test_chaos_is_pipeline_only(self):
+        assert self.option_names("chaos") == {
+            "--curve", "--size", "--workload", "--seed", "--faults",
+            "--max-attempts", "--workers", "--json"}
+
+    def test_loadtest_carries_the_fault_options(self):
+        assert {"--faults", "--max-attempts"} <= self.option_names("loadtest")
+        args = build_parser().parse_args(
+            ["loadtest", "--faults", "3", "--max-attempts", "5"])
+        assert (args.faults, args.max_attempts) == (3, 5)
+
+    def test_only_workers_takes_the_comma_list_form(self):
+        listed = {name
+                  for parser in verb_parsers().values()
+                  for action in parser._actions
+                  for name in action.option_strings[:1]
+                  if name in OPTIONS
+                  and action.type is not OPTIONS[name].get("type")}
+        assert listed == {"--workers"}
 
 
 class TestCommands:

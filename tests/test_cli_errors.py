@@ -117,8 +117,9 @@ class TestArgumentErrors:
         assert "profiling sweep" not in result.stdout
         assert "unknown workload 'nope'" in result.stderr
 
+    # Rejected at parse time, with or without a fault plan to arm.
     @pytest.mark.parametrize("verb", [("loadtest",),
-                                      ("chaos", "--under-load")])
+                                      ("loadtest", "--faults", "2")])
     @pytest.mark.parametrize("bad", ["250", "-5"])
     def test_bad_verify_pct_outside_0_100_rejected(self, verb, bad):
         result = run_cli(*verb, "--bad-verify-pct", bad)
@@ -130,6 +131,12 @@ class TestArgumentErrors:
         ("sweep",), ("report", "--compare-model"),
         ("profile", "--no-ledger"), ("profile", "--worker-trace", "w.json"),
         ("parallel-report", "--worker-trace", "w.json"),
+        ("pareto",), ("chaos", "--under-load"), ("chaos", "--rps", "8"),
+        ("loadtest", "--under-load"), ("loadtest", "--queue-depths", "4"),
+        ("loadtest", "--batch-windows", "0"),
+        ("loadtest", "--checkpoint-dir", "ckpt"), ("loadtest", "--fresh"),
+        ("loadtest", "--rps", "4,8"), ("chaos", "--duration", "1"),
+        ("chaos", "--bad-verify-pct", "10"),
     ])
     def test_deleted_verb_and_flags_are_usage_errors(self, gone):
         result = run_cli(*gone)
@@ -236,7 +243,8 @@ class TestLoadtestVerb:
                          "--size", "8", "--json")
         assert result.returncode == 0, (result.stdout, result.stderr)
         record = json.loads(result.stdout)
-        assert record["schema"] == 5
+        assert record["schema"] == 6
+        assert record["faults"] is None
         block = record["service"]
         assert block["requests"]["sent"] >= 1
         assert block["requests"]["unresolved"] == 0
@@ -284,22 +292,32 @@ class TestLoadtestVerb:
 
 class TestChaosUnderLoad:
     def test_smoke_run_is_all_typed(self):
-        result = run_cli("chaos", "--under-load", "--seed", "0",
-                         "--faults", "3", "--size", "8",
-                         "--rps", "20", "--duration", "0.5", "--json")
+        result = run_cli("loadtest", "--faults", "3", "--seed", "0",
+                         "--size", "8", "--rps", "20", "--duration", "0.5",
+                         "--json")
         assert result.returncode == 0, (result.stdout, result.stderr)
-        report = json.loads(result.stdout)
-        assert report["status"] == "all-typed"
-        assert report["violations"] == []
-        assert report["service"]["requests"]["unresolved"] == 0
+        record = json.loads(result.stdout)
+        assert [set(spec) for spec in record["faults"]] == \
+            [{"site", "kind", "hit", "fired"}] * 3
+        assert record["service"]["violations"] == []
+        assert record["service"]["requests"]["unresolved"] == 0
+
+    def test_text_report_shows_the_plan(self):
+        result = run_cli("loadtest", "--faults", "2", "--seed", "1",
+                         "--size", "8", "--rps", "10", "--duration", "0.5")
+        assert result.returncode == 0, (result.stdout, result.stderr)
+        assert "plan: 2 fault(s)" in result.stdout
+        specs = [line for line in result.stdout.splitlines()
+                 if line.startswith("  [")]
+        assert len(specs) == 2  # one line per spec, fired or pending
+        assert "VIOLATION" not in result.stdout
 
     def test_text_report_shows_outcome(self):
-        result = run_cli("chaos", "--under-load", "--seed", "1",
-                         "--faults", "2", "--size", "8",
-                         "--rps", "10", "--duration", "0.5")
+        result = run_cli("loadtest", "--faults", "2", "--seed", "1",
+                         "--size", "8", "--rps", "10", "--duration", "0.5")
         assert result.returncode == 0, (result.stdout, result.stderr)
-        assert "chaos under load" in result.stdout
-        assert "outcome: all-typed" in result.stdout
+        assert "loadtest: 5 requests" in result.stdout
+        assert "unresolved=0" in result.stdout
 
 
 class TestServeVerb:

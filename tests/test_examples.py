@@ -72,14 +72,6 @@ def test_compare_schemes(argv, capsys):
     assert "Schnorr+FS" in out and "PLONK" in out
 
 
-def test_advisor_report(argv, capsys):
-    argv(64)
-    _load("advisor_report").main()
-    out = capsys.readouterr().out
-    assert "Key Takeaways instantiated" in out
-    assert "=== proving ===" in out
-
-
 def test_export_trace(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv("witness", 32)
