@@ -1,7 +1,7 @@
 # Convenience targets; see README.md.
 
 .PHONY: install test lint codelint artifacts slow clean profile \
-	chaos deep-profile drift-check parallel-test parallel-report measured \
+	chaos deep-profile drift-check parallel-test measured \
 	serve loadtest kernel-test bench-test
 
 # Seeds for the chaos smoke (override: make chaos CHAOS_SEEDS="0 7 42").
@@ -55,7 +55,7 @@ deep-profile:
 
 # Model-vs-measured drift gate (docs/PROFILING.md); exit 1 on drift.
 drift-check:
-	PYTHONPATH=src python -m repro report --curves bn128 --sizes 64
+	PYTHONPATH=src python -m repro report --curve bn128 --size 64
 
 # Full serial<->parallel differential matrix plus the chaos-under-workers
 # seeds (docs/PARALLELISM.md).  Wider than the tier-1 run: sizes 2^6..2^10,
@@ -78,17 +78,10 @@ parallel-test:
 kernel-test:
 	REPRO_KERNEL_FULL=1 PYTHONPATH=src pytest -x -q tests/msm tests/fields tests/curves
 
-# Parallel-efficiency report (docs/PARALLELISM.md): per-stage speedup,
-# worker busy time, utilization, imbalance, dispatch overhead, and the
-# Amdahl-fit drift, from a measured sweep with worker telemetry on.
-REPORT_SIZE ?= 1024
-REPORT_WORKERS ?= 1,2,4
-parallel-report:
-	PYTHONPATH=src python -m repro parallel-report --size $(REPORT_SIZE) \
-		--workers $(REPORT_WORKERS)
-
-# Measured Fig. 6 (strong scaling) on real worker processes; Fig. 7 and
-# Table VI accept the same flags (docs/PARALLELISM.md).
+# Measured Fig. 6 (strong scaling) on real worker processes: per-stage
+# speedups, the Amdahl fit, and worker busy time, utilization, imbalance
+# and dispatch overhead at the top count; Fig. 7 and Table VI accept the
+# same flags (docs/PARALLELISM.md).
 MEASURED_WORKERS ?= 1,2,4
 measured:
 	PYTHONPATH=src python -m repro run fig6 --measured \

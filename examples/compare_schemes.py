@@ -1,11 +1,9 @@
 #!/usr/bin/env python3
-"""Compare three proof systems on the same statement family.
+"""Compare the two proof systems on the same statement.
 
-Proves knowledge of ``x`` with ``y = x^n`` three ways and contrasts the
+Proves knowledge of ``x`` with ``y = x^n`` both ways and contrasts the
 trade-offs the paper's background section describes:
 
-- **Schnorr + Fiat-Shamir** (interactive ZKP made non-interactive): only
-  proves discrete-log statements, but is tiny and fast;
 - **Groth16**: general statements, constant 3-element proofs, per-circuit
   trusted setup — the scheme the paper profiles;
 - **PLONK**: general statements, universal setup, bigger/slower proofs —
@@ -24,7 +22,6 @@ from repro.groth16 import generate_witness, prove, public_inputs, setup, verify
 from repro.harness.report import render_table
 from repro.plonk import PlonkCircuit, plonk_prove, plonk_setup, plonk_verify
 from repro.plonk.circuit import compile_plonk
-from repro.sigma import fiat_shamir_prove, fiat_shamir_verify
 
 
 def main():
@@ -34,17 +31,6 @@ def main():
     rng = random.Random(13)
     x_secret = 0xC0FFEE
     rows = []
-
-    # -- Schnorr (knowledge of discrete log, not of x^n) ----------------------
-    t0 = time.perf_counter()
-    public, sproof = fiat_shamir_prove(curve.g1, x_secret, rng,
-                                       message=b"compare_schemes")
-    t_prove = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    assert fiat_shamir_verify(curve.g1, public, sproof, message=b"compare_schemes")
-    t_verify = time.perf_counter() - t0
-    rows.append(["Schnorr+FS", "dlog only", "none", 96 + 64,
-                 0.0, t_prove, t_verify])
 
     # -- Groth16 ------------------------------------------------------------------
     b = CircuitBuilder("pow", fr)
@@ -61,7 +47,7 @@ def main():
     t0 = time.perf_counter()
     assert verify(vk, gproof, public_inputs(circuit, witness))
     t_verify = time.perf_counter() - t0
-    rows.append(["Groth16", "any circuit", "per-circuit", gproof.size_bytes(),
+    rows.append(["Groth16", "per-circuit", gproof.size_bytes(),
                  t_setup, t_prove, t_verify])
 
     # -- PLONK -----------------------------------------------------------------------
@@ -84,12 +70,12 @@ def main():
     t0 = time.perf_counter()
     assert plonk_verify(pre, pproof, [values[y_var]])
     t_verify = time.perf_counter() - t0
-    rows.append(["PLONK", "any circuit", "universal", pproof.size_bytes(),
+    rows.append(["PLONK", "universal", pproof.size_bytes(),
                  t_setup, t_prove, t_verify])
 
     print()
     print(render_table(
-        ["scheme", "statements", "trusted setup", "proof bytes",
+        ["scheme", "trusted setup", "proof bytes",
          "setup s", "prove s", "verify s"],
         rows,
         title=f"Proof-system comparison, y = x^{n} on bn128",

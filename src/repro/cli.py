@@ -125,8 +125,9 @@ _FLAG = dict(action="store_true")
 
 #: Every option of every verb, declared once: flag -> ``add_argument``
 #: keywords.  ``noun`` marks an option some verbs take as a comma list
-#: (``opt(flag, many=True)``); defaults that differ by verb are passed by
-#: the verb (``opt(flag, default)``) and appended to the help text by
+#: (``opt(flag, many=True)``, the only list form; it never inherits the
+#: scalar default); defaults that differ by verb are passed by the verb
+#: (``opt(flag, default)``) and appended to the help text by
 #: :func:`build_parser`, so no help string restates one.
 OPTIONS = {
     # positionals
@@ -134,16 +135,16 @@ OPTIONS = {
                      help="paper artifact to regenerate"),
     "dir": dict(help="directory with proof.bin / vk.bin / publics.json"),
     # the workload cell
-    "--curve": dict(type=_curve_name, default="bn128",
-                    help="curve name (repro.curves registry)"),
-    "--curves": dict(type=_comma_list(_curve_name, "curve"),
-                     help="comma-separated curve names"),
-    "--size": dict(type=_POSITIVE_INT,
-                   help="constraint count of the workload circuit"),
-    "--sizes": dict(type=_comma_list(_POSITIVE_INT, "size"),
-                    help="comma-separated constraint counts (run: default "
-                         "the sweep sizes; with --measured, one size, "
-                         "4096 for fig6/table6 and base 256 for fig7)"),
+    "--curve": dict(type=_curve_name, default="bn128", noun="curve",
+                    metavar="CURVE",
+                    help="curve name (repro.curves registry); run and "
+                         "report take a comma list (run: unset sweeps "
+                         "both curves, or bn128 with --measured)"),
+    "--size": dict(type=_POSITIVE_INT, noun="size", metavar="SIZE",
+                   help="constraint count of the workload circuit; run and "
+                        "report take a comma list (run: unset is the "
+                        "sweep sizes, or the artifact's own with "
+                        "--measured, which takes one)"),
     "--exponent": dict(type=_POSITIVE_INT, default=64,
                        help="exponent of the x^e circuit"),
     "--x": dict(type=int, default=3, help="base of the x^e circuit"),
@@ -154,14 +155,15 @@ OPTIONS = {
     # execution
     "--workers": dict(type=_POSITIVE_INT, noun="worker", metavar="N",
                       help="worker processes (unset: $REPRO_WORKERS, else "
-                           "serial); the sweeping verbs take a comma list "
-                           "of counts"),
+                           "serial); run --measured takes a comma list of "
+                           "counts and always sweeps 1"),
     "--timeout": dict(type=_POSITIVE, metavar="SECONDS",
                       help="cooperative wall-clock budget for the whole "
                            "run; on expiry exit 2 with error[timeout]"),
     "--measured": dict(_FLAG, help="fig6/fig7/table6 only: measure real "
                                    "wall times under worker processes "
-                                   "instead of evaluating the model"),
+                                   "instead of evaluating the model (fig6 "
+                                   "adds the worker-usage columns)"),
     "--repeats": dict(type=_POSITIVE_INT, default=1,
                       help="best-of-N measured runs per cell"),
     # the service
@@ -301,9 +303,10 @@ def cmd_run(args, out=print):
             return _run_measured(args, out)
         names = (sorted(ARTIFACTS) if args.artifact == "all"
                  else [args.artifact])
-        sizes = args.sizes or DEFAULT_SIZES
-        out(f"profiling sweep: curves={args.curves} sizes={sizes} ...")
-        sweep = profile_sweep(curve_names=args.curves, sizes=sizes,
+        curves = args.curve or ("bn128", "bls12_381")
+        sizes = args.size or DEFAULT_SIZES
+        out(f"profiling sweep: curves={curves} sizes={sizes} ...")
+        sweep = profile_sweep(curve_names=curves, sizes=sizes,
                               seed=args.seed, workload=args.workload)
     for name in names:
         text = ARTIFACTS[name](sweep).render()
@@ -319,54 +322,31 @@ def cmd_run(args, out=print):
 def _run_measured(args, out):
     from repro.harness.measured import MEASURED_ARTIFACTS
 
+    if args.artifact != "all" and args.artifact not in MEASURED_ARTIFACTS:
+        raise ValueError(
+            f"--measured supports {'/'.join(sorted(MEASURED_ARTIFACTS))}, "
+            f"not {args.artifact} (the other artifacts are counter-based, "
+            f"not timing-based)")
+    # Unset options keep the artifact's own defaults (harness.measured).
+    given = {}
+    for flag, values in (("curve", args.curve), ("size", args.size)):
+        if values:
+            if len(values) > 1:
+                raise ValueError(f"--measured takes one --{flag}, got "
+                                 f"{','.join(str(v) for v in values)}")
+            given[flag] = values[0]
+    if args.workers:
+        given["workers"] = args.workers
     names = (sorted(MEASURED_ARTIFACTS) if args.artifact == "all"
              else [args.artifact])
-    bad = sorted(set(names) - set(MEASURED_ARTIFACTS))
-    if bad:
-        out(f"--measured supports {'/'.join(sorted(MEASURED_ARTIFACTS))}, "
-            f"not {'/'.join(bad)} (the other artifacts are counter-based, "
-            f"not timing-based)")
-        return 2
-    workers = args.workers or (1, 2, 4)
-    curve = args.curves[0]
     for name in names:
-        kwargs = dict(workers=workers, curve=curve, workload=args.workload,
-                      seed=args.seed, repeats=args.repeats)
-        if name == "fig7":
-            kwargs["base_size"] = args.sizes[0] if args.sizes else 256
-        else:
-            kwargs["size"] = args.sizes[0] if args.sizes else 4096
-        if name == "fig6" and max(workers) > 1:
-            # Strong-scaling runs double as the worker-telemetry source:
-            # the sweep prints pool utilization below.
-            kwargs["telemetry"] = True
-        out(f"measured {name}: curve={curve} workers={workers} "
-            f"{'base_size' if name == 'fig7' else 'size'}="
-            f"{kwargs.get('base_size', kwargs.get('size'))} "
-            f"(cores: {os.cpu_count()}) ...")
-        result = MEASURED_ARTIFACTS[name](**kwargs)
-        text = result.render()
+        kwargs = dict(given, workload=args.workload, seed=args.seed,
+                      repeats=args.repeats)
+        if name == "fig7" and "size" in kwargs:
+            kwargs["base_size"] = kwargs.pop("size")
+        text = MEASURED_ARTIFACTS[name](**kwargs).render()
         out("")
         out(text)
-        fits = result.extras["fits"]
-        if name in ("fig6", "fig7"):
-            law = "Amdahl" if name == "fig6" else "Gustafson"
-            for stage, fit in fits.items():
-                out(f"  {law} fit: {stage:10s} serial {100 * fit['serial']:5.1f}% "
-                    f"parallel {100 * fit['parallel']:5.1f}%")
-        drift = result.extras.get("drift")
-        if drift:
-            out(f"  model drift at {max(workers)}w (measured - modeled "
-                f"speedup): " + "  ".join(
-                    f"{s}{v:+.2f}" for s, v in drift.items()))
-        telemetry = result.extras.get("worker_telemetry") or {}
-        top_block = telemetry.get(str(max(workers)))
-        if top_block:
-            out(f"  worker telemetry at {max(workers)}w: utilization "
-                f"{top_block['utilization']:.2f}, imbalance "
-                f"{top_block['imbalance']:.2f}, "
-                f"{top_block['totals']['tasks']} task(s) over "
-                f"{top_block['totals']['maps']} map(s)")
         if args.out:
             os.makedirs(args.out, exist_ok=True)
             with open(os.path.join(args.out, f"{name}_measured.txt"), "w") as f:
@@ -571,8 +551,8 @@ def cmd_report(args, out=print):
             modeled_from_file = json.load(f)
 
     reports = []
-    for curve in args.curves:
-        for size in args.sizes:
+    for curve in args.curve:
+        for size in args.size:
             # Allocation tracking is irrelevant to drift and not free;
             # measure the cheapest profile that still attributes time.
             _wf, profiler = prof.deep_profile_run(
@@ -739,24 +719,6 @@ def cmd_loadtest(args, out=print):
     return 1 if load.violations else 0
 
 
-def cmd_parallel_report(args, out=print):
-    from repro.obs import format as obs_format
-    from repro.obs.worker import build_parallel_report
-
-    cores = os.cpu_count() or 1
-    top = max(args.workers)
-    if top > cores:
-        out(f"parallel-report: note — sweeping up to {top} workers on "
-            f"{cores} core(s); efficiency at oversubscribed counts "
-            f"reflects time-slicing, not the algorithm")
-    report = build_parallel_report(
-        curve=args.curve, size=args.size, workers=args.workers,
-        workload=args.workload, seed=args.seed, repeats=args.repeats)
-    obs_format.emit_record(report.to_dict(), args.as_json, out,
-                           render=[report.render_text])
-    return 0
-
-
 def cmd_lint(args, out=print):
     from repro.analyze import (
         analyze,
@@ -773,9 +735,8 @@ def cmd_lint(args, out=print):
     targets = lint_targets(curve)
     if args.circuit is not None:
         if args.circuit not in targets:
-            out(f"unknown circuit {args.circuit!r}; "
-                f"choose from {', '.join(sorted(targets))}")
-            return 2
+            raise ValueError(f"unknown circuit {args.circuit!r}; "
+                             f"choose from {', '.join(sorted(targets))}")
         targets = {args.circuit: targets[args.circuit]}
 
     suppress = set(args.suppress.split(",")) if args.suppress else set()
@@ -859,9 +820,9 @@ VERBS = {
                  cmd_list, []),
     "run": Verb(
         "regenerate one paper artifact (or 'all'); --measured times "
-        "fig6/fig7/table6 on real worker processes",
+        "fig6/fig7/table6 on real worker processes (docs/PARALLELISM.md)",
         cmd_run,
-        ["artifact", "--sizes", opt("--curves", ("bn128", "bls12_381")),
+        ["artifact", opt("--size", many=True), opt("--curve", many=True),
          "--out", "--measured", opt("--workers", many=True), "--workload",
          "--seed", "--repeats", "--timeout"]),
     "prove": Verb("run the five-stage protocol once and report timings",
@@ -900,15 +861,8 @@ VERBS = {
         "gate the cost model's Tables IV/V against deep-profiled "
         "reality; exit 1 on model drift (docs/PROFILING.md)",
         cmd_report,
-        [opt("--sizes", (64,)), opt("--curves", ("bn128",)), "--workload",
-         "--seed", "--model-json", "--json"]),
-    "parallel-report": Verb(
-        "measured worker sweep -> per-worker busy time, efficiency, "
-        "imbalance and dispatch overhead; 1 worker is always swept, it "
-        "anchors speedup (docs/PARALLELISM.md)",
-        cmd_parallel_report,
-        [*_cell(4096), opt("--workers", (1, 2, 4), many=True), "--repeats",
-         "--json"]),
+        [opt("--size", (64,), many=True), opt("--curve", ("bn128",), many=True),
+         "--workload", "--seed", "--model-json", "--json"]),
     "chaos": Verb(
         "run the pipeline under a seeded fault schedule; exit 0 iff every "
         "fault ends typed (docs/ROBUSTNESS.md)",
@@ -954,6 +908,7 @@ def build_parser():
             if many:
                 spec["type"] = _comma_list(spec["type"], noun)
                 spec["metavar"] = ",".join([spec["metavar"]] * 2) + ",..."
+                spec.pop("default", None)
             if default is not None:
                 spec["default"] = default
             if spec.get("default") is not None:

@@ -6,7 +6,10 @@ in-process thread sweep meaningless).  This module is the measured
 counterpart the parallel backend (:mod:`repro.parallel`) unlocks: drive
 the five-stage workflow under real worker counts, take wall times, and
 fit the paper's Amdahl (Eq. 1) / Gustafson (Eq. 2) laws to *measured*
-speedups.
+speedups.  Every run executes under a worker-telemetry collector
+(:mod:`repro.obs.worker`), so the strong-scaling table also says where
+the top worker count's time went: busy, utilization, imbalance and
+dispatch overhead per stage.
 
 The analytical model stays in the loop as a **drift reference** (the
 pattern of :mod:`repro.obs.drift`): each measured experiment also
@@ -15,7 +18,10 @@ per-stage gap in ``extras["drift"]`` — informational, never fatal, since
 measured scaling depends on the host's core count while the model
 assumes the paper's i9.
 
-Every entry point returns the harness's
+Each artifact's default size and worker counts are the defaults of its
+function below; ``run <artifact> --measured`` passes only what was given.
+Every sweep includes 1 worker, the baseline every speedup is taken
+against.  Every entry point returns the harness's
 :class:`~repro.harness.experiments.ExperimentResult`, so rendered tables
 and machine-readable extras flow through the same reporting path as the
 modeled artifacts.
@@ -37,7 +43,6 @@ from repro.perf.scaling import (
 from repro.workflow import STAGES, Workflow
 
 __all__ = [
-    "DEFAULT_WORKERS",
     "MEASURED_ARTIFACTS",
     "fig6_measured",
     "fig7_measured",
@@ -45,48 +50,48 @@ __all__ = [
     "table6_parallelism_measured",
 ]
 
-#: Default worker counts for measured sweeps.  {1,2,4,8} mirrors the low
-#: end of the paper's thread axis; counts beyond ``os.cpu_count()`` are
-#: wasted (the OS time-slices them), so callers usually trim.
-DEFAULT_WORKERS = (1, 2, 4, 8)
-
 #: Size at which the modeled drift reference is computed.  Kept small:
 #: the reference needs a traced profile, which is orders of magnitude
 #: slower per constraint than the real run it sanity-checks.
 REFERENCE_SIZE = 256
 
 
+def _sweep(workers):
+    """The worker counts of one sweep: sorted, deduplicated, and anchored
+    at 1.  One count alone fits no scaling law, so it is rejected before
+    anything runs."""
+    counts = tuple(sorted(set(workers) | {1}))
+    if len(counts) < 2:
+        raise ValueError("a measured sweep needs a worker count above 1; "
+                         "1 is always swept as the speedup baseline")
+    return counts
+
+
 def measured_stage_times(curve_name, size, workers, workload="exponentiate",
-                         seed=0, repeats=1, telemetry=False):
-    """Measured wall seconds per stage per worker count.
+                         seed=0, repeats=1):
+    """Measured wall seconds per stage per worker count, and the worker
+    telemetry behind them.
 
     Runs the full workflow once per worker count (*repeats* times, taking
     the per-stage minimum — the standard best-of-N noise filter) and
-    returns ``{stage: {n_workers: seconds}}``.  Every run re-executes all
+    returns ``(times, telemetry)``: ``times`` is ``{stage: {n_workers:
+    seconds}}`` and ``telemetry`` is ``{n_workers: WorkerTelemetry}``, the
+    collector of the *last* repeat per worker count (the task records of
+    one coherent run, not a min-mixed chimera).  Every run re-executes all
     five stages so the inter-stage artifacts are bit-identical inputs.
-
-    With *telemetry* on, every run executes under a
-    :class:`repro.obs.worker.WorkerTelemetry` collector and the return
-    value becomes ``(times, telemetry_by_n)``, keeping the collector of
-    the *last* repeat per worker count (per-task records of one coherent
-    run, not a min-mixed chimera).
     """
-    from contextlib import nullcontext
-
     from repro.curves import get_curve
     from repro.harness.circuits import build_workload
-    from repro.obs import worker as obs_worker
+    from repro.obs.worker import collecting_tasks
 
     curve = get_curve(curve_name)
     times = {stage: {} for stage in STAGES}
-    telemetry_by_n = {}
+    telemetry = {}
     for n in workers:
         best = {}
         for _ in range(max(1, repeats)):
             builder, inputs = build_workload(workload, curve, size)
-            collect = (obs_worker.collecting_tasks(label=f"{workload}:{n}w")
-                       if telemetry else nullcontext())
-            with collect as tel, \
+            with collecting_tasks(label=f"{workload}:{n}w") as tel, \
                     Workflow(curve, builder, inputs, seed=seed,
                              workers=n) as wf:
                 wf.run_all()
@@ -98,13 +103,10 @@ def measured_stage_times(curve_name, size, workers, workload="exponentiate",
                     elapsed = wf.results[stage].elapsed
                     if stage not in best or elapsed < best[stage]:
                         best[stage] = elapsed
-            if tel is not None:
-                telemetry_by_n[n] = tel
+            telemetry[n] = tel
         for stage in STAGES:
             times[stage][n] = best[stage]
-    if telemetry:
-        return times, telemetry_by_n
-    return times
+    return times, telemetry
 
 
 def _modeled_reference(curve_name, workers, workload, seed, weak=False):
@@ -141,65 +143,94 @@ def _drift(measured, modeled, workers):
     return out
 
 
-def fig6_measured(size=4096, workers=(1, 2, 4), curve="bn128",
-                  workload="exponentiate", seed=0, repeats=1,
-                  with_reference=True, telemetry=False):
-    """Measured strong scaling: wall time and speedup per stage at fixed
-    *size*, with the Amdahl serial fraction fitted per stage.
-
-    With *telemetry* on, every run executes under a worker-telemetry
-    collector (so an installed ledger records ``workers`` blocks) and
-    ``extras["worker_telemetry"]`` carries the per-worker-count blocks.
-    """
-    workers = tuple(sorted(set(workers)))
-    telemetry_by_n = {}
-    if telemetry:
-        times, telemetry_by_n = measured_stage_times(
-            curve, size, workers, workload=workload, seed=seed,
-            repeats=repeats, telemetry=True)
-    else:
-        times = measured_stage_times(curve, size, workers, workload=workload,
-                                     seed=seed, repeats=repeats)
-    rows = []
-    speedups = {}
-    fits = {}
+def _scaling(times, workers, fit, scale=None):
+    """Speedups, the fitted serial/parallel split and the table row of
+    every stage: ``stage, t(n) for each n, sp(n) for each n, serial %``."""
+    speedups, fits, rows = {}, {}, {}
     for stage in STAGES:
-        sp = speedups_from_times(times[stage])
-        serial, par = amdahl_fit(sp)
+        sp = speedups_from_times(times[stage], scale_factors=scale)
+        serial, par = fit(sp)
         speedups[stage] = sp
         fits[stage] = {"serial": serial, "parallel": par}
-        rows.append(
-            [stage]
-            + [times[stage][n] for n in workers]
-            + [sp[n] for n in workers]
-            + [100 * serial]
-        )
+        rows[stage] = ([stage] + [times[stage][n] for n in workers]
+                       + [sp[n] for n in workers] + [100 * serial])
+    return speedups, fits, rows
+
+
+def _stage_usage(tasks, top, wall_top):
+    """One stage's worker usage at *top* workers, from its task records:
+    busy seconds, their share of the stage's lane-seconds, max-over-mean
+    busy per worker, and the seconds spent moving work instead of doing
+    it (queue wait plus payload / result codec)."""
+    by_pid = {}
+    for t in tasks:
+        by_pid[t["pid"]] = by_pid.get(t["pid"], 0.0) + t["wall_s"]
+    busy = sum(by_pid.values(), 0.0)
+    mean = busy / len(by_pid) if by_pid else 0.0
+    return {
+        "busy_s": busy,
+        "utilization": busy / (wall_top * top) if wall_top > 0 else 0.0,
+        "imbalance": max(by_pid.values()) / mean if mean > 0 else 1.0,
+        "overhead_s": sum(((t.get("queue_wait_s") or 0.0)
+                           + (t.get("encode_s") or 0.0)
+                           + (t.get("decode_s") or 0.0) for t in tasks), 0.0),
+        "n_tasks": len(tasks),
+    }
+
+
+def fig6_measured(size=4096, workers=(1, 2, 4), curve="bn128",
+                  workload="exponentiate", seed=0, repeats=1,
+                  with_reference=True):
+    """Measured strong scaling: wall time and speedup per stage at fixed
+    *size*, the Amdahl serial fraction fitted per stage, and the worker
+    usage at the top count — ``eff`` (speedup / top), ``busy s``,
+    ``util``, ``imbal`` and ``overhead s`` (see :func:`_stage_usage`) —
+    plus, with the reference on, ``model drift`` (measured minus modeled
+    speedup).  ``extras["worker_telemetry"]`` is the top count's ledger
+    ``workers`` block.
+    """
+    workers = _sweep(workers)
+    top = workers[-1]
+    times, telemetry = measured_stage_times(curve, size, workers,
+                                            workload=workload, seed=seed,
+                                            repeats=repeats)
+    speedups, fits, rows = _scaling(times, workers, amdahl_fit)
+    tel = telemetry[top]
+    usage = {}
+    for stage in STAGES:
+        u = _stage_usage(tel.stage_tasks(stage), top, times[stage][top])
+        u["efficiency"] = speedups[stage][top] / top
+        usage[stage] = u
+        rows[stage] += [u["efficiency"], u["busy_s"], u["utilization"],
+                        u["imbalance"], u["overhead_s"]]
     extras = {
         "times": times,
         "speedups": speedups,
         "fits": fits,
+        "usage": usage,
+        "worker_telemetry": tel.to_workers_block(),
         "workers": workers,
         "size": size,
         "cpu_count": os.cpu_count(),
     }
-    if telemetry_by_n:
-        extras["worker_telemetry"] = {
-            str(n): tel.to_workers_block()
-            for n, tel in sorted(telemetry_by_n.items())
-        }
+    headers = (["stage"] + [f"t({n}w) s" for n in workers]
+               + [f"sp({n}w)" for n in workers]
+               + ["Amdahl ser %", "eff", "busy s", "util", "imbal",
+                  "overhead s"])
     if with_reference:
         modeled = _modeled_reference(curve, workers, workload, seed)
         extras["modeled"] = modeled
-        extras["drift"] = _drift(speedups, modeled, workers)
+        extras["drift"] = drift = _drift(speedups, modeled, workers)
+        headers.append("model drift")
+        for stage in STAGES:
+            rows[stage].append(drift.get(stage, "-"))
     return ExperimentResult(
         ident="Fig6-measured",
         title=(f"Measured strong scaling ({curve}, n={size}, "
-               f"{os.cpu_count()} cores): wall s / Speedup_SS / Amdahl"),
-        headers=(["stage"]
-                 + [f"t({n}w) s" for n in workers]
-                 + [f"sp({n}w)" for n in workers]
-                 + ["Amdahl ser %"]),
-        rows=rows,
+               f"{os.cpu_count()} cores): wall s / Speedup_SS / Amdahl; "
+               f"worker usage at {top}w"),
+        headers=headers,
+        rows=list(rows.values()),
         extras=extras,
         floatfmt=".3f",
     )
@@ -210,29 +241,16 @@ def fig7_measured(base_size=256, workers=(1, 2, 4), curve="bn128",
                   with_reference=True):
     """Measured weak scaling: constraints grow with workers
     (``size = base_size * n``), Gustafson fit per stage."""
-    workers = tuple(sorted(set(workers)))
+    workers = _sweep(workers)
     times = {stage: {} for stage in STAGES}
     for n in workers:
-        cell = measured_stage_times(curve, base_size * n, (n,),
-                                    workload=workload, seed=seed,
-                                    repeats=repeats)
+        cell, _ = measured_stage_times(curve, base_size * n, (n,),
+                                       workload=workload, seed=seed,
+                                       repeats=repeats)
         for stage in STAGES:
             times[stage][n] = cell[stage][n]
-    rows = []
-    speedups = {}
-    fits = {}
-    scale = {n: n for n in workers}
-    for stage in STAGES:
-        sp = speedups_from_times(times[stage], scale_factors=scale)
-        serial, par = gustafson_fit(sp)
-        speedups[stage] = sp
-        fits[stage] = {"serial": serial, "parallel": par}
-        rows.append(
-            [stage]
-            + [times[stage][n] for n in workers]
-            + [sp[n] for n in workers]
-            + [100 * serial]
-        )
+    speedups, fits, rows = _scaling(times, workers, gustafson_fit,
+                                    scale={n: n for n in workers})
     extras = {
         "times": times,
         "speedups": speedups,
@@ -253,19 +271,19 @@ def fig7_measured(base_size=256, workers=(1, 2, 4), curve="bn128",
                  + [f"t({n}w/n={base_size * n}) s" for n in workers]
                  + [f"sp({n}w)" for n in workers]
                  + ["Gustafson ser %"]),
-        rows=rows,
+        rows=list(rows.values()),
         extras=extras,
         floatfmt=".3f",
     )
 
 
-def table6_parallelism_measured(size=1024, workers=(1, 2, 4), curve="bn128",
+def table6_parallelism_measured(size=4096, workers=(1, 2, 4), curve="bn128",
                                 workload="exponentiate", seed=0, repeats=1):
     """Measured serial/parallel decomposition per stage: the Amdahl fit
     from a strong sweep at *size* and the Gustafson fit from a weak sweep
     based at ``size / max(workers)`` (so the largest weak cell matches the
     strong size)."""
-    workers = tuple(sorted(set(workers)))
+    workers = _sweep(workers)
     strong = fig6_measured(size=size, workers=workers, curve=curve,
                            workload=workload, seed=seed, repeats=repeats,
                            with_reference=False)

@@ -26,7 +26,7 @@ Modules
 :mod:`repro.obs.worker`
     Cross-process worker telemetry: the parent-side collector that the
     :class:`~repro.parallel.pool.WorkerPool` feeds per-task telemetry
-    blocks into, and the ``parallel-report`` efficiency analysis.
+    blocks into.
 
 Every collector in this package is **off by default**: a ``None`` field of
 the run context (:mod:`repro.context`; docs/ARCHITECTURE.md, "Run
@@ -41,14 +41,13 @@ from repro.obs.fingerprint import git_revision, machine_fingerprint
 from repro.obs.ledger import Ledger, make_record
 from repro.obs.metrics import MetricsRegistry, collecting
 from repro.obs.spans import Span, recording, render_spans, span, spanned
-from repro.obs.worker import WorkerTelemetry, build_parallel_report, collecting_tasks
+from repro.obs.worker import WorkerTelemetry, collecting_tasks
 
 __all__ = [
     "Ledger",
     "MetricsRegistry",
     "Span",
     "WorkerTelemetry",
-    "build_parallel_report",
     "collecting",
     "collecting_tasks",
     "git_revision",

@@ -507,7 +507,6 @@ class WorkerPool:
         results = []
         first_err = None
         fired = []
-        by_pid = {}
         task_records = []
         m = RUN.metrics
         for i, env in enumerate(envelopes):
@@ -517,9 +516,6 @@ class WorkerPool:
             stats["tasks"] += 1
             stats["wall_s"] += env["wall_s"]
             stats["cpu_s"] += env["cpu_s"]
-            agg = by_pid.setdefault(env["pid"], {"tasks": 0, "wall_s": 0.0})
-            agg["tasks"] += 1
-            agg["wall_s"] = round(agg["wall_s"] + env["wall_s"], 6)
             parent_decode = 0.0
             if env["ok"]:
                 value = env["value"]
@@ -537,14 +533,6 @@ class WorkerPool:
         if m is not None:
             m.inc("repro_parallel_maps_total")
             m.inc("repro_parallel_tasks_total", len(envelopes))
-        if RUN.spans is not None:
-            spans.attach_meta(**{
-                f"parallel:{label or fn_name}": {
-                    "backend": self.backend,
-                    "workers": self.workers,
-                    "by_pid": by_pid,
-                }
-            })
         if telemetry is not None:
             map_rec = telemetry.record_map(
                 label=label or fn_name, task=fn_name, backend=self.backend,

@@ -33,9 +33,8 @@ report crisply — has one class here, so callers can build policy on
     sees a pickled traceback — only a one-line typed report naming the
     original exception.
 ``StageOrderError``
-    A protocol step ran before its prerequisite (``proving`` before
-    ``witness``, a sigma ``respond()`` before ``commit()``).  Programmer
-    error, never retried.  Subclasses ``RuntimeError`` so pre-taxonomy
+    A protocol stage ran before its prerequisite (``proving`` before
+    ``witness``).  Programmer error, never retried.  Subclasses ``RuntimeError`` so pre-taxonomy
     callers that caught the old untyped guards keep working.
 ``PoolStateError``
     The worker-pool lifecycle was violated — a map on a closed pool, or

@@ -23,10 +23,13 @@ class TestLintCommand:
         assert "exponentiate_64" in out
         assert "hash_preimage" not in out
 
-    def test_unknown_circuit(self):
+    def test_unknown_circuit(self, capsys):
         code, out = run_cli(["lint", "--circuit", "nope"])
         assert code == 2
-        assert "choose from" in out
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error[value]: unknown circuit 'nope'")
+        assert "choose from" in err
 
     def test_json_output(self):
         code, out = run_cli(["lint", "--circuit", "dot_product_8", "--json"])

@@ -2,8 +2,9 @@
 
 Covers the protocol end to end: metric-delta merge, span grafting with
 timeline rebase, the pool's task/map records on both backends, pool-level
-metrics, the ledger record's ``workers`` block, the per-worker-lane chrome
-trace, and the ``parallel-report`` analysis.
+metrics, the ledger record's ``workers`` block, and the per-worker-lane
+chrome trace.  The per-stage usage columns built from the collector are
+tested with ``fig6_measured`` (tests/parallel/test_measured.py).
 """
 
 import json
@@ -203,36 +204,3 @@ class TestWorkersBlock:
             with WorkerPool(2) as pool:
                 pool.map("selftest_square", PAYLOADS, label="unit")
         json.dumps(tel.to_workers_block())
-
-
-class TestParallelReport:
-    @pytest.fixture(scope="class")
-    def report(self):
-        from repro.obs.worker import build_parallel_report
-
-        return build_parallel_report(curve="bn128", size=128,
-                                     workers=(1, 2), repeats=1)
-
-    def test_stages_and_busy_attribution(self, report):
-        assert report.totals["tasks"] > 0
-        assert set(report.stages) == {"compile", "setup", "witness",
-                                      "proving", "verifying"}
-        total_busy = sum(s["busy_s"] for s in report.stages.values())
-        assert total_busy == pytest.approx(report.totals["busy_s"], abs=1e-4)
-        for s in report.stages.values():
-            assert s["efficiency"] == pytest.approx(s["speedup"] / 2,
-                                                    abs=1e-3)
-            assert s["efficiency_drift"] == pytest.approx(
-                s["efficiency"] - s["predicted_efficiency"], abs=1e-3)
-
-    def test_renders_and_serializes(self, report):
-        text = report.render_text()
-        assert "parallel report:" in text and "pool: utilization" in text
-        json.dumps(report.to_dict())
-
-    def test_one_is_added_to_anchor_speedup(self):
-        from repro.obs.worker import build_parallel_report
-
-        report = build_parallel_report(curve="bn128", size=64,
-                                       workers=(2,), repeats=1)
-        assert report.workers == (1, 2)

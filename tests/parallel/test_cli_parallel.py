@@ -40,20 +40,55 @@ class TestCommands:
     def test_run_measured_fig6(self, tmp_path):
         code, out = run_cli([
             "run", "fig6", "--measured", "--workers", "1,2",
-            "--sizes", "16", "--curves", "bn128",
+            "--size", "16", "--curve", "bn128",
             "--out", str(tmp_path),
         ])
         assert code == 0
         assert "Fig6-measured" in out
-        assert "Amdahl" in out
-        # The acceptance contract: the per-stage serial fraction is printed.
-        assert "serial" in out and "proving" in out
-        assert (tmp_path / "fig6_measured.txt").exists()
+        # One table: the Amdahl serial fraction and the worker usage at the
+        # top count are columns, one row per stage.
+        for column in ("Amdahl ser %", "eff", "busy s", "util", "imbal",
+                       "overhead s", "model drift"):
+            assert column in out
+        assert "proving" in out
+        assert (tmp_path / "fig6_measured.txt").read_text().strip() \
+            == out.strip()
 
-    def test_run_measured_rejects_counter_artifacts(self):
-        code, out = run_cli(["run", "table5", "--measured", "--sizes", "8"])
+    def test_run_measured_sweeps_the_one_worker_anchor(self):
+        code, out = run_cli(["run", "fig6", "--measured", "--workers", "2",
+                             "--size", "16"])
+        assert code == 0
+        assert "t(1w) s" in out and "t(2w) s" in out
+
+    def test_run_measured_rejects_counter_artifacts(self, capsys):
+        code, out = run_cli(["run", "table5", "--measured", "--size", "8"])
         assert code == 2
-        assert "--measured supports" in out
+        assert out == ""
+        assert capsys.readouterr().err.startswith(
+            "error[value]: --measured supports fig6/fig7/table6, not table5")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "fig6", "--measured", "--workers", "1", "--size", "16"],
+         "needs a worker count above 1"),
+        (["run", "fig6", "--measured", "--size", "16,32"],
+         "--measured takes one --size, got 16,32"),
+        (["run", "fig6", "--measured", "--size", "16",
+          "--curve", "bn128,bls12_381"],
+         "--measured takes one --curve, got bn128,bls12_381"),
+        (["run", "fig7", "--measured", "--size", "8,16"],
+         "--measured takes one --size, got 8,16"),
+        (["run", "table6", "--measured", "--workers", "1"],
+         "needs a worker count above 1"),
+        (["run", "all", "--measured", "--curve", "bn128,bn128"],
+         "--measured takes one --curve"),
+    ])
+    def test_run_measured_rejects_before_measuring(self, capsys, argv,
+                                                   message):
+        code, out = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error[value]: ") and message in err
 
     def test_chaos_with_workers_is_acceptable(self):
         code, out = run_cli([

@@ -9,8 +9,9 @@ container may have a single core — that is the benchmark's job
 import pytest
 
 from repro.harness.measured import (
-    DEFAULT_WORKERS,
     MEASURED_ARTIFACTS,
+    _sweep,
+    _stage_usage,
     fig6_measured,
     fig7_measured,
     measured_stage_times,
@@ -56,17 +57,59 @@ class TestSpeedupsFromTimes:
         assert serial == pytest.approx(0.3, abs=1e-9)
 
 
+class TestSweep:
+    @pytest.mark.parametrize("given, swept", [
+        ((2,), (1, 2)), ((4, 2, 2), (1, 2, 4)), ((1, 2), (1, 2)),
+    ])
+    def test_anchored_sorted_and_deduplicated(self, given, swept):
+        assert _sweep(given) == swept
+
+    @pytest.mark.parametrize("given", [(1,), (1, 1)])
+    def test_one_count_alone_is_rejected(self, given):
+        with pytest.raises(ValueError, match="worker count above 1"):
+            _sweep(given)
+
+
+class TestStageUsage:
+    def test_uneven_workers(self):
+        tasks = [
+            {"pid": 11, "wall_s": 0.3, "queue_wait_s": 0.01,
+             "encode_s": 0.002, "decode_s": 0.001},
+            {"pid": 11, "wall_s": 0.1, "queue_wait_s": 0.0,
+             "encode_s": 0.001, "decode_s": 0.001},
+            {"pid": 12, "wall_s": 0.2, "queue_wait_s": None},
+        ]
+        u = _stage_usage(tasks, top=2, wall_top=0.5)
+        assert u["busy_s"] == pytest.approx(0.6)
+        assert u["utilization"] == pytest.approx(0.6 / (0.5 * 2))
+        assert u["imbalance"] == pytest.approx(0.4 / 0.3)
+        assert u["overhead_s"] == pytest.approx(0.015)
+        assert u["n_tasks"] == 3
+
+    def test_a_stage_without_tasks_is_idle_and_even(self):
+        assert _stage_usage([], top=4, wall_top=0.2) == {
+            "busy_s": 0.0, "utilization": 0.0, "imbalance": 1.0,
+            "overhead_s": 0.0, "n_tasks": 0}
+
+    def test_a_zero_wall_stage_reads_no_utilization(self):
+        u = _stage_usage([{"pid": 1, "wall_s": 0.1}], top=2, wall_top=0.0)
+        assert u["utilization"] == 0.0
+
+
 class TestMeasuredStageTimes:
     def test_shape_and_positivity(self):
-        times = measured_stage_times("bn128", SIZE, (1, 2))
+        times, telemetry = measured_stage_times("bn128", SIZE, (1, 2))
         assert set(times) == set(STAGES)
         for stage in STAGES:
             assert set(times[stage]) == {1, 2}
             assert all(t > 0 for t in times[stage].values())
+        # One collector per worker count; the serial run dispatches nothing.
+        assert set(telemetry) == {1, 2}
+        assert not telemetry[1].tasks
 
     def test_repeats_take_the_minimum(self):
-        once = measured_stage_times("bn128", SIZE, (1,), repeats=1)
-        best = measured_stage_times("bn128", SIZE, (1,), repeats=2)
+        once, _ = measured_stage_times("bn128", SIZE, (1,), repeats=1)
+        best, _ = measured_stage_times("bn128", SIZE, (1,), repeats=2)
         # Not comparable run-to-run in magnitude, but both must be sane.
         for stage in STAGES:
             assert best[stage][1] > 0 and once[stage][1] > 0
@@ -77,8 +120,10 @@ class TestMeasuredExperiments:
         res = fig6_measured(size=SIZE, workers=(1, 2), with_reference=False)
         assert res.ident == "Fig6-measured"
         assert len(res.rows) == len(STAGES)
-        # stage + 2 times + 2 speedups + serial% per row.
-        assert all(len(row) == len(res.headers) == 6 for row in res.rows)
+        # stage + 2 times + 2 speedups + serial % + 5 usage columns.
+        assert all(len(row) == len(res.headers) == 11 for row in res.rows)
+        assert res.headers[-5:] == ["eff", "busy s", "util", "imbal",
+                                    "overhead s"]
         for stage in STAGES:
             fit = res.extras["fits"][stage]
             assert 0.0 <= fit["serial"] <= 1.0
@@ -90,6 +135,44 @@ class TestMeasuredExperiments:
         assert set(res.extras["drift"]) <= set(STAGES)
         for stage, sp in res.extras["modeled"].items():
             assert sp[1] == pytest.approx(1.0)
+        assert res.headers[-1] == "model drift"
+        for row in res.rows:
+            assert row[-1] == res.extras["drift"].get(row[0], "-")
+
+    def test_fig6_usage_adds_up_to_the_collector(self):
+        res = fig6_measured(size=128, workers=(2,), with_reference=False)
+        # 1 is always swept: it anchors every speedup.
+        assert res.extras["workers"] == (1, 2)
+        block = res.extras["worker_telemetry"]
+        assert block["totals"]["tasks"] > 0
+        usage = res.extras["usage"]
+        assert set(usage) == set(STAGES)
+        assert sum(u["busy_s"] for u in usage.values()) == pytest.approx(
+            block["totals"]["busy_s"], abs=1e-4)
+        assert sum(u["n_tasks"] for u in usage.values()) \
+            == block["totals"]["tasks"]
+        for stage, u in usage.items():
+            assert u["efficiency"] == pytest.approx(
+                res.extras["speedups"][stage][2] / 2)
+            assert u["imbalance"] >= 1.0 and u["overhead_s"] >= 0.0
+
+    @pytest.mark.parametrize("artifact, kwargs", [
+        ("fig7", dict(base_size=8, with_reference=False)),
+        ("table6", dict(size=SIZE)),
+    ])
+    def test_every_artifact_sweeps_the_one_worker_anchor(self, artifact,
+                                                         kwargs):
+        res = MEASURED_ARTIFACTS[artifact](workers=(2,), **kwargs)
+        assert res.extras["workers"] == (1, 2)
+
+    @pytest.mark.parametrize("artifact", sorted(MEASURED_ARTIFACTS))
+    def test_one_worker_alone_is_rejected_before_running(self, artifact,
+                                                         monkeypatch):
+        from repro.harness import measured
+
+        monkeypatch.setattr(measured, "measured_stage_times", None)
+        with pytest.raises(ValueError, match="worker count above 1"):
+            MEASURED_ARTIFACTS[artifact](workers=(1,))
 
     def test_fig7_shape(self):
         res = fig7_measured(base_size=8, workers=(1, 2),
@@ -108,7 +191,6 @@ class TestMeasuredExperiments:
 
     def test_registry_covers_the_measured_artifacts(self):
         assert set(MEASURED_ARTIFACTS) == {"fig6", "fig7", "table6"}
-        assert all(w >= 1 for w in DEFAULT_WORKERS)
 
     def test_rejecting_run_raises(self, monkeypatch):
         from repro import workflow as wf_mod

@@ -27,12 +27,32 @@ class TestParser:
             build_parser().parse_args(["run", "fig99"])
 
     def test_size_parsing(self):
-        args = build_parser().parse_args(["run", "fig4", "--sizes", "8,16"])
-        assert args.sizes == (8, 16)
+        args = build_parser().parse_args(["run", "fig4", "--size", "8,16"])
+        assert args.size == (8, 16)
 
     def test_bad_sizes(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "fig4", "--sizes", "0"])
+            build_parser().parse_args(["run", "fig4", "--size", "0"])
+
+    @pytest.mark.parametrize("argv, dest, value", [
+        (["run", "fig4", "--curve", "bn128,bls12_381"], "curve",
+         ("bn128", "bls12_381")),
+        (["report", "--curve", "bls12_381"], "curve", ("bls12_381",)),
+        (["report", "--size", "64,128"], "size", (64, 128)),
+    ])
+    def test_list_options_parse_to_tuples(self, argv, dest, value):
+        assert getattr(build_parser().parse_args(argv), dest) == value
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "fig4", "--curve", "bn128,nope"], "bad curve list"),
+        (["run", "fig4", "--size", "8,0"], "bad size list"),
+        (["report", "--curve", "nope"], "bad curve list"),
+        (["report", "--size", "0,64"], "bad size list"),
+    ])
+    def test_list_options_name_the_bad_element(self, capsys, argv, message):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert message in capsys.readouterr().err
 
 
 def verb_parsers():
@@ -79,30 +99,34 @@ class TestOptionTable:
                 # of that element); the verb's own default is appended to
                 # the one help text.
                 element = OPTIONS[name].get("type")
+                sample = "bn128" if name == "--curve" else "1"
                 assert (action.type is element
-                        or action.type("1") == (element("1"),)), (verb, name)
+                        or action.type(sample) == (element(sample),)), \
+                    (verb, name)
                 declared = (type(action), action.dest,
                             re.sub(r" \(default: [^)]*\)$", "", action.help))
                 assert seen.setdefault(name, declared) == declared, \
                     (verb, name)
-        assert len(seen) == 45
+        assert len(seen) == len(OPTIONS) == 43
 
     def test_exposed_option_count(self):
         exposed = sum(
             not isinstance(action, argparse._HelpAction)
             for parser in verb_parsers().values()
             for action in parser._actions)
-        assert exposed <= 105
+        assert exposed <= 98
 
     def test_verbs_pass_their_own_defaults_as_data(self):
         sizes = {verb: parser.get_default("size")
                  for verb, parser in verb_parsers().items()
                  if parser.get_default("size") is not None}
-        assert sizes == {"profile": 64, "deep-profile": 8,
-                         "parallel-report": 4096, "chaos": 32, "serve": 64,
-                         "loadtest": 32}
-        report = build_parser().parse_args(["parallel-report"])
-        assert report.workers == (1, 2, 4)
+        assert sizes == {"profile": 64, "deep-profile": 8, "report": (64,),
+                         "chaos": 32, "serve": 64, "loadtest": 32}
+        # run's cells are unset: the traced sweep and each measured
+        # artifact (repro.harness.measured) keep their own defaults.
+        run = build_parser().parse_args(["run", "fig6", "--measured"])
+        assert (run.curve, run.size, run.workers) == (None, None, None)
+        assert build_parser().parse_args(["report"]).curve == ("bn128",)
         loadtest = build_parser().parse_args(["loadtest"])
         assert (loadtest.rps, loadtest.faults) == (8.0, None)
         assert build_parser().parse_args(["chaos"]).faults == 4
@@ -125,14 +149,24 @@ class TestOptionTable:
             ["loadtest", "--faults", "3", "--max-attempts", "5"])
         assert (args.faults, args.max_attempts) == (3, 5)
 
-    def test_only_workers_takes_the_comma_list_form(self):
-        listed = {name
-                  for parser in verb_parsers().values()
+    def test_every_list_option_is_the_many_form(self):
+        many = {(verb, entry[0])
+                for verb, spec in VERBS.items()
+                for entry in spec.options
+                if isinstance(entry, tuple) and entry[2]}
+        listed = {(verb, name)
+                  for verb, parser in verb_parsers().items()
                   for action in parser._actions
                   for name in action.option_strings[:1]
                   if name in OPTIONS
                   and action.type is not OPTIONS[name].get("type")}
-        assert listed == {"--workers"}
+        assert listed == many == {
+            ("run", "--curve"), ("run", "--size"), ("run", "--workers"),
+            ("report", "--curve"), ("report", "--size")}
+        # No table entry is itself a list type.
+        assert not any(
+            getattr(spec.get("type"), "__qualname__", "").startswith(
+                "_comma_list") for spec in OPTIONS.values())
 
 
 class TestCommands:
@@ -150,7 +184,7 @@ class TestCommands:
 
     def test_run_single_artifact(self, tmp_path):
         code, out = run_cli([
-            "run", "table5", "--sizes", "8", "--curves", "bn128",
+            "run", "table5", "--size", "8", "--curve", "bn128",
             "--out", str(tmp_path),
         ])
         assert code == 0
@@ -159,7 +193,7 @@ class TestCommands:
 
     def test_run_all_writes_every_artifact(self, tmp_path):
         code, _ = run_cli([
-            "run", "all", "--sizes", "8", "--curves", "bn128",
+            "run", "all", "--size", "8", "--curve", "bn128",
             "--out", str(tmp_path),
         ])
         assert code == 0
@@ -168,19 +202,19 @@ class TestCommands:
 
 
 class TestCurveValidation:
-    """Typos in --curves/--curve fail at parse time with the choices
+    """Typos in --curve fail at parse time with the choices
     listed, instead of a KeyError deep inside the sweep runner."""
 
     def test_run_rejects_unknown_curve(self, capsys):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "fig4", "--curves", "bogus"])
+            build_parser().parse_args(["run", "fig4", "--curve", "bogus"])
         err = capsys.readouterr().err
         assert "unknown curve 'bogus'" in err
         assert "bn128" in err
 
     def test_run_rejects_one_bad_curve_in_list(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "fig4", "--curves", "bn128,nope"])
+            build_parser().parse_args(["run", "fig4", "--curve", "bn128,nope"])
 
     def test_prove_rejects_unknown_curve(self, capsys):
         with pytest.raises(SystemExit):
@@ -188,9 +222,9 @@ class TestCurveValidation:
         assert "unknown curve" in capsys.readouterr().err
 
     def test_aliases_accepted(self):
-        args = build_parser().parse_args(["run", "fig4", "--curves",
+        args = build_parser().parse_args(["run", "fig4", "--curve",
                                           "bn254,bls12-381"])
-        assert args.curves == ("bn254", "bls12-381")
+        assert args.curve == ("bn254", "bls12-381")
 
     def test_lint_rejects_unknown_curve(self, capsys):
         with pytest.raises(SystemExit):

@@ -94,7 +94,7 @@ class TestArgumentErrors:
         assert "Traceback" not in result.stderr
 
     def test_run_bad_size_is_typed(self):
-        result = run_cli("run", "fig4", "--sizes", "0", "--curves", "bn128")
+        result = run_cli("run", "fig4", "--size", "0", "--curve", "bn128")
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
 
@@ -137,11 +137,25 @@ class TestArgumentErrors:
         ("loadtest", "--checkpoint-dir", "ckpt"), ("loadtest", "--fresh"),
         ("loadtest", "--rps", "4,8"), ("chaos", "--duration", "1"),
         ("chaos", "--bad-verify-pct", "10"),
+        ("parallel-report",), ("run", "fig4", "--curves", "bn128"),
+        ("run", "fig4", "--sizes", "8"), ("report", "--curves", "bn128"),
+        ("report", "--sizes", "64"),
     ])
     def test_deleted_verb_and_flags_are_usage_errors(self, gone):
         result = run_cli(*gone)
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("lint", "--circuit", "nope"),
+        ("run", "table5", "--measured"),
+        ("run", "fig6", "--measured", "--workers", "1"),
+        ("run", "fig6", "--measured", "--curve", "bn128,bls12_381"),
+    ])
+    def test_bad_value_is_one_typed_line(self, argv):
+        result = run_cli(*argv)
+        assert_typed_failure(result, "value")
+        assert result.stdout == ""
 
     def test_bad_curve_rejected(self):
         result = run_cli("prove", "--curve", "ed25519")
@@ -197,7 +211,7 @@ class TestRunResumes:
         """The profile cache is the resume path: a second ``run`` over the
         same cell leaves the stored cell untouched and prints the same
         counter-based table."""
-        args = ("run", "table5", "--curves", "bn128", "--sizes", "8")
+        args = ("run", "table5", "--curve", "bn128", "--size", "8")
         env = {"REPRO_CACHE": "1", "REPRO_CACHE_DIR": str(tmp_path)}
         first = run_cli(*args, env_extra=env)
         assert first.returncode == 0, (first.stdout, first.stderr)
@@ -220,7 +234,7 @@ class TestTimeoutFlag:
         assert_typed_failure(result, "timeout")
 
     def test_run_timeout_is_typed(self):
-        result = run_cli("run", "fig4", "--curves", "bn128", "--sizes", "8",
+        result = run_cli("run", "fig4", "--curve", "bn128", "--size", "8",
                          "--timeout", "0.000001")
         assert_typed_failure(result, "timeout")
 

@@ -69,7 +69,7 @@ def test_compare_schemes(argv, capsys):
     argv(8)
     _load("compare_schemes").main()
     out = capsys.readouterr().out
-    assert "Schnorr+FS" in out and "PLONK" in out
+    assert "Groth16" in out and "PLONK" in out
 
 
 def test_export_trace(argv, capsys, tmp_path, monkeypatch):
