@@ -165,8 +165,6 @@ def requests_to_spans(results):
                 "batched": r.batched,
                 "degraded": r.degraded,
                 "phase_error_s": round(r.phase_error(), 9),
-                **({"compute_detail": r.compute_detail}
-                   if r.compute_detail else {}),
             })
         cursor = r.start_s
         for phase in PHASES:

@@ -71,18 +71,14 @@ class JobResult:
     accepted: Optional[bool] = None
     #: Prove requests: serialized proof size (``None`` for verify).
     proof_bytes: Optional[int] = None
-    #: Seconds from admission to execution start (0 for shed requests).
-    queue_wait_s: float = 0.0
-    #: Seconds spent executing (all attempts; 0 for shed requests).
-    service_s: float = 0.0
     #: Seconds from admission to resolution.
     total_s: float = 0.0
     #: Execution attempts consumed (retries show up here).
     attempts: int = 0
     #: Verify requests resolved through a coalesced batch: batch size.
     batched: int = 0
-    #: True when the breaker had tripped and the job ran degraded
-    #: (serial, no worker pool).
+    #: True when the breaker kept the last attempt off the worker pool
+    #: (serial degradation path), for either kind.
     degraded: bool = False
     #: Additive latency breakdown (:data:`PHASES` -> seconds).  Empty for
     #: requests that never entered the service (client-side shed results
@@ -91,10 +87,20 @@ class JobResult:
     #: Offset (seconds) of this request's admission on the service's
     #: timeline (``ProvingService`` start) — the trace-export x axis.
     start_s: float = 0.0
-    #: Optional worker-side split of the ``compute`` phase, from the
-    #: PR 7 telemetry collector when one is installed: ``worker_tasks``,
-    #: ``worker_busy_s`` (not part of the additive invariant).
-    compute_detail: Optional[dict] = None
+
+    @property
+    def queue_wait_s(self):
+        """Seconds from admission to execution start, read off the phase
+        clock: ``admission + queue_wait + coalesce_delay`` (0 untracked)."""
+        return sum(self.phases.get(p, 0.0)
+                   for p in ("admission", "queue_wait", "coalesce_delay"))
+
+    @property
+    def service_s(self):
+        """Seconds spent executing, all attempts, read off the phase
+        clock: ``compute + retry_backoff`` (0 untracked)."""
+        return (self.phases.get("compute", 0.0)
+                + self.phases.get("retry_backoff", 0.0))
 
     @property
     def resolved_typed(self):
@@ -141,7 +147,6 @@ class JobResult:
             "degraded": self.degraded,
             "start_s": round(self.start_s, 6),
             "phases": {k: round(v, 6) for k, v in self.phases.items()},
-            "compute_detail": self.compute_detail,
         }
 
 

@@ -15,13 +15,17 @@ hangs:
   *inside* the kernels; a request that expires while still queued never
   touches the core at all.  Workers inherit the remaining budget through
   the pool's task context.
+- **One request path** — a prove is a batch of one: both kinds go
+  through one queue loop (:meth:`ProvingService._loop`), one attempt
+  ladder (:meth:`ProvingService._execute`) and one compute body
+  (:meth:`ProvingService._compute`); only the window and the call differ.
 - **Retry + circuit breaker** — transient taxonomy faults are re-attempted
   under a seeded :class:`~repro.resilience.retry.RetryPolicy` (async
   backoff; the event loop keeps serving); repeated
-  :class:`~repro.resilience.errors.WorkerCrash`\\ es trip a
-  :class:`~repro.serve.breaker.CircuitBreaker` that reroutes jobs to the
-  serial degradation path (the same kernels `resilient_msm` falls back
-  on) until a cooldown probe proves the pool healthy again.
+  :class:`~repro.resilience.errors.WorkerCrash`\\ es of either kind trip
+  a :class:`~repro.serve.breaker.CircuitBreaker` that reroutes jobs to
+  the serial degradation path (the same kernels `resilient_msm` falls
+  back on) until a cooldown probe proves the pool healthy again.
 - **Verify coalescing** — verify requests are batched through
   :func:`~repro.groth16.batch.batch_verify` within a small window;
   a failing batch is bisected
@@ -38,17 +42,17 @@ hangs:
   breakdown over :data:`~repro.serve.jobs.PHASES`:
   ``admission -> queue_wait -> coalesce_delay -> retry_backoff ->
   compute -> settle``, with ``repro_serve_phase_<phase>_seconds``
-  histograms in the metrics registry and — when the PR 7 worker
-  collector is installed — a worker-side split of the compute phase.
-  The phases partition the request lifetime by construction, so their
-  sum equals ``total_s`` within tolerance on every resolution path, and
-  ``loadtest`` exits 1 on any request where it does not.
+  histograms in the metrics registry.  The phases partition the request
+  lifetime by construction, so their sum equals ``total_s`` within
+  tolerance on every resolution path, and ``loadtest`` exits 1 on any
+  request where it does not.
 
 Execution model: one dedicated compute thread (the GIL makes CPU-bound
 threads pointless anyway; real parallelism comes from the worker pool
 the compute thread fans MSM/NTT chunks out to).  Serializing compute
 also keeps the run context's fields (deadline, fault injector, pool)
-race-free: one thread installs and reads them.
+race-free: one thread installs and reads them.  Everything else — the
+breaker, the counters, every resolution — runs on the event-loop thread.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ import asyncio
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 
 from repro import parallel
 from repro.context import RUN
@@ -184,8 +187,10 @@ class ProvingService:
             self._pool = parallel.WorkerPool(self.workers)
         self._prove_q = asyncio.Queue()
         self._verify_q = asyncio.Queue()
-        self._tasks = [loop.create_task(self._prove_loop()),
-                       loop.create_task(self._verify_loop())]
+        self._tasks = [
+            loop.create_task(self._loop(self._prove_q)),
+            loop.create_task(self._loop(self._verify_q, self.batch_window_s,
+                                        self.max_batch))]
         self._draining = False
         self._started = True
         return self
@@ -267,15 +272,11 @@ class ProvingService:
             if job is _STOP:
                 queue.put_nowait(_STOP)
                 return
-            if job.accounted:
-                continue
             # The job sat in the queue from admission until this flush.
             job.mark("queue_wait")
-            exc = StageTimeout(
+            self._resolve(job, self._error_result(job, StageTimeout(
                 f"request {job.request_id} drained before execution",
-                stage="serve:drain")
-            self._resolve(job, self._error_result(job, exc,
-                                                  status="timeout"))
+                stage="serve:drain")))
 
     # -- admission ----------------------------------------------------------------
 
@@ -355,305 +356,185 @@ class ProvingService:
 
     # -- execution ----------------------------------------------------------------
 
-    async def _prove_loop(self):
+    async def _loop(self, queue, window_s=0.0, max_batch=1):
+        """Take the next job plus whatever else arrives within *window_s*
+        (up to *max_batch* in all) and run them as one batch."""
+        loop = asyncio.get_running_loop()
         while True:
-            job = await self._prove_q.get()
+            job = await queue.get()
             if job is _STOP:
                 return
-            if job.accounted:
-                continue
             job.mark("queue_wait")
-            await self._run_prove(job)
+            batch = [job]
+            end = loop.time() + window_s
+            while len(batch) < max_batch and (left := end - loop.time()) > 0:
+                try:
+                    nxt = await asyncio.wait_for(queue.get(), left)
+                except asyncio.TimeoutError:
+                    break
+                if nxt is _STOP:
+                    queue.put_nowait(_STOP)
+                    break
+                nxt.mark("queue_wait")
+                batch.append(nxt)
+            if max_batch > 1:
+                # Dequeue to the window's close is the coalescing cost
+                # (the batch leader pays the full window; the last joiner ~0).
+                for member in batch:
+                    member.mark("coalesce_delay")
+            await self._execute(job.kind, batch)
 
-    async def _run_prove(self, job):
-        queue_wait = job.elapsed()
-        exec_start = time.perf_counter()
+    async def _execute(self, kind, batch):
+        """The one attempt ladder, for a batch of *kind* jobs (a prove is a
+        batch of one), on the event-loop thread.
+
+        Each attempt resolves the members already past their deadline,
+        takes the breaker's decision and makes one executor hop.  Then a
+        ``StageTimeout`` times every member out; a ``WorkerCrash`` counts
+        against the breaker (when the pool was used) and goes again; a
+        retryable fault backs off and goes again; any other fault resolves
+        ``error``; success closes the breaker (when the pool was used) and
+        resolves each member with its result, or as ``timeout`` if its
+        own deadline passed meanwhile.
+        """
         loop = asyncio.get_running_loop()
-        last = None
-        attempts = 0
-        degraded = False
+        m = RUN.metrics
+        live, attempts, degraded, last = batch, 0, False, None
+
+        def resolve(job, exc=None, **fields):
+            fields.update(attempts=attempts, degraded=degraded,
+                          batched=len(live) if kind == "verify" else 0)
+            if exc is None:
+                result = JobResult(job.request_id, kind, "ok", **fields)
+            else:
+                result = self._error_result(job, exc, **fields)
+            self._resolve(job, result)
+
         while attempts < self.retry.max_attempts:
-            attempts += 1
-            if job.expired():
-                self._resolve(job, self._timeout_result(
-                    job, queue_wait, exec_start, attempts - 1))
+            for job in live:
+                if job.expired():
+                    resolve(job, self._deadline_error(job))
+            live = [job for job in live if not job.accounted]
+            if not live:
                 return
+            attempts += 1
+            if kind == "verify" and attempts == 1:
+                self._batch_seq += 1
+                self.counts["verify_batches"] += 1
+                if len(live) > 1:
+                    self.counts["verify_coalesced"] += len(live)
+                if m is not None:
+                    m.inc("repro_serve_verify_batches_total")
+                    m.observe("repro_serve_verify_batch_size", len(live))
             use_pool = self._pool is not None and self.breaker.allow_pool()
             degraded = self._pool is not None and not use_pool
             if degraded:
                 self.counts["degraded"] += 1
-            seed = f"serve:prove:{self.seed}:{job.request_id}:{attempts}"
-            detail = None
+            seed = (f"serve:prove:{self.seed}:{live[0].request_id}:{attempts}"
+                    if kind == "prove"
+                    else f"serve:verify:{self.seed}:{self._batch_seq}")
             try:
                 # The inner finally marks the compute phase on success
                 # *and* on every raise, before the handlers below run;
                 # the executor hop is part of compute (the compute thread
-                # is the resource the request was waiting for).
+                # is the resource the batch was waiting for).
                 try:
-                    proof, detail = await loop.run_in_executor(
-                        self._executor, self._compute_prove,
-                        use_pool, job.remaining(), seed)
+                    results = await loop.run_in_executor(
+                        self._executor, self._compute, kind, live, use_pool,
+                        seed)
                 finally:
-                    job.mark("compute")
+                    for job in live:
+                        job.mark("compute")
             except StageTimeout:
-                self._resolve(job, self._timeout_result(
-                    job, queue_wait, exec_start, attempts))
+                for job in live:
+                    resolve(job, self._deadline_error(job))
                 return
             except WorkerCrash as exc:
                 if use_pool:
                     self.breaker.record_failure()
                 last = exc
-            except ReproError as exc:
+            except Exception as exc:  # noqa: BLE001 - typed-or-untyped, never hangs
                 if not is_retryable(exc):
-                    self._resolve(job, self._error_result(
-                        job, exc, queue_wait=queue_wait,
-                        service_s=time.perf_counter() - exec_start,
-                        attempts=attempts, degraded=degraded))
+                    for job in live:
+                        resolve(job, exc)
                     return
                 last = exc
-            except Exception as exc:  # noqa: BLE001 - resolves typed-or-untyped, never hangs
-                self._resolve(job, self._error_result(
-                    job, exc, queue_wait=queue_wait,
-                    service_s=time.perf_counter() - exec_start,
-                    attempts=attempts, degraded=degraded))
-                return
             else:
                 if use_pool:
                     self.breaker.record_success()
-                self._resolve(job, JobResult(
-                    request_id=job.request_id, kind="prove", status="ok",
-                    proof_bytes=proof.size_bytes(),
-                    queue_wait_s=queue_wait,
-                    service_s=time.perf_counter() - exec_start,
-                    attempts=attempts, degraded=degraded,
-                    compute_detail=detail))
+                bad = sum(r.get("accepted") is False for r in results)
+                if bad:
+                    self.counts["isolated_bad"] += bad
+                    if m is not None:
+                        m.inc("repro_serve_isolated_bad_total", bad)
+                for job, fields in zip(live, results):
+                    if job.expired():
+                        resolve(job, self._deadline_error(job))
+                    else:
+                        resolve(job, **fields)
                 return
-            # Retryable fault: async backoff, then go again.
+            # A crash or a retryable fault: async backoff, then go again.
             self.counts["retries"] += 1
-            m = RUN.metrics
             if m is not None:
                 m.inc("repro_serve_retries_total")
             if attempts < self.retry.max_attempts:
                 delay = self.retry.delay(attempts)
                 if self.retry.sleeps and delay > 0:
                     await asyncio.sleep(delay)
-                job.mark("retry_backoff")
-        self._resolve(job, self._error_result(
-            job, last, queue_wait=queue_wait,
-            service_s=time.perf_counter() - exec_start,
-            attempts=attempts, degraded=degraded))
+                for job in live:
+                    job.mark("retry_backoff")
+        for job in live:
+            resolve(job, last)
 
-    def _compute_prove(self, use_pool, remaining, seed):
-        """Compute-thread body of one prove attempt: deadline scope,
-        fault site, optional pool, one Groth16 proof.
+    def _compute(self, kind, jobs, use_pool, seed):
+        """Compute-thread body of one attempt: one deadline scope under
+        the loosest member budget (an unbounded member lifts it; members
+        are re-checked against their own deadlines afterwards), the
+        ``serve:<kind>`` fault site, the pool when the breaker allowed it,
+        and the kind's one call.  Returns each member's result fields.
 
-        Returns ``(proof, compute_detail)`` — the detail is the
-        worker-side split of the compute phase when the PR 7 telemetry
-        collector is installed (``None`` otherwise): how many pool tasks
-        this proof fanned out and how much worker-busy time they cost.
-        Compute is serialized on the single service thread, so the
-        collector's task-list delta around the call is exactly this
-        request's fan-out.
+        Both calls are looked up here, at call time, so a rebinding of
+        ``repro.groth16.prove`` (bench's traced pass) is what runs.
         """
         from repro.groth16 import prove
-
-        collector = RUN.tasks
-        n0 = 0
-        if collector is not None:
-            n0 = len(collector.tasks)
-        with resilience.deadline_scope(remaining, stage="serve:proving"):
-            inj = RUN.faults
-            if inj is not None:
-                inj.check("serve:prove")
-            cm = (parallel.using(self._pool) if use_pool
-                  else nullcontext())
-            with cm:
-                proof = prove(self._pk, self._circuit, self._witness,
-                              random.Random(seed))
-        detail = None
-        if collector is not None:
-            tasks = collector.tasks[n0:]
-            if tasks:
-                detail = {
-                    "worker_tasks": len(tasks),
-                    "worker_busy_s": round(
-                        sum(t.get("wall_s", 0.0) for t in tasks), 6),
-                }
-        return proof, detail
-
-    async def _verify_loop(self):
-        loop = asyncio.get_running_loop()
-        while True:
-            job = await self._verify_q.get()
-            if job is _STOP:
-                return
-            job.mark("queue_wait")
-            batch = [job]
-            if self.max_batch > 1 and self.batch_window_s > 0:
-                end = loop.time() + self.batch_window_s
-                while len(batch) < self.max_batch:
-                    window = end - loop.time()
-                    if window <= 0:
-                        break
-                    try:
-                        nxt = await asyncio.wait_for(
-                            self._verify_q.get(), window)
-                    except asyncio.TimeoutError:
-                        break
-                    if nxt is _STOP:
-                        self._verify_q.put_nowait(_STOP)
-                        break
-                    nxt.mark("queue_wait")
-                    batch.append(nxt)
-            await self._run_verify(batch)
-
-    async def _run_verify(self, batch):
-        exec_start = time.perf_counter()
-        loop = asyncio.get_running_loop()
-        live, waits = [], {}
-        for job in batch:
-            if job.accounted:
-                continue
-            # Dequeue-to-batch-execution is the coalescing window's cost
-            # (the batch leader pays the full window; the last joiner ~0).
-            job.mark("coalesce_delay")
-            waits[job.request_id] = job.elapsed()
-            if job.expired():
-                self._resolve(job, self._timeout_result(
-                    job, waits[job.request_id], exec_start, 0))
-                continue
-            live.append(job)
-        if not live:
-            return
-        self.counts["verify_batches"] += 1
-        if len(live) > 1:
-            self.counts["verify_coalesced"] += len(live)
-        m = RUN.metrics
-        if m is not None:
-            m.inc("repro_serve_verify_batches_total")
-            m.observe("repro_serve_verify_batch_size", len(live))
-        # The scope guards the whole batch with the *loosest* member
-        # budget; members are re-checked against their own deadlines
-        # afterwards (an unbounded member lifts the batch bound).
-        remainings = [j.remaining() for j in live]
-        batch_remaining = (None if any(r is None for r in remainings)
-                           else max(remainings))
-        self._batch_seq += 1
-        seed = f"serve:verify:{self.seed}:{self._batch_seq}"
-        payloads = [j.payload for j in live]
-        attempts = 0
-        last = None
-        while attempts < self.retry.max_attempts:
-            attempts += 1
-            try:
-                try:
-                    ok, bad = await loop.run_in_executor(
-                        self._executor, self._compute_verify,
-                        payloads, batch_remaining, seed)
-                finally:
-                    for job in live:
-                        job.mark("compute")
-            except StageTimeout:
-                for job in live:
-                    self._resolve(job, self._timeout_result(
-                        job, waits[job.request_id], exec_start, attempts))
-                return
-            except ReproError as exc:
-                if is_retryable(exc) and attempts < self.retry.max_attempts:
-                    last = exc
-                    self.counts["retries"] += 1
-                    if m is not None:
-                        m.inc("repro_serve_retries_total")
-                    delay = self.retry.delay(attempts)
-                    if self.retry.sleeps and delay > 0:
-                        await asyncio.sleep(delay)
-                    for job in live:
-                        job.mark("retry_backoff")
-                    continue
-                for job in live:
-                    self._resolve(job, self._error_result(
-                        job, exc, queue_wait=waits[job.request_id],
-                        service_s=time.perf_counter() - exec_start,
-                        attempts=attempts, batched=len(live)))
-                return
-            except Exception as exc:  # noqa: BLE001 - typed-or-untyped, never hangs
-                for job in live:
-                    self._resolve(job, self._error_result(
-                        job, exc, queue_wait=waits[job.request_id],
-                        service_s=time.perf_counter() - exec_start,
-                        attempts=attempts, batched=len(live)))
-                return
-            else:
-                bad_set = set(bad)
-                if bad_set:
-                    self.counts["isolated_bad"] += len(bad_set)
-                    if m is not None:
-                        m.inc("repro_serve_isolated_bad_total",
-                              len(bad_set))
-                service_s = time.perf_counter() - exec_start
-                for i, job in enumerate(live):
-                    if job.expired():
-                        self._resolve(job, self._timeout_result(
-                            job, waits[job.request_id], exec_start,
-                            attempts))
-                        continue
-                    self._resolve(job, JobResult(
-                        request_id=job.request_id, kind="verify",
-                        status="ok", accepted=ok or i not in bad_set,
-                        queue_wait_s=waits[job.request_id],
-                        service_s=service_s, attempts=attempts,
-                        batched=len(live)))
-                return
-        for job in live:
-            self._resolve(job, self._error_result(
-                job, last, queue_wait=waits[job.request_id],
-                service_s=time.perf_counter() - exec_start,
-                attempts=attempts, batched=len(live)))
-
-    def _compute_verify(self, payloads, remaining, seed):
-        """Compute-thread body of one coalesced verify batch: folded
-        batch check, bisect on failure to isolate the poisoned members."""
         from repro.resilience.degrade import batch_verify_bisect
 
-        with resilience.deadline_scope(remaining, stage="serve:verifying"):
+        budgets = [job.remaining() for job in jobs]
+        budget = None if None in budgets else max(budgets)
+        with resilience.deadline_scope(budget, stage=f"serve:{kind}"), \
+                parallel.using(self._pool if use_pool else None):
             inj = RUN.faults
             if inj is not None:
-                inj.check("serve:verify")
-            use_pool = self._pool is not None and self.breaker.allow_pool()
-            cm = parallel.using(self._pool) if use_pool else nullcontext()
-            with cm:
-                ok, bad = batch_verify_bisect(self._vk, payloads,
-                                              random.Random(seed))
-            if use_pool:
-                self.breaker.record_success()
-        return ok, bad
+                inj.check(f"serve:{kind}")
+            if kind == "prove":
+                proof = prove(self._pk, self._circuit, self._witness,
+                              random.Random(seed))
+                return [{"proof_bytes": proof.size_bytes()}]
+            ok, bad = batch_verify_bisect(
+                self._vk, [job.payload for job in jobs], random.Random(seed))
+            return [{"accepted": ok or i not in bad}
+                    for i in range(len(jobs))]
 
     # -- resolution ---------------------------------------------------------------
 
-    def _timeout_result(self, job, queue_wait, exec_start, attempts):
-        exc = StageTimeout(
+    @staticmethod
+    def _deadline_error(job):
+        return StageTimeout(
             f"request {job.request_id} exceeded its "
             f"{job.deadline_s:.3f}s deadline" if job.deadline_s is not None
             else f"request {job.request_id} timed out",
             stage=f"serve:{job.kind}", deadline_s=job.deadline_s,
             elapsed_s=job.elapsed())
-        return self._error_result(
-            job, exc, status="timeout", queue_wait=queue_wait,
-            service_s=max(0.0, time.perf_counter() - exec_start),
-            attempts=attempts)
 
-    def _error_result(self, job, exc, status="error", queue_wait=0.0,
-                      service_s=0.0, attempts=0, batched=0, degraded=False):
+    @staticmethod
+    def _error_result(job, exc, **fields):
         code = classify(exc)
-        if status == "error" and code == "timeout":
-            status = "timeout"
         one_line = (exc.one_line() if isinstance(exc, ReproError)
                     else f"error[untyped]: {type(exc).__name__}: {exc}")
         return JobResult(
-            request_id=job.request_id, kind=job.kind, status=status,
-            error_code=code, error=one_line, queue_wait_s=queue_wait,
-            service_s=service_s, attempts=attempts, batched=batched,
-            degraded=degraded)
+            request_id=job.request_id, kind=job.kind,
+            status="timeout" if code == "timeout" else "error",
+            error_code=code, error=one_line, **fields)
 
     def _resolve(self, job, result):
         if job.accounted:

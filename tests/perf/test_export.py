@@ -190,8 +190,7 @@ class TestRequestTrace:
         ok = JobResult(request_id=1, kind="prove", status="ok",
                        total_s=0.030, start_s=0.010,
                        phases={"admission": 0.001, "queue_wait": 0.004,
-                               "compute": 0.020, "settle": 0.005},
-                       compute_detail={"worker_tasks": 2})
+                               "compute": 0.020, "settle": 0.005})
         retried = JobResult(request_id=2, kind="verify", status="ok",
                             attempts=3, batched=2, total_s=0.050,
                             start_s=0.015,
@@ -221,7 +220,6 @@ class TestRequestTrace:
         p = parents["prove #1 [ok]"]
         assert p["ts"] == pytest.approx(0.010 * 1e6)
         assert p["dur"] == pytest.approx(0.030 * 1e6)
-        assert p["args"]["compute_detail"] == {"worker_tasks": 2}
         # Phase sub-bars tile the parent on the same (pid, tid) lane.
         subs = [e for e in bars(doc) if e["pid"] == p["pid"]
                 and e["tid"] == p["tid"] and "#" not in e["name"]]

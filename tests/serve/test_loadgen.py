@@ -230,12 +230,13 @@ class TestLoadtestGate:
                       error="error[untyped]: RuntimeError: boom")
         assert not r.resolved_typed
 
-    def test_untyped_escape_fails_the_gate(self, monkeypatch):
-        def boom(self, use_pool, remaining, seed):
+    @pytest.mark.parametrize("kind", ["prove", "verify"])
+    def test_untyped_escape_fails_the_gate(self, monkeypatch, kind):
+        def boom(self, kind, jobs, use_pool, seed):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(ProvingService, "_compute_prove", boom)
-        code, out = self.loadtest("--mix", "prove")
+        monkeypatch.setattr(ProvingService, "_compute", boom)
+        code, out = self.loadtest("--mix", kind)
         assert code == 1
         assert "unresolved=3" in out
         assert "did not resolve typed" in out

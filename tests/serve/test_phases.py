@@ -17,6 +17,7 @@ from repro.resilience.retry import RetryPolicy
 from repro.serve import CircuitBreaker, PHASES, ProvingService, run_loadtest
 from repro.serve.jobs import PHASE_TOLERANCE_S, Job, JobResult
 from tests.serve.test_chaosload import chaos_run
+from tests.serve.test_service import crash_verify_under_pool
 
 
 def fast_service(**kwargs):
@@ -101,6 +102,22 @@ class TestResolutionPaths:
         assert_consistent([result])
         # Three attempts all landed in the one additive compute bucket.
         assert result.phases["compute"] > 0
+
+    def test_crash_retried_verify_stays_consistent(self, monkeypatch):
+        crashes = {"n": 0}
+        crash_verify_under_pool(monkeypatch, crashes)
+
+        async def main():
+            async with fast_service(workers=2, breaker=CircuitBreaker(
+                    threshold=1, cooldown_s=60.0)) as svc:
+                return await svc.submit("verify")
+
+        result = asyncio.run(main())
+        assert crashes["n"] == 1
+        assert (result.status, result.attempts, result.degraded) == (
+            "ok", 2, True)
+        assert_consistent([result])
+        assert "retry_backoff" in result.phases
 
     def test_coalesced_bisected_batch_stays_consistent(self):
         svc = fast_service(batch_window_s=0.05, max_batch=8)

@@ -8,10 +8,12 @@ test.
 """
 
 import asyncio
+import threading
 
 import pytest
 
-from repro.resilience import faults
+from repro.context import RUN
+from repro.resilience import degrade, faults
 from repro.resilience.errors import (
     AdmissionError,
     ArtifactCorruption,
@@ -33,6 +35,21 @@ def fast_service(**kwargs):
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def crash_verify_under_pool(monkeypatch, crashes):
+    """Every verify that runs with a worker pool installed dies with a
+    ``WorkerCrash`` while ``crashes["on"]`` (default on); serial verifies
+    run the real bisect.  ``crashes["n"]`` counts the crashes."""
+    real = degrade.batch_verify_bisect
+
+    def crashing(vk, payloads, rng):
+        if RUN.pool is not None and crashes.get("on", True):
+            crashes["n"] += 1
+            raise WorkerCrash("worker died", task="verify")
+        return real(vk, payloads, rng)
+
+    monkeypatch.setattr(degrade, "batch_verify_bisect", crashing)
 
 
 class TestRoundTrips:
@@ -232,15 +249,15 @@ class TestRetriesAndBreaker:
                 workers=2,
                 retry=RetryPolicy(max_attempts=5, sleep=None),
                 breaker=CircuitBreaker(threshold=2, cooldown_s=60.0))
-            real_compute = svc._compute_prove
+            real_compute = svc._compute
 
-            def crashing_compute(use_pool, remaining, seed):
+            def crashing_compute(kind, jobs, use_pool, seed):
                 if use_pool:
                     crashes["n"] += 1
                     raise WorkerCrash("worker died", task="prove")
-                return real_compute(False, remaining, seed)
+                return real_compute(kind, jobs, False, seed)
 
-            svc._compute_prove = crashing_compute
+            svc._compute = crashing_compute
             await svc.start()
             try:
                 return await svc.submit("prove"), svc.breaker.state
@@ -254,6 +271,91 @@ class TestRetriesAndBreaker:
         assert result.degraded is True
         assert crashes["n"] == 2
         assert state == "open"
+
+    def test_crashed_verify_probe_reopens_then_next_probe_recloses(
+            self, monkeypatch):
+        crashes = {"n": 0}
+        crash_verify_under_pool(monkeypatch, crashes)
+        t = {"now": 0.0}
+
+        async def main():
+            async with fast_service(workers=2, breaker=CircuitBreaker(
+                    threshold=1, cooldown_s=10.0,
+                    clock=lambda: t["now"])) as svc:
+                svc.breaker.record_failure()
+                t["now"] = 11.0  # cooldown over: the next job probes
+                crashed = await svc.submit("verify")
+                after_crash = svc.breaker.state
+                crashes["on"] = False
+                t["now"] = 22.0
+                probe = await svc.submit("verify")
+                return crashed, after_crash, probe, svc.breaker.state
+
+        crashed, after_crash, probe, state = run(main())
+        assert crashes["n"] == 1
+        assert after_crash == "open"
+        assert (crashed.status, crashed.accepted, crashed.degraded,
+                crashed.attempts) == ("ok", True, True, 2)
+        assert (probe.status, probe.accepted, probe.degraded) == (
+            "ok", True, False)
+        assert state == "closed"
+
+    def test_verify_crashes_trip_the_breaker(self, monkeypatch):
+        crashes = {"n": 0}
+        crash_verify_under_pool(monkeypatch, crashes)
+
+        async def main():
+            async with fast_service(
+                    workers=2,
+                    retry=RetryPolicy(max_attempts=5, sleep=None),
+                    breaker=CircuitBreaker(threshold=3,
+                                           cooldown_s=60.0)) as svc:
+                return await svc.submit("verify"), svc.breaker.to_dict()
+
+        result, breaker = run(main())
+        assert crashes["n"] == 3
+        assert breaker["state"] == "open" and breaker["trips"] == 1
+        assert result.status == "ok" and result.attempts == 4
+
+    def test_crashed_verify_batch_is_retried_degraded(self, monkeypatch):
+        crashes = {"n": 0}
+        crash_verify_under_pool(monkeypatch, crashes)
+
+        async def main():
+            async with fast_service(
+                    workers=2, batch_window_s=0.1, max_batch=8,
+                    breaker=CircuitBreaker(threshold=1,
+                                           cooldown_s=60.0)) as svc:
+                return await asyncio.gather(
+                    *(svc.submit_nowait("verify") for _ in range(3)))
+
+        results = run(main())
+        assert crashes["n"] == 1
+        for r in results:
+            assert (r.status, r.accepted, r.degraded, r.attempts,
+                    r.batched) == ("ok", True, True, 2, 3)
+
+    def test_breaker_calls_run_on_the_event_loop_thread(self, monkeypatch):
+        crash_verify_under_pool(monkeypatch, {"n": 0})
+        breaker = CircuitBreaker(threshold=1, cooldown_s=60.0)
+        calls = []
+        for name in ("allow_pool", "record_success", "record_failure"):
+            def wrapped(*args, _name=name, _method=getattr(breaker, name)):
+                calls.append((_name, threading.get_ident()))
+                return _method(*args)
+
+            setattr(breaker, name, wrapped)
+
+        async def main():
+            async with fast_service(workers=2, breaker=breaker) as svc:
+                await svc.submit("prove")   # pooled: allow, success
+                await svc.submit("verify")  # crash, then degraded
+                return threading.get_ident()
+
+        loop_thread = run(main())
+        assert {ident for _, ident in calls} == {loop_thread}
+        assert {name for name, _ in calls} == {
+            "allow_pool", "record_success", "record_failure"}
 
     def test_breaker_halfopen_probe_recloses(self):
         t = {"now": 0.0}
