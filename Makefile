@@ -57,11 +57,16 @@ deep-profile:
 drift-check:
 	PYTHONPATH=src python -m repro report --curve bn128 --size 64
 
-# Full serial<->parallel differential matrix plus the chaos-under-workers
-# seeds (docs/PARALLELISM.md).  Wider than the tier-1 run: sizes 2^6..2^10,
-# workers {1,2,4}, both curves.
+# Full serial<->parallel differential matrix, every other suite a pool
+# change touches (faults, worker telemetry and its overhead, the run
+# context, the pinning rule), plus the chaos-under-workers seeds
+# (docs/PARALLELISM.md).  Wider than the tier-1 run: sizes 2^6..2^10,
+# workers {1,2,3,4}, both curves.
 parallel-test:
-	REPRO_PARALLEL_FULL=1 PYTHONPATH=src pytest -x -q tests/parallel
+	REPRO_PARALLEL_FULL=1 PYTHONPATH=src pytest -x -q tests/parallel \
+		tests/resilience/test_parallel_faults.py \
+		tests/obs/test_worker_telemetry.py tests/obs/test_worker_overhead.py \
+		tests/test_context.py tests/test_pinning_rule.py
 	@for seed in 0 1 2; do \
 		PYTHONPATH=src python -m repro chaos --seed $$seed --faults 3 \
 			--size 64 --workers 2 || exit 1; \

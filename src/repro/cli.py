@@ -154,9 +154,9 @@ OPTIONS = {
     "--seed": dict(type=int, default=0, help="seed of every random choice"),
     # execution
     "--workers": dict(type=_POSITIVE_INT, noun="worker", metavar="N",
-                      help="worker processes (unset: $REPRO_WORKERS, else "
-                           "serial); run --measured takes a comma list of "
-                           "counts and always sweeps 1"),
+                      help="worker processes (unset: serial); run "
+                           "--measured takes a comma list of counts and "
+                           "always sweeps 1"),
     "--timeout": dict(type=_POSITIVE, metavar="SECONDS",
                       help="cooperative wall-clock budget for the whole "
                            "run; on expiry exit 2 with error[timeout]"),

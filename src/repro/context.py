@@ -58,8 +58,7 @@ def scoped(field, value, busy=None):
 
     *busy* is the exception raised when the field is already set: two live
     tracers or registries would split the counts between them.  Without
-    it the scope shadows the outer value instead (a nested deadline, the
-    serial backend hiding the pool from the task it runs inline).
+    it the scope shadows the outer value instead (a nested deadline).
     """
     previous = getattr(RUN, field)
     if busy is not None and previous is not None:

@@ -138,18 +138,7 @@ def generate_witness(circuit, inputs):
 
     if t is None:
         _set_inputs()
-        # Level-scheduled parallel evaluation when a worker pool is
-        # installed and the program is big enough; hints always run here
-        # in the parent, so the results are exactly the serial ones.
-        from repro.parallel.pool import active_pool
-
-        pool = active_pool()
-        if pool is not None and pool.enabled_for(len(circuit.program), "witness"):
-            from repro.parallel.kernels import run_witness_program
-
-            run_witness_program(circuit, fr, signals, pool)
-        else:
-            _run_program()
+        _run_program()
         return signals
 
     with t.region("witness_parse_inputs", parallel=False):

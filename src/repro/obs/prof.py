@@ -47,6 +47,7 @@ orders of magnitude.
 from __future__ import annotations
 
 import dis
+import gc
 import sys
 import time
 import tracemalloc
@@ -151,7 +152,7 @@ class StageDeepProfile:
 
     stage: str
     wall_s: float
-    functions: list            # [FuncStat], sorted by self_s descending
+    functions: list            # [FuncStat], by cpu_self_s, then self_s, descending
     stacks: dict               # "mod:fn;mod:fn;..." -> self seconds
     opcode_counts: dict        # class -> weighted dynamic opcode count
     alloc: dict or None        # allocation block, or None when disabled
@@ -373,7 +374,9 @@ class DeepProfiler:
                     counts = self._opcode_memo[memo_key] = _opcode_class_counts(code)
                 for cls, n in counts.items():
                     opcode_counts[cls] += n * ncalls
-        functions.sort(key=lambda f: (-f.self_s, f.name))
+        # Rank by CPU self time: wall time also grows while the process
+        # waits for a core, so a busy machine would reorder the table.
+        functions.sort(key=lambda f: (-f.cpu_self_s, -f.self_s, f.name))
         stacks = {
             ";".join(f"{m}:{q}" for m, q in skey): secs
             for skey, secs in col.stacks.items()
@@ -435,6 +438,10 @@ def deep_profile_run(curve_name, size, workload="exponentiate", seed=0,
     wf = Workflow(curve, builder, inputs, seed=seed)
     profiler = DeepProfiler(alloc=alloc)
     for stage in STAGES:
+        # A full collection the stage did not cause (garbage of earlier
+        # stages, or of earlier work in the process) would otherwise land,
+        # whole, on whichever function allocated when it fired.
+        gc.collect()
         with profiler.stage(stage):
             wf.run_stage(stage)
     if wf.accepted is not True:

@@ -92,7 +92,6 @@ class WorkerTelemetry:
         self.label = label
         self.t0 = time.perf_counter()
         self.stage = None
-        self.backend = None
         self.workers = 0
         #: One dict per ``WorkerPool.map`` call (the parent-side window).
         self.maps = []
@@ -108,14 +107,13 @@ class WorkerTelemetry:
         """Tag subsequent maps/tasks with the protocol stage driving them."""
         self.stage = stage
 
-    def record_map(self, *, label, task, backend, workers, start_s, wall_s,
+    def record_map(self, *, label, task, workers, start_s, wall_s,
                    task_records):
         """Record one settled map: its window plus its task records.
 
         Returns the map dict (utilization and imbalance included), which
         the pool also mirrors into the parent metrics gauges.
         """
-        self.backend = backend
         self.workers = max(self.workers, workers)
         for t in task_records:
             t["stage"] = self.stage
@@ -128,7 +126,6 @@ class WorkerTelemetry:
             "label": label,
             "task": task,
             "stage": self.stage,
-            "backend": backend,
             "workers": workers,
             "n_tasks": len(task_records),
             "start_s": round(start_s, 6),
@@ -207,7 +204,6 @@ class WorkerTelemetry:
     def to_workers_block(self):
         """The ledger record's ``workers`` block (plain JSON data)."""
         return {
-            "backend": self.backend,
             "workers": self.workers,
             "label": self.label,
             "per_worker": {

@@ -2,10 +2,10 @@
 
 The layer that turns the repo's *analytical* scaling story (Fig. 6/7,
 Table VI via :mod:`repro.perf.scaling`) into a *measured* one: a worker
-pool (:mod:`~repro.parallel.pool`) plus parent-side kernels
-(:mod:`~repro.parallel.kernels`) that split the MSM (by window) and the
-NTT/witness/batch hot paths across real processes and reassemble
-bit-identical results.
+process pool (:mod:`~repro.parallel.pool`) plus parent-side kernels
+(:mod:`~repro.parallel.kernels`) that split the MSM (by window), the NTT,
+the setup's fixed-base sweeps and batch verification across real
+processes and reassemble bit-identical results.
 
 Usage::
 
@@ -14,9 +14,8 @@ Usage::
     with parallel.parallel_pool(workers=4):
         proof = prove(pk, circuit, witness, rng)   # parallel MSM/NTT
 
-or via ``Workflow(..., workers=4)``, ``--workers N`` on the CLI, or
-``$REPRO_WORKERS``.  See docs/PARALLELISM.md for the design and the
-determinism contract.
+or via ``Workflow(..., workers=4)`` or ``--workers N`` on the CLI.  See
+docs/PARALLELISM.md for the design and the determinism contract.
 """
 
 from repro.parallel.pool import (
@@ -27,7 +26,6 @@ from repro.parallel.pool import (
     encode_error,
     parallel_pool,
     using,
-    workers_from_env,
 )
 
 __all__ = [
@@ -38,5 +36,4 @@ __all__ = [
     "encode_error",
     "parallel_pool",
     "using",
-    "workers_from_env",
 ]

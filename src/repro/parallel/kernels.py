@@ -1,9 +1,9 @@
 """Parent-side parallel kernels: chunk, ship, reassemble.
 
 Each kernel mirrors one serial hot path — Pippenger MSM, the iterative
-NTT, witness-program evaluation, the setup's fixed-base sweeps, batch
-verification — by fanning chunks out through the installed
-:class:`~repro.parallel.pool.WorkerPool` and reassembling the partial
+NTT, the setup's fixed-base sweeps, batch verification — by fanning
+chunks out through the installed :class:`~repro.parallel.pool.WorkerPool`
+and reassembling the partial
 results into *exactly* the value the serial algorithm produces:
 
 - **MSM** — window slicing: the serial kernel's result is the Horner sum
@@ -19,10 +19,6 @@ results into *exactly* the value the serial algorithm produces:
   ``log2 k`` radix-2 butterfly stages over them.  Modular arithmetic is
   exact, and the transform is mathematically unique, so the output ints
   equal the serial ones.
-- **witness** — steps are grouped into dependency *levels* (a step's
-  level is one past the deepest wire it reads); steps within a level are
-  independent by single assignment, so ``mul`` batches fan out while
-  hints (arbitrary Python callables) stay in the parent.
 - **fixed-base** — workers rebuild the deterministic generator table and
   return affine multiples; only the point representation (``Z == 1``)
   differs from the serial walk, never the point.
@@ -48,8 +44,6 @@ __all__ = [
     "fixed_base_mul_many",
     "msm_parallel",
     "ntt_transform_parallel",
-    "run_witness_program",
-    "witness_levels",
 ]
 
 
@@ -208,120 +202,6 @@ def ntt_transform_parallel(field, values, root, pool):
                           + [(e - o) % r for e, o in zip(even, odd)])
         subs = merged
     return subs[0]
-
-
-# -- witness -----------------------------------------------------------------------
-
-
-def witness_levels(circuit):
-    """Dependency levels of the witness program (cached on the circuit).
-
-    Returns a list of levels; each level is a list of step indices whose
-    operands were all produced at strictly earlier levels (or are circuit
-    inputs), so the steps inside one level are mutually independent.
-    """
-    plan = getattr(circuit, "_parallel_levels", None)
-    if plan is not None:
-        return plan
-    # Cooperative deadline poll before the O(program) planning sweep.
-    if RUN.deadline is not None:
-        RUN.deadline.check()
-    wire_level = {}
-    step_level = []
-    for step in circuit.program:
-        if step[0] == "mul":
-            _, fa, fb, out = step
-            deps = [w for w, _ in fa[0]]
-            deps += [w for w, _ in fb[0]]
-            outs = (out,)
-        else:  # hint
-            _, _fn, frozen_ins, outs = step
-            deps = [w for fz in frozen_ins for w, _ in fz[0]]
-        lvl = 0
-        for w in deps:
-            wl = wire_level.get(w, 0)
-            if wl > lvl:
-                lvl = wl
-        lvl += 1
-        step_level.append(lvl)
-        for w in outs:
-            wire_level[w] = lvl
-    n_levels = max(step_level, default=0)
-    plan = [[] for _ in range(n_levels)]
-    for idx, lvl in enumerate(step_level):
-        plan[lvl - 1].append(idx)
-    try:
-        circuit._parallel_levels = plan
-    except AttributeError:  # pragma: no cover - frozen circuit variants
-        pass
-    return plan
-
-
-def run_witness_program(circuit, fr, signals, pool):
-    """Level-scheduled witness evaluation, mutating *signals* in place.
-
-    Exactly replicates the serial interpreter's results: hints run in the
-    parent in program order; ``mul`` batches within a level fan out with
-    the referenced wire values shipped alongside.
-    """
-    from repro.groth16.witness import WitnessError, _eval_frozen
-    from repro.parallel.pool import chunk_slices
-
-    program = circuit.program
-    modulus = fr.modulus
-    m = RUN.metrics
-    if m is not None:
-        m.inc("repro_parallel_witness_levels_total", 0)
-
-    for level in witness_levels(circuit):
-        # Poll once per dependency level — between fan-outs, never inside.
-        if RUN.deadline is not None:
-            RUN.deadline.check()
-        muls = []
-        for idx in level:
-            step = program[idx]
-            kind = step[0]
-            if kind == "mul":
-                muls.append(step)
-            elif kind == "hint":
-                _, fn, frozen_ins, outs = step
-                values = [_eval_frozen(fr, fz, signals) for fz in frozen_ins]
-                results = fn(fr, values)
-                if len(results) != len(outs):
-                    raise WitnessError(
-                        f"hint at step {idx} returned {len(results)} values, "
-                        f"expected {len(outs)}"
-                    )
-                for wire, val in zip(outs, results):
-                    signals[wire] = val % modulus
-            else:
-                raise WitnessError(f"unknown witness program step {kind!r}")
-        if not muls:
-            continue
-        if len(muls) < max(2, pool.min_witness // 4) or pool.workers < 2:
-            for _, fa, fb, out in muls:
-                signals[out] = fr.mul(
-                    _eval_frozen(fr, fa, signals), _eval_frozen(fr, fb, signals)
-                )
-            continue
-        if m is not None:
-            m.inc("repro_parallel_witness_levels_total")
-        payloads = []
-        for start, stop in chunk_slices(len(muls), pool.workers):
-            chunk = muls[start:stop]
-            needed = {}
-            steps = []
-            for _, fa, fb, _out in chunk:
-                for w, _c in fa[0]:
-                    needed[w] = signals[w]
-                for w, _c in fb[0]:
-                    needed[w] = signals[w]
-                steps.append((fa[0], fa[1], fb[0], fb[1]))
-            payloads.append({"modulus": modulus, "values": needed, "steps": steps})
-        chunks, _ = pool.map("witness_mul_chunk", payloads, label="witness")
-        flat = [v for chunk in chunks for v in chunk]
-        for (_, _fa, _fb, out), value in zip(muls, flat):
-            signals[out] = value
 
 
 # -- fixed-base (setup) ------------------------------------------------------------

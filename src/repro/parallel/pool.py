@@ -1,19 +1,13 @@
 """Worker-pool abstraction of the parallel execution layer.
 
 A :class:`WorkerPool` owns N worker processes and maps named *tasks* (from
-the registry in :mod:`repro.parallel.tasks`) over payload chunks.  Two
-backends share one contract:
-
-``serial``
-    Runs every task inline in the calling process — the degenerate pool
-    used for ``--workers 1`` and for tests that want the envelope
-    semantics without process machinery.
-``process``
-    A lazily created ``multiprocessing`` pool.  Workers are forked, so
-    they inherit the parent's loaded modules for free; the task envelope
-    then *clears the run context* (``RUN.clear()``: tracer, metrics,
-    spans, worker telemetry, pool, faults, deadline) so a worker never
-    double-reports into telemetry the parent also records.
+the registry in :mod:`repro.parallel.tasks`) over payload chunks.  The
+processes are a lazily created ``multiprocessing`` pool: workers are
+forked on the first :meth:`WorkerPool.map`, so they inherit the parent's
+loaded modules for free; the task envelope then *clears the run context*
+(``RUN.clear()``: tracer, metrics, spans, worker telemetry, pool, faults,
+deadline) so a worker never double-reports into telemetry the parent
+also records.
 
 The error contract — the part the resilience layer depends on — is that
 exceptions never cross the process boundary as pickled tracebacks.  The
@@ -81,33 +75,7 @@ __all__ = [
     "encode_error",
     "parallel_pool",
     "using",
-    "workers_from_env",
 ]
-
-#: Environment variable read by :func:`workers_from_env` (the no-flag way
-#: to turn the backend on: ``REPRO_WORKERS=4 python -m repro prove ...``).
-WORKERS_ENV = "REPRO_WORKERS"
-
-
-def workers_from_env(default=None):
-    """Worker count from ``$REPRO_WORKERS``, or *default* when unset/empty.
-
-    A set-but-bad value (non-integer, zero, negative) raises ``ValueError``
-    rather than silently falling back: a typo in ``REPRO_WORKERS=16``
-    should fail loudly as a one-line CLI error, not quietly run serial.
-    """
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None or raw == "":
-        return default
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"bad {WORKERS_ENV}={raw!r}: expected a positive integer"
-        ) from None
-    if n < 1:
-        raise ValueError(f"bad {WORKERS_ENV}={raw!r}: workers must be >= 1")
-    return n
 
 
 def chunk_slices(n, parts):
@@ -290,16 +258,15 @@ def _worker_envelope(job):
 
 
 class WorkerPool:
-    """N-worker execution pool with ``serial`` and ``process`` backends.
+    """N-worker process pool, forked on the first :meth:`map`.
 
     Parameters
     ----------
     workers:
-        Worker count; ``None`` reads ``$REPRO_WORKERS`` and defaults to 1.
-        One worker selects the ``serial`` backend.
-    backend:
-        Force ``"serial"`` or ``"process"`` (defaults by worker count).
-    min_msm / min_ntt / min_witness / min_batch:
+        Worker count.  One worker is still a forked process; kernels never
+        map on it (:meth:`enabled_for`), so callers that want a serial run
+        install no pool at all.
+    min_msm / min_ntt / min_batch:
         Smallest input sizes worth fanning out (for an MSM, live terms);
         below them kernels stay serial.  ``min_ntt`` is the crossover
         measured with two workers on two cores: a pooled NTT loses up to
@@ -307,22 +274,13 @@ class WorkerPool:
         so tiny differential cells still exercise the parallel paths.
     """
 
-    def __init__(self, workers=None, backend=None, *,
-                 min_msm=64, min_ntt=4096, min_witness=64, min_batch=2):
-        if workers is None:
-            workers = workers_from_env(default=1)
+    def __init__(self, workers, *, min_msm=64, min_ntt=4096, min_batch=2):
         workers = int(workers)
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if backend is None:
-            backend = "serial" if workers == 1 else "process"
-        if backend not in ("serial", "process"):
-            raise ValueError(f"unknown pool backend {backend!r}")
         self.workers = workers
-        self.backend = backend
         self.min_msm = min_msm
         self.min_ntt = min_ntt
-        self.min_witness = min_witness
         self.min_batch = min_batch
         self._pool = None
         self._closed = False
@@ -383,9 +341,11 @@ class WorkerPool:
     # -- execution ----------------------------------------------------------------
 
     def enabled_for(self, n, kind="msm"):
-        """Whether fanning *n* items out through this pool is worthwhile."""
-        threshold = getattr(self, f"min_{kind}", 1)
-        return self.workers > 1 and n >= threshold
+        """Whether fanning *n* items of *kind* (``"msm"``, ``"ntt"`` or
+        ``"batch"``) out through this pool is worthwhile."""
+        if kind not in ("msm", "ntt", "batch"):
+            raise ValueError(f"unknown fan-out kind {kind!r}")
+        return self.workers > 1 and n >= getattr(self, f"min_{kind}")
 
     def map(self, fn_name, payloads, ctxs=None, label=None):
         """Run registry task *fn_name* over *payloads*; results in order.
@@ -397,11 +357,6 @@ class WorkerPool:
         error after all tasks settle.  Returns ``(results, fired)`` where
         *fired* lists fault-spec dicts that fired inside workers.
         """
-        if self._closed:
-            # Both backends refuse new work after close(); the process
-            # path would raise from _ensure_pool anyway, the serial path
-            # must not silently keep computing through a drain.
-            raise PoolStateError("pool is closed")
         payloads = list(payloads)
         if not payloads:
             return [], []
@@ -411,14 +366,13 @@ class WorkerPool:
             base_ctx["deadline_s"] = max(
                 0.001, RUN.deadline.seconds - RUN.deadline.elapsed()
             )
-        ship_telemetry = tel is not None and self.backend == "process"
         jobs = []
         parent_encode = []
         for i, payload in enumerate(payloads):
             ctx = dict(base_ctx)
             if ctxs is not None and ctxs[i]:
                 ctx.update(ctxs[i])
-            if ship_telemetry:
+            if tel is not None:
                 # Pack the payload ourselves so the encode cost and byte
                 # size are measured; the pool then pickles cheap bytes.
                 ctx["telemetry"] = True
@@ -430,77 +384,17 @@ class WorkerPool:
             jobs.append((fn_name, payload, ctx))
 
         span_cm = (spans.span(f"parallel:{label or fn_name}",
-                              backend=self.backend, workers=self.workers)
+                              workers=self.workers)
                    if tel is not None else nullcontext())
         with span_cm:
             map_start = time.perf_counter()
-            if ship_telemetry:
+            if tel is not None:
                 for _, _, ctx in jobs:
                     ctx["sent_ts"] = map_start
-            if self.backend == "serial":
-                envelopes = [self._run_serial(job, telemetry=tel is not None)
-                             for job in jobs]
-            else:
-                envelopes = self._ensure_pool().map(_worker_envelope, jobs)
+            envelopes = self._ensure_pool().map(_worker_envelope, jobs)
             return self._settle(envelopes, fn_name, label=label,
                                 telemetry=tel, map_start=map_start,
                                 parent_encode=parent_encode)
-
-    def _run_serial(self, job, telemetry=False):
-        """Inline execution with the same envelope semantics, minus
-        ``RUN.clear()`` (we *are* the parent process).  ``RUN.pool`` alone
-        is hidden so an inline task never re-enters a kernel.
-
-        With *telemetry* on, the envelope grows a light telemetry block:
-        the parent's registry and span recorder are already live (nested
-        collection is rejected), so metric increments and an inline
-        ``task:*`` span land directly and the block only adds what inline
-        execution can still measure — the peak-RSS delta and zeroed wire
-        costs (nothing crosses a process boundary).
-        """
-        fn_name, payload, ctx = job
-        from repro.parallel import tasks
-
-        wall0 = time.perf_counter()
-        cpu0 = time.process_time()
-        rss0 = spans._rss_peak_kb() if telemetry else 0
-        fired = []
-        try:
-            with scoped("pool", None):
-                fn = tasks.TASKS.get(fn_name)
-                if fn is None:
-                    raise WorkerCrash(f"unknown worker task {fn_name!r}",
-                                      task=fn_name)
-                fault = (ctx or {}).get("fault")
-                if fault is not None:
-                    fired = [dict(fault, fired=True)]
-                    raise faults.make_fault(
-                        faults.FaultSpec(fault["site"], fault["kind"], hit=1))
-                if telemetry:
-                    with spans.span(f"task:{fn_name}"):
-                        ok, out = True, fn(payload)
-                else:
-                    ok, out = True, fn(payload)
-        except BaseException as exc:  # noqa: BLE001
-            ok, out = False, encode_error(exc)
-        env = {
-            "ok": ok, "value": out, "fired": fired, "pid": os.getpid(),
-            "wall_s": time.perf_counter() - wall0,
-            "cpu_s": time.process_time() - cpu0,
-        }
-        if telemetry and ok:
-            env["telemetry"] = {
-                "t0": wall0,
-                "queue_wait_s": 0.0,
-                "decode_s": 0.0,
-                "encode_s": 0.0,
-                "payload_bytes": 0,
-                "result_bytes": 0,
-                "rss_peak_delta_kb": spans._rss_peak_kb() - rss0,
-                "metrics": None,
-                "spans": None,
-            }
-        return env
 
     def _settle(self, envelopes, fn_name, label=None, telemetry=None,
                 map_start=None, parent_encode=None):
@@ -535,8 +429,7 @@ class WorkerPool:
             m.inc("repro_parallel_tasks_total", len(envelopes))
         if telemetry is not None:
             map_rec = telemetry.record_map(
-                label=label or fn_name, task=fn_name, backend=self.backend,
-                workers=self.workers,
+                label=label or fn_name, task=fn_name, workers=self.workers,
                 start_s=map_start - telemetry.t0,
                 wall_s=time.perf_counter() - map_start,
                 task_records=task_records)
@@ -567,30 +460,27 @@ class WorkerPool:
         }
         tb = env.get("telemetry")
         if tb is not None:
-            enc_s, payload_bytes = (parent_encode[i] if parent_encode
-                                    else (0.0, tb["payload_bytes"]))
+            enc_s, payload_bytes = parent_encode[i]
             rec["start_s"] = round(tb["t0"] - telemetry.t0, 6)
             rec["queue_wait_s"] = tb["queue_wait_s"]
             rec["decode_s"] = round(tb["decode_s"] + parent_decode, 6)
-            rec["encode_s"] = round(tb.get("encode_s", 0.0) + enc_s, 6)
+            rec["encode_s"] = round(tb["encode_s"] + enc_s, 6)
             rec["payload_bytes"] = payload_bytes
-            rec["result_bytes"] = tb.get("result_bytes", 0)
+            rec["result_bytes"] = tb["result_bytes"]
             rec["rss_peak_delta_kb"] = tb["rss_peak_delta_kb"]
-            if tb.get("metrics") is not None:
-                if m is not None:
-                    m.merge(tb["metrics"])
-                telemetry.merge_metrics(tb["metrics"])
+            if m is not None:
+                m.merge(tb["metrics"])
+            telemetry.merge_metrics(tb["metrics"])
             rec_now = RUN.spans
             if rec_now is not None:
-                if tb.get("spans") is not None:
-                    # The grafted task bar carries its wire costs, so the
-                    # span trace alone shows why a lane sat idle.
-                    spans.graft(tb["spans"],
-                                offset_s=tb["t0"] - rec_now.t0,
-                                lane=f"worker {env['pid']}",
-                                **{k: rec[k] for k in (
-                                    "queue_wait_s", "decode_s", "encode_s",
-                                    "payload_bytes", "result_bytes")})
+                # The grafted task bar carries its wire costs, so the span
+                # trace alone shows why a lane sat idle.
+                spans.graft(tb["spans"],
+                            offset_s=tb["t0"] - rec_now.t0,
+                            lane=f"worker {env['pid']}",
+                            **{k: rec[k] for k in (
+                                "queue_wait_s", "decode_s", "encode_s",
+                                "payload_bytes", "result_bytes")})
         if m is not None:
             m.observe("repro_parallel_task_wall_seconds", env["wall_s"],
                       buckets=metrics.TIME_BUCKETS)
@@ -622,7 +512,7 @@ def using(pool):
 
 
 @contextmanager
-def parallel_pool(workers=None, **kwargs):
+def parallel_pool(workers, **kwargs):
     """Create a :class:`WorkerPool`, install it, and close it on exit."""
     pool = WorkerPool(workers, **kwargs)
     try:

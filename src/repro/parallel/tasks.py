@@ -1,19 +1,18 @@
 """Worker-side task registry of the parallel backend.
 
-Every function here runs *inside* a worker process (or inline under the
-serial backend) via the envelope in :mod:`repro.parallel.pool`.  Payloads
-and results are plain picklable data — ints, tuples, lists, dicts —
-never live ``Point``/``Group``/``CurveSpec`` objects: workers rebuild
-group handles from curve names through the registry
-(:func:`repro.curves.get_curve`), and points travel as affine
-raw-coordinate tuples (``None`` for infinity), exactly the form the
-serial MSM kernels already consume.
+Every function here runs *inside* a forked worker process via the
+envelope in :mod:`repro.parallel.pool`.  Payloads and results are plain
+picklable data — ints, tuples, lists, dicts — never live
+``Point``/``Group``/``CurveSpec`` objects: workers rebuild group handles
+from curve names through the registry (:func:`repro.curves.get_curve`),
+and points travel as affine raw-coordinate tuples (``None`` for
+infinity), exactly the form the serial MSM kernels already consume.
 
 Determinism contract (docs/PARALLELISM.md): each task computes a
 well-defined mathematical object — the shifted sum of a slice of an MSM's
-windows, a length-m sub-NTT, a batch of field products — whose exact value
-does not depend on which worker computed it, so parents can reassemble
-results that are bit-identical to the serial algorithms.
+windows, a length-m sub-NTT, a chunk of fixed-base multiples — whose
+exact value does not depend on which worker computed it, so parents can
+reassemble results that are bit-identical to the serial algorithms.
 """
 
 from __future__ import annotations
@@ -78,31 +77,6 @@ def ntt_sub(payload):
     if RUN.deadline is not None:
         RUN.deadline.check()
     return transform_raw(payload["values"], payload["root"], payload["modulus"])
-
-
-# -- witness -----------------------------------------------------------------------
-
-
-def witness_mul_chunk(payload):
-    """Evaluate a chunk of independent ``mul`` witness steps.
-
-    Each step ships its two frozen linear combinations plus the values of
-    every wire they reference; the result list aligns with the chunk.
-    """
-    modulus = payload["modulus"]
-    values = payload["values"]
-    out = []
-    for a_terms, a_const, b_terms, b_const in payload["steps"]:
-        # Lazy reduction: exact integer accumulation, one ``%`` per side
-        # (bit-identical to per-term reduction — docs/KERNELS.md).
-        acc_a = a_const
-        for wire, coeff in a_terms:
-            acc_a += coeff * values[wire]
-        acc_b = b_const
-        for wire, coeff in b_terms:
-            acc_b += coeff * values[wire]
-        out.append((acc_a % modulus) * (acc_b % modulus) % modulus)
-    return out
 
 
 # -- fixed-base (setup) ------------------------------------------------------------
@@ -182,7 +156,6 @@ def selftest_fail(payload):
 TASKS = {
     "msm_window_slice": msm_window_slice,
     "ntt_sub": ntt_sub,
-    "witness_mul_chunk": witness_mul_chunk,
     "fixed_base_chunk": fixed_base_chunk,
     "batch_verify_chunk": batch_verify_chunk,
     "selftest_square": selftest_square,

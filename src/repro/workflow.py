@@ -79,7 +79,7 @@ class Workflow:
         Seed for the setup/proving randomness, so runs are reproducible.
     workers:
         Worker count for the parallel backend (``repro.parallel``);
-        ``None`` reads ``$REPRO_WORKERS``.  Anything above 1 creates a
+        ``None`` runs serially.  Anything above 1 creates a
         lazy :class:`~repro.parallel.pool.WorkerPool` that every stage
         runs under — release it with :meth:`close` (or use the workflow
         as a context manager).  Results are bit-identical either way.
@@ -101,7 +101,7 @@ class Workflow:
         self.inputs = dict(inputs)
         self.seed = seed
         self.policy = policy
-        self.workers = workers if workers is not None else parallel.workers_from_env()
+        self.workers = workers
         self.circuit = None
         self.pk = None
         self.vk = None

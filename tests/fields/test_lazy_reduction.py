@@ -1,8 +1,7 @@
 """Lazy-reduction and bigint-backend invariants (docs/KERNELS.md).
 
 The kernel speed campaign moved the field accumulation hot loops (R1CS row
-evaluation, frozen witness combinations, QAP column sums, worker-side
-witness chunks) onto :meth:`PrimeField.lincomb`, which sums exact integer
+evaluation, frozen witness combinations, QAP column sums) onto :meth:`PrimeField.lincomb`, which sums exact integer
 products and reduces once.  Exactness of Python integers makes that
 *provably* identical to the per-term ``%`` loop — these tests pin it
 anyway, together with the traced-op-count equivalence the cost model
@@ -76,32 +75,6 @@ class TestLincomb:
         pairs = [(i, i + 1) for i in range(10)]
         assert (FR.lincomb((c, v) for c, v in pairs)
                 == FR.lincomb(list(pairs)))
-
-
-class TestWitnessChunkLazyReduction:
-    def test_matches_eager_evaluation(self):
-        from repro.parallel.tasks import witness_mul_chunk
-
-        r = random.Random(11)
-        p = FR.modulus
-        values = [r.randrange(p) for _ in range(16)]
-        steps = []
-        for _ in range(8):
-            a_terms = [(r.randrange(16), r.randrange(p)) for _ in range(5)]
-            b_terms = [(r.randrange(16), r.randrange(p)) for _ in range(3)]
-            steps.append((a_terms, r.randrange(p), b_terms, r.randrange(p)))
-        got = witness_mul_chunk(
-            {"modulus": p, "values": values, "steps": steps})
-        want = []
-        for a_terms, a_const, b_terms, b_const in steps:
-            a = a_const % p
-            for wire, coeff in a_terms:
-                a = (a + coeff * values[wire]) % p
-            b = b_const % p
-            for wire, coeff in b_terms:
-                b = (b + coeff * values[wire]) % p
-            want.append(a * b % p)
-        assert got == want
 
 
 class TestBigintBackend:

@@ -183,8 +183,7 @@ def _proven_workflow(curve, size, workers=None, traced=False):
     builder, inputs = build_workload("exponentiate", curve, size)
     wf = Workflow(curve, builder, inputs, seed=0, workers=workers)
     if workers and workers > 1:
-        wf._pool = WorkerPool(workers, min_msm=4, min_ntt=4,
-                              min_witness=4, min_batch=2)
+        wf._pool = WorkerPool(workers, min_msm=4, min_ntt=4, min_batch=2)
     with wf:
         wf.run_all({stage: Tracer() for stage in STAGES} if traced else None)
     assert wf.accepted is True

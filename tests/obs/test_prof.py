@@ -66,8 +66,9 @@ class TestCollector:
         assert by_name["outer"].self_s <= by_name["outer"].cum_s
 
     def test_functions_sorted_by_self_time(self):
+        # CPU self time first, wall self time breaking ties.
         sp = self.profile_one(outer)
-        selfs = [f.self_s for f in sp.functions]
+        selfs = [(f.cpu_self_s, f.self_s) for f in sp.functions]
         assert selfs == sorted(selfs, reverse=True)
 
     def test_collapsed_stacks_nest(self):

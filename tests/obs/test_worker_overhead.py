@@ -26,20 +26,17 @@ from repro.context import RUN
 from repro.fields import BN254_FR
 from repro.obs.worker import ENABLED_OVERHEAD_BOUND
 from repro.parallel.pool import WorkerPool, _worker_envelope
+from repro.poly.domain import EvaluationDomain
 
-#: A compute-dense payload: many modular linear-combination steps, so the
-#: per-task capture cost is measured against real work, not noise.
-_STEPS = 600
+#: A compute-dense payload: one 2^12 sub-NTT, so the per-task capture cost
+#: is measured against real work, not noise.
+_N = 1 << 12
 
 
 def _dense_payload():
     p = BN254_FR.modulus
-    values = [pow(3, i, p) for i in range(64)]
-    steps = [
-        ([(i % 64, 7), ((i + 13) % 64, 11)], 5, [((i + 29) % 64, 3)], 1)
-        for i in range(_STEPS)
-    ]
-    return {"modulus": p, "values": values, "steps": steps}
+    return {"values": [pow(3, i, p) for i in range(_N)],
+            "root": EvaluationDomain(BN254_FR, _N).omega, "modulus": p}
 
 
 class TestDisabledPath:
@@ -82,9 +79,9 @@ class TestEnabledPath:
 
     def test_enabled_overhead_within_documented_bound(self):
         payload = _dense_payload()
-        plain_job = ("witness_mul_chunk", payload, {})
+        plain_job = ("ntt_sub", payload, {})
         packed = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-        tel_job = ("witness_mul_chunk", packed,
+        tel_job = ("ntt_sub", packed,
                    {"telemetry": True, "packed": True,
                     "sent_ts": time.perf_counter()})
         # Warm-up once, then interleaved best-of-5 on both sides with GC
@@ -110,18 +107,18 @@ class TestEnabledPath:
     def test_telemetered_envelope_block_is_complete(self):
         payload = _dense_payload()
         packed = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-        env = _worker_envelope(("witness_mul_chunk", packed,
+        env = _worker_envelope(("ntt_sub", packed,
                                 {"telemetry": True, "packed": True,
                                  "sent_ts": time.perf_counter()}))
         assert env["ok"] is True and env["packed"] is True
         out = pickle.loads(env["value"])
-        assert len(out) == _STEPS
+        assert len(out) == _N
         tel = env["telemetry"]
         assert tel["payload_bytes"] == len(packed)
         assert tel["result_bytes"] == len(env["value"])
         assert tel["queue_wait_s"] >= 0.0
         assert tel["decode_s"] >= 0.0 and tel["encode_s"] >= 0.0
-        assert tel["spans"]["name"] == "task:witness_mul_chunk"
+        assert tel["spans"]["name"] == "task:ntt_sub"
         assert isinstance(tel["metrics"], dict)
 
     def test_failed_task_ships_no_block(self):

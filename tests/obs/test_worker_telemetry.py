@@ -1,13 +1,14 @@
 """Cross-process worker telemetry (docs/PARALLELISM.md, docs/OBSERVABILITY.md).
 
 Covers the protocol end to end: metric-delta merge, span grafting with
-timeline rebase, the pool's task/map records on both backends, pool-level
+timeline rebase, the pool's task/map records, pool-level
 metrics, the ledger record's ``workers`` block, and the per-worker-lane
 chrome trace.  The per-stage usage columns built from the collector are
 tested with ``fig6_measured`` (tests/parallel/test_measured.py).
 """
 
 import json
+import os
 
 import pytest
 
@@ -114,7 +115,7 @@ class TestCollector:
              "encode_s": 0.001, "decode_s": 0.001, "payload_bytes": 10,
              "result_bytes": 20},
         ]
-        rec = tel.record_map(label="msm", task="t", backend="process",
+        rec = tel.record_map(label="msm", task="t",
                              workers=2, start_s=0.0, wall_s=0.2,
                              task_records=tasks)
         assert rec["stage"] == "proving"
@@ -143,7 +144,7 @@ class TestPoolIntegration:
             assert t["ok"] is True
             assert t["queue_wait_s"] >= 0.0
             assert t["payload_bytes"] > 0 and t["result_bytes"] > 0
-        assert len(tel.maps) == 1 and tel.maps[0]["backend"] == "process"
+        assert len(tel.maps) == 1 and tel.maps[0]["workers"] == 2
         # Pool-level series in the parent registry.
         assert reg.counter("repro_parallel_tasks_total") == len(PAYLOADS)
         assert reg.histogram("repro_parallel_task_wall_seconds").count \
@@ -168,20 +169,6 @@ class TestPoolIntegration:
         assert window.meta["utilization"] == tel.maps[0]["utilization"]
         assert window.meta["imbalance"] == tel.maps[0]["imbalance"]
 
-    def test_serial_backend_records_light_blocks(self):
-        with collecting_tasks() as tel, spans.recording("unit") as rec:
-            with WorkerPool(1) as pool:
-                results, _ = pool.map("selftest_square", PAYLOADS,
-                                      label="unit")
-        assert results == [p["x"] ** 2 for p in PAYLOADS]
-        assert len(tel.tasks) == len(PAYLOADS)
-        for t in tel.tasks:
-            assert t["queue_wait_s"] == 0.0
-            assert t["payload_bytes"] == 0  # nothing crossed a boundary
-        # Inline tasks span directly under the dispatching span (no graft).
-        names = [sp.name for sp in rec.root.walk()]
-        assert names.count("task:selftest_square") == len(PAYLOADS)
-
     def test_failed_task_still_raises_typed(self):
         with collecting_tasks():
             with WorkerPool(2) as pool:
@@ -196,6 +183,22 @@ class TestPoolIntegration:
             # legacy per-pid stats beyond tasks/wall/cpu.
             for stats in pool.worker_stats.values():
                 assert set(stats) == {"tasks", "wall_s", "cpu_s"}
+
+    def test_one_worker_pool_ships_full_blocks(self):
+        # One worker is a forked process: its tasks cross the wire and
+        # carry the same telemetry blocks as a wider pool's.
+        with collecting_tasks() as tel:
+            with WorkerPool(1) as pool:
+                results, _ = pool.map("selftest_square", PAYLOADS,
+                                      label="unit")
+        assert results == [p["x"] ** 2 for p in PAYLOADS]
+        assert len(tel.tasks) == len(PAYLOADS)
+        pids = {t["pid"] for t in tel.tasks}
+        assert len(pids) == 1 and os.getpid() not in pids
+        for t in tel.tasks:
+            assert t["ok"] is True
+            assert t["payload_bytes"] > 0 and t["result_bytes"] > 0
+        assert len(tel.maps) == 1 and tel.maps[0]["workers"] == 1
 
 
 class TestWorkersBlock:

@@ -1,9 +1,9 @@
 """Serial <-> parallel differential suite: results must be bit-identical.
 
 The determinism contract (docs/PARALLELISM.md): window-sliced MSM partial
-sums, decimated sub-NTTs, leveled witness evaluation and fanned-out
-fixed-base sweeps all compute the *same mathematical objects* as the serial
-kernels, so parents reassemble results that serialize to identical bytes.
+sums, decimated sub-NTTs and fanned-out fixed-base sweeps all compute the
+*same mathematical objects* as the serial kernels, so parents reassemble
+results that serialize to identical bytes.
 
 The default matrix is trimmed to keep tier-1 wall time sane; the CI
 ``parallel-smoke`` job sets ``REPRO_PARALLEL_FULL=1`` to run the full
@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from repro.circuit.compiler import compile_circuit
 from repro.curves import BN128, get_curve
 from repro.fields import BN254_FR
 from repro.msm.fixed_base import FixedBaseTable
@@ -106,13 +107,12 @@ class TestNTTDifferential:
                                           pool) == serial
 
     def test_four_subs_take_two_combine_stages(self):
-        # k = 4: the parent merges the sub-transforms in two radix-2 stages
-        # (the serial backend runs the four tasks inline, no processes).
+        # k = 4: the parent merges the sub-transforms in two radix-2 stages.
         d = EvaluationDomain(FR, 64)
         r = random.Random(0xD2)
         values = [FR.rand(r) for _ in range(64)]
         serial = transform_raw(list(values), d.omega, FR.modulus)
-        with WorkerPool(4, backend="serial", min_ntt=2) as pool:
+        with WorkerPool(4, min_ntt=2) as pool:
             assert ntt_transform_parallel(FR, list(values), d.omega,
                                           pool) == serial
 
@@ -160,7 +160,7 @@ class TestPipelineDifferential:
         )
 
         curve = get_curve(curve_name)
-        low = dict(min_msm=4, min_ntt=4, min_witness=4, min_batch=2)
+        low = dict(min_msm=4, min_ntt=4, min_batch=2)
         serial = _proven_workflow(curve, size)
         par = _proven_workflow(curve, size, workers=workers, pool_kwargs=low)
         assert proof_to_bytes(par.proof) == proof_to_bytes(serial.proof)
@@ -168,14 +168,21 @@ class TestPipelineDifferential:
         assert pk_to_bytes(par.pk) == pk_to_bytes(serial.pk)
         assert par.witness == serial.witness
 
-    def test_witness_values_identical_under_pool(self):
-        # Level-scheduled witness evaluation must reproduce the serial
-        # single-assignment result exactly (not just the proof).
-        curve = BN128
-        serial = _proven_workflow(curve, 128)
-        par = _proven_workflow(curve, 128, workers=2,
-                               pool_kwargs=dict(min_witness=2))
-        assert par.witness == serial.witness
+    @pytest.mark.parametrize("workload", ["exponentiate", "poseidon", "range"])
+    def test_witness_stage_issues_no_map(self, workload):
+        # The witness stage is not pooled: under an installed pool it runs
+        # the serial interpreter, with no map and the same values.
+        from repro.groth16 import generate_witness
+        from repro.harness.circuits import build_workload
+        from repro.obs.metrics import collecting
+
+        builder, inputs = build_workload(workload, BN128, 128)
+        circuit = compile_circuit(builder)
+        serial = generate_witness(circuit, inputs)
+        with collecting() as reg, parallel_pool(2, min_msm=2, min_ntt=2):
+            pooled = generate_witness(circuit, inputs)
+        assert reg.counter("repro_parallel_maps_total") == 0
+        assert pooled == serial
 
 
 class TestBatchVerifyDifferential:
@@ -214,15 +221,16 @@ class TestBatchVerifyDifferential:
 
 
 class TestWorkflowPoolWiring:
-    def test_workflow_env_default(self, monkeypatch):
+    def test_workflow_ignores_the_environment(self, monkeypatch):
+        # The worker count is an argument only; no variable turns it on.
         from repro.harness.circuits import build_workload
         from repro.workflow import Workflow
 
         monkeypatch.setenv("REPRO_WORKERS", "2")
         builder, inputs = build_workload("exponentiate", BN128, 8)
         with Workflow(BN128, builder, inputs) as wf:
-            assert wf.workers == 2
-            assert wf.pool is not None
+            assert wf.workers is None
+            assert wf.pool is None
 
     def test_serial_workflow_has_no_pool(self):
         from repro.harness.circuits import build_workload

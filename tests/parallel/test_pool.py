@@ -1,11 +1,11 @@
-"""Worker-pool contract: chunking, env config, both backends, typed errors.
+"""Worker-pool contract: chunking, the process pool, typed errors.
 
 The pool's promises (docs/PARALLELISM.md):
 
 * ``chunk_slices`` partitions ``range(n)`` contiguously into near-equal,
   never-empty slices;
-* the ``serial`` and ``process`` backends return identical results for
-  identical maps;
+* every map runs in forked worker processes, one worker included, and
+  ``close()`` reaps them;
 * exceptions never cross the process boundary as pickled tracebacks —
   taxonomy errors come back as their own class, ``ValueError`` /
   ``TypeError`` as themselves, anything else as ``WorkerCrash``.
@@ -15,7 +15,6 @@ import os
 
 import pytest
 
-from repro.parallel import pool as pool_mod
 from repro.parallel.pool import (
     WorkerPool,
     active_pool,
@@ -24,7 +23,6 @@ from repro.parallel.pool import (
     encode_error,
     parallel_pool,
     using,
-    workers_from_env,
 )
 from repro.resilience.errors import (
     ArtifactCorruption,
@@ -55,52 +53,18 @@ class TestChunkSlices:
         assert chunk_slices(12, 1) == [(0, 12)]
 
 
-class TestWorkersFromEnv:
-    def test_unset_returns_default(self, monkeypatch):
-        monkeypatch.delenv(pool_mod.WORKERS_ENV, raising=False)
-        assert workers_from_env() is None
-        assert workers_from_env(default=3) == 3
-
-    def test_valid_value(self, monkeypatch):
-        monkeypatch.setenv(pool_mod.WORKERS_ENV, "4")
-        assert workers_from_env() == 4
-
-    def test_empty_value_falls_back(self, monkeypatch):
-        monkeypatch.setenv(pool_mod.WORKERS_ENV, "")
-        assert workers_from_env(default=1) == 1
-
-    @pytest.mark.parametrize("raw", ["zero", "0", "-2", "2.5"])
-    def test_bad_values_raise(self, raw, monkeypatch):
-        # A set-but-bad value fails loudly (the CLI maps ValueError to the
-        # typed one-line error contract) instead of silently running serial.
-        monkeypatch.setenv(pool_mod.WORKERS_ENV, raw)
-        with pytest.raises(ValueError, match="REPRO_WORKERS"):
-            workers_from_env(default=1)
-
-
 class TestConstruction:
-    def test_one_worker_selects_serial_backend(self):
-        with WorkerPool(1) as pool:
-            assert pool.backend == "serial"
-
     def test_many_workers_select_process_backend(self):
+        # Lazy: nothing is forked until the first map.
         pool = WorkerPool(2)
-        assert pool.backend == "process"
-        pool.close()
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv(pool_mod.WORKERS_ENV, "2")
-        pool = WorkerPool()
-        assert pool.workers == 2
+        assert pool._pool is None
+        pool.map("selftest_square", [{"x": 1}])
+        assert pool._pool is not None
         pool.close()
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
             WorkerPool(0)
-
-    def test_invalid_backend(self):
-        with pytest.raises(ValueError):
-            WorkerPool(2, backend="threads")
 
     def test_enabled_for_respects_thresholds(self):
         with WorkerPool(2, min_msm=16, min_ntt=8) as pool:
@@ -110,17 +74,58 @@ class TestConstruction:
         with WorkerPool(1, min_msm=1) as pool:
             assert not pool.enabled_for(1 << 20, "msm")  # one worker: never
 
+    @pytest.mark.parametrize("kind", ["nft", "witness", ""])
+    def test_enabled_for_rejects_an_unknown_kind(self, kind):
+        # A misspelt or retired kind must not fall through to threshold 1.
+        with WorkerPool(2) as pool:
+            with pytest.raises(ValueError, match="unknown fan-out kind"):
+                pool.enabled_for(1, kind)
+
+    @pytest.mark.parametrize("kind", ["msm", "ntt", "batch"])
+    def test_each_kind_reads_its_own_threshold(self, kind):
+        with WorkerPool(2, **{f"min_{kind}": 5}) as pool:
+            assert pool.enabled_for(5, kind)
+            assert not pool.enabled_for(4, kind)
+
+    @pytest.mark.parametrize("kind", ["msm", "ntt", "batch"])
+    def test_one_worker_never_fans_out(self, kind):
+        with WorkerPool(1, min_msm=1, min_ntt=1, min_batch=1) as pool:
+            assert not pool.enabled_for(1 << 20, kind)
+
     def test_default_ntt_threshold_is_the_two_core_crossover(self):
         # A pooled NTT loses to the serial one up to 2^11 on two cores.
         with WorkerPool(2) as pool:
             assert not pool.enabled_for(1 << 11, "ntt")
             assert pool.enabled_for(1 << 12, "ntt")
 
+    def test_worker_count_is_required(self):
+        # The count is the one way to size a pool: no environment default.
+        with pytest.raises(TypeError):
+            WorkerPool()
+        with pytest.raises(TypeError):
+            with parallel_pool():
+                pass
 
-@pytest.fixture(params=["serial", "process"])
+    def test_worker_count_ignores_the_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        with WorkerPool(2) as pool:
+            pool.map("selftest_square", [{"x": i} for i in range(8)])
+            assert pool.workers == 2
+            assert len(pool.worker_stats) <= 2
+
+    def test_task_registry_holds_only_the_fan_outs_that_fire(self):
+        from repro.parallel.tasks import TASKS
+
+        assert set(TASKS) == {
+            "msm_window_slice", "ntt_sub", "fixed_base_chunk",
+            "batch_verify_chunk",
+            "selftest_square", "selftest_context", "selftest_fail",
+        }
+
+
+@pytest.fixture(params=[1, 2])
 def pool(request):
-    workers = 1 if request.param == "serial" else 2
-    with WorkerPool(workers, backend=request.param) as p:
+    with WorkerPool(request.param) as p:
         yield p
 
 
@@ -141,10 +146,17 @@ class TestMap:
             assert stats["wall_s"] >= 0.0
             assert stats["cpu_s"] >= 0.0
 
-    def test_serial_backend_runs_in_parent(self):
-        with WorkerPool(1) as p:
-            p.map("selftest_square", [{"x": 3}])
-            assert list(p.worker_stats) == [os.getpid()]
+    def test_one_worker_runs_in_a_reaped_child(self):
+        import multiprocessing
+
+        before = {p.pid for p in multiprocessing.active_children()}
+        pool = WorkerPool(1)
+        pool.map("selftest_square", [{"x": 3}])
+        (pid,) = pool.worker_stats
+        assert pid != os.getpid()
+        pool.close(graceful=True)
+        after = {p.pid for p in multiprocessing.active_children()}
+        assert pid not in after and not (after - before)
 
     def test_unknown_task_is_worker_crash(self, pool):
         with pytest.raises(WorkerCrash):
@@ -216,13 +228,13 @@ class TestLifecycle:
         with pytest.raises(RuntimeError):
             pool.map("selftest_square", [{"x": 2}])
 
-    def test_closed_serial_pool_refuses_work(self):
-        from repro.resilience.errors import PoolStateError
-
+    def test_closed_one_worker_pool_refuses_work(self):
+        # One worker is a process pool too: the same guard, nothing inline.
         pool = WorkerPool(1)
         pool.close()
-        with pytest.raises(PoolStateError, match="closed"):
+        with pytest.raises(RuntimeError, match="closed"):
             pool.map("selftest_square", [{"x": 2}])
+        assert pool._pool is None
 
     def test_closed_property(self):
         pool = WorkerPool(2)
@@ -261,7 +273,7 @@ class TestLifecycle:
         pool.map("selftest_square", [{"x": 3}])
         spawned = [p for p in multiprocessing.active_children()
                    if p.pid not in before]
-        assert spawned, "the process backend must fork workers"
+        assert spawned, "the pool must fork workers"
         pool.close(graceful=True)
         after = {p.pid for p in multiprocessing.active_children()}
         assert not (after - before), "close() must reap every worker"

@@ -109,14 +109,14 @@ class TestWhatATaskSees:
             reports, _ = pool.map("selftest_context", [{}, {}])
         assert all(v is None for seen in reports for v in seen.values())
 
-    def test_serial_backend_hides_the_pool_alone(self):
-        with WorkerPool(1) as pool, _everything_installed(pool):
-            parent = {f: id(getattr(RUN, f)) for f in RunContext.__slots__}
+    def test_one_worker_task_starts_from_a_cleared_context(self):
+        # One worker forks like many: its task sees none of the parent's
+        # fields, the pool included.
+        with WorkerPool(1) as pool, using(pool), collecting(), recording(), \
+                tracing(Tracer()), injecting([]):
             (seen,), _ = pool.map("selftest_context", [{}])
-            assert RUN.pool is pool  # and it is back afterwards
-        assert seen.pop("pool") is None
-        parent.pop("pool")
-        assert seen == parent
+        assert set(seen) == set(RunContext.__slots__)
+        assert all(v is None for v in seen.values())
 
 
 @pytest.fixture(scope="module")

@@ -151,7 +151,7 @@ def test_traced_verify_never_meets_the_prepared_key():
 
 
 def test_active_pool():
-    with WorkerPool(2, backend="serial") as pool, parallel.using(pool):
+    with WorkerPool(2) as pool, parallel.using(pool):
         assert parallel.active_pool() is pool
         assert reference(parallel.active_pool) is None
     assert parallel.active_pool() is None
