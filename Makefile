@@ -120,7 +120,8 @@ chaos:
 		PYTHONPATH=src python -m repro chaos --seed $$seed --faults 4 \
 			--size 32 || exit 1; \
 	done
-	PYTHONPATH=src pytest -x -q tests/resilience
+	PYTHONPATH=src pytest -x -q tests/resilience \
+		tests/harness/test_cache_integrity.py
 
 clean:
 	rm -rf .repro_cache .pytest_cache .hypothesis \

@@ -248,9 +248,6 @@ class CodeIndex:
             target = f"{target}.{rest}"
         return self.resolve_export(target)
 
-    def is_module(self, qual):
-        return qual in self.modules
-
     # -- slots --------------------------------------------------------------------
 
     def context_module(self, fn, expr):
@@ -301,7 +298,7 @@ class CodeIndex:
                 init = f"{qual}.__init__"
                 return {init} if init in self.functions else set()
         # Fall back: method-name matching for attribute calls on
-        # receivers we cannot type (pool.map, policy.execute_stage, ...).
+        # receivers we cannot type (pool.map, retry.backoff, ...).
         if isinstance(call.func, ast.Attribute):
             meth = call.func.attr
             if meth in GENERIC_METHODS or meth.startswith("__"):

@@ -216,20 +216,25 @@ class AnalysisReport:
         }
 
 
-def render_reports(reports):
-    """Text rendering of several reports plus a totals line (delegates
-    to the shared renderer in :mod:`repro.obs.format`)."""
-    from repro.obs.format import render_diagnostic_reports
-
-    return render_diagnostic_reports(reports, noun="circuit")
+def render_reports(reports, noun="circuit", skip_clean=False):
+    """Text rendering of several reports plus a totals line — the one
+    renderer behind both ``repro lint`` (*noun* ``circuit``) and
+    ``repro codelint`` (*noun* ``module``, where clean units are elided
+    with *skip_clean*)."""
+    lines = [r.render() for r in reports if r.diagnostics or not skip_clean]
+    n_err = sum(len(r.errors()) for r in reports)
+    n_warn = sum(len(r.warnings()) for r in reports)
+    lines.append(
+        f"{len(reports)} {noun}(s) analyzed: "
+        f"{n_err} error(s), {n_warn} warning(s)"
+    )
+    return "\n".join(lines)
 
 
 def reports_to_json(reports):
-    """JSON rendering (the ``repro lint --json`` payload; shared with
-    ``repro codelint`` via :mod:`repro.obs.format`)."""
-    from repro.obs.format import diagnostic_reports_to_json
-
-    return diagnostic_reports_to_json(reports)
+    """JSON rendering shared by ``repro lint --json`` and
+    ``repro codelint --json``."""
+    return json.dumps({"reports": [r.to_dict() for r in reports]}, indent=2)
 
 
 # -- baselines -------------------------------------------------------------------

@@ -771,12 +771,13 @@ def cmd_lint(args, out=print):
 def cmd_codelint(args, out=print):
     from dataclasses import replace
 
-    from repro.analyze import load_baseline, write_baseline
-    from repro.analyze.code import CodelintConfig, analyze_code
-    from repro.obs.format import (
-        diagnostic_reports_to_json,
-        render_diagnostic_reports,
+    from repro.analyze import (
+        load_baseline,
+        render_reports,
+        reports_to_json,
+        write_baseline,
     )
+    from repro.analyze.code import CodelintConfig, analyze_code
 
     config = CodelintConfig()
     if args.hot_modules:
@@ -795,10 +796,10 @@ def cmd_codelint(args, out=print):
         return 0
 
     if args.as_json:
-        out(diagnostic_reports_to_json(reports))
+        out(reports_to_json(reports))
     else:
-        out(render_diagnostic_reports(reports, noun="module",
-                                      skip_clean=not args.all_modules))
+        out(render_reports(reports, noun="module",
+                           skip_clean=not args.all_modules))
     failed = any(r.diagnostics for r in reports)
     return 1 if failed else 0
 

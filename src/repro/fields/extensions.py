@@ -175,10 +175,6 @@ class TowerParams:
     def fp2_one(self):
         return Fp2(self, 1, 0)
 
-    def fp6_zero(self):
-        z = (0, 0)
-        return Fp6(self, z, z, z)
-
     def fp6_one(self):
         return Fp6(self, (1, 0), (0, 0), (0, 0))
 

@@ -7,7 +7,7 @@ fresh tracer, and reduce every trace to a
 
 Profiles are cached in-process and (by default) on disk under
 ``.repro_cache/``.  The cache key is the full workload cell **plus** a
-source fingerprint: ``(curve_name, size, seed, mem_sample, workload,
+source fingerprint: ``(curve_name, size, seed, workload,
 sha256-of-every-repro-*.py)``.  Curve *parameters* enter through
 ``curve_name`` — the registry in :mod:`repro.curves` is code, so editing a
 parameter set changes the source fingerprint too — and the workload
@@ -24,12 +24,12 @@ Entries are stored with a sha256 trailer
 (:class:`repro.resilience.checkpoint.CellStore`); a truncated or
 bit-flipped file is **evicted** on read — counted under
 ``repro_harness_cache_evictions_total`` — and the cell recomputed, so the
-cache self-heals instead of silently serving garbage.  ``profile_run``
-also runs under the resilience memory guard: a cell that raises
-:class:`~repro.resilience.errors.ResourceExhausted` is re-run with a
-coarser ``mem_sample`` (docs/ROBUSTNESS.md).  The disk cache is also the
-resume path: a killed sweep reloads every finished cell and recomputes only
-the rest.
+cache self-heals instead of silently serving garbage.  Only a finished
+cell is cached: a stage that raises — a typed fault such as
+:class:`~repro.resilience.errors.ResourceExhausted` included — propagates
+and leaves both caches untouched (docs/ROBUSTNESS.md).  The disk cache is
+also the resume path: a killed sweep reloads every finished cell and
+recomputes only the rest.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from repro.harness.circuits import build_workload
 from repro.perf.analysis import analyze_stage
 from repro.perf.trace import Tracer
 from repro.resilience.checkpoint import CellStore
-from repro.resilience.degrade import run_with_memory_guard
 from repro.workflow import STAGES, Workflow
 
 __all__ = ["DEFAULT_SIZES", "PAPER_SIZES", "profile_run", "profile_sweep"]
@@ -56,9 +55,6 @@ DEFAULT_SIZES = tuple(2**k for k in range(6, 11))
 
 #: The paper's sweep: 2^10 .. 2^18 (Section IV-A).
 PAPER_SIZES = tuple(2**k for k in range(10, 19))
-
-#: Default memory-event sampling for large kernels (1 = exact).
-DEFAULT_MEM_SAMPLE = 1
 
 _MEMO = {}
 _FINGERPRINT = None
@@ -97,15 +93,14 @@ def _disk_cache():
                      eviction_metric="repro_harness_cache_evictions_total")
 
 
-def profile_run(curve_name, size, seed=0, mem_sample=DEFAULT_MEM_SAMPLE,
-                workload="exponentiate"):
+def profile_run(curve_name, size, seed=0, workload="exponentiate"):
     """Profile all five stages for one (curve, constraint-size) cell.
 
     *workload* selects the benchmark circuit family
     (:data:`repro.harness.circuits.WORKLOADS`); the paper sweeps
     ``"exponentiate"``.  Returns ``{stage: StageProfile}``.
     """
-    key = (curve_name, size, seed, mem_sample, workload, _source_fingerprint())
+    key = (curve_name, size, seed, workload, _source_fingerprint())
     m = RUN.metrics
     if key in _MEMO:
         if m is not None:
@@ -113,8 +108,7 @@ def profile_run(curve_name, size, seed=0, mem_sample=DEFAULT_MEM_SAMPLE,
         return _MEMO[key]
 
     cache = _disk_cache()
-    fname = (f"profile_{workload}_{curve_name}_{size}_{seed}_"
-             f"{mem_sample}_{key[-1]}.pkl")
+    fname = f"profile_{workload}_{curve_name}_{size}_{seed}_{key[-1]}.pkl"
     if cache is not None:
         # A truncated / bit-flipped / pre-checksum entry is evicted by the
         # store, so the cache heals and the cell is recomputed.
@@ -128,26 +122,19 @@ def profile_run(curve_name, size, seed=0, mem_sample=DEFAULT_MEM_SAMPLE,
     curve = get_curve(curve_name)
     builder, inputs = build_workload(workload, curve, size)
 
-    def _compute(effective_mem_sample):
-        wf = Workflow(curve, builder, inputs, seed=seed)
-        profiles = {}
-        for stage in STAGES:
-            tracer = Tracer(label=f"{curve_name}/{size}/{stage}",
-                            mem_sample=effective_mem_sample)
-            result = wf.run_stage(stage, tracer)
-            profiles[stage] = analyze_stage(
-                tracer, stage=stage, curve=curve_name, size=size,
-                elapsed=result.elapsed,
-            )
-        if wf.accepted is not True:
-            raise RuntimeError(
-                f"profiled workflow produced a rejected proof ({curve_name}, n={size})"
-            )
-        return profiles
-
-    # Memory guard: under ResourceExhausted the cell is re-run with a
-    # coarser mem_sample — degraded memory *precision*, not a lost sweep.
-    profiles, _effective = run_with_memory_guard(_compute, mem_sample)
+    wf = Workflow(curve, builder, inputs, seed=seed)
+    profiles = {}
+    for stage in STAGES:
+        tracer = Tracer(label=f"{curve_name}/{size}/{stage}")
+        result = wf.run_stage(stage, tracer)
+        profiles[stage] = analyze_stage(
+            tracer, stage=stage, curve=curve_name, size=size,
+            elapsed=result.elapsed,
+        )
+    if wf.accepted is not True:
+        raise RuntimeError(
+            f"profiled workflow produced a rejected proof ({curve_name}, n={size})"
+        )
 
     _MEMO[key] = profiles
     if cache is not None:
@@ -159,8 +146,7 @@ def profile_run(curve_name, size, seed=0, mem_sample=DEFAULT_MEM_SAMPLE,
 
 
 def profile_sweep(curve_names=("bn128", "bls12_381"), sizes=DEFAULT_SIZES,
-                  seed=0, mem_sample=DEFAULT_MEM_SAMPLE,
-                  workload="exponentiate"):
+                  seed=0, workload="exponentiate"):
     """The paper's full sweep: ``{(curve, size): {stage: StageProfile}}``.
 
     Each finished cell lands in :func:`profile_run`'s disk cache, so a
@@ -170,7 +156,6 @@ def profile_sweep(curve_names=("bn128", "bls12_381"), sizes=DEFAULT_SIZES,
     """
     return {
         (curve_name, size): profile_run(curve_name, size, seed=seed,
-                                        mem_sample=mem_sample,
                                         workload=workload)
         for curve_name in curve_names
         for size in sizes

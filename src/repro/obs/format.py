@@ -14,36 +14,9 @@ import os
 
 __all__ = [
     "append_record",
-    "diagnostic_reports_to_json",
     "emit_record",
-    "render_diagnostic_reports",
     "write_artifact",
 ]
-
-
-def render_diagnostic_reports(reports, noun="circuit", skip_clean=False):
-    """Text rendering of several :class:`~repro.analyze.diagnostics.
-    AnalysisReport` s plus a totals line — the one renderer behind both
-    ``repro lint`` (*noun* ``circuit``) and ``repro codelint`` (*noun*
-    ``module``, where clean units are elided with *skip_clean*)."""
-    lines = []
-    for r in reports:
-        if skip_clean and not r.diagnostics:
-            continue
-        lines.append(r.render())
-    n_err = sum(len(r.errors()) for r in reports)
-    n_warn = sum(len(r.warnings()) for r in reports)
-    lines.append(
-        f"{len(reports)} {noun}(s) analyzed: "
-        f"{n_err} error(s), {n_warn} warning(s)"
-    )
-    return "\n".join(lines)
-
-
-def diagnostic_reports_to_json(reports):
-    """JSON rendering shared by ``repro lint --json`` and
-    ``repro codelint --json``."""
-    return json.dumps({"reports": [r.to_dict() for r in reports]}, indent=2)
 
 
 def emit_record(record, as_json, out, render=None):

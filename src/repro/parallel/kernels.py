@@ -78,23 +78,13 @@ def _mapped(pool, fn_name, payloads, spec=None, fault_ctx=None, label=None):
         results, fired = pool.map(fn_name, payloads, ctxs=ctxs, label=label)
     except ReproError:
         if spec is not None:
-            _mark_fired(spec)
+            faults.fire(spec)
         raise
     if spec is not None:
         # Worker never reached the site (degenerate chunk): preserve the
         # fires-once guarantee by raising the fault at the parent.
-        _mark_fired(spec)
-        raise faults.make_fault(spec)
+        raise faults.fire(spec)
     return results
-
-
-def _mark_fired(spec):
-    if spec.fired:
-        return
-    spec.fired = True
-    m = RUN.metrics
-    if m is not None:
-        m.inc("repro_resilience_faults_injected_total")
 
 
 # -- MSM ---------------------------------------------------------------------------

@@ -14,16 +14,15 @@ package makes failure a modeled, observable event:
     guard (the run context, docs/ARCHITECTURE.md), with sites at every
     stage boundary and in the MSM/NTT/serialize hot paths.
 :mod:`repro.resilience.retry`
-    Exponential backoff with seeded jitter, cooperative per-stage
-    deadlines, and the :class:`~repro.resilience.retry.ResiliencePolicy`
-    a ``Workflow`` is given (``policy=``).
+    Exponential backoff with seeded jitter, the one retry loop
+    ``with_retry`` (a ``Workflow`` given ``retry=`` runs each stage
+    through it), and cooperative deadlines.
 :mod:`repro.resilience.checkpoint`
     Checksummed pickle payloads and the self-healing cell store behind
     the harness disk cache.
 :mod:`repro.resilience.degrade`
-    Graceful degradation: Pippenger→naive MSM fallback, batch-verify
-    bisection to the exact bad proof indices, and the harness memory
-    guard that coarsens ``mem_sample`` under pressure.
+    Graceful degradation: Pippenger→naive MSM fallback and batch-verify
+    bisection to the exact bad proof indices.
 :mod:`repro.resilience.chaos`
     The seeded chaos driver behind ``python -m repro chaos`` (imported
     explicitly — it pulls in the whole pipeline).
@@ -39,11 +38,7 @@ from repro.resilience.checkpoint import (
     read_checksummed,
     write_checksummed,
 )
-from repro.resilience.degrade import (
-    batch_verify_bisect,
-    resilient_msm,
-    run_with_memory_guard,
-)
+from repro.resilience.degrade import batch_verify_bisect, resilient_msm
 from repro.resilience.errors import (
     ArtifactCorruption,
     PoolStateError,
@@ -57,12 +52,7 @@ from repro.resilience.errors import (
     is_retryable,
 )
 from repro.resilience.faults import FaultInjector, FaultSpec, injecting, schedule
-from repro.resilience.retry import (
-    Deadline,
-    ResiliencePolicy,
-    RetryPolicy,
-    with_retry,
-)
+from repro.resilience.retry import Deadline, RetryPolicy, with_retry
 
 __all__ = [
     "ArtifactCorruption",
@@ -72,7 +62,6 @@ __all__ = [
     "FaultSpec",
     "PoolStateError",
     "ReproError",
-    "ResiliencePolicy",
     "ResourceExhausted",
     "RetryPolicy",
     "StageError",
@@ -85,7 +74,6 @@ __all__ = [
     "is_retryable",
     "read_checksummed",
     "resilient_msm",
-    "run_with_memory_guard",
     "schedule",
     "with_retry",
     "write_checksummed",

@@ -1,10 +1,10 @@
 """Seeded chaos driver: run the pipeline under a fault schedule.
 
-``run_chaos`` derives a deterministic fault plan from a seed, installs
-the injector and a fresh metrics registry, gives the workflow a
-retry/deadline policy, runs the full five stages plus a proof/vk
-serialization round-trip, and reduces what happened to a
-:class:`ChaosReport`:
+``run_chaos`` derives a deterministic fault plan from a seed over the
+sites the run reaches, installs the injector and a fresh metrics
+registry, gives the workflow a retry policy, runs the full five stages
+plus a proof/vk serialization round-trip under the same policy, and
+reduces what happened to a :class:`ChaosReport`:
 
 - ``recovered`` — every injected fault was absorbed (retried or
   degraded; the counters say which) and the final proof verified;
@@ -25,7 +25,7 @@ import json
 from repro.obs import metrics
 from repro.resilience import faults
 from repro.resilience.errors import ReproError, StageError
-from repro.resilience.retry import ResiliencePolicy, RetryPolicy, with_retry
+from repro.resilience.retry import RetryPolicy, with_retry
 
 __all__ = ["ChaosReport", "run_chaos"]
 
@@ -87,8 +87,8 @@ class ChaosReport:
 
 
 def run_chaos(seed=0, n_faults=3, curve="bn128", size=32,
-              workload="exponentiate", max_attempts=3, sites=None,
-              plan=None, workers=None):
+              workload="exponentiate", max_attempts=3, plan=None,
+              workers=None):
     """Run one seeded chaos experiment; returns a :class:`ChaosReport`.
 
     *plan* overrides the schedule derived from *seed* (used by the chaos
@@ -107,15 +107,15 @@ def run_chaos(seed=0, n_faults=3, curve="bn128", size=32,
     from repro.workflow import Workflow
 
     if plan is None:
-        plan = faults.schedule(seed, n_faults, sites=sites or faults.ALL_SITES)
+        plan = faults.schedule(
+            seed, n_faults, sites=faults.PIPELINE_SITES + faults.ROUNDTRIP_SITES)
     curve_obj = get_curve(curve)
     builder, inputs = build_workload(workload, curve_obj, size)
     # sleep=None: chaos replays the backoff *schedule* without paying the
     # wall-clock for it, keeping CI smoke runs fast and deterministic.
-    policy = ResiliencePolicy(
-        retry=RetryPolicy(max_attempts=max_attempts, seed=seed, sleep=None))
+    retry = RetryPolicy(max_attempts=max_attempts, seed=seed, sleep=None)
     wf = Workflow(curve_obj, builder, inputs, seed=seed, workers=workers,
-                  policy=policy)
+                  retry=retry)
     registry = metrics.MetricsRegistry()
 
     status, error = "recovered", None
@@ -127,7 +127,7 @@ def run_chaos(seed=0, n_faults=3, curve="bn128", size=32,
                 proof_from_bytes(proof_to_bytes(wf.proof))
                 vk_from_bytes(vk_to_bytes(wf.vk))
 
-            with_retry(_roundtrip, policy.retry, label="serialize-roundtrip")
+            with_retry(_roundtrip, retry)
             if wf.accepted is not True:
                 status, error = "rejected", "pipeline completed but proof rejected"
         except StageError as exc:

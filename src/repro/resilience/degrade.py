@@ -1,7 +1,7 @@
 """Graceful-degradation policies: when retrying is the wrong answer.
 
-Three policies, each trading speed or precision for forward progress and
-each observable through ``repro_resilience_*`` metrics:
+Two policies, each trading speed for forward progress and each
+observable through ``repro_resilience_*`` metrics:
 
 - :func:`resilient_msm` — the prover's MSM entry point: the front door
   :func:`repro.msm.dispatch.msm_auto` first, and on a kernel
@@ -12,22 +12,14 @@ each observable through ``repro_resilience_*`` metrics:
   only say "some proof is bad"; bisection re-checks halves and verifies
   singleton leaves individually, returning the exact offending indices
   (``O(b log k)`` extra pairing work for ``b`` bad proofs among ``k``).
-- :func:`run_with_memory_guard` — the harness memory guard: re-runs a
-  profiling cell with a coarser ``mem_sample`` each time it raises
-  :class:`~repro.resilience.errors.ResourceExhausted`, degrading memory
-  *precision* instead of failing the cell.
 """
 
 from __future__ import annotations
 
 from repro.context import RUN
-from repro.resilience.errors import ResourceExhausted, TransientFault
+from repro.resilience.errors import TransientFault
 
-__all__ = [
-    "batch_verify_bisect",
-    "resilient_msm",
-    "run_with_memory_guard",
-]
+__all__ = ["batch_verify_bisect", "resilient_msm"]
 
 
 def resilient_msm(group, points, scalars):
@@ -96,19 +88,3 @@ def batch_verify_bisect(vk, proofs_with_publics, rng):
         m.inc("repro_resilience_batch_bad_proofs_total", len(bad))
     return False, sorted(bad)
 
-
-def run_with_memory_guard(run_cell, mem_sample, max_downshifts=3, factor=8):
-    """Run ``run_cell(mem_sample)``, downshifting the sampling rate by
-    *factor* on each :class:`ResourceExhausted` (at most *max_downshifts*
-    times; the last failure propagates).  Returns
-    ``(result, effective_mem_sample)``."""
-    m = RUN.metrics
-    for shift in range(max_downshifts + 1):
-        try:
-            return run_cell(mem_sample), mem_sample
-        except ResourceExhausted:
-            if shift == max_downshifts:
-                raise
-            mem_sample = max(1, mem_sample) * factor
-            if m is not None:
-                m.inc("repro_resilience_mem_downshifts_total")

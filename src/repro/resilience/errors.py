@@ -18,8 +18,8 @@ report crisply — has one class here, so callers can build policy on
     ``ValueError`` so pre-taxonomy callers that caught ``ValueError`` from
     deserialization keep working.
 ``ResourceExhausted``
-    Memory/space pressure.  Not retried as-is; degradation policies
-    (:mod:`repro.resilience.degrade`) downshift the work instead.
+    Memory/space pressure.  Never retried: the run ends typed
+    (``error[resources]``).
 ``AdmissionError``
     The serving layer (:mod:`repro.serve`) refused to accept a request —
     queue full, in-flight cap reached, or the service is draining.  Load
@@ -173,7 +173,7 @@ class StageError(ReproError):
 
 #: Fault classes the retry loop may re-attempt.  ``ResourceExhausted`` is
 #: deliberately absent: repeating the same allocation pattern fails the
-#: same way — degradation (smaller sampling, naive kernels) is the answer.
+#: same way.
 RETRYABLE = (TransientFault, StageTimeout, ArtifactCorruption)
 
 

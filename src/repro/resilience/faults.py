@@ -36,6 +36,8 @@ __all__ = [
     "FaultSpec",
     "KINDS",
     "PIPELINE_SITES",
+    "ROUNDTRIP_SITES",
+    "fire",
     "injecting",
     "make_fault",
     "render_plan",
@@ -51,7 +53,8 @@ KINDS = {
 }
 
 #: Sites exercised by one five-stage pipeline run (what :func:`schedule`
-#: draws from by default — a fault planned here is guaranteed to trigger).
+#: draws from by default; its hit numbers are all reached by a run that
+#: does not fail first).  ``run_chaos`` adds :data:`ROUNDTRIP_SITES`.
 PIPELINE_SITES = (
     "stage:compile",
     "stage:setup",
@@ -62,13 +65,16 @@ PIPELINE_SITES = (
     "ntt:transform",
 )
 
-#: Every instrumented site, including ones only reached by explicit
-#: serialization round-trips.
-ALL_SITES = PIPELINE_SITES + (
-    "serialize:proof",
-    "serialize:vk",
-    "serialize:pk",
-)
+#: The proof/vk serialization sites: each round-trip (``*_to_bytes`` then
+#: ``*_from_bytes``) checks its site twice.
+ROUNDTRIP_SITES = ("serialize:proof", "serialize:vk")
+
+#: Every instrumented site of the pipeline and its artifacts, including
+#: ``serialize:pk``, which only an explicit proving-key round-trip reaches.
+ALL_SITES = PIPELINE_SITES + ROUNDTRIP_SITES + ("serialize:pk",)
+
+#: Highest trigger hit :func:`schedule` draws for a non-stage site.
+MAX_HIT = 2
 
 
 class FaultSpec:
@@ -104,33 +110,25 @@ class FaultInjector:
 
     def check(self, site):
         """Called from an instrumented site; raises if a spec is due."""
-        n = self.hits.get(site, 0) + 1
-        self.hits[site] = n
-        for spec in self.plan:
-            if spec.fired or spec.site != site or spec.hit != n:
-                continue
-            spec.fired = True
-            m = RUN.metrics
-            if m is not None:
-                m.inc("repro_resilience_faults_injected_total")
-            raise _make_fault(spec)
-        return None
+        spec = self.arm(site)
+        if spec is not None:
+            raise fire(spec)
 
     def arm(self, site):
         """Count one invocation of *site* and return the due spec, if any,
         **without raising** (or marking it fired).
 
-        This is the shippable form of :meth:`check` used by the parallel
-        kernels: the parent arms the site once per kernel call (same hit
-        cadence as the serial path), sends the due spec into a worker where
-        it actually fires, and marks it fired when the worker reports back.
+        :meth:`check` is this plus :func:`fire`.  The parallel kernels call
+        it directly: the parent arms the site once per kernel call (same
+        hit cadence as the serial path), sends the due spec into a worker
+        where it actually fires, and fires it here when the worker reports
+        back.
         """
         n = self.hits.get(site, 0) + 1
         self.hits[site] = n
         for spec in self.plan:
-            if spec.fired or spec.site != site or spec.hit != n:
-                continue
-            return spec
+            if not spec.fired and spec.site == site and spec.hit == n:
+                return spec
         return None
 
     def fired(self):
@@ -151,25 +149,39 @@ def make_fault(spec):
     return cls(msg)
 
 
-# Backwards-compatible private alias (pre-parallel callers).
-_make_fault = make_fault
+def fire(spec):
+    """Mark *spec* fired, count it, and return its exception to raise."""
+    spec.fired = True
+    m = RUN.metrics
+    if m is not None:
+        m.inc("repro_resilience_faults_injected_total")
+    return make_fault(spec)
 
 
-def schedule(seed, n_faults, sites=PIPELINE_SITES, kinds=None, max_hit=2):
+def schedule(seed, n_faults, sites=PIPELINE_SITES):
     """Derive a deterministic *n_faults*-entry plan from *seed*.
 
-    Sites and kinds are drawn uniformly (with replacement) and the
-    trigger hit from ``1..max_hit``, so repeated chaos runs with one seed
-    replay the exact same failure story.
+    Sites and kinds are drawn uniformly and the trigger hit from
+    ``1..MAX_HIT``, with no ``(site, hit)`` pair drawn twice — two specs
+    on one pair would fire only once between them — so repeated chaos
+    runs with one seed replay the exact same failure story.
     """
+    # Stage boundaries are checked once per attempt; deeper hits would
+    # never trigger without a preceding retry, so pin them to hit 1.
+    pairs = sum(1 if site.startswith("stage:") else MAX_HIT
+                for site in set(sites))
+    if n_faults > pairs:
+        raise ValueError(f"{n_faults} faults need {n_faults} distinct "
+                         f"(site, hit) pairs; the sites offer {pairs}")
     rng = random.Random(f"chaos:{seed}")
-    kinds = sorted(KINDS) if kinds is None else list(kinds)
-    plan = []
-    for _ in range(n_faults):
+    kinds = sorted(KINDS)
+    plan, taken = [], set()
+    while len(plan) < n_faults:
         site = rng.choice(list(sites))
-        # Stage boundaries are checked once per attempt; deeper hits would
-        # never trigger without a preceding retry, so pin them to hit 1.
-        hit = 1 if site.startswith("stage:") else rng.randrange(1, max_hit + 1)
+        hit = 1 if site.startswith("stage:") else rng.randrange(1, MAX_HIT + 1)
+        if (site, hit) in taken:
+            continue
+        taken.add((site, hit))
         plan.append(FaultSpec(site, rng.choice(kinds), hit=hit))
     return plan
 

@@ -2,18 +2,15 @@
 
 :class:`RetryPolicy` is exponential backoff with **deterministic** seeded
 jitter — two runs with the same seed sleep the same schedule, keeping
-chaos runs reproducible.  :class:`Deadline` is a cooperative per-stage
-time budget: the hot kernels (MSM window loop, NTT transforms) poll
-``RUN.deadline`` between parallel passes, so a stage that blows its
-budget raises :class:`~repro.resilience.errors.StageTimeout` from inside
-the work rather than being silently awaited forever.
+chaos runs reproducible.  :func:`with_retry` is the one retry loop: a
+``Workflow`` given ``retry=`` runs each stage attempt through it, and the
+chaos driver its serialization round-trip.
 
-:class:`ResiliencePolicy` binds the two and is what ``Workflow`` is given
-(``Workflow(..., policy=)``): without one the workflow runs each stage
-body once; with one, every stage runs under
-:meth:`ResiliencePolicy.execute_stage` — fault-site check, deadline
-scope, retry loop, and a terminal
-:class:`~repro.resilience.errors.StageError` wrap.
+:class:`Deadline` is a cooperative time budget: the hot kernels (MSM
+window loop, NTT transforms) poll ``RUN.deadline`` between parallel
+passes, so a run that blows its budget raises
+:class:`~repro.resilience.errors.StageTimeout` from inside the work
+rather than being silently awaited forever.
 """
 
 from __future__ import annotations
@@ -22,40 +19,44 @@ import random
 import time
 
 from repro.context import RUN, scoped
-from repro.resilience.errors import StageError, StageTimeout, is_retryable
+from repro.resilience.errors import StageTimeout, is_retryable
 
 __all__ = [
     "Deadline",
-    "ResiliencePolicy",
     "RetryPolicy",
     "deadline_scope",
     "with_retry",
 ]
+
+#: Backoff before the first retry, in seconds (doubled per attempt).
+BASE_DELAY = 0.01
+
+#: Ceiling on one backoff, in seconds.
+MAX_DELAY = 1.0
+
+#: Share of a delay the seeded jitter may remove.
+JITTER = 0.5
 
 
 class RetryPolicy:
     """Exponential backoff with seeded full jitter.
 
     ``delay(attempt)`` for the 1-based failed attempt is
-    ``min(max_delay, base_delay * 2**(attempt-1)) * U`` with ``U`` drawn
-    from ``[1 - jitter, 1]`` by a :class:`random.Random` seeded at
+    ``min(MAX_DELAY, BASE_DELAY * 2**(attempt-1)) * U`` with ``U`` drawn
+    from ``[1 - JITTER, 1]`` by a :class:`random.Random` seeded at
     construction — deterministic, yet desynchronized across stages.
     """
 
-    def __init__(self, max_attempts=3, base_delay=0.01, max_delay=1.0,
-                 jitter=0.5, seed=0, sleep=time.sleep):
+    def __init__(self, max_attempts=3, seed=0, sleep=time.sleep):
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         self.max_attempts = max_attempts
-        self.base_delay = base_delay
-        self.max_delay = max_delay
-        self.jitter = jitter
         self._rng = random.Random(f"retry:{seed}")
         self._sleep = sleep
 
     def delay(self, attempt):
-        raw = min(self.max_delay, self.base_delay * (2 ** (attempt - 1)))
-        return raw * (1.0 - self.jitter * self._rng.random())
+        raw = min(MAX_DELAY, BASE_DELAY * (2 ** (attempt - 1)))
+        return raw * (1.0 - JITTER * self._rng.random())
 
     @property
     def sleeps(self):
@@ -73,14 +74,9 @@ class RetryPolicy:
         return d
 
 
-#: Policy used when ``with_retry`` is called bare.
-DEFAULT_POLICY = RetryPolicy()
-
-
-def with_retry(fn, policy=None, label="call"):
+def with_retry(fn, policy):
     """Run ``fn()`` under *policy*, re-attempting retryable taxonomy
     faults; the last failure propagates unchanged."""
-    policy = policy or DEFAULT_POLICY
     m = RUN.metrics
     for attempt in range(1, policy.max_attempts + 1):
         try:
@@ -101,16 +97,13 @@ class Deadline:
 
     __slots__ = ("stage", "seconds", "started")
 
-    def __init__(self, seconds, stage=None, clock=time.monotonic):
+    def __init__(self, seconds, stage=None):
         self.stage = stage
         self.seconds = seconds
-        self.started = clock()
+        self.started = time.monotonic()
 
-    def elapsed(self, clock=time.monotonic):
-        return clock() - self.started
-
-    def expired(self):
-        return self.elapsed() > self.seconds
+    def elapsed(self):
+        return time.monotonic() - self.started
 
     def check(self):
         elapsed = self.elapsed()
@@ -131,45 +124,3 @@ def deadline_scope(seconds, stage=None):
     leaves the current one in place."""
     return scoped("deadline", Deadline(seconds, stage=stage)
                   if seconds is not None else RUN.deadline)
-
-
-class ResiliencePolicy:
-    """What the workflow consults per stage: a retry policy plus optional
-    per-stage deadline seconds (``{stage: seconds}``; ``None`` key absent
-    means no deadline for that stage)."""
-
-    def __init__(self, retry=None, deadlines=None):
-        self.retry = retry or RetryPolicy()
-        self.deadlines = dict(deadlines or {})
-
-    def execute_stage(self, stage, impl):
-        """Run one stage body under fault check + deadline + retry; a
-        terminal failure raises :class:`StageError` with the underlying
-        taxonomy fault chained."""
-        last = None
-        attempts = 0
-        m = RUN.metrics
-        for attempt in range(1, self.retry.max_attempts + 1):
-            attempts = attempt
-            try:
-                with deadline_scope(self.deadlines.get(stage), stage=stage) as dl:
-                    if RUN.faults is not None:
-                        RUN.faults.check(f"stage:{stage}")
-                    artifact = impl()
-                    # Post-hoc enforcement for stages whose body never
-                    # reaches a cooperative poll point.
-                    if dl is not None and dl.stage == stage:
-                        dl.check()
-                    return artifact
-            except Exception as exc:
-                last = exc
-                if not is_retryable(exc):
-                    break
-                if attempt < self.retry.max_attempts:
-                    if m is not None:
-                        m.inc("repro_resilience_retries_total")
-                        m.inc(f"repro_resilience_stage_{stage}_retries_total")
-                    self.retry.backoff(attempt)
-        if m is not None:
-            m.inc("repro_resilience_giveups_total")
-        raise StageError(stage, last, attempts=attempts) from last

@@ -25,7 +25,8 @@ from repro.obs import spans
 from repro.obs.spans import Span
 from repro.perf import trace
 from repro.perf.trace import Tracer
-from repro.resilience.errors import StageOrderError
+from repro.resilience.errors import StageError, StageOrderError
+from repro.resilience.retry import with_retry
 
 __all__ = ["STAGES", "StageResult", "Workflow"]
 
@@ -83,9 +84,9 @@ class Workflow:
         lazy :class:`~repro.parallel.pool.WorkerPool` that every stage
         runs under — release it with :meth:`close` (or use the workflow
         as a context manager).  Results are bit-identical either way.
-    policy:
-        A :class:`~repro.resilience.retry.ResiliencePolicy` every stage
-        then runs under (retry, per-stage deadlines, a terminal
+    retry:
+        A :class:`~repro.resilience.retry.RetryPolicy` every stage then
+        runs under (:func:`~repro.resilience.retry.with_retry`, a terminal
         ``StageError``); ``None`` runs each stage body once, bare.
 
     Stages communicate through attributes (``circuit``, ``pk``, ``vk``,
@@ -95,12 +96,12 @@ class Workflow:
     """
 
     def __init__(self, curve, builder, inputs, seed=0, workers=None,
-                 policy=None):
+                 retry=None):
         self.curve = curve
         self.builder = builder
         self.inputs = dict(inputs)
         self.seed = seed
-        self.policy = policy
+        self.retry = retry
         self.workers = workers
         self.circuit = None
         self.pk = None
@@ -186,12 +187,13 @@ class Workflow:
         primitive counts attached; otherwise only the plain wall-clock
         ``elapsed`` is taken, as before.
 
-        When the workflow was given a *policy* the stage body runs under
-        it — fault-site check, per-stage deadline, retry with backoff —
-        and a terminal failure raises
-        :class:`~repro.resilience.errors.StageError` carrying the typed
-        fault.  Without a policy injected faults, if any, propagate raw;
-        ``elapsed`` always spans every attempt.
+        Each attempt checks the ``stage:<name>`` fault site, then runs the
+        body.  When the workflow was given a *retry* policy the attempts
+        run through :func:`~repro.resilience.retry.with_retry`, and a
+        give-up raises :class:`~repro.resilience.errors.StageError`
+        carrying the typed fault and the attempt count.  Without one the
+        body runs once and a fault propagates raw; ``elapsed`` always
+        spans every attempt.
         """
         try:
             impl = getattr(self, f"_stage_{stage}")
@@ -200,7 +202,17 @@ class Workflow:
         start = time.perf_counter()
         recorded_spans = []
 
-        def body():
+        attempts = 0
+
+        def attempt():
+            nonlocal attempts
+            attempts += 1
+            m = RUN.metrics
+            if m is not None:
+                if attempts > 1:
+                    m.inc(f"repro_resilience_stage_{stage}_retries_total")
+            if RUN.faults is not None:
+                RUN.faults.check(f"stage:{stage}")
             if RUN.spans is None:
                 return self._execute(impl, tracer)
             with spans.span(stage, curve=self.curve.name,
@@ -215,12 +227,13 @@ class Workflow:
         if tel is not None:
             tel.begin_stage(stage)
         with parallel.using(self.pool):
-            if self.policy is None:
-                if RUN.faults is not None:
-                    RUN.faults.check(f"stage:{stage}")
-                artifact = body()
+            if self.retry is None:
+                artifact = attempt()
             else:
-                artifact = self.policy.execute_stage(stage, body)
+                try:
+                    artifact = with_retry(attempt, self.retry)
+                except Exception as exc:
+                    raise StageError(stage, exc, attempts=attempts) from exc
         sp = recorded_spans[-1] if recorded_spans else None
         elapsed = time.perf_counter() - start
         result = StageResult(stage=stage, artifact=artifact, elapsed=elapsed,

@@ -93,7 +93,7 @@ class TestBaseline:
 
 class TestSharedRenderer:
     def test_lint_and_codelint_share_the_renderer(self):
-        # Both verbs end in repro.obs.format; the totals line differs
+        # Both verbs end in analyze.render_reports; the totals line differs
         # only in the configured noun.
         _, lint_text = run_cli("lint", "--circuit", "range")
         _, code_text = run_cli("codelint")

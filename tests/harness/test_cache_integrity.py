@@ -1,4 +1,5 @@
-"""Disk-cache self-healing: corrupt entries are evicted and recomputed."""
+"""Disk-cache self-healing: corrupt entries are evicted and recomputed,
+and a cell whose run fails is never cached."""
 
 import glob
 import os
@@ -7,7 +8,10 @@ import pytest
 
 from repro.harness import runner
 from repro.obs import metrics
+from repro.resilience import faults
 from repro.resilience.checkpoint import read_checksummed
+from repro.resilience.errors import ResourceExhausted
+from repro.resilience.faults import FaultSpec
 
 CELL = dict(curve_name="bn128", size=8)
 
@@ -84,3 +88,44 @@ class TestCacheIntegrity:
                             lambda p: (removed.append(p), real_remove(p)))
         runner.profile_run(**CELL)
         assert removed == [path]
+
+
+class TestFailedCellIsNotCached:
+    @pytest.mark.parametrize("stage", runner.STAGES)
+    def test_oom_at_a_stage_propagates_and_caches_nothing(self, cache_dir,
+                                                           stage):
+        plan = [FaultSpec(f"stage:{stage}", "oom", hit=1)]
+        with faults.injecting(plan) as inj:
+            with pytest.raises(ResourceExhausted):
+                runner.profile_run(**CELL)
+        assert inj.pending() == []
+        assert runner._MEMO == {}
+        assert glob.glob(str(cache_dir / "*")) == []
+
+    def test_next_call_computes_the_cell_fresh(self, cache_dir):
+        with faults.injecting([FaultSpec("stage:witness", "oom", hit=1)]):
+            with pytest.raises(ResourceExhausted):
+                runner.profile_run(**CELL)
+        with metrics.collecting() as reg:
+            profiles = runner.profile_run(**CELL)
+        assert reg.counter("repro_harness_cache_misses_total") == 1
+        assert read_checksummed(_cache_file(cache_dir)).keys() == \
+               profiles.keys()
+
+    def test_profiles_use_exact_memory_sampling(self, cache_dir):
+        profiles = runner.profile_run(**CELL)
+        assert {p.mem_sample for p in profiles.values()} == {1}
+
+    def test_run_verb_ends_typed_and_writes_no_cache(self, cache_dir,
+                                                     monkeypatch, capsys):
+        from repro.cli import main
+
+        monkeypatch.chdir(cache_dir)
+        with faults.injecting([FaultSpec("stage:proving", "oom", hit=1)]):
+            code = main(["run", "fig4", "--curve", "bn128", "--size", "8"],
+                        out=lambda line: None)
+        err = capsys.readouterr().err.strip()
+        assert code == 2
+        assert err.startswith("error[resources]:") and "\n" not in err
+        assert runner._MEMO == {}
+        assert glob.glob(str(cache_dir / "*")) == []

@@ -16,7 +16,13 @@ SIZE = 16  # small circuit: the matrix runs the full pipeline many times
 
 STAGE_SITES = [s for s in faults.PIPELINE_SITES if s.startswith("stage:")]
 KERNEL_SITES = [s for s in faults.PIPELINE_SITES if not s.startswith("stage:")]
-SERIALIZE_SITES = [s for s in faults.ALL_SITES if s.startswith("serialize:")]
+#: The serialization sites the chaos run's round-trip reaches.
+SERIALIZE_SITES = list(faults.ROUNDTRIP_SITES)
+CHAOS_SITES = faults.PIPELINE_SITES + faults.ROUNDTRIP_SITES
+
+
+class _Stop(Exception):
+    pass
 
 
 def _single(site, kind):
@@ -71,9 +77,45 @@ class TestSeededRuns:
         assert report.acceptable, \
             f"seed {seed}: {report.status} ({report.error})"
         # The plan itself must be the seed's schedule.
-        expected = faults.schedule(seed, 3, sites=faults.ALL_SITES)
+        expected = faults.schedule(seed, 3, sites=CHAOS_SITES)
         assert [s.to_dict() | {"fired": False} for s in report.plan] == \
                [s.to_dict() for s in expected]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_recovered_run_fired_its_whole_plan(self, seed):
+        report = run_chaos(seed=seed, n_faults=4, size=SIZE)
+        assert report.acceptable, \
+            f"seed {seed}: {report.status} ({report.error})"
+        assert {s.site for s in report.plan} <= set(CHAOS_SITES)
+        if report.recovered:
+            assert [s for s in report.plan if not s.fired] == []
+            assert report.counters["repro_resilience_faults_injected_total"] \
+                == len(report.plan)
+
+    def test_plan_draws_only_reachable_sites(self, monkeypatch):
+        # serialize:pk is instrumented, but no chaos run reaches it.
+        drawn_from = []
+
+        def spy(seed, n_faults, sites):
+            drawn_from.extend(sites)
+            raise _Stop  # before the pipeline runs
+
+        monkeypatch.setattr(faults, "schedule", spy)
+        with pytest.raises(_Stop):
+            run_chaos(seed=0, n_faults=4, size=SIZE)
+        assert sorted(drawn_from) == sorted(CHAOS_SITES)
+        assert "serialize:pk" in faults.ALL_SITES
+        assert "serialize:pk" not in drawn_from
+
+    @pytest.mark.parametrize("site", SERIALIZE_SITES)
+    def test_second_roundtrip_hit_is_reached(self, site):
+        # *_to_bytes and *_from_bytes both check the site, so hit 2 fires
+        # within one round-trip, which the retry then repeats.
+        report = run_chaos(seed=0, size=SIZE,
+                           plan=[FaultSpec(site, "corrupt", hit=2)])
+        assert report.recovered
+        assert report.plan[0].fired
+        assert report.counters["repro_resilience_retries_total"] == 1
 
     def test_same_seed_same_report(self):
         a = run_chaos(seed=4, n_faults=3, size=SIZE).to_dict()

@@ -1,4 +1,4 @@
-"""Graceful-degradation tests: MSM fallback, batch bisection, memory guard."""
+"""Graceful-degradation tests: MSM fallback and batch bisection."""
 
 import random
 
@@ -10,12 +10,7 @@ from repro.groth16.batch import batch_verify
 from repro.msm.naive import msm_naive
 from repro.obs import metrics
 from repro.resilience import faults
-from repro.resilience.degrade import (
-    batch_verify_bisect,
-    resilient_msm,
-    run_with_memory_guard,
-)
-from repro.resilience.errors import ResourceExhausted
+from repro.resilience.degrade import batch_verify_bisect, resilient_msm
 from repro.resilience.faults import FaultSpec
 from tests.conftest import make_pow_circuit
 
@@ -40,6 +35,17 @@ class TestResilientMsm:
         assert result == msm_naive(g, pts, scalars)
         assert reg.counter("repro_resilience_msm_fallbacks_total") == 1
         assert reg.counter("repro_resilience_faults_injected_total") == 1
+
+    @pytest.mark.parametrize("kind", ["timeout", "corrupt", "oom"])
+    def test_only_transient_faults_fall_back(self, kind):
+        # Any other kernel fault is the stage's to handle (retry or fail
+        # typed); the naive kernel is not a catch-all.
+        g, pts, scalars = _msm_inputs()
+        plan = [FaultSpec("msm:pippenger", kind, hit=1)]
+        with metrics.collecting() as reg, faults.injecting(plan):
+            with pytest.raises(faults.KINDS[kind]):
+                resilient_msm(g, pts, scalars)
+        assert reg.counter("repro_resilience_msm_fallbacks_total") == 0
 
     def test_prover_survives_msm_fault(self):
         # End-to-end: a kernel fault mid-prove degrades to the naive MSM
@@ -130,44 +136,3 @@ class TestBatchOfOne:
         batch_verify_bisect(vk, [(proof, publics)] * 2, weights)
         assert weights.getstate() != before
 
-
-class TestMemoryGuard:
-    def test_clean_cell_runs_once(self):
-        calls = []
-
-        def cell(sample):
-            calls.append(sample)
-            return "profiles"
-
-        assert run_with_memory_guard(cell, 4) == ("profiles", 4)
-        assert calls == [4]
-
-    def test_downshifts_until_cell_fits(self):
-        calls = []
-
-        def cell(sample):
-            calls.append(sample)
-            if sample < 64:
-                raise ResourceExhausted("mem trace too large")
-            return "profiles"
-
-        with metrics.collecting() as reg:
-            result, effective = run_with_memory_guard(cell, 1)
-        assert result == "profiles"
-        assert effective == 64
-        assert calls == [1, 8, 64]
-        assert reg.counter("repro_resilience_mem_downshifts_total") == 2
-
-    def test_last_failure_propagates(self):
-        def cell(sample):
-            raise ResourceExhausted("never fits")
-
-        with pytest.raises(ResourceExhausted):
-            run_with_memory_guard(cell, 1, max_downshifts=2)
-
-    def test_other_errors_pass_through(self):
-        def cell(sample):
-            raise RuntimeError("not a memory problem")
-
-        with pytest.raises(RuntimeError):
-            run_with_memory_guard(cell, 1)

@@ -11,8 +11,12 @@ from repro.resilience.errors import (
     TransientFault,
 )
 from repro.resilience.faults import (
+    ALL_SITES,
+    MAX_HIT,
+    PIPELINE_SITES,
     FaultInjector,
     FaultSpec,
+    fire,
     injecting,
     render_plan,
     schedule,
@@ -58,6 +62,34 @@ class TestInjector:
             with pytest.raises(cls):
                 inj.check("stage:setup")
 
+    def test_arm_returns_the_due_spec_without_firing(self):
+        spec = FaultSpec("ntt:transform", "transient", hit=2)
+        inj = FaultInjector([spec])
+        assert inj.arm("ntt:transform") is None
+        assert inj.arm("ntt:transform") is spec
+        assert not spec.fired
+        # Armed but unfired: the hit is counted, so it never comes due again.
+        assert inj.arm("ntt:transform") is None
+        assert inj.hits == {"ntt:transform": 3}
+
+    def test_check_is_arm_then_fire(self):
+        spec = FaultSpec("stage:setup", "corrupt", hit=1)
+        inj = FaultInjector([spec])
+        with metrics.collecting() as reg:
+            with pytest.raises(ArtifactCorruption, match="stage:setup"):
+                inj.check("stage:setup")
+        assert spec.fired and inj.fired() == [spec] and inj.pending() == []
+        assert reg.counter("repro_resilience_faults_injected_total") == 1
+
+    def test_fire_marks_counts_and_returns_the_fault(self):
+        spec = FaultSpec("msm:pippenger", "oom", hit=2)
+        with metrics.collecting() as reg:
+            exc = fire(spec)
+        assert isinstance(exc, ResourceExhausted)
+        assert "msm:pippenger (hit 2)" in str(exc)
+        assert spec.fired
+        assert reg.counter("repro_resilience_faults_injected_total") == 1
+
     def test_injection_counts_in_metrics(self):
         inj = FaultInjector([FaultSpec("stage:setup", "transient")])
         with metrics.collecting() as reg:
@@ -81,10 +113,32 @@ class TestSchedule:
     def test_stage_sites_pinned_to_first_hit(self):
         # Stage boundaries are checked once per attempt; a hit > 1 would
         # require a preceding retry and could never fire in a clean run.
-        plan = schedule(3, 50)
+        plan = schedule(3, 9)
         for spec in plan:
             if spec.site.startswith("stage:"):
                 assert spec.hit == 1
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_never_repeats_a_site_hit_pair(self, seed):
+        # Two specs on one (site, hit) would fire only once between them.
+        for sites, n in ((PIPELINE_SITES, 9), (ALL_SITES, 13)):
+            pairs = [(s.site, s.hit) for s in schedule(seed, n, sites=sites)]
+            assert len(set(pairs)) == len(pairs)
+
+    def test_full_plan_covers_every_pair(self):
+        # 5 stage sites at hit 1, msm and ntt at hits 1 and 2.
+        pairs = {(s.site, s.hit) for s in schedule(0, 9)}
+        assert pairs == (
+            {(site, 1) for site in PIPELINE_SITES}
+            | {("msm:pippenger", 2), ("ntt:transform", 2)})
+
+    def test_more_faults_than_pairs_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            schedule(0, 10)
+
+    def test_hits_stay_within_max_hit(self):
+        for spec in schedule(5, 13, sites=ALL_SITES):
+            assert 1 <= spec.hit <= MAX_HIT
 
 
 class TestInjectingContext:

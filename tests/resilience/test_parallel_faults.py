@@ -97,7 +97,7 @@ class TestRetryInterop:
         with faults.injecting([spec]):
             result = with_retry(
                 lambda: msm_parallel(G1, points, scalars, pool),
-                policy, label="parallel-msm")
+                policy)
         assert result == expect
         assert spec.fired
 
@@ -110,7 +110,7 @@ class TestRetryInterop:
 
         policy = RetryPolicy(max_attempts=3, seed=0, sleep=None)
         with pytest.raises(WorkerCrash):
-            with_retry(crashing, policy, label="crash")
+            with_retry(crashing, policy)
         assert len(calls) == 1  # deterministic bugs burn no retry budget
 
 
