@@ -20,6 +20,7 @@ lint:
 	@command -v ruff >/dev/null 2>&1 && ruff check . \
 		|| echo "ruff not installed; skipping source lint"
 	PYTHONPATH=src python -m repro lint
+	PYTHONPATH=src python -m repro lint --curve bls12_381
 
 # Codebase invariant lints (docs/CODELINT.md): worker-safety, determinism,
 # error-discipline, guard-idiom, and deadline-poll checks over src/repro.

@@ -37,10 +37,8 @@ from repro.analyze.diagnostics import (
     AnalysisReport,
     CircuitAnalysisError,
     Diagnostic,
-    load_baseline,
     render_reports,
     reports_to_json,
-    write_baseline,
 )
 
 __all__ = [
@@ -49,8 +47,6 @@ __all__ = [
     "Diagnostic",
     "PASSES",
     "analyze",
-    "load_baseline",
     "render_reports",
     "reports_to_json",
-    "write_baseline",
 ]

@@ -2,8 +2,7 @@
 
 :func:`analyze` is the single entry point used by
 ``compile_circuit(check=True)``, the ``repro lint`` CLI and the test
-suite.  Passes are registered in :data:`PASSES` and can be selected by
-name; suppression and baselines are applied before the report is returned.
+suite.  It always runs every pass registered in :data:`PASSES`, in order.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ PASSES = {
 }
 
 
-def analyze(circuit, *, expected_constraints=None, passes=None,
-            suppress=(), baseline=None):
+def analyze(circuit, *, expected_constraints=None):
     """Run the static analyzer over a
     :class:`~repro.circuit.compiler.CompiledCircuit`.
 
@@ -36,31 +34,16 @@ def analyze(circuit, *, expected_constraints=None, passes=None,
         The compiled circuit (optimized or not).
     expected_constraints:
         The gadget's expected size; enables the ``ZK402`` blowup lint.
-    passes:
-        Iterable of pass names from :data:`PASSES` (default: all).
-    suppress:
-        Diagnostic codes to drop (e.g. ``{"ZK403"}``).
-    baseline:
-        Set of accepted fingerprints (see
-        :func:`repro.analyze.diagnostics.load_baseline`).
 
     Returns
     -------
     AnalysisReport
-        Sorted (severity-first) and filtered diagnostics plus R1CS stats.
+        Sorted (severity-first) diagnostics plus R1CS stats.
     """
-    names = list(passes) if passes is not None else list(PASSES)
-    unknown = [n for n in names if n not in PASSES]
-    if unknown:
-        raise ValueError(f"unknown analysis pass(es) {unknown}; "
-                         f"choose from {sorted(PASSES)}")
     report = AnalysisReport(circuit.name, stats=circuit.r1cs.stats())
-    for name in names:
+    for name, check in PASSES.items():
         if name == "cost":
-            report.extend(check_cost(circuit, expected_constraints))
+            report.extend(check(circuit, expected_constraints))
         else:
-            report.extend(PASSES[name](circuit))
-    report.finalize()
-    if suppress or baseline:
-        report = report.filtered(suppress=suppress, baseline=baseline)
-    return report
+            report.extend(check(circuit))
+    return report.finalize()

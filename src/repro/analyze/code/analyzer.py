@@ -1,11 +1,11 @@
 """Orchestration for the codebase analyzer (``repro codelint``).
 
 :func:`analyze_code` parses a source tree (never importing it), builds
-the :class:`~repro.analyze.code.graph.CodeIndex`, runs the selected RC
-check families, applies inline suppressions, and returns one
-:class:`~repro.analyze.diagnostics.AnalysisReport` per module — the same
-report type the circuit analyzer emits, so both lint verbs share the
-renderers, baselines and suppression machinery.
+the :class:`~repro.analyze.code.graph.CodeIndex`, runs every RC check
+family, applies the inline ``# codelint: ignore[...]`` comments, and
+returns one :class:`~repro.analyze.diagnostics.AnalysisReport` per
+module — the same report type the circuit analyzer emits, so both lint
+verbs share the renderers.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.analyze.code.graph import CodeIndex
 from repro.analyze.code.guards import check_guard_idiom
 from repro.analyze.code.model import CodelintConfig, load_tree
 from repro.analyze.code.worker_safety import check_worker_safety
-from repro.analyze.diagnostics import AnalysisReport, Diagnostic
+from repro.analyze.diagnostics import AnalysisReport
 
 __all__ = ["CODE_PASSES", "analyze_code", "default_root"]
 
@@ -42,8 +42,7 @@ def default_root():
     return os.path.dirname(os.path.abspath(repro.__file__))
 
 
-def analyze_code(root=None, *, config=None, passes=None, suppress=(),
-                 baseline=None):
+def analyze_code(root=None, *, config=None):
     """Run the codebase analyzer over the source tree at *root*.
 
     Parameters
@@ -54,14 +53,6 @@ def analyze_code(root=None, *, config=None, passes=None, suppress=(),
     config:
         :class:`~repro.analyze.code.model.CodelintConfig`; the default
         describes this repository.
-    passes:
-        Iterable of family names from :data:`CODE_PASSES` (default all).
-    suppress:
-        Diagnostic codes to drop globally (inline
-        ``# codelint: ignore[...]`` comments are always honored).
-    baseline:
-        Set of accepted fingerprints
-        (:func:`repro.analyze.diagnostics.load_baseline`).
 
     Returns
     -------
@@ -71,18 +62,13 @@ def analyze_code(root=None, *, config=None, passes=None, suppress=(),
     """
     root = root if root is not None else default_root()
     config = config or CodelintConfig()
-    names = list(passes) if passes is not None else list(CODE_PASSES)
-    unknown = [n for n in names if n not in CODE_PASSES]
-    if unknown:
-        raise ValueError(f"unknown codelint pass(es) {unknown}; "
-                         f"choose from {sorted(CODE_PASSES)}")
     modules = load_tree(root)
     index = CodeIndex(modules, config)
 
     per_module = {name: [] for name in modules}
     seen = {name: set() for name in modules}
-    for name in names:
-        for mod_name, diag in CODE_PASSES[name](index):
+    for check in CODE_PASSES.values():
+        for mod_name, diag in check(index):
             mod = modules.get(mod_name)
             if mod is None:
                 continue
@@ -107,8 +93,5 @@ def analyze_code(root=None, *, config=None, passes=None, suppress=(),
                    "lines": len(mod.lines)},
             diagnostics=list(per_module[mod_name]),
         )
-        report.finalize()
-        if suppress or baseline:
-            report = report.filtered(suppress=suppress, baseline=baseline)
-        reports.append(report)
+        reports.append(report.finalize())
     return reports

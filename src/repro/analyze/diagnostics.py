@@ -5,14 +5,9 @@ Every analysis pass emits :class:`Diagnostic` records — severity, a stable
 and a suggested fix — and the analyzer collects them into an
 :class:`AnalysisReport` with text and JSON renderers.
 
-Suppression works at two levels, mirroring real linters (circomspect,
-ruff):
-
-- **code suppression** — drop every diagnostic with a given code
-  (``analyze(..., suppress={"ZK401"})`` or ``repro lint --suppress``);
-- **baselines** — a JSON file of diagnostic *fingerprints* recorded from a
-  known state; previously-seen findings are filtered out so only new ones
-  fail CI (``repro lint --write-baseline`` / ``--baseline``).
+There is no global suppression and no baseline: a finding is fixed, or
+(for the codebase analyzer) silenced on its line with a
+``# codelint: ignore[CODE] -- reason`` comment.
 """
 
 from __future__ import annotations
@@ -27,10 +22,8 @@ __all__ = [
     "ERROR",
     "INFO",
     "WARNING",
-    "load_baseline",
     "render_reports",
     "reports_to_json",
-    "write_baseline",
 ]
 
 #: Severity levels, most severe first.
@@ -94,20 +87,6 @@ class Diagnostic:
             text += f" ({self.suggestion})"
         return text
 
-    def fingerprint(self, circuit_name):
-        """Stable identity used by the baseline mechanism.
-
-        Source diagnostics (those carrying a ``symbol``) fingerprint on
-        the symbol, not the line, so unrelated edits shifting line
-        numbers do not invalidate a baseline."""
-        if self.symbol is not None:
-            return f"{circuit_name}:{self.code}:{self.symbol}"
-        return (
-            f"{circuit_name}:{self.code}"
-            f":c{self.constraint if self.constraint is not None else '-'}"
-            f":w{self.wire if self.wire is not None else '-'}"
-        )
-
     def to_dict(self):
         d = {"code": self.code, "severity": self.severity, "message": self.message}
         if self.wire is not None:
@@ -147,19 +126,6 @@ class AnalysisReport:
         """Sort diagnostics by severity, then code, then location."""
         self.diagnostics.sort(key=Diagnostic.sort_key)
         return self
-
-    # -- filtering ---------------------------------------------------------------
-
-    def filtered(self, suppress=(), baseline=None):
-        """A copy with suppressed codes and baselined findings removed."""
-        suppress = set(suppress or ())
-        baseline = set(baseline or ())
-        kept = [
-            d for d in self.diagnostics
-            if d.code not in suppress
-            and d.fingerprint(self.circuit) not in baseline
-        ]
-        return AnalysisReport(self.circuit, dict(self.stats), kept)
 
     # -- queries -----------------------------------------------------------------
 
@@ -235,24 +201,3 @@ def reports_to_json(reports):
     """JSON rendering shared by ``repro lint --json`` and
     ``repro codelint --json``."""
     return json.dumps({"reports": [r.to_dict() for r in reports]}, indent=2)
-
-
-# -- baselines -------------------------------------------------------------------
-
-
-def load_baseline(path):
-    """Read a baseline file into a set of fingerprints."""
-    with open(path) as f:
-        data = json.load(f)
-    return set(data.get("fingerprints", []))
-
-
-def write_baseline(path, reports):
-    """Record every current finding as accepted; returns the count."""
-    fingerprints = sorted(
-        d.fingerprint(r.circuit) for r in reports for d in r.diagnostics
-    )
-    with open(path, "w") as f:
-        json.dump({"fingerprints": fingerprints}, f, indent=2)
-        f.write("\n")
-    return len(fingerprints)

@@ -87,7 +87,6 @@ def _comma_list(item, noun):
 
 _POSITIVE_INT = _number(int, "a positive integer", lambda n: n >= 1)
 _POSITIVE = _number(float, "a positive number", lambda v: v > 0)
-_PERCENT = _number(float, "a percentage in 0-100", lambda v: 0 <= v <= 100)
 
 
 def _curve_name(text):
@@ -147,7 +146,6 @@ OPTIONS = {
                         "--measured, which takes one)"),
     "--exponent": dict(type=_POSITIVE_INT, default=64,
                        help="exponent of the x^e circuit"),
-    "--x": dict(type=int, default=3, help="base of the x^e circuit"),
     "--workload": dict(type=_workload_name, default="exponentiate",
                        help="workload family "
                             "(repro.harness.circuits.WORKLOADS)"),
@@ -164,13 +162,7 @@ OPTIONS = {
                                    "wall times under worker processes "
                                    "instead of evaluating the model (fig6 "
                                    "adds the worker-usage columns)"),
-    "--repeats": dict(type=_POSITIVE_INT, default=1,
-                      help="best-of-N measured runs per cell"),
     # the service
-    "--max-queue": dict(type=_POSITIVE_INT, default=16,
-                        help="admission queue depth"),
-    "--max-inflight": dict(type=_POSITIVE_INT, default=64,
-                           help="in-flight cap"),
     "--deadline": dict(type=_POSITIVE, metavar="SECONDS",
                        help="per-request deadline"),
     # traffic
@@ -181,9 +173,6 @@ OPTIONS = {
                        help="traffic duration"),
     "--mix": dict(type=_traffic_mix, default="prove:verify",
                   help="traffic mix, e.g. prove:verify or prove=3,verify=1"),
-    "--bad-verify-pct": dict(type=_PERCENT, default=0.0, metavar="PCT",
-                             help="share of verify requests poisoned with "
-                                  "a wrong public input (0-100)"),
     "--faults": dict(type=_POSITIVE_INT, metavar="N",
                      help="number of faults in the seeded schedule "
                           "(loadtest: armed once the service has started; "
@@ -235,27 +224,6 @@ OPTIONS = {
     # the analyzers
     "--circuit": dict(help="analyze only this circuit (unset: every "
                            "built-in)"),
-    "--strict": dict(_FLAG, help="exit nonzero on warnings too, not just "
-                                 "errors"),
-    "--suppress": dict(metavar="CODES",
-                       help="comma-separated diagnostic codes to drop "
-                            "(e.g. ZK403,RC203)"),
-    "--baseline": dict(metavar="PATH",
-                       help="ignore findings recorded in this baseline file"),
-    "--write-baseline": dict(metavar="PATH",
-                             help="record current findings as accepted and "
-                                  "exit"),
-    "--root": dict(metavar="PATH",
-                   help="package dir or single .py file to analyze "
-                        "(unset: the installed repro package)"),
-    "--checks": dict(metavar="NAMES",
-                     help="comma-separated check families to run (worker,"
-                          "determinism,errors,guards,deadline; unset: all)"),
-    "--hot-modules": dict(metavar="GLOBS",
-                          help="override the RC5xx hot-module globs "
-                               "(comma-separated fnmatch patterns)"),
-    "--all-modules": dict(_FLAG, help="also list clean modules in the text "
-                                      "report"),
 }
 
 
@@ -269,9 +237,8 @@ def _cell(size):
     return ["--curve", opt("--size", size), "--workload", "--seed"]
 
 
-_SERVICE = ["--workers", "--max-queue", "--max-inflight", "--deadline"]
+_SERVICE = ["--workers", "--deadline"]
 _RECORD = ["--json", "--ledger", "--label"]
-_FINDINGS = ["--json", "--suppress", "--baseline", "--write-baseline"]
 
 
 def _traffic(rps, duration):
@@ -340,8 +307,7 @@ def _run_measured(args, out):
     names = (sorted(MEASURED_ARTIFACTS) if args.artifact == "all"
              else [args.artifact])
     for name in names:
-        kwargs = dict(given, workload=args.workload, seed=args.seed,
-                      repeats=args.repeats)
+        kwargs = dict(given, workload=args.workload, seed=args.seed)
         if name == "fig7" and "size" in kwargs:
             kwargs["base_size"] = kwargs.pop("size")
         text = MEASURED_ARTIFACTS[name](**kwargs).render()
@@ -361,7 +327,7 @@ def cmd_prove(args, out=print):
     from repro.workflow import STAGES, Workflow
 
     curve = get_curve(args.curve)
-    builder, inputs = build_exponentiate(curve, args.exponent, x_value=args.x)
+    builder, inputs = build_exponentiate(curve, args.exponent)
     # --timeout installs a cooperative deadline for the whole run: the hot
     # kernels poll it mid-stage, and the explicit checks below enforce it
     # at stage boundaries for stages with no poll points.
@@ -596,8 +562,7 @@ def _service(args, **policy):
 
     return ProvingService(
         curve=args.curve, size=args.size, workload=args.workload,
-        workers=args.workers, max_queue=args.max_queue,
-        max_inflight=args.max_inflight, default_deadline_s=args.deadline,
+        workers=args.workers, default_deadline_s=args.deadline,
         seed=args.seed, **policy)
 
 
@@ -622,7 +587,8 @@ def cmd_serve(args, out=print):
         await service.start()
         out(f"serving: curve={args.curve} size={args.size} "
             f"workload={args.workload} workers={args.workers or 1} "
-            f"max_queue={args.max_queue} max_inflight={args.max_inflight}"
+            f"max_queue={service.max_queue} "
+            f"max_inflight={service.max_inflight}"
             + (f" deadline={args.deadline}s" if args.deadline else "")
             + " (SIGTERM drains)")
         traffic = None
@@ -683,8 +649,7 @@ def cmd_loadtest(args, out=print):
             with metrics.collecting(registry), armed:
                 return await run_loadtest(
                     service, rps=args.rps, duration_s=args.duration,
-                    mix=args.mix, seed=args.seed,
-                    bad_verify_pct=args.bad_verify_pct)
+                    mix=args.mix, seed=args.seed)
         finally:
             await service.drain()
 
@@ -720,13 +685,7 @@ def cmd_loadtest(args, out=print):
 
 
 def cmd_lint(args, out=print):
-    from repro.analyze import (
-        analyze,
-        load_baseline,
-        render_reports,
-        reports_to_json,
-        write_baseline,
-    )
+    from repro.analyze import analyze, render_reports, reports_to_json
     from repro.circuit import compile_circuit
     from repro.curves import get_curve
     from repro.harness.circuits import lint_targets
@@ -739,67 +698,31 @@ def cmd_lint(args, out=print):
                              f"choose from {', '.join(sorted(targets))}")
         targets = {args.circuit: targets[args.circuit]}
 
-    suppress = set(args.suppress.split(",")) if args.suppress else set()
-    baseline = load_baseline(args.baseline) if args.baseline else None
-
     reports = []
     for name in sorted(targets):
         builder, _inputs, expected = targets[name]
-        circuit = compile_circuit(builder)
-        reports.append(analyze(
-            circuit,
-            expected_constraints=expected,
-            suppress=suppress,
-            baseline=baseline,
-        ))
-
-    if args.write_baseline:
-        n = write_baseline(args.write_baseline, reports)
-        out(f"wrote {n} fingerprint(s) to {args.write_baseline}")
-        return 0
+        reports.append(analyze(compile_circuit(builder),
+                               expected_constraints=expected))
 
     if args.as_json:
         out(reports_to_json(reports))
     else:
         out(render_reports(reports))
-    failed = any(
-        r.has_errors or (args.strict and r.warnings()) for r in reports
-    )
+    # Warnings fail too: info findings are the only ones a clean
+    # built-in may carry.
+    failed = any(r.has_errors or r.warnings() for r in reports)
     return 1 if failed else 0
 
 
 def cmd_codelint(args, out=print):
-    from dataclasses import replace
+    from repro.analyze import render_reports, reports_to_json
+    from repro.analyze.code import analyze_code
 
-    from repro.analyze import (
-        load_baseline,
-        render_reports,
-        reports_to_json,
-        write_baseline,
-    )
-    from repro.analyze.code import CodelintConfig, analyze_code
-
-    config = CodelintConfig()
-    if args.hot_modules:
-        config = replace(
-            config, hot_modules=tuple(args.hot_modules.split(",")))
-    passes = args.checks.split(",") if args.checks else None
-    suppress = set(args.suppress.split(",")) if args.suppress else set()
-    baseline = load_baseline(args.baseline) if args.baseline else None
-
-    reports = analyze_code(args.root, config=config, passes=passes,
-                           suppress=suppress, baseline=baseline)
-
-    if args.write_baseline:
-        n = write_baseline(args.write_baseline, reports)
-        out(f"wrote {n} fingerprint(s) to {args.write_baseline}")
-        return 0
-
+    reports = analyze_code()
     if args.as_json:
         out(reports_to_json(reports))
     else:
-        out(render_reports(reports, noun="module",
-                           skip_clean=not args.all_modules))
+        out(render_reports(reports, noun="module", skip_clean=True))
     failed = any(r.diagnostics for r in reports)
     return 1 if failed else 0
 
@@ -825,10 +748,10 @@ VERBS = {
         cmd_run,
         ["artifact", opt("--size", many=True), opt("--curve", many=True),
          "--out", "--measured", opt("--workers", many=True), "--workload",
-         "--seed", "--repeats", "--timeout"]),
+         "--seed", "--timeout"]),
     "prove": Verb("run the five-stage protocol once and report timings",
                   cmd_prove,
-                  ["--curve", "--exponent", "--x", "--out", "--workers",
+                  ["--curve", "--exponent", "--out", "--workers",
                    "--timeout"]),
     "verify": Verb(
         "verify artifacts saved by 'repro prove --out'; corrupted blobs "
@@ -836,15 +759,13 @@ VERBS = {
         cmd_verify, ["dir", "--timeout"]),
     "lint": Verb(
         "statically analyze the built-in circuits for soundness and cost "
-        "smells (docs/ANALYZER.md)",
-        cmd_lint, ["--circuit", "--curve", "--strict", *_FINDINGS]),
+        "smells; exit 1 on any error or warning (docs/ANALYZER.md)",
+        cmd_lint, ["--circuit", "--curve", "--json"]),
     "codelint": Verb(
         "statically analyze the codebase itself (worker-safety, "
         "determinism, error discipline, guards, deadline polls); exit 1 "
         "on any finding (docs/CODELINT.md)",
-        cmd_codelint,
-        ["--root", "--checks", "--hot-modules", "--all-modules",
-         *_FINDINGS]),
+        cmd_codelint, ["--json"]),
     "profile": Verb(
         "run the five stages under runtime telemetry: span tree, metrics "
         "and a fingerprinted run record (docs/OBSERVABILITY.md)",
@@ -880,8 +801,8 @@ VERBS = {
         "seeded fault plan; exit 1 on any request that resolves untyped "
         "or whose phases do not add up (docs/SERVING.md)",
         cmd_loadtest,
-        [*_cell(32), *_SERVICE, *_traffic(8.0, 5.0), "--bad-verify-pct",
-         "--faults", "--max-attempts", *_RECORD, "--request-trace"]),
+        [*_cell(32), *_SERVICE, *_traffic(8.0, 5.0), "--faults",
+         "--max-attempts", *_RECORD, "--request-trace"]),
 }
 
 

@@ -20,6 +20,9 @@ from __future__ import annotations
 
 __all__ = ["RNSContext", "is_prime_u64"]
 
+#: Width of one residue lane: every modulus is a prime below ``2^WORD_BITS``.
+WORD_BITS = 61
+
 #: Deterministic Miller-Rabin witnesses, exact for all n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -49,11 +52,11 @@ def is_prime_u64(n):
     return True
 
 
-def _find_moduli(count, start_bit=61):
-    """The *count* largest primes below ``2^start_bit`` (pairwise coprime
+def _find_moduli(count):
+    """The *count* largest primes below ``2^WORD_BITS`` (pairwise coprime
     by primality)."""
     out = []
-    candidate = (1 << start_bit) - 1
+    candidate = (1 << WORD_BITS) - 1
     while len(out) < count:
         if is_prime_u64(candidate):
             out.append(candidate)
@@ -69,15 +72,15 @@ class RNSContext:
     reconstructed then reduced mod ``p``.
     """
 
-    def __init__(self, field, word_bits=61):
+    def __init__(self, field):
         self.field = field
         p = field.modulus
         need = p * p * 4  # slack for one addition on top of a product
         count = 1
-        while (1 << (word_bits * count)) < need:
+        while (1 << (WORD_BITS * count)) < need:
             count += 1
-        count += 1  # margin below 2^word_bits for non-power-of-two primes
-        self.moduli = _find_moduli(count, word_bits)
+        count += 1  # margin below 2^WORD_BITS for non-power-of-two primes
+        self.moduli = _find_moduli(count)
         self.M = 1
         for m in self.moduli:
             self.M *= m

@@ -84,7 +84,6 @@ def generate_witness(circuit, inputs):
     signals[0] = 1
 
     arena_base = 0
-    sample = 1
     if t is not None:
         # -- module instantiation: the stage's big fixed cost ----------------
         module = t.malloc(_MODULE_BYTES)
@@ -98,7 +97,6 @@ def generate_witness(circuit, inputs):
             # Validation + baseline compile on V8's background threads.
             t.op("wasm_validate", (_MODULE_BYTES // 1024) * _INIT_PARALLEL_OPS_PER_KB)
         arena_base = t.malloc(len(signals) * 32)
-        sample = t.mem_sample
 
     def _set_inputs():
         for name, wire in circuit.input_wires.items():
@@ -110,12 +108,8 @@ def generate_witness(circuit, inputs):
                 # One indirect-dispatch step per instruction, plus a hop
                 # into the module image (poor locality by construction).
                 t.op("wasm_dispatch")
-                if step_idx % sample == 0:
-                    t.mem_load(
-                        arena_base + (step_idx * 2654435761 % (len(signals) or 1)) * 32,
-                        32,
-                        weight=sample,
-                    )
+                t.mem_load(arena_base
+                           + (step_idx * 2654435761 % (len(signals) or 1)) * 32, 32)
             kind = step[0]
             if kind == "mul":
                 _, fa, fb, out = step

@@ -68,17 +68,15 @@ def _sweep(workers):
 
 
 def measured_stage_times(curve_name, size, workers, workload="exponentiate",
-                         seed=0, repeats=1):
+                         seed=0):
     """Measured wall seconds per stage per worker count, and the worker
     telemetry behind them.
 
-    Runs the full workflow once per worker count (*repeats* times, taking
-    the per-stage minimum — the standard best-of-N noise filter) and
-    returns ``(times, telemetry)``: ``times`` is ``{stage: {n_workers:
-    seconds}}`` and ``telemetry`` is ``{n_workers: WorkerTelemetry}``, the
-    collector of the *last* repeat per worker count (the task records of
-    one coherent run, not a min-mixed chimera).  Every run re-executes all
-    five stages so the inter-stage artifacts are bit-identical inputs.
+    Runs the full workflow once per worker count and returns ``(times,
+    telemetry)``: ``times`` is ``{stage: {n_workers: seconds}}`` and
+    ``telemetry`` is ``{n_workers: WorkerTelemetry}``, the collector of
+    that run.  Every run re-executes all five stages so the inter-stage
+    artifacts are bit-identical inputs.
     """
     from repro.curves import get_curve
     from repro.harness.circuits import build_workload
@@ -88,24 +86,17 @@ def measured_stage_times(curve_name, size, workers, workload="exponentiate",
     times = {stage: {} for stage in STAGES}
     telemetry = {}
     for n in workers:
-        best = {}
-        for _ in range(max(1, repeats)):
-            builder, inputs = build_workload(workload, curve, size)
-            with collecting_tasks(label=f"{workload}:{n}w") as tel, \
-                    Workflow(curve, builder, inputs, seed=seed,
-                             workers=n) as wf:
-                wf.run_all()
-                if wf.accepted is not True:
-                    raise RuntimeError(
-                        f"measured run rejected its own proof "
-                        f"(curve={curve_name} size={size} workers={n})")
-                for stage in STAGES:
-                    elapsed = wf.results[stage].elapsed
-                    if stage not in best or elapsed < best[stage]:
-                        best[stage] = elapsed
-            telemetry[n] = tel
-        for stage in STAGES:
-            times[stage][n] = best[stage]
+        builder, inputs = build_workload(workload, curve, size)
+        with collecting_tasks(label=f"{workload}:{n}w") as tel, \
+                Workflow(curve, builder, inputs, seed=seed, workers=n) as wf:
+            wf.run_all()
+            if wf.accepted is not True:
+                raise RuntimeError(
+                    f"measured run rejected its own proof "
+                    f"(curve={curve_name} size={size} workers={n})")
+            for stage in STAGES:
+                times[stage][n] = wf.results[stage].elapsed
+        telemetry[n] = tel
     return times, telemetry
 
 
@@ -179,8 +170,7 @@ def _stage_usage(tasks, top, wall_top):
 
 
 def fig6_measured(size=4096, workers=(1, 2, 4), curve="bn128",
-                  workload="exponentiate", seed=0, repeats=1,
-                  with_reference=True):
+                  workload="exponentiate", seed=0, with_reference=True):
     """Measured strong scaling: wall time and speedup per stage at fixed
     *size*, the Amdahl serial fraction fitted per stage, and the worker
     usage at the top count — ``eff`` (speedup / top), ``busy s``,
@@ -192,8 +182,7 @@ def fig6_measured(size=4096, workers=(1, 2, 4), curve="bn128",
     workers = _sweep(workers)
     top = workers[-1]
     times, telemetry = measured_stage_times(curve, size, workers,
-                                            workload=workload, seed=seed,
-                                            repeats=repeats)
+                                            workload=workload, seed=seed)
     speedups, fits, rows = _scaling(times, workers, amdahl_fit)
     tel = telemetry[top]
     usage = {}
@@ -237,16 +226,14 @@ def fig6_measured(size=4096, workers=(1, 2, 4), curve="bn128",
 
 
 def fig7_measured(base_size=256, workers=(1, 2, 4), curve="bn128",
-                  workload="exponentiate", seed=0, repeats=1,
-                  with_reference=True):
+                  workload="exponentiate", seed=0, with_reference=True):
     """Measured weak scaling: constraints grow with workers
     (``size = base_size * n``), Gustafson fit per stage."""
     workers = _sweep(workers)
     times = {stage: {} for stage in STAGES}
     for n in workers:
         cell, _ = measured_stage_times(curve, base_size * n, (n,),
-                                       workload=workload, seed=seed,
-                                       repeats=repeats)
+                                       workload=workload, seed=seed)
         for stage in STAGES:
             times[stage][n] = cell[stage][n]
     speedups, fits, rows = _scaling(times, workers, gustafson_fit,
@@ -278,19 +265,17 @@ def fig7_measured(base_size=256, workers=(1, 2, 4), curve="bn128",
 
 
 def table6_parallelism_measured(size=4096, workers=(1, 2, 4), curve="bn128",
-                                workload="exponentiate", seed=0, repeats=1):
+                                workload="exponentiate", seed=0):
     """Measured serial/parallel decomposition per stage: the Amdahl fit
     from a strong sweep at *size* and the Gustafson fit from a weak sweep
     based at ``size / max(workers)`` (so the largest weak cell matches the
     strong size)."""
     workers = _sweep(workers)
     strong = fig6_measured(size=size, workers=workers, curve=curve,
-                           workload=workload, seed=seed, repeats=repeats,
-                           with_reference=False)
+                           workload=workload, seed=seed, with_reference=False)
     weak_base = max(1, size // max(workers))
     weak = fig7_measured(base_size=weak_base, workers=workers, curve=curve,
-                         workload=workload, seed=seed, repeats=repeats,
-                         with_reference=False)
+                         workload=workload, seed=seed, with_reference=False)
     rows = []
     fits = {}
     for stage in STAGES:

@@ -66,7 +66,6 @@ def msm_pippenger(group, points, scalars, window=None):
     # Buckets hold Jacobian points: three coordinates.
     bucket_bytes = 3 * (point_bytes // 2)
     points_base = buckets_base = heap_base = 0
-    sample = 1
     if t is not None:
         points_base = t.aspace.alloc(len(pairs) * point_bytes)
         buckets_base = t.aspace.alloc((mask) * bucket_bytes)
@@ -75,7 +74,6 @@ def msm_pippenger(group, points, scalars, window=None):
         # locality, which is where the proving stage's MPKI comes from
         # (Table II) — the setup's streaming walk has no equivalent.
         heap_base = t.aspace.alloc(_OPERAND_HEAP_BYTES)
-        sample = t.mem_sample
 
     window_sums = []
     for w in range(n_windows):
@@ -107,17 +105,11 @@ def msm_pippenger(group, points, scalars, window=None):
                         buckets[digit - 1] = (
                             group.point_unchecked(*pt) if slot is None else slot.add_affine(*pt)
                         )
-                        if i % sample == 0:
-                            addr = buckets_base + (digit - 1) * bucket_bytes
-                            t.mem_load(addr, bucket_bytes, weight=sample)
-                            t.mem_store(addr, bucket_bytes, weight=sample)
-                            t.mem_load(
-                                heap_base
-                                + ((i * n_windows + w) * 2654435761)
-                                % _OPERAND_HEAP_BYTES,
-                                32,
-                                weight=sample,
-                            )
+                        addr = buckets_base + (digit - 1) * bucket_bytes
+                        t.mem_load(addr, bucket_bytes)
+                        t.mem_store(addr, bucket_bytes)
+                        t.mem_load(heap_base + ((i * n_windows + w) * 2654435761)
+                                   % _OPERAND_HEAP_BYTES, 32)
                 window_sums.append(_fold_buckets(group, buckets))
 
     # Horner combine from the most significant window down (doubling the

@@ -56,7 +56,6 @@ class StageProfile:
     functions: object         # FunctionProfile (Table IV)
     split: WorkSplit          # scalability input (Fig. 6/7, Table VI)
     per_cpu: dict             # cpu name -> CpuView (Fig. 4, Tables II/III)
-    mem_sample: int = 1
 
     def view(self, cpu_name):
         return self.per_cpu[cpu_name]
@@ -79,18 +78,16 @@ def analyze_stage(tracer, stage, curve, size, elapsed=0.0,
     traffic_for_split = 0.0
     for spec in cpus:
         stats, timeline = simulate_llc(tracer, spec, capacity_scale)
-        bw = bandwidth_profile(
-            timeline, tracer.clock, spec, sample_scale=tracer.mem_sample,
-        )
-        td = topdown_analysis(summary, stats, spec, sample_scale=tracer.mem_sample)
-        traffic = stats.traffic_bytes(spec.line_bytes) * tracer.mem_sample
+        bw = bandwidth_profile(timeline, tracer.clock, spec)
+        td = topdown_analysis(summary, stats, spec)
+        traffic = stats.traffic_bytes(spec.line_bytes)
         per_cpu[spec.name] = CpuView(
             cpu=spec.name,
             load_mpki=stats.load_mpki(summary.instructions),
             bandwidth=bw,
             topdown=td,
-            llc_load_misses=stats.load_misses * tracer.mem_sample,
-            llc_store_misses=stats.store_misses * tracer.mem_sample,
+            llc_load_misses=stats.load_misses,
+            llc_store_misses=stats.store_misses,
             traffic_bytes=traffic,
         )
         traffic_for_split = max(traffic_for_split, traffic)
@@ -109,5 +106,4 @@ def analyze_stage(tracer, stage, curve, size, elapsed=0.0,
         functions=hotspots,
         split=split,
         per_cpu=per_cpu,
-        mem_sample=tracer.mem_sample,
     )

@@ -42,7 +42,7 @@ class BandwidthProfile:
 
 
 def bandwidth_profile(timeline, total_clock, spec,
-                      window_ticks=DEFAULT_WINDOW_TICKS, sample_scale=1):
+                      window_ticks=DEFAULT_WINDOW_TICKS):
     """Compute the bandwidth profile of a miss-traffic *timeline*.
 
     Parameters
@@ -56,17 +56,14 @@ def bandwidth_profile(timeline, total_clock, spec,
         The :class:`~repro.perf.cpu.MachineSpec` (frequency and channel cap).
     window_ticks:
         Bin width in clock ticks.
-    sample_scale:
-        Multiplier undoing the tracer's memory-event sampling.
     """
     if total_clock <= 0 or not timeline:
         return BandwidthProfile(0.0, 0.0, 0.0, 0, False)
     bins = {}
     total = 0.0
     for clock, nbytes in timeline:
-        b = nbytes * sample_scale
-        bins[clock // window_ticks] = bins.get(clock // window_ticks, 0.0) + b
-        total += b
+        bins[clock // window_ticks] = bins.get(clock // window_ticks, 0.0) + nbytes
+        total += nbytes
     window_seconds = window_ticks * CYCLES_PER_TICK / (spec.freq_ghz * 1e9)
     peak_bytes = max(bins.values())
     raw_max = peak_bytes / window_seconds / 1e9

@@ -1,8 +1,8 @@
 """Set-associative cache simulation over the traced address stream.
 
 This stands in for ``perf``'s LLC miss counters (the paper's Table II).  The
-simulator replays the tracer's memory events — single accesses, weighted
-sampled accesses, and sequential bursts — through an LRU set-associative
+simulator replays the tracer's memory events — single accesses and
+sequential bursts, each counted once — through an LRU set-associative
 cache configured from a :class:`~repro.perf.cpu.MachineSpec`'s LLC geometry.
 
 Because the harness runs scaled-down circuit sizes, the simulated LLC is
@@ -86,7 +86,7 @@ class CacheSim:
         self._lru = [dict() for _ in range(n_sets)]   # line -> last-use tick
         self.stats = CacheStats()
 
-    def access(self, addr, size, is_write, weight=1.0):
+    def access(self, addr, size, is_write):
         """A single (random) access to ``[addr, addr+size)``; returns the
         number of line misses."""
         lb = self.line_bytes
@@ -94,21 +94,21 @@ class CacheSim:
         last = (addr + max(size, 1) - 1) // lb
         misses = 0
         for line in range(first, last + 1):
-            misses += self._touch(line, is_write, weight)
+            misses += self._touch(line, is_write)
         if misses and not is_write:
-            self.stats.random_load_misses += misses * weight
+            self.stats.random_load_misses += misses
         return misses
 
-    def _touch(self, line, is_write, weight):
+    def _touch(self, line, is_write):
         st = self.stats
         idx = line & (self.n_sets - 1)
         ways = self._sets[idx]
         lru = self._lru[idx]
         self._tick += 1
         if is_write:
-            st.store_accesses += weight
+            st.store_accesses += 1
         else:
-            st.load_accesses += weight
+            st.load_accesses += 1
         if line in ways:
             lru[line] = self._tick
             if is_write:
@@ -116,13 +116,13 @@ class CacheSim:
             return 0
         # Miss: fill, evicting LRU if needed.
         if is_write:
-            st.store_misses += weight
+            st.store_misses += 1
         else:
-            st.load_misses += weight
+            st.load_misses += 1
         if len(ways) >= self.assoc:
             victim = min(lru, key=lru.get)
             if ways.pop(victim):
-                st.writebacks += weight
+                st.writebacks += 1
             del lru[victim]
         ways[line] = is_write
         lru[line] = self._tick
@@ -137,29 +137,29 @@ class CacheSim:
         """
         lb = self.line_bytes
         for ev in events:
-            kind, a, b, weight, clock = ev
+            kind, a, b, clock = ev
             if kind == "L":
-                misses = self.access(a, b, False, weight)
+                misses = self.access(a, b, False)
             elif kind == "S":
-                misses = self.access(a, b, True, weight)
+                misses = self.access(a, b, True)
             elif kind == "LB":
-                misses = self._burst(a, b, False, weight)
+                misses = self._burst(a, b, False)
             elif kind == "SB":
-                misses = self._burst(a, b, True, weight)
+                misses = self._burst(a, b, True)
             else:  # pragma: no cover - event kinds are fixed by the tracer
                 raise ValueError(f"unknown memory event kind {kind!r}")
             if on_miss is not None and misses:
-                on_miss(clock, misses * weight * lb)
+                on_miss(clock, misses * lb)
         return self.stats
 
-    def _burst(self, base, nbytes, is_write, weight):
+    def _burst(self, base, nbytes, is_write):
         """Sequential sweep: one access per cache line."""
         lb = self.line_bytes
         first = base // lb
         last = (base + nbytes - 1) // lb
         misses = 0
         for line in range(first, last + 1):
-            misses += self._touch(line, is_write, weight)
+            misses += self._touch(line, is_write)
         return misses
 
 

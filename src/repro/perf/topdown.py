@@ -73,7 +73,7 @@ class TopDownResult:
         }
 
 
-def topdown_analysis(summary, cache_stats, spec, sample_scale=1):
+def topdown_analysis(summary, cache_stats, spec):
     """Classify a stage's pipeline slots on one machine.
 
     Parameters
@@ -85,8 +85,6 @@ def topdown_analysis(summary, cache_stats, spec, sample_scale=1):
         same machine.
     spec:
         The :class:`~repro.perf.cpu.MachineSpec`.
-    sample_scale:
-        Undo factor for the tracer's memory-event sampling.
     """
     I = max(summary.instructions, 1.0)
     W = spec.issue_width
@@ -123,9 +121,9 @@ def topdown_analysis(summary, cache_stats, spec, sample_scale=1):
     # Back-end, memory component: random (pointer-chase) misses expose
     # their latency through the limited MLP of dependent chains; streamed
     # misses are prefetched and only consume DRAM bandwidth.
-    random_misses = cache_stats.random_load_misses * sample_scale
+    random_misses = cache_stats.random_load_misses
     lat_cycles = random_misses * spec.mem_latency_cycles / spec.mlp
-    traffic = cache_stats.traffic_bytes(spec.line_bytes) * sample_scale
+    traffic = cache_stats.traffic_bytes(spec.line_bytes)
     bw_cycles = traffic * spec.freq_ghz / spec.mem_bw_gbps
     mem_cycles = max(lat_cycles, bw_cycles)
 

@@ -14,9 +14,8 @@ Design constraints honoured here:
   ``RUN.tracer is None`` so that untraced runs (correctness tests, plain
   proving) stay fast.
 - **Bounded event volume.**  Per-primitive *counts* are aggregated in place;
-  only memory accesses produce an event list, and kernels may emit *burst*
-  descriptors (sequential runs) or *sampled* accesses with a weight so that
-  large kernels do not produce millions of Python objects.
+  only memory accesses produce an event list, and streaming kernels emit
+  *burst* descriptors (sequential runs) instead of one event per line.
 - **Single source of truth for ordering.**  The tracer keeps an instruction
   clock (one tick per reported primitive).  Memory events are stamped with
   the clock so the bandwidth model can window traffic over "time".
@@ -59,10 +58,10 @@ def tracing(tracer):
 
 
 # Memory event layout (plain tuples for speed):
-#   ("L",  addr, size, weight, clock)                    single load
-#   ("S",  addr, size, weight, clock)                    single store
-#   ("LB", base, nbytes, weight, clock)                  sequential load burst
-#   ("SB", base, nbytes, weight, clock)                  sequential store burst
+#   ("L",  addr, size, clock)                    single load
+#   ("S",  addr, size, clock)                    single store
+#   ("LB", base, nbytes, clock)                  sequential load burst
+#   ("SB", base, nbytes, clock)                  sequential store burst
 MemEvent = tuple
 
 
@@ -125,13 +124,8 @@ class Tracer:
     - :attr:`clock` — total primitives reported (normalization).
     """
 
-    def __init__(self, label="", mem_sample=1):
-        if mem_sample < 1:
-            raise ValueError("mem_sample must be >= 1")
+    def __init__(self, label=""):
         self.label = label
-        #: Global down-sampling factor applied by kernels that emit sampled
-        #: access streams; recorded so analyses can report it.
-        self.mem_sample = mem_sample
         self.clock = 0
         self.mem_events = []
         self.root = RegionRecord(name="<root>", parallel=False, depth=0)
@@ -148,15 +142,15 @@ class Tracer:
 
     # -- memory events -------------------------------------------------------
 
-    def mem_load(self, addr, size=8, weight=1):
-        """Report one load of *size* bytes at *addr* (optionally sampled)."""
-        self.mem_events.append(("L", addr, size, weight, self.clock))
+    def mem_load(self, addr, size=8):
+        """Report one load of *size* bytes at *addr*."""
+        self.mem_events.append(("L", addr, size, self.clock))
 
-    def mem_store(self, addr, size=8, weight=1):
-        """Report one store of *size* bytes at *addr* (optionally sampled)."""
-        self.mem_events.append(("S", addr, size, weight, self.clock))
+    def mem_store(self, addr, size=8):
+        """Report one store of *size* bytes at *addr*."""
+        self.mem_events.append(("S", addr, size, self.clock))
 
-    def mem_block(self, base, nbytes, write=False, weight=1):
+    def mem_block(self, base, nbytes, write=False):
         """Report a sequential sweep over ``[base, base+nbytes)``.
 
         Bursts keep the event list small for streaming kernels: the cache
@@ -165,7 +159,7 @@ class Tracer:
         if nbytes <= 0:
             return
         kind = "SB" if write else "LB"
-        self.mem_events.append((kind, base, nbytes, weight, self.clock))
+        self.mem_events.append((kind, base, nbytes, self.clock))
 
     # -- composite software events -------------------------------------------
 
@@ -182,7 +176,7 @@ class Tracer:
         self.op("malloc_page", pages)
         addr = self.aspace.alloc(max(nbytes, 1))
         # Allocator metadata touches the start of the block.
-        self.mem_events.append(("S", addr, 16, 1, self.clock))
+        self.mem_events.append(("S", addr, 16, self.clock))
         return addr
 
     #: Segment size used to pace large streaming operations: one burst event
@@ -204,8 +198,8 @@ class Tracer:
             chunk = min(seg, nbytes - off)
             # The per-16-byte move loop advances the clock for this segment.
             self.op("memcpy_chunk", 1 + chunk // 16)
-            self.mem_events.append(("LB", src + off, chunk, 1, self.clock))
-            self.mem_events.append(("SB", dst + off, chunk, 1, self.clock))
+            self.mem_events.append(("LB", src + off, chunk, self.clock))
+            self.mem_events.append(("SB", dst + off, chunk, self.clock))
             off += chunk
 
     def stream(self, base, nbytes, write=False, ticks_per_kb=16, op_name="stream_chunk"):
@@ -225,7 +219,7 @@ class Tracer:
             chunk = min(seg, nbytes - off)
             self.op(op_name, max(1, (chunk * ticks_per_kb) // 1024))
             self.mem_events.append(
-                ("SB" if write else "LB", base + off, chunk, 1, self.clock)
+                ("SB" if write else "LB", base + off, chunk, self.clock)
             )
             off += chunk
 

@@ -57,13 +57,13 @@ class SRS:
 class KZG:
     """Commit/open/verify against one :class:`SRS`."""
 
-    def __init__(self, srs, pairing_engine=None):
+    def __init__(self, srs):
         from repro.curves.pairing import engine_for
 
         self.srs = srs
         self.curve = srs.curve
         self.fr = srs.curve.fr
-        self.engine = pairing_engine or engine_for(srs.curve)
+        self.engine = engine_for(srs.curve)
 
     # -- commitments -----------------------------------------------------------
 

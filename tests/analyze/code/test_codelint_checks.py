@@ -128,11 +128,6 @@ class TestReportShape:
                 assert d.line is not None
                 assert d.symbol is not None
 
-    def test_fingerprints_are_line_independent(self, findings):
-        d = findings[("rc3_errors", "RC301")][0]
-        assert d.fingerprint("rc3_errors") == \
-            f"rc3_errors:RC301:{d.symbol}"
-
     def test_every_family_has_a_fixture(self, findings):
         fired = {code for (_, code) in findings}
         for family in ("RC1", "RC2", "RC3", "RC4", "RC5"):

@@ -1,9 +1,12 @@
-"""CLI contract of ``python -m repro codelint``: exit codes, JSON shape,
-baseline workflow, check selection — and the shared renderer path."""
+"""CLI contract of ``python -m repro codelint``: exit codes, JSON shape
+and the shared renderer path."""
 
 import json
 import os
 
+import pytest
+
+from repro.analyze.code import analyzer
 from repro.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -15,48 +18,37 @@ def run_cli(*argv):
     return code, "\n".join(lines)
 
 
+@pytest.fixture
+def analyzed_root(monkeypatch):
+    """Point the bare ``repro codelint`` at another source tree."""
+    def point(path):
+        monkeypatch.setattr(analyzer, "default_root", lambda: path)
+    return point
+
+
 class TestExitCodes:
     def test_repo_self_lints_clean_exit_0(self):
         code, text = run_cli("codelint")
         assert code == 0
         assert "0 error(s), 0 warning(s)" in text
 
-    def test_fixtures_exit_1(self):
-        code, text = run_cli("codelint", "--root", FIXTURES,
-                             "--hot-modules", "rc5_deadline")
+    def test_fixtures_exit_1(self, analyzed_root):
+        analyzed_root(FIXTURES)
+        code, text = run_cli("codelint")
         assert code == 1
-        assert "RC101" in text and "RC501" in text
+        assert "RC101" in text and "RC301" in text
 
-    def test_single_fixture_file(self):
-        path = os.path.join(FIXTURES, "rc1_worker.py")
-        code, text = run_cli("codelint", "--root", path)
+    def test_single_fixture_file(self, analyzed_root):
+        analyzed_root(os.path.join(FIXTURES, "rc1_worker.py"))
+        code, text = run_cli("codelint")
         assert code == 1
         assert "RC103" in text
 
 
-class TestCheckSelection:
-    def test_checks_flag_limits_families(self):
-        code, text = run_cli("codelint", "--root", FIXTURES,
-                             "--checks", "errors")
-        assert code == 1
-        assert "RC301" in text and "RC101" not in text
-
-    def test_unknown_check_is_a_usage_error(self):
-        code, _ = run_cli("codelint", "--checks", "nonsense")
-        assert code == 2  # ValueError -> typed one-liner, exit 2
-
-    def test_suppress_flag_drops_codes(self):
-        code, text = run_cli("codelint", "--root", FIXTURES,
-                             "--checks", "errors", "--suppress",
-                             "RC301,RC302")
-        assert code == 0
-        assert "RC301" not in text
-
-
 class TestJson:
-    def test_json_payload_shape(self):
-        code, text = run_cli("codelint", "--root", FIXTURES,
-                             "--hot-modules", "rc5_deadline", "--json")
+    def test_json_payload_shape(self, analyzed_root):
+        analyzed_root(FIXTURES)
+        code, text = run_cli("codelint", "--json")
         assert code == 1
         payload = json.loads(text)
         by_name = {r["circuit"]: r for r in payload["reports"]}
@@ -64,31 +56,6 @@ class TestJson:
         assert diag["code"] == "RC301"
         assert diag["line"] > 0
         assert diag["symbol"].startswith("rc3_errors.")
-
-
-class TestBaseline:
-    def test_baseline_roundtrip(self, tmp_path):
-        base = str(tmp_path / "codelint-baseline.json")
-        code, text = run_cli("codelint", "--root", FIXTURES,
-                             "--hot-modules", "rc5_deadline",
-                             "--write-baseline", base)
-        assert code == 0
-        assert "fingerprint(s)" in text
-        # Every previously-seen finding is filtered: gate passes.
-        code, _ = run_cli("codelint", "--root", FIXTURES,
-                          "--hot-modules", "rc5_deadline",
-                          "--baseline", base)
-        assert code == 0
-
-    def test_new_finding_escapes_the_baseline(self, tmp_path):
-        base = str(tmp_path / "codelint-baseline.json")
-        run_cli("codelint", "--root", FIXTURES, "--checks", "worker",
-                "--write-baseline", base)
-        code, text = run_cli("codelint", "--root", FIXTURES,
-                             "--checks", "worker,errors",
-                             "--baseline", base)
-        assert code == 1
-        assert "RC301" in text and "RC103" not in text
 
 
 class TestSharedRenderer:
@@ -100,8 +67,8 @@ class TestSharedRenderer:
         assert "circuit(s) analyzed:" in lint_text
         assert "module(s) analyzed:" in code_text
 
-    def test_clean_modules_elided_unless_asked(self):
-        _, brief = run_cli("codelint")
-        _, full = run_cli("codelint", "--all-modules")
-        assert len(full.splitlines()) > len(brief.splitlines())
-        assert "repro.workflow" in full
+    def test_clean_modules_are_elided(self):
+        # The repository self-lints clean, so only the totals line is left.
+        _, text = run_cli("codelint")
+        assert len(text.splitlines()) == 1
+        assert "repro.workflow" not in text

@@ -1,4 +1,4 @@
-"""Diagnostics framework: rendering, sorting, suppression, baselines."""
+"""Diagnostics framework: rendering, sorting, queries, JSON."""
 
 import json
 
@@ -8,10 +8,8 @@ from repro.analyze.diagnostics import (
     WARNING,
     AnalysisReport,
     Diagnostic,
-    load_baseline,
     render_reports,
     reports_to_json,
-    write_baseline,
 )
 
 
@@ -35,10 +33,6 @@ class TestDiagnostic:
     def test_format_without_location(self):
         d = Diagnostic(code="ZK402", severity=WARNING, message="blowup")
         assert d.format() == "ZK402 warning: blowup"
-
-    def test_fingerprint_is_stable(self):
-        d = Diagnostic(code="ZK302", severity=WARNING, constraint=1, message="dup")
-        assert d.fingerprint("demo") == "demo:ZK302:c1:w-"
 
     def test_to_dict_omits_empty_fields(self):
         d = Diagnostic(code="ZK402", severity=WARNING, message="blowup")
@@ -67,11 +61,6 @@ class TestReport:
         r = AnalysisReport("ok", stats={"n_constraints": 1, "n_wires": 2})
         assert "clean" in r.render()
 
-    def test_suppression_by_code(self):
-        r = make_report().filtered(suppress={"ZK201", "ZK403"})
-        assert r.codes() == {"ZK302"}
-        assert not r.has_errors
-
     def test_json_roundtrip(self):
         payload = json.loads(reports_to_json([make_report()]))
         (rep,) = payload["reports"]
@@ -82,22 +71,3 @@ class TestReport:
     def test_render_reports_totals(self):
         text = render_reports([make_report()])
         assert "1 circuit(s) analyzed: 1 error(s), 1 warning(s)" in text
-
-
-class TestBaseline:
-    def test_roundtrip_filters_known_findings(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        n = write_baseline(path, [make_report()])
-        assert n == 3
-        baseline = load_baseline(path)
-        filtered = make_report().filtered(baseline=baseline)
-        assert not filtered.diagnostics
-
-    def test_new_findings_survive_baseline(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, [make_report()])
-        r = make_report()
-        r.extend([Diagnostic(code="ZK101", severity=ERROR, wire=9,
-                             message="new bug")])
-        filtered = r.filtered(baseline=load_baseline(path))
-        assert filtered.codes() == {"ZK101"}

@@ -266,8 +266,9 @@ class TestShippedCircuitsClean:
                              expected_constraints=expected)
             assert not report.has_errors, f"{name}: {report.render()}"
 
-    def test_builtins_have_no_warnings_either(self):
-        curve = get_curve("bn128")
+    @pytest.mark.parametrize("curve_name", ["bn128", "bls12_381"])
+    def test_builtins_have_no_warnings_either(self, curve_name):
+        curve = get_curve(curve_name)
         for name, (builder, _inputs, expected) in lint_targets(curve).items():
             report = analyze(compile_circuit(builder),
                              expected_constraints=expected)

@@ -112,9 +112,26 @@ class TestFailedCellIsNotCached:
         assert read_checksummed(_cache_file(cache_dir)).keys() == \
                profiles.keys()
 
-    def test_profiles_use_exact_memory_sampling(self, cache_dir):
+    def test_profiles_count_each_memory_event_once(self, cache_dir):
+        # A profile's LLC counters are the simulator's, unscaled: replaying
+        # the same stage's trace gives the same numbers on every CPU.
+        from repro.curves import get_curve
+        from repro.harness.circuits import build_exponentiate
+        from repro.perf.cache import simulate_llc
+        from repro.perf.cpu import ALL_CPUS
+        from repro.perf.trace import Tracer
+        from repro.workflow import Workflow
+
         profiles = runner.profile_run(**CELL)
-        assert {p.mem_sample for p in profiles.values()} == {1}
+        curve = get_curve(CELL["curve_name"])
+        builder, inputs = build_exponentiate(curve, CELL["size"])
+        tracers = {stage: Tracer() for stage in runner.STAGES}
+        Workflow(curve, builder, inputs, seed=0).run_all(tracers)
+        for spec in ALL_CPUS:
+            stats, _ = simulate_llc(tracers["proving"], spec)
+            view = profiles["proving"].view(spec.name)
+            assert view.llc_load_misses == stats.load_misses
+            assert view.llc_store_misses == stats.store_misses
 
     def test_run_verb_ends_typed_and_writes_no_cache(self, cache_dir,
                                                      monkeypatch, capsys):

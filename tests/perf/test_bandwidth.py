@@ -34,12 +34,6 @@ class TestBasics:
         two = bandwidth_profile([(0, 1000), (10, 1000)], 10_000, I9_13900K)
         assert two.max_gbps == pytest.approx(2 * one.max_gbps)
 
-    def test_sample_scale(self):
-        p1 = bandwidth_profile([(0, 1000)], 10_000, I9_13900K, sample_scale=1)
-        p4 = bandwidth_profile([(0, 1000)], 10_000, I9_13900K, sample_scale=4)
-        assert p4.max_gbps == pytest.approx(4 * p1.max_gbps)
-        assert p4.total_bytes == pytest.approx(4 * p1.total_bytes)
-
 
 class TestCap:
     def test_capped_at_channel_bandwidth(self):

@@ -33,15 +33,9 @@ class TestBasics:
     def test_random_load_misses_tracked(self):
         c = small_cache()
         c.access(0, 8, False)        # random load miss
-        c._burst(4096, 128, False, 1)  # burst misses are not "random"
+        c._burst(4096, 128, False)  # burst misses are not "random"
         assert c.stats.random_load_misses == 1
         assert c.stats.load_misses == 3
-
-    def test_weight_scales_stats(self):
-        c = small_cache()
-        c.access(0, 8, False, weight=16)
-        assert c.stats.load_accesses == 16
-        assert c.stats.load_misses == 16
 
     def test_geometry_rounded(self):
         c = CacheSim(size_bytes=100 * 64, assoc=4)
@@ -96,10 +90,10 @@ class TestReplay:
     def test_event_kinds(self):
         c = small_cache(lines=64, assoc=4)
         events = [
-            ("L", 0, 8, 1, 0),
-            ("S", 64, 8, 1, 1),
-            ("LB", 4096, 256, 1, 2),
-            ("SB", 8192, 256, 1, 3),
+            ("L", 0, 8, 0),
+            ("S", 64, 8, 1),
+            ("LB", 4096, 256, 2),
+            ("SB", 8192, 256, 3),
         ]
         stats = c.replay(events)
         assert stats.load_misses == 1 + 4
@@ -107,18 +101,18 @@ class TestReplay:
 
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError):
-            small_cache().replay([("X", 0, 8, 1, 0)])
+            small_cache().replay([("X", 0, 8, 0)])
 
     def test_on_miss_timeline(self):
         c = small_cache(lines=64, assoc=4)
         seen = []
-        c.replay([("LB", 0, 256, 1, 42)], on_miss=lambda clk, b: seen.append((clk, b)))
+        c.replay([("LB", 0, 256, 42)], on_miss=lambda clk, b: seen.append((clk, b)))
         assert seen == [(42, 256)]
 
     def test_on_miss_skipped_for_hits(self):
         c = small_cache(lines=64, assoc=4)
         seen = []
-        events = [("L", 0, 8, 1, 0), ("L", 0, 8, 1, 1)]
+        events = [("L", 0, 8, 0), ("L", 0, 8, 1)]
         c.replay(events, on_miss=lambda clk, b: seen.append(clk))
         assert seen == [0]
 

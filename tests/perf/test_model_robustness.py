@@ -1,11 +1,6 @@
-"""Robustness tests for the observation layer as a whole.
-
-Two invariants that keep the model honest:
-
-- memory-event *sampling* must not change the analyses' conclusions
-  (MPKI/bandwidth within tolerance, top-down classification identical);
-- the top-down model must respond sensibly to *hypothetical* machines
-  (it is a model of CPUs, not a lookup table for three of them).
+"""Robustness tests for the observation layer as a whole: the top-down
+model must respond sensibly to *hypothetical* machines (it is a model of
+CPUs, not a lookup table for three of them).
 """
 
 import pytest
@@ -15,58 +10,7 @@ from repro.harness.circuits import build_exponentiate
 from repro.perf.analysis import analyze_stage
 from repro.perf.cpu import MachineSpec, _profile
 from repro.perf.trace import Tracer
-from repro.workflow import STAGES, Workflow
-
-
-def profile_with_sampling(mem_sample, stage="proving", size=128):
-    builder, inputs = build_exponentiate(BN128, size)
-    wf = Workflow(BN128, builder, inputs, seed=0)
-    tracers = {s: Tracer(mem_sample=mem_sample) for s in STAGES}
-    wf.run_all(tracers)
-    return analyze_stage(tracers[stage], stage=stage, curve="bn128", size=size)
-
-
-class TestSamplingInvariance:
-    @pytest.fixture(scope="class")
-    def exact(self):
-        return profile_with_sampling(1)
-
-    @pytest.fixture(scope="class")
-    def sampled(self):
-        return profile_with_sampling(4)
-
-    def test_instruction_counts_identical(self, exact, sampled):
-        # Sampling affects memory events only, never the op stream.
-        assert sampled.instructions == pytest.approx(exact.instructions, rel=1e-6)
-
-    def test_mpki_within_tolerance(self, exact, sampled):
-        for cpu in exact.per_cpu:
-            a = exact.view(cpu).load_mpki
-            b = sampled.view(cpu).load_mpki
-            assert b == pytest.approx(a, rel=0.35), cpu
-
-    def test_topdown_classification_stable(self, exact, sampled):
-        for cpu in exact.per_cpu:
-            assert (exact.view(cpu).topdown.classification
-                    == sampled.view(cpu).topdown.classification), cpu
-
-    def test_event_volume_reduced(self):
-        builder, inputs = build_exponentiate(BN128, 128)
-        wf1 = Workflow(BN128, builder, inputs, seed=0)
-        t1 = Tracer(mem_sample=1)
-        wf1.run_stage("compile")
-        wf1.run_stage("setup")
-        wf1.run_stage("witness")
-        wf1.run_stage("proving", t1)
-
-        builder2, inputs2 = build_exponentiate(BN128, 128)
-        wf2 = Workflow(BN128, builder2, inputs2, seed=0)
-        t8 = Tracer(mem_sample=8)
-        wf2.run_stage("compile")
-        wf2.run_stage("setup")
-        wf2.run_stage("witness")
-        wf2.run_stage("proving", t8)
-        assert len(t8.mem_events) < len(t1.mem_events)
+from repro.workflow import Workflow
 
 
 def custom_cpu(**overrides):

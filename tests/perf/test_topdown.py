@@ -101,9 +101,10 @@ class TestModelBehaviour:
         assert td7.frontend > td9.frontend
         assert td9.classification == "backend"
 
-    def test_sample_scale_amplifies_memory(self):
+    def test_random_misses_amplify_memory(self):
         s = summary_of({"graph_walk": 100_000})
-        stats = CacheStats(load_misses=1000, random_load_misses=1000)
-        td1 = topdown_analysis(s, stats, I9_13900K, sample_scale=1)
-        td8 = topdown_analysis(s, stats, I9_13900K, sample_scale=8)
+        few = CacheStats(load_misses=1000, random_load_misses=1000)
+        many = CacheStats(load_misses=8000, random_load_misses=8000)
+        td1 = topdown_analysis(s, few, I9_13900K)
+        td8 = topdown_analysis(s, many, I9_13900K)
         assert td8.backend > td1.backend

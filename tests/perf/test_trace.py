@@ -23,10 +23,6 @@ class TestLifecycle:
                 raise ValueError("boom")
         assert RUN.tracer is None
 
-    def test_invalid_mem_sample(self):
-        with pytest.raises(ValueError):
-            Tracer(mem_sample=0)
-
 
 class TestCounting:
     def test_op_counts_and_clock(self):
@@ -76,10 +72,10 @@ class TestMemoryEvents:
         tr = Tracer()
         tr.op("x", 7)
         tr.mem_load(0x1000, 32)
-        tr.mem_store(0x2000, 8, weight=3)
+        tr.mem_store(0x2000, 8)
         (l, s) = tr.mem_events
-        assert l == ("L", 0x1000, 32, 1, 7)
-        assert s == ("S", 0x2000, 8, 3, 7)
+        assert l == ("L", 0x1000, 32, 7)
+        assert s == ("S", 0x2000, 8, 7)
 
     def test_mem_block_kinds(self):
         tr = Tracer()
@@ -96,7 +92,7 @@ class TestMemoryEvents:
         stores = [e for e in tr.mem_events if e[0] == "SB"]
         assert len(loads) == 3 and len(stores) == 3
         # Clock must advance between segments.
-        clocks = [e[4] for e in loads]
+        clocks = [e[3] for e in loads]
         assert clocks[0] < clocks[1] < clocks[2]
         assert sum(e[2] for e in loads) == 3 * Tracer.STREAM_SEGMENT
 

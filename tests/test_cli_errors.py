@@ -117,16 +117,6 @@ class TestArgumentErrors:
         assert "profiling sweep" not in result.stdout
         assert "unknown workload 'nope'" in result.stderr
 
-    # Rejected at parse time, with or without a fault plan to arm.
-    @pytest.mark.parametrize("verb", [("loadtest",),
-                                      ("loadtest", "--faults", "2")])
-    @pytest.mark.parametrize("bad", ["250", "-5"])
-    def test_bad_verify_pct_outside_0_100_rejected(self, verb, bad):
-        result = run_cli(*verb, "--bad-verify-pct", bad)
-        assert result.returncode == 2
-        assert "Traceback" not in result.stderr
-        assert "percentage in 0-100" in result.stderr
-
     @pytest.mark.parametrize("gone", [
         ("sweep",), ("report", "--compare-model"),
         ("profile", "--no-ledger"), ("profile", "--worker-trace", "w.json"),
@@ -139,7 +129,14 @@ class TestArgumentErrors:
         ("chaos", "--bad-verify-pct", "10"),
         ("parallel-report",), ("run", "fig4", "--curves", "bn128"),
         ("run", "fig4", "--sizes", "8"), ("report", "--curves", "bn128"),
-        ("report", "--sizes", "64"),
+        ("report", "--sizes", "64"), ("lint", "--strict"),
+        ("lint", "--suppress", "ZK403"), ("lint", "--baseline", "b.json"),
+        ("lint", "--write-baseline", "b.json"), ("codelint", "--root", "src"),
+        ("codelint", "--checks", "errors"), ("codelint", "--all-modules"),
+        ("codelint", "--hot-modules", "repro.msm.*"),
+        ("prove", "--x", "5"), ("run", "fig6", "--measured", "--repeats", "2"),
+        ("serve", "--max-queue", "4"), ("loadtest", "--max-inflight", "8"),
+        ("loadtest", "--bad-verify-pct", "10"),
     ])
     def test_deleted_verb_and_flags_are_usage_errors(self, gone):
         result = run_cli(*gone)
