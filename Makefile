@@ -93,12 +93,12 @@ measured:
 	PYTHONPATH=src python -m repro run fig6 --measured \
 		--workers $(MEASURED_WORKERS)
 
-# Foreground proving service with synthetic traffic; SIGTERM (or ^C)
-# drains: admission closes, in-flight jobs finish, exit 0 (docs/SERVING.md).
+# Foreground proving service under open-loop traffic; SIGTERM (or ^C)
+# drains: admission closes, in-flight jobs finish (docs/SERVING.md).
 SERVE_RPS ?= 8
 SERVE_DURATION ?= 30
 serve:
-	PYTHONPATH=src python -m repro serve --size 64 --rps $(SERVE_RPS) \
+	PYTHONPATH=src python -m repro loadtest --size 64 --rps $(SERVE_RPS) \
 		--duration $(SERVE_DURATION)
 
 # Open-loop load smoke, then the same load with a seeded fault plan armed

@@ -51,9 +51,11 @@ class CodelintConfig:
     worker_registry: str = "TASKS"
 
     #: Function qualname globs whose bodies start stage execution
-    #: (RC2xx/RC3xx roots).  ``*`` so fixture trees with their own
-    #: ``Workflow`` class match too.
-    stage_roots: tuple = ("*Workflow.run_stage", "*Workflow._stage_*")
+    #: (RC2xx/RC3xx roots): the pipeline's stages and the proving
+    #: service's per-request stage body.  ``*`` so fixture trees with
+    #: their own ``Workflow`` class match too.
+    stage_roots: tuple = ("*Workflow.run_stage", "*Workflow._stage_*",
+                          "*ProvingService._compute")
 
     #: Modules whose public loop-bearing functions must poll the
     #: cooperative Deadline (RC5xx).

@@ -166,10 +166,9 @@ OPTIONS = {
     "--deadline": dict(type=_POSITIVE, metavar="SECONDS",
                        help="per-request deadline"),
     # traffic
-    "--rps": dict(type=_POSITIVE, metavar="R",
-                  help="open-loop request rate (serve: unset idles until "
-                       "SIGTERM)"),
-    "--duration": dict(type=_POSITIVE, metavar="SECONDS",
+    "--rps": dict(type=_POSITIVE, default=8.0, metavar="R",
+                  help="open-loop request rate"),
+    "--duration": dict(type=_POSITIVE, default=5.0, metavar="SECONDS",
                        help="traffic duration"),
     "--mix": dict(type=_traffic_mix, default="prove:verify",
                   help="traffic mix, e.g. prove:verify or prove=3,verify=1"),
@@ -237,12 +236,7 @@ def _cell(size):
     return ["--curve", opt("--size", size), "--workload", "--seed"]
 
 
-_SERVICE = ["--workers", "--deadline"]
 _RECORD = ["--json", "--ledger", "--label"]
-
-
-def _traffic(rps, duration):
-    return [opt("--rps", rps), opt("--duration", duration), "--mix"]
 
 
 # -- handlers ------------------------------------------------------------------------
@@ -329,21 +323,16 @@ def cmd_prove(args, out=print):
     curve = get_curve(args.curve)
     builder, inputs = build_exponentiate(curve, args.exponent)
     # --timeout installs a cooperative deadline for the whole run: the hot
-    # kernels poll it mid-stage, and the explicit checks below enforce it
-    # at stage boundaries for stages with no poll points.
-    with deadline_scope(args.timeout, stage="prove") as dl:
-        if dl is not None:
-            dl.check()
-        with Workflow(curve, builder, inputs, seed=0,
-                      workers=args.workers) as wf:
-            for stage in STAGES:
-                # The workflow already times each stage
-                # (StageResult.elapsed); report that instead of re-timing
-                # around the call.
-                result = wf.run_stage(stage)
-                out(f"{stage:10s} {result.elapsed:8.3f}s")
-                if dl is not None:
-                    dl.check()
+    # kernels poll it mid-stage, and the stage runner at every stage's
+    # entry and exit, so stages with no poll points end at their boundary.
+    with deadline_scope(args.timeout, stage="prove"), \
+            Workflow(curve, builder, inputs, seed=0,
+                     workers=args.workers) as wf:
+        for stage in STAGES:
+            # The workflow already times each stage (StageResult.elapsed);
+            # report that instead of re-timing around the call.
+            result = wf.run_stage(stage)
+            out(f"{stage:10s} {result.elapsed:8.3f}s")
     out(f"proof: {wf.proof.size_bytes()} bytes; accepted: {wf.accepted}")
     if args.out and wf.accepted:
         import json
@@ -557,22 +546,41 @@ def cmd_chaos(args, out=print):
     return 0 if report.acceptable else 1
 
 
-def _service(args, **policy):
-    from repro.serve import ProvingService
+def cmd_loadtest(args, out=print):
+    import asyncio
+    import signal
+    from contextlib import nullcontext
 
-    return ProvingService(
+    from repro.obs import format as obs_format
+    from repro.obs import ledger, metrics
+    from repro.resilience import faults
+    from repro.resilience.retry import RetryPolicy
+    from repro.serve import (
+        SERVE_SITES,
+        CircuitBreaker,
+        ProvingService,
+        run_loadtest,
+    )
+
+    registry = metrics.MetricsRegistry()
+    policy, plan = {}, None
+    if args.faults is not None:
+        # Backoff is recorded, not slept, and the breaker recloses fast,
+        # so one seed replays one fault story in a short run.
+        policy = dict(retry=RetryPolicy(max_attempts=args.max_attempts,
+                                        seed=args.seed, sleep=None),
+                      breaker=CircuitBreaker(cooldown_s=0.05))
+        plan = faults.schedule(
+            args.seed, args.faults,
+            sites=SERVE_SITES + ("msm:pippenger", "ntt:transform"))
+    service = ProvingService(
         curve=args.curve, size=args.size, workload=args.workload,
         workers=args.workers, default_deadline_s=args.deadline,
         seed=args.seed, **policy)
 
-
-def cmd_serve(args, out=print):
-    import asyncio
-    import signal
-
-    from repro.serve import run_loadtest
-
-    service = _service(args)
+    # Text mode narrates the service's life; --json keeps stdout one
+    # JSON document.
+    say = (lambda _line: None) if args.as_json else out
 
     async def _main():
         loop = asyncio.get_running_loop()
@@ -585,73 +593,29 @@ def cmd_serve(args, out=print):
                 # back to KeyboardInterrupt for SIGINT.
                 pass
         await service.start()
-        out(f"serving: curve={args.curve} size={args.size} "
+        say(f"serving: curve={args.curve} size={args.size} "
             f"workload={args.workload} workers={args.workers or 1} "
             f"max_queue={service.max_queue} "
             f"max_inflight={service.max_inflight}"
             + (f" deadline={args.deadline}s" if args.deadline else "")
             + " (SIGTERM drains)")
-        traffic = None
-        waiters = [loop.create_task(stop.wait())]
-        if args.rps is not None:
-            traffic = loop.create_task(run_loadtest(
-                service, rps=args.rps, duration_s=args.duration,
-                mix=args.mix, seed=args.seed, stop=stop))
-            waiters.append(traffic)
-        await asyncio.wait(waiters, return_when=asyncio.FIRST_COMPLETED)
-        out("draining: admission closed, finishing in-flight jobs ...")
-        await service.drain()
-        if traffic is not None:
-            # Requests the generator issues after the drain are shed
-            # typed, so the report always completes.
-            load = await traffic
-            out(load.render_text())
-        st = service.stats()
-        counts = st["counts"]
-        out(f"drained clean: {counts['ok']} ok / {counts['submitted']} "
-            f"submitted, outstanding={st['outstanding']}")
-        return 0
-
-    return asyncio.run(_main())
-
-
-def cmd_loadtest(args, out=print):
-    import asyncio
-    from contextlib import nullcontext
-
-    from repro.obs import format as obs_format
-    from repro.obs import ledger, metrics
-    from repro.resilience import faults
-    from repro.resilience.retry import RetryPolicy
-    from repro.serve import SERVE_SITES, CircuitBreaker, run_loadtest
-
-    registry = metrics.MetricsRegistry()
-    plan = None
-    if args.faults is None:
-        service = _service(args)
-    else:
-        # Backoff is recorded, not slept, and the breaker recloses fast,
-        # so one seed replays one fault story in a short run.
-        service = _service(
-            args, retry=RetryPolicy(max_attempts=args.max_attempts,
-                                    seed=args.seed, sleep=None),
-            breaker=CircuitBreaker(cooldown_s=0.05))
-        plan = faults.schedule(
-            args.seed, args.faults,
-            sites=SERVE_SITES + ("msm:pippenger", "ntt:transform"))
-
-    async def _main():
-        await service.start()
         # Armed after start(): the warm-up setup and proof are not the
         # target, the serving window is.
         armed = faults.injecting(plan) if plan is not None else nullcontext()
         try:
             with metrics.collecting(registry), armed:
+                # A signal ends the arrival schedule; admitted requests
+                # still resolve and land in the report.
                 return await run_loadtest(
                     service, rps=args.rps, duration_s=args.duration,
-                    mix=args.mix, seed=args.seed)
+                    mix=args.mix, seed=args.seed, stop=stop)
         finally:
+            say("draining: admission closed, finishing in-flight jobs ...")
             await service.drain()
+            st = service.stats()
+            say(f"drained clean: {st['counts']['ok']} ok / "
+                f"{st['counts']['submitted']} submitted, "
+                f"outstanding={st['outstanding']}")
 
     load = asyncio.run(_main())
     record = ledger.make_record(
@@ -791,18 +755,16 @@ VERBS = {
         cmd_chaos,
         [*_cell(32), opt("--faults", 4), "--max-attempts", "--workers",
          "--json"]),
-    "serve": Verb(
-        "run the fault-tolerant async proving service; SIGTERM drains "
-        "in-flight jobs and exits 0 (docs/SERVING.md)",
-        cmd_serve, [*_cell(64), *_SERVICE, *_traffic(None, 5.0)]),
     "loadtest": Verb(
         "open-loop load against the proving service: latency "
         "percentiles, shedding, phase breakdown; --faults N arms a "
-        "seeded fault plan; exit 1 on any request that resolves untyped "
-        "or whose phases do not add up (docs/SERVING.md)",
+        "seeded fault plan; SIGTERM drains in-flight jobs; exit 1 on any "
+        "request that resolves untyped or whose phases do not add up "
+        "(docs/SERVING.md)",
         cmd_loadtest,
-        [*_cell(32), *_SERVICE, *_traffic(8.0, 5.0), "--faults",
-         "--max-attempts", *_RECORD, "--request-trace"]),
+        [*_cell(32), "--workers", "--deadline", "--rps", "--duration",
+         "--mix", "--faults", "--max-attempts", *_RECORD,
+         "--request-trace"]),
 }
 
 

@@ -4,9 +4,9 @@ The serving layer in front of the measured pipeline: bounded admission
 (:class:`~repro.serve.service.ProvingService`), per-request cooperative
 deadlines, retry + circuit breaking over the worker pool, coalesced
 batch verification with poisoned-member isolation, and graceful drain.
-:mod:`~repro.serve.loadgen` drives it open-loop for the ``serve`` and
-``loadtest`` CLI verbs; ``loadtest --faults N`` arms a seeded fault plan
-while the traffic flows.  See docs/SERVING.md.
+:mod:`~repro.serve.loadgen` drives it open-loop for the ``loadtest``
+CLI verb (SIGTERM drains); ``loadtest --faults N`` arms a seeded fault
+plan while the traffic flows.  See docs/SERVING.md.
 """
 
 from repro.serve.breaker import CircuitBreaker

@@ -298,7 +298,7 @@ async def run_loadtest(service, rps, duration_s, mix=None, seed=0,
     immediately; everything admitted resolves through the service.
 
     *stop* (an ``asyncio.Event``) aborts the remaining arrival schedule
-    when set — the SIGTERM-drain path of the ``serve`` verb: already
+    when set — the SIGTERM-drain path of the ``loadtest`` verb: already
     admitted requests still resolve and land in the report.
     """
     if rps <= 0:

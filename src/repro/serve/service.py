@@ -9,50 +9,46 @@ hangs:
   request that would exceed either is shed immediately with
   :class:`~repro.resilience.errors.AdmissionError` (``error[admission]``,
   never retried by the service).
-- **Deadline propagation** — each request carries a time budget that
-  becomes a cooperative :class:`~repro.resilience.retry.Deadline` around
-  its execution, so the MSM/NTT poll points cancel expired work from
-  *inside* the kernels; a request that expires while still queued never
-  touches the core at all.  Workers inherit the remaining budget through
-  the pool's task context.
-- **One request path** — a prove is a batch of one: both kinds go
-  through one queue loop (:meth:`ProvingService._loop`), one attempt
-  ladder (:meth:`ProvingService._execute`) and one compute body
-  (:meth:`ProvingService._compute`); only the window and the call differ.
+- **Deadline propagation** — each request's time budget becomes a
+  cooperative :class:`~repro.resilience.retry.Deadline` around its
+  execution, so the MSM/NTT poll points cancel expired work from *inside*
+  the kernels (workers inherit it through the pool's task context); a
+  request that expires while still queued never touches the core.
+- **One request path, one stage runner** — a prove is a batch of one:
+  both kinds go through one queue loop (:meth:`ProvingService._loop`),
+  one attempt ladder (:meth:`ProvingService._execute`) and one compute
+  body (:meth:`ProvingService._compute`), which runs its call through
+  the pipeline's :func:`~repro.workflow.run_body` as the ``proving`` or
+  ``verifying`` stage (same span, stage tag and counters); the cold
+  start is a serial :class:`~repro.workflow.Workflow` up to ``proving``.
 - **Retry + circuit breaker** — transient taxonomy faults are re-attempted
   under a seeded :class:`~repro.resilience.retry.RetryPolicy` (async
   backoff; the event loop keeps serving); repeated
-  :class:`~repro.resilience.errors.WorkerCrash`\\ es of either kind trip
-  a :class:`~repro.serve.breaker.CircuitBreaker` that reroutes jobs to
-  the serial degradation path (the same kernels `resilient_msm` falls
-  back on) until a cooldown probe proves the pool healthy again.
-- **Verify coalescing** — verify requests are batched through
-  :func:`~repro.groth16.batch.batch_verify` within a small window;
-  a failing batch is bisected
+  :class:`~repro.resilience.errors.WorkerCrash`\\ es trip a
+  :class:`~repro.serve.breaker.CircuitBreaker` that reroutes jobs to the
+  serial path until a cooldown probe proves the pool healthy again.
+- **Verify coalescing** — verify requests arriving within a small window
+  are batched into one folded check; a failing batch is bisected
   (:func:`~repro.resilience.degrade.batch_verify_bisect`) so exactly the
-  poisoned members resolve ``accepted=False`` and everyone else still
-  benefits from the folded check.
+  poisoned members resolve ``accepted=False``.
 - **Graceful drain** — :meth:`ProvingService.drain` stops admission,
   lets in-flight jobs finish or deadline-out, then closes the worker
   pool gracefully (``WorkerPool.close(graceful=True)``), which is what
-  the CLI ``serve`` verb runs on SIGTERM.
+  the CLI ``loadtest`` verb runs on SIGTERM.
 - **Per-request phase tracing** — every transition of a request's life
   marks the job's phase clock (:meth:`~repro.serve.jobs.Job.mark`), so
-  each :class:`JobResult` resolves carrying an *additive* latency
-  breakdown over :data:`~repro.serve.jobs.PHASES`:
-  ``admission -> queue_wait -> coalesce_delay -> retry_backoff ->
-  compute -> settle``, with ``repro_serve_phase_<phase>_seconds``
-  histograms in the metrics registry.  The phases partition the request
-  lifetime by construction, so their sum equals ``total_s`` within
-  tolerance on every resolution path, and ``loadtest`` exits 1 on any
-  request where it does not.
+  each :class:`JobResult` carries an *additive* latency breakdown over
+  :data:`~repro.serve.jobs.PHASES` (``admission -> queue_wait ->
+  coalesce_delay -> retry_backoff -> compute -> settle``; histograms
+  ``repro_serve_phase_<phase>_seconds``).  The phases partition the
+  request's lifetime, so they sum to ``total_s`` on every resolution
+  path, and ``loadtest`` exits 1 on any request where they do not.
 
 Execution model: one dedicated compute thread (the GIL makes CPU-bound
-threads pointless anyway; real parallelism comes from the worker pool
-the compute thread fans MSM/NTT chunks out to).  Serializing compute
-also keeps the run context's fields (deadline, fault injector, pool)
-race-free: one thread installs and reads them.  Everything else — the
-breaker, the counters, every resolution — runs on the event-loop thread.
+threads pointless; real parallelism comes from the worker pool it fans
+MSM/NTT chunks out to).  Serializing compute also keeps the run
+context's fields race-free: one thread installs and reads them.  The
+breaker, the counters and every resolution run on the event-loop thread.
 """
 
 from __future__ import annotations
@@ -65,7 +61,6 @@ from concurrent.futures import ThreadPoolExecutor
 from repro import parallel
 from repro.context import RUN
 from repro.obs.metrics import TIME_BUCKETS
-from repro.resilience import retry as resilience
 from repro.resilience.errors import (
     AdmissionError,
     ArtifactCorruption,
@@ -79,10 +74,11 @@ from repro.resilience.retry import RetryPolicy
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.jobs import KINDS, Job, JobResult
 from repro.serve.pkcache import PKCache
+from repro.workflow import STAGES, Workflow, run_body
 
 __all__ = ["ARTIFACT_CACHE", "ProvingService", "SERVE_SITES"]
 
-#: Fault-injection sites checked inside the service's compute closures
+#: Fault-injection sites checked by the service's compute body
 #: (``loadtest --faults`` draws its schedule from these plus the kernel
 #: sites that prove/verify reach naturally).
 SERVE_SITES = ("serve:prove", "serve:verify")
@@ -162,13 +158,8 @@ class ProvingService:
         self._draining = False
         self._t0 = 0.0
         # Artifacts of the served cell (filled by start()).
-        self._curve_obj = None
-        self._circuit = None
-        self._pk = None
-        self._vk = None
-        self._witness = None
-        self._publics = None
-        self._proof0 = None
+        self._curve_obj = self._circuit = self._pk = self._vk = None
+        self._witness = self._publics = self._proof0 = None
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -203,27 +194,20 @@ class ProvingService:
         return False
 
     def _build_artifacts(self):
-        from repro.circuit.compiler import compile_circuit
         from repro.curves import get_curve
-        from repro.groth16 import (
-            generate_witness,
-            prove,
-            public_inputs,
-            setup,
-        )
+        from repro.groth16 import public_inputs
         from repro.harness.circuits import build_workload
 
         def build():
+            # The pipeline's own stages, serially, up to ``proving``: its
+            # proof is the sample a verify request defaults to.
             curve = get_curve(self.curve)
-            builder, inputs = build_workload(self.workload, curve, self.size)
-            circuit = compile_circuit(builder)
-            pk, vk = setup(curve, circuit,
-                           random.Random(f"serve:setup:{self.seed}"))
-            witness = generate_witness(circuit, inputs)
-            publics = public_inputs(circuit, witness)
-            proof0 = prove(pk, circuit, witness,
-                           random.Random(f"serve:proof0:{self.seed}"))
-            return (curve, circuit, pk, vk, witness, publics, proof0)
+            wf = Workflow(curve, *build_workload(self.workload, curve,
+                                                 self.size), seed=self.seed)
+            for stage in STAGES[:-1]:
+                wf.run_stage(stage)
+            return (curve, wf.circuit, wf.pk, wf.vk, wf.witness,
+                    public_inputs(wf.circuit, wf.witness), wf.proof)
 
         key = (self.curve, self.workload, self.size, self.seed)
         (self._curve_obj, self._circuit, self._pk, self._vk,
@@ -487,25 +471,18 @@ class ProvingService:
             resolve(job, last)
 
     def _compute(self, kind, jobs, use_pool, seed):
-        """Compute-thread body of one attempt: one deadline scope under
-        the loosest member budget (an unbounded member lifts it; members
-        are re-checked against their own deadlines afterwards), the
-        ``serve:<kind>`` fault site, the pool when the breaker allowed it,
-        and the kind's one call.  Returns each member's result fields.
-
-        Both calls are looked up here, at call time, so a rebinding of
-        ``repro.groth16.prove`` (bench's traced pass) is what runs.
+        """Compute-thread body of one attempt; returns each member's
+        result fields.  :func:`~repro.workflow.run_body` runs the kind's
+        one call as its Fig. 1 stage at the ``serve:<kind>`` fault site,
+        on the pool the breaker allowed, under the loosest member budget
+        (an unbounded member lifts it; members are re-checked against
+        their own deadlines afterwards).  ``prove`` is looked up at call
+        time, so a rebinding of ``repro.groth16.prove`` is what runs.
         """
         from repro.groth16 import prove
         from repro.resilience.degrade import batch_verify_bisect
 
-        budgets = [job.remaining() for job in jobs]
-        budget = None if None in budgets else max(budgets)
-        with resilience.deadline_scope(budget, stage=f"serve:{kind}"), \
-                parallel.using(self._pool if use_pool else None):
-            inj = RUN.faults
-            if inj is not None:
-                inj.check(f"serve:{kind}")
+        def body():
             if kind == "prove":
                 proof = prove(self._pk, self._circuit, self._witness,
                               random.Random(seed))
@@ -514,6 +491,13 @@ class ProvingService:
                 self._vk, [job.payload for job in jobs], random.Random(seed))
             return [{"accepted": ok or i not in bad}
                     for i in range(len(jobs))]
+
+        budgets = [job.remaining() for job in jobs]
+        return run_body(
+            "proving" if kind == "prove" else "verifying", body,
+            f"serve:{kind}", pool=self._pool if use_pool else None,
+            budget=None if None in budgets else max(budgets),
+            curve=self.curve, circuit=self._circuit.name)[0]
 
     # -- resolution ---------------------------------------------------------------
 

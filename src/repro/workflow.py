@@ -8,6 +8,12 @@ Fig. 1 (ccs; pk/vk; witnessFull/witnessPublic; proof; true/false).
 
 ``STAGES`` fixes the canonical stage names and order used across the
 analyses, tables and figures.
+
+:func:`run_body` is the only code that runs a stage body: ``Workflow``
+calls it once per stage attempt, and the proving service
+(:mod:`repro.serve.service`) once per request attempt and, through a
+``Workflow``, for its cold start, so a served prove carries the same
+stage tag, span and counters as a pipeline one.
 """
 
 from __future__ import annotations
@@ -17,18 +23,17 @@ import time
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.circuit.compiler import compile_circuit
+from repro import groth16, parallel
+from repro.circuit import compiler
 from repro.context import RUN
-from repro.groth16 import generate_witness, prove, public_inputs, setup, verify
-from repro import parallel
 from repro.obs import spans
 from repro.obs.spans import Span
 from repro.perf import trace
 from repro.perf.trace import Tracer
 from repro.resilience.errors import StageError, StageOrderError
-from repro.resilience.retry import with_retry
+from repro.resilience.retry import deadline_scope, with_retry
 
-__all__ = ["STAGES", "StageResult", "Workflow"]
+__all__ = ["STAGES", "StageResult", "Workflow", "run_body"]
 
 #: Canonical stage order (Fig. 1).
 STAGES = ("compile", "setup", "witness", "proving", "verifying")
@@ -62,6 +67,42 @@ class StageResult:
             rec["rss_peak_delta_kb"] = self.span.rss_peak_delta_kb
             rec["gc_collections"] = self.span.gc_collections
         return rec
+
+
+def _poll_deadline():
+    dl = RUN.deadline
+    if dl is not None:
+        dl.check()
+
+
+def run_body(stage, body, site, pool=None, budget=None, tracer=None, **meta):
+    """Run one stage *body* once; returns ``(artifact, span)``.
+
+    In order: tag ``RUN.tasks`` with *stage*; install *pool*; open a
+    deadline scope of *budget* seconds (``None`` keeps the enclosing
+    deadline) and poll ``RUN.deadline``; check the *site* fault; run
+    *body* under *tracer* and, when a span recorder is active, under a
+    span named *stage* carrying *meta* and the tracer's counts; poll the
+    deadline again, so a stage with no poll points of its own still ends
+    at its boundary.  The span is ``None`` when nothing is recording.
+    """
+    tel = RUN.tasks
+    if tel is not None:
+        tel.begin_stage(stage)
+    with parallel.using(pool), deadline_scope(budget, stage=site):
+        _poll_deadline()
+        if RUN.faults is not None:
+            RUN.faults.check(site)
+        with spans.span(stage, **meta) as sp:
+            if tracer is None:
+                artifact = body()
+            else:
+                with trace.tracing(tracer):
+                    artifact = body()
+                if sp is not None:
+                    spans.attach_counters(tracer.total_counts())
+        _poll_deadline()
+    return artifact, sp
 
 
 class Workflow:
@@ -138,32 +179,37 @@ class Workflow:
         return False
 
     # -- stage implementations ---------------------------------------------------
+    #
+    # The protocol calls go through their modules at call time, so a
+    # rebinding of ``repro.groth16.setup`` (bench's traced pass, a test's
+    # counting wrapper) is what runs.
 
     def _stage_compile(self):
-        self.circuit = compile_circuit(self.builder)
+        self.circuit = compiler.compile_circuit(self.builder)
         return self.circuit
 
     def _stage_setup(self):
         self._require("compile", self.circuit)
         rng = random.Random(f"setup:{self.seed}")
-        self.pk, self.vk = setup(self.curve, self.circuit, rng)
+        self.pk, self.vk = groth16.setup(self.curve, self.circuit, rng)
         return (self.pk, self.vk)
 
     def _stage_witness(self):
         self._require("compile", self.circuit)
-        self.witness = generate_witness(self.circuit, self.inputs)
+        self.witness = groth16.generate_witness(self.circuit, self.inputs)
         return self.witness
 
     def _stage_proving(self):
         self._require("setup", self.pk)
         self._require("witness", self.witness)
         rng = random.Random(f"prove:{self.seed}")
-        self.proof = prove(self.pk, self.circuit, self.witness, rng)
+        self.proof = groth16.prove(self.pk, self.circuit, self.witness, rng)
         return self.proof
 
     def _stage_verifying(self):
         self._require("proving", self.proof)
-        self.accepted = verify(self.vk, self.proof, public_inputs(self.circuit, self.witness))
+        self.accepted = groth16.verify(
+            self.vk, self.proof, groth16.public_inputs(self.circuit, self.witness))
         return self.accepted
 
     def _require(self, stage, artifact):
@@ -172,36 +218,23 @@ class Workflow:
 
     # -- drivers -------------------------------------------------------------------
 
-    def _execute(self, impl, tracer):
-        if tracer is None:
-            return impl()
-        with trace.tracing(tracer):
-            return impl()
-
     def run_stage(self, stage, tracer=None):
-        """Execute one stage, optionally under *tracer*; returns a
-        :class:`StageResult` (also recorded in :attr:`results`).
+        """Execute one stage through :func:`run_body` (fault site
+        ``stage:<name>``, the workflow's pool, optionally *tracer*);
+        returns a :class:`StageResult` (also recorded in :attr:`results`).
 
-        When a span recorder is active (:func:`repro.obs.spans.recording`)
-        the stage runs under a span named after it, with the tracer's
-        primitive counts attached; otherwise only the plain wall-clock
-        ``elapsed`` is taken, as before.
-
-        Each attempt checks the ``stage:<name>`` fault site, then runs the
-        body.  When the workflow was given a *retry* policy the attempts
-        run through :func:`~repro.resilience.retry.with_retry`, and a
-        give-up raises :class:`~repro.resilience.errors.StageError`
-        carrying the typed fault and the attempt count.  Without one the
-        body runs once and a fault propagates raw; ``elapsed`` always
-        spans every attempt.
+        When the workflow was given a *retry* policy the attempts run
+        through :func:`~repro.resilience.retry.with_retry`, and a give-up
+        raises :class:`~repro.resilience.errors.StageError` carrying the
+        typed fault and the attempt count.  Without one the body runs
+        once and a fault propagates raw; ``elapsed`` always spans every
+        attempt.
         """
         try:
             impl = getattr(self, f"_stage_{stage}")
         except AttributeError:
             raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}") from None
         start = time.perf_counter()
-        recorded_spans = []
-
         attempts = 0
 
         def attempt():
@@ -211,32 +244,19 @@ class Workflow:
             if m is not None:
                 if attempts > 1:
                     m.inc(f"repro_resilience_stage_{stage}_retries_total")
-            if RUN.faults is not None:
-                RUN.faults.check(f"stage:{stage}")
-            if RUN.spans is None:
-                return self._execute(impl, tracer)
-            with spans.span(stage, curve=self.curve.name,
-                            circuit=self.builder.name) as sp:
-                recorded_spans.append(sp)
-                artifact = self._execute(impl, tracer)
-                if tracer is not None:
-                    spans.attach_counters(tracer.total_counts())
-            return artifact
+            return run_body(stage, impl, f"stage:{stage}", pool=self.pool,
+                            tracer=tracer, curve=self.curve.name,
+                            circuit=self.builder.name)
 
-        tel = RUN.tasks
-        if tel is not None:
-            tel.begin_stage(stage)
-        with parallel.using(self.pool):
-            if self.retry is None:
-                artifact = attempt()
-            else:
-                try:
-                    artifact = with_retry(attempt, self.retry)
-                except Exception as exc:
-                    raise StageError(stage, exc, attempts=attempts) from exc
-        sp = recorded_spans[-1] if recorded_spans else None
-        elapsed = time.perf_counter() - start
-        result = StageResult(stage=stage, artifact=artifact, elapsed=elapsed,
+        if self.retry is None:
+            artifact, sp = attempt()
+        else:
+            try:
+                artifact, sp = with_retry(attempt, self.retry)
+            except Exception as exc:
+                raise StageError(stage, exc, attempts=attempts) from exc
+        result = StageResult(stage=stage, artifact=artifact,
+                             elapsed=time.perf_counter() - start,
                              tracer=tracer, span=sp)
         self.results[stage] = result
         return result

@@ -460,3 +460,83 @@ class TestDrain:
         assert stats["counts"]["ok"] == 1
         assert stats["breaker"]["state"] == "closed"
         assert stats["queue_depth"] == 0
+
+
+def _exponentiate_cell(size=8):
+    from repro.curves import get_curve
+    from repro.harness.circuits import build_workload
+    from repro.workflow import Workflow
+
+    curve = get_curve("bn128")
+    builder, inputs = build_workload("exponentiate", curve, size)
+    return Workflow(curve, builder, inputs)
+
+
+class TestOneStageRunner:
+    """The service runs its requests and its cold start through the
+    workflow's stage runner, so both paths record the same telemetry."""
+
+    @staticmethod
+    def kernel_counts(registry):
+        return {name: value for name, value in registry.counters.items()
+                if name.startswith("repro_ntt_")
+                or (name.startswith("repro_msm_")
+                    and name.endswith("_calls_total"))}
+
+    def test_served_and_pipeline_proves_record_the_same(self):
+        from repro.obs import metrics, spans
+
+        def proving_spans(rec):
+            return [sp for sp in rec.root.walk() if sp.name == "proving"]
+
+        async def served():
+            async with fast_service() as svc:
+                with spans.recording() as rec, \
+                        metrics.collecting() as registry:
+                    result = await svc.submit("prove")
+            return result, rec, registry
+
+        result, served_rec, served_reg = run(served())
+        assert result.status == "ok"
+
+        wf = _exponentiate_cell()
+        for stage in ("compile", "setup", "witness"):
+            wf.run_stage(stage)
+        with spans.recording() as pipeline_rec, \
+                metrics.collecting() as pipeline_reg:
+            wf.run_stage("proving")
+
+        assert len(proving_spans(served_rec)) == 1
+        assert len(proving_spans(pipeline_rec)) == 1
+        served_counts = self.kernel_counts(served_reg)
+        assert served_counts["repro_ntt_transforms_total"] > 0
+        assert any(name.startswith("repro_msm_") for name in served_counts)
+        assert served_counts == self.kernel_counts(pipeline_reg)
+
+    def test_protocol_calls_are_looked_up_at_call_time(self, monkeypatch):
+        # bench's traced pass rebinds repro.groth16.setup; a binding made
+        # at import time would silently run the original instead.
+        import repro.groth16
+        from repro.serve import ARTIFACT_CACHE
+
+        calls = []
+        real = repro.groth16.setup
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(repro.groth16, "setup", counting)
+        ARTIFACT_CACHE.clear()
+
+        wf = _exponentiate_cell()
+        wf.run_stage("compile")
+        wf.run_stage("setup")
+        assert len(calls) == 1
+
+        async def cold_start():
+            async with fast_service():
+                pass
+
+        run(cold_start())
+        assert len(calls) == 2

@@ -121,7 +121,7 @@ class TestOptionTable:
                  for verb, parser in verb_parsers().items()
                  if parser.get_default("size") is not None}
         assert sizes == {"profile": 64, "deep-profile": 8, "report": (64,),
-                         "chaos": 32, "serve": 64, "loadtest": 32}
+                         "chaos": 32, "loadtest": 32}
         # run's cells are unset: the traced sweep and each measured
         # artifact (repro.harness.measured) keep their own defaults.
         run = build_parser().parse_args(["run", "fig6", "--measured"])

@@ -135,7 +135,8 @@ class TestArgumentErrors:
         ("codelint", "--checks", "errors"), ("codelint", "--all-modules"),
         ("codelint", "--hot-modules", "repro.msm.*"),
         ("prove", "--x", "5"), ("run", "fig6", "--measured", "--repeats", "2"),
-        ("serve", "--max-queue", "4"), ("loadtest", "--max-inflight", "8"),
+        ("serve",), ("serve", "--max-queue", "4"),
+        ("loadtest", "--max-inflight", "8"),
         ("loadtest", "--bad-verify-pct", "10"),
     ])
     def test_deleted_verb_and_flags_are_usage_errors(self, gone):
@@ -328,7 +329,7 @@ class TestChaosUnderLoad:
         assert "unresolved=0" in result.stdout
 
 
-class TestServeVerb:
+class TestLoadtestDrain:
     def test_sigterm_drains_clean(self):
         import signal
         import time
@@ -336,7 +337,7 @@ class TestServeVerb:
         env = dict(os.environ, PYTHONPATH=SRC, REPRO_CACHE="0",
                    PYTHONUNBUFFERED="1")
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--size", "8",
+            [sys.executable, "-m", "repro", "loadtest", "--size", "8",
              "--rps", "10", "--duration", "60"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             env=env, cwd=REPO)
