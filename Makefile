@@ -14,7 +14,7 @@ install:
 	pip install -e . || python setup.py develop
 
 test:
-	pytest tests/
+	PYTHONPATH=src pytest tests/
 
 lint:
 	@command -v ruff >/dev/null 2>&1 && ruff check . \
@@ -40,7 +40,7 @@ artifacts:
 	PYTHONPATH=src python -m repro run all --out results/
 
 slow:
-	REPRO_SLOW=1 pytest tests/harness/test_large_scale.py
+	REPRO_SLOW=1 PYTHONPATH=src pytest tests/harness/test_large_scale.py
 
 profile:
 	PYTHONPATH=src python -m repro profile --curve bn128 --size 64 \

@@ -1,13 +1,11 @@
 #!/usr/bin/env python3
 """Export a stage trace for external tools.
 
-Traces the proving stage and writes:
-
-- ``results/proving_trace.json`` — Chrome Trace Event Format; open it in
-  ``chrome://tracing`` or https://ui.perfetto.dev to browse the region
-  tree with per-region instruction/cycle annotations (the closest thing
-  to opening a VTune recording of the stage);
-- ``results/proving_counters.csv`` — flat primitive counters.
+Traces the proving stage and writes ``results/proving_trace.json`` in
+Chrome Trace Event Format; open it in ``chrome://tracing`` or
+https://ui.perfetto.dev to browse the region tree with per-region
+instruction/cycle annotations (the closest thing to opening a VTune
+recording of the stage).
 
     python examples/export_trace.py [stage] [n_constraints]
 """
@@ -17,11 +15,7 @@ import sys
 
 from repro.curves import get_curve
 from repro.harness.circuits import build_exponentiate
-from repro.perf.export import (
-    counters_to_csv,
-    regions_to_spans,
-    spans_to_chrome_trace,
-)
+from repro.perf.export import regions_to_spans, spans_to_chrome_trace
 from repro.perf.trace import Tracer
 from repro.workflow import STAGES, Workflow
 
@@ -47,13 +41,9 @@ def main():
 
     os.makedirs("results", exist_ok=True)
     json_path = os.path.join("results", f"{stage}_trace.json")
-    csv_path = os.path.join("results", f"{stage}_counters.csv")
     with open(json_path, "w") as f:
         f.write(spans_to_chrome_trace(regions_to_spans({stage: tracer})))
-    with open(csv_path, "w") as f:
-        f.write(counters_to_csv(tracer))
     print(f"wrote {json_path} (open in chrome://tracing or ui.perfetto.dev)")
-    print(f"wrote {csv_path}")
 
     regions = sorted(
         ((r.name, sum(r.counts.values())) for r in tracer.iter_regions()),

@@ -215,11 +215,6 @@ OPTIONS = {
                               "results/prof/deep_<cell>.speedscope.json)"),
     "--no-artifacts": dict(_FLAG, help="do not write the flamegraph "
                                        "artifacts"),
-    "--model-json": dict(metavar="PATH",
-                         help="load the modeled reference from this JSON "
-                              "file ({stage: {family_shares, "
-                              "opcode_shares}}) instead of computing it "
-                              "from repro.perf"),
     # the analyzers
     "--circuit": dict(help="analyze only this circuit (unset: every "
                            "built-in)"),
@@ -500,11 +495,6 @@ def cmd_report(args, out=print):
 
     from repro.obs import drift, prof
 
-    modeled_from_file = None
-    if args.model_json:
-        with open(args.model_json) as f:
-            modeled_from_file = json.load(f)
-
     reports = []
     for curve in args.curve:
         for size in args.size:
@@ -514,11 +504,9 @@ def cmd_report(args, out=print):
                 curve, size, workload=args.workload, seed=args.seed,
                 alloc=False,
             )
-            modeled = (modeled_from_file
-                       if modeled_from_file is not None
-                       else drift.model_reference(curve, size,
-                                                  workload=args.workload,
-                                                  seed=args.seed))
+            modeled = drift.model_reference(curve, size,
+                                            workload=args.workload,
+                                            seed=args.seed)
             reports.append(drift.check_drift(
                 profiler.measured_blocks(), modeled,
                 curve=curve, size=size, workload=args.workload,
@@ -748,7 +736,7 @@ VERBS = {
         "reality; exit 1 on model drift (docs/PROFILING.md)",
         cmd_report,
         [opt("--size", (64,), many=True), opt("--curve", ("bn128",), many=True),
-         "--workload", "--seed", "--model-json", "--json"]),
+         "--workload", "--seed", "--json"]),
     "chaos": Verb(
         "run the pipeline under a seeded fault schedule; exit 0 iff every "
         "fault ends typed (docs/ROBUSTNESS.md)",

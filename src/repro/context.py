@@ -9,6 +9,10 @@ site deep in a kernel pays one global load, one attribute load and an
     if t is not None:
         t.op("bigint_mul", limbs)
 
+A region of the tracer's tree is opened the same way from every stage
+body, traced or not, through :func:`region`: it is the tracer's region
+when one is installed and a shared no-op context otherwise.
+
 :func:`scoped` is the only writer besides :meth:`RunContext.clear`, which
 is all a forked worker does on entry.  The public installers (``tracing``,
 ``collecting``, ``recording``, ``collecting_tasks``, ``using``,
@@ -21,9 +25,9 @@ arithmetic core imports it and nothing else to be instrumented.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
-__all__ = ["RUN", "RunContext", "scoped"]
+__all__ = ["RUN", "RunContext", "region", "scoped"]
 
 
 class RunContext:
@@ -68,3 +72,15 @@ def scoped(field, value, busy=None):
         yield value
     finally:
         setattr(RUN, field, previous)
+
+
+_NO_REGION = nullcontext()
+
+
+def region(name, **kw):
+    """``RUN.tracer.region(name, **kw)`` when a tracer is installed, else a
+    shared no-op context: a body opens its region in one ``with`` line."""
+    t = RUN.tracer
+    if t is None:
+        return _NO_REGION
+    return t.region(name, **kw)

@@ -14,7 +14,7 @@ whose fingerprint dominates the paper's findings:
 
 from __future__ import annotations
 
-from repro.context import RUN
+from repro.context import RUN, region
 from repro.groth16.keys import Proof
 from repro.poly.domain import EvaluationDomain
 from repro.qap.qap import compute_h
@@ -83,24 +83,17 @@ def prove(pk, circuit, witness, rng):
     l_scalars = [witness[i] for i in l_wires]
     h_aff = [p.to_affine() for p in pk.h_query]
 
-    def _msms():
-        # resilient_msm: the msm_auto front door, degrading to the naive
-        # kernel on a transient kernel fault (docs/ROBUSTNESS.md).
+    # resilient_msm: the msm_auto front door, degrading to the naive
+    # kernel on a transient kernel fault (docs/ROBUSTNESS.md).
+    with region("prove_msm", parallel=True, items=4 * len(a_aff) + len(h_aff)):
         a_sum = resilient_msm(curve.g1, a_aff, witness)
         b1_sum = resilient_msm(curve.g1, b1_aff, witness)
         b2_sum = resilient_msm(curve.g2, b2_aff, witness)
         l_sum = resilient_msm(curve.g1, l_aff, l_scalars)
         h_sum = resilient_msm(curve.g1, h_aff, h)
-        return a_sum, b1_sum, b2_sum, l_sum, h_sum
-
-    if t is None:
-        a_sum, b1_sum, b2_sum, l_sum, h_sum = _msms()
-    else:
-        with t.region("prove_msm", parallel=True, items=4 * len(a_aff) + len(h_aff)):
-            a_sum, b1_sum, b2_sum, l_sum, h_sum = _msms()
 
     # -- proof assembly (serial tail) -----------------------------------------------
-    def _assemble():
+    with region("prove_assemble", parallel=False):
         A = pk.alpha1 + a_sum + pk.delta1 * r
         B2 = pk.beta2 + b2_sum + pk.delta2 * s
         B1 = pk.beta1 + b1_sum + pk.delta1 * s
@@ -111,11 +104,7 @@ def prove(pk, circuit, witness, rng):
             + B1 * r
             - pk.delta1 * (fr.mul(r, s))
         )
-        return Proof(curve=curve, a=A.normalize(), b=B2.normalize(), c=C.normalize())
-
-    if t is None:
-        return _assemble()
-    with t.region("prove_assemble", parallel=False):
-        proof = _assemble()
-        t.memcpy(t.malloc(proof.size_bytes()), 0, proof.size_bytes())
-        return proof
+        proof = Proof(curve=curve, a=A.normalize(), b=B2.normalize(), c=C.normalize())
+        if t is not None:
+            t.memcpy(t.malloc(proof.size_bytes()), 0, proof.size_bytes())
+    return proof

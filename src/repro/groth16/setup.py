@@ -21,7 +21,7 @@ Instrumented to match the stage's fingerprint in the paper:
 
 from __future__ import annotations
 
-from repro.context import RUN
+from repro.context import RUN, region
 from repro.groth16.keys import ProvingKey, VerifyingKey
 from repro.msm.fixed_base import FixedBaseTable
 from repro.qap.qap import column_evaluations_at, qap_domain
@@ -62,7 +62,7 @@ def setup(curve, circuit, rng):
     u, v, w = column_evaluations_at(r1cs, domain, tau)
 
     # -- scalar preparation (serial: snarkjs walks these chains in order) ----
-    def _prepare_scalars():
+    with region("setup_prepare_scalars", parallel=False):
         gamma_inv = fr.inv(gamma)
         delta_inv = fr.inv(delta)
         ic_scalars = [
@@ -82,13 +82,6 @@ def setup(curve, circuit, rng):
         for _ in range(domain.size - 1):
             h_scalars.append(fr.mul(power, zd))
             power = fr.mul(power, tau)
-        return ic_scalars, l_scalars, h_scalars
-
-    if t is None:
-        ic_scalars, l_scalars, h_scalars = _prepare_scalars()
-    else:
-        with t.region("setup_prepare_scalars", parallel=False):
-            ic_scalars, l_scalars, h_scalars = _prepare_scalars()
 
     # -- group commitments -------------------------------------------------------
     # Width 3 is what the traced setup's figures are calibrated on.
@@ -119,65 +112,50 @@ def setup(curve, circuit, rng):
             return _mul_many(table, scalars)
         return [table.mul(k) for k in scalars]
 
-    def _commit_g1():
+    with region("setup_g1_commitments", parallel=True,
+                items=4 * len(u) + len(h_scalars),
+                load_scale=2.0, store_scale=0.25):
         l_wires = list(l_scalars)
         l_points = _mul_each(g1_table, [l_scalars[i] for i in l_wires])
-        return dict(
-            alpha1=g1_table.mul(alpha),
-            beta1=g1_table.mul(beta),
-            delta1=g1_table.mul(delta),
-            a_query=_mul_many(g1_table, u),
-            b1_query=_mul_many(g1_table, v),
-            l_query=dict(zip(l_wires, l_points)),
-            h_query=_mul_many(g1_table, h_scalars),
-            ic=_mul_many(g1_table, ic_scalars),
-        )
-
-    def _commit_g2():
-        return dict(
-            beta2=g2_table.mul(beta),
-            delta2=g2_table.mul(delta),
-            gamma2=g2_table.mul(gamma),
-            b2_query=_mul_each(g2_table, v),
-        )
-
-    if t is None:
-        g1_parts = _commit_g1()
-        g2_parts = _commit_g2()
-    else:
-        with t.region("setup_g1_commitments", parallel=True,
-                      items=4 * len(u) + len(h_scalars),
-                      load_scale=2.0, store_scale=0.25):
-            g1_parts = _commit_g1()
-        # snarkjs builds the G2 section on the main thread (its wasmcurves
-        # worker pool only covers the G1 batch paths) — the stage's big
-        # serial block, and the main reason its Amdahl parallel fraction
-        # sits near 50% rather than proving's ~72% (Table VI).
-        with t.region("setup_g2_commitments", parallel=False,
-                      load_scale=2.0, store_scale=0.25):
-            g2_parts = _commit_g2()
+        alpha1 = g1_table.mul(alpha)
+        beta1 = g1_table.mul(beta)
+        delta1 = g1_table.mul(delta)
+        a_query = _mul_many(g1_table, u)
+        b1_query = _mul_many(g1_table, v)
+        h_query = _mul_many(g1_table, h_scalars)
+        ic = _mul_many(g1_table, ic_scalars)
+    # snarkjs builds the G2 section on the main thread (its wasmcurves
+    # worker pool only covers the G1 batch paths) — the stage's big
+    # serial block, and the main reason its Amdahl parallel fraction
+    # sits near 50% rather than proving's ~72% (Table VI).
+    with region("setup_g2_commitments", parallel=False,
+                load_scale=2.0, store_scale=0.25):
+        beta2 = g2_table.mul(beta)
+        delta2 = g2_table.mul(delta)
+        gamma2 = g2_table.mul(gamma)
+        b2_query = _mul_each(g2_table, v)
 
     pk = ProvingKey(
         curve=curve,
-        alpha1=g1_parts["alpha1"],
-        beta1=g1_parts["beta1"],
-        beta2=g2_parts["beta2"],
-        delta1=g1_parts["delta1"],
-        delta2=g2_parts["delta2"],
-        a_query=g1_parts["a_query"],
-        b1_query=g1_parts["b1_query"],
-        b2_query=g2_parts["b2_query"],
-        l_query=g1_parts["l_query"],
-        h_query=g1_parts["h_query"],
+        alpha1=alpha1,
+        beta1=beta1,
+        beta2=beta2,
+        delta1=delta1,
+        delta2=delta2,
+        a_query=a_query,
+        b1_query=b1_query,
+        b2_query=b2_query,
+        l_query=dict(zip(l_wires, l_points)),
+        h_query=h_query,
         domain_size=domain.size,
     )
     vk = VerifyingKey(
         curve=curve,
-        alpha1=pk.alpha1,
-        beta2=pk.beta2,
-        gamma2=g2_parts["gamma2"],
-        delta2=pk.delta2,
-        ic=g1_parts["ic"],
+        alpha1=alpha1,
+        beta2=beta2,
+        gamma2=gamma2,
+        delta2=delta2,
+        ic=ic,
         public_wires=list(r1cs.public_wires),
     )
 

@@ -17,7 +17,7 @@ the stage's fingerprint from the paper:
 
 from __future__ import annotations
 
-from repro.context import RUN
+from repro.context import RUN, region
 
 __all__ = ["generate_witness", "public_inputs", "WitnessError"]
 
@@ -98,11 +98,13 @@ def generate_witness(circuit, inputs):
             t.op("wasm_validate", (_MODULE_BYTES // 1024) * _INIT_PARALLEL_OPS_PER_KB)
         arena_base = t.malloc(len(signals) * 32)
 
-    def _set_inputs():
+    with region("witness_parse_inputs", parallel=False):
         for name, wire in circuit.input_wires.items():
+            if t is not None:
+                t.op("json_parse_field", 8)
             signals[wire] = inputs[name] % fr.modulus
 
-    def _run_program():
+    with region("witness_eval", parallel=True, items=max(len(circuit.program), 1)):
         for step_idx, step in enumerate(circuit.program):
             if t is not None:
                 # One indirect-dispatch step per instruction, plus a hop
@@ -130,24 +132,12 @@ def generate_witness(circuit, inputs):
             else:  # pragma: no cover - program steps are built by the DSL
                 raise WitnessError(f"unknown witness program step {kind!r}")
 
-    if t is None:
-        _set_inputs()
-        _run_program()
-        return signals
-
-    with t.region("witness_parse_inputs", parallel=False):
-        for _ in circuit.input_wires:
-            t.op("json_parse_field", 8)
-        _set_inputs()
-
-    with t.region("witness_eval", parallel=True, items=max(len(circuit.program), 1)):
-        _run_program()
-
-    with t.region("witness_write", parallel=False):
-        # JSON/wtns emission is parse-and-format bound, not a raw copy.
-        t.stream(arena_base, len(signals) * 32, write=True, ticks_per_kb=200,
-                 op_name="json_parse_field")
-        t.op("hash_block", 1 + len(signals) // 2)
+    if t is not None:
+        with t.region("witness_write", parallel=False):
+            # JSON/wtns emission is parse-and-format bound, not a raw copy.
+            t.stream(arena_base, len(signals) * 32, write=True, ticks_per_kb=200,
+                     op_name="json_parse_field")
+            t.op("hash_block", 1 + len(signals) // 2)
 
     return signals
 

@@ -1,4 +1,4 @@
-"""Plain-text rendering of experiment results (tables and figure series).
+"""Plain-text rendering of experiment results as aligned tables.
 
 The benchmark harness prints the same rows/series the paper reports; these
 helpers keep the formatting consistent across experiments.
@@ -6,7 +6,7 @@ helpers keep the formatting consistent across experiments.
 
 from __future__ import annotations
 
-__all__ = ["render_table", "render_series", "format_value"]
+__all__ = ["render_table", "format_value"]
 
 
 def format_value(v, floatfmt=".2f"):
@@ -33,11 +33,3 @@ def render_table(headers, rows, title=None, floatfmt=".2f"):
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
 
-
-def render_series(title, x_label, xs, series, floatfmt=".2f"):
-    """Render figure-style data: one x column plus one column per series."""
-    headers = [x_label] + list(series)
-    rows = []
-    for i, x in enumerate(xs):
-        rows.append([x] + [series[name][i] for name in series])
-    return render_table(headers, rows, title=title, floatfmt=floatfmt)

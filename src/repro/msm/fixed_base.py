@@ -15,9 +15,7 @@ rows it streams and drops (docs/KERNELS.md, "Fixed-base batch walk").
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
-from repro.context import RUN
+from repro.context import RUN, region
 from repro.msm.batch_affine import batch_affine_add
 from repro.msm.recode import signed_windows_len
 
@@ -93,8 +91,7 @@ class FixedBaseTable:
         # so the per-scalar walk uses cheap mixed additions.
         table = []
         window_base = base
-        with (t.region("fixed_base_table_build", parallel=True, items=self.n_windows)
-              if t is not None else nullcontext()):
+        with region("fixed_base_table_build", parallel=True, items=self.n_windows):
             for _k in range(self.n_windows):
                 row = []
                 acc = group.infinity()

@@ -40,7 +40,7 @@ ledger record schema.
 from repro.obs.fingerprint import git_revision, machine_fingerprint
 from repro.obs.ledger import Ledger, make_record
 from repro.obs.metrics import MetricsRegistry, collecting
-from repro.obs.spans import Span, recording, render_spans, span, spanned
+from repro.obs.spans import Span, recording, render_spans, span
 from repro.obs.worker import WorkerTelemetry, collecting_tasks
 
 __all__ = [
@@ -56,5 +56,4 @@ __all__ = [
     "recording",
     "render_spans",
     "span",
-    "spanned",
 ]

@@ -224,8 +224,8 @@ def check_drift(measured, modeled, curve="?", size=0, workload="?",
     Both inputs are ``{stage: {"family_shares": {family: fraction},
     "opcode_shares": {class: percent}}}`` — the deep profiler's
     :meth:`~repro.obs.prof.DeepProfiler.measured_blocks` shape on one
-    side, :func:`model_reference` (or a ``--model-json`` file) on the
-    other.  Only stages present in both are compared.
+    side, :func:`model_reference` on the other.  Only stages present in
+    both are compared.
     """
     stages = [s for s in measured if s in modeled]
 

@@ -26,7 +26,6 @@ the context manager yields immediately without touching the clocks.
 
 from __future__ import annotations
 
-import functools
 import gc
 import time
 from contextlib import contextmanager
@@ -44,12 +43,10 @@ __all__ = [
     "SpanRecorder",
     "attach_counters",
     "attach_meta",
-    "current_span",
     "graft",
     "recording",
     "render_spans",
     "span",
-    "spanned",
 ]
 
 def _rss_peak_kb():
@@ -153,12 +150,6 @@ class SpanRecorder:
         return self._stack[-1]
 
 
-def current_span():
-    """The innermost open :class:`Span`, or ``None`` when not recording."""
-    rec = RUN.spans
-    return rec.innermost if rec is not None else None
-
-
 @contextmanager
 def span(name, **meta):
     """Open a child span named *name* under the innermost open span.
@@ -181,30 +172,6 @@ def span(name, **meta):
         rec._close(sp)
         popped = rec._stack.pop()
         assert popped is sp, "span stack corrupted"
-
-
-def spanned(name=None):
-    """Decorator form: run the function body under a span.
-
-    Usable bare (``@spanned``) or with a label (``@spanned("msm")``);
-    defaults to the function's qualified name.
-    """
-    if callable(name):  # bare @spanned
-        return spanned(None)(name)
-
-    def deco(fn):
-        label = name or fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            if RUN.spans is None:
-                return fn(*args, **kwargs)
-            with span(label):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return deco
 
 
 def attach_counters(counts):

@@ -194,13 +194,6 @@ class WorkerTelemetry:
         mean = sum(busys) / len(busys)
         return max(busys) / mean if mean > 0 else 1.0
 
-    def dispatch_overhead_s(self):
-        """Seconds spent moving work instead of doing it: queue wait plus
-        payload/result encode+decode, summed over every task."""
-        total = self.totals()
-        return round(total["queue_wait_s"] + total["encode_s"]
-                     + total["decode_s"], 6)
-
     def to_workers_block(self):
         """The ledger record's ``workers`` block (plain JSON data)."""
         return {

@@ -1,4 +1,4 @@
-"""Trace export: Chrome-trace JSON, flat CSV and flamegraph formats.
+"""Trace export: Chrome-trace JSON and flamegraph formats.
 
 Everything the repo renders for ``chrome://tracing`` / Perfetto is a tree
 of timed bars, so there is **one** Trace Event writer,
@@ -9,10 +9,9 @@ recordings on the same shape: :func:`regions_to_spans` (per-stage
 the closest equivalent to opening a VTune recording of the stage) and
 :func:`requests_to_spans` (a load run's per-request phase breakdowns).
 
-``counters_to_csv`` dumps a tracer's primitive counters for spreadsheet
-workflows.  The deep profiler's collapsed stacks (:mod:`repro.obs.prof`)
-export two ways: ``collapsed_to_text`` emits the classic ``flamegraph.pl``
-/ ``inferno`` input format (one ``stack weight`` line per unique stack) and
+The deep profiler's collapsed stacks (:mod:`repro.obs.prof`) export two
+ways: ``collapsed_to_text`` emits the classic ``flamegraph.pl`` /
+``inferno`` input format (one ``stack weight`` line per unique stack) and
 ``to_speedscope`` emits a speedscope JSON document with one sampled
 profile per protocol stage.
 
@@ -32,7 +31,6 @@ from repro.perf.costmodel import aggregate
 
 __all__ = [
     "collapsed_to_text",
-    "counters_to_csv",
     "regions_to_spans",
     "requests_to_spans",
     "spans_to_chrome_trace",
@@ -177,15 +175,6 @@ def requests_to_spans(results):
     for root in roots.values():  # service start to the class's last settle
         root.wall_s = max(bar.start_s + bar.wall_s for bar in root.children)
     return list(roots.values())
-
-
-def counters_to_csv(tracer):
-    """Primitive counters as ``region,primitive,count`` CSV (a string)."""
-    lines = ["region,primitive,count"]
-    for rec in tracer.iter_regions():
-        for prim, count in sorted(rec.counts.items()):
-            lines.append(f"{rec.name},{prim},{count}")
-    return "\n".join(lines) + "\n"
 
 
 def collapsed_to_text(stage_stacks):

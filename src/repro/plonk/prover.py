@@ -4,7 +4,8 @@ Round structure (Fiat-Shamir via :class:`~repro.plonk.transcript.Transcript`):
 
 1. commit blinded wire polynomials ``a, b, c``;
 2. derive ``beta, gamma``; commit the blinded permutation grand product ``z``;
-3. derive ``alpha``; build the quotient ``t`` on an 8n coset and commit it;
+3. derive ``alpha``; build the quotient ``t`` on the smallest power-of-two
+   coset above its degree (4n once n >= 8) and commit it;
 4. derive ``zeta``; evaluate everything at ``zeta`` (and ``z`` at
    ``zeta * omega``);
 5. derive ``v``; produce the two batched KZG opening witnesses.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.context import RUN
+from repro.context import region
 from repro.plonk.setup import SELECTOR_NAMES
 from repro.plonk.transcript import Transcript
 from repro.poly.domain import EvaluationDomain
@@ -80,7 +81,6 @@ def plonk_prove(pre, values, rng):
     domain = pre.domain
     kzg = pre.kzg
     compiled = pre.compiled
-    t = RUN.tracer
 
     bad = compiled.check(values)
     if bad is not None:
@@ -93,22 +93,15 @@ def plonk_prove(pre, values, rng):
         transcript.absorb_scalar(values[v])
 
     # -- round 1: wire polynomials -------------------------------------------
-    def _round1():
-        polys = {}
-        commits = {}
+    polys = {}
+    commits = {}
+    with region("plonk_wires", parallel=True, items=3 * n):
         for name, evals in (("a", wa), ("b", wb), ("c", wc)):
             coeffs = intt(fr, list(evals), domain)
             coeffs = _blind(fr, coeffs, n, [fr.rand(rng), fr.rand(rng)])
             polys[name] = coeffs
             commits[name] = kzg.commit(coeffs)
             transcript.absorb_point(commits[name])
-        return polys, commits
-
-    if t is None:
-        polys, commits = _round1()
-    else:
-        with t.region("plonk_wires", parallel=True, items=3 * n):
-            polys, commits = _round1()
 
     beta = transcript.challenge(b"beta")
     gamma = transcript.challenge(b"gamma")
@@ -117,7 +110,7 @@ def plonk_prove(pre, values, rng):
     ks = (1, pre.k1, pre.k2)
     omegas = domain.elements()
 
-    def _round2():
+    with region("plonk_grand_product", parallel=False):
         z_evals = [1]
         acc = 1
         for i in range(n - 1):
@@ -132,24 +125,19 @@ def plonk_prove(pre, values, rng):
             z_evals.append(acc)
         z_coeffs = intt(fr, z_evals, domain)
         z_coeffs = _blind(fr, z_coeffs, n, [fr.rand(rng), fr.rand(rng), fr.rand(rng)])
-        return z_coeffs, kzg.commit(z_coeffs)
-
-    if t is None:
-        z_coeffs, commit_z = _round2()
-    else:
-        with t.region("plonk_grand_product", parallel=False):
-            z_coeffs, commit_z = _round2()
+        commit_z = kzg.commit(z_coeffs)
     transcript.absorb_point(commit_z)
     alpha = transcript.challenge(b"alpha")
 
-    # -- round 3: quotient on an 8n coset ------------------------------------------
-    big = EvaluationDomain(fr, 8 * n)
+    # -- round 3: quotient on the smallest coset above deg t = 3n + 5 ---------
+    m = 1 << (3 * n + 5).bit_length()
+    big = EvaluationDomain(fr, m)
 
     def _to_coset(coeffs):
-        padded = list(coeffs) + [0] * (8 * n - len(coeffs))
+        padded = list(coeffs) + [0] * (m - len(coeffs))
         return coset_ntt(fr, padded, big)
 
-    def _round3():
+    with region("plonk_quotient", parallel=True, items=m):
         ca = _to_coset(polys["a"])
         cb = _to_coset(polys["b"])
         cc = _to_coset(polys["c"])
@@ -166,13 +154,13 @@ def plonk_prove(pre, values, rng):
         # x values on the coset, Z_H and L1 pointwise.
         xs = _coset_points(fr, big)
 
-        numer = [0] * (8 * n)
+        numer = [0] * m
         inv_zh = fr.batch_inv([fr.sub(pow(x, n, fr.modulus), 1) for x in xs])
         n_inv = pow(n, -1, fr.modulus)
-        for i in range(8 * n):
+        for i in range(m):
             x = xs[i]
             a_v, b_v, c_v, z_v = ca[i], cb[i], cc[i], cz[i]
-            z_w = cz[(i + 8) % (8 * n)]  # z(omega * x): omega == w8^8
+            z_w = cz[(i + m // n) % m]  # z(omega * x): omega == w_m^(m/n)
             gate = fr.add(
                 fr.add(
                     fr.add(fr.mul(csel["ql"][i], a_v), fr.mul(csel["qr"][i], b_v)),
@@ -213,13 +201,7 @@ def plonk_prove(pre, values, rng):
                     "quotient degree overflow — the assignment does not "
                     "satisfy the circuit"
                 )
-        return t_coeffs[: 3 * n + 6]
-
-    if t is None:
-        t_coeffs = _round3()
-    else:
-        with t.region("plonk_quotient", parallel=True, items=8 * n):
-            t_coeffs = _round3()
+        t_coeffs = t_coeffs[: 3 * n + 6]
     commit_t = kzg.commit(t_coeffs)
     transcript.absorb_point(commit_t)
     zeta = transcript.challenge(b"zeta")
@@ -242,16 +224,9 @@ def plonk_prove(pre, values, rng):
     transcript.absorb_scalar(evals["z_omega"])
     v = transcript.challenge(b"v")
 
-    def _openings():
+    with region("plonk_openings", parallel=True, items=2):
         _, w_zeta = kzg.open_batch([poly_by_name[n_] for n_ in OPENED_AT_ZETA], zeta, v)
         _, w_zeta_omega = kzg.open_batch([z_coeffs], zeta_omega, v)
-        return w_zeta, w_zeta_omega
-
-    if t is None:
-        w_zeta, w_zeta_omega = _openings()
-    else:
-        with t.region("plonk_openings", parallel=True, items=2):
-            w_zeta, w_zeta_omega = _openings()
 
     return PlonkProof(
         commit_a=commits["a"],

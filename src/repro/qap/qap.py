@@ -22,7 +22,7 @@ test-suite's equivalence checks.
 
 from __future__ import annotations
 
-from repro.context import RUN
+from repro.context import RUN, region
 from repro.poly.domain import EvaluationDomain
 from repro.poly.ntt import coset_intt, coset_ntt, intt
 from repro.poly.polynomial import Polynomial
@@ -123,23 +123,16 @@ def compute_h(r1cs, witness, domain):
     """
     f = r1cs.fr
     n = domain.size
-    t = RUN.tracer
 
     az = [0] * n
     bz = [0] * n
     cz = [0] * n
 
-    def _dots():
+    with region("prove_constraint_dots", parallel=True, items=r1cs.n_constraints):
         for j, cons in enumerate(r1cs.constraints):
             az[j] = r1cs.eval_lc(cons.a, witness)
             bz[j] = r1cs.eval_lc(cons.b, witness)
             cz[j] = r1cs.eval_lc(cons.c, witness)
-
-    if t is None:
-        _dots()
-    else:
-        with t.region("prove_constraint_dots", parallel=True, items=r1cs.n_constraints):
-            _dots()
 
     for j in range(r1cs.n_constraints):
         if f.mul(az[j], bz[j]) != cz[j]:
@@ -157,17 +150,11 @@ def compute_h(r1cs, witness, domain):
     z_const = f.sub(pow(domain.coset_gen, n, f.modulus), 1)
     z_inv = f.inv(z_const)
 
-    def _quotient():
-        return [
+    with region("prove_quotient_pointwise", parallel=True, items=n):
+        h_cos = [
             f.mul(f.sub(f.mul(a_cos[i], b_cos[i]), c_cos[i]), z_inv)
             for i in range(n)
         ]
-
-    if t is None:
-        h_cos = _quotient()
-    else:
-        with t.region("prove_quotient_pointwise", parallel=True, items=n):
-            h_cos = _quotient()
 
     h = coset_intt(f, h_cos, domain)
     # deg(A*B - C) <= 2n - 2, so deg(h) <= n - 2: the top coefficient

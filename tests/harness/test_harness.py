@@ -61,10 +61,6 @@ class TestReport:
         # All data rows share the same width.
         assert len(set(len(l) for l in lines[2:])) == 1
 
-    def test_render_series(self):
-        out = report.render_series("S", "n", [1, 2], {"a": [1.0, 2.0], "b": [3.0, 4.0]})
-        assert "S" in out and "n" in out and "4.00" in out
-
     def test_format_value(self):
         assert report.format_value(1.234, ".1f") == "1.2"
         assert report.format_value("x") == "x"

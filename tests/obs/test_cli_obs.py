@@ -194,8 +194,8 @@ class TestDeepProfileCommand:
 class TestReport:
     """The drift gate through the CLI.  Measurement is stubbed (full
     deep-profiled runs take minutes; CI's drift-smoke job runs one for
-    real); the modeled side comes from --model-json fixtures, proving the
-    gate can pass AND fail."""
+    real); the modeled side is a fixture patched over
+    ``drift.model_reference``, proving the gate can pass AND fail."""
 
     MEASURED = {
         "setup": {"wall_s": 1.0,
@@ -224,8 +224,8 @@ class TestReport:
                                         "data": 35.0, "other": 0.0}},
     }
 
-    def stub_measurement(self, monkeypatch):
-        from repro.obs import prof
+    def stub(self, monkeypatch, model):
+        from repro.obs import drift, prof
 
         class FakeProfiler:
             def measured_blocks(inner):
@@ -234,20 +234,15 @@ class TestReport:
         monkeypatch.setattr(
             prof, "deep_profile_run",
             lambda *a, **kw: (None, FakeProfiler()))
+        monkeypatch.setattr(drift, "model_reference", lambda *a, **kw: model)
 
-    def write_model(self, tmp_path, model):
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(model))
-        return str(path)
-
-    def test_agreeing_model_exits_zero(self, tmp_path, monkeypatch):
-        self.stub_measurement(monkeypatch)
-        code, out = run_cli(["report", "--model-json",
-                             self.write_model(tmp_path, self.GOOD_MODEL)])
+    def test_agreeing_model_exits_zero(self, monkeypatch):
+        self.stub(monkeypatch, self.GOOD_MODEL)
+        code, out = run_cli(["report"])
         assert code == 0
         assert "model and measurement agree" in out
 
-    def test_perturbed_model_exits_one(self, tmp_path, monkeypatch):
+    def test_perturbed_model_exits_one(self, monkeypatch):
         """The acceptance fixture: a deliberately wrong model must trip
         the gate."""
         bad = json.loads(json.dumps(self.GOOD_MODEL))
@@ -255,16 +250,14 @@ class TestReport:
                                            "fft": 0.1}
         bad["proving"]["opcode_shares"] = {"compute": 5.0, "control": 20.0,
                                            "data": 75.0, "other": 0.0}
-        self.stub_measurement(monkeypatch)
-        code, out = run_cli(["report", "--model-json",
-                             self.write_model(tmp_path, bad)])
+        self.stub(monkeypatch, bad)
+        code, out = run_cli(["report"])
         assert code == 1
         assert "MODEL DRIFT detected" in out
 
-    def test_json_output(self, tmp_path, monkeypatch):
-        self.stub_measurement(monkeypatch)
-        code, out = run_cli(["report", "--json", "--model-json",
-                             self.write_model(tmp_path, self.GOOD_MODEL)])
+    def test_json_output(self, monkeypatch):
+        self.stub(monkeypatch, self.GOOD_MODEL)
+        code, out = run_cli(["report", "--json"])
         assert code == 0
         docs = json.loads(out)
         assert len(docs) == 1  # default sweep: bn128 x (64,)

@@ -1,5 +1,5 @@
 """Span API tests: nesting, measured quantities, the disabled no-op path,
-the decorator, counter attachment, and serialization."""
+counter attachment, and serialization."""
 
 import time
 
@@ -8,18 +8,15 @@ import pytest
 from repro.context import RUN
 from repro.obs.spans import (
     attach_counters,
-    current_span,
     recording,
     render_spans,
     span,
-    spanned,
 )
 
 
 class TestDisabledPath:
     def test_off_by_default(self):
         assert RUN.spans is None
-        assert current_span() is None
 
     def test_span_is_noop_without_recorder(self):
         with span("anything") as sp:
@@ -27,13 +24,6 @@ class TestDisabledPath:
 
     def test_attach_counters_is_noop_without_recorder(self):
         attach_counters({"bigint_mul_4": 3})  # must not raise
-
-    def test_decorated_function_runs_without_recorder(self):
-        @spanned
-        def f(x):
-            return x + 1
-
-        assert f(1) == 2
 
 
 class TestRecording:
@@ -86,13 +76,6 @@ class TestRecording:
                     raise ValueError("boom")
         assert RUN.spans is None
 
-    def test_current_span_tracks_innermost(self):
-        with recording() as rec:
-            assert current_span() is rec.root
-            with span("a") as a:
-                assert current_span() is a
-            assert current_span() is rec.root
-
 
 class TestMetaAndCounters:
     def test_meta_kwargs_stored(self):
@@ -109,26 +92,6 @@ class TestMetaAndCounters:
         assert rec.root.children[0].counters == {
             "bigint_mul_4": 15, "ntt_butterfly": 2,
         }
-
-
-class TestDecorator:
-    def test_records_under_label(self):
-        @spanned("custom")
-        def f():
-            return 7
-
-        with recording() as rec:
-            assert f() == 7
-        assert rec.root.children[0].name == "custom"
-
-    def test_bare_uses_qualname(self):
-        @spanned
-        def plain():
-            pass
-
-        with recording() as rec:
-            plain()
-        assert "plain" in rec.root.children[0].name
 
 
 class TestSerialization:

@@ -126,7 +126,6 @@ class TestCollector:
         assert per[11]["busy_s"] == pytest.approx(0.2)
         assert per[12]["tasks"] == 1
         assert tel.stage_tasks("proving") == tasks
-        assert tel.dispatch_overhead_s() == pytest.approx(0.035)
         assert tel.imbalance() == pytest.approx(0.2 / 0.15, abs=1e-3)
         json.dumps(tel.to_workers_block())
 

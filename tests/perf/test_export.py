@@ -9,7 +9,6 @@ import pytest
 from repro.obs.spans import graft, recording, span
 from repro.perf.export import (
     collapsed_to_text,
-    counters_to_csv,
     regions_to_spans,
     requests_to_spans,
     spans_to_chrome_trace,
@@ -249,20 +248,6 @@ class TestRequestTrace:
         doc = self.doc([shed])
         assert doc["traceEvents"] == []
         assert doc["otherData"]["roots"] == []
-
-
-class TestCsv:
-    def test_header_and_rows(self, tracer):
-        csv = counters_to_csv(tracer)
-        lines = csv.strip().splitlines()
-        assert lines[0] == "region,primitive,count"
-        assert "outer,bigint_add_4,50" in lines
-        assert "inner,ntt_butterfly,25" in lines
-        assert "<root>,bigint_mul_4,100" in lines
-
-    def test_empty_tracer(self):
-        csv = counters_to_csv(Tracer())
-        assert csv.strip() == "region,primitive,count"
 
 
 class TestStableOrdering:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.curves import BLS12_381, BN128
+from repro.perf.trace import Tracer, tracing
 from repro.plonk import PlonkCircuit, plonk_prove, plonk_setup, plonk_verify
 from repro.plonk.circuit import compile_plonk
 from repro.plonk.prover import PlonkProof
@@ -117,6 +118,24 @@ class TestCompleteness:
         proof2 = plonk_prove(pre, values, random.Random(999))
         assert proof2.commit_a != proof.commit_a  # blinding differs
         assert plonk_verify(pre, proof2, [values[y]])
+
+    def test_traced_prove_opens_one_region_a_round(self, session):
+        _, _, compiled, pre, values, _, _, _ = session
+        n = compiled.n
+        plain = plonk_prove(pre, values, random.Random(9))
+        tracer = Tracer()
+        with tracing(tracer):
+            traced = plonk_prove(pre, values, random.Random(9))
+        assert traced == plain
+        regions = {r.name: r for r in tracer.iter_regions()}
+        assert {name: (r.parallel, r.items) for name, r in regions.items()
+                if name.startswith("plonk_")} == {
+            "plonk_wires": (True, 3 * n),
+            "plonk_grand_product": (False, 1),
+            # the quotient's coset: the smallest power of two above 3n + 5
+            "plonk_quotient": (True, 4 * n),
+            "plonk_openings": (True, 2),
+        }
 
 
 class TestSoundness:

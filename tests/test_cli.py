@@ -107,7 +107,7 @@ class TestOptionTable:
                             re.sub(r" \(default: [^)]*\)$", "", action.help))
                 assert seen.setdefault(name, declared) == declared, \
                     (verb, name)
-        assert len(seen) == len(OPTIONS) == 30
+        assert len(seen) == len(OPTIONS) == 29
 
     def test_exposed_option_count(self):
         exposed = sum(

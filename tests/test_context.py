@@ -1,18 +1,24 @@
-"""The run context's contract, once for all seven fields, and the layering
-it buys (docs/ARCHITECTURE.md, "Run context")."""
+"""The run context's contract, once for all seven fields, its one tracer
+gate (``region``), and the layering it buys (docs/ARCHITECTURE.md, "Run
+context")."""
 
 import ast
+import hashlib
+import random
 from contextlib import ExitStack
 
 import pytest
 
 from repro.analyze.code import CodeIndex, CodelintConfig, default_root, load_tree
-from repro.context import RUN, RunContext
+from repro.context import RUN, RunContext, region
+from repro.curves import BN128
 from repro.obs.metrics import collecting
 from repro.obs.spans import recording
 from repro.obs.worker import collecting_tasks
 from repro.parallel.pool import WorkerPool, using
 from repro.perf.trace import Tracer, tracing
+from repro.plonk import PlonkCircuit, plonk_prove, plonk_setup, plonk_verify
+from repro.plonk.circuit import compile_plonk
 from repro.resilience.errors import PoolStateError
 from repro.resilience.faults import injecting
 from repro.resilience.retry import deadline_scope
@@ -117,6 +123,74 @@ class TestWhatATaskSees:
             (seen,), _ = pool.map("selftest_context", [{}])
         assert set(seen) == set(RunContext.__slots__)
         assert all(v is None for v in seen.values())
+
+
+class TestRegion:
+    """``region`` is the one tracer gate: detached, a shared no-op; attached,
+    exactly one child of the innermost open region."""
+
+    def test_detached_is_the_shared_noop(self):
+        first = region("a")
+        second = region("b", parallel=True, items=3, load_scale=2.0)
+        assert first is second
+        with first as value:
+            assert value is None
+        assert all(getattr(RUN, f) is None for f in RunContext.__slots__)
+
+    def test_attached_opens_one_child_of_the_innermost(self):
+        tracer = Tracer()
+        with tracing(tracer), tracer.region("outer", parallel=False) as outer:
+            with region("inner", parallel=True, items=7,
+                        load_scale=2.0, store_scale=0.25) as rec:
+                tracer.op("bigint_mul_4")
+        assert tracer.root.children == [outer]
+        assert outer.children == [rec]
+        assert (rec.name, rec.parallel, rec.depth, rec.items) == \
+            ("inner", True, outer.depth + 1, 7)
+        assert (rec.load_scale, rec.store_scale) == (2.0, 0.25)
+        assert rec.counts == {"bigint_mul_4": 1} and not outer.counts
+
+    def test_parallel_unset_inherits(self):
+        tracer = Tracer()
+        with tracing(tracer), region("outer", parallel=True, items=2):
+            with region("inner") as rec:
+                pass
+        assert rec.parallel is True and rec.items == 1
+
+
+#: ``(n, sha256)`` of a PLONK proof (commitments' affine coordinates, then
+#: the sorted evaluations) for a ``gates``-long multiplication chain, as
+#: computed with the quotient on an 8n coset.  Any coset above deg t yields
+#: the same ``t``, so the proof must not move.
+PLONK_PROOF_DIGESTS = {
+    3: (4, "16866aa0ae1d0c880cec165add591d1373fa3c5c874cafdeaa9e2c9d8bb31139"),
+    7: (8, "9ae3b76382c1fef53836c11e4cf4e13642367e93b47b0625944c4cb731bdc652"),
+    127: (128, "e7d85b01a28495c7ece9b62a2b9caed079774f18709fa7f3bcfffeb319d73587"),
+}
+
+
+@pytest.mark.parametrize("gates", sorted(PLONK_PROOF_DIGESTS))
+def test_plonk_proof_bytes_are_pinned(gates):
+    fr = BN128.fr
+    circ = PlonkCircuit(fr)
+    y = circ.public_input()
+    x = circ.new_var()
+    acc = x
+    for _ in range(gates - 1):
+        acc = circ.mul_gate(acc, x)
+    circ.assert_equal(acc, y)
+    compiled = compile_plonk(circ)
+    pre = plonk_setup(BN128, compiled, random.Random(2))
+    values = circ.full_assignment({x: 3, y: pow(3, gates, fr.modulus)})
+    proof = plonk_prove(pre, values, random.Random(4))
+    assert plonk_verify(pre, proof, [values[y]])
+    h = hashlib.sha256()
+    for point in (proof.commit_a, proof.commit_b, proof.commit_c,
+                  proof.commit_z, proof.commit_t, proof.witness_zeta,
+                  proof.witness_zeta_omega):
+        h.update(repr(point.to_affine()).encode())
+    h.update(repr(sorted(proof.evals.items())).encode())
+    assert (compiled.n, h.hexdigest()) == PLONK_PROOF_DIGESTS[gates]
 
 
 @pytest.fixture(scope="module")

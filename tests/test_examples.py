@@ -79,4 +79,3 @@ def test_export_trace(argv, capsys, tmp_path, monkeypatch):
     out = capsys.readouterr().out
     assert "busiest regions" in out
     assert (tmp_path / "results" / "witness_trace.json").exists()
-    assert (tmp_path / "results" / "witness_counters.csv").exists()
