@@ -2,7 +2,7 @@
 
 .PHONY: install test lint codelint artifacts slow clean profile \
 	chaos deep-profile drift-check parallel-test measured \
-	serve loadtest kernel-test bench-test
+	serve loadtest kernel-test bench-test plonk-ratio
 
 # Seeds for the chaos smoke (override: make chaos CHAOS_SEEDS="0 7 42").
 CHAOS_SEEDS ?= 0 1 2 3
@@ -38,6 +38,22 @@ bench-test:
 # holds results/*.txt to what this writes.
 artifacts:
 	PYTHONPATH=src python -m repro run all --out results/
+
+# E10's PLONK : Groth16 prove-time test, standalone RUNS times
+# (override: make plonk-ratio RUNS=3): prints each run's ratio and the
+# median, and fails if any run failed.
+RUNS ?= 10
+plonk-ratio:
+	@fail=0; ratios=""; \
+	for i in $$(seq $(RUNS)); do \
+		out=$$(PYTHONPATH=src python -m pytest -q -s -p no:cacheprovider \
+			tests/paper/test_plonk_vs_groth16.py::test_plonk_prover_slower_than_groth16 \
+			2>&1) || fail=1; \
+		r=$$(printf '%s\n' "$$out" | sed -n 's/.*(\([0-9.]*\)x slower.*/\1/p'); \
+		echo "run $$i: $${r:-no ratio}x"; ratios="$$ratios $$r"; \
+	done; \
+	python -c 'import statistics, sys; r = [float(v) for v in sys.argv[1:]]; print(f"median {statistics.median(r):.1f}x over {len(r)} runs" if r else "no ratio")' $$ratios; \
+	exit $$fail
 
 slow:
 	REPRO_SLOW=1 PYTHONPATH=src pytest tests/harness/test_large_scale.py

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Compare the two proof systems on the same statement.
 
-Proves knowledge of ``x`` with ``y = x^n`` both ways and contrasts the
+Compiles one builder (knowledge of ``x`` with ``y = x^n``), proves the
+compiled circuit both ways — PLONK lowers the same R1CS Groth16 sets up
+from and takes the same witness and public inputs — and contrasts the
 trade-offs the paper's background section describes:
 
 - **Groth16**: general statements, constant 3-element proofs, per-circuit
@@ -20,55 +22,43 @@ from repro.circuit import CircuitBuilder, compile_circuit, gadgets
 from repro.curves import get_curve
 from repro.groth16 import generate_witness, prove, public_inputs, setup, verify
 from repro.harness.report import render_table
-from repro.plonk import PlonkCircuit, plonk_prove, plonk_setup, plonk_verify
-from repro.plonk.circuit import compile_plonk
+from repro.plonk import plonk_prove, plonk_setup, plonk_verify
 
 
 def main():
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 64
     curve = get_curve("bn128")
-    fr = curve.fr
     rng = random.Random(13)
-    x_secret = 0xC0FFEE
     rows = []
 
-    # -- Groth16 ------------------------------------------------------------------
-    b = CircuitBuilder("pow", fr)
-    xs = b.private_input("x")
-    b.output(gadgets.exponentiate(b, xs, n), "y")
+    b = CircuitBuilder("pow", curve.fr)
+    b.output(gadgets.exponentiate(b, b.private_input("x"), n), "y")
     circuit = compile_circuit(b)
+    witness = generate_witness(circuit, {"x": 0xC0FFEE})
+    publics = public_inputs(circuit, witness)
+
+    # -- Groth16 ------------------------------------------------------------------
     t0 = time.perf_counter()
     pk, vk = setup(curve, circuit, rng)
     t_setup = time.perf_counter() - t0
-    witness = generate_witness(circuit, {"x": x_secret})
     t0 = time.perf_counter()
     gproof = prove(pk, circuit, witness, rng)
     t_prove = time.perf_counter() - t0
     t0 = time.perf_counter()
-    assert verify(vk, gproof, public_inputs(circuit, witness))
+    assert verify(vk, gproof, publics)
     t_verify = time.perf_counter() - t0
     rows.append(["Groth16", "per-circuit", gproof.size_bytes(),
                  t_setup, t_prove, t_verify])
 
     # -- PLONK -----------------------------------------------------------------------
-    pc = PlonkCircuit(fr)
-    y_var = pc.public_input()
-    x_var = pc.new_var()
-    acc = x_var
-    for _ in range(n - 1):
-        acc = pc.mul_gate(acc, x_var)
-    pc.assert_equal(acc, y_var)
-    compiled = compile_plonk(pc)
     t0 = time.perf_counter()
-    pre = plonk_setup(curve, compiled, rng)
+    pre = plonk_setup(curve, circuit, rng)
     t_setup = time.perf_counter() - t0
-    values = pc.full_assignment({x_var: x_secret,
-                                 y_var: pow(x_secret, n, fr.modulus)})
     t0 = time.perf_counter()
-    pproof = plonk_prove(pre, values, rng)
+    pproof = plonk_prove(pre, witness, rng)
     t_prove = time.perf_counter() - t0
     t0 = time.perf_counter()
-    assert plonk_verify(pre, pproof, [values[y_var]])
+    assert plonk_verify(pre, pproof, publics)
     t_verify = time.perf_counter() - t0
     rows.append(["PLONK", "universal", pproof.size_bytes(),
                  t_setup, t_prove, t_verify])

@@ -1,15 +1,14 @@
 """Redundant- and dead-constraint detection (``ZK3xx``).
 
-This module owns the one implementation of tautology / duplicate /
-unsatisfiable-row classification: :func:`scan_redundancy` is consumed both
-here (reported as diagnostics — an unsatisfiable circuit becomes a
-``ZK303`` *error* instead of a mid-pass exception) and by
-:func:`repro.circuit.optimizer.optimize` (which drops the redundant rows).
+:func:`scan_redundancy` classifies tautology / duplicate /
+unsatisfiable rows, and :func:`check_redundancy` reports them as
+diagnostics (an unsatisfiable circuit is a ``ZK303`` *error*).  Fixing a
+finding is the circuit author's job: the compiler keeps every row.
 
 Dead wires — referenced by no constraint and visible to neither the
 verifier nor the IO maps — are reported as ``ZK304``: they inflate the
-witness vector, the setup keys and every MSM length until ``optimize()``
-compacts them away.
+witness vector, the setup keys and every MSM length until the author
+stops allocating them.
 """
 
 from __future__ import annotations
@@ -81,14 +80,14 @@ def check_redundancy(circuit):
                 code="ZK301", severity=INFO, constraint=idx,
                 message="constant constraint holds for every witness "
                         "(tautology)",
-                suggestion="optimize() removes it",
+                suggestion="remove the constraint from the circuit",
             ))
         else:
             diags.append(Diagnostic(
                 code="ZK302", severity=WARNING, constraint=idx,
                 message="constraint duplicates an earlier row",
-                suggestion="optimize() keeps one copy; duplicates cost a "
-                           "QAP domain slot each",
+                suggestion="remove the repeated constraint; duplicates "
+                           "cost a QAP domain slot each",
             ))
 
     live = {0}
@@ -103,7 +102,7 @@ def check_redundancy(circuit):
                 code="ZK304", severity=INFO, wire=w,
                 message=f"wire {r1cs.labels.get(w, w)!r} is dead: no "
                         f"constraint or declaration references it",
-                suggestion="optimize() compacts it out of the witness "
-                           "vector and keys",
+                suggestion="stop allocating the wire; it inflates the "
+                           "witness vector and keys",
             ))
     return diags

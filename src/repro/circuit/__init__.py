@@ -14,17 +14,14 @@ multiplication constraints, Fig. 2).
 from repro.circuit.dsl import CircuitBuilder, Signal
 from repro.circuit.r1cs import R1CS
 from repro.circuit.compiler import CompiledCircuit, compile_circuit
-from repro.circuit.optimizer import OptimizationReport, optimize
 from repro.circuit import gadgets, poseidon
 
 __all__ = [
     "CircuitBuilder",
     "CompiledCircuit",
-    "OptimizationReport",
     "R1CS",
     "Signal",
     "compile_circuit",
     "gadgets",
-    "optimize",
     "poseidon",
 ]

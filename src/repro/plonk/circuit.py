@@ -1,154 +1,32 @@
-"""PLONK constraint systems.
+"""PLONK constraint systems, lowered from the compiled R1CS.
 
-A PLONK circuit is a list of *gates*, each constraining three wire values
+A PLONK circuit is a table of *gates*, each constraining three wire values
 ``(a, b, c)`` through five selectors:
 
-    ``qL*a + qR*b + qO*c + qM*a*b + qC + PI == 0``
+    ``qM*a*b + qL*a + qR*b + qO*c + qC + PI == 0``
 
 plus *copy constraints*: wire slots referring to the same variable must
 carry equal values, enforced by the permutation argument.  Public inputs
-occupy the first gates (``qL = 1`` convention) and enter the identity
-through the public-input polynomial.
+occupy the first rows (``qL = 1``) and enter the identity through the
+public-input polynomial.
 
-The builder mirrors the Groth16-side DSL at a lower level: allocate
-variables, add custom gates or use the ``add``/``mul``/``constant``
-helpers, mark public inputs, then :meth:`compile` to pad the system and
-derive the permutation.
+There is no second front end: :func:`compile_plonk` lowers the
+:class:`~repro.circuit.compiler.CompiledCircuit` that Groth16 sets up from,
+as snarkjs's ``plonk setup`` reads circom's ``.r1cs``.  R1CS wire ids are
+the PLONK variables (wire 0 is the constant one, folded into the
+selectors and never constrained), and the witness is the vector
+:func:`~repro.groth16.witness.generate_witness` returns, extended by
+:meth:`CompiledPlonk.assignment` with the helper values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Gate", "PlonkCircuit", "CompiledPlonk"]
+__all__ = ["CompiledPlonk", "compile_plonk"]
 
-
-@dataclass(frozen=True)
-class Gate:
-    """One row: selectors plus the three variable ids it wires up."""
-
-    ql: int
-    qr: int
-    qo: int
-    qm: int
-    qc: int
-    a: int
-    b: int
-    c: int
-
-
-class PlonkCircuit:
-    """Gate-list builder for one PLONK statement.
-
-    Variables are integers; variable 0 is pre-bound to the constant 0.
-    ``witness`` assignments are provided per variable at proving time via
-    the assignment vector built by :meth:`full_assignment`.
-    """
-
-    def __init__(self, fr, name="plonk"):
-        self.fr = fr
-        self.name = name
-        self.n_vars = 1  # var 0 == constant 0
-        self.gates = []
-        self.public_vars = []  # ordered public-input variables
-        self._hints = []       # (fn, in_vars, out_var) evaluation steps
-
-    # -- variables -------------------------------------------------------------
-
-    def new_var(self):
-        v = self.n_vars
-        self.n_vars += 1
-        return v
-
-    def public_input(self):
-        """Allocate a variable exposed as a public input.
-
-        Public-input gates are prepended at compile time; callers just
-        collect the returned variable ids.
-        """
-        v = self.new_var()
-        self.public_vars.append(v)
-        return v
-
-    # -- gates ------------------------------------------------------------------
-
-    def custom_gate(self, ql, qr, qo, qm, qc, a, b, c):
-        """Add a raw gate; selector values are reduced into the field."""
-        r = self.fr.modulus
-        for v in (a, b, c):
-            if not 0 <= v < self.n_vars:
-                raise ValueError(f"unknown variable {v}")
-        self.gates.append(Gate(ql % r, qr % r, qo % r, qm % r, qc % r, a, b, c))
-
-    def add_gate(self, a, b):
-        """c = a + b."""
-        c = self.new_var()
-        self.custom_gate(1, 1, -1, 0, 0, a, b, c)
-        self._hints.append((lambda fr, x, y: fr.add(x, y), (a, b), c))
-        return c
-
-    def mul_gate(self, a, b):
-        """c = a * b."""
-        c = self.new_var()
-        self.custom_gate(0, 0, -1, 1, 0, a, b, c)
-        self._hints.append((lambda fr, x, y: fr.mul(x, y), (a, b), c))
-        return c
-
-    def constant_gate(self, value):
-        """c = value (a new variable pinned to a constant)."""
-        c = self.new_var()
-        self.custom_gate(0, 0, -1, 0, value, 0, 0, c)
-        v = value % self.fr.modulus
-        self._hints.append((lambda fr, _x, _y, v=v: v, (0, 0), c))
-        return c
-
-    def assert_equal(self, a, b):
-        """Constrain two variables equal (a - b == 0)."""
-        self.custom_gate(1, -1, 0, 0, 0, a, b, 0)
-
-    def boolean_gate(self, a):
-        """Constrain ``a`` boolean: a*a - a == 0."""
-        self.custom_gate(-1, 0, 0, 1, 0, a, a, 0)
-
-    # -- assignment -------------------------------------------------------------------
-
-    def full_assignment(self, inputs):
-        """Build the per-variable value vector from ``{public_var: value}``
-        plus any privately assigned variables, replaying the gate hints.
-
-        *inputs* must cover every variable that is not derived by a helper
-        gate (public inputs and free private variables).
-        """
-        fr = self.fr
-        values = [None] * self.n_vars
-        values[0] = 0
-        for var, val in inputs.items():
-            if not 0 <= var < self.n_vars:
-                raise ValueError(f"unknown variable {var}")
-            values[var] = val % fr.modulus
-        for fn, (x, y), out in self._hints:
-            if values[out] is not None:
-                continue  # explicitly assigned by the caller
-            if values[x] is None or values[y] is None:
-                raise ValueError(f"variable {out} depends on unassigned inputs")
-            values[out] = fn(fr, values[x], values[y])
-        missing = [i for i, v in enumerate(values) if v is None]
-        if missing:
-            raise ValueError(f"unassigned variables: {missing[:8]}")
-        return values
-
-    def check(self, values):
-        """Directly check every gate against an assignment (no proof)."""
-        fr = self.fr
-        for idx, g in enumerate(self.gates):
-            a, b, c = values[g.a], values[g.b], values[g.c]
-            acc = fr.add(fr.mul(g.ql, a), fr.mul(g.qr, b))
-            acc = fr.add(acc, fr.mul(g.qo, c))
-            acc = fr.add(acc, fr.mul(g.qm, fr.mul(a, b)))
-            acc = fr.add(acc, g.qc)
-            if acc != 0:
-                return idx
-        return None
+#: Selector columns, in the order a gate row stores them.
+SELECTOR_NAMES = ("ql", "qr", "qo", "qm", "qc")
 
 
 @dataclass
@@ -156,23 +34,35 @@ class CompiledPlonk:
     """The padded gate table plus permutation data the protocol consumes.
 
     Row layout: ``n_public`` public-input rows first (``qL=1``; the PI
-    polynomial cancels them), then the circuit gates, then padding rows of
-    all-zero selectors, to a power-of-two ``n``.
+    polynomial cancels them), then the lowered constraints, then padding
+    rows of all-zero selectors, to a power-of-two ``n``.
     """
 
     fr: object
     n: int
-    n_public: int
     selectors: dict          # name -> list of n ints (ql, qr, qo, qm, qc)
     wires: tuple             # (a_vars, b_vars, c_vars): variable id per row
     public_vars: list
+    n_wires: int             # R1CS witness length; helper k is variable n_wires + k
+    additions: list          # (x, cx, y, cy): helper = cx*x + cy*y, in helper order
+
+    @property
+    def n_public(self):
+        return len(self.public_vars)
+
+    def assignment(self, witness):
+        """Extend an R1CS witness vector with the helper values."""
+        if len(witness) != self.n_wires:
+            raise ValueError(f"witness length {len(witness)} != n_wires {self.n_wires}")
+        fr = self.fr
+        values = list(witness)
+        for x, cx, y, cy in self.additions:
+            values.append(fr.add(fr.mul(cx, values[x]), fr.mul(cy, values[y])))
+        return values
 
     def wire_values(self, values):
         """Per-column value vectors for an assignment."""
-        a = [values[v] for v in self.wires[0]]
-        b = [values[v] for v in self.wires[1]]
-        c = [values[v] for v in self.wires[2]]
-        return a, b, c
+        return tuple([values[v] for v in col] for col in self.wires)
 
     def check(self, values):
         """Check every row against an assignment, *including* the
@@ -182,15 +72,11 @@ class CompiledPlonk:
         """
         fr = self.fr
         wa, wb, wc = self.wire_values(values)
+        ql, qr, qo, qm, qc = (self.selectors[name] for name in SELECTOR_NAMES)
         for row in range(self.n):
-            acc = fr.add(
-                fr.add(fr.mul(self.selectors["ql"][row], wa[row]),
-                       fr.mul(self.selectors["qr"][row], wb[row])),
-                fr.add(fr.mul(self.selectors["qo"][row], wc[row]),
-                       fr.mul(self.selectors["qm"][row],
-                              fr.mul(wa[row], wb[row]))),
-            )
-            acc = fr.add(acc, self.selectors["qc"][row])
+            acc = fr.lincomb(((ql[row], wa[row]), (qr[row], wb[row]),
+                              (qo[row], wc[row]), (qm[row], fr.mul(wa[row], wb[row]))),
+                             qc[row])
             if row < self.n_public:
                 acc = fr.sub(acc, values[self.public_vars[row]])  # PI_i = -x_i
             if acc != 0:
@@ -199,37 +85,53 @@ class CompiledPlonk:
 
 
 def compile_plonk(circuit):
-    """Pad the gate list and lay out the wire table (see
-    :class:`CompiledPlonk`)."""
-    fr = circuit.fr
-    n_pub = len(circuit.public_vars)
-    rows = []
-    # Public-input rows: qL * x_i + PI_i == 0 with PI_i = -x_i.
-    for v in circuit.public_vars:
-        rows.append(Gate(1, 0, 0, 0, 0, v, 0, 0))
-    rows.extend(circuit.gates)
-    n = 1
-    while n < max(len(rows), 2):
+    """Lower a :class:`~repro.circuit.compiler.CompiledCircuit` into the
+    padded gate table (see :class:`CompiledPlonk`).
+
+    Each constraint ``(sum a)(sum b) = sum c`` becomes one gate.  A
+    combination with more than one variable term is first folded, two
+    terms at a time, by helper add gates (snarkjs's "plonk additions");
+    terms are taken in wire order, so the table is deterministic.
+    """
+    r1cs = circuit.r1cs
+    r = r1cs.fr.modulus
+    publics = r1cs.public_wires[1:]
+    rows = [(1, 0, 0, 0, 0, w, 0, 0) for w in publics]
+    additions = []
+
+    def fold(lc):
+        """Reduce *lc* to ``coeff * var + const``; ``coeff`` is 0 (on wire
+        0) when *lc* has no variable term."""
+        terms = sorted((w, c) for w, c in lc.items() if w)
+        if not terms:
+            return 0, 0, lc.get(0, 0)
+        var, coeff = terms[0]
+        for w, c in terms[1:]:
+            helper = r1cs.n_wires + len(additions)
+            additions.append((var, coeff, w, c))
+            rows.append((coeff, c, r - 1, 0, 0, var, w, helper))
+            var, coeff = helper, 1
+        return coeff, var, lc.get(0, 0)
+
+    for cons in r1cs.constraints:
+        ca, a, ka = fold(cons.a)
+        cb, b, kb = fold(cons.b)
+        cc, c, kc = fold(cons.c)
+        # (ca*a + ka)(cb*b + kb) - (cc*c + kc) == 0
+        rows.append((ca * kb % r, cb * ka % r, -cc % r, ca * cb % r,
+                     (ka * kb - kc) % r, a, b, c))
+
+    n = 2
+    while n < len(rows):
         n *= 2
-    while len(rows) < n:
-        rows.append(Gate(0, 0, 0, 0, 0, 0, 0, 0))
-    selectors = {
-        "ql": [g.ql for g in rows],
-        "qr": [g.qr for g in rows],
-        "qo": [g.qo for g in rows],
-        "qm": [g.qm for g in rows],
-        "qc": [g.qc for g in rows],
-    }
-    wires = (
-        [g.a for g in rows],
-        [g.b for g in rows],
-        [g.c for g in rows],
-    )
+    rows.extend([(0,) * 8] * (n - len(rows)))
+    cols = list(zip(*rows))
     return CompiledPlonk(
-        fr=fr,
+        fr=r1cs.fr,
         n=n,
-        n_public=n_pub,
-        selectors=selectors,
-        wires=wires,
-        public_vars=list(circuit.public_vars),
+        selectors={name: list(col) for name, col in zip(SELECTOR_NAMES, cols)},
+        wires=tuple(list(col) for col in cols[5:]),
+        public_vars=list(publics),
+        n_wires=r1cs.n_wires,
+        additions=additions,
     )

@@ -4,14 +4,15 @@ Round structure (Fiat-Shamir via :class:`~repro.plonk.transcript.Transcript`):
 
 1. commit blinded wire polynomials ``a, b, c``;
 2. derive ``beta, gamma``; commit the blinded permutation grand product ``z``;
-3. derive ``alpha``; build the quotient ``t`` on the smallest power-of-two
-   coset above its degree (4n once n >= 8) and commit it;
-4. derive ``zeta``; evaluate everything at ``zeta`` (and ``z`` at
-   ``zeta * omega``);
+3. derive ``alpha``; build the quotient ``t`` on the preprocessed coset
+   (the smallest power of two above its degree, 4n once n >= 8), split it
+   into blinded ``t_lo, t_mid, t_hi`` of degree about n and commit the three;
+4. derive ``zeta``; evaluate everything at ``zeta`` (``t`` through
+   ``t_lo + zeta^n t_mid + zeta^2n t_hi``, and ``z`` at ``zeta * omega``);
 5. derive ``v``; produce the two batched KZG opening witnesses.
 
-See the package docstring for the two documented simplifications
-(single-piece ``t``, direct selector openings).
+See the package docstring for the one documented simplification (direct
+selector openings).
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.context import region
-from repro.plonk.setup import SELECTOR_NAMES
+from repro.plonk.setup import to_coset
 from repro.plonk.transcript import Transcript
-from repro.poly.domain import EvaluationDomain
-from repro.poly.ntt import coset_intt, coset_ntt, intt
+from repro.poly.ntt import coset_intt, intt
 
 __all__ = ["PlonkProof", "plonk_prove"]
 
@@ -39,14 +39,16 @@ class PlonkProof:
     commit_b: object
     commit_c: object
     commit_z: object
-    commit_t: object
+    commit_t_lo: object
+    commit_t_mid: object
+    commit_t_hi: object
     evals: dict          # name -> int, the OPENED_AT_ZETA values + "z_omega"
     witness_zeta: object
     witness_zeta_omega: object
 
     def size_bytes(self):
         g1 = 64 if self.commit_a.group.name.startswith("bn128") else 96
-        return 7 * g1 + 32 * len(self.evals)
+        return 9 * g1 + 32 * len(self.evals)
 
 
 def _blind(fr, coeffs, domain_size, blinders):
@@ -62,16 +64,16 @@ def _blind(fr, coeffs, domain_size, blinders):
     return out
 
 
-def plonk_prove(pre, values, rng):
-    """Produce a :class:`PlonkProof` for the assignment *values*.
+def plonk_prove(pre, witness, rng):
+    """Produce a :class:`PlonkProof` for *witness*.
 
     Parameters
     ----------
     pre:
         :class:`~repro.plonk.setup.PlonkPreprocessed`.
-    values:
-        Per-variable assignment from
-        :meth:`~repro.plonk.circuit.PlonkCircuit.full_assignment`.
+    witness:
+        The circuit's witness vector, as
+        :func:`~repro.groth16.witness.generate_witness` returns it.
     rng:
         Source of the blinding scalars.
     """
@@ -82,6 +84,7 @@ def plonk_prove(pre, values, rng):
     kzg = pre.kzg
     compiled = pre.compiled
 
+    values = compiled.assignment(witness)
     bad = compiled.check(values)
     if bad is not None:
         raise ValueError(f"assignment violates gate row {bad}")
@@ -129,27 +132,20 @@ def plonk_prove(pre, values, rng):
     transcript.absorb_point(commit_z)
     alpha = transcript.challenge(b"alpha")
 
-    # -- round 3: quotient on the smallest coset above deg t = 3n + 5 ---------
-    m = 1 << (3 * n + 5).bit_length()
-    big = EvaluationDomain(fr, m)
-
-    def _to_coset(coeffs):
-        padded = list(coeffs) + [0] * (m - len(coeffs))
-        return coset_ntt(fr, padded, big)
+    # -- round 3: quotient on the preprocessed coset, split in three ---------
+    big = pre.coset
+    m = big.size
+    csel, csig = pre.selector_cosets, pre.sigma_cosets
 
     with region("plonk_quotient", parallel=True, items=m):
-        ca = _to_coset(polys["a"])
-        cb = _to_coset(polys["b"])
-        cc = _to_coset(polys["c"])
-        cz = _to_coset(z_coeffs)
-        csel = {name: _to_coset(pre.selector_polys[name]) for name in SELECTOR_NAMES}
-        csig = [_to_coset(p) for p in pre.sigma_polys]
+        ca, cb, cc, cz = (to_coset(fr, p, big)
+                          for p in (polys["a"], polys["b"], polys["c"], z_coeffs))
 
         # Public-input polynomial: PI(x) = -sum_i x_i L_i(x).
         pi_evals = [0] * n
         for i, var in enumerate(compiled.public_vars):
             pi_evals[i] = fr.neg(values[var])
-        cpi = _to_coset(intt(fr, pi_evals, domain))
+        cpi = to_coset(fr, intt(fr, pi_evals, domain), big)
 
         # x values on the coset, Z_H and L1 pointwise.
         xs = _coset_points(fr, big)
@@ -201,10 +197,25 @@ def plonk_prove(pre, values, rng):
                     "quotient degree overflow — the assignment does not "
                     "satisfy the circuit"
                 )
-        t_coeffs = t_coeffs[: 3 * n + 6]
-    commit_t = kzg.commit(t_coeffs)
-    transcript.absorb_point(commit_t)
+        # t = t_lo + X^n t_mid + X^2n t_hi; b10, b11 blind the pieces and
+        # cancel in the sum.
+        b10, b11 = fr.rand(rng), fr.rand(rng)
+        t_pieces = (
+            t_coeffs[:n] + [b10],
+            [fr.sub(t_coeffs[n], b10)] + t_coeffs[n + 1:2 * n] + [b11],
+            [fr.sub(t_coeffs[2 * n], b11)] + t_coeffs[2 * n + 1:3 * n + 6],
+        )
+    commit_t = [kzg.commit(p) for p in t_pieces]
+    for commit in commit_t:
+        transcript.absorb_point(commit)
     zeta = transcript.challenge(b"zeta")
+
+    # t_lo + zeta^n t_mid + zeta^2n t_hi opens to t(zeta).
+    zn = pow(zeta, n, fr.modulus)
+    t_open = [0] * len(t_pieces[2])
+    for scale, piece in zip((1, zn, fr.mul(zn, zn)), t_pieces):
+        for i, c in enumerate(piece):
+            t_open[i] = fr.add(t_open[i], fr.mul(scale, c))
 
     # -- rounds 4-5: evaluations + batched openings ----------------------------------
     poly_by_name = {
@@ -214,7 +225,7 @@ def plonk_prove(pre, values, rng):
         "qc": pre.selector_polys["qc"],
         "s1": pre.sigma_polys[0], "s2": pre.sigma_polys[1],
         "s3": pre.sigma_polys[2],
-        "z": z_coeffs, "t": t_coeffs,
+        "z": z_coeffs, "t": t_open,
     }
     zeta_omega = fr.mul(zeta, domain.omega)
     evals = {name: kzg.evaluate(poly_by_name[name], zeta) for name in OPENED_AT_ZETA}
@@ -233,7 +244,9 @@ def plonk_prove(pre, values, rng):
         commit_b=commits["b"],
         commit_c=commits["c"],
         commit_z=commit_z,
-        commit_t=commit_t,
+        commit_t_lo=commit_t[0],
+        commit_t_mid=commit_t[1],
+        commit_t_hi=commit_t[2],
         evals=evals,
         witness_zeta=w_zeta,
         witness_zeta_omega=w_zeta_omega,

@@ -8,13 +8,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.plonk.circuit import compile_plonk
 from repro.plonk.kzg import KZG, SRS
 from repro.poly.domain import EvaluationDomain
-from repro.poly.ntt import intt
+from repro.poly.ntt import coset_ntt, intt
 
-__all__ = ["PlonkPreprocessed", "plonk_setup", "build_permutation"]
+__all__ = ["PlonkPreprocessed", "plonk_setup", "build_permutation", "to_coset"]
 
-SELECTOR_NAMES = ("ql", "qr", "qo", "qm", "qc")
+
+def to_coset(fr, coeffs, coset):
+    """Evaluate a coefficient vector on the quotient's coset domain."""
+    return coset_ntt(fr, list(coeffs) + [0] * (coset.size - len(coeffs)), coset)
 
 
 def _find_coset_constants(fr, n, omega):
@@ -77,6 +81,9 @@ class PlonkPreprocessed:
     sigma_polys: list           # three coefficient lists
     sigma_commits: list         # three G1 points
     sigma_evals: list           # three evaluation vectors (prover-side)
+    coset: object               # the quotient's domain, above deg t = 3n + 5
+    selector_cosets: dict       # name -> evaluations on the coset
+    sigma_cosets: list          # three evaluation vectors on the coset
 
     @property
     def n(self):
@@ -87,18 +94,21 @@ class PlonkPreprocessed:
         return self.compiled.n_public
 
 
-def plonk_setup(curve, compiled, rng, srs=None):
-    """Preprocess *compiled* (a :class:`~repro.plonk.circuit.CompiledPlonk`).
+def plonk_setup(curve, circuit, rng, srs=None):
+    """Preprocess *circuit*, the :class:`~repro.circuit.compiler.CompiledCircuit`
+    Groth16's ``setup`` takes, through its :func:`compile_plonk` lowering.
 
     *srs* may be shared across circuits (universality); when omitted a
-    fresh one of sufficient size (4n + 8) is generated.
+    fresh one of size n + 8 is generated.  The largest committed
+    polynomial, ``t_hi``, needs n + 6 points.
     """
     fr = curve.fr
+    compiled = compile_plonk(circuit)
     n = compiled.n
     domain = EvaluationDomain(fr, n)
     if srs is None:
-        srs = SRS.generate(curve, 4 * n + 8, rng)
-    elif srs.size < 3 * n + 8:
+        srs = SRS.generate(curve, n + 8, rng)
+    elif srs.size < n + 6:
         raise ValueError(f"SRS of size {srs.size} too small for n={n}")
     kzg = KZG(srs)
 
@@ -106,14 +116,17 @@ def plonk_setup(curve, compiled, rng, srs=None):
 
     selector_polys = {}
     selector_commits = {}
-    for name in SELECTOR_NAMES:
-        coeffs = intt(fr, list(compiled.selectors[name]), domain)
+    for name, evals in compiled.selectors.items():
+        coeffs = intt(fr, list(evals), domain)
         selector_polys[name] = coeffs
         selector_commits[name] = kzg.commit(coeffs)
 
     sigma_evals = build_permutation(compiled, domain, k1, k2)
     sigma_polys = [intt(fr, list(col), domain) for col in sigma_evals]
     sigma_commits = [kzg.commit(p) for p in sigma_polys]
+
+    # The smallest power-of-two coset above deg t = 3n + 5 (4n once n >= 8).
+    coset = EvaluationDomain(fr, 1 << (3 * n + 5).bit_length())
 
     return PlonkPreprocessed(
         curve=curve,
@@ -127,4 +140,8 @@ def plonk_setup(curve, compiled, rng, srs=None):
         sigma_polys=sigma_polys,
         sigma_commits=sigma_commits,
         sigma_evals=sigma_evals,
+        coset=coset,
+        selector_cosets={name: to_coset(fr, p, coset)
+                         for name, p in selector_polys.items()},
+        sigma_cosets=[to_coset(fr, p, coset) for p in sigma_polys],
     )

@@ -16,8 +16,9 @@ __all__ = ["plonk_verify"]
 
 
 def plonk_verify(pre, proof, public_values):
-    """Return True iff *proof* is valid for *public_values* (the values of
-    ``compiled.public_vars`` in order)."""
+    """Return True iff *proof* is valid for *public_values*: the values
+    :func:`~repro.groth16.witness.public_inputs` returns, as Groth16's
+    verifier takes them."""
     curve = pre.curve
     fr = curve.fr
     n = pre.n
@@ -42,7 +43,8 @@ def plonk_verify(pre, proof, public_values):
     gamma = transcript.challenge(b"gamma")
     transcript.absorb_point(proof.commit_z)
     alpha = transcript.challenge(b"alpha")
-    transcript.absorb_point(proof.commit_t)
+    for commit in (proof.commit_t_lo, proof.commit_t_mid, proof.commit_t_hi):
+        transcript.absorb_point(commit)
     zeta = transcript.challenge(b"zeta")
     ev = proof.evals
     for name in OPENED_AT_ZETA:
@@ -51,6 +53,10 @@ def plonk_verify(pre, proof, public_values):
     v = transcript.challenge(b"v")
 
     # -- check the batched openings ----------------------------------------------
+    # [t] = [t_lo] + zeta^n [t_mid] + zeta^2n [t_hi]
+    zn = pow(zeta, n, fr.modulus)
+    commit_t = (proof.commit_t_lo + proof.commit_t_mid * zn
+                + proof.commit_t_hi * fr.mul(zn, zn))
     commit_by_name = {
         "a": proof.commit_a, "b": proof.commit_b, "c": proof.commit_c,
         "ql": pre.selector_commits["ql"], "qr": pre.selector_commits["qr"],
@@ -58,7 +64,7 @@ def plonk_verify(pre, proof, public_values):
         "qc": pre.selector_commits["qc"],
         "s1": pre.sigma_commits[0], "s2": pre.sigma_commits[1],
         "s3": pre.sigma_commits[2],
-        "z": proof.commit_z, "t": proof.commit_t,
+        "z": proof.commit_z, "t": commit_t,
     }
     commitments = [commit_by_name[name] for name in OPENED_AT_ZETA]
     evals = [ev[name] for name in OPENED_AT_ZETA]
@@ -70,7 +76,7 @@ def plonk_verify(pre, proof, public_values):
         return False
 
     # -- quotient identity at zeta ----------------------------------------------------
-    zh = fr.sub(pow(zeta, n, fr.modulus), 1)
+    zh = fr.sub(zn, 1)
     if zh == 0:
         return False  # astronomically unlikely; would degenerate L1/PI
 
@@ -86,8 +92,7 @@ def plonk_verify(pre, proof, public_values):
         )
         pi_at_zeta = fr.sub(pi_at_zeta, fr.mul(x_i, li))
 
-    l1 = fr.mul(fr.mul(zh, n_inv), fr.inv(fr.sub(zeta, 1))) \
-        if zeta != 1 else 1
+    l1 = fr.mul(fr.mul(zh, n_inv), fr.inv(fr.sub(zeta, 1)))
 
     gate = fr.add(
         fr.add(

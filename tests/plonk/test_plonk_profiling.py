@@ -10,32 +10,27 @@ import random
 
 import pytest
 
+from repro.circuit import CircuitBuilder, compile_circuit, gadgets
 from repro.curves import BN128
+from repro.groth16 import generate_witness
 from repro.perf.analysis import analyze_stage
 from repro.perf.trace import Tracer, tracing
-from repro.plonk import PlonkCircuit, plonk_prove, plonk_setup
-from repro.plonk.circuit import compile_plonk
+from repro.plonk import plonk_prove, plonk_setup
 
 
 @pytest.fixture(scope="module")
 def plonk_profile():
-    fr = BN128.fr
-    circ = PlonkCircuit(fr)
-    y = circ.public_input()
-    x = circ.new_var()
-    acc = x
-    for _ in range(31):
-        acc = circ.mul_gate(acc, x)
-    circ.assert_equal(acc, y)
-    compiled = compile_plonk(circ)
+    b = CircuitBuilder("pow", BN128.fr)
+    b.output(gadgets.exponentiate(b, b.private_input("x"), 32), "y")
+    circuit = compile_circuit(b)
     rng = random.Random(17)
-    pre = plonk_setup(BN128, compiled, rng)
-    values = circ.full_assignment({x: 3, y: pow(3, 32, fr.modulus)})
+    pre = plonk_setup(BN128, circuit, rng)
+    witness = generate_witness(circuit, {"x": 3})
     tracer = Tracer(label="plonk/prove")
     with tracing(tracer):
-        plonk_prove(pre, values, rng)
+        plonk_prove(pre, witness, rng)
     return analyze_stage(tracer, stage="plonk_prove", curve="bn128",
-                         size=compiled.n)
+                         size=pre.n)
 
 
 class TestPlonkCharacterization:

@@ -1,94 +1,100 @@
-"""Property tests: randomly generated PLONK circuits prove and verify.
+"""Property tests: random ``CircuitBuilder`` programs lower, prove and verify.
 
-Each case builds a random DAG of add/mul/constant gates over a handful of
-free inputs, proves a correct assignment, and verifies; then flips one
-public value and checks rejection.  This covers gate/permutation
-interactions no hand-written circuit exercises.
+Each case authors a random program — multiplications, additions,
+constants, multi-term linear combinations on every side of a constraint —
+compiles it as Groth16 would, lowers it to PLONK, proves the generated
+witness and verifies; then shifts one public value and checks rejection.
+This covers lowering / permutation interactions no hand-written circuit
+exercises.
 """
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.circuit import CircuitBuilder, compile_circuit
 from repro.curves import BN128
-from repro.plonk import PlonkCircuit, plonk_prove, plonk_setup, plonk_verify
-from repro.plonk.circuit import compile_plonk
+from repro.groth16 import generate_witness, public_inputs
+from repro.plonk import plonk_prove, plonk_setup, plonk_verify
 from repro.plonk.kzg import SRS
 
 FR = BN128.fr
+MAX_N = 128
 
-# One shared SRS big enough for every generated circuit (n <= 32 -> 4n+8).
-_SRS = SRS.generate(BN128, 4 * 32 + 8, random.Random(0xBEEF))
+# One shared SRS big enough for every generated circuit.
+_SRS = SRS.generate(BN128, MAX_N + 8, random.Random(0xBEEF))
 
 
-def random_circuit(seed, n_free=2, n_gates=8):
-    """A random gate DAG; returns (circuit, free_vars, out_public_var)."""
+def random_program(seed, n_ops=8):
+    """A random builder over two private inputs and one public input."""
     rng = random.Random(seed)
-    circ = PlonkCircuit(FR)
-    out_pub = circ.public_input()
-    free = [circ.new_var() for _ in range(n_free)]
-    pool = list(free)
-    for _ in range(n_gates):
-        kind = rng.choice(("add", "mul", "const"))
-        if kind == "const":
-            pool.append(circ.constant_gate(rng.randrange(1, 100)))
+    b = CircuitBuilder(f"random{seed}", FR)
+    pool = [b.private_input("x0"), b.private_input("x1"), b.public_input("p")]
+    for _ in range(n_ops):
+        kind = rng.choice(("mul", "add", "const", "lincomb", "distrib"))
+        s, t = rng.choice(pool), rng.choice(pool)
+        if kind == "mul":
+            pool.append(s * t)
+        elif kind == "add":
+            pool.append(s + t)
+        elif kind == "const":
+            pool.append(s + b.constant(rng.randrange(1, 100)))
+        elif kind == "lincomb":
+            picks = rng.sample(pool, min(len(pool), 4))
+            pool.append(sum((p * rng.randrange(1, 100) for p in picks),
+                            b.constant(rng.randrange(100))))
         else:
-            a, b = rng.choice(pool), rng.choice(pool)
-            pool.append(circ.add_gate(a, b) if kind == "add" else circ.mul_gate(a, b))
-    circ.assert_equal(pool[-1], out_pub)
-    return circ, free, out_pub, pool[-1]
+            # (s + u) * t == s*t + u*t: a two-term combination on C.
+            u = rng.choice(pool)
+            st_, ut = s * t, u * t
+            b.assert_mul(s + u, t, st_ + ut)
+            pool.append(st_ - ut)
+    b.output(pool[-1], "y")
+    return b
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=6, deadline=None)
 def test_random_circuits_prove_and_verify(seed):
     rng = random.Random(seed ^ 0x5A5A)
-    circ, free, out_pub, out_var = random_circuit(seed)
-    compiled = compile_plonk(circ)
-    pre = plonk_setup(BN128, compiled, rng, srs=_SRS)
+    circuit = compile_circuit(random_program(seed))
+    witness = generate_witness(circuit, {name: rng.randrange(FR.modulus)
+                                         for name in circuit.input_wires})
+    pre = plonk_setup(BN128, circuit, rng, srs=_SRS)
+    assert pre.n <= MAX_N
+    assert pre.compiled.check(pre.compiled.assignment(witness)) is None
 
-    # Derive the correct public output by evaluating once.
-    assignment = {v: rng.randrange(FR.modulus) for v in free}
-    probe = circ.full_assignment({**assignment, out_pub: 0})
-    y = probe[out_var]
-    values = circ.full_assignment({**assignment, out_pub: y})
-    assert circ.check(values) is None
-
-    proof = plonk_prove(pre, values, rng)
-    assert plonk_verify(pre, proof, [y])
-    assert not plonk_verify(pre, proof, [(y + 1) % FR.modulus])
+    proof = plonk_prove(pre, witness, rng)
+    publics = public_inputs(circuit, witness)
+    assert plonk_verify(pre, proof, publics)
+    assert not plonk_verify(pre, proof, [(publics[0] + 1) % FR.modulus] + publics[1:])
 
 
 def test_wide_fanout_circuit():
     """One variable feeding many gates stresses long permutation cycles."""
+    b = CircuitBuilder("fanout", FR)
+    x = b.private_input("x")
+    b.output(sum((x * (x + i) for i in range(12)), b.constant(0)), "y")
+    circuit = compile_circuit(b)
     rng = random.Random(99)
-    circ = PlonkCircuit(FR)
-    pub = circ.public_input()
-    x = circ.new_var()
-    acc = circ.constant_gate(0)
-    for _ in range(12):
-        acc = circ.add_gate(acc, x)  # 12-way fanout of x
-    circ.assert_equal(acc, pub)
-    compiled = compile_plonk(circ)
-    pre = plonk_setup(BN128, compiled, rng)
-    values = circ.full_assignment({x: 7, pub: 84})
-    proof = plonk_prove(pre, values, rng)
-    assert plonk_verify(pre, proof, [84])
+    pre = plonk_setup(BN128, circuit, rng)
+    assert len(pre.compiled.additions) == 11
+    proof = plonk_prove(pre, generate_witness(circuit, {"x": 7}), rng)
+    y = sum(7 * (7 + i) for i in range(12))
+    assert plonk_verify(pre, proof, [y])
+    assert not plonk_verify(pre, proof, [y + 1])
 
 
 def test_multiple_public_inputs():
+    b = CircuitBuilder("sum", FR)
+    b.output(b.public_input("p1") + b.public_input("p2"), "out")
+    circuit = compile_circuit(b)
     rng = random.Random(100)
-    circ = PlonkCircuit(FR)
-    p1 = circ.public_input()
-    p2 = circ.public_input()
-    s = circ.add_gate(p1, p2)
-    out = circ.public_input()
-    circ.assert_equal(s, out)
-    compiled = compile_plonk(circ)
-    assert compiled.n_public == 3
-    pre = plonk_setup(BN128, compiled, rng)
-    values = circ.full_assignment({p1: 11, p2: 31, out: 42})
-    proof = plonk_prove(pre, values, rng)
+    pre = plonk_setup(BN128, circuit, rng)
+    assert pre.n_public == 3
+    witness = generate_witness(circuit, {"p1": 11, "p2": 31})
+    assert public_inputs(circuit, witness) == [11, 31, 42]
+    proof = plonk_prove(pre, witness, rng)
     assert plonk_verify(pre, proof, [11, 31, 42])
     assert not plonk_verify(pre, proof, [11, 31, 43])
     assert not plonk_verify(pre, proof, [31, 11, 42])  # order matters

@@ -10,15 +10,16 @@ from contextlib import ExitStack
 import pytest
 
 from repro.analyze.code import CodeIndex, CodelintConfig, default_root, load_tree
+from repro.circuit import CircuitBuilder, compile_circuit, gadgets
 from repro.context import RUN, RunContext, region
 from repro.curves import BN128
+from repro.groth16 import generate_witness, public_inputs
 from repro.obs.metrics import collecting
 from repro.obs.spans import recording
 from repro.obs.worker import collecting_tasks
 from repro.parallel.pool import WorkerPool, using
 from repro.perf.trace import Tracer, tracing
-from repro.plonk import PlonkCircuit, plonk_prove, plonk_setup, plonk_verify
-from repro.plonk.circuit import compile_plonk
+from repro.plonk import plonk_prove, plonk_setup, plonk_verify
 from repro.resilience.errors import PoolStateError
 from repro.resilience.faults import injecting
 from repro.resilience.retry import deadline_scope
@@ -159,38 +160,33 @@ class TestRegion:
 
 
 #: ``(n, sha256)`` of a PLONK proof (commitments' affine coordinates, then
-#: the sorted evaluations) for a ``gates``-long multiplication chain, as
-#: computed with the quotient on an 8n coset.  Any coset above deg t yields
-#: the same ``t``, so the proof must not move.
+#: the sorted evaluations) for the lowered ``exponentiate(gates)`` circuit,
+#: quotient split in three.  Any coset above deg t yields the same ``t``, so
+#: the proof must not move when the quotient's evaluation domain does.
 PLONK_PROOF_DIGESTS = {
-    3: (4, "16866aa0ae1d0c880cec165add591d1373fa3c5c874cafdeaa9e2c9d8bb31139"),
-    7: (8, "9ae3b76382c1fef53836c11e4cf4e13642367e93b47b0625944c4cb731bdc652"),
-    127: (128, "e7d85b01a28495c7ece9b62a2b9caed079774f18709fa7f3bcfffeb319d73587"),
+    3: (4, "db38c73e08c3f762130a4c446833d42e30aba4131261e3870147646dd279c428"),
+    7: (8, "03665cc94abfaa459c56ab311e7d6a955c719984472ce253f8edf1af0e3e2902"),
+    127: (128, "ad1c802e5c33b4c42a59deba1861eea250d33177a160a6c2d8326ea579648bf2"),
 }
 
 
 @pytest.mark.parametrize("gates", sorted(PLONK_PROOF_DIGESTS))
 def test_plonk_proof_bytes_are_pinned(gates):
-    fr = BN128.fr
-    circ = PlonkCircuit(fr)
-    y = circ.public_input()
-    x = circ.new_var()
-    acc = x
-    for _ in range(gates - 1):
-        acc = circ.mul_gate(acc, x)
-    circ.assert_equal(acc, y)
-    compiled = compile_plonk(circ)
-    pre = plonk_setup(BN128, compiled, random.Random(2))
-    values = circ.full_assignment({x: 3, y: pow(3, gates, fr.modulus)})
-    proof = plonk_prove(pre, values, random.Random(4))
-    assert plonk_verify(pre, proof, [values[y]])
+    b = CircuitBuilder("pow", BN128.fr)
+    b.output(gadgets.exponentiate(b, b.private_input("x"), gates), "y")
+    circuit = compile_circuit(b)
+    pre = plonk_setup(BN128, circuit, random.Random(2))
+    witness = generate_witness(circuit, {"x": 3})
+    proof = plonk_prove(pre, witness, random.Random(4))
+    assert plonk_verify(pre, proof, public_inputs(circuit, witness))
     h = hashlib.sha256()
     for point in (proof.commit_a, proof.commit_b, proof.commit_c,
-                  proof.commit_z, proof.commit_t, proof.witness_zeta,
+                  proof.commit_z, proof.commit_t_lo, proof.commit_t_mid,
+                  proof.commit_t_hi, proof.witness_zeta,
                   proof.witness_zeta_omega):
         h.update(repr(point.to_affine()).encode())
     h.update(repr(sorted(proof.evals.items())).encode())
-    assert (compiled.n, h.hexdigest()) == PLONK_PROOF_DIGESTS[gates]
+    assert (pre.n, h.hexdigest()) == PLONK_PROOF_DIGESTS[gates]
 
 
 @pytest.fixture(scope="module")
