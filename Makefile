@@ -70,9 +70,10 @@ deep-profile:
 	PYTHONPATH=src python -m repro deep-profile --curve bn128 \
 		--size $(DEEP_SIZE)
 
-# Model-vs-measured drift gate (docs/PROFILING.md); exit 1 on drift.
+# Model-vs-measured drift gate at the CI cell (docs/PROFILING.md): the
+# deep profile judges itself; exit 1 on drift.
 drift-check:
-	PYTHONPATH=src python -m repro report --curve bn128 --size 64
+	PYTHONPATH=src python -m repro deep-profile --curve bn128 --size 64
 
 # Full serial<->parallel differential matrix, every other suite a pool
 # change touches (faults, worker telemetry and its overhead, the run

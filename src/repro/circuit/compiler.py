@@ -73,14 +73,6 @@ class CompiledCircuit:
     def n_constraints(self):
         return self.r1cs.n_constraints
 
-    def public_input_names(self):
-        pub = set(self.r1cs.public_wires)
-        return [n for n, w in self.input_wires.items() if w in pub]
-
-    def private_input_names(self):
-        pub = set(self.r1cs.public_wires)
-        return [n for n, w in self.input_wires.items() if w not in pub]
-
     def __repr__(self):
         return f"CompiledCircuit({self.name}, {self.r1cs!r})"
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 __all__ = [
     "assert_boolean",
     "assert_nonzero",
-    "bits_to_num",
     "divide",
     "dot_product",
     "exponentiate",
@@ -68,14 +67,6 @@ def num_to_bits(builder, x, n_bits):
         acc = acc + b.scale(1 << i)
     builder.assert_equal(acc, x)
     return bits
-
-
-def bits_to_num(builder, bits):
-    """Recompose little-endian boolean signals into one signal (free)."""
-    acc = builder.constant(0)
-    for i, b in enumerate(bits):
-        acc = acc + b.scale(1 << i)
-    return acc
 
 
 def is_zero(builder, x):

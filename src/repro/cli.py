@@ -136,14 +136,14 @@ OPTIONS = {
     # the workload cell
     "--curve": dict(type=_curve_name, default="bn128", noun="curve",
                     metavar="CURVE",
-                    help="curve name (repro.curves registry); run and "
-                         "report take a comma list (run: unset sweeps "
-                         "both curves, or bn128 with --measured)"),
+                    help="curve name (repro.curves registry); run takes "
+                         "a comma list (unset sweeps both curves, or "
+                         "bn128 with --measured)"),
     "--size": dict(type=_POSITIVE_INT, noun="size", metavar="SIZE",
-                   help="constraint count of the workload circuit; run and "
-                        "report take a comma list (run: unset is the "
-                        "sweep sizes, or the artifact's own with "
-                        "--measured, which takes one)"),
+                   help="constraint count of the workload circuit; run "
+                        "takes a comma list (unset is the sweep sizes, or "
+                        "the artifact's own with --measured, which takes "
+                        "one)"),
     "--exponent": dict(type=_POSITIVE_INT, default=64,
                        help="exponent of the x^e circuit"),
     "--workload": dict(type=_workload_name, default="exponentiate",
@@ -450,8 +450,8 @@ def cmd_profile(args, out=print):
 
 
 def cmd_deep_profile(args, out=print):
+    from repro.obs import drift, ledger, prof
     from repro.obs import format as obs_format
-    from repro.obs import ledger, prof
     from repro.perf.export import collapsed_to_text, to_speedscope
     from repro.workflow import STAGES
 
@@ -459,6 +459,17 @@ def cmd_deep_profile(args, out=print):
         args.curve, args.size, workload=args.workload, seed=args.seed,
         alloc=not args.no_alloc,
     )
+    # The drift gate judges the profile just taken against the cost
+    # model's Tables IV/V for the same cell; allocation tracking does not
+    # move the verdict.
+    verdict = drift.check_drift(
+        profiler.measured_blocks(),
+        drift.model_reference(args.curve, args.size, workload=args.workload,
+                              seed=args.seed),
+        curve=args.curve, size=args.size, workload=args.workload,
+    )
+    profile = profiler.to_profile_block()
+    profile["drift"] = verdict.to_dict()
     record = ledger.make_record(
         kind="deep-profile",
         curve=args.curve,
@@ -468,11 +479,12 @@ def cmd_deep_profile(args, out=print):
         stages=[wf.results[s].to_record() for s in STAGES],
         metrics=None,
         label=args.label,
-        profile=profiler.to_profile_block(),
+        profile=profile,
     )
 
     obs_format.emit_record(record, args.as_json, out, render=[
         lambda: prof.render_deep_profile(profiler, top=args.top),
+        verdict.render_text,
     ])
     if not args.no_artifacts:
         cell = f"deep_{args.workload}_{args.curve}_{args.size}"
@@ -487,37 +499,7 @@ def cmd_deep_profile(args, out=print):
             quiet=args.as_json)
     if args.ledger:
         obs_format.append_record(record, args.ledger, out, quiet=args.as_json)
-    return 0
-
-
-def cmd_report(args, out=print):
-    import json
-
-    from repro.obs import drift, prof
-
-    reports = []
-    for curve in args.curve:
-        for size in args.size:
-            # Allocation tracking is irrelevant to drift and not free;
-            # measure the cheapest profile that still attributes time.
-            _wf, profiler = prof.deep_profile_run(
-                curve, size, workload=args.workload, seed=args.seed,
-                alloc=False,
-            )
-            modeled = drift.model_reference(curve, size,
-                                            workload=args.workload,
-                                            seed=args.seed)
-            reports.append(drift.check_drift(
-                profiler.measured_blocks(), modeled,
-                curve=curve, size=size, workload=args.workload,
-            ))
-
-    if args.as_json:
-        out(json.dumps([r.to_dict() for r in reports], indent=2,
-                       sort_keys=True))
-    else:
-        out("\n\n".join(r.render_text() for r in reports))
-    return 0 if all(r.ok for r in reports) else 1
+    return 0 if verdict.ok else 1
 
 
 def cmd_chaos(args, out=print):
@@ -726,17 +708,12 @@ VERBS = {
          "--span-trace"]),
     "deep-profile": Verb(
         "run the five stages under the deep profiler (hot functions, "
-        "opcode mix, allocations) and write flamegraphs; keep --size "
-        "small (docs/PROFILING.md)",
+        "opcode mix, allocations), write flamegraphs and gate the cost "
+        "model's Tables IV/V against the profile; exit 1 on model drift; "
+        "keep --size small (docs/PROFILING.md)",
         cmd_deep_profile,
         [*_cell(8), "--top", "--no-alloc", "--collapsed", "--speedscope",
          "--no-artifacts", *_RECORD]),
-    "report": Verb(
-        "gate the cost model's Tables IV/V against deep-profiled "
-        "reality; exit 1 on model drift (docs/PROFILING.md)",
-        cmd_report,
-        [opt("--size", (64,), many=True), opt("--curve", ("bn128",), many=True),
-         "--workload", "--seed", "--json"]),
     "chaos": Verb(
         "run the pipeline under a seeded fault schedule; exit 0 iff every "
         "fault ends typed (docs/ROBUSTNESS.md)",

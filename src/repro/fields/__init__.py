@@ -10,12 +10,14 @@ Two kinds of fields appear in Groth16:
 methods operate on plain Python integers (the hot path used by the NTT, MSM
 and witness kernels) and report themselves to the active tracer as
 ``bigint_*`` primitives — the ``bigint`` function family the paper's Table IV
-identifies as a dominant CPU-time consumer.  :class:`Fp` wraps an integer in
-an ergonomic element type for the public API and the extension tower.
+identifies as a dominant CPU-time consumer.  There is no element wrapper:
+an ``Fq2`` element is a pair of those integers, operated on by the
+``TowerParams.f2_*`` kernels, and :class:`Fp6` / :class:`Fp12` hold such
+pairs.
 """
 
-from repro.fields.prime_field import Fp, PrimeField
-from repro.fields.extensions import Fp2, Fp6, Fp12, TowerParams
+from repro.fields.prime_field import PrimeField
+from repro.fields.extensions import Fp6, Fp12, TowerParams
 from repro.fields.params import (
     BLS12_381_FQ,
     BLS12_381_FR,
@@ -26,8 +28,6 @@ from repro.fields.params import (
 )
 
 __all__ = [
-    "Fp",
-    "Fp2",
     "Fp6",
     "Fp12",
     "PrimeField",

@@ -22,27 +22,27 @@ from __future__ import annotations
 
 import os
 
-__all__ = ["BACKEND", "select_backend", "wrap_modulus", "invmod", "powmod"]
+__all__ = ["BACKEND", "select_backend", "wrap_modulus", "invmod"]
 
 
 def select_backend(name):
-    """Resolve backend *name* to ``(label, wrap, invert, powmod)``.
+    """Resolve backend *name* to ``(label, wrap, invert)``.
 
     ``wrap`` lifts an ``int`` into the backend's native type; ``invert``
-    and ``powmod`` are modular-inverse / modular-power callables (``None``
-    means "use the Python builtins").  Unknown names and a missing gmpy2
-    both fall back to the pure-Python backend.
+    is the modular-inverse callable (``None`` means "use the Python
+    builtin").  Unknown names and a missing gmpy2 both fall back to the
+    pure-Python backend.
     """
     if name == "gmpy2":
         try:
             import gmpy2
         except ImportError:
-            return "python", int, None, None
-        return "gmpy2", gmpy2.mpz, gmpy2.invert, gmpy2.powmod
-    return "python", int, None, None
+            return "python", int, None
+        return "gmpy2", gmpy2.mpz, gmpy2.invert
+    return "python", int, None
 
 
-BACKEND, _WRAP, _INVERT, _POWMOD = select_backend(
+BACKEND, _WRAP, _INVERT = select_backend(
     os.environ.get("REPRO_BIGINT", "python").strip().lower()
 )
 
@@ -61,9 +61,3 @@ def invmod(a, m):
         return _INVERT(a, m)
     return pow(a, -1, m)
 
-
-def powmod(a, e, m):
-    """Modular power ``a^e mod m`` (non-negative *e*) through the backend."""
-    if _POWMOD is not None:
-        return _POWMOD(a, e, m)
-    return pow(a, e, m)

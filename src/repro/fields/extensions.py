@@ -7,8 +7,9 @@ Both supported curves (BN254 and BLS12-381) use the standard tower
   ``1 + u`` (BLS12-381),
 - ``Fp12 = Fp6[w] / (w^2 - v)``        so that ``w^6 = xi``.
 
-Element types hold raw integers at the bottom.  The ``Fp2`` kernels on
-:class:`TowerParams` are flat lazy-reduction arithmetic (docs/KERNELS.md) and
+An ``Fp2`` element is a raw ``(c0, c1)`` pair of integers, with no type of
+its own.  The ``f2_*`` kernels on :class:`TowerParams` are flat
+lazy-reduction arithmetic on those pairs (docs/KERNELS.md) and
 ``Fp6``/``Fp12`` are built from them alone; each kernel reports to the tracer
 the ``bigint_*`` primitives of the per-operation ``PrimeField`` formulation
 it stands for — matching how VTune attributes pairing time to big-integer
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from repro.context import RUN
 
-__all__ = ["TowerParams", "Fp2", "Fp6", "Fp12"]
+__all__ = ["TowerParams", "Fp6", "Fp12"]
 
 
 class TowerParams:
@@ -164,89 +165,12 @@ class TowerParams:
         m = self._mod
         return ((x0 * a0 - x1 * a1) % m, (x0 * a1 + x1 * a0) % m)
 
-    # -- element constructors ------------------------------------------------------
-
-    def fp2(self, c0, c1=0):
-        return Fp2(self, c0 % self.fq.modulus, c1 % self.fq.modulus)
-
-    def fp2_zero(self):
-        return Fp2(self, 0, 0)
-
-    def fp2_one(self):
-        return Fp2(self, 1, 0)
-
-    def fp6_one(self):
-        return Fp6(self, (1, 0), (0, 0), (0, 0))
-
-    def fp12_zero(self):
-        z = (0, 0)
-        return Fp12(self, (z, z, z), (z, z, z))
-
     def fp12_one(self):
         z = (0, 0)
         return Fp12(self, ((1, 0), z, z), (z, z, z))
 
     def __repr__(self):
         return f"TowerParams({self.fq.name}, xi={self.xi})"
-
-
-class Fp2:
-    """An element ``c0 + c1*u`` of the quadratic extension."""
-
-    __slots__ = ("tower", "c")
-
-    def __init__(self, tower, c0, c1):
-        self.tower = tower
-        self.c = (c0, c1)
-
-    def __add__(self, other):
-        return Fp2(self.tower, *self.tower.f2_add(self.c, other.c))
-
-    def __sub__(self, other):
-        return Fp2(self.tower, *self.tower.f2_sub(self.c, other.c))
-
-    def __neg__(self):
-        return Fp2(self.tower, *self.tower.f2_neg(self.c))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return Fp2(self.tower, *self.tower.f2_scale(self.c, other % self.tower.fq.modulus))
-        return Fp2(self.tower, *self.tower.f2_mul(self.c, other.c))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return Fp2(self.tower, *self.tower.f2_pow(self.c, e))
-
-    def inverse(self):
-        return Fp2(self.tower, *self.tower.f2_inv(self.c))
-
-    def conjugate(self):
-        """The Frobenius ``a^p`` (conjugation over Fp)."""
-        return Fp2(self.tower, *self.tower.f2_conj(self.c))
-
-    def square(self):
-        return Fp2(self.tower, *self.tower.f2_sqr(self.c))
-
-    def is_zero(self):
-        return self.c == (0, 0)
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __eq__(self, other):
-        return isinstance(other, Fp2) and other.c == self.c
-
-    def __hash__(self):
-        return hash(("Fp2", self.c))
-
-    def __repr__(self):
-        return f"Fp2({self.c[0]}, {self.c[1]})"
 
 
 class Fp6:
@@ -287,9 +211,6 @@ class Fp6:
         c1 = t.f2_add(t.f2_add(t.f2_mul(a[0], b[1]), t.f2_mul(a[1], b[0])), t.f2_mul_xi(t22))
         c2 = t.f2_add(t.f2_add(t.f2_mul(a[0], b[2]), t11), t.f2_mul(a[2], b[0]))
         return Fp6(t, c0, c1, c2)
-
-    def square(self):
-        return self * self
 
     def mul_by_v(self):
         """Multiply by the tower generator ``v`` (cheap coefficient rotate)."""
@@ -375,11 +296,6 @@ class Fp12:
         self.tower = tower
         self.c0 = c0  # triple of pairs
         self.c1 = c1
-
-    @classmethod
-    def from_fp6(cls, lo, hi):
-        """Build from two :class:`Fp6` halves."""
-        return cls(lo.tower, lo.a, hi.a)
 
     def _lo(self):
         return Fp6(self.tower, *self.c0)

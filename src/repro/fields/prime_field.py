@@ -1,4 +1,4 @@
-"""Prime-field arithmetic contexts and wrapped field elements.
+"""Prime-field arithmetic contexts.
 
 The snarkjs/circom stack the paper profiles spends most of its compute time
 in multi-limb "bigint" modular arithmetic (Table IV).  This module is the
@@ -10,19 +10,21 @@ multiply produces on x86.
 
 from __future__ import annotations
 
+import numbers
+
 from repro.context import RUN
 from repro.fields import bigint
 
-__all__ = ["PrimeField", "Fp"]
+__all__ = ["PrimeField"]
 
 
 class PrimeField:
     """Arithmetic context for the prime field ``F_p``.
 
     Methods operate on plain integers in ``[0, p)`` — this is the hot path
-    used by the polynomial, MSM and witness kernels.  Use :meth:`element` /
-    :meth:`zero` / :meth:`one` to obtain wrapped :class:`Fp` values for the
-    operator-based API.
+    used by the polynomial, MSM and witness kernels, and the only API: the
+    extension tower (:mod:`repro.fields.extensions`) builds on the same
+    integers.
 
     Parameters
     ----------
@@ -124,22 +126,6 @@ class PrimeField:
         if m is not None:
             m.inc("repro_field_inv_total")
         return bigint.invmod(a, self._mod)
-
-    def div(self, a, b):
-        """Return ``a / b mod p``."""
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a, e):
-        """Return ``a^e mod p`` (``e`` may be any integer; 0^0 == 1)."""
-        if e < 0:
-            return bigint.powmod(self.inv(a), -e, self._mod)
-        t = RUN.tracer
-        if t is not None:
-            # Square-and-multiply: ~bits squarings + ~bits/2 multiplies.
-            nbits = max(e.bit_length(), 1)
-            t.op(self._sqr_tag, nbits)
-            t.op(self._mul_tag, nbits // 2)
-        return bigint.powmod(a, e, self._mod)
 
     def reduce(self, a):
         """Map an arbitrary integer into ``[0, p)``."""
@@ -264,115 +250,19 @@ class PrimeField:
             raise ValueError(f"{self.name}: encoding {v} is not a reduced element")
         return v
 
-    # -- wrapped elements --------------------------------------------------------
+    def check_publics(self, values, count):
+        """Raise ``ValueError`` unless *values* holds *count* public inputs,
+        each a reduced element: an integer in ``[0, p)``, ``bool`` excluded.
 
-    def element(self, value):
-        """Wrap *value* (any integer) as an :class:`Fp` element of this field."""
-        return Fp(self, value % self.modulus)
-
-    def zero(self):
-        """The additive identity as a wrapped element."""
-        return Fp(self, 0)
-
-    def one(self):
-        """The multiplicative identity as a wrapped element."""
-        return Fp(self, 1)
-
-
-class Fp:
-    """A single element of a :class:`PrimeField`, with operator overloads.
-
-    This wrapper exists for API ergonomics and for the extension tower; the
-    numeric kernels use the raw-integer :class:`PrimeField` methods directly.
-    Mixed ``Fp``/``int`` arithmetic is supported, mixing elements of
-    different fields raises ``TypeError``.
-    """
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field, value):
-        self.field = field
-        self.value = value
-
-    def _coerce(self, other):
-        if isinstance(other, Fp):
-            if other.field.modulus != self.field.modulus:
-                raise TypeError(f"cannot mix {self.field.name} and {other.field.name} elements")
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.modulus
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Fp(self.field, self.field.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Fp(self.field, self.field.sub(self.value, v))
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Fp(self.field, self.field.sub(v, self.value))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Fp(self.field, self.field.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Fp(self.field, self.field.div(self.value, v))
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Fp(self.field, self.field.div(v, self.value))
-
-    def __pow__(self, e):
-        return Fp(self.field, self.field.pow(self.value, e))
-
-    def __neg__(self):
-        return Fp(self.field, self.field.neg(self.value))
-
-    def inverse(self):
-        """Multiplicative inverse (raises ``ZeroDivisionError`` on zero)."""
-        return Fp(self.field, self.field.inv(self.value))
-
-    def sqrt(self):
-        """A square root of this element, or ``None`` for non-residues."""
-        r = self.field.sqrt(self.value)
-        return None if r is None else Fp(self.field, r)
-
-    def __eq__(self, other):
-        if isinstance(other, Fp):
-            return self.field.modulus == other.field.modulus and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.field.modulus
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.modulus, self.value))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"Fp<{self.field.name}>({self.value})"
+        Any ``numbers.Integral`` counts as an integer, so the ``mpz`` values
+        the gmpy2 backend's reductions return pass.  The verifiers' guard:
+        a verifier that reduced ``x + p`` instead would accept a proof for
+        ``x`` under it.
+        """
+        if len(values) != count:
+            raise ValueError(f"expected {count} public inputs, got {len(values)}")
+        for i, v in enumerate(values):
+            if (isinstance(v, bool) or not isinstance(v, numbers.Integral)
+                    or not 0 <= v < self.modulus):
+                raise ValueError(f"public inputs[{i}] is not a reduced "
+                                 f"{self.name} element: {v!r}")

@@ -107,19 +107,18 @@ class VerifyingKey:
             beta2, gamma2, delta2, eng.miller_loop(self.alpha1.to_affine(), beta2))
 
     def check_publics(self, publics):
-        """Raise ``ValueError`` unless *publics* has one value per public
-        wire after wire 0."""
-        if len(publics) != len(self.ic) - 1:
-            raise ValueError(f"expected {len(self.ic) - 1} public inputs, got {len(publics)}")
+        """Raise ``ValueError`` unless *publics* has one reduced ``Fr``
+        element per public wire after wire 0 — the check PLONK's verifier
+        makes too."""
+        self.curve.fr.check_publics(publics, len(self.ic) - 1)
 
     def fold_publics(self, publics):
         """``ic[0] + sum_k publics[k] * ic[k + 1]`` — the G1 point the
         public inputs contribute to the pairing check."""
         self.check_publics(publics)
-        r = self.curve.fr.modulus
         acc = self.ic[0]
         for coeff, point in zip(publics, self.ic[1:]):
-            acc = acc + point * (coeff % r)
+            acc = acc + point * coeff
         return acc
 
     def size_bytes(self):

@@ -5,8 +5,9 @@ the reproduction target.  This module enforces that contract against real
 execution: the deep profiler (:mod:`repro.obs.prof`) measures what the
 interpreter actually ran, the cost model (:mod:`repro.perf`) predicts it,
 and :func:`check_drift` fails (exit 1 through ``python -m repro
-report``) when the two disagree beyond calibrated thresholds —
-so the model can no longer drift silently as the codebase grows.
+deep-profile``, which checks the profile it just took) when the two
+disagree beyond calibrated thresholds — so the model can no longer drift
+silently as the codebase grows.
 
 Two comparisons per stage:
 
@@ -14,10 +15,11 @@ Two comparisons per stage:
 modeled cycle shares are filtered to the *domain* families both sides can
 attribute (:data:`DOMAIN_FAMILIES` — runtime families like ``malloc`` or
 ``interpreter`` exist only in the model, Python-glue ``other`` only in the
-measurement), renormalized, and the top-*k* sets must overlap by at least
-``min_overlap``.  Stages where either side's domain mass is below
-``min_domain_mass`` are skipped — the modeled witness stage, for example,
-is deliberately interpreter-dominated, leaving nothing comparable.
+measurement), renormalized, and the top-:data:`TOP_K` sets must overlap
+by at least :data:`MIN_OVERLAP`.  Stages where either side's domain mass
+is below :data:`MIN_DOMAIN_MASS` are skipped — the modeled witness stage,
+for example, is deliberately interpreter-dominated, leaving nothing
+comparable.
 
 **Opcode-class shares** (Table V).  CPython's stack machine systematically
 inflates data movement over an x86 stream (every operand is a ``LOAD_*``),
@@ -26,9 +28,9 @@ so raw share deltas are dominated by a large *constant* interpreter bias
 therefore removes the mean measured−modeled offset per class across
 stages and checks the per-stage **residuals**: the cross-stage shape must
 agree even though the absolute mixes cannot.  Residuals were ≤ 9 pts at
-calibration; the default threshold is 15.  (Consequence: offsets need at
-least two compared stages — a single-stage comparison has zero residual
-by construction.)
+calibration; the threshold (:data:`MAX_RESIDUAL`) is 15.  (Consequence:
+offsets need at least two compared stages — a single-stage comparison has
+zero residual by construction.)
 
 Retuning: see docs/PROFILING.md.  Thresholds are deliberate constants,
 not environment knobs — loosen them in code, with a comment saying what
@@ -42,6 +44,10 @@ from dataclasses import dataclass
 
 __all__ = [
     "DOMAIN_FAMILIES",
+    "MAX_RESIDUAL",
+    "MIN_DOMAIN_MASS",
+    "MIN_OVERLAP",
+    "TOP_K",
     "DriftReport",
     "StageDrift",
     "check_drift",
@@ -56,10 +62,10 @@ DOMAIN_FAMILIES = ("bigint", "ec", "fft", "msm", "pairing", "hash",
 #: interpreter bookkeeping and is dropped before renormalizing).
 _OPC3 = ("compute", "control", "data")
 
-DEFAULT_TOP_K = 3
-DEFAULT_MIN_OVERLAP = 1.0 / 3.0
-DEFAULT_MAX_RESIDUAL = 15.0        # percentage points
-DEFAULT_MIN_DOMAIN_MASS = 0.05
+TOP_K = 3
+MIN_OVERLAP = 1.0 / 3.0
+MAX_RESIDUAL = 15.0        # percentage points
+MIN_DOMAIN_MASS = 0.05
 
 
 def model_reference(curve, size, workload="exponentiate", seed=0):
@@ -160,10 +166,6 @@ class DriftReport:
     workload: str
     stages: list                  # [StageDrift]
     offsets: dict                 # class -> mean measured-modeled offset (pts)
-    top_k: int
-    min_overlap: float
-    max_residual: float
-    min_domain_mass: float
 
     @property
     def ok(self):
@@ -175,9 +177,9 @@ class DriftReport:
 
     def render_text(self):
         lines = [
-            f"drift-check {self.cell}: top-{self.top_k} overlap >= "
-            f"{self.min_overlap:.2f}, opcode residual <= "
-            f"{self.max_residual:.0f} pts",
+            f"drift-check {self.cell}: top-{TOP_K} overlap >= "
+            f"{MIN_OVERLAP:.2f}, opcode residual <= "
+            f"{MAX_RESIDUAL:.0f} pts",
             "  interpreter offsets (measured-modeled, pts): "
             + ", ".join(f"{c} {self.offsets.get(c, 0.0):+.1f}" for c in _OPC3),
         ]
@@ -203,10 +205,10 @@ class DriftReport:
             "ok": self.ok,
             "offsets_pts": {k: round(v, 2) for k, v in self.offsets.items()},
             "thresholds": {
-                "top_k": self.top_k,
-                "min_overlap": self.min_overlap,
-                "max_residual_pts": self.max_residual,
-                "min_domain_mass": self.min_domain_mass,
+                "top_k": TOP_K,
+                "min_overlap": MIN_OVERLAP,
+                "max_residual_pts": MAX_RESIDUAL,
+                "min_domain_mass": MIN_DOMAIN_MASS,
             },
             "stages": [s.to_dict() for s in self.stages],
         }
@@ -215,10 +217,7 @@ class DriftReport:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
-def check_drift(measured, modeled, curve="?", size=0, workload="?",
-                top_k=DEFAULT_TOP_K, min_overlap=DEFAULT_MIN_OVERLAP,
-                max_residual=DEFAULT_MAX_RESIDUAL,
-                min_domain_mass=DEFAULT_MIN_DOMAIN_MASS):
+def check_drift(measured, modeled, curve="?", size=0, workload="?"):
     """Compare measured against modeled blocks for one cell.
 
     Both inputs are ``{stage: {"family_shares": {family: fraction},
@@ -249,14 +248,13 @@ def check_drift(measured, modeled, curve="?", size=0, workload="?",
             measured[stage].get("family_shares", {}))
         model_dom, model_mass = _domain_shares(
             modeled[stage].get("family_shares", {}))
-        checked = (meas_mass >= min_domain_mass
-                   and model_mass >= min_domain_mass)
+        checked = (meas_mass >= MIN_DOMAIN_MASS
+                   and model_mass >= MIN_DOMAIN_MASS)
         if checked:
-            meas_top = _top_families(meas_dom, top_k)
-            model_top = _top_families(model_dom, top_k)
-            overlap = (len(set(meas_top) & set(model_top)) / float(top_k)
-                       if top_k else 1.0)
-            ok_functions = overlap >= min_overlap
+            meas_top = _top_families(meas_dom, TOP_K)
+            model_top = _top_families(model_dom, TOP_K)
+            overlap = len(set(meas_top) & set(model_top)) / TOP_K
+            ok_functions = overlap >= MIN_OVERLAP
         else:
             meas_top, model_top = [], []
             overlap, ok_functions = 1.0, True
@@ -274,11 +272,8 @@ def check_drift(measured, modeled, curve="?", size=0, workload="?",
             residuals=residuals,
             max_residual=max_res,
             ok_functions=ok_functions,
-            ok_opcodes=max_res <= max_residual,
+            ok_opcodes=max_res <= MAX_RESIDUAL,
         ))
 
-    return DriftReport(
-        curve=curve, size=size, workload=workload, stages=results,
-        offsets=offsets, top_k=top_k, min_overlap=min_overlap,
-        max_residual=max_residual, min_domain_mass=min_domain_mass,
-    )
+    return DriftReport(curve=curve, size=size, workload=workload,
+                       stages=results, offsets=offsets)

@@ -25,15 +25,17 @@ worked example::
       "stages": [ {"stage", "elapsed_s", "span": {...}|null,
                    "cpu_s"?, "rss_peak_delta_kb"?, "gc_collections"?}, ... ],
       "metrics": {...MetricsRegistry.snapshot()...} | null,
-      "profile": {...DeepProfiler.to_profile_block()...} | null,
+      "profile": {...DeepProfiler.to_profile_block()...,
+                  "drift": {...DriftReport.to_dict()...}} | null,
       "workers": {...WorkerTelemetry.to_workers_block()...} | null,
       "service": {...LoadReport.to_service_block()...} | null,
       "faults": [ {"site", "kind", "hit", "fired"}, ... ] | null
     }
 
 Every block is ``null`` unless the run that wrote the record produced it;
-``faults`` is the plan ``loadtest --faults`` armed, each spec's ``fired``
-flag read after the run.
+``profile.drift`` is ``deep-profile``'s model-drift verdict on that
+profile, and ``faults`` is the plan ``loadtest --faults`` armed, each
+spec's ``fired`` flag read after the run.
 """
 
 from __future__ import annotations

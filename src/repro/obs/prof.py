@@ -427,7 +427,7 @@ def deep_profile_run(curve_name, size, workload="exponentiate", seed=0,
 
     Returns ``(workflow, profiler)``; raises ``RuntimeError`` when the
     profiled run produces a rejected proof.  The CLI's ``deep-profile``
-    and ``report`` verbs both drive this.
+    verb drives this.
     """
     from repro.curves import get_curve
     from repro.harness.circuits import build_workload

@@ -11,7 +11,7 @@ Usage::
 
     from repro import parallel
 
-    with parallel.parallel_pool(workers=4):
+    with parallel.WorkerPool(4) as pool, parallel.using(pool):
         proof = prove(pk, circuit, witness, rng)   # parallel MSM/NTT
 
 or via ``Workflow(..., workers=4)`` or ``--workers N`` on the CLI.  See
@@ -24,7 +24,6 @@ from repro.parallel.pool import (
     chunk_slices,
     decode_error,
     encode_error,
-    parallel_pool,
     using,
 )
 
@@ -34,6 +33,5 @@ __all__ = [
     "chunk_slices",
     "decode_error",
     "encode_error",
-    "parallel_pool",
     "using",
 ]

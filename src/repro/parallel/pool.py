@@ -50,7 +50,7 @@ import os
 import pickle
 import threading
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 
 from repro.context import RUN, scoped
 from repro.obs import metrics, spans
@@ -73,7 +73,6 @@ __all__ = [
     "chunk_slices",
     "decode_error",
     "encode_error",
-    "parallel_pool",
     "using",
 ]
 
@@ -509,14 +508,3 @@ def using(pool):
         return nullcontext(pool)
     return scoped("pool", pool,
                   busy=PoolStateError("a worker pool is already active"))
-
-
-@contextmanager
-def parallel_pool(workers, **kwargs):
-    """Create a :class:`WorkerPool`, install it, and close it on exit."""
-    pool = WorkerPool(workers, **kwargs)
-    try:
-        with using(pool):
-            yield pool
-    finally:
-        pool.close()

@@ -99,12 +99,6 @@ class KZG:
             acc = fr.add(fr.mul(acc, z), c)
         return acc
 
-    def open(self, coeffs, z):
-        """Open one polynomial at *z*: returns ``(y, witness_commitment)``."""
-        y = self.evaluate(coeffs, z)
-        w = self._witness_poly(coeffs, z, y)
-        return y, self.commit(w)
-
     def verify(self, commitment, z, y, witness):
         """Single-opening pairing check."""
         g1, g2 = self.curve.g1, self.curve.g2

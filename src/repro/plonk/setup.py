@@ -89,10 +89,6 @@ class PlonkPreprocessed:
     def n(self):
         return self.compiled.n
 
-    @property
-    def n_public(self):
-        return self.compiled.n_public
-
 
 def plonk_setup(curve, circuit, rng, srs=None):
     """Preprocess *circuit*, the :class:`~repro.circuit.compiler.CompiledCircuit`

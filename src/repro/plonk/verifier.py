@@ -25,12 +25,8 @@ def plonk_verify(pre, proof, public_values):
     kzg = pre.kzg
     compiled = pre.compiled
 
-    if len(public_values) != len(compiled.public_vars):
-        raise ValueError(
-            f"expected {len(compiled.public_vars)} public values, "
-            f"got {len(public_values)}"
-        )
-    public_values = [v % fr.modulus for v in public_values]
+    # Groth16's check: reduced elements only, so x + r cannot alias x.
+    fr.check_publics(public_values, len(compiled.public_vars))
 
     # -- replay the transcript ------------------------------------------------
     transcript = Transcript(curve)

@@ -96,13 +96,6 @@ class JobResult:
                    for p in ("admission", "queue_wait", "coalesce_delay"))
 
     @property
-    def service_s(self):
-        """Seconds spent executing, all attempts, read off the phase
-        clock: ``compute + retry_backoff`` (0 untracked)."""
-        return (self.phases.get("compute", 0.0)
-                + self.phases.get("retry_backoff", 0.0))
-
-    @property
     def resolved_typed(self):
         """The robustness contract: a known status, and errors carry a
         taxonomy code (``"untyped"``, what ``classify`` says of a foreign
@@ -129,25 +122,6 @@ class JobResult:
         if not self.phases:
             return self.total_s == 0.0
         return abs(self.phase_error()) <= tol
-
-    def to_dict(self):
-        return {
-            "request_id": self.request_id,
-            "kind": self.kind,
-            "status": self.status,
-            "error_code": self.error_code,
-            "error": self.error,
-            "accepted": self.accepted,
-            "proof_bytes": self.proof_bytes,
-            "queue_wait_s": round(self.queue_wait_s, 6),
-            "service_s": round(self.service_s, 6),
-            "total_s": round(self.total_s, 6),
-            "attempts": self.attempts,
-            "batched": self.batched,
-            "degraded": self.degraded,
-            "start_s": round(self.start_s, 6),
-            "phases": {k: round(v, 6) for k, v in self.phases.items()},
-        }
 
 
 @dataclass

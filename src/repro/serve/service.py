@@ -281,8 +281,9 @@ class ProvingService:
 
         *payload* for verify requests is ``(proof, publics)``; ``None``
         verifies the service's own sample proof.  Publics of the wrong
-        arity are rejected up front with ``error[corrupt]`` — a poisoned
-        request must not be able to take a whole batch down later.
+        arity, or not reduced ``Fr`` integers, are rejected up front with
+        ``error[corrupt]`` — a poisoned request must not be able to take a
+        whole batch down later.
         """
         # Phase origin: the admission phase spans from here to enqueue,
         # and total_s (elapsed from admitted_ts) then covers every phase.

@@ -47,7 +47,10 @@ class TestBits:
         def build(b):
             x = b.private_input("x")
             bits = gadgets.num_to_bits(b, x, 8)
-            b.output(gadgets.bits_to_num(b, bits), "out")
+            acc = b.constant(0)
+            for i, bit in enumerate(bits):
+                acc = acc + bit.scale(1 << i)
+            b.output(acc, "out")
 
         ok, circ, w = run(build, {"x": 0b10110101})
         assert ok

@@ -37,6 +37,19 @@ def read_jsonl(path):
         return [json.loads(line) for line in f]
 
 
+#: A public value's unreduced aliases and non-elements: every verifier
+#: entry point must reject each with a typed error, not reduce it.
+UNREDUCED = ("plus_r", "minus_r", "negative", "true")
+
+
+def unreduced(publics, r, how):
+    """*publics* with its first value replaced as *how* (:data:`UNREDUCED`)
+    says, *r* the scalar-field modulus."""
+    v = publics[0]
+    bad = {"plus_r": v + r, "minus_r": v - r, "negative": -1, "true": True}
+    return [bad[how]] + list(publics[1:])
+
+
 def make_pow_circuit(curve, exponent=8):
     """A compiled y = x^exponent circuit plus matching inputs."""
     b = CircuitBuilder(f"pow{exponent}", curve.fr)

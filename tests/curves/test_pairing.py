@@ -94,7 +94,7 @@ class TestInternals:
 
     def test_final_exponentiation_of_zero_raises(self, engine):
         with pytest.raises(ZeroDivisionError):
-            engine.final_exponentiation(engine.tower.fp12_zero())
+            engine.final_exponentiation(engine._fp12_scalar(0))
 
 
 class TestConstruction:

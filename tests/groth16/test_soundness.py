@@ -15,7 +15,7 @@ from repro.groth16 import generate_witness, prove, public_inputs, setup, verify
 from repro.groth16.batch import batch_verify
 from repro.groth16.serialize import vk_from_bytes, vk_to_bytes
 from repro.resilience.degrade import batch_verify_bisect
-from tests.conftest import make_pow_circuit
+from tests.conftest import UNREDUCED, make_pow_circuit, unreduced
 from tests.oracle import reference
 
 CURVES = {"bn128": BN128, "bls12_381": BLS12_381}
@@ -96,6 +96,35 @@ class TestSingleFieldMutations:
                 verify(vk, proof, wrong_arity)
             with pytest.raises(ValueError, match="public inputs, got"):
                 batch_verify(vk, [(proof, wrong_arity)], random.Random(0))
+
+    @pytest.mark.parametrize("how", UNREDUCED)
+    def test_unreduced_publics_raise_in_verify(self, session, how):
+        """``x + r`` is not ``x``: the verifier rejects what it used to
+        reduce into an accepted alias."""
+        curve, vk, proof, _, publics = session
+        bad = unreduced(publics, curve.fr.modulus, how)
+        with pytest.raises(ValueError, match="not a reduced"):
+            verify(vk, proof, bad)
+        assert verify(vk, proof, publics) is True
+
+    @pytest.mark.parametrize("how", UNREDUCED)
+    def test_unreduced_publics_raise_in_batch_verify(self, session, how):
+        curve, vk, proof, other, publics = session
+        bad = unreduced(publics, curve.fr.modulus, how)
+        batch = [(other, publics), (proof, bad)]
+        with pytest.raises(ValueError, match="not a reduced"):
+            batch_verify(vk, batch, random.Random(0))
+        assert batch_verify(vk, batch[:1], random.Random(0)) is True
+
+    def test_mpz_publics_verify(self, session):
+        """``mpz`` publics, as the gmpy2 backend's witness generator
+        returns them, pass the range check and verify."""
+        gmpy2 = pytest.importorskip("gmpy2")
+        curve, vk, proof, _, publics = session
+        lifted = [gmpy2.mpz(v) for v in publics]
+        curve.fr.check_publics(lifted, len(publics))
+        assert verify(vk, proof, lifted) is True
+        assert batch_verify(vk, [(proof, lifted)], random.Random(0)) is True
 
     @pytest.mark.parametrize("which", VK_MUTATIONS)
     def test_verifying_key(self, session, which):

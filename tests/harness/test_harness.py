@@ -45,7 +45,7 @@ class TestCircuitGenerators:
     def test_range_proof_has_public_bound(self):
         b, inputs = circuits.build_range_proof(BN128, n_bits=8, value=5, bound=10)
         circ = compile_circuit(b)
-        assert "bound" in circ.public_input_names()
+        assert circ.input_wires["bound"] in circ.r1cs.public_wires
 
     def test_dot_product_shape(self):
         b, inputs = circuits.build_dot_product(BN128, length=4)

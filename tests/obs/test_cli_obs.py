@@ -1,5 +1,5 @@
-"""CLI tests for the telemetry verbs: ``repro profile``, ``deep-profile``
-and ``report``."""
+"""CLI tests for the telemetry verbs: ``repro profile`` and
+``deep-profile`` (with its model-drift gate)."""
 
 import json
 
@@ -91,13 +91,17 @@ class TestProfileCommand:
             assert stage in names
 
 
-def fake_deep_run(monkeypatch):
+def fake_deep_run(monkeypatch, model=None):
     """Patch prof.deep_profile_run with a fast fake: a real DeepProfiler
     fed synthetic per-stage work, plus a workflow carrying StageResults —
-    the CLI's downstream handling (record, artifacts, ledger) stays real.
+    the CLI's downstream handling (record, artifacts, ledger, drift
+    verdict) stays real.  The modeled side of the drift gate is *model*,
+    or (unset) the fake profile's own blocks, which agree by construction.
     """
-    from repro.obs import prof
+    from repro.obs import drift, prof
     from repro.workflow import StageResult
+
+    profiled = []
 
     def busy():
         return sum(i * i for i in range(200))
@@ -117,9 +121,13 @@ def fake_deep_run(monkeypatch):
         wf = FakeWorkflow()
         wf.results = results
         wf.accepted = True
+        profiled.append(profiler)
         return wf, profiler
 
     monkeypatch.setattr(prof, "deep_profile_run", fake)
+    monkeypatch.setattr(
+        drift, "model_reference",
+        lambda *a, **kw: model or profiled[-1].measured_blocks())
 
 
 class TestDeepProfileCommand:
@@ -165,6 +173,8 @@ class TestDeepProfileCommand:
         rec = json.loads(out)
         assert rec["kind"] == "deep-profile"
         assert rec["profile"] is not None
+        assert rec["profile"]["drift"]["ok"] is True
+        assert rec["profile"]["drift"]["cell"] == "exponentiate/bn128/4"
 
     def test_no_artifacts_flag(self, tmp_path, monkeypatch):
         fake_deep_run(monkeypatch)
@@ -191,10 +201,11 @@ class TestDeepProfileCommand:
         assert "unknown workload 'bogus'" in capsys.readouterr().err
 
 
-class TestReport:
-    """The drift gate through the CLI.  Measurement is stubbed (full
-    deep-profiled runs take minutes; CI's drift-smoke job runs one for
-    real); the modeled side is a fixture patched over
+class TestDeepProfileDrift:
+    """The drift gate through ``deep-profile``.  Measurement is stubbed
+    (full deep-profiled runs take minutes; CI's drift-smoke job runs one
+    for real): the fake profile's measured blocks are replaced by
+    :attr:`MEASURED`, and the modeled side is a fixture patched over
     ``drift.model_reference``, proving the gate can pass AND fail."""
 
     MEASURED = {
@@ -225,41 +236,43 @@ class TestReport:
     }
 
     def stub(self, monkeypatch, model):
-        from repro.obs import drift, prof
+        from repro.obs import prof
 
-        class FakeProfiler:
-            def measured_blocks(inner):
-                return self.MEASURED
-
-        monkeypatch.setattr(
-            prof, "deep_profile_run",
-            lambda *a, **kw: (None, FakeProfiler()))
-        monkeypatch.setattr(drift, "model_reference", lambda *a, **kw: model)
+        fake_deep_run(monkeypatch, model)
+        monkeypatch.setattr(prof.DeepProfiler, "measured_blocks",
+                            lambda _profiler: self.MEASURED)
 
     def test_agreeing_model_exits_zero(self, monkeypatch):
         self.stub(monkeypatch, self.GOOD_MODEL)
-        code, out = run_cli(["report"])
+        code, out = run_cli(["deep-profile", "--size", "4", "--no-artifacts"])
         assert code == 0
+        # The verdict follows the profile tables.
+        assert out.index("compute%") < out.index("drift-check")
         assert "model and measurement agree" in out
 
-    def test_perturbed_model_exits_one(self, monkeypatch):
+    def test_perturbed_model_exits_one(self, monkeypatch, tmp_path):
         """The acceptance fixture: a deliberately wrong model must trip
-        the gate."""
+        the gate, and the record still reaches the ledger."""
         bad = json.loads(json.dumps(self.GOOD_MODEL))
         bad["proving"]["family_shares"] = {"hash": 0.7, "parser": 0.2,
                                            "fft": 0.1}
         bad["proving"]["opcode_shares"] = {"compute": 5.0, "control": 20.0,
                                            "data": 75.0, "other": 0.0}
         self.stub(monkeypatch, bad)
-        code, out = run_cli(["report"])
+        led = str(tmp_path / "led.jsonl")
+        code, out = run_cli(["deep-profile", "--size", "4", "--no-artifacts",
+                             "--ledger", led])
         assert code == 1
         assert "MODEL DRIFT detected" in out
+        assert read_jsonl(led)[0]["profile"]["drift"]["ok"] is False
 
-    def test_json_output(self, monkeypatch):
+    def test_json_record_carries_the_verdict(self, monkeypatch):
         self.stub(monkeypatch, self.GOOD_MODEL)
-        code, out = run_cli(["report", "--json"])
+        code, out = run_cli(["deep-profile", "--size", "64",
+                             "--no-artifacts", "--json"])
         assert code == 0
-        docs = json.loads(out)
-        assert len(docs) == 1  # default sweep: bn128 x (64,)
-        assert docs[0]["cell"] == "exponentiate/bn128/64"
-        assert docs[0]["ok"] is True
+        verdict = json.loads(out)["profile"]["drift"]
+        assert verdict["cell"] == "exponentiate/bn128/64"
+        assert verdict["ok"] is True
+        assert [s["stage"] for s in verdict["stages"]] == [
+            "setup", "proving", "verifying"]

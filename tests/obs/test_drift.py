@@ -95,14 +95,20 @@ class TestFunctionDrift:
         assert bad.measured_top == ["ec", "bigint", "msm"]
 
     def test_partial_overlap_honors_min_overlap(self):
+        """Top-3 sets sharing one family meet the 1/3 floor; sharing none
+        does not."""
+        assert (drift.TOP_K, drift.MIN_OVERLAP) == (3, 1.0 / 3.0)
         measured, modeled = agreeing_pair()
-        rep = check_drift(measured, modeled, top_k=3, min_overlap=1.0)
-        # Agreement is set-based; identical top-3 sets still pass at 1.0.
-        assert rep.ok
         modeled["setup"] = modeled_block(
             {"bigint": 0.9, "fft": 0.06, "hash": 0.04})
-        rep = check_drift(measured, modeled, top_k=3, min_overlap=1.0)
+        rep = check_drift(measured, modeled)
+        assert rep.ok
+        assert rep.stages[0].overlap == pytest.approx(1.0 / 3.0)
+        modeled["setup"] = modeled_block(
+            {"pairing": 0.9, "fft": 0.06, "hash": 0.04})
+        rep = check_drift(measured, modeled)
         assert not rep.ok
+        assert rep.stages[0].overlap == 0.0
 
     def test_non_domain_families_ignored(self):
         """Runtime families (malloc, interpreter, page faults) exist only
@@ -139,7 +145,7 @@ class TestOpcodeDrift:
         assert not rep.ok
         bad = next(s for s in rep.stages if s.stage == "proving")
         assert not bad.ok_opcodes
-        assert bad.max_residual > rep.max_residual
+        assert bad.max_residual > drift.MAX_RESIDUAL
 
     def test_single_stage_comparison_has_zero_residual(self):
         """Documented limitation: with one compared stage the mean offset
@@ -151,11 +157,20 @@ class TestOpcodeDrift:
         rep = check_drift(one_m, one_p)
         assert rep.stages[0].max_residual == pytest.approx(0.0, abs=1e-9)
 
-    def test_threshold_configurable(self):
+    @pytest.mark.parametrize("shift, ok", [(21.0, True), (24.0, False)])
+    def test_residual_threshold_is_fixed(self, shift, ok):
+        """Moving *shift* points of one stage's modeled mix from data to
+        compute leaves a residual of 2/3 * shift on that stage (the mean
+        offset absorbs the rest): 14 pts passes the 15-pt threshold,
+        16 pts fails it."""
+        assert drift.MAX_RESIDUAL == 15.0
         measured, modeled = agreeing_pair()
-        modeled["proving"]["opcode_shares"]["compute"] = 52.0  # mild shift
-        assert check_drift(measured, modeled, max_residual=15.0).ok
-        assert not check_drift(measured, modeled, max_residual=1.0).ok
+        modeled["proving"]["opcode_shares"].update(
+            compute=45.0 + shift, data=35.0 - shift)
+        rep = check_drift(measured, modeled)
+        proving = next(s for s in rep.stages if s.stage == "proving")
+        assert proving.max_residual == pytest.approx(2.0 * shift / 3.0)
+        assert rep.ok is ok
 
 
 class TestRendering:

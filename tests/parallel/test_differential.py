@@ -27,7 +27,7 @@ from repro.parallel.kernels import (
     msm_parallel,
     ntt_transform_parallel,
 )
-from repro.parallel.pool import WorkerPool, parallel_pool
+from repro.parallel.pool import WorkerPool, using
 from repro.poly.domain import EvaluationDomain
 from repro.poly.ntt import transform_raw
 
@@ -179,7 +179,8 @@ class TestPipelineDifferential:
         builder, inputs = build_workload(workload, BN128, 128)
         circuit = compile_circuit(builder)
         serial = generate_witness(circuit, inputs)
-        with collecting() as reg, parallel_pool(2, min_msm=2, min_ntt=2):
+        with collecting() as reg, WorkerPool(2, min_msm=2, min_ntt=2) as pool, \
+                using(pool):
             pooled = generate_witness(circuit, inputs)
         assert reg.counter("repro_parallel_maps_total") == 0
         assert pooled == serial
@@ -241,14 +242,14 @@ class TestWorkflowPoolWiring:
             assert wf.pool is None
 
     def test_installed_pool_reaches_kernels_through_workflow(self):
-        # A pool installed around the workflow (parallel_pool) engages even
+        # A pool installed around the workflow (``using``) engages even
         # when the workflow itself was built serial.
         from repro.harness.circuits import build_workload
         from repro.workflow import Workflow
 
         builder, inputs = build_workload("exponentiate", BN128, 64)
         with Workflow(BN128, builder, inputs) as wf:
-            with parallel_pool(2, min_msm=4, min_ntt=4) as pool:
+            with WorkerPool(2, min_msm=4, min_ntt=4) as pool, using(pool):
                 wf.run_all()
             assert wf.accepted is True
             assert sum(s["tasks"] for s in pool.worker_stats.values()) > 0

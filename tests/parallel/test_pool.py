@@ -21,7 +21,6 @@ from repro.parallel.pool import (
     chunk_slices,
     decode_error,
     encode_error,
-    parallel_pool,
     using,
 )
 from repro.resilience.errors import (
@@ -102,9 +101,6 @@ class TestConstruction:
         # The count is the one way to size a pool: no environment default.
         with pytest.raises(TypeError):
             WorkerPool()
-        with pytest.raises(TypeError):
-            with parallel_pool():
-                pass
 
     def test_worker_count_ignores_the_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
@@ -341,7 +337,7 @@ class TestInstallation:
     def test_tracer_suppresses_the_pool(self):
         from repro.perf.trace import Tracer, tracing
 
-        with parallel_pool(2) as pool:
+        with WorkerPool(2) as pool, using(pool):
             assert active_pool() is pool
             with tracing(Tracer(label="t")):
                 assert active_pool() is None

@@ -43,34 +43,40 @@ class TestCommit:
         assert kzg.commit([0]).is_infinity()
 
 
+def open_one(kzg, coeffs, z):
+    """A one-polynomial batch opening: ``(y, witness_commitment)``."""
+    (y,), w = kzg.open_batch([coeffs], z, 1)
+    return y, w
+
+
 class TestOpen:
     def test_open_verify_roundtrip(self, kzg):
         p = rand_poly(7, 6)
         z = FR.rand(random.Random(7))
-        y, w = kzg.open(p, z)
+        y, w = open_one(kzg, p, z)
         assert y == kzg.evaluate(p, z)
         assert kzg.verify(kzg.commit(p), z, y, w)
 
     def test_wrong_value_rejected(self, kzg):
         p = rand_poly(7, 8)
         z = FR.rand(random.Random(9))
-        y, w = kzg.open(p, z)
+        y, w = open_one(kzg, p, z)
         assert not kzg.verify(kzg.commit(p), z, FR.add(y, 1), w)
 
     def test_wrong_point_rejected(self, kzg):
         p = rand_poly(7, 10)
         z = FR.rand(random.Random(11))
-        y, w = kzg.open(p, z)
+        y, w = open_one(kzg, p, z)
         assert not kzg.verify(kzg.commit(p), FR.add(z, 1), y, w)
 
     def test_wrong_commitment_rejected(self, kzg):
         p = rand_poly(7, 12)
         z = FR.rand(random.Random(13))
-        y, w = kzg.open(p, z)
+        y, w = open_one(kzg, p, z)
         assert not kzg.verify(kzg.commit(rand_poly(7, 14)), z, y, w)
 
     def test_constant_polynomial(self, kzg):
-        y, w = kzg.open([42], 5)
+        y, w = open_one(kzg, [42], 5)
         assert y == 42
         assert kzg.verify(kzg.commit([42]), 5, 42, w)
 

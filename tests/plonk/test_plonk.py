@@ -12,6 +12,7 @@ from repro.plonk import SRS, plonk_prove, plonk_setup, plonk_verify
 from repro.plonk.circuit import compile_plonk
 from repro.plonk.prover import PlonkProof
 from repro.plonk.setup import build_permutation, to_coset
+from tests.conftest import UNREDUCED, unreduced
 
 
 def cubic_circuit(fr):
@@ -236,6 +237,23 @@ class TestSoundness:
         with pytest.raises(ValueError):
             plonk_verify(pre, proof, [])
 
+    @pytest.mark.parametrize("how", UNREDUCED)
+    def test_unreduced_public_raises(self, session, how):
+        curve, circuit, pre, witness, proof = session
+        publics = public_inputs(circuit, witness)
+        with pytest.raises(ValueError, match="not a reduced"):
+            plonk_verify(pre, proof,
+                         unreduced(publics, curve.fr.modulus, how))
+        assert plonk_verify(pre, proof, publics)
+
+    def test_mpz_publics_verify(self, session):
+        """``mpz`` publics, as the gmpy2 backend's witness generator
+        returns them, pass the range check."""
+        gmpy2 = pytest.importorskip("gmpy2")
+        curve, circuit, pre, witness, proof = session
+        publics = [gmpy2.mpz(v) for v in public_inputs(circuit, witness)]
+        assert plonk_verify(pre, proof, publics)
+
 
 class TestCopyConstraints:
     def test_copy_constraint_violation_unprovable(self, monkeypatch):
@@ -249,7 +267,7 @@ class TestCopyConstraints:
         witness = generate_witness(circuit, {"x": 4})
         values = pre.compiled.assignment(witness)
         wa, wb, wc = pre.compiled.wire_values(values)
-        row = pre.n_public  # the x * x gate
+        row = pre.compiled.n_public  # the x * x gate
         assert (wa[row], wb[row], wc[row]) == (4, 4, 16)
         wa[row], wb[row] = 2, 8  # 2 * 8 == 16: the gate alone still holds
         monkeypatch.setattr(pre.compiled, "wire_values", lambda _: (wa, wb, wc))

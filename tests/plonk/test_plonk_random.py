@@ -91,7 +91,7 @@ def test_multiple_public_inputs():
     circuit = compile_circuit(b)
     rng = random.Random(100)
     pre = plonk_setup(BN128, circuit, rng)
-    assert pre.n_public == 3
+    assert pre.compiled.n_public == 3
     witness = generate_witness(circuit, {"p1": 11, "p2": 31})
     assert public_inputs(circuit, witness) == [11, 31, 42]
     proof = plonk_prove(pre, witness, rng)

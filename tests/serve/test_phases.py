@@ -221,14 +221,13 @@ class TestTelemetry:
         for phase in ("admission", "queue_wait", "compute", "settle"):
             assert f"repro_serve_phase_{phase}_seconds" in names, names
 
-    def test_result_dict_round_trips_phases(self):
+    def test_result_phases_sum_to_total(self):
         svc = fast_service()
         report = run_load(svc, rps=10, duration_s=0.3, seed=6)
         ok = [r for r in report.results if r.status == "ok"]
-        d = ok[0].to_dict()
-        assert d["phases"]
-        assert abs(sum(d["phases"].values()) - d["total_s"]) < 2e-3
-        assert d["start_s"] >= 0.0
+        assert ok[0].phases
+        assert abs(ok[0].phase_sum - ok[0].total_s) < 2e-3
+        assert ok[0].start_s >= 0.0
 
     def test_phase_breakdown_block(self):
         svc = fast_service()

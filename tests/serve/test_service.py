@@ -13,6 +13,7 @@ import threading
 import pytest
 
 from repro.context import RUN
+from repro.curves import get_curve
 from repro.resilience import degrade, faults
 from repro.resilience.errors import (
     AdmissionError,
@@ -24,6 +25,7 @@ from repro.resilience.errors import (
 from repro.resilience.faults import FaultSpec
 from repro.resilience.retry import RetryPolicy
 from repro.serve import CircuitBreaker, ProvingService
+from tests.conftest import UNREDUCED, unreduced
 
 
 def fast_service(**kwargs):
@@ -97,6 +99,22 @@ class TestRoundTrips:
                 with pytest.raises(ArtifactCorruption):
                     svc.submit_nowait("verify",
                                       payload=(proof, publics + [1]))
+
+        run(main())
+
+    def test_unreduced_publics_rejected_at_admission(self):
+        async def main():
+            async with fast_service() as svc:
+                proof, publics = svc.verify_payload()
+                r = get_curve(svc.curve).fr.modulus
+                for how in UNREDUCED:
+                    with pytest.raises(ArtifactCorruption,
+                                       match="not a reduced") as exc:
+                        svc.submit_nowait(
+                            "verify", payload=(proof, unreduced(publics, r, how)))
+                    assert exc.value.code == "corrupt"
+                ok = await svc.submit("verify", payload=(proof, publics))
+                assert ok.status == "ok" and ok.accepted is True
 
         run(main())
 

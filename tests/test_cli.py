@@ -37,8 +37,8 @@ class TestParser:
     @pytest.mark.parametrize("argv, dest, value", [
         (["run", "fig4", "--curve", "bn128,bls12_381"], "curve",
          ("bn128", "bls12_381")),
-        (["report", "--curve", "bls12_381"], "curve", ("bls12_381",)),
-        (["report", "--size", "64,128"], "size", (64, 128)),
+        (["run", "fig4", "--curve", "bls12_381"], "curve", ("bls12_381",)),
+        (["run", "fig4", "--size", "64,128"], "size", (64, 128)),
     ])
     def test_list_options_parse_to_tuples(self, argv, dest, value):
         assert getattr(build_parser().parse_args(argv), dest) == value
@@ -46,8 +46,8 @@ class TestParser:
     @pytest.mark.parametrize("argv, message", [
         (["run", "fig4", "--curve", "bn128,nope"], "bad curve list"),
         (["run", "fig4", "--size", "8,0"], "bad size list"),
-        (["report", "--curve", "nope"], "bad curve list"),
-        (["report", "--size", "0,64"], "bad size list"),
+        (["run", "fig4", "--curve", "nope"], "bad curve list"),
+        (["run", "fig4", "--size", "0,64"], "bad size list"),
     ])
     def test_list_options_name_the_bad_element(self, capsys, argv, message):
         with pytest.raises(SystemExit):
@@ -78,6 +78,7 @@ class TestVerbLists:
                                  "SKILL.md") == set(VERBS)
 
     def test_parser_and_list_are_generated_from_the_verb_table(self):
+        assert len(VERBS) == 10
         assert list(verb_parsers()) == list(VERBS)
         _, out = run_cli(["list"])
         for name, verb in VERBS.items():
@@ -120,13 +121,12 @@ class TestOptionTable:
         sizes = {verb: parser.get_default("size")
                  for verb, parser in verb_parsers().items()
                  if parser.get_default("size") is not None}
-        assert sizes == {"profile": 64, "deep-profile": 8, "report": (64,),
-                         "chaos": 32, "loadtest": 32}
+        assert sizes == {"profile": 64, "deep-profile": 8, "chaos": 32,
+                         "loadtest": 32}
         # run's cells are unset: the traced sweep and each measured
         # artifact (repro.harness.measured) keep their own defaults.
         run = build_parser().parse_args(["run", "fig6", "--measured"])
         assert (run.curve, run.size, run.workers) == (None, None, None)
-        assert build_parser().parse_args(["report"]).curve == ("bn128",)
         loadtest = build_parser().parse_args(["loadtest"])
         assert (loadtest.rps, loadtest.faults) == (8.0, None)
         assert build_parser().parse_args(["chaos"]).faults == 4
@@ -161,8 +161,7 @@ class TestOptionTable:
                   if name in OPTIONS
                   and action.type is not OPTIONS[name].get("type")}
         assert listed == many == {
-            ("run", "--curve"), ("run", "--size"), ("run", "--workers"),
-            ("report", "--curve"), ("report", "--size")}
+            ("run", "--curve"), ("run", "--size"), ("run", "--workers")}
         # No table entry is itself a list type.
         assert not any(
             getattr(spec.get("type"), "__qualname__", "").startswith(

@@ -12,6 +12,8 @@ import sys
 
 import pytest
 
+from tests.conftest import UNREDUCED, unreduced
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src")
 
@@ -76,6 +78,19 @@ class TestVerifyVerb:
         (tmp_path / "publics.json").write_text(json.dumps(["zero"]))
         assert_typed_failure(run_cli("verify", str(tmp_path)), "corrupt")
 
+    @pytest.mark.parametrize("how", UNREDUCED)
+    def test_unreduced_publics_are_typed(self, artifacts, tmp_path, how):
+        from repro.curves import BN128
+
+        for name in ("proof.bin", "vk.bin"):
+            (tmp_path / name).write_bytes((artifacts / name).read_bytes())
+        publics = json.loads((artifacts / "publics.json").read_text())
+        (tmp_path / "publics.json").write_text(
+            json.dumps(unreduced(publics, BN128.fr.modulus, how)))
+        result = run_cli("verify", str(tmp_path))
+        assert_typed_failure(result, "value")
+        assert "not a reduced" in result.stderr
+
     def test_missing_dir_is_typed_os_error(self, tmp_path):
         assert_typed_failure(
             run_cli("verify", str(tmp_path / "nowhere")), "os")
@@ -137,7 +152,7 @@ class TestArgumentErrors:
         ("prove", "--x", "5"), ("run", "fig6", "--measured", "--repeats", "2"),
         ("serve",), ("serve", "--max-queue", "4"),
         ("loadtest", "--max-inflight", "8"),
-        ("loadtest", "--bad-verify-pct", "10"),
+        ("loadtest", "--bad-verify-pct", "10"), ("report",),
     ])
     def test_deleted_verb_and_flags_are_usage_errors(self, gone):
         result = run_cli(*gone)
