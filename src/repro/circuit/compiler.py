@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.circuit.r1cs import R1CS, Constraint
-from repro.context import RUN
+from repro.context import RUN, region
 
 __all__ = ["CompiledCircuit", "compile_circuit"]
 
@@ -93,84 +93,66 @@ def compile_circuit(builder, check=False):
     """
     t = RUN.tracer
     fr = builder.fr
-    if t is None:
-        constraints = [
-            Constraint(_normalize(fr, a), _normalize(fr, b), _normalize(fr, c))
-            for a, b, c in builder.constraints
-        ]
-        r1cs = R1CS(fr, builder.n_wires, builder.public_wires, constraints, builder.labels)
-        return _finish(CompiledCircuit(
-            name=builder.name,
-            r1cs=r1cs,
-            program=list(builder.program),
-            input_wires=dict(builder.input_wires),
-            output_wires=dict(builder.output_wires),
-        ), check)
+    if t is not None:
+        with t.region("compile_startup", parallel=False):
+            # Compiler initialization: binary load, source parse, template
+            # elaboration — the fixed cost every circom invocation pays.
+            binary = t.malloc(_COMPILER_IMAGE_BYTES)
+            t.stream(binary, _COMPILER_IMAGE_BYTES, ticks_per_kb=32, op_name="graph_walk")
+            for prim, n in _STARTUP_OPS:
+                t.op(prim, n)
+            t.op("json_parse_field", 64 + len(builder.input_wires) * 4)
+            t.page_fault(1 + _COMPILER_IMAGE_BYTES // 16384)
 
-    # -- traced path: same result, with the stage's workload made visible ----
+        ast_heap = t.malloc(_AST_HEAP_BYTES)
+        with t.region("compile_traverse", parallel=False):
+            # Gate-graph traversal: pointer chasing across the AST heap.
+            for j, (a, b, c) in enumerate(builder.constraints):
+                t.op("graph_walk", 1 + len(a) + len(b) + len(c))
+                # Dependent pointer hops per constraint, scattered over the
+                # heap (Fibonacci hashing gives a uniform-but-deterministic walk).
+                for hop in range(2):
+                    t.mem_load(ast_heap + ((2 * j + hop) * 2654435761) % _AST_HEAP_BYTES, 48)
+
     constraints = []
-    with t.region("compile_startup", parallel=False):
-        # Compiler initialization: binary load, source parse, template
-        # elaboration — the fixed cost every circom invocation pays.
-        binary = t.malloc(_COMPILER_IMAGE_BYTES)
-        t.stream(binary, _COMPILER_IMAGE_BYTES, ticks_per_kb=32, op_name="graph_walk")
-        for prim, n in _STARTUP_OPS:
-            t.op(prim, n)
-        t.op("json_parse_field", 64 + len(builder.input_wires) * 4)
-        t.page_fault(1 + _COMPILER_IMAGE_BYTES // 16384)
-
-    ast_heap = t.malloc(_AST_HEAP_BYTES)
-    with t.region("compile_traverse", parallel=False):
-        # Gate-graph traversal: pointer chasing across the AST heap.
-        for j, (a, b, c) in enumerate(builder.constraints):
-            t.op("graph_walk", 1 + len(a) + len(b) + len(c))
-            # Dependent pointer hops per constraint, scattered over the
-            # heap (Fibonacci hashing gives a uniform-but-deterministic walk).
-            for hop in range(2):
-                t.mem_load(ast_heap + ((2 * j + hop) * 2654435761) % _AST_HEAP_BYTES, 48)
-
-    with t.region("compile_normalize", parallel=True, items=len(builder.constraints)):
+    with region("compile_normalize", parallel=True, items=len(builder.constraints)):
         # Constraint simplification/normalization — circom's per-constraint
         # bulk work, and the stage's parallelizable fraction (Table VI).
         for a, b, c in builder.constraints:
-            for prim, n in _PER_CONSTRAINT_OPS:
-                t.op(prim, n)
-            na = _normalize(fr, a, traced=True)
-            nb = _normalize(fr, b, traced=True)
-            nc = _normalize(fr, c, traced=True)
-            constraints.append(Constraint(na, nb, nc))
+            if t is not None:
+                for prim, n in _PER_CONSTRAINT_OPS:
+                    t.op(prim, n)
+            constraints.append(Constraint(_normalize(fr, a), _normalize(fr, b),
+                                          _normalize(fr, c)))
 
-    with t.region("compile_assemble", parallel=False):
-        # Sparse-matrix assembly: one allocation per row triple plus a copy
-        # of every entry into the matrix arena.
-        arena = t.malloc(_ENTRY_BYTES * max(_nnz(constraints), 1))
-        offset = 0
-        for cons in constraints:
-            row_bytes = _ENTRY_BYTES * (len(cons.a) + len(cons.b) + len(cons.c))
-            t.malloc(row_bytes + 48)
-            t.memcpy(arena + offset, arena + offset, max(row_bytes, 1))
-            offset += row_bytes
+    if t is not None:
+        with t.region("compile_assemble", parallel=False):
+            # Sparse-matrix assembly: one allocation per row triple plus a
+            # copy of every entry into the matrix arena.
+            arena = t.malloc(_ENTRY_BYTES * max(_nnz(constraints), 1))
+            offset = 0
+            for cons in constraints:
+                row_bytes = _ENTRY_BYTES * (len(cons.a) + len(cons.b) + len(cons.c))
+                t.malloc(row_bytes + 48)
+                t.memcpy(arena + offset, arena + offset, max(row_bytes, 1))
+                offset += row_bytes
 
-    with t.region("compile_serialize", parallel=False):
-        # .r1cs emission: read the arena, write the output buffer.
-        total = _ENTRY_BYTES * max(_nnz(constraints), 1)
-        out = t.malloc(total)
-        t.stream(arena, total, ticks_per_kb=40, op_name="memcpy_chunk")
-        t.stream(out, total, write=True, ticks_per_kb=40, op_name="memcpy_chunk")
-        t.page_fault(1 + total // 4096)
+        with t.region("compile_serialize", parallel=False):
+            # .r1cs emission: read the arena, write the output buffer.
+            total = _ENTRY_BYTES * max(_nnz(constraints), 1)
+            out = t.malloc(total)
+            t.stream(arena, total, ticks_per_kb=40, op_name="memcpy_chunk")
+            t.stream(out, total, write=True, ticks_per_kb=40, op_name="memcpy_chunk")
+            t.page_fault(1 + total // 4096)
 
     r1cs = R1CS(fr, builder.n_wires, builder.public_wires, constraints, builder.labels)
-    return _finish(CompiledCircuit(
+    compiled = CompiledCircuit(
         name=builder.name,
         r1cs=r1cs,
         program=list(builder.program),
         input_wires=dict(builder.input_wires),
         output_wires=dict(builder.output_wires),
-    ), check)
-
-
-def _finish(compiled, check):
-    """Optionally gate the compile on a clean static-analysis report."""
+    )
     if check:
         # Imported here: repro.analyze is a consumer of this module's types.
         from repro.analyze import CircuitAnalysisError, analyze
@@ -181,12 +163,12 @@ def _finish(compiled, check):
     return compiled
 
 
-def _normalize(fr, row, traced=False):
+def _normalize(fr, row):
     """Reduce every coefficient into canonical range, dropping zeros.
 
     Traced cost: one Montgomery-form conversion multiply plus a reduction
-    add per nonzero coefficient (what circom's field writer performs)."""
-    t = RUN.tracer if traced else None
+    add per coefficient (what circom's field writer performs)."""
+    t = RUN.tracer
     out = {}
     for wire, coeff in row.items():
         if t is not None:

@@ -13,7 +13,7 @@ and why nothing selects it: docs/KERNELS.md); the kernels behind it are
   batch-affine bucket kernel it falls back to whole on G2,
 - :func:`repro.msm.naive.msm_naive` — per-point double-and-add: the degrade
   ladder's last rung and the tests' oracle,
-- :class:`repro.msm.fixed_base.FixedBaseTable` — fixed-base comb used by the
+- :class:`repro.msm.fixed_base.FixedBaseTable` — fixed-base multiples for the
   trusted setup, where thousands of scalars share one base point.
 """
 

@@ -1,21 +1,18 @@
-"""Fixed-base scalar multiplication: a stored window table and a batch walk.
+"""Fixed-base scalar multiplication: a batch walk, and the traced table walk.
 
-The trusted setup multiplies one base point (the generator, or ``Z(tau)/
-delta`` style derived points) by thousands of distinct scalars.  A one-time
-table of ``(2^w - 1)`` multiples per w-bit window reduces a multiplication
-to at most ``ceil(bits/w)`` mixed additions.  That stored table serves the
-single :meth:`FixedBaseTable.mul` and every *traced* call; its build and
-its per-scalar walks are instrumented, so the large sequential table (the
-reason the setup stage's loads dwarf its stores by ~10x in Fig. 5: written
-once, read for every scalar) has a real footprint in the traced address
-space.  An untraced :meth:`FixedBaseTable.mul_many` stores no table: it
-walks all scalars together, window by window, in affine coordinates over
-rows it streams and drops (docs/KERNELS.md, "Fixed-base batch walk").
+The trusted setup multiplies one base point by thousands of distinct
+scalars.  Untraced, :meth:`FixedBaseTable.mul_many` walks them all window
+by window in affine coordinates over rows it streams and drops
+(docs/KERNELS.md, "Fixed-base batch walk"); nothing is stored.  The stored
+table of ``(2^w - 1)`` multiples per w-bit window is the traced walk's
+alone (the pinning rule): its build and per-scalar walks are instrumented,
+so the large sequential table (why setup's loads dwarf its stores ~10x in
+Fig. 5: written once, read for every scalar) has a traced footprint.
 """
 
 from __future__ import annotations
 
-from repro.context import RUN, region
+from repro.context import RUN
 from repro.msm.batch_affine import batch_affine_add
 from repro.msm.recode import signed_windows_len
 
@@ -49,17 +46,16 @@ def _digit_columns(ks, w):
 
 
 class FixedBaseTable:
-    """Precomputed window table for one base point.
+    """One base point, many scalars.
 
     Parameters
     ----------
     base:
         A group :class:`~repro.curves.curve.Point`.
     width:
-        Window width in bits of the stored table — what :meth:`mul` and
-        traced calls walk (4 is a good default for the setup sizes the
-        harness sweeps; 8 halves the adds per scalar at 16x the table).
-        The untraced batch walk sizes its own streamed rows.
+        Window width in bits of the stored table the traced walk reads;
+        it is built under a tracer only, at construction or on the first
+        traced call.  The untraced batch walk sizes its own streamed rows.
     bits:
         Scalar bit width to support (defaults to the group order's width);
         a reduced scalar that does not fit raises ``ValueError``.
@@ -73,25 +69,28 @@ class FixedBaseTable:
             # (``bits or ...``) and a negative width built an *empty* table
             # whose ``mul`` returned infinity for every scalar.
             raise ValueError(f"table bit width must be >= 1, got {bits}")
-        group = base.group
-        self.group = group
+        self.group = base.group
         self.base = base
         self.width = width
-        self.bits = bits or group.order.bit_length()
+        self.bits = bits or self.group.order.bit_length()
         self.n_windows = (self.bits + width - 1) // width
-        per_window = (1 << width) - 1
+        self._table = None
+        if RUN.tracer is not None:
+            self._build(RUN.tracer)
 
-        t = RUN.tracer
+    def _build(self, t):
+        """Store the traced walk's table in *t*'s address space, once."""
+        if self._table is not None:
+            return
+        group = self.group
+        per_window = (1 << self.width) - 1
         point_bytes = self._point_bytes = 2 * group.ops.coord_bytes
-        self._table_base = 0
-        if t is not None:
-            self._table_base = t.malloc(self.n_windows * per_window * point_bytes)
-
+        self._table_base = t.malloc(self.n_windows * per_window * point_bytes)
         # table[k][d-1] holds (d * 2^(k*width)) * base, normalized to affine
         # so the per-scalar walk uses cheap mixed additions.
         table = []
-        window_base = base
-        with region("fixed_base_table_build", parallel=True, items=self.n_windows):
+        window_base = self.base
+        with t.region("fixed_base_table_build", parallel=True, items=self.n_windows):
             for _k in range(self.n_windows):
                 row = []
                 acc = group.infinity()
@@ -100,8 +99,7 @@ class FixedBaseTable:
                     row.append(acc)
                 table.append([p.to_affine() for p in row])
                 window_base = acc + window_base  # == 2^width * previous base
-                if t is not None:
-                    t.mem_block(self._table_base, per_window * point_bytes, write=True)
+                t.mem_block(self._table_base, per_window * point_bytes, write=True)
         self._table = table
 
     def _reduced(self, scalar):
@@ -112,27 +110,28 @@ class FixedBaseTable:
         return k
 
     def mul(self, scalar):
-        """Return ``scalar * base`` using at most ``n_windows`` additions."""
+        """Return ``scalar * base``: ``base * k`` untraced, and under a
+        tracer at most ``n_windows`` additions from the stored table."""
         # Cooperative deadline poll per scalar — one table walk is the
         # kernel's smallest unit of work (a traced mul_many inherits it).
         if RUN.deadline is not None:
             RUN.deadline.check()
         k = self._reduced(scalar)
+        t = RUN.tracer
+        if t is None:
+            return self.base * k
+        self._build(t)
         if k == 0:
             return self.group.infinity()
-        t = RUN.tracer
         mask = (1 << self.width) - 1
         acc = self.group.infinity()
-        per_window = mask
         for w in range(self.n_windows):
             digit = (k >> (w * self.width)) & mask
-            if t is not None:
-                t.op("fixed_base_digit")
+            t.op("fixed_base_digit")
             if digit:
                 entry = self._table[w][digit - 1]
-                if t is not None:
-                    addr = self._table_base + (w * per_window + digit - 1) * self._point_bytes
-                    t.mem_load(addr, self._point_bytes)
+                addr = self._table_base + (w * mask + digit - 1) * self._point_bytes
+                t.mem_load(addr, self._point_bytes)
                 if entry is not None:
                     acc = acc.add_affine(*entry)
         return acc
@@ -150,6 +149,7 @@ class FixedBaseTable:
         """
         t = RUN.tracer
         if t is not None:
+            self._build(t)
             with t.region("fixed_base_mul_many", parallel=True, items=len(scalars)):
                 return [self.mul(k) for k in scalars]
         group, ops = self.group, self.group.ops

@@ -19,9 +19,8 @@ results into *exactly* the value the serial algorithm produces:
   ``log2 k`` radix-2 butterfly stages over them.  Modular arithmetic is
   exact, and the transform is mathematically unique, so the output ints
   equal the serial ones.
-- **fixed-base** — workers rebuild the deterministic generator table and
-  return affine multiples; only the point representation (``Z == 1``)
-  differs from the serial walk, never the point.
+- **fixed-base** — workers multiply the shipped base by their chunk with
+  the serial batch walk and return its affine ``Z == 1`` multiples.
 
 Resilience interop: each kernel *arms* its serial fault site
 (``FaultInjector.arm``) with the same per-call cadence as the serial
@@ -198,20 +197,22 @@ def ntt_transform_parallel(field, values, root, pool):
 
 
 def fixed_base_mul_many(table, scalars, pool):
-    """Parallel :meth:`FixedBaseTable.mul_many` over the group generator.
+    """Parallel :meth:`FixedBaseTable.mul_many` over the table's base.
 
-    Workers rebuild the (deterministic) generator table once per process
-    and cache it; results decode to ``Z == 1`` points whose serialized
-    form is identical to the serial walk's.
+    Each task ships the base's affine coordinates and multiplies it by
+    its chunk with the untraced batch walk, which stores no table;
+    results decode to ``Z == 1`` points whose serialized form is
+    identical to the serial walk's.
     """
     group = table.group
     from repro.parallel.pool import chunk_slices
 
     scalars = list(scalars)
+    base = table.base.to_affine()
     payloads = [
         {
             "group": group.name,
-            "width": table.width,
+            "base": base,
             "bits": table.bits,
             "scalars": scalars[start:stop],
         }

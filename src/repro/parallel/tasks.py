@@ -81,23 +81,14 @@ def ntt_sub(payload):
 
 # -- fixed-base (setup) ------------------------------------------------------------
 
-#: Per-process table cache: (curve, sub, width, bits) -> FixedBaseTable.
-#: Worker processes persist across map calls, so rebuilds amortize.
-_FIXED_BASE_TABLES = {}
-
-
 def fixed_base_chunk(payload):
-    """Fixed-base multiples of the group generator for a scalar chunk."""
+    """Fixed-base multiples of the shipped base for a scalar chunk."""
     from repro.msm.fixed_base import FixedBaseTable
 
-    key = (payload["group"], payload["width"], payload["bits"])
-    table = _FIXED_BASE_TABLES.get(key)
-    if table is None:
-        group = resolve_group(payload["group"])
-        table = FixedBaseTable(group.generator, width=payload["width"],
-                               bits=payload["bits"])
-        # codelint: ignore[RC103] -- per-process memo; workers never share it
-        _FIXED_BASE_TABLES[key] = table
+    group = resolve_group(payload["group"])
+    aff = payload["base"]
+    base = group.infinity() if aff is None else group.point_unchecked(*aff)
+    table = FixedBaseTable(base, bits=payload["bits"])
     return [_point_out(pt) for pt in table.mul_many(payload["scalars"])]
 
 

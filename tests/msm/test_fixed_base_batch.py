@@ -2,11 +2,11 @@
 "Fixed-base batch walk").
 
 An untraced ``FixedBaseTable.mul_many`` walks all scalars window by window
-in affine coordinates; under a tracer the same call is the per-scalar
-Jacobian walk of the stored table, which is the reference here
-(``tests/oracle.py``).  The default matrix keeps tier-1 short; the CI
-``kernel-test`` job and ``make kernel-test`` set ``REPRO_KERNEL_FULL=1``
-for four groups x 2^6..2^11 scalars.
+in affine coordinates, and an untraced ``mul`` is ``base * k``; under a
+tracer both are the per-scalar Jacobian walk of the stored table, which is
+the reference here (``tests/oracle.py``).  The default matrix keeps tier-1
+short; the CI ``kernel-test`` job and ``make kernel-test`` set
+``REPRO_KERNEL_FULL=1`` for four groups x 2^6..2^11 scalars.
 """
 
 import os
@@ -65,6 +65,10 @@ def _assert_walk_matches_reference(table, scalars):
             assert p.is_infinity()
         else:
             assert p.Z == group.ops.one
+    # Untraced ``mul`` is ``base * k``; the traced one walks the stored table.
+    singles = [table.mul(k) for k in scalars]
+    assert [p.to_affine() for p in singles] == \
+        [reference(table.mul, k).to_affine() for k in scalars]
 
 
 @pytest.mark.parametrize("multiple", [1, 97], ids=["generator", "97G"])
@@ -192,6 +196,8 @@ class TestBits:
         table = FixedBaseTable(BN128.g1.generator, width=4, bits=32)
         with pytest.raises(ValueError, match="does not fit"):
             table.mul(scalar)
+        with pytest.raises(ValueError, match="does not fit"):
+            reference(table.mul, scalar)
         with pytest.raises(ValueError, match="does not fit"):
             table.mul_many([3, scalar])
         with pytest.raises(ValueError, match="does not fit"):

@@ -118,10 +118,14 @@ class TestNTTDifferential:
 
 
 class TestFixedBaseDifferential:
-    @pytest.mark.parametrize("group_name", ["bn128.G1", "bn128.G2"])
-    def test_table_sweep_bit_identical(self, group_name):
+    @pytest.mark.parametrize("base", ["generator", "5G", "infinity"])
+    @pytest.mark.parametrize("group_name", ["bn128.G1", "bn128.G2",
+                                            "bls12_381.G1", "bls12_381.G2"])
+    def test_table_sweep_bit_identical(self, group_name, base):
         group = _group(group_name)
-        table = FixedBaseTable(group.generator, width=3)
+        point = {"generator": group.generator, "5G": group.generator * 5,
+                 "infinity": group.infinity()}[base]
+        table = FixedBaseTable(point, width=3)
         r = random.Random(7)
         scalars = [r.randrange(2 * group.order) for _ in range(40)] + [0, 1]
         serial = table.mul_many(scalars)

@@ -19,6 +19,7 @@ from repro.msm import FixedBaseTable, msm_auto
 from repro.obs.metrics import MetricsRegistry, collecting
 from repro.parallel.pool import WorkerPool
 from repro.perf.trace import Tracer, tracing
+from repro.plonk.kzg import SRS
 from tests.conftest import make_pow_circuit
 from tests.oracle import reference
 
@@ -66,6 +67,38 @@ def test_fixed_base_mul_many(group):
     # The walk the setup model is calibrated on: Jacobian sums, left as is.
     assert all(p.Z != one for p in ref[:-1])
     assert "fixed_base_mul_many" in region_names(tracer)
+
+
+@pytest.mark.parametrize("group", [G1, G2], ids=["G1", "G2"])
+def test_fixed_base_table_is_the_traced_walks(group):
+    # Untraced construction does no group or field work; a traced one
+    # builds the stored table, one inversion per affine entry (85 x 7).
+    base = group.generator * 5
+    with collecting(MetricsRegistry()) as registry:
+        table = FixedBaseTable(base, width=3)
+    assert registry.counter("repro_field_inv_total") == 0
+    assert table._table is None
+    table, tracer, registry = traced(FixedBaseTable, base, 3)
+    assert "fixed_base_table_build" in region_names(tracer)
+    assert table._table is not None
+    assert registry.counter("repro_field_inv_total") == 595
+
+
+def test_srs_generate_builds_the_table_traced_only(monkeypatch):
+    tables = []
+    original = FixedBaseTable.__init__
+
+    def spy(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        tables.append(self)
+
+    monkeypatch.setattr(FixedBaseTable, "__init__", spy)
+    fast = SRS.generate(BN128, 4, random.Random(37))
+    assert len(tables) == 1 and tables[0]._table is None
+    ref, tracer, _ = traced(SRS.generate, BN128, 4, random.Random(37))
+    assert len(tables) == 2 and tables[1]._table is not None
+    assert "fixed_base_table_build" in region_names(tracer)
+    assert ref.g1_powers == fast.g1_powers
 
 
 @pytest.mark.parametrize("group", [G1, G2], ids=["G1", "G2"])
