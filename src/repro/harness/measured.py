@@ -32,6 +32,7 @@ from __future__ import annotations
 import os
 
 from repro.harness.experiments import ExperimentResult
+from repro.obs.worker import busy_imbalance, by_worker, collecting_tasks
 from repro.perf.cpu import I9_13900K
 from repro.perf.scaling import (
     amdahl_fit,
@@ -80,7 +81,6 @@ def measured_stage_times(curve_name, size, workers, workload="exponentiate",
     """
     from repro.curves import get_curve
     from repro.harness.circuits import build_workload
-    from repro.obs.worker import collecting_tasks
 
     curve = get_curve(curve_name)
     times = {stage: {} for stage in STAGES}
@@ -153,18 +153,14 @@ def _stage_usage(tasks, top, wall_top):
     busy seconds, their share of the stage's lane-seconds, max-over-mean
     busy per worker, and the seconds spent moving work instead of doing
     it (queue wait plus payload / result codec)."""
-    by_pid = {}
-    for t in tasks:
-        by_pid[t["pid"]] = by_pid.get(t["pid"], 0.0) + t["wall_s"]
-    busy = sum(by_pid.values(), 0.0)
-    mean = busy / len(by_pid) if by_pid else 0.0
+    per = by_worker(tasks)
+    busy = sum((agg["busy_s"] for agg in per.values()), 0.0)
     return {
         "busy_s": busy,
         "utilization": busy / (wall_top * top) if wall_top > 0 else 0.0,
-        "imbalance": max(by_pid.values()) / mean if mean > 0 else 1.0,
-        "overhead_s": sum(((t.get("queue_wait_s") or 0.0)
-                           + (t.get("encode_s") or 0.0)
-                           + (t.get("decode_s") or 0.0) for t in tasks), 0.0),
+        "imbalance": busy_imbalance(per),
+        "overhead_s": sum((agg["queue_wait_s"] + agg["encode_s"]
+                           + agg["decode_s"] for agg in per.values()), 0.0),
         "n_tasks": len(tasks),
     }
 

@@ -9,12 +9,12 @@ a verb builds its record with :func:`make_record`, prints it under
 ``--json``, and appends it (:meth:`Ledger.append`) only where
 ``--ledger PATH`` names a file; nothing is written ambiently.
 
-Record shape (``SCHEMA_VERSION`` 6) — this is the one description; the
+Record shape (``SCHEMA_VERSION`` 7) — this is the one description; the
 modules that build a block point here, and ``docs/OBSERVABILITY.md`` has a
 worked example::
 
     {
-      "schema": 6,
+      "schema": 7,
       "kind": "profile" | "deep-profile" | "loadtest",
       "ts": <unix seconds>,
       "label": <free-form or null>,
@@ -52,7 +52,7 @@ __all__ = [
     "make_record",
 ]
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 class Ledger:

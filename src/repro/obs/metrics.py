@@ -12,10 +12,12 @@ Design rules, mirroring :mod:`repro.perf.trace`:
   disabled site costs one attribute load and an ``is None`` check.  Sites
   live at *kernel-call* granularity (one check per NTT, not per butterfly)
   so even the check is amortized over thousands of field operations.
-- **Deterministic bucket math.**  Histogram boundaries are fixed at
-  creation (default: powers of two) and bucket selection is pure value
+- **Counts, not timings.**  Every histogram has the power-of-two
+  boundaries :data:`DEFAULT_BUCKETS` and bucket selection is pure value
   arithmetic — no wall-clock reads, so two runs of the same workload
-  produce byte-identical histograms.
+  produce byte-identical histograms.  A duration lives in the one record
+  that owns it — a span, a pool task record (:mod:`repro.obs.worker`),
+  a served request's ``JobResult`` — and is never mirrored here.
 - **One naming scheme.**  Metric names follow
   ``repro_<subsystem>_<name>`` with Prometheus-style suffixes
   (``_total`` for counters); the registry rejects names outside that
@@ -33,20 +35,12 @@ from repro.context import scoped
 __all__ = [
     "DEFAULT_BUCKETS",
     "MetricsRegistry",
-    "TIME_BUCKETS",
     "collecting",
 ]
 
 #: Default histogram boundaries: powers of two over the full sweep range
 #: (circuit sizes, MSM point counts and batch sizes are all ~powers of two).
 DEFAULT_BUCKETS = tuple(2**k for k in range(21))
-
-#: Histogram boundaries for durations in seconds (queue waits, task wall
-#: times): 1-2.5-5 decades from 100 microseconds to one minute, so both a
-#: sub-millisecond dispatch and a straggling multi-second chunk land in a
-#: meaningful bucket.
-TIME_BUCKETS = (0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-                0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0)
 
 _NAME_RE = re.compile(r"^repro(_[a-z0-9]+)+$")
 
@@ -116,17 +110,12 @@ class MetricsRegistry:
             _check_name(name)
         self.gauges[name] = value
 
-    def observe(self, name, value, n=1, buckets=DEFAULT_BUCKETS):
-        """Record *value* into histogram *name*.
-
-        *buckets* fixes the boundaries when the histogram is first created;
-        later calls may omit it (a conflicting boundary set raises).
-        """
+    def observe(self, name, value, n=1):
+        """Record *value* (*n* times) into histogram *name*, created on
+        first use with :data:`DEFAULT_BUCKETS`."""
         hist = self.histograms.get(name)
         if hist is None:
-            hist = self.histograms.setdefault(_check_name(name), Histogram(buckets))
-        elif buckets is not DEFAULT_BUCKETS and tuple(buckets) != hist.boundaries:
-            raise ValueError(f"histogram {name!r} already exists with other boundaries")
+            hist = self.histograms.setdefault(_check_name(name), Histogram())
         hist.observe(value, n)
 
     # -- cross-process merge -------------------------------------------------

@@ -21,7 +21,10 @@ can be held against reality (:mod:`repro.obs.drift` is the gate):
 - **Allocation tracking** — ``tracemalloc`` around each stage: net and
   peak traced bytes plus the top allocating source lines.  The measured
   Fig.-5 analog (what the stage allocates rather than loads/stores,
-  which CPython does not expose portably).
+  which CPython does not expose portably).  It runs on a repeat run of
+  the stage with no hook installed (:meth:`DeepProfiler.allocations`):
+  tracemalloc's per-allocation cost is far from uniform, so under the
+  call hook it would skew the timings.
 - **Collapsed stacks** — self time keyed by the full call stack, ready
   for flamegraph tooling and the speedscope export in
   :mod:`repro.perf.export`.
@@ -38,15 +41,13 @@ Caveats worth knowing: cumulative time double-counts recursive frames
 (standard deterministic-profiler behavior); the opcode mix assumes each
 call executes its body once (loops inside a function weight as one pass);
 and ``process_time`` is process-wide, so CPU self time of very short
-calls quantizes to zero on coarse clocks.  Allocation *totals* include
-the profiler's own bookkeeping (the per-stack dicts); the top-site list
-filters it out, so rely on sites for attribution and on totals only for
-orders of magnitude.
+calls quantizes to zero on coarse clocks.
 """
 
 from __future__ import annotations
 
 import dis
+import functools
 import gc
 import sys
 import time
@@ -155,8 +156,8 @@ class StageDeepProfile:
     functions: list            # [FuncStat], by cpu_self_s, then self_s, descending
     stacks: dict               # "mod:fn;mod:fn;..." -> self seconds
     opcode_counts: dict        # class -> weighted dynamic opcode count
-    alloc: dict or None        # allocation block, or None when disabled
     calls: int = 0
+    alloc: dict or None = None  # set by DeepProfiler.allocations
 
     def family_shares(self):
         """``{family: fraction of stage self time}`` over all functions."""
@@ -202,7 +203,9 @@ class _Collector:
     """The live ``setprofile`` target for one stage.
 
     Keeps a shadow stack of ``[key, frame-or-cfunc, t0_wall, t0_cpu,
-    child_wall, child_cpu]`` entries.  Returns of frames that were already
+    child_wall, child_cpu, path]`` entries, *path* being the tuple of keys
+    from the stack's bottom to this entry (built once, on the call, by
+    extending the caller's).  Returns of frames that were already
     live when the hook was installed do not match the shadow top and are
     ignored; entries still open when the hook is removed are drained with
     the stage-end timestamps.
@@ -225,22 +228,26 @@ class _Collector:
             key = (frame.f_globals.get("__name__") or "?", code.co_qualname)
             if key not in self.codes:
                 self.codes[key] = code
-            self.stack.append([key, frame, t, c, 0.0, 0.0])
-            self.calls += 1
+            self._push(key, frame, t, c)
         elif event == "return":
             if self.stack and self.stack[-1][1] is frame:
                 self._pop(t, c)
         elif event == "c_call":
             key = (getattr(arg, "__module__", None) or "<builtin>",
                    getattr(arg, "__qualname__", None) or repr(arg))
-            self.stack.append([key, arg, t, c, 0.0, 0.0])
-            self.calls += 1
+            self._push(key, arg, t, c)
         elif event in ("c_return", "c_exception"):
             if self.stack and self.stack[-1][1] is arg:
                 self._pop(t, c)
 
+    def _push(self, key, obj, t, c):
+        stack = self.stack
+        path = stack[-1][6] + (key,) if stack else (key,)
+        stack.append([key, obj, t, c, 0.0, 0.0, path])
+        self.calls += 1
+
     def _pop(self, t, c):
-        key, _obj, t0, c0, child_w, child_c = self.stack.pop()
+        key, _obj, t0, c0, child_w, child_c, path = self.stack.pop()
         wall = t - t0
         cpu = c - c0
         self_w = wall - child_w
@@ -256,8 +263,7 @@ class _Collector:
         stat[1] += wall
         stat[2] += self_w
         stat[3] += self_c
-        skey = tuple(entry[0] for entry in self.stack) + (key,)
-        self.stacks[skey] = self.stacks.get(skey, 0.0) + self_w
+        self.stacks[path] = self.stacks.get(path, 0.0) + self_w
         if self.stack:
             top = self.stack[-1]
             top[4] += wall
@@ -270,8 +276,13 @@ class _Collector:
             self._pop(t, c)
 
 
+@functools.lru_cache(maxsize=4096)
 def _opcode_class_counts(code):
-    """``{class: static opcode count}`` of one code object."""
+    """``{class: static opcode count}`` of one code object.
+
+    Memoized on the code object itself (code objects hash and compare by
+    content), so each function is disassembled once per process, not once
+    per stage or per profiler.  Callers must not mutate the result."""
     counts = dict.fromkeys(OPCODE_CLASSES, 0)
     for instr in dis.get_instructions(code):
         counts[classify_opname(instr.opname)] += 1
@@ -281,20 +292,14 @@ def _opcode_class_counts(code):
 class DeepProfiler:
     """Owns one run's per-stage deep profiles.
 
-    Parameters
-    ----------
-    alloc:
-        Track allocations with ``tracemalloc`` (adds its own overhead on
-        top of the call hook; disable for the cheapest measured run).
-    top_alloc:
-        How many allocating source lines to keep per stage.
+    :meth:`stage` times a stage under the call hook; :meth:`allocations`
+    tracks a repeat run of it with ``tracemalloc`` alone.  *top_alloc* is
+    how many allocating source lines to keep per stage.
     """
 
-    def __init__(self, alloc=True, top_alloc=10):
-        self.alloc = alloc
+    def __init__(self, top_alloc=10):
         self.top_alloc = top_alloc
         self.stages = {}          # stage name -> StageDeepProfile
-        self._opcode_memo = {}    # id(code) -> class counts
 
     @contextmanager
     def stage(self, name):
@@ -302,14 +307,6 @@ class DeepProfiler:
         if sys.getprofile() is not None:
             raise RuntimeError("a profile hook is already installed")
         col = _Collector()
-        started_tracing = False
-        if self.alloc and not tracemalloc.is_tracing():
-            tracemalloc.start()
-            started_tracing = True
-        if self.alloc:
-            snap0 = tracemalloc.take_snapshot()
-            size0, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
         t0 = time.perf_counter()
         sys.setprofile(col.handler)
         try:
@@ -318,18 +315,30 @@ class DeepProfiler:
             sys.setprofile(None)
             wall = time.perf_counter() - t0
             col.drain()
-            alloc_block = None
-            if self.alloc:
-                size1, peak = tracemalloc.get_traced_memory()
-                snap1 = tracemalloc.take_snapshot()
-                alloc_block = self._alloc_block(snap0, snap1, size1 - size0, peak)
-                if started_tracing:
-                    tracemalloc.stop()
-            self.stages[name] = self._build(name, col, wall, alloc_block)
+            self.stages[name] = self._build(name, col, wall)
 
-    #: Allocation sites excluded from the per-stage top list: the
-    #: profiler's own bookkeeping and tracemalloc itself would otherwise
-    #: dominate the measurement.
+    @contextmanager
+    def allocations(self, name):
+        """Track the allocations of a repeat run of stage *name*, already
+        profiled by :meth:`stage`, into that profile's ``alloc`` block."""
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        snap0 = tracemalloc.take_snapshot()
+        size0, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        try:
+            yield
+        finally:
+            size1, peak = tracemalloc.get_traced_memory()
+            snap1 = tracemalloc.take_snapshot()
+            if started:
+                tracemalloc.stop()
+            self.stages[name].alloc = self._alloc_block(
+                snap0, snap1, size1 - size0, peak)
+
+    #: Allocation sites excluded from the per-stage top list: this
+    #: module's frames and tracemalloc's own snapshots.
     _ALLOC_FILTERS = (
         tracemalloc.Filter(False, __file__),
         tracemalloc.Filter(False, tracemalloc.__file__),
@@ -356,7 +365,7 @@ class DeepProfiler:
             "top": top,
         }
 
-    def _build(self, name, col, wall, alloc_block):
+    def _build(self, name, col, wall):
         functions = []
         opcode_counts = dict.fromkeys(OPCODE_CLASSES, 0)
         for key, (ncalls, cum, self_w, self_c) in col.functions.items():
@@ -368,11 +377,7 @@ class DeepProfiler:
             ))
             code = col.codes.get(key)
             if code is not None:
-                memo_key = id(code)
-                counts = self._opcode_memo.get(memo_key)
-                if counts is None:
-                    counts = self._opcode_memo[memo_key] = _opcode_class_counts(code)
-                for cls, n in counts.items():
+                for cls, n in _opcode_class_counts(code).items():
                     opcode_counts[cls] += n * ncalls
         # Rank by CPU self time: wall time also grows while the process
         # waits for a core, so a busy machine would reorder the table.
@@ -383,7 +388,7 @@ class DeepProfiler:
         }
         return StageDeepProfile(
             stage=name, wall_s=wall, functions=functions, stacks=stacks,
-            opcode_counts=opcode_counts, alloc=alloc_block, calls=col.calls,
+            opcode_counts=opcode_counts, calls=col.calls,
         )
 
     # -- aggregate views ---------------------------------------------------------
@@ -410,7 +415,8 @@ class DeepProfiler:
         return {
             "profiler": {
                 "backend": BACKEND,
-                "alloc": self.alloc,
+                "alloc": any(p.alloc is not None
+                             for p in self.stages.values()),
                 "python": sys.version.split()[0],
             },
             "stages": {
@@ -423,31 +429,43 @@ class DeepProfiler:
 
 def deep_profile_run(curve_name, size, workload="exponentiate", seed=0,
                      alloc=True):
-    """Run the five-stage protocol once under the deep profiler.
+    """Run the five-stage protocol under the deep profiler.
 
-    Returns ``(workflow, profiler)``; raises ``RuntimeError`` when the
-    profiled run produces a rejected proof.  The CLI's ``deep-profile``
-    verb drives this.
+    One run under the call hook; with *alloc*, a repeat run of the same
+    seeded protocol under :meth:`DeepProfiler.allocations` fills in each
+    stage's allocation block.  Returns ``(workflow, profiler)``, the
+    workflow being the hooked run's; raises ``RuntimeError`` when a run
+    produces a rejected proof.  The CLI's ``deep-profile`` verb drives
+    this.
     """
     from repro.curves import get_curve
     from repro.harness.circuits import build_workload
     from repro.workflow import STAGES, Workflow
 
     curve = get_curve(curve_name)
-    builder, inputs = build_workload(workload, curve, size)
-    wf = Workflow(curve, builder, inputs, seed=seed)
-    profiler = DeepProfiler(alloc=alloc)
-    for stage in STAGES:
-        # A full collection the stage did not cause (garbage of earlier
-        # stages, or of earlier work in the process) would otherwise land,
-        # whole, on whichever function allocated when it fired.
-        gc.collect()
-        with profiler.stage(stage):
-            wf.run_stage(stage)
-    if wf.accepted is not True:
-        raise RuntimeError(
-            f"deep-profiled workflow produced a rejected proof "
-            f"({curve_name}, n={size})")
+
+    def run(scope):
+        builder, inputs = build_workload(workload, curve, size)
+        wf = Workflow(curve, builder, inputs, seed=seed)
+        for stage in STAGES:
+            # A full collection the stage did not cause (garbage of earlier
+            # stages, or of earlier work in the process) would otherwise
+            # land, whole, on whichever function allocated when it fired.
+            gc.collect()
+            with scope(stage):
+                wf.run_stage(stage)
+        if wf.accepted is not True:
+            raise RuntimeError(
+                f"deep-profiled workflow produced a rejected proof "
+                f"({curve_name}, n={size})")
+        return wf
+
+    profiler = DeepProfiler()
+    wf = run(profiler.stage)
+    if alloc:
+        # The repeat run finds the process memos (``pairing._ENGINES``)
+        # filled; at bn128/2^3 its blocks match a cold run's within 1 KiB.
+        run(profiler.allocations)
     return wf, profiler
 
 

@@ -19,6 +19,13 @@ Each span records:
   counts (see :func:`attach_counters`), linking the runtime view to the
   modeled one.
 
+Every span is opened and closed here, in this process, with one
+exception: the ``task:<fn>`` bars of a pooled map.  The pool builds each
+one in the parent from the task's telemetry record
+(:mod:`repro.parallel.pool`) and appends it to the ``parallel:*`` span
+that dispatched it, with ``meta["lane"] = "worker <pid>"``; workers
+record no spans.
+
 Disabled-path cost: ``span()`` first reads ``RUN.spans`` (the run context,
 docs/ARCHITECTURE.md); when it is ``None`` (no :func:`recording` active)
 the context manager yields immediately without touching the clocks.
@@ -42,8 +49,6 @@ __all__ = [
     "Span",
     "SpanRecorder",
     "attach_counters",
-    "attach_meta",
-    "graft",
     "recording",
     "render_spans",
     "span",
@@ -99,28 +104,6 @@ class Span:
         if self.children:
             d["children"] = [c.to_dict() for c in self.children]
         return d
-
-    @classmethod
-    def from_dict(cls, d, depth=0):
-        """Rebuild a span tree from its :meth:`to_dict` form.
-
-        The inverse serialization exists for the worker-telemetry
-        protocol: a worker ships its task subtree as a plain dict, and
-        the parent grafts the rebuilt tree into its own recorder.
-        """
-        sp = cls(
-            name=d["name"],
-            depth=depth,
-            start_s=d.get("start_s", 0.0),
-            wall_s=d.get("wall_s", 0.0),
-            cpu_s=d.get("cpu_s", 0.0),
-            rss_peak_delta_kb=d.get("rss_peak_delta_kb", 0),
-            gc_collections=d.get("gc_collections", 0),
-            meta=dict(d.get("meta") or {}),
-            counters=dict(d.get("counters") or {}),
-        )
-        sp.children = [cls.from_dict(c, depth + 1) for c in d.get("children") or ()]
-        return sp
 
 
 class SpanRecorder:
@@ -188,46 +171,6 @@ def attach_counters(counts):
     target = rec.innermost.counters
     for key, value in counts.items():
         target[key] = target.get(key, 0) + value
-
-
-def graft(subtree, offset_s=None, **meta):
-    """Attach a serialized span subtree as a child of the innermost open
-    span; returns the grafted :class:`Span` (``None`` when not recording).
-
-    This is how worker span lanes re-enter the parent's telemetry tree
-    (:mod:`repro.obs.worker`): the worker records the subtree under its
-    own throwaway recorder and ships ``root.to_dict()``; the parent calls
-    ``graft(subtree, offset_s=..., lane="worker <pid>")`` at settle time.
-    *offset_s*, when given, rebases every ``start_s`` in the subtree onto
-    this recorder's timeline (worker and parent share the monotonic
-    clock, so the offset is the task's envelope-entry time minus the
-    recorder's ``t0``).  Extra keyword *meta* lands on the subtree root.
-    """
-    rec = RUN.spans
-    if rec is None:
-        return None
-    parent = rec.innermost
-    sp = Span.from_dict(subtree, depth=parent.depth + 1)
-    if offset_s is not None:
-        delta = offset_s - sp.start_s
-        for node in sp.walk():
-            node.start_s = round(node.start_s + delta, 6)
-    if meta:
-        sp.meta.update(meta)
-    parent.children.append(sp)
-    return sp
-
-
-def attach_meta(**meta):
-    """Merge key/value metadata into the innermost open span.
-
-    The parallel pool uses this to attach per-worker attribution (pid ->
-    tasks/wall/cpu) to its ``parallel:*`` spans.  No-op when not recording.
-    """
-    rec = RUN.spans
-    if rec is None:
-        return
-    rec.innermost.meta.update(meta)
 
 
 @contextmanager

@@ -9,23 +9,22 @@ lights it up:
 - **Worker side** (:mod:`repro.parallel.pool`): when the parent installs
   a :class:`WorkerTelemetry` collector, each shipped task context carries
   ``telemetry: True`` and the envelope captures — behind the same opt-in
-  that keeps untelemetered runs free — per-task wall/CPU seconds, the
-  peak-RSS delta, payload decode and result encode timings and byte
-  sizes, the task's metric deltas (a fresh registry per task, so the
-  snapshot *is* the delta), and a compact span subtree, all stamped on
-  the shared monotonic clock (workers are forked, so ``perf_counter``
-  values are directly comparable across the pool).
-- **Parent side** (this module): ``WorkerPool._settle`` feeds every
-  envelope's telemetry block into the installed collector, merges metric
-  deltas into the active parent registry
-  (:meth:`~repro.obs.metrics.MetricsRegistry.merge`), grafts worker span
-  lanes — each task bar with its wire costs — under the dispatching span
-  (:func:`repro.obs.spans.graft`; ``profile --workers N --span-trace``
-  renders them one lane per worker pid), and
-  emits pool-level series: the ``repro_parallel_queue_wait_seconds`` and
-  ``repro_parallel_task_wall_seconds`` histograms and the
-  ``repro_parallel_worker_utilization`` /
-  ``repro_parallel_chunk_imbalance_ratio`` gauges.
+  that keeps untelemetered runs free — the envelope-entry time, queue
+  wait, payload decode and result encode timings and byte sizes, the
+  peak-RSS delta, the GC collections and the task's metric deltas (a
+  fresh registry per task, so the snapshot *is* the delta), all stamped
+  on the shared monotonic clock (workers are forked, so ``perf_counter``
+  values are directly comparable across the pool).  Workers record no
+  spans.
+- **Parent side**: ``WorkerPool._settle`` turns every envelope into one
+  *task record* — the only capture of that task's timing — and feeds it
+  to the installed collector.  Everything else is built from the record:
+  the metric delta merges once into the active parent registry
+  (:meth:`~repro.obs.metrics.MetricsRegistry.merge`), and under a span
+  recorder the pool appends a ``task:<fn>`` bar on the task's
+  ``worker <pid>`` lane, with its wire costs, to the dispatching
+  ``parallel:*`` span (``profile --workers N --span-trace`` renders one
+  lane per worker pid).
 
 The collector accumulates per-task records and per-map windows and
 renders into the ledger record's ``workers`` block
@@ -34,7 +33,8 @@ in :mod:`repro.obs.ledger`).  ``run fig6 --measured``
 (:func:`repro.harness.measured.fig6_measured`) reads one collector per
 worker count and turns the top one into per-stage busy time,
 utilization, imbalance and dispatch overhead beside the measured
-speedups and their Amdahl fit.
+speedups and their Amdahl fit, through the same :func:`by_worker` /
+:func:`busy_imbalance` aggregation the collector reports.
 
 The collector lives in ``RUN.tasks`` (the run context,
 docs/ARCHITECTURE.md): ``None`` means worker telemetry is off and the pool
@@ -46,19 +46,20 @@ from __future__ import annotations
 import time
 
 from repro.context import scoped
-from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "ENABLED_OVERHEAD_BOUND",
     "WorkerTelemetry",
+    "busy_imbalance",
+    "by_worker",
     "collecting_tasks",
 ]
 
 #: Documented ceiling on how much the *enabled* telemetry path may slow a
 #: worker task down (ratio of telemetered to plain envelope CPU time on a
-#: compute-bound task).  The capture cost is one registry, one span
-#: recorder, a handful of clock reads and one pickle of the result —
-#: fixed per task, amortized over chunk-sized work.  The contract test
+#: compute-bound task).  The capture cost is one registry, a handful of
+#: clock, RSS and GC-stat reads and one pickle of the result — fixed
+#: per task, amortized over chunk-sized work.  The contract test
 #: (tests/obs/test_worker_overhead.py) enforces this bound on a task
 #: large enough that the fixed cost is the signal, not the noise.
 ENABLED_OVERHEAD_BOUND = 3.0
@@ -75,6 +76,29 @@ def _per_worker_zero():
         "payload_bytes": 0,
         "result_bytes": 0,
     }
+
+
+def by_worker(tasks):
+    """Aggregate task records by worker pid -> totals dict."""
+    out = {}
+    for t in tasks:
+        agg = out.setdefault(t["pid"], _per_worker_zero())
+        agg["tasks"] += 1
+        agg["busy_s"] = round(agg["busy_s"] + t["wall_s"], 6)
+        agg["cpu_s"] = round(agg["cpu_s"] + (t.get("cpu_s") or 0.0), 6)
+        for key in ("queue_wait_s", "encode_s", "decode_s"):
+            agg[key] = round(agg[key] + (t.get(key) or 0.0), 6)
+        for key in ("payload_bytes", "result_bytes"):
+            agg[key] += t.get(key) or 0
+    return out
+
+
+def busy_imbalance(per):
+    """Max-over-mean busy seconds of a :func:`by_worker` aggregate
+    (1.0 = perfectly even, and for no workers at all)."""
+    busys = [agg["busy_s"] for agg in per.values()]
+    mean = sum(busys) / len(busys) if busys else 0.0
+    return max(busys) / mean if mean > 0 else 1.0
 
 
 class WorkerTelemetry:
@@ -97,9 +121,6 @@ class WorkerTelemetry:
         self.maps = []
         #: One dict per task envelope, in settle order.
         self.tasks = []
-        #: Merged worker-side metric deltas (kept even when no parent
-        #: registry is active, so reports can read kernel counters).
-        self.registry = MetricsRegistry()
 
     # -- recording (called by WorkerPool) ------------------------------------
 
@@ -112,7 +133,7 @@ class WorkerTelemetry:
         """Record one settled map: its window plus its task records.
 
         Returns the map dict (utilization and imbalance included), which
-        the pool also mirrors into the parent metrics gauges.
+        the pool also hangs on the map's ``parallel:*`` span.
         """
         self.workers = max(self.workers, workers)
         for t in task_records:
@@ -138,25 +159,11 @@ class WorkerTelemetry:
         self.tasks.extend(task_records)
         return rec
 
-    def merge_metrics(self, snapshot):
-        """Fold one task's metric deltas into the collector's registry."""
-        self.registry.merge(snapshot)
-
     # -- derived views --------------------------------------------------------
 
     def per_worker(self):
         """Aggregate task records by worker pid -> totals dict."""
-        out = {}
-        for t in self.tasks:
-            agg = out.setdefault(t["pid"], _per_worker_zero())
-            agg["tasks"] += 1
-            agg["busy_s"] = round(agg["busy_s"] + t["wall_s"], 6)
-            agg["cpu_s"] = round(agg["cpu_s"] + t["cpu_s"], 6)
-            for key in ("queue_wait_s", "encode_s", "decode_s"):
-                agg[key] = round(agg[key] + (t.get(key) or 0.0), 6)
-            for key in ("payload_bytes", "result_bytes"):
-                agg[key] += t.get(key) or 0
-        return out
+        return by_worker(self.tasks)
 
     def totals(self):
         """Pool-wide sums across every recorded task."""
@@ -188,11 +195,7 @@ class WorkerTelemetry:
 
     def imbalance(self):
         """Max-over-mean per-worker busy time (1.0 = perfectly even)."""
-        busys = [agg["busy_s"] for agg in self.per_worker().values()]
-        if not busys:
-            return 1.0
-        mean = sum(busys) / len(busys)
-        return max(busys) / mean if mean > 0 else 1.0
+        return busy_imbalance(self.per_worker())
 
     def to_workers_block(self):
         """The ledger record's ``workers`` block (plain JSON data)."""
@@ -207,7 +210,6 @@ class WorkerTelemetry:
             "totals": self.totals(),
             "utilization": round(self.utilization(), 4),
             "imbalance": round(self.imbalance(), 4),
-            "metrics": self.registry.snapshot(),
         }
 
 

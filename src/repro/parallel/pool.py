@@ -27,17 +27,18 @@ cannot inherit: the remaining seconds of the parent's cooperative
 When a :class:`~repro.obs.worker.WorkerTelemetry` collector is installed
 (``RUN.tasks``), the same context additionally carries
 ``telemetry: True`` plus a dispatch timestamp, and the envelope answers
-with an opt-in telemetry block: per-task wall/CPU time, peak-RSS delta,
-queue wait, payload decode / result encode timings and byte sizes, the
-task's metric deltas (captured under a fresh registry, so the snapshot
-*is* the delta) and a compact span subtree.  ``_settle`` merges the
-blocks back into the parent — ``MetricsRegistry.merge``, span grafting
-under the dispatching span (each task bar on its ``worker <pid>`` lane
-with its wire costs, the map's utilization / imbalance on the
-``parallel:*`` span), pool-level queue-wait/task-wall histograms and
-utilization/imbalance gauges — so the worker layer stops being a
-telemetry black box without giving up the hard reset that keeps
-untelemetered workers silent.
+with an opt-in telemetry block: envelope-entry time, queue wait, payload
+decode / result encode timings and byte sizes, the peak-RSS delta, GC
+collections and the task's metric deltas (captured under a fresh
+registry, so the snapshot *is* the delta).  ``_settle`` turns each block
+into the task's one record (:mod:`repro.obs.worker`), merges its metric
+delta into the parent's registry, and — while spans record — builds the
+task's ``task:<fn>`` bar from that record on its ``worker <pid>`` lane
+under the ``parallel:*`` span, which carries the map's utilization and
+imbalance.  Workers record no spans, so a task's timing is captured
+once, in its record, and the worker layer stops being a telemetry black
+box without giving up the hard reset that keeps untelemetered workers
+silent.
 
 The installed pool is ``RUN.pool`` (the run context,
 docs/ARCHITECTURE.md): kernels ask :func:`active_pool` and stay on the
@@ -179,9 +180,9 @@ def _run_task_telemetered(fn_name, payload, ctx, wall0):
     Only reached when the parent shipped ``telemetry: True`` (a
     :class:`~repro.obs.worker.WorkerTelemetry` collector is installed), so
     the plain path in :func:`_worker_envelope` stays untouched.  The task
-    runs under a *fresh* metrics registry and span recorder — the run
-    context was just cleared, so installing them cannot nest — which makes
-    the shipped snapshot exactly the task's delta.  Returns
+    runs under a *fresh* metrics registry — the run context was just
+    cleared, so installing it cannot nest — which makes the shipped
+    snapshot exactly the task's delta.  Returns
     ``(value, fired, telemetry_block)``; the result-encode fields are
     filled in by the envelope after the task clocks stop.
     """
@@ -199,13 +200,12 @@ def _run_task_telemetered(fn_name, payload, ctx, wall0):
         tel["payload_bytes"] = len(payload)
         payload = pickle.loads(payload)
     tel["decode_s"] = round(time.perf_counter() - d0, 6)
-    rss0 = spans._rss_peak_kb()
-    with metrics.collecting() as reg, \
-            spans.recording(f"task:{fn_name}") as rec:
+    rss0, gc0 = spans._rss_peak_kb(), spans._gc_collections()
+    with metrics.collecting() as reg:
         value, fired = _run_task(fn_name, payload, ctx)
     tel["rss_peak_delta_kb"] = spans._rss_peak_kb() - rss0
+    tel["gc_collections"] = spans._gc_collections() - gc0
     tel["metrics"] = reg.snapshot()
-    tel["spans"] = rec.root.to_dict()
     return value, fired, tel
 
 
@@ -382,26 +382,26 @@ class WorkerPool:
                     (round(time.perf_counter() - e0, 6), len(payload)))
             jobs.append((fn_name, payload, ctx))
 
-        span_cm = (spans.span(f"parallel:{label or fn_name}",
-                              workers=self.workers)
-                   if tel is not None else nullcontext())
-        with span_cm:
+        with spans.span(f"parallel:{label or fn_name}",
+                        workers=self.workers):
             map_start = time.perf_counter()
             if tel is not None:
                 for _, _, ctx in jobs:
                     ctx["sent_ts"] = map_start
             envelopes = self._ensure_pool().map(_worker_envelope, jobs)
-            return self._settle(envelopes, fn_name, label=label,
-                                telemetry=tel, map_start=map_start,
-                                parent_encode=parent_encode)
+            return self._settle(envelopes, fn_name, label, tel, map_start,
+                                parent_encode)
 
-    def _settle(self, envelopes, fn_name, label=None, telemetry=None,
-                map_start=None, parent_encode=None):
+    def _settle(self, envelopes, fn_name, label, telemetry, map_start,
+                parent_encode):
         results = []
         first_err = None
         fired = []
         task_records = []
         m = RUN.metrics
+        # While spans record, the innermost open span is the ``parallel:*``
+        # one map() holds: the task bars hang under it.
+        recorder = RUN.spans
         for i, env in enumerate(envelopes):
             fired.extend(env.get("fired") or [])
             stats = self.worker_stats.setdefault(
@@ -421,8 +421,8 @@ class WorkerPool:
                 first_err = decode_error(env["value"], task=fn_name)
             if telemetry is not None:
                 task_records.append(self._merge_task(
-                    env, i, fn_name, label, telemetry, m,
-                    parent_encode, parent_decode))
+                    env, fn_name, label, telemetry, m, parent_encode[i],
+                    parent_decode, recorder))
         if m is not None:
             m.inc("repro_parallel_maps_total")
             m.inc("repro_parallel_tasks_total", len(envelopes))
@@ -432,23 +432,20 @@ class WorkerPool:
                 start_s=map_start - telemetry.t0,
                 wall_s=time.perf_counter() - map_start,
                 task_records=task_records)
-            # Innermost here is the ``parallel:*`` span map() opened.
-            spans.attach_meta(utilization=map_rec["utilization"],
-                              imbalance=map_rec["imbalance"])
-            if m is not None:
-                m.set_gauge("repro_parallel_worker_utilization",
-                            map_rec["utilization"])
-                m.set_gauge("repro_parallel_chunk_imbalance_ratio",
-                            map_rec["imbalance"])
+            if recorder is not None:
+                recorder.innermost.meta.update(
+                    utilization=map_rec["utilization"],
+                    imbalance=map_rec["imbalance"])
         if first_err is not None:
             raise first_err
         return results, fired
 
-    def _merge_task(self, env, i, fn_name, label, telemetry, m,
-                    parent_encode, parent_decode):
-        """Fold one envelope's telemetry block into the parent's live
-        telemetry (metrics merge, span graft, pool histograms) and return
-        the task record for the collector."""
+    def _merge_task(self, env, fn_name, label, telemetry, m, parent_encode,
+                    parent_decode, recorder):
+        """Build one envelope's task record, fold its metric delta into
+        the parent registry and — under a span *recorder* — append the
+        task's bar, built from the record, to the map's ``parallel:*``
+        span."""
         rec = {
             "pid": env["pid"],
             "task": fn_name,
@@ -458,34 +455,33 @@ class WorkerPool:
             "cpu_s": round(env["cpu_s"], 6),
         }
         tb = env.get("telemetry")
-        if tb is not None:
-            enc_s, payload_bytes = parent_encode[i]
-            rec["start_s"] = round(tb["t0"] - telemetry.t0, 6)
-            rec["queue_wait_s"] = tb["queue_wait_s"]
-            rec["decode_s"] = round(tb["decode_s"] + parent_decode, 6)
-            rec["encode_s"] = round(tb["encode_s"] + enc_s, 6)
-            rec["payload_bytes"] = payload_bytes
-            rec["result_bytes"] = tb["result_bytes"]
-            rec["rss_peak_delta_kb"] = tb["rss_peak_delta_kb"]
-            if m is not None:
-                m.merge(tb["metrics"])
-            telemetry.merge_metrics(tb["metrics"])
-            rec_now = RUN.spans
-            if rec_now is not None:
-                # The grafted task bar carries its wire costs, so the span
-                # trace alone shows why a lane sat idle.
-                spans.graft(tb["spans"],
-                            offset_s=tb["t0"] - rec_now.t0,
-                            lane=f"worker {env['pid']}",
-                            **{k: rec[k] for k in (
-                                "queue_wait_s", "decode_s", "encode_s",
-                                "payload_bytes", "result_bytes")})
+        if tb is None:
+            return rec
+        enc_s, payload_bytes = parent_encode
+        rec["start_s"] = round(tb["t0"] - telemetry.t0, 6)
+        rec["queue_wait_s"] = tb["queue_wait_s"]
+        rec["decode_s"] = round(tb["decode_s"] + parent_decode, 6)
+        rec["encode_s"] = round(tb["encode_s"] + enc_s, 6)
+        rec["payload_bytes"] = payload_bytes
+        rec["result_bytes"] = tb["result_bytes"]
+        rec["rss_peak_delta_kb"] = tb["rss_peak_delta_kb"]
+        rec["gc_collections"] = tb["gc_collections"]
         if m is not None:
-            m.observe("repro_parallel_task_wall_seconds", env["wall_s"],
-                      buckets=metrics.TIME_BUCKETS)
-            if tb is not None:
-                m.observe("repro_parallel_queue_wait_seconds",
-                          tb["queue_wait_s"], buckets=metrics.TIME_BUCKETS)
+            m.merge(tb["metrics"])
+        if recorder is not None:
+            # The bar carries its wire costs, so the span trace alone shows
+            # why a lane sat idle.
+            window = recorder.innermost
+            window.children.append(spans.Span(
+                name=f"task:{fn_name}", depth=window.depth + 1,
+                start_s=tb["t0"] - recorder.t0, wall_s=rec["wall_s"],
+                cpu_s=rec["cpu_s"],
+                rss_peak_delta_kb=rec["rss_peak_delta_kb"],
+                gc_collections=rec["gc_collections"],
+                meta={"lane": f"worker {env['pid']}",
+                      **{k: rec[k] for k in (
+                          "queue_wait_s", "decode_s", "encode_s",
+                          "payload_bytes", "result_bytes")}}))
         return rec
 
 

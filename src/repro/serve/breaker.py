@@ -15,7 +15,8 @@ mode switch instead:
     :attr:`cooldown_s` seconds.
 ``half-open``
     Cooldown over: the next job probes the pool again; success closes
-    the breaker, another crash re-opens it.
+    the breaker, another crash re-opens it, and a probe that ends in
+    neither (a timeout, a non-crash fault) is released for the next job.
 
 The clock is injectable so tests (and the deterministic chaos driver)
 can step time instead of sleeping.
@@ -93,6 +94,12 @@ class CircuitBreaker:
                 m.inc("repro_serve_breaker_trips_total")
                 m.set_gauge("repro_serve_breaker_open", 1)
         return tripped
+
+    def release(self):
+        """A pool-executed job ended in neither verdict (a timeout or a
+        fault other than a crash): hand the half-open probe back so the
+        next job probes again.  Failures, trips and the state stay."""
+        self._probing = False
 
     def to_dict(self):
         return {"state": self.state, "threshold": self.threshold,

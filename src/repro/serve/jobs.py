@@ -87,6 +87,17 @@ class JobResult:
     #: Offset (seconds) of this request's admission on the service's
     #: timeline (``ProvingService`` start) — the trace-export x axis.
     start_s: float = 0.0
+    #: Seconds an open-loop generator submitted this request after it was
+    #: due (:func:`~repro.serve.loadgen.run_loadtest`; 0.0 otherwise).
+    #: Outside ``total_s``: the service never held the request then.
+    late_s: float = 0.0
+
+    @property
+    def latency_s(self):
+        """Seconds from the instant the request was due to its
+        resolution: ``late_s + total_s``, so a stalled generator is
+        charged to the requests it delayed."""
+        return self.late_s + self.total_s
 
     @property
     def queue_wait_s(self):

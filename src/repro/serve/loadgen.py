@@ -6,7 +6,9 @@ issued at ``start + i/R`` regardless of how many earlier requests have
 resolved.  Open-loop generation is the honest way to load a bounded
 service: a closed loop would slow its own arrival rate exactly when the
 service saturates, hiding the queueing collapse (and the shedding) the
-admission layer exists to handle.
+admission layer exists to handle.  For the same reason latency is timed
+from each request's *due* instant, not its submit: the generator's own
+lateness (``JobResult.late_s``) is part of it and is reported beside it.
 
 The generator is fully seeded — the prove/verify interleaving and the
 choice of poisoned verify payloads replay bit-identically for one seed —
@@ -197,7 +199,7 @@ class LoadReport:
 
     def to_service_block(self):
         """The ledger record's ``service`` block (:mod:`repro.obs.ledger`)."""
-        ok_lat = [r.total_s for r in self.results if r.status == "ok"]
+        ok_lat = [r.latency_s for r in self.results if r.status == "ok"]
         ok_wait = [r.queue_wait_s for r in self.results if r.status == "ok"]
         depths = self.depth_samples or [0]
         counts = self.stats.get("counts", {})
@@ -222,6 +224,7 @@ class LoadReport:
             "error_codes": self.error_codes(),
             "latency_s": _dist(ok_lat),
             "queue_wait_s": _dist(ok_wait),
+            "late_s": _dist([r.late_s for r in self.results]),
             "throughput_rps": (round(self.ok / self.wall_s, 6)
                                if self.wall_s > 0 else 0.0),
             "shed_rate": self._rate(self.count("shed")),
@@ -261,6 +264,8 @@ class LoadReport:
             f"  latency    p50={lat['p50'] * 1e3:.1f}ms "
             f"p95={lat['p95'] * 1e3:.1f}ms p99={lat['p99'] * 1e3:.1f}ms "
             f"max={lat['max'] * 1e3:.1f}ms",
+            f"  generator  late p99={b['late_s']['p99'] * 1e3:.1f}ms "
+            f"max={b['late_s']['max'] * 1e3:.1f}ms",
             f"  queue      wait p95={wait['p95'] * 1e3:.1f}ms  "
             f"depth mean={b['queue_depth']['mean']:.1f} "
             f"max={b['queue_depth']['max']}",
@@ -290,6 +295,11 @@ class LoadReport:
 async def run_loadtest(service, rps, duration_s, mix=None, seed=0,
                        deadline_s=None, bad_verify_pct=0.0, stop=None):
     """Drive *service* open-loop and return a :class:`LoadReport`.
+
+    Each request's lateness — how long after its due instant the loop
+    got round to submitting it — is stamped on its result as ``late_s``,
+    so ``latency_s`` is timed from the due instant: a stalled event loop
+    is charged to the requests it delayed (no coordinated omission).
 
     ``bad_verify_pct`` (0..100) poisons that share of verify requests
     with a wrong public input — a parseable payload whose proof must be
@@ -328,7 +338,8 @@ async def run_loadtest(service, rps, duration_s, mix=None, seed=0,
     for i in range(n):
         if stop is not None and stop.is_set():
             break
-        delay = (start + i / rps) - loop.time()
+        due = start + i / rps
+        delay = due - loop.time()
         if delay > 0:
             await asyncio.sleep(delay)
         kind = rng.choices(kinds, weights=weights)[0]
@@ -336,22 +347,26 @@ async def run_loadtest(service, rps, duration_s, mix=None, seed=0,
         if kind == "verify":
             bad = rng.random() * 100.0 < bad_verify_pct
             payload = service.verify_payload(bad=bad)
+        late = max(0.0, loop.time() - due)
         try:
             fut = service.submit_nowait(kind, deadline_s=deadline_s,
                                         payload=payload)
         except AdmissionError as exc:
             results.append(JobResult(
                 request_id=-(i + 1), kind=kind, status="shed",
-                error_code=exc.code, error=exc.one_line()))
+                error_code=exc.code, error=exc.one_line(), late_s=late))
         except ReproError as exc:
             # e.g. a corrupt payload rejected at admission.
             results.append(JobResult(
                 request_id=-(i + 1), kind=kind, status="error",
-                error_code=classify(exc), error=exc.one_line()))
+                error_code=classify(exc), error=exc.one_line(), late_s=late))
         else:
-            pending.append(fut)
+            pending.append((late, fut))
     if pending:
-        results.extend(await asyncio.gather(*pending))
+        done_results = await asyncio.gather(*(fut for _, fut in pending))
+        for (late, _), result in zip(pending, done_results):
+            result.late_s = late
+        results.extend(done_results)
     done.set()
     await sampler
     wall_s = time.perf_counter() - wall_start

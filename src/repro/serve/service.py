@@ -26,7 +26,9 @@ hangs:
   backoff; the event loop keeps serving); repeated
   :class:`~repro.resilience.errors.WorkerCrash`\\ es trip a
   :class:`~repro.serve.breaker.CircuitBreaker` that reroutes jobs to the
-  serial path until a cooldown probe proves the pool healthy again.
+  serial path until a cooldown probe proves the pool healthy again (a
+  pool attempt that ends in neither verdict — a timeout, another fault —
+  hands the probe back).
 - **Verify coalescing** — verify requests arriving within a small window
   are batched into one folded check; a failing batch is bisected
   (:func:`~repro.resilience.degrade.batch_verify_bisect`) so exactly the
@@ -39,10 +41,12 @@ hangs:
   marks the job's phase clock (:meth:`~repro.serve.jobs.Job.mark`), so
   each :class:`JobResult` carries an *additive* latency breakdown over
   :data:`~repro.serve.jobs.PHASES` (``admission -> queue_wait ->
-  coalesce_delay -> retry_backoff -> compute -> settle``; histograms
-  ``repro_serve_phase_<phase>_seconds``).  The phases partition the
-  request's lifetime, so they sum to ``total_s`` on every resolution
-  path, and ``loadtest`` exits 1 on any request where they do not.
+  coalesce_delay -> retry_backoff -> compute -> settle``).  The phases
+  partition the request's lifetime, so they sum to ``total_s`` on every
+  resolution path, and ``loadtest`` exits 1 on any request where they do
+  not.  The ``JobResult`` is the one capture of a request's timing: the
+  metrics registry gets counters and the queue-depth gauge, no latency
+  histograms, and the load report and request trace read the results.
 
 Execution model: one dedicated compute thread (the GIL makes CPU-bound
 threads pointless; real parallelism comes from the worker pool it fans
@@ -60,7 +64,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro import parallel
 from repro.context import RUN
-from repro.obs.metrics import TIME_BUCKETS
 from repro.resilience.errors import (
     AdmissionError,
     ArtifactCorruption,
@@ -374,13 +377,14 @@ class ProvingService:
         batch of one), on the event-loop thread.
 
         Each attempt resolves the members already past their deadline,
-        takes the breaker's decision and makes one executor hop.  Then a
-        ``StageTimeout`` times every member out; a ``WorkerCrash`` counts
-        against the breaker (when the pool was used) and goes again; a
-        retryable fault backs off and goes again; any other fault resolves
-        ``error``; success closes the breaker (when the pool was used) and
-        resolves each member with its result, or as ``timeout`` if its
-        own deadline passed meanwhile.
+        takes the breaker's decision and makes one executor hop.  When the
+        pool was used, success closes the breaker, a ``WorkerCrash``
+        counts against it, and any other end releases its probe slot.
+        Then success resolves each member with its result, or as
+        ``timeout`` if its own deadline passed meanwhile; a
+        ``StageTimeout`` times every member out; a crash or a retryable
+        fault backs off and goes again; any other fault resolves
+        ``error``.
         """
         loop = asyncio.get_running_loop()
         m = RUN.metrics
@@ -418,35 +422,28 @@ class ProvingService:
             seed = (f"serve:prove:{self.seed}:{live[0].request_id}:{attempts}"
                     if kind == "prove"
                     else f"serve:verify:{self.seed}:{self._batch_seq}")
+            fault = None
             try:
-                # The inner finally marks the compute phase on success
-                # *and* on every raise, before the handlers below run;
-                # the executor hop is part of compute (the compute thread
-                # is the resource the batch was waiting for).
-                try:
-                    results = await loop.run_in_executor(
-                        self._executor, self._compute, kind, live, use_pool,
-                        seed)
-                finally:
-                    for job in live:
-                        job.mark("compute")
-            except StageTimeout:
-                for job in live:
-                    resolve(job, self._deadline_error(job))
-                return
-            except WorkerCrash as exc:
-                if use_pool:
-                    self.breaker.record_failure()
-                last = exc
+                results = await loop.run_in_executor(
+                    self._executor, self._compute, kind, live, use_pool,
+                    seed)
             except Exception as exc:  # noqa: BLE001 - typed-or-untyped, never hangs
-                if not is_retryable(exc):
-                    for job in live:
-                        resolve(job, exc)
-                    return
-                last = exc
-            else:
-                if use_pool:
+                fault = exc
+            finally:
+                # The executor hop is part of compute (the compute thread
+                # is the resource the batch was waiting for).
+                for job in live:
+                    job.mark("compute")
+            if use_pool:
+                # Only a success or a crash is a verdict on the pool; any
+                # other end hands a half-open probe back.
+                if fault is None:
                     self.breaker.record_success()
+                elif isinstance(fault, WorkerCrash):
+                    self.breaker.record_failure()
+                else:
+                    self.breaker.release()
+            if fault is None:
                 bad = sum(r.get("accepted") is False for r in results)
                 if bad:
                     self.counts["isolated_bad"] += bad
@@ -458,6 +455,15 @@ class ProvingService:
                     else:
                         resolve(job, **fields)
                 return
+            if isinstance(fault, StageTimeout):
+                for job in live:
+                    resolve(job, self._deadline_error(job))
+                return
+            if not isinstance(fault, WorkerCrash) and not is_retryable(fault):
+                for job in live:
+                    resolve(job, fault)
+                return
+            last = fault
             # A crash or a retryable fault: async backoff, then go again.
             self.counts["retries"] += 1
             if m is not None:
@@ -551,13 +557,6 @@ class ProvingService:
                 m.inc("repro_serve_timeouts_total")
             elif result.status == "error":
                 m.inc("repro_serve_errors_total")
-            m.observe("repro_serve_latency_seconds", result.total_s,
-                      buckets=TIME_BUCKETS)
-            m.observe("repro_serve_queue_wait_seconds", result.queue_wait_s,
-                      buckets=TIME_BUCKETS)
-            for phase, dur in result.phases.items():
-                m.observe(f"repro_serve_phase_{phase}_seconds", dur,
-                          buckets=TIME_BUCKETS)
             m.set_gauge("repro_serve_queue_depth", self.queue_depth)
 
     # -- introspection ------------------------------------------------------------

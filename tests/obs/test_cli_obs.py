@@ -53,7 +53,7 @@ class TestProfileCommand:
         assert code == 0
         rec = json.loads(out)
         assert read_jsonl(path) == [rec]  # --ledger appends what --json prints
-        assert rec["schema"] == 6
+        assert rec["schema"] == 7
         assert rec["metrics"]["counters"]["repro_groth16_verify_total"] == 1
         assert rec["profile"] is None  # plain profile carries no deep block
         # v2 lifts span cpu/rss/gc to the stage record
@@ -107,11 +107,14 @@ def fake_deep_run(monkeypatch, model=None):
         return sum(i * i for i in range(200))
 
     def fake(curve_name, size, workload="exponentiate", seed=0, alloc=True):
-        profiler = prof.DeepProfiler(alloc=alloc)
+        profiler = prof.DeepProfiler()
         results = {}
         for stage in STAGES:
             with profiler.stage(stage):
                 busy()
+            if alloc:
+                with profiler.allocations(stage):
+                    busy()
             results[stage] = StageResult(stage=stage, artifact=1,
                                          elapsed=0.001)
 
@@ -157,7 +160,7 @@ class TestDeepProfileCommand:
         assert len(records) == 1
         rec = records[0]
         assert rec["kind"] == "deep-profile"
-        assert rec["schema"] == 6
+        assert rec["schema"] == 7
         assert rec["profile"]["profiler"]["backend"] == "sys.setprofile"
         assert set(rec["profile"]["stages"]) == set(STAGES)
         for stage_block in rec["profile"]["stages"].values():

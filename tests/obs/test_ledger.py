@@ -39,7 +39,7 @@ class TestMakeRecord:
             seed=0, stages=[{"stage": "compile", "elapsed_s": 0.01, "span": None}],
             metrics={"counters": {}}, label="unit",
         )
-        assert rec["schema"] == 6
+        assert rec["schema"] == 7
         assert rec["kind"] == "profile"
         assert rec["machine_id"] == fingerprint.fingerprint_id(rec["machine"])
         assert rec["ts"] > 0
@@ -84,7 +84,7 @@ class TestMakeRecord:
             kind="loadtest", curve="bn128", size=32,
             workload="exponentiate", seed=0, stages=[], service=block,
         )
-        assert rec["schema"] == 6
+        assert rec["schema"] == 7
         assert rec["service"] == block
         json.dumps(rec)
 
@@ -121,7 +121,7 @@ class TestMakeRecord:
         led.append(make_record(kind="profile", curve="bn128", size=64,
                                workload="exponentiate", seed=0, stages=[]))
         records = read_jsonl(path)
-        assert [r["schema"] for r in records] == [1, 2, 3, 6]
+        assert [r["schema"] for r in records] == [1, 2, 3, 7]
         assert "profile" not in records[0]
         assert "workers" not in records[1]
         assert "service" not in records[2]

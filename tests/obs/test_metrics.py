@@ -67,12 +67,10 @@ class TestHistogram:
         assert DEFAULT_BUCKETS[0] == 1
         assert all(b * 2 == nxt for b, nxt in zip(DEFAULT_BUCKETS, DEFAULT_BUCKETS[1:]))
 
-    def test_registry_observe_conflicting_buckets(self):
+    def test_registry_histograms_use_default_buckets(self):
         r = MetricsRegistry()
-        r.observe("repro_test_sizes", 3, buckets=(1, 2, 4))
-        r.observe("repro_test_sizes", 4)  # default sentinel: no conflict check
-        with pytest.raises(ValueError, match="other boundaries"):
-            r.observe("repro_test_sizes", 5, buckets=(1, 2, 8))
+        r.observe("repro_test_sizes", 3)
+        assert r.histogram("repro_test_sizes").boundaries == DEFAULT_BUCKETS
 
     def test_weighted_observe(self):
         r = MetricsRegistry()
@@ -103,7 +101,7 @@ class TestRendering:
         r = MetricsRegistry()
         r.inc("repro_test_calls_total", 3)
         r.set_gauge("repro_test_bytes", 128)
-        r.observe("repro_test_sizes", 3, buckets=(2, 4))
+        r.observe("repro_test_sizes", 3)
         return r
 
     def test_snapshot_shape(self):
@@ -111,7 +109,9 @@ class TestRendering:
         assert snap["counters"] == {"repro_test_calls_total": 3}
         assert snap["gauges"] == {"repro_test_bytes": 128}
         hist = snap["histograms"]["repro_test_sizes"]
-        assert hist == {"boundaries": [2, 4], "counts": [0, 1, 0],
+        counts = [0] * (len(DEFAULT_BUCKETS) + 1)
+        counts[2] = 1  # 3 lands in le=4
+        assert hist == {"boundaries": list(DEFAULT_BUCKETS), "counts": counts,
                         "count": 1, "sum": 3}
 
     def test_json_round_trip(self):

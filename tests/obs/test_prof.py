@@ -50,7 +50,7 @@ class TestClassifyFunction:
 
 class TestCollector:
     def profile_one(self, fn, **kwargs):
-        p = DeepProfiler(alloc=False)
+        p = DeepProfiler()
         with p.stage("unit"):
             fn(**kwargs)
         return p.stages["unit"]
@@ -97,7 +97,7 @@ class TestCollector:
         assert sys.getprofile() is None
 
     def test_hook_removed_after_stage_exception(self):
-        p = DeepProfiler(alloc=False)
+        p = DeepProfiler()
         with pytest.raises(RuntimeError, match="boom"):
             with p.stage("unit"):
                 raise RuntimeError("boom")
@@ -105,7 +105,7 @@ class TestCollector:
         assert "unit" in p.stages  # partial stage still recorded
 
     def test_nested_hook_rejected(self):
-        p = DeepProfiler(alloc=False)
+        p = DeepProfiler()
         with pytest.raises(RuntimeError, match="already installed"):
             with p.stage("a"):
                 with p.stage("b"):
@@ -114,30 +114,40 @@ class TestCollector:
 
 
 class TestAllocTracking:
-    def test_alloc_block_present_and_positive_peak(self):
-        p = DeepProfiler(alloc=True, top_alloc=3)
+    @staticmethod
+    def tracked(fn, **kwargs):
+        p = DeepProfiler(**kwargs)
         with p.stage("unit"):
+            fn()
+        with p.allocations("unit"):
+            fn()
+        return p
+
+    def test_alloc_block_present_and_positive_peak(self):
+        def allocate():
             keep = [bytearray(64_000) for _ in range(8)]
-        del keep
+            del keep
+
+        p = self.tracked(allocate, top_alloc=3)
         block = p.stages["unit"].alloc
         assert block is not None
         assert block["peak_kb"] > 300  # ~500 KB were live at peak
         assert len(block["top"]) <= 3
         for site in block["top"]:
             assert ":" in site["site"]
+        assert p.to_profile_block()["profiler"]["alloc"] is True
 
     def test_profiler_own_frames_filtered_from_top_sites(self):
-        p = DeepProfiler(alloc=True)
-        with p.stage("unit"):
-            outer()
+        p = self.tracked(outer)
         for site in p.stages["unit"].alloc["top"]:
             assert "repro/obs/prof.py" not in site["site"]
 
     def test_alloc_disabled(self):
-        p = DeepProfiler(alloc=False)
+        p = DeepProfiler()
         with p.stage("unit"):
             busy()
         assert p.stages["unit"].alloc is None
+        assert p.to_profile_block()["profiler"]["alloc"] is False
 
 
 class TestWorkflowWiring:
@@ -154,7 +164,7 @@ class TestWorkflowWiring:
         return wf
 
     def test_stages_profiled_around_run_stage(self):
-        p = DeepProfiler(alloc=False)
+        p = DeepProfiler()
         self.run_cheap_stages(p)
         assert set(p.stages) == {"compile", "witness"}
         compile_families = {f.family for f in p.stages["compile"].functions}
@@ -175,7 +185,7 @@ class TestWorkflowWiring:
 
 class TestViews:
     def make(self):
-        p = DeepProfiler(alloc=False)
+        p = DeepProfiler()
         with p.stage("compile"):
             outer()
         with p.stage("witness"):

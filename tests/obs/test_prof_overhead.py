@@ -69,7 +69,7 @@ class TestEnabledOverhead:
         plain = min(self._timed(lambda: call_dense()) for _ in range(3))
 
         def profiled():
-            p = DeepProfiler(alloc=False)
+            p = DeepProfiler()
             with p.stage("unit"):
                 call_dense()
 
@@ -86,7 +86,7 @@ class TestEnabledOverhead:
         return time.process_time() - t0
 
     def test_hook_gone_after_profiled_run(self):
-        p = DeepProfiler(alloc=False)
+        p = DeepProfiler()
         with p.stage("unit"):
             call_dense(100)
         assert sys.getprofile() is None

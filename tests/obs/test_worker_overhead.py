@@ -7,7 +7,7 @@ Two promises from docs/PARALLELISM.md:
   cost is one attribute read plus an ``is None`` check per map.
 * **Enabled path is bounded.**  With a collector on, a compute-bound
   task may slow down by at most ``ENABLED_OVERHEAD_BOUND`` (the capture
-  cost — one fresh registry, one span recorder, a few clock reads, one
+  cost — one fresh registry, a few clock, RSS and GC-stat reads, one
   pickle of the result — is fixed per task and amortizes over
   chunk-sized work).
 
@@ -118,7 +118,6 @@ class TestEnabledPath:
         assert tel["result_bytes"] == len(env["value"])
         assert tel["queue_wait_s"] >= 0.0
         assert tel["decode_s"] >= 0.0 and tel["encode_s"] >= 0.0
-        assert tel["spans"]["name"] == "task:ntt_sub"
         assert isinstance(tel["metrics"], dict)
 
     def test_failed_task_ships_no_block(self):

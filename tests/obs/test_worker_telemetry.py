@@ -1,9 +1,8 @@
 """Cross-process worker telemetry (docs/PARALLELISM.md, docs/OBSERVABILITY.md).
 
-Covers the protocol end to end: metric-delta merge, span grafting with
-timeline rebase, the pool's task/map records, pool-level
-metrics, the ledger record's ``workers`` block, and the per-worker-lane
-chrome trace.  The per-stage usage columns built from the collector are
+Covers the protocol end to end: metric-delta merge, the pool's task/map
+records, the task bars built from those records, the ledger record's
+``workers`` block, and the per-worker-lane chrome trace.  The per-stage usage columns built from the collector are
 tested with ``fig6_measured`` (tests/parallel/test_measured.py).
 """
 
@@ -12,10 +11,8 @@ import os
 
 import pytest
 
-from repro.context import RUN
 from repro.obs import metrics, spans
-from repro.obs.metrics import DEFAULT_BUCKETS, TIME_BUCKETS, MetricsRegistry
-from repro.obs.spans import Span
+from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
 from repro.obs.worker import WorkerTelemetry, collecting_tasks
 from repro.parallel.pool import WorkerPool
 
@@ -49,56 +46,24 @@ class TestMetricsMerge:
         assert hist.counts[list(DEFAULT_BUCKETS).index(8)] == 2
 
     def test_histogram_created_from_snapshot_boundaries(self):
-        delta = MetricsRegistry()
-        delta.observe("repro_parallel_task_wall_seconds", 0.002,
-                      buckets=TIME_BUCKETS)
-        reg = MetricsRegistry().merge(delta.snapshot())
-        assert reg.histogram("repro_parallel_task_wall_seconds").boundaries \
-            == TIME_BUCKETS
+        delta = {"histograms": {"repro_msm_size": {
+            "boundaries": [2, 4], "counts": [0, 1, 0], "count": 1,
+            "sum": 3}}}
+        reg = MetricsRegistry().merge(delta)
+        assert reg.histogram("repro_msm_size").boundaries == (2, 4)
 
     def test_boundary_mismatch_raises(self):
         reg = MetricsRegistry()
         reg.observe("repro_msm_size", 8)  # default power-of-two buckets
-        delta = MetricsRegistry()
-        delta.observe("repro_msm_size", 0.5, buckets=TIME_BUCKETS)
+        delta = {"histograms": {"repro_msm_size": {
+            "boundaries": [0.5, 1.0], "counts": [1, 0, 0], "count": 1,
+            "sum": 0.5}}}
         with pytest.raises(ValueError, match="boundaries"):
-            reg.merge(delta.snapshot())
+            reg.merge(delta)
 
     def test_merge_validates_new_names(self):
         with pytest.raises(ValueError, match="bad metric name"):
             MetricsRegistry().merge({"counters": {"Bad-Name": 1}})
-
-
-class TestSpanGraft:
-    def _subtree(self):
-        return {
-            "name": "task:msm_window_slice", "start_s": 0.5, "wall_s": 0.25,
-            "cpu_s": 0.2, "rss_peak_delta_kb": 12, "gc_collections": 0,
-            "children": [{"name": "inner", "start_s": 0.6, "wall_s": 0.1,
-                          "cpu_s": 0.1, "rss_peak_delta_kb": 0,
-                          "gc_collections": 0}],
-        }
-
-    def test_from_dict_round_trips(self):
-        sp = Span.from_dict(self._subtree(), depth=2)
-        assert sp.depth == 2 and sp.children[0].depth == 3
-        assert sp.to_dict() == self._subtree()
-
-    def test_graft_rebases_and_tags(self):
-        with spans.recording("parent") as rec:
-            with spans.span("dispatch"):
-                grafted = spans.graft(self._subtree(), offset_s=2.0,
-                                      worker_pid=123)
-        assert grafted.meta["worker_pid"] == 123
-        assert grafted.start_s == pytest.approx(2.0)
-        # The child keeps its relative position inside the subtree.
-        assert grafted.children[0].start_s == pytest.approx(2.1)
-        dispatch = rec.root.children[0]
-        assert dispatch.children == [grafted]
-
-    def test_graft_is_noop_when_not_recording(self):
-        assert RUN.spans is None
-        assert spans.graft(self._subtree()) is None
 
 
 class TestCollector:
@@ -144,27 +109,24 @@ class TestPoolIntegration:
             assert t["queue_wait_s"] >= 0.0
             assert t["payload_bytes"] > 0 and t["result_bytes"] > 0
         assert len(tel.maps) == 1 and tel.maps[0]["workers"] == 2
-        # Pool-level series in the parent registry.
         assert reg.counter("repro_parallel_tasks_total") == len(PAYLOADS)
-        assert reg.histogram("repro_parallel_task_wall_seconds").count \
-            == len(PAYLOADS)
-        assert reg.histogram("repro_parallel_queue_wait_seconds").count \
-            == len(PAYLOADS)
-        # Trivial tasks in a wide window: utilization may round to 0.0, but
-        # the gauge must be present and sane.
-        assert 0 <= reg.gauge("repro_parallel_worker_utilization") <= 1.0
-        assert reg.gauge("repro_parallel_chunk_imbalance_ratio") >= 1.0
-        # Worker span lanes grafted under the dispatching span.
-        grafted = [sp for sp in rec.root.walk() if "lane" in sp.meta]
-        assert len(grafted) == len(PAYLOADS)
-        assert {sp.meta["lane"] for sp in grafted} == \
-            {f"worker {t['pid']}" for t in tel.tasks}
-        # Each grafted task bar carries its record's wire costs.
-        for sp in grafted:
-            assert sp.meta["payload_bytes"] > 0
-            assert sp.meta["result_bytes"] > 0
+        # One task bar per record, built from it, under the map's window.
         window = next(sp for sp in rec.root.walk()
                       if sp.name == "parallel:unit")
+        bars = [sp for sp in rec.root.walk() if sp.name.startswith("task:")]
+        assert bars == window.children
+        assert len(bars) == len(tel.tasks)
+        for bar, t in zip(bars, tel.tasks):
+            assert bar.name == "task:selftest_square"
+            assert bar.meta["lane"] == f"worker {t['pid']}"
+            assert (bar.wall_s, bar.cpu_s) == (t["wall_s"], t["cpu_s"])
+            assert bar.rss_peak_delta_kb == t["rss_peak_delta_kb"]
+            assert bar.gc_collections == t["gc_collections"]
+            for key in ("queue_wait_s", "decode_s", "encode_s",
+                        "payload_bytes", "result_bytes"):
+                assert bar.meta[key] == t[key]
+            assert window.start_s <= bar.start_s
+            assert bar.start_s <= window.start_s + window.wall_s
         assert window.meta["utilization"] == tel.maps[0]["utilization"]
         assert window.meta["imbalance"] == tel.maps[0]["imbalance"]
 
@@ -205,4 +167,8 @@ class TestWorkersBlock:
         with collecting_tasks() as tel:
             with WorkerPool(2) as pool:
                 pool.map("selftest_square", PAYLOADS, label="unit")
-        json.dumps(tel.to_workers_block())
+        block = tel.to_workers_block()
+        json.dumps(block)
+        # Worker metric deltas merge into the run's registry alone.
+        assert "metrics" not in block
+        assert all("gc_collections" in t for t in block["tasks"])

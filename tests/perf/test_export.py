@@ -1,12 +1,12 @@
 """Trace-export tests: every recording goes through the one chrome-trace
-writer (modeled region trees, measured spans, grafted worker subtrees,
+writer (modeled region trees, measured spans, worker task lanes,
 request phase trees)."""
 
 import json
 
 import pytest
 
-from repro.obs.spans import graft, recording, span
+from repro.obs.spans import Span, recording, span
 from repro.perf.export import (
     collapsed_to_text,
     regions_to_spans,
@@ -127,20 +127,19 @@ class TestMeasuredTrace:
         assert doc["otherData"]["roots"] == ["run"]
         assert lane_names(doc, "process_name") == {(1, 0): "run"}
 
-    def test_grafted_worker_subtrees_get_tid_lanes(self):
-        subtree = {"name": "task:msm_window_slice", "start_s": 0.1, "wall_s": 0.05,
-                   "cpu_s": 0.05, "rss_peak_delta_kb": 0,
-                   "gc_collections": 0,
-                   "children": [{"name": "inner", "start_s": 0.12,
-                                 "wall_s": 0.01, "cpu_s": 0.01,
-                                 "rss_peak_delta_kb": 0,
-                                 "gc_collections": 0}]}
-        with recording("run") as rec:
-            with span("parallel:msm"):
-                # Natural lane order: worker 999 sorts before worker 4001.
-                graft(subtree, lane="worker 4001", queue_wait_s=0.002)
-                graft(dict(subtree, start_s=0.2), lane="worker 999")
-        doc = json.loads(spans_to_chrome_trace([rec.root]))
+    def test_laned_subtrees_get_tid_lanes(self):
+        def task(start_s, lane, **meta):
+            return Span("task:msm_window_slice", 2, start_s=start_s,
+                        wall_s=0.05, cpu_s=0.05, meta=dict(lane=lane, **meta),
+                        children=[Span("inner", 3, start_s=start_s + 0.02,
+                                       wall_s=0.01, cpu_s=0.01)])
+
+        # Natural lane order: worker 999 sorts before worker 4001.
+        window = Span("parallel:msm", 1, start_s=0.05, wall_s=0.3,
+                      children=[task(0.1, "worker 4001", queue_wait_s=0.002),
+                                task(0.2, "worker 999")])
+        root = Span("run", 0, wall_s=0.5, children=[window])
+        doc = json.loads(spans_to_chrome_trace([root]))
         by_name = {}
         for e in bars(doc):
             by_name.setdefault(e["name"], []).append(e)
@@ -275,14 +274,12 @@ class TestStableOrdering:
         b = regions_to_spans(self.make_tracers(("proving", "setup")))
         assert spans_to_chrome_trace(a) == spans_to_chrome_trace(b)
 
-    def test_tid_lanes_do_not_depend_on_graft_order(self):
-        sub = {"name": "task:t", "start_s": 0.1, "wall_s": 0.05}
-
+    def test_tid_lanes_do_not_depend_on_child_order(self):
         def trace(order):
-            with recording("run") as rec:
-                for pid in order:
-                    graft(sub, lane=f"worker {pid}")
-            doc = json.loads(spans_to_chrome_trace([rec.root]))
+            root = Span("run", 0, wall_s=1.0, children=[
+                Span("task:t", 1, start_s=0.1, wall_s=0.05,
+                     meta={"lane": f"worker {pid}"}) for pid in order])
+            doc = json.loads(spans_to_chrome_trace([root]))
             return lane_names(doc, "thread_name")
 
         assert trace((30, 7, 100)) == trace((100, 30, 7)) == {

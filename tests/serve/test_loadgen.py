@@ -4,6 +4,7 @@ service block, determinism of the seeded request story, the
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -170,7 +171,7 @@ class TestLoadReport:
                           service=block)
         text = json.dumps(rec, sort_keys=True)
         assert json.loads(text)["service"]["requests"]["sent"] == report.sent
-        for key in ("latency_s", "queue_wait_s", "throughput_rps",
+        for key in ("latency_s", "queue_wait_s", "late_s", "throughput_rps",
                     "shed_rate", "timeout_rate", "error_rate",
                     "queue_depth", "breaker", "verify"):
             assert key in block, key
@@ -210,6 +211,43 @@ class TestLoadReport:
         report = asyncio.run(main())
         assert report.sent < 300  # nowhere near the full 30s schedule
         assert not report.unresolved
+
+
+    def test_a_stalled_loop_is_charged_to_the_requests_it_delayed(self):
+        """Latency is timed from the due instant (no coordinated
+        omission): requests due while the event loop stalled carry the
+        stall as lateness, and their latency includes it."""
+        stall_s, rps = 0.3, 20
+        svc = fast_service()
+        stall = {}
+
+        def block_the_loop():
+            stall["t0"] = time.perf_counter()
+            time.sleep(stall_s)
+            stall["t1"] = time.perf_counter()
+
+        async def main():
+            await svc.start()
+            asyncio.get_running_loop().call_later(0.05, block_the_loop)
+            try:
+                return await run_loadtest(svc, rps=rps, duration_s=0.6,
+                                          mix={"verify": 1}, seed=3)
+            finally:
+                await svc.drain()
+
+        report = asyncio.run(main())
+        delayed = [r for r in report.results if r.late_s > 1 / rps]
+        assert len(delayed) >= stall_s * rps - 2
+        for r in delayed:
+            # Submitted once the loop ran again, and charged for the wait.
+            assert r.start_s >= stall["t1"] - svc._t0 - 1e-3
+            assert r.latency_s >= r.late_s
+            assert r.latency_s == pytest.approx(r.late_s + r.total_s)
+        block = report.to_service_block()
+        assert block["late_s"]["n"] == report.sent
+        assert block["late_s"]["max"] >= stall_s - 1 / rps
+        assert block["latency_s"]["max"] >= block["late_s"]["max"]
+        assert report.violations == []
 
 
 class TestLoadtestGate:

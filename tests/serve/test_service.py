@@ -318,6 +318,36 @@ class TestRetriesAndBreaker:
             "ok", True, False)
         assert state == "closed"
 
+    @pytest.mark.parametrize("kind, status, state", [
+        ("timeout", "timeout", "half-open"),   # StageTimeout
+        ("oom", "error", "half-open"),         # a non-retryable fault
+        ("transient", "ok", "closed"),         # retried: the retry probes
+    ])
+    def test_probe_without_a_verdict_is_handed_back(self, kind, status,
+                                                    state):
+        t = {"now": 0.0}
+
+        async def main():
+            async with fast_service(workers=2, breaker=CircuitBreaker(
+                    threshold=1, cooldown_s=10.0,
+                    clock=lambda: t["now"])) as svc:
+                svc.breaker.record_failure()
+                t["now"] = 11.0  # cooldown over: the next job probes
+                with faults.injecting([FaultSpec("serve:prove", kind, hit=1)]):
+                    first = await svc.submit("prove")
+                after_first = svc.breaker.state
+                probe = await svc.submit("prove")
+                return first, after_first, probe, svc.breaker.to_dict()
+
+        first, after_first, probe, breaker = run(main())
+        assert (first.status, first.degraded) == (status, False)
+        # Only a success or a crash is a verdict on the pool: the state
+        # stays and the probe slot is free again, so the next attempt
+        # probes instead of running degraded for good.
+        assert after_first == state
+        assert (probe.status, probe.degraded) == ("ok", False)
+        assert breaker["state"] == "closed" and breaker["trips"] == 1
+
     def test_verify_crashes_trip_the_breaker(self, monkeypatch):
         crashes = {"n": 0}
         crash_verify_under_pool(monkeypatch, crashes)
@@ -374,6 +404,17 @@ class TestRetriesAndBreaker:
         assert {ident for _, ident in calls} == {loop_thread}
         assert {name for name, _ in calls} == {
             "allow_pool", "record_success", "record_failure"}
+
+    def test_released_probe_admits_the_next_one(self):
+        t = {"now": 0.0}
+        breaker = CircuitBreaker(threshold=1, cooldown_s=10.0,
+                                 clock=lambda: t["now"])
+        breaker.record_failure()
+        t["now"] = 11.0
+        assert breaker.allow_pool()       # the probe
+        breaker.release()
+        assert (breaker.state, breaker.trips) == ("half-open", 1)
+        assert breaker.allow_pool()       # the next probe
 
     def test_breaker_halfopen_probe_recloses(self):
         t = {"now": 0.0}

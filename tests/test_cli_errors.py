@@ -267,7 +267,7 @@ class TestLoadtestVerb:
                          "--size", "8", "--json")
         assert result.returncode == 0, (result.stdout, result.stderr)
         record = json.loads(result.stdout)
-        assert record["schema"] == 6
+        assert record["schema"] == 7
         assert record["faults"] is None
         block = record["service"]
         assert block["requests"]["sent"] >= 1

@@ -102,12 +102,12 @@ class TestWhatATaskSees:
             reports, _ = pool.map("selftest_context", [{}, {}])
         for seen in reports:
             assert set(seen) == set(RunContext.__slots__)
-            for field in ("tracer", "tasks", "pool", "faults"):
+            for field in ("tracer", "spans", "tasks", "pool", "faults"):
                 assert seen[field] is None, field
-            # The envelope builds these three afresh for the task (a
-            # registry and recorder because the parent collects tasks, the
-            # deadline from the remaining seconds it was shipped).
-            for field in ("metrics", "spans", "deadline"):
+            # The envelope builds these two afresh for the task (a
+            # registry because the parent collects tasks, the deadline
+            # from the remaining seconds it was shipped).
+            for field in ("metrics", "deadline"):
                 assert seen[field] not in (None, parent[field]), field
 
     def test_untelemetered_worker_sees_nothing(self):
