@@ -32,6 +32,9 @@ _G2_COFACTOR = int(
     16,
 )
 
+# phi is G1's membership test and its GLV split alike.
+_phi = phi(BLS12_381_FQ, BLS12_381_FR.modulus)
+
 _g1 = Group(
     name="bls12_381.G1",
     ops=FpOps(BLS12_381_FQ, tag="g1_bls"),
@@ -39,7 +42,8 @@ _g1 = Group(
     generator=_G1_GENERATOR,
     order=BLS12_381_FR.modulus,
     cofactor=_G1_COFACTOR,
-    endomorphisms=phi(BLS12_381_FQ, BLS12_381_FR.modulus),
+    endomorphisms=_phi,
+    splits=_phi,
 )
 
 # b2 = 4 * (1 + u) in Fq2.
@@ -53,6 +57,8 @@ _g2 = Group(
     order=BLS12_381_FR.modulus,
     cofactor=_G2_COFACTOR,
     endomorphisms=psi(BLS12_381_TOWER, BLS12_381_FR.modulus, t=BLS12_381_X + 1),
+    # phi on the twist: beta in Fq scales both Fq2 components of x.
+    splits=phi(BLS12_381_FQ, BLS12_381_FR.modulus, scale=BLS12_381_TOWER.f2_scale),
 )
 
 BLS12_381 = CurveSpec(

@@ -23,6 +23,9 @@ _G2_GENERATOR_Y = (
 #: Cofactor of E'(Fq2) relative to the order-r subgroup.
 _G2_COFACTOR = 21888242871839275222246405745257275088844257914179612981679871602714643921549
 
+# phi is G1's membership test and its GLV split alike.
+_phi = phi(BN254_FQ, BN254_FR.modulus)
+
 _g1 = Group(
     name="bn128.G1",
     ops=FpOps(BN254_FQ, tag="g1_bn"),
@@ -30,7 +33,8 @@ _g1 = Group(
     generator=(1, 2),
     order=BN254_FR.modulus,
     cofactor=1,
-    endomorphisms=phi(BN254_FQ, BN254_FR.modulus),
+    endomorphisms=_phi,
+    splits=_phi,
 )
 
 # b2 = 3 / (9 + u) in Fq2.
@@ -44,6 +48,8 @@ _g2 = Group(
     order=BN254_FR.modulus,
     cofactor=_G2_COFACTOR,
     endomorphisms=psi(BN254_TOWER, BN254_FR.modulus, t=6 * BN254_U**2 + 1),
+    # phi on the twist: beta in Fq scales both Fq2 components of x.
+    splits=phi(BN254_FQ, BN254_FR.modulus, scale=BN254_TOWER.f2_scale),
 )
 
 BN128 = CurveSpec(

@@ -120,12 +120,19 @@ class Group:
     cofactor:
         Curve cofactor: ``#E = cofactor * order``.
     endomorphisms:
-        Candidate :class:`~repro.curves.endomorphism.Endomorphism` records;
-        the first that passes :meth:`_admit` becomes ``self.endomorphism``
-        (``None`` without candidates), and ``ValueError`` if none does.
+        Candidate :class:`~repro.curves.endomorphism.Endomorphism` records
+        for the membership test; the first that passes :meth:`_admit`
+        becomes ``self.endomorphism`` (``None`` without candidates), and
+        ``ValueError`` if none does.
+    splits:
+        Candidate GLV split records (each with a lattice ``basis``); the
+        first that is ``[eigen]`` on the generator becomes ``self.split``,
+        what ``Point.__mul__`` and :func:`repro.msm.glv.msm_glv` decompose
+        scalars with (``None`` without candidates).
     """
 
-    def __init__(self, name, ops, b, generator, order, cofactor=1, endomorphisms=()):
+    def __init__(self, name, ops, b, generator, order, cofactor=1, endomorphisms=(),
+                 splits=()):
         self.name = name
         self.ops = ops
         self.b = b
@@ -135,8 +142,9 @@ class Group:
         self._add_tag = f"ec_add_{ops.tag}"
         gx, gy = generator
         self.generator = self.point(gx, gy)
-        self.endomorphism = None  # what _admit's own multiplications see
+        self.endomorphism = self.split = None  # what _admit's own multiplications see
         self.endomorphism = endo = self._admit(endomorphisms)
+        self.split = self._admit(splits, membership=False)
         #: What :meth:`in_subgroup` walks, most significant digit first: the
         #: non-adjacent form of ``|eigen|``, or of ``order`` with no record.
         self._member_naf = _wnaf(abs(endo.eigen) if endo else order, 2)[::-1]
@@ -175,14 +183,17 @@ class Group:
         k = rng.randrange(1, self.order)
         return self.generator * k
 
-    def _admit(self, candidates):
-        """The first of *candidates* that is a sound membership test.
+    def _admit(self, candidates, membership=True):
+        """The first of *candidates* that is ``[eigen]`` on the generator —
+        and, for *membership*, a sound membership test.
 
         For ``sigma`` with ``sigma^2 + c*sigma + d = 0`` on the whole curve
         and ``sigma = [a]`` on the subgroup: if ``a^2 + c*a + d = m * r`` and
         ``gcd(m, cofactor) = 1`` then ``sigma(P) = [a]P  <=>  [r]P = O``
         (``[m*r]P = O`` and ``[cofactor*r]P = O`` leave ``ord P | r``; the
-        converse is the check on the generator).
+        converse is the check on the generator).  A split needs the
+        generator check alone: the subgroup is cyclic, so ``sigma = [a]`` on
+        the generator is ``sigma = [a]`` on every element.
         """
         gen = self.generator
         for endo in candidates:
@@ -191,12 +202,13 @@ class Group:
             image = gen * abs(a)  # gen * a would widen a negative a to a + r
             if a < 0:
                 image = -image
-            if (rem == 0 and gcd(m, self.cofactor) == 1
+            if ((not membership or rem == 0 and gcd(m, self.cofactor) == 1)
                     and endo.map(*gen.to_affine()) == image.to_affine()):
                 return endo
         if candidates:
-            raise ValueError(f"{self.name}: no endomorphism record passes its identity, "
-                             "cofactor and generator checks")
+            what = ("endomorphism record passes its identity, cofactor and generator checks"
+                    if membership else "split record passes the generator check")
+            raise ValueError(f"{self.name}: no {what}")
         return None
 
     def in_subgroup(self, pt):
@@ -390,9 +402,9 @@ class Point:
         or ``None`` when one of them is the identity (order 3, 5 or 7).
 
         One shared inversion (Montgomery's trick) makes the table affine, so
-        every addition is mixed.  Where the group's endomorphism has a
-        lattice basis, ``k`` splits into two half-width streams walked over
-        the table and its image on one doubling chain.
+        every addition is mixed.  Where the group has a split record,
+        ``k`` splits into two half-width streams walked over the table and
+        its image on one doubling chain.
         """
         group = self.group
         ops = group.ops
@@ -413,10 +425,10 @@ class Point:
             zinv, inv = mul(inv, prefix[i]), mul(inv, pt.Z)
             zinv2 = ops.sqr(zinv)
             table[i] = (mul(pt.X, zinv2), mul(pt.Y, mul(zinv2, zinv)))
-        endo = group.endomorphism
-        if endo is not None and endo.basis is not None:
-            k1, k2 = decompose_scalar(endo.basis, group.order, k)
-            halves = [(k1, table), (k2, [endo.map(x, y) for x, y in table])]
+        split = group.split
+        if split is not None:
+            k1, k2 = decompose_scalar(split.basis, group.order, k)
+            halves = [(k1, table), (k2, [split.map(x, y) for x, y in table])]
         else:
             halves = [(k, table)]
         streams, tables = [], []

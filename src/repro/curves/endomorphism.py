@@ -11,7 +11,10 @@ the order-``r`` subgroup as one integer — a root ``lambda`` of
 membership ladder (:meth:`~repro.curves.curve.Group.in_subgroup`) and, for
 ``phi``, the Gallant–Lambert–Vanstone split ``k = k1 + lambda * k2`` with
 ``|k1|, |k2| ~ sqrt(r)`` (Babai rounding against a short lattice basis)
-behind ``Point.__mul__`` and :func:`repro.msm.glv.msm_glv`.
+behind ``Point.__mul__`` and :func:`repro.msm.glv.msm_glv`.  The twist has
+``j = 0`` too, so the same ``phi`` — ``beta`` in ``Fq`` scaling both
+``Fq2`` components of ``x`` — splits G2, while ``psi`` (the shorter
+ladder) stays its membership test.
 
 Constants are *derived*, never typed in: :func:`phi` and :func:`psi` return
 both orientations (either cube root, either twist type) and
@@ -38,7 +41,7 @@ class Endomorphism:
     map: object         # affine (x, y) -> sigma(x, y); sigma(x, -y) = -sigma(x, y)
     char: tuple         # (c, d): sigma^2 + c*sigma + d = 0 on every point
     eigen: int          # sigma = [eigen] on the subgroup, |eigen| < r / 2
-    basis: tuple = None  # phi only: short (v1, v2), each a + b*eigen = 0 mod r
+    basis: tuple = None  # a GLV split's short (v1, v2), each a + b*eigen = 0 mod r
 
 
 def _symmetric(a, r):
@@ -107,18 +110,20 @@ def decompose_scalar(basis, r, k):
     return k1, k2
 
 
-def _phi_map(mul, beta, x, y):
-    return (mul(beta, x), y)
+def _phi_map(scale, beta, x, y):
+    return (scale(x, beta), y)
 
 
-def phi(fq, r):
-    """Both candidates for ``phi`` on ``E(Fq)``: ``lambda`` and the two
-    ``beta`` from square roots of ``-3`` in ``Fr`` / ``Fq``."""
+def phi(fq, r, scale=None):
+    """Both candidates for ``phi``: ``lambda`` and the two ``beta`` from
+    square roots of ``-3`` in ``Fr`` / ``Fq``.  ``scale(x, beta)`` is the
+    coordinate times ``beta``: ``fq.mul`` on ``E(Fq)`` (the default),
+    ``tower.f2_scale`` on the twist."""
     fr = PrimeField(r, f"{fq.name}.glv.fr")
     lam = fr.mul(fr.sub(fr.sqrt(fr.reduce(-3)), 1), fr.inv(2))
     beta = fq.mul(fq.sub(fq.sqrt(fq.reduce(-3)), 1), fq.inv(2))
-    basis = _short_vectors(r, lam)
-    return [Endomorphism(partial(_phi_map, fq.mul, b), (1, 1), _symmetric(lam, r), basis)
+    basis, scale = _short_vectors(r, lam), scale or fq.mul
+    return [Endomorphism(partial(_phi_map, scale, b), (1, 1), _symmetric(lam, r), basis)
             for b in (beta, fq.modulus - 1 - beta)]
 
 

@@ -8,9 +8,10 @@ and why nothing selects it: docs/KERNELS.md); the kernels behind it are
 - :func:`repro.msm.pippenger.msm_pippenger` — windowed bucket method, the
   reference every optimization is differentially gated against and the
   kernel traced runs see,
-- :func:`repro.msm.glv.msm_glv` — GLV endomorphism split on G1 feeding
-  half-width scalars to :func:`repro.msm.wnaf.msm_wnaf`, the signed-digit /
-  batch-affine bucket kernel it falls back to whole on G2,
+- :func:`repro.msm.glv.msm_glv` — GLV endomorphism split (G1 and G2)
+  feeding half-width scalars to :func:`repro.msm.wnaf.msm_wnaf`, the
+  signed-digit / batch-affine bucket kernel with one affine fold across its
+  windows,
 - :func:`repro.msm.naive.msm_naive` — per-point double-and-add: the degrade
   ladder's last rung and the tests' oracle,
 - :class:`repro.msm.fixed_base.FixedBaseTable` — fixed-base multiples for the
@@ -22,7 +23,7 @@ from repro.msm.fixed_base import FixedBaseTable
 from repro.msm.glv import msm_glv
 from repro.msm.naive import msm_naive
 from repro.msm.pippenger import msm_pippenger, optimal_window
-from repro.msm.recode import signed_windows, signed_windows_len
+from repro.msm.recode import signed_windows_len
 from repro.msm.wnaf import msm_wnaf, optimal_signed_window
 
 __all__ = [
@@ -34,6 +35,5 @@ __all__ = [
     "msm_wnaf",
     "optimal_signed_window",
     "optimal_window",
-    "signed_windows",
     "signed_windows_len",
 ]

@@ -15,9 +15,9 @@ fixed-base walk (:mod:`repro.msm.fixed_base`) are both built from it.  The
 doubling (``P + P``, denominator ``2y``) and cancellation (``P + (-P)``,
 result infinity) cases are classified *before* the batch so the inversion
 input is never zero.  Bucket waves are built by pairing: every bucket
-pairs up its pending points, all pairs across all buckets share one wave,
-and the halved pending lists go around again — ``O(log(max occupancy))``
-rounds.
+pairs up its pending points, the pairs across the buckets share a wave
+until it holds ``_WAVE_PAIRS`` of them, and the halved pending lists go
+around again — ``O(log(max occupancy))`` rounds.
 
 Everything runs through the group's coordinate adapter
 (:class:`~repro.curves.curve.FpOps` / ``Fp2Ops``), so the kernel serves G1
@@ -30,6 +30,12 @@ from __future__ import annotations
 from repro.context import RUN
 
 __all__ = ["batch_affine_accumulate", "batch_affine_add", "batch_inv"]
+
+#: Pairs after which an accumulation wave takes no further bucket.  A
+#: wave's numerators, denominators, prefix products and sums are the bucket
+#: kernel's peak memory (a full first round of 4 096 G2 terms held ~2 MiB
+#: of them); a longer wave only saves inversions, one a wave.
+_WAVE_PAIRS = 256
 
 
 def batch_inv(ops, xs):
@@ -114,9 +120,10 @@ def batch_affine_accumulate(group, n_buckets, entries):
         pending[bucket - 1].append(pt)
 
     while True:
-        # One pairing round: each bucket contributes len(items)//2
-        # independent additions, all of them in one wave (which polls the
-        # cooperative deadline).
+        # One pairing wave: each bucket contributes len(items)//2
+        # independent additions until the wave is full (the wave polls the
+        # cooperative deadline); the next wave starts from the first
+        # bucket again.
         owners, ps, qs = [], [], []
         for b, items in enumerate(pending):
             k = len(items)
@@ -127,6 +134,8 @@ def batch_affine_accumulate(group, n_buckets, entries):
             ps += items[0:even:2]
             qs += items[1:even:2]
             pending[b] = items[even:]
+            if len(owners) >= _WAVE_PAIRS:
+                break
         if not owners:
             break
         for b, total in zip(owners, batch_affine_add(group.ops, ps, qs)):

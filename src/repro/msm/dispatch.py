@@ -11,8 +11,8 @@ option:
   from ``pool.min_msm`` *live* terms up each worker sums a slice of the
   windows, below it ``msm_glv`` runs in this process;
 - otherwise the fast kernel, :func:`~repro.msm.glv.msm_glv`: the GLV split
-  on groups with the endomorphism (G1), the signed-digit / batch-affine
-  kernel alone on the others (G2).
+  through the group's split record (G1 and G2) into the signed-digit /
+  batch-affine kernel, which runs alone on a group without one.
 
 Every route computes the same group element, so the choice is invisible
 in proof/pk/vk bytes — ``tests/msm/test_kernel_differential.py`` pins it.

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.context import RUN
 from repro.msm.batch_affine import batch_affine_add
-from repro.msm.recode import signed_windows_len
+from repro.msm.recode import digit_columns, signed_windows_len
 
 __all__ = ["FixedBaseTable"]
 
@@ -24,25 +24,6 @@ def _walk_width(bits, n):
     window costs one addition a scalar plus its ``2^(w-1)``-entry row."""
     return min(range(1, 17),
                key=lambda w: signed_windows_len(bits, w) * (n + (1 << (w - 1))))
-
-
-def _digit_columns(ks, w):
-    """Yield the signed ``w``-bit digit of every scalar of *ks*, window by
-    window until all are spent: the columns of the (zero-padded)
-    :func:`repro.msm.recode.signed_windows` rows, one at a time."""
-    ks = list(ks)
-    mask, half = (1 << w) - 1, 1 << (w - 1)
-    while any(ks):
-        column = []
-        for i, k in enumerate(ks):
-            d = k & mask
-            k >>= w
-            if d > half:  # borrow: the digit goes negative, the rest carries
-                d -= mask + 1
-                k += 1
-            ks[i] = k
-            column.append(d)
-        yield column
 
 
 class FixedBaseTable:
@@ -159,7 +140,7 @@ class FixedBaseTable:
             return out
         w = _walk_width(self.bits, len(live))
         accs, row = [None] * len(live), [self.base.to_affine()]
-        for column in _digit_columns(live.values(), w):
+        for column in digit_columns(live.values(), w):
             while len(row) < 1 << (w - 1):
                 row += batch_affine_add(ops, row, [row[-1]] * len(row))
             picks = []

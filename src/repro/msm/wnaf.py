@@ -1,19 +1,23 @@
 """Signed-digit (wNAF-window) Pippenger MSM with batch-affine buckets.
 
-Two structural improvements over :func:`repro.msm.pippenger.msm_pippenger`,
-each individually pinned by the differential suite
+Three structural improvements over :func:`repro.msm.pippenger.msm_pippenger`,
+each pinned by the differential suite
 (``tests/msm/test_kernel_differential.py``):
 
-- **signed digits** (:func:`repro.msm.recode.signed_windows`): window
-  digits lie in ``[-(2^(c-1) - 1), 2^(c-1)]`` and a negative digit scatters
-  the *negated* point (free in affine coordinates), so a window needs
-  ``2^(c-1)`` buckets instead of ``2^c - 1`` — the running-sum fold, the
-  expensive serial part of a window pass, halves;
+- **signed digits** (:func:`repro.msm.recode.digit_columns`, streamed a
+  window at a time): digits lie in ``[-(2^(c-1) - 1), 2^(c-1)]`` and a
+  negative digit scatters the *negated* point (free in affine
+  coordinates), so a window needs ``2^(c-1)`` buckets instead of
+  ``2^c - 1`` — the running-sum fold halves;
 - **batch-affine accumulation**
   (:func:`repro.msm.batch_affine.batch_affine_accumulate`): bucket sums are
   built from ~6-multiplication affine additions whose inversions are
   amortized by Montgomery's trick, instead of ~11-multiplication Jacobian
-  mixed additions.
+  mixed additions;
+- **one affine fold across windows**: the running-sum fold of every window
+  advances together, bucket index by bucket index, two
+  :func:`~repro.msm.batch_affine.batch_affine_add` waves a step, in place
+  of a mixed and a full Jacobian addition per window and step.
 
 The kernel also sizes its window count from the widest *actual* scalar
 (the reference kernel always walks ``order.bit_length()`` windows), which
@@ -27,19 +31,21 @@ edge scalars (0, 1, ``order - 1``, ``>= order``) and identity points.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from repro.context import RUN
-from repro.msm.batch_affine import batch_affine_accumulate
-from repro.msm.recode import signed_windows, signed_windows_len
+from repro.msm.batch_affine import batch_affine_accumulate, batch_affine_add
+from repro.msm.recode import digit_columns, signed_windows_len
 from repro.msm.terms import live_terms
 
 __all__ = ["msm_wnaf", "optimal_signed_window", "signed_bucket_msm"]
 
-#: Relative costs (in field-call units) of one batch-affine pair addition
-#: and one fold slot (mixed + full Jacobian addition), used by the window
-#: chooser below.  Rough but measured: a pair add is ~12 adapter calls, a
-#: fold slot ~50.
-_PAIR_ADD_COST = 12
-_FOLD_SLOT_COST = 50
+#: Costs in counted field multiplications + squarings (``tests/oracle.py``,
+#: ``count_ops``) of one bucket addition — a ``batch_affine_add`` wave slot:
+#: 3 for the shared inversion, 3 for slope, ``x3`` and ``y3`` — and of one
+#: fold slot, two such wave slots (running sum, then total).
+_PAIR_ADD_COST = 6
+_FOLD_SLOT_COST = 12
 
 
 # codelint: ignore[RC501] -- 15-iteration arg-min over window widths, no data-sized loop
@@ -101,46 +107,35 @@ def signed_bucket_msm(group, pairs, window=None, part=None):
 
     ops = group.ops
     neg = ops.neg
-    rows = [signed_windows(k, c, n_digits) for _pt, k in pairs]
-
-    window_sums = []
-    for w in range(lo, hi):
+    windows = []  # the slice's affine buckets, one list a window
+    columns = digit_columns((k for _pt, k in pairs), c)
+    for column in islice(columns, lo, hi):
         # Cooperative deadline poll between the independent window passes,
         # like the reference kernel.
         if RUN.deadline is not None:
             RUN.deadline.check()
-        entries = []
-        for i, (pt, _k) in enumerate(pairs):
-            d = rows[i][w]
-            if d > 0:
-                entries.append((d, pt))
-            elif d < 0:
-                entries.append((-d, (pt[0], neg(pt[1]))))
-        buckets = batch_affine_accumulate(group, half, entries)
-        window_sums.append(_fold_affine(group, buckets))
+        # Streamed, not listed: the accumulator files each point as it comes.
+        entries = ((d, pt) if d > 0 else (-d, (pt[0], neg(pt[1])))
+                   for (pt, _k), d in zip(pairs, column) if d)
+        windows.append(batch_affine_accumulate(group, half, entries))
+
+    # Running-sum fold of every window at once, from the top bucket down:
+    # one wave advances each window's running sum, a second adds it into
+    # the window's total, each behind one shared inversion.
+    running = totals = [None] * len(windows)
+    for b in range(half - 1, -1, -1):
+        running = batch_affine_add(ops, running, [buckets[b] for buckets in windows])
+        totals = batch_affine_add(ops, totals, running)
 
     # Horner combine from the most significant window down (identical to
-    # the reference kernel's combine step), then a slice's shift.
+    # the reference kernel's combine step), then a slice's shift.  Windows
+    # past the last nonzero column are zero and add nothing.
     acc = group.infinity()
-    for ws in reversed(window_sums):
+    for total in reversed(totals):
         for _ in range(c):
             acc = acc.double()
-        acc = acc + ws
+        if total is not None:
+            acc = acc.add_affine(*total)
     for _ in range(c * lo):
         acc = acc.double()
     return acc
-
-
-def _fold_affine(group, buckets):
-    """Running-sum fold over affine bucket values: ``sum_d d * bucket[d]``.
-
-    The running sum grows by cheap mixed additions (buckets are affine),
-    only the total needs full Jacobian additions.
-    """
-    running = group.infinity()
-    total = group.infinity()
-    for slot in reversed(buckets):
-        if slot is not None:
-            running = running.add_affine(*slot)
-        total = total + running
-    return total

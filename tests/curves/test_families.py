@@ -1,7 +1,7 @@
 """Every curve constant, recomputed from its family polynomials.
 
 ``p``, ``r``, the trace, both cofactors, the loop parameter and the
-endomorphism records in ``src/`` are literals or derived values; here they
+endomorphism and split records in ``src/`` are literals or derived values; here they
 are re-derived from the one integer ``u`` (``CurveSpec.parameter``) by the
 BN and BLS12 family polynomials, so a typo in a literal — or a membership
 identity that holds for the object but not for the curve — cannot hide.
@@ -96,3 +96,8 @@ def test_membership_identities(family):
     assert m == (h1 if curve.family == "bls" else 1) and gcd(m, h2) == 1
     psi = curve.g2.endomorphism
     assert psi.char == (-t, p) and psi.eigen == a and psi.basis is None
+    # The twist's GLV split is phi again, beside psi: no membership test,
+    # so only x^2 + x + 1 = 0 (mod r) is asked of its eigenvalue.
+    split = curve.g2.split
+    assert split.char == (1, 1) and split.eigen in roots and split.basis is not None
+    assert curve.g1.split is phi

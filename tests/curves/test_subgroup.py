@@ -171,6 +171,18 @@ def test_a_record_that_fails_its_checks_cannot_be_installed():
         rebuilt(g2, endomorphisms=[dataclasses.replace(psi, eigen=psi.eigen + 1)])
 
 
+def test_a_split_is_admitted_by_the_generator_check_alone():
+    g2 = BLS12_381.g2
+    split = g2.split
+    assert rebuilt(g2, splits=[split]).split is split
+    # phi's identity holds for both cube roots; only the generator tells.
+    (other,) = [e for e in phi(BLS12_381.fq, g2.order, scale=BLS12_381.tower.f2_scale)
+                if e.map((2, 1), (3, 0)) != split.map((2, 1), (3, 0))]
+    with pytest.raises(ValueError, match="no split record"):
+        rebuilt(g2, splits=[other])
+    assert rebuilt(g2, splits=[other, split]).split is split
+
+
 def test_bn128_g1_has_nothing_to_check(monkeypatch):
     # A BN curve has p + 1 - t points with trace t = 6u^2 + 1, and that
     # number *is* r: prime, so every point other than O has order r and the

@@ -17,12 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.curves import BLS12_381, BN128
 from repro.msm.batch_affine import batch_affine_add
-from repro.msm.fixed_base import FixedBaseTable, _digit_columns, _walk_width
-from repro.msm.recode import signed_windows, signed_windows_len
+from repro.msm.fixed_base import FixedBaseTable, _walk_width
+from repro.msm.recode import digit_columns, signed_windows_len
 from repro.obs.metrics import MetricsRegistry, collecting
 from repro.resilience.errors import StageTimeout
 from repro.resilience.retry import deadline_scope
-from tests.oracle import reference
+from tests.oracle import reference, signed_windows
 
 FULL = os.environ.get("REPRO_KERNEL_FULL") == "1"
 SIZES = tuple(2 ** i for i in range(6, 12)) if FULL else (0, 1, 2, 7, 33, 130)
@@ -181,7 +181,7 @@ class TestBatchAffineAdd:
        w=st.integers(min_value=1, max_value=16))
 def test_walk_digits_are_signed_windows(k, w):
     n_windows = signed_windows_len(255, w)
-    digits = [column[1] for column in _digit_columns([0, k, 1], w)]
+    digits = [column[1] for column in digit_columns([0, k, 1], w)]
     # The walk stops at the last window any scalar still reaches.
     assert digits + [0] * (n_windows - len(digits)) == signed_windows(k, w, n_windows)
     assert k == 0 or digits[-1] != 0

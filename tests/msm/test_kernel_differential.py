@@ -137,21 +137,84 @@ class TestKernelCrossProduct:
                 fn(group, [g], [1], window=33)
 
 
+#: Window width of the fold cases: digits in [-3, 4], buckets 1..4.
+FOLD_WINDOW = 3
+
+#: Scalars of the points ``(P, P, -P)``, each aimed at one corner of the
+#: cross-window fold at ``FOLD_WINDOW`` (small scalars pass the GLV split
+#: whole, so both kernels see these digits).
+FOLD_CASES = {
+    # window 0 buckets {3: P, 2: -P, 1: P}: running P, then P - P = O,
+    # then the total meets an equal running sum (a doubling).
+    "running-sum-cancels": [3, 1, 2],
+    # buckets {3: P (from -P's digit -3), 2: P}: running P + P doubles.
+    "running-sum-doubles": [2, 1, 5],
+    # buckets {3: -P, 2: P, 1: P}: running -P + P = O, total -P + P = O.
+    "total-cancels": [2, 1, 3],
+    # window 1 (digits 0, 0, 0) is all zero between two live windows.
+    "zero-window": [1 + (1 << 6), 2 + (2 << 6), 1 << 6],
+    # window 1 has digits (1, 1, 2): buckets {1: 2P, 2: -P} fold to O.
+    "window-folds-to-zero": [9, 10, 17],
+    # window 1's buckets cancel inside the accumulation: P + (-P) = O.
+    "bucket-cancels": [1 + (2 << 3), 0, 2 << 3],
+    # 7 -> (-1, 1) and 63 -> (-1, 0, 1): live carry windows.
+    "carry-window": [7, 63, 1],
+}
+
+
+@pytest.mark.parametrize("group_name", GROUP_NAMES)
+class TestCrossWindowFold:
+    """Corners of the affine fold across windows, against the reference."""
+
+    @pytest.mark.parametrize("case", sorted(FOLD_CASES))
+    def test_corner_cases(self, group_name, case):
+        group = _group(group_name)
+        p = (group.generator * 7).to_affine()
+        points = [p, p, (p[0], group.ops.neg(p[1]))]
+        scalars = FOLD_CASES[case]
+        reference = msm_pippenger(group, points, scalars)
+        for window in (FOLD_WINDOW, None):
+            for kernel in (msm_wnaf, msm_glv):
+                result = kernel(group, points, scalars, window=window)
+                assert result == reference, (kernel.__name__, window)
+                assert result.to_affine() == reference.to_affine()
+
+    def test_carry_window_of_full_width_scalars(self, group_name):
+        # order - 1 and 2^bits - 1 both carry out of their top raw window.
+        group = _group(group_name)
+        p = (group.generator * 3).to_affine()
+        bits = group.order.bit_length()
+        scalars = [group.order - 1, (1 << (bits - 1)) - 1]
+        reference = msm_pippenger(group, [p, p], scalars)
+        for window in (FOLD_WINDOW, 4, None):
+            assert msm_wnaf(group, [p, p], scalars, window=window) == reference
+            assert msm_glv(group, [p, p], scalars, window=window) == reference
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_single_term(self, group_name, kernel):
+        group = _group(group_name)
+        p = (group.generator * 11).to_affine()
+        r = random.Random(group_name)
+        for k in (1, 2, 5, group.order - 1, r.randrange(group.order)):
+            reference = msm_pippenger(group, [p], [k])
+            assert KERNELS[kernel](group, [p], [k]) == reference, k
+            assert reference == group.point(*p) * k
+
+
 class TestDispatch:
-    def test_auto_prefers_glv_on_g1_wnaf_on_g2(self, monkeypatch):
+    def test_auto_prefers_glv_on_both_groups(self, monkeypatch):
         from repro.obs.metrics import MetricsRegistry, collecting
 
         # The retired override names the other kernel; nothing reads it.
         monkeypatch.setenv("REPRO_MSM", "pippenger")
-        for group_name, metric in (
-            ("bn128.G1", "repro_msm_glv_calls_total"),
-            ("bn128.G2", "repro_msm_wnaf_calls_total"),
-        ):
+        for group_name in ("bn128.G1", "bn128.G2"):
             group = _group(group_name)
             points, scalars = _msm_inputs(group_name, 64)
             with collecting(MetricsRegistry()) as m:
                 msm_auto(group, points, scalars)
-            assert m.counter(metric) >= 1, group_name
+            assert m.counter("repro_msm_glv_calls_total") == 1, group_name
+            assert m.counter("repro_msm_glv_decompositions_total") == 61, group_name
+            assert m.counter("repro_msm_wnaf_calls_total") == 1, group_name
             assert m.counter("repro_msm_pippenger_calls_total") == 0
 
     def test_traced_runs_stay_on_reference_kernel(self, monkeypatch):

@@ -3,9 +3,13 @@
 Hypothesis pins the algebraic invariants each optimization rests on:
 
 - signed-window recoding is an exact integer transform with digits in
-  ``[-(2^(c-1) - 1), 2^(c-1)]``;
+  ``[-(2^(c-1) - 1), 2^(c-1)]`` (the row recoder of ``tests/oracle.py``),
+  and the kernels' streamed columns are its rows transposed;
 - GLV decomposition satisfies ``k1 + lam*k2 = k (mod r)`` with half-width
-  halves, and the derived constants are genuine roots of ``x^2 + x + 1``;
+  halves on G1 and G2 alike, and the derived constants are genuine roots of
+  ``x^2 + x + 1``;
+- the window chooser lands within 10 % of the best swept width by counted
+  field multiplications;
 - batch-affine bucket accumulation matches naive group addition, including
   the doubling and cancellation corner cases that bypass the inversion
   batch;
@@ -20,13 +24,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.curves import BLS12_381, BN128, get_curve
 from repro.curves.endomorphism import decompose_scalar
-from repro.msm import glv
+from repro.msm import batch_affine, glv
 from repro.msm.batch_affine import batch_affine_accumulate
 from repro.msm.glv import msm_glv
 from repro.msm.pippenger import msm_pippenger
-from repro.msm.recode import signed_windows, signed_windows_len
+from repro.msm.recode import digit_columns, signed_windows_len
 from repro.msm.wnaf import optimal_signed_window
 from repro.obs import metrics
+from tests.oracle import cofactor_points, count_ops, signed_windows
 
 R_BN = BN128.g1.order
 EDGE_SCALARS = [0, 1, 2, R_BN - 1, R_BN, R_BN + 1, 2 * R_BN - 1]
@@ -61,6 +66,20 @@ class TestSignedWindows:
             digits = signed_windows(k, c, n_digits)
             assert sum(d << (c * i) for i, d in enumerate(digits)) == k
 
+    @settings(max_examples=100, deadline=None)
+    @given(ks=st.lists(st.integers(min_value=0, max_value=(1 << 256) - 1), max_size=6),
+           c=st.integers(min_value=1, max_value=16))
+    def test_columns_are_the_rows_transposed(self, ks, c):
+        # The kernels stream columns, which stop at the last window any
+        # scalar still reaches; the rows run to the common shape's end.
+        n_digits = signed_windows_len(max([k.bit_length() for k in ks] + [1]), c)
+        rows = [signed_windows(k, c, n_digits) for k in ks]
+        columns = list(digit_columns(ks, c))
+        assert len(columns) <= n_digits
+        padded = columns + [[0] * len(ks)] * (n_digits - len(columns))
+        assert [list(row) for row in zip(*padded)] == rows
+        assert not columns or any(columns[-1])
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             signed_windows(-1, 4, 10)
@@ -92,6 +111,27 @@ class TestOptimalSignedWindow:
             c_full = optimal_signed_window(n, 254)
             assert (signed_windows_len(129, c_half)
                     < signed_windows_len(254, c_full))
+
+
+class TestWindowChoiceByCount:
+    """The machine-independent twin of ``test_ablation_window_sweep``
+    (``tests/paper/test_ablation_msm.py``): the width the kernel picks for
+    256 terms costs within 10 % of the best swept width, counted in field
+    multiplications + squarings, on G1's halves and G2's split."""
+
+    @pytest.mark.parametrize("group", [BN128.g1, BN128.g2], ids=["G1", "G2"])
+    def test_chosen_width_near_the_best(self, group):
+        r = random.Random(group.name)
+        points = [(group.generator * r.randrange(1, 1 << 30)).to_affine()
+                  for _ in range(256)]
+        scalars = [r.randrange(group.order) for _ in points]
+
+        def products(window):
+            _, counts = count_ops(group, msm_glv, group, points, scalars, window=window)
+            return counts["mul"] + counts["sqr"]
+
+        best = min(products(c) for c in range(4, 12))
+        assert products(None) <= 1.1 * best
 
 
 @pytest.fixture(params=["bn128", "bls12_381"], scope="module")
@@ -130,15 +170,60 @@ class TestGLVParams:
             assert abs(a).bit_length() <= r.bit_length() // 2 + 2
             assert abs(b).bit_length() <= r.bit_length() // 2 + 2
 
-    def test_g2_has_no_params(self):
-        # psi has no two-dimensional split: the G2 MSM is not decomposed.
-        assert BN128.g2.endomorphism.basis is None
-        assert BLS12_381.g2.endomorphism.basis is None
-
     def test_memoized(self, g1):
         # Nothing to memoize: an attribute set by Group.__init__.
         assert vars(g1)["endomorphism"] is g1.endomorphism
         assert not hasattr(glv, "_PARAMS") and not hasattr(glv, "glv_params")
+
+
+@pytest.fixture(params=["bn128", "bls12_381"], scope="module")
+def twist(request):
+    return get_curve(request.param)
+
+
+class TestG2Split:
+    """G2's split record: ``phi`` on the twist (``beta`` in ``Fq`` scaling
+    both ``Fq2`` components of ``x``), installed beside ``psi``, which
+    stays the membership test."""
+
+    def test_lambda_is_a_cube_root_and_the_map_is_lambda_on_generator(self, twist):
+        g2 = twist.g2
+        split, r = g2.split, g2.order
+        assert split is not g2.endomorphism and split.basis is not None
+        assert (split.eigen ** 2 + split.eigen + 1) % r == 0
+        assert split.eigen == twist.g1.split.eigen
+        image = g2.point(*split.map(*g2.generator.to_affine()))
+        assert image == g2.generator * split.eigen
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_recomposition_and_half_width(self, twist, data):
+        split, r = twist.g2.split, twist.g2.order
+        k = data.draw(st.integers(min_value=0, max_value=r - 1))
+        k1, k2 = decompose_scalar(split.basis, r, k)
+        assert (k1 + k2 * split.eigen) % r == k
+        bound = r.bit_length() // 2 + 2
+        assert abs(k1).bit_length() <= bound and abs(k2).bit_length() <= bound
+
+    def test_edge_scalars(self, twist):
+        split, r = twist.g2.split, twist.g2.order
+        bound = r.bit_length() // 2 + 2
+        for k in (0, 1, 2, r - 1, (r - 1) // 2, r // 2 + 1):
+            k1, k2 = decompose_scalar(split.basis, r, k)
+            assert (k1 + k2 * split.eigen) % r == k
+            assert abs(k1).bit_length() <= bound and abs(k2).bit_length() <= bound
+
+    def test_membership_still_walks_psi(self, twist):
+        g2 = twist.g2
+        psi, naf = g2.endomorphism, g2._member_naf
+        assert psi.char == (-(twist.fq.modulus + 1 - twist.g1.cofactor * g2.order),
+                            twist.fq.modulus)
+        assert sum(d << i for i, d in enumerate(reversed(naf))) == abs(psi.eigen)
+        # The shorter ladder of the two records.
+        assert abs(psi.eigen) < abs(g2.split.eigen)
+        assert g2.in_subgroup(g2.generator * 5)
+        (rogue,) = cofactor_points(twist, 1)
+        assert not g2.in_subgroup(g2.point(*rogue))
 
 
 class TestDecomposeScalar:
@@ -188,6 +273,31 @@ class TestBatchAffineAccumulate:
             for _ in range(n)
         ]
         self._check(group, 8, entries)
+
+    def test_long_rounds_split_into_bounded_waves(self, monkeypatch):
+        # 3 * cap points over 8 buckets, 3 * cap / 16 pairs a bucket in the
+        # first round: a wave takes buckets until it holds the cap.
+        group = BN128.g1
+        cap = batch_affine._WAVE_PAIRS
+        per_bucket = 3 * cap // 16
+        acc, points = group.infinity(), []
+        for _ in range(3 * cap):
+            acc = acc.add_affine(*group.generator.to_affine())
+            points.append(acc.to_affine())
+        entries = [(1 + i % 8, pt) for i, pt in enumerate(points)]
+        waves = []
+        original = batch_affine.batch_affine_add
+
+        def spy(ops, ps, qs):
+            waves.append(len(ps))
+            return original(ops, ps, qs)
+
+        monkeypatch.setattr(batch_affine, "batch_affine_add", spy)
+        self._check(group, 8, entries)
+        first = -(-cap // per_bucket) * per_bucket  # whole buckets up to the cap
+        assert waves[0] == first < 8 * per_bucket
+        assert max(waves) < cap + per_bucket
+        assert sum(waves) == len(entries) - 8
 
     def test_doubling_and_cancellation(self, g1):
         g = g1.generator.to_affine()
@@ -282,9 +392,9 @@ class TestWindowSlices:
         assert sliced_windows == windows
         # ... but every slice repeats the GLV split over all live terms:
         # the decomposition counter reads k times the serial one (the work
-        # the window-sliced map duplicates; none on G2, which has no split).
+        # the window-sliced map duplicates, on G1 and G2 alike).
         assert sliced_decompositions == k * decompositions
-        assert (decompositions > 0) == (group.endomorphism.basis is not None)
+        assert decompositions > 0
 
     def test_slices_past_the_window_count_are_infinity(self, slice_case):
         group, _points, _scalars = slice_case

@@ -10,7 +10,17 @@ unreduced binary double-and-add with general additions.  ``Point.__mul__``
 reduces its scalar mod ``r`` and ``Group.in_subgroup`` no longer computes
 ``[r]P``; this is what both are checked against, and what certifies the
 rogue points built here as outside the subgroup — never the code under test.
+
+*The row recoder*: :func:`signed_windows` recodes one scalar into all of
+its signed window digits at once, the comparator of the streamed column
+recoder :func:`repro.msm.recode.digit_columns` the kernels use.
+
+*The op counter*: :func:`count_ops` counts a group's coordinate-adapter
+multiplications, squarings and inversions over one call — the
+machine-independent cost of a kernel.
 """
+
+from collections import Counter
 
 from repro.perf.trace import Tracer, tracing
 
@@ -106,3 +116,65 @@ def point_of_order(seed, ell):
     while not (nxt := ladder_mul(pt, ell)).is_infinity():
         pt = nxt
     return pt
+
+
+def signed_windows(k, c, n_digits):
+    """Recode non-negative *k* into *n_digits* signed ``c``-bit window digits.
+
+    Digits lie in ``[-(2^(c-1) - 1), 2^(c-1)]`` and satisfy
+    ``k == sum_i digits[i] * 2^(c*i)`` exactly.  A raw digit above
+    ``2^(c-1)`` is replaced by ``digit - 2^c`` and a carry into the next
+    window, so only ``2^(c-1)`` bucket slots are ever referenced (half of
+    the unsigned kernel's ``2^c - 1``).
+
+    *n_digits* must come from :func:`repro.msm.recode.signed_windows_len`
+    for the widest scalar in the batch so every scalar recodes to the same
+    shape.
+    """
+    if k < 0:
+        raise ValueError(f"signed_windows expects a non-negative scalar, got {k}")
+    mask = (1 << c) - 1
+    half = 1 << (c - 1)
+    full = 1 << c
+    digits = [0] * n_digits
+    carry = 0
+    for i in range(n_digits):
+        d = ((k >> (c * i)) & mask) + carry
+        if d > half:
+            d -= full
+            carry = 1
+        else:
+            carry = 0
+        digits[i] = d
+    if carry or k >> (c * n_digits):
+        raise ValueError(
+            f"scalar {k} does not fit in {n_digits} signed {c}-bit windows"
+        )
+    return digits
+
+
+#: The adapter calls :func:`count_ops` counts.
+COUNTED_OPS = ("mul", "sqr", "inv")
+
+
+def count_ops(group, fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), counts)``: *counts* is a ``Counter`` of the
+    ``mul`` / ``sqr`` / ``inv`` calls made through ``group.ops`` meanwhile
+    (the adapter's bound kernels are swapped for counting wrappers and put
+    back afterwards)."""
+    ops, counts = group.ops, Counter()
+    saved = {name: getattr(ops, name) for name in COUNTED_OPS}
+
+    def counted(name, kernel):
+        def call(*operands):
+            counts[name] += 1
+            return kernel(*operands)
+        return call
+
+    for name, kernel in saved.items():
+        setattr(ops, name, counted(name, kernel))
+    try:
+        return fn(*args, **kwargs), counts
+    finally:
+        for name, kernel in saved.items():
+            setattr(ops, name, kernel)

@@ -14,6 +14,8 @@ import pytest
 
 from repro import parallel
 from repro.curves import BN128, PairingEngine, Point
+from repro.curves import curve as curve_module
+from repro.curves.endomorphism import decompose_scalar
 from repro.groth16 import generate_witness, prove, public_inputs, setup, verify
 from repro.msm import FixedBaseTable, msm_auto
 from repro.obs.metrics import MetricsRegistry, collecting
@@ -49,10 +51,13 @@ def test_msm_auto(group):
     assert ref == fast and ref.to_affine() == fast.to_affine()
     assert ref_metrics.counter("repro_msm_pippenger_calls_total") == 1
     assert ref_metrics.counter("repro_msm_wnaf_calls_total") == 0
+    assert ref_metrics.counter("repro_msm_glv_decompositions_total") == 0
     assert "msm_window" in region_names(tracer)
     assert fast_metrics.counter("repro_msm_pippenger_calls_total") == 0
     assert fast_metrics.counter("repro_msm_wnaf_calls_total") == 1
-    assert fast_metrics.counter("repro_msm_glv_calls_total") == (group is G1)
+    # Both groups split: phi on G1, phi on the twist for G2.
+    assert fast_metrics.counter("repro_msm_glv_calls_total") == 1
+    assert fast_metrics.counter("repro_msm_glv_decompositions_total") == len(points)
 
 
 @pytest.mark.parametrize("group", [G1, G2], ids=["G1", "G2"])
@@ -118,26 +123,32 @@ def test_to_affine(group):
 
 @pytest.mark.parametrize("group", [G1, G2], ids=["G1", "G2"])
 def test_point_mul(group, monkeypatch):
-    fast_only = []
+    fast_only, splits = [], []
     original = Point._mul_wnaf
 
     def spy(self, k):
         fast_only.append(k)
         return original(self, k)
 
+    def split_spy(basis, r, k):
+        splits.append(k)
+        return decompose_scalar(basis, r, k)
+
     monkeypatch.setattr(Point, "_mul_wnaf", spy)
+    monkeypatch.setattr(curve_module, "decompose_scalar", split_spy)
     point = group.generator * 3
     k = random.Random(31).randrange(group.order)
-    assert fast_only == [3]
+    assert fast_only == [3] and splits == [3]
     ref, tracer, _ = traced(point.__mul__, k)
-    assert fast_only == [3]
+    # The traced ladder neither takes the wNAF route nor splits the scalar.
+    assert fast_only == [3] and splits == [3]
     # The loop the modeled stages count: an addition a set bit and a
     # doubling a bit, less the first of each (the accumulator is O).
     counts = tracer.total_counts()
     assert counts[group._add_tag] == bin(k).count("1") - 1
     assert counts[group._dbl_tag] == k.bit_length() - 1
     fast = point * k
-    assert fast_only == [3, k]
+    assert fast_only == [3, k] and splits == [3, k]
     assert fast == ref and fast.to_affine() == ref.to_affine()
 
 
