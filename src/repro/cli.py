@@ -265,13 +265,13 @@ def cmd_run(args, out=print):
         sweep = profile_sweep(curve_names=curves, sizes=sizes,
                               seed=args.seed, workload=args.workload)
     for name in names:
-        text = ARTIFACTS[name](sweep).render()
+        result = ARTIFACTS[name](sweep)
         out("")
-        out(text)
+        out(result.render())
         if args.out:
             os.makedirs(args.out, exist_ok=True)
             with open(os.path.join(args.out, f"{name}.txt"), "w") as f:
-                f.write(text + "\n")
+                f.write(result.render(artifact=True) + "\n")
     return 0
 
 

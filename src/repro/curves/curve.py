@@ -49,7 +49,8 @@ class FpOps:
 
     ``add/sub/neg/mul/sqr/inv`` are the :class:`PrimeField` kernels
     themselves, bound once here, so a coordinate operation in the group law
-    is a single Python call.
+    is a single Python call; a batch-affine wave is one call in all
+    (:meth:`add_wave`).
     """
 
     __slots__ = ("fq", "tag", "zero", "one", "coord_bytes",
@@ -72,12 +73,67 @@ class FpOps:
         """Accept an int (or int-like) coordinate and reduce it."""
         return int(v) % self.fq.modulus
 
+    def add_wave(self, ps, qs):
+        """``(sums, inverted)``: every ``ps[i] + qs[i]`` of affine ``(x, y)``
+        points (``None`` is infinity) behind one shared inversion, and how
+        many sums took a slope — ``0`` when no inversion ran.
+
+        Fused (docs/KERNELS.md, "Batch-affine waves"): slope numerators and
+        denominators stay unreduced differences, and Montgomery's prefix
+        chain, its back-substitution and the addition formulas are inline
+        ``a * b % m`` instead of a Python call per field operation.
+        ``P + P`` takes the tangent; ``P + (-P)`` and ``2 * (x, 0)`` are
+        infinity, so no denominator is zero.
+        """
+        fq = self.fq
+        m = fq._mod
+        out = [None] * len(ps)
+        work = []  # (slot, slope numerator, denominator), both unreduced
+        for i, (p, q) in enumerate(zip(ps, qs)):
+            if p is None or q is None:
+                out[i] = q if p is None else p
+            elif p[0] != q[0]:
+                work.append((i, q[1] - p[1], q[0] - p[0]))
+            elif p[1] == q[1] and p[1]:
+                # doubling: lambda = 3*x^2 / (2*y)  (a = 0 curves)
+                work.append((i, 3 * p[0] * p[0], 2 * p[1]))
+        if not work:
+            return out, 0
+        n = len(work)
+        t = RUN.tracer
+        if t is not None:
+            # lincomb's rule: the primitives of the per-operation wave (two
+            # subtractions a chord, a squaring and three additions a
+            # tangent, 3 products a slot to invert, 2 products, a squaring
+            # and 4 subtractions a slot to finish); fq.inv reports itself.
+            dbl = sum(ps[i][0] == qs[i][0] for i, _num, _den in work)
+            t.op(fq._mul_tag, 5 * n)
+            t.op(fq._sqr_tag, n + dbl)
+            t.op(fq._sub_tag, 6 * n - 2 * dbl)
+            if dbl:
+                t.op(fq._add_tag, 3 * dbl)
+        prefix = [1] * n
+        acc = 1
+        for j, (_i, _num, den) in enumerate(work):
+            prefix[j] = acc
+            acc = acc * den % m
+        inv = fq.inv(acc)
+        for j in range(n - 1, -1, -1):
+            i, num, den = work[j]
+            (x1, y1), x2 = ps[i], qs[i][0]
+            lam = num * (inv * prefix[j] % m) % m
+            inv = inv * den % m
+            x3 = (lam * lam - x1 - x2) % m
+            out[i] = (x3, (lam * (x1 - x3) - y1) % m)
+        return out, n
+
 
 class Fp2Ops:
     """Coordinate adapter for G2: opaque values are raw ``(c0, c1)`` pairs.
 
     ``add/sub/neg/mul/sqr/inv`` are the tower's flat ``f2_*`` kernels
-    themselves, bound once here (see :class:`FpOps`).
+    themselves, bound once here, and :meth:`add_wave` is the fused
+    batch-affine wave (see :class:`FpOps`).
     """
 
     __slots__ = ("tower", "tag", "zero", "one", "coord_bytes",
@@ -100,6 +156,66 @@ class Fp2Ops:
         p = self.tower.fq.modulus
         c0, c1 = v
         return (int(c0) % p, int(c1) % p)
+
+    def add_wave(self, ps, qs):
+        """:meth:`FpOps.add_wave` over ``Fp2`` pairs: Karatsuba inline, and
+        the wave inverts through norms, ``1/d = conj(d) / (d0^2 + d1^2)``
+        (``u^2 = -1``, the only tower implemented), so the shared inversion
+        is one ``Fp`` batch inversion of the denominators' norms.
+        """
+        fq = self.tower.fq
+        m = fq._mod
+        out = [None] * len(ps)
+        work = []  # (slot, slope numerator, denominator), both unreduced
+        for i, (p, q) in enumerate(zip(ps, qs)):
+            if p is None or q is None:
+                out[i] = q if p is None else p
+            elif p[0] != q[0]:
+                (px0, px1), (py0, py1) = p
+                (qx0, qx1), (qy0, qy1) = q
+                work.append((i, (qy0 - py0, qy1 - py1), (qx0 - px0, qx1 - px1)))
+            elif p[1] == q[1] and p[1] != (0, 0):
+                # doubling: lambda = 3*x^2 / (2*y)  (a = 0 curves)
+                (x0, x1), (y0, y1) = p
+                work.append((i, (3 * (x0 + x1) * (x0 - x1), 6 * x0 * x1), (2 * y0, 2 * y1)))
+        if not work:
+            return out, 0
+        n = len(work)
+        t = RUN.tracer
+        if t is not None:
+            # lincomb's rule: the per-operation wave's f2 kernels — 6
+            # products a slot and one a tangent (4 mul, 3 add, 2 sub each),
+            # 2 f2_sub a chord and 3 f2_add a tangent, 4 f2_sub a slot to
+            # finish, and f2_inv's norm; fq.inv reports itself.
+            dbl = sum(ps[i][0] == qs[i][0] for i, _num, _den in work)
+            products = 6 * n + dbl
+            t.op(fq._mul_tag, 4 * products + 3)
+            t.op(fq._add_tag, 3 * products + 6 * dbl + 1)
+            t.op(fq._sub_tag, 2 * products + 12 * n - 4 * dbl + 1)
+            t.op(fq._sqr_tag, 2)
+        norms, prefix = [1] * n, [1] * n
+        acc = 1
+        for j, (_i, _num, (d0, d1)) in enumerate(work):
+            prefix[j] = acc
+            norms[j] = norm = (d0 * d0 + d1 * d1) % m
+            acc = acc * norm % m
+        inv = fq.inv(acc)
+        for j in range(n - 1, -1, -1):
+            i, (n0, n1), (d0, d1) = work[j]
+            ((x10, x11), (y10, y11)), (x20, x21) = ps[i], qs[i][0]
+            ninv = inv * prefix[j] % m
+            inv = inv * norms[j] % m
+            # lambda = num * conj(d) / norm(d), Karatsuba
+            t0, t1 = n0 * d0, n1 * d1
+            l0 = (t0 + t1) % m * ninv % m
+            l1 = ((n0 + n1) * (d0 - d1) - t0 + t1) % m * ninv % m
+            x30 = ((l0 + l1) * (l0 - l1) - x10 - x20) % m
+            x31 = (2 * l0 * l1 - x11 - x21) % m
+            e0, e1 = x10 - x30, x11 - x31
+            t0, t1 = l0 * e0, l1 * e1
+            y3 = ((t0 - t1 - y10) % m, ((l0 + l1) * (e0 + e1) - t0 - t1 - y11) % m)
+            out[i] = ((x30, x31), y3)
+        return out, n
 
 
 class Group:

@@ -19,17 +19,19 @@ pairs up its pending points, the pairs across the buckets share a wave
 until it holds ``_WAVE_PAIRS`` of them, and the halved pending lists go
 around again — ``O(log(max occupancy))`` rounds.
 
-Everything runs through the group's coordinate adapter
-(:class:`~repro.curves.curve.FpOps` / ``Fp2Ops``), so the kernel serves G1
-and G2 alike and traced runs keep attributing the field work to the bigint
-primitives.
+The wave's field work is the coordinate adapter's fused ``add_wave``
+(:class:`~repro.curves.curve.FpOps` / ``Fp2Ops``): one method per
+coordinate field, inline arithmetic instead of a Python call per field
+operation, so the kernel serves G1 and G2 alike; ``Fp2`` inverts through
+norms.  No traced run reaches a wave (the pinning rule); one traced anyway
+reports the bigint primitives of the per-operation wave it stands for.
 """
 
 from __future__ import annotations
 
 from repro.context import RUN
 
-__all__ = ["batch_affine_accumulate", "batch_affine_add", "batch_inv"]
+__all__ = ["batch_affine_accumulate", "batch_affine_add"]
 
 #: Pairs after which an accumulation wave takes no further bucket.  A
 #: wave's numerators, denominators, prefix products and sums are the bucket
@@ -38,63 +40,24 @@ __all__ = ["batch_affine_accumulate", "batch_affine_add", "batch_inv"]
 _WAVE_PAIRS = 256
 
 
-def batch_inv(ops, xs):
-    """Montgomery simultaneous inversion through a coordinate adapter.
-
-    ``3(n-1)`` multiplications plus one inversion; *xs* must be non-zero
-    (the caller's pair classification guarantees it).
-    """
-    n = len(xs)
-    prefix = [ops.one] * n
-    acc = ops.one
-    for i in range(n):
-        prefix[i] = acc
-        acc = ops.mul(acc, xs[i])
-    inv_acc = ops.inv(acc)
-    out = [ops.one] * n
-    for i in range(n - 1, -1, -1):
-        out[i] = ops.mul(inv_acc, prefix[i])
-        inv_acc = ops.mul(inv_acc, xs[i])
-    return out
-
-
 def batch_affine_add(ops, ps, qs):
     """One wave: the list of ``ps[i] + qs[i]`` behind one shared inversion.
 
     Operands and results are affine ``(x, y)`` tuples in the adapter's raw
-    representation, ``None`` for infinity.
+    representation, ``None`` for infinity; the adapter's fused
+    ``add_wave`` does the field work.
     """
     # Cooperative deadline poll once per wave — the unit of work of the
     # bucket rounds and of the fixed-base walk alike.
     if RUN.deadline is not None:
         RUN.deadline.check()
-    add, sub, mul, sqr = ops.add, ops.sub, ops.mul, ops.sqr
-    out = [None] * len(ps)
-    slots, nums, denoms = [], [], []  # sums that need a slope num / denom
-    for i, (p, q) in enumerate(zip(ps, qs)):
-        if p is None or q is None:
-            out[i] = q if p is None else p
-        elif p[0] != q[0]:
-            slots.append(i)
-            nums.append(sub(q[1], p[1]))
-            denoms.append(sub(q[0], p[0]))
-        elif p[1] == q[1] and not ops.is_zero(p[1]):
-            xx = sqr(p[0])  # doubling: lambda = 3*x^2 / (2*y)  (a = 0 curves)
-            slots.append(i)
-            nums.append(add(add(xx, xx), xx))
-            denoms.append(add(p[1], p[1]))
-        # else P + (-P) or 2 * (x, 0): infinity
-    if not denoms:
+    out, inverted = ops.add_wave(ps, qs)
+    if not inverted:
         return out
     m = RUN.metrics
     if m is not None:
         m.inc("repro_msm_batch_affine_inversions_total")
-        m.observe("repro_msm_batch_affine_wave", len(denoms))
-    for i, num, inv in zip(slots, nums, batch_inv(ops, denoms)):
-        x1, y1 = ps[i]
-        lam = mul(num, inv)
-        x3 = sub(sub(sqr(lam), x1), qs[i][0])
-        out[i] = (x3, sub(mul(lam, sub(x1, x3)), y1))
+        m.observe("repro_msm_batch_affine_wave", inverted)
     return out
 
 

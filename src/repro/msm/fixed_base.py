@@ -134,6 +134,7 @@ class FixedBaseTable:
             with t.region("fixed_base_mul_many", parallel=True, items=len(scalars)):
                 return [self.mul(k) for k in scalars]
         group, ops = self.group, self.group.ops
+        neg = ops.neg
         out = [group.infinity() for _ in scalars]
         live = {i: k for i, k in enumerate(map(self._reduced, scalars)) if k}
         if not live:
@@ -143,11 +144,11 @@ class FixedBaseTable:
         for column in digit_columns(live.values(), w):
             while len(row) < 1 << (w - 1):
                 row += batch_affine_add(ops, row, [row[-1]] * len(row))
-            picks = []
-            for d in column:
-                pt = row[abs(d) - 1] if d else None
-                # Negating the entry of a negative digit is free in affine.
-                picks.append((pt[0], ops.neg(pt[1])) if d < 0 and pt else pt)
+            # A negative digit picks the negated entry: free in affine.
+            picks = [row[d - 1] if d > 0
+                     else None if d == 0 or row[-d - 1] is None
+                     else (row[-d - 1][0], neg(row[-d - 1][1]))
+                     for d in column]
             accs = batch_affine_add(ops, accs, picks)
             row = batch_affine_add(ops, row[-1:], row[-1:])  # 2^w * this base
         for i, acc in zip(live, accs):

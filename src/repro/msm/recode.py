@@ -29,16 +29,22 @@ def signed_windows_len(nbits, c):
 
 
 # codelint: ignore[RC501] -- one column a step, bounded by the window count; callers poll per window
-def digit_columns(ks, c):
+def digit_columns(ks, c, start=0):
     """Yield the signed ``c``-bit digit of every non-negative scalar of
-    *ks*, window by window until all are spent, least significant first.
+    *ks*, window by window until all are spent, least significant first,
+    from window *start* on.
 
     A raw digit above ``2^(c-1)`` becomes ``digit - 2^c`` and a carry into
     the next window, so ``k == sum_i column_i[j] * 2^(c*i)`` for scalar
-    ``j``, and at most :func:`signed_windows_len` columns come out.
+    ``j``, and at most :func:`signed_windows_len` columns come out.  The
+    carry into window *start* is the chain's closed form: every window
+    below it has digit ``u - (2^(c-1) - 1)`` for the raw digit ``u`` of
+    ``k + (2^(c-1) - 1) * (2^(c*start) - 1) / (2^c - 1)``.
     """
-    ks = list(ks)
     mask, half = (1 << c) - 1, 1 << (c - 1)
+    shift = c * start
+    bias = (half - 1) * ((1 << shift) - 1) // mask
+    ks = [(k + bias) >> shift for k in ks]
     while any(ks):
         column = []
         for i, k in enumerate(ks):

@@ -108,8 +108,8 @@ def signed_bucket_msm(group, pairs, window=None, part=None):
     ops = group.ops
     neg = ops.neg
     windows = []  # the slice's affine buckets, one list a window
-    columns = digit_columns((k for _pt, k in pairs), c)
-    for column in islice(columns, lo, hi):
+    columns = digit_columns((k for _pt, k in pairs), c, start=lo)
+    for column in islice(columns, hi - lo):
         # Cooperative deadline poll between the independent window passes,
         # like the reference kernel.
         if RUN.deadline is not None:

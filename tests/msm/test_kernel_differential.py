@@ -18,6 +18,7 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.curves import get_curve
 from repro.msm.dispatch import msm_auto
@@ -26,6 +27,8 @@ from repro.msm.naive import msm_naive
 from repro.msm.pippenger import msm_pippenger
 from repro.msm.wnaf import msm_wnaf
 from repro.parallel.pool import WorkerPool
+from repro.perf.trace import Tracer, tracing
+from tests.oracle import affine_wave
 
 FULL = os.environ.get("REPRO_KERNEL_FULL") == "1"
 
@@ -201,6 +204,73 @@ class TestCrossWindowFold:
             assert reference == group.point(*p) * k
 
 
+#: Affine multiples ``[k]G`` per group, the operands of the wave tests.
+_MULTIPLES = {}
+
+
+def _multiples(group_name):
+    if group_name not in _MULTIPLES:
+        group = _group(group_name)
+        pts = [(group.generator * k).to_affine() for k in range(1, 7)]
+        _MULTIPLES[group_name] = pts + [(x, group.ops.neg(y)) for x, y in pts]
+    return _MULTIPLES[group_name]
+
+
+def _traced_counts(fn, *args):
+    """``(fn(*args), counts)`` of one call under a throwaway tracer."""
+    tracer = Tracer()
+    with tracing(tracer):
+        value = fn(*args)
+    return value, +tracer.root.counts
+
+
+@pytest.mark.parametrize("group_name", GROUP_NAMES)
+class TestFusedWave:
+    """The adapters' fused ``add_wave`` against the per-operation wave of
+    ``tests/oracle.py``: same sums, same number of slopes, and under a
+    tracer the same primitive counts."""
+
+    def _check(self, group_name, ps, qs):
+        ops = _group(group_name).ops
+        expected, expected_counts = _traced_counts(affine_wave, ops, ps, qs)
+        assert ops.add_wave(ps, qs) == affine_wave(ops, ps, qs) == expected
+        got, counts = _traced_counts(ops.add_wave, ps, qs)
+        assert got == expected
+        assert counts == expected_counts
+        return got[0]
+
+    @settings(max_examples=25, deadline=None)
+    @given(picks=st.lists(st.tuples(st.integers(-1, 11), st.integers(-1, 11)), max_size=12))
+    def test_random_waves(self, group_name, picks):
+        # Twelve points (six and their negations) drawn with replacement:
+        # chords, tangents, cancellations and infinities all come up.
+        pts = _multiples(group_name) + [None]
+        self._check(group_name, [pts[i] for i, _ in picks], [pts[j] for _, j in picks])
+
+    def test_corner_cases(self, group_name):
+        group = _group(group_name)
+        p, q, neg_p = (_multiples(group_name)[i] for i in (0, 4, 6))
+        twice, six = _multiples(group_name)[1], _multiples(group_name)[5]
+        # Equal x, a different y that is not -y: the classifier keys on x.
+        other_y = (p[0], group.ops.add(p[1], group.ops.one))
+        ps = [None, p, None, p, p, p, p]
+        qs = [q, None, None, q, p, neg_p, other_y]
+        assert self._check(group_name, ps, qs) == [q, p, None, six, twice, None, None]
+
+    def test_only_doublings(self, group_name):
+        pts = _multiples(group_name)[:6]
+        got = self._check(group_name, pts, pts)
+        assert got == [(_group(group_name).generator * (2 * k)).to_affine()
+                       for k in range(1, 7)]
+
+    def test_empty_and_slope_free_waves(self, group_name):
+        p, neg_p = _multiples(group_name)[0], _multiples(group_name)[6]
+        ops = _group(group_name).ops
+        assert ops.add_wave([], []) == ([], 0)
+        assert ops.add_wave([p, None, None], [neg_p, None, p]) == ([None, None, p], 0)
+        self._check(group_name, [p, None], [neg_p, p])
+
+
 class TestDispatch:
     def test_auto_prefers_glv_on_both_groups(self, monkeypatch):
         from repro.obs.metrics import MetricsRegistry, collecting
@@ -221,7 +291,6 @@ class TestDispatch:
         # The analytical model must keep seeing the textbook kernel: under
         # an active tracer msm_auto routes to msm_pippenger.
         from repro.obs.metrics import MetricsRegistry, collecting
-        from repro.perf.trace import Tracer, tracing
 
         monkeypatch.setenv("REPRO_MSM", "glv")
         group = _group("bn128.G1")
@@ -240,7 +309,6 @@ def _proven_workflow(curve, size, workers=None, traced=False):
     """One full workflow: fast kernels by default, the reference kernels of
     every stage with *traced* (a tracer per stage, as ``profile_run`` does)."""
     from repro.harness.circuits import build_workload
-    from repro.perf.trace import Tracer
     from repro.workflow import STAGES, Workflow
 
     builder, inputs = build_workload("exponentiate", curve, size)

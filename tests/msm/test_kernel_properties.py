@@ -20,7 +20,7 @@ Hypothesis pins the algebraic invariants each optimization rests on:
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.curves import BLS12_381, BN128, get_curve
 from repro.curves.endomorphism import decompose_scalar
@@ -79,6 +79,19 @@ class TestSignedWindows:
         padded = columns + [[0] * len(ks)] * (n_digits - len(columns))
         assert [list(row) for row in zip(*padded)] == rows
         assert not columns or any(columns[-1])
+
+    # Carry-only top windows (the last column holds carries alone): a
+    # scalar of whole all-ones windows, and order - 1 at c = 2.
+    @example(ks=[(1 << 255) - 1], c=5, start=51)
+    @example(ks=[(1 << 20) - 1, 1], c=4, start=5)
+    @example(ks=[R_BN - 1], c=2, start=127)
+    @settings(max_examples=200, deadline=None)
+    @given(ks=st.lists(st.integers(min_value=0, max_value=(1 << 256) - 1), max_size=6),
+           c=st.integers(min_value=1, max_value=16),
+           start=st.integers(min_value=0, max_value=60))
+    def test_columns_from_a_start_are_the_tail(self, ks, c, start):
+        full = list(digit_columns(ks, c))
+        assert list(digit_columns(ks, c, start=start)) == full[start:]
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

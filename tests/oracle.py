@@ -15,9 +15,13 @@ rogue points built here as outside the subgroup — never the code under test.
 its signed window digits at once, the comparator of the streamed column
 recoder :func:`repro.msm.recode.digit_columns` the kernels use.
 
+*The per-operation wave*: :func:`affine_wave` is the batch-affine wave
+routed through the coordinate adapter one field operation at a time, the
+comparator of the adapters' fused ``add_wave``.
+
 *The op counter*: :func:`count_ops` counts a group's coordinate-adapter
-multiplications, squarings and inversions over one call — the
-machine-independent cost of a kernel.
+multiplications, squarings and inversions over one call, run on the
+per-operation wave — the machine-independent cost of a kernel.
 """
 
 from collections import Counter
@@ -153,17 +157,71 @@ def signed_windows(k, c, n_digits):
     return digits
 
 
+def batch_inv(ops, xs):
+    """Montgomery simultaneous inversion through a coordinate adapter.
+
+    ``3(n-1)`` multiplications plus one inversion; *xs* must be non-zero
+    (the caller's pair classification guarantees it).
+    """
+    n = len(xs)
+    prefix = [ops.one] * n
+    acc = ops.one
+    for i in range(n):
+        prefix[i] = acc
+        acc = ops.mul(acc, xs[i])
+    inv_acc = ops.inv(acc)
+    out = [ops.one] * n
+    for i in range(n - 1, -1, -1):
+        out[i] = ops.mul(inv_acc, prefix[i])
+        inv_acc = ops.mul(inv_acc, xs[i])
+    return out
+
+
+def affine_wave(ops, ps, qs):
+    """``ops.add_wave(ps, qs)`` one adapter call per field operation:
+    ``(sums, inverted)``, the sums of ``ps[i] + qs[i]`` and how many of
+    them took a slope."""
+    add, sub, mul, sqr = ops.add, ops.sub, ops.mul, ops.sqr
+    out = [None] * len(ps)
+    slots, nums, denoms = [], [], []  # sums that need a slope num / denom
+    for i, (p, q) in enumerate(zip(ps, qs)):
+        if p is None or q is None:
+            out[i] = q if p is None else p
+        elif p[0] != q[0]:
+            slots.append(i)
+            nums.append(sub(q[1], p[1]))
+            denoms.append(sub(q[0], p[0]))
+        elif p[1] == q[1] and not ops.is_zero(p[1]):
+            xx = sqr(p[0])  # doubling: lambda = 3*x^2 / (2*y)  (a = 0 curves)
+            slots.append(i)
+            nums.append(add(add(xx, xx), xx))
+            denoms.append(add(p[1], p[1]))
+        # else P + (-P) or 2 * (x, 0): infinity
+    if not denoms:
+        return out, 0
+    for i, num, inv in zip(slots, nums, batch_inv(ops, denoms)):
+        x1, y1 = ps[i]
+        lam = mul(num, inv)
+        x3 = sub(sub(sqr(lam), x1), qs[i][0])
+        out[i] = (x3, sub(mul(lam, sub(x1, x3)), y1))
+    return out, len(denoms)
+
+
 #: The adapter calls :func:`count_ops` counts.
 COUNTED_OPS = ("mul", "sqr", "inv")
 
 
 def count_ops(group, fn, *args, **kwargs):
     """``(fn(*args, **kwargs), counts)``: *counts* is a ``Counter`` of the
-    ``mul`` / ``sqr`` / ``inv`` calls made through ``group.ops`` meanwhile
-    (the adapter's bound kernels are swapped for counting wrappers and put
-    back afterwards)."""
+    ``mul`` / ``sqr`` / ``inv`` calls made through ``group.ops`` meanwhile.
+
+    The adapter's bound kernels are swapped for counting wrappers, and its
+    fused ``add_wave`` for :func:`affine_wave` on them, so a wave counts
+    the products it stands for; all is put back afterwards.
+    """
     ops, counts = group.ops, Counter()
     saved = {name: getattr(ops, name) for name in COUNTED_OPS}
+    fused = type(ops).add_wave
 
     def counted(name, kernel):
         def call(*operands):
@@ -173,8 +231,10 @@ def count_ops(group, fn, *args, **kwargs):
 
     for name, kernel in saved.items():
         setattr(ops, name, counted(name, kernel))
+    type(ops).add_wave = affine_wave
     try:
         return fn(*args, **kwargs), counts
     finally:
+        type(ops).add_wave = fused
         for name, kernel in saved.items():
             setattr(ops, name, kernel)

@@ -177,6 +177,25 @@ def test_pairing_engine(monkeypatch):
     assert fast_only == ["_miller_loops", "_hard_part_bn"]
 
 
+def test_traced_setup_and_prove_reach_no_wave():
+    # Every batch-affine site (bucket rounds, cross-window fold, fixed-base
+    # walk) sits behind a pinned route, so a traced run counts no wave; the
+    # untraced twin runs them.
+    circuit, inputs = make_pow_circuit(BN128, 4)
+    witness = generate_witness(circuit, inputs)
+
+    def setup_and_prove():
+        pk, _vk = setup(BN128, circuit, random.Random(41))
+        return prove(pk, circuit, witness, random.Random(43))
+
+    ref, _tracer, ref_metrics = traced(setup_and_prove)
+    with collecting(MetricsRegistry()) as fast_metrics:
+        fast = setup_and_prove()
+    assert ref_metrics.counter("repro_msm_batch_affine_inversions_total") == 0
+    assert fast_metrics.counter("repro_msm_batch_affine_inversions_total") > 0
+    assert ref == fast
+
+
 def test_traced_verify_never_meets_the_prepared_key():
     # Four reference loops in their regions; the vk's memo (line tables and
     # the stored Miller value) is neither read nor built under a tracer.
