@@ -94,8 +94,9 @@ parallel-test:
 # the front door x curve x size x worker count must match the reference
 # kernel bit-for-bit, fast proofs must match fully traced ones, the
 # fixed-base batch walk the traced table walk (four groups x 2^6..2^11
-# scalars; pk/vk bytes serial and pooled), the fast pairing its reference
-# element-for-element, Group.in_subgroup the [r]P ladder on a point of
+# scalars; pk/vk bytes serial and pooled), the fused Fp12 kernels and the
+# lockstep line walk their per-operation oracles, the fast pairing its
+# reference element-for-element, Group.in_subgroup the [r]P ladder on a point of
 # every prime order dividing a cofactor, and Point.__mul__ its reference
 # on 500 examples a group.  Wider than the tier-1 run.
 kernel-test:

@@ -13,9 +13,10 @@ and returning the same ``Fp12`` elements
   its cost structure (big-integer multiplies dominating) is what the paper's
   verifying-stage characterization and the modeled figures rest on.
 - **Fast** — every untraced run.  ``R`` stays in affine coordinates *on the
-  twist* (``Fp2`` slope, one ``f2_inv`` per step), which depends on ``Q``
-  alone: :meth:`PairingEngine._lines` yields each step's line coefficients
-  and :meth:`PairingEngine.prepare` keeps them (a verifying key's fixed G2
+  twist* (``Fp2`` slope; the points walked together share one ``Fp``
+  inversion a step), which depends on ``Q`` alone:
+  :meth:`PairingEngine._walk` gives each step's line coefficients and
+  :meth:`PairingEngine.prepare_all` keeps them (a verifying key's fixed G2
   points are walked once).  One loop serves any number of pairs, squaring
   ``f`` once a step for all of them and multiplying it by the exact sparse
   line the reference evaluates,
@@ -214,53 +215,114 @@ class PairingEngine:
 
     # -- Miller loop on the twist (untraced runs) ----------------------------------------
 
-    def _lines(self, Q_aff):
-        """Yield ``(square, c, d)`` for each line of the Miller loop of
-        *Q_aff*, in loop order: at ``P = (xP, yP)`` the line is ``-yP`` plus
-        the ``Fp2`` coefficients ``c * xP`` and ``d`` in the slots of the
-        module docstring (``1/xi`` of the M-type twist folded into both), and
-        *square* says that it is a tangent, before which ``f`` is squared.
-        Nothing here depends on ``P``.  Raises ``ZeroDivisionError`` (from
-        ``f2_inv``) at a chord through two points of equal ``x`` — ``R =
-        +-Q``, impossible for ``Q`` of order ``r`` — where the reference
-        doubles or loses ``R`` to the identity."""
+    def _walk(self, points):
+        """The lines of the Miller loop of each affine twist point in
+        *points*, walked in lockstep: per point a tuple of ``(square, c, d)``
+        in loop order, or ``None`` once a step of its walk has a zero
+        denominator.  At ``P = (xP, yP)`` a line is ``-yP`` plus the ``Fp2``
+        coefficients ``c * xP`` and ``d`` in the slots of the module docstring
+        (``1/xi`` of the M-type twist folded into both); *square* says that
+        it is a tangent, before which ``f`` is squared.  Nothing here depends
+        on ``P``.  ``R`` stays affine on the twist; every step takes the
+        slopes of all live points at once (:meth:`_slopes`), then updates
+        each point and forms its line in flat ``Fp2`` steps."""
         t = self.tower
-        add, sub, mul, sqr, inv = t.f2_add, t.f2_sub, t.f2_mul, t.f2_sqr, t.f2_inv
+        m = t._mod
         bn = self.curve.family == "bn"
         # The M-type line's w^-1 and w^-3 are w^5 / xi and w^3 / xi.
-        xi_inv = t.xi_inv
-
-        def line(lam, x1, y1, x2):
-            """Coefficients of the line of slope *lam* through ``R = (x1,
-            y1)``, and ``R`` plus the line's point of abscissa *x2*."""
-            nu = sub(y1, mul(lam, x1))
-            x3 = sub(sub(sqr(lam), x1), x2)
-            cd = (lam, nu) if bn else (mul(lam, xi_inv), mul(nu, xi_inv))
-            return cd, x3, sub(mul(lam, sub(x1, x3)), y1)
-
-        def chord(x1, y1, x2, y2):
-            return mul(sub(y2, y1), inv(sub(x2, x1)))
-
-        xq, yq = x1, y1 = Q_aff
-        for bit in bin(self.curve.ate_loop)[3:]:
-            x1_sq = sqr(x1)
-            tangent = mul(add(add(x1_sq, x1_sq), x1_sq), inv(add(y1, y1)))
-            cd, x1, y1 = line(tangent, x1, y1, x1)
-            yield (True, *cd)
-            if bit == "1":
-                cd, x1, y1 = line(chord(x1, y1, xq, yq), x1, y1, xq)
-                yield (False, *cd)
+        i0, i1 = t.xi_inv
+        # Chord targets: Q for the loop's additions, then on BN its two
+        # Frobenius images seen from the twist (conjugate, then scale x by
+        # xi^((p-1)/3) and y by xi^((p-1)/2)), the second negated.
+        targets = [(Q,) for Q in points]
         if bn:
-            # Frobenius seen from the twist: conjugate, then scale x by
-            # xi^((p-1)/3) and y by xi^((p-1)/2).
             g1, _g2, gw = t.frobenius_constants
-            gy = mul(g1, gw)
-            conj = t.f2_conj
-            x2, y2 = mul(conj(xq), g1), mul(conj(yq), gy)
-            x3, y3 = mul(conj(x2), g1), t.f2_neg(mul(conj(y2), gy))
-            cd, x1, y1 = line(chord(x1, y1, x2, y2), x1, y1, x2)
-            yield (False, *cd)
-            yield (False, *line(chord(x1, y1, x3, y3), x1, y1, x3)[0])
+            gy, conj, mul = t.f2_mul(g1, gw), t.f2_conj, t.f2_mul
+            for j, (xq, yq) in enumerate(points):
+                x2, y2 = mul(conj(xq), g1), mul(conj(yq), gy)
+                targets[j] += ((x2, y2), (mul(conj(x2), g1), t.f2_neg(mul(conj(y2), gy))))
+        schedule = []
+        for bit in bin(self.curve.ate_loop)[3:]:
+            schedule.append(None)                   # tangent
+            if bit == "1":
+                schedule.append(0)                  # chord through Q
+        if bn:
+            schedule += [1, 2]
+        state = [(*xq, *yq) for xq, yq in points]   # R = (x0, x1, y0, y1)
+        lines = [[None] * len(schedule) for _ in points]
+        live = list(range(len(points)))
+        for k, target in enumerate(schedule):
+            if not live:
+                break
+            square = target is None
+            slopes = self._slopes(live, state, targets, target)
+            if len(slopes) < len(live):
+                # A zero denominator: that point leaves the walk.
+                for i in set(live) - {i for i, *_ in slopes}:
+                    lines[i] = None
+                live = [i for i, *_ in slopes]
+            for i, l0, l1, z0, z1 in slopes:
+                x0, x1, y0, y1 = state[i]
+                # nu = y - lam x; R' = (lam^2 - x - z, lam (x - x') - y).
+                ls = l0 + l1
+                t0, t1 = l0 * x0, l1 * x1
+                c0, c1 = (y0 - t0 + t1) % m, (y1 - ls * (x0 + x1) + t0 + t1) % m
+                u0, u1 = (ls * (l0 - l1) - x0 - z0) % m, ((l0 + l0) * l1 - x1 - z1) % m
+                e0, e1 = x0 - u0, x1 - u1
+                t0, t1 = l0 * e0, l1 * e1
+                state[i] = (u0, u1, (t0 - t1 - y0) % m, (ls * (e0 + e1) - t0 - t1 - y1) % m)
+                if bn:
+                    lines[i][k] = (square, (l0, l1), (c0, c1))
+                else:
+                    lines[i][k] = (square,
+                                   ((l0 * i0 - l1 * i1) % m, (l0 * i1 + l1 * i0) % m),
+                                   ((c0 * i0 - c1 * i1) % m, (c0 * i1 + c1 * i0) % m))
+        return [walked if walked is None else tuple(walked) for walked in lines]
+
+    def _slopes(self, live, state, targets, target):
+        """``[(i, l0, l1, z0, z1)]``: the slope ``lam = l0 + l1 u`` of this
+        step of each live point ``i`` of :meth:`_walk` (``R = state[i]``),
+        and the abscissa ``z`` of the line's other point — the tangent's
+        ``3 x^2 / 2y`` at ``z = x`` when *target* is ``None``, else the chord
+        through ``targets[i][target]``.  ``lam = num * conj(den) /
+        norm(den)``, and the norms of all points' denominators are inverted
+        together (Montgomery's trick: one ``Fp`` inversion for every point).
+        A zero norm is a zero denominator — the tangent at ``y = 0`` or a
+        chord through two points of equal ``x`` (``R = +-Q``, impossible for
+        ``Q`` of order ``r``) — and leaves that point out."""
+        fq, m = self.tower.fq, self.tower._mod
+        work, norms = [None] * len(live), [0] * len(live)
+        for j, i in enumerate(live):
+            x0, x1, y0, y1 = state[i]
+            if target is None:
+                n0, n1 = 3 * (x0 + x1) * (x0 - x1) % m, 6 * x0 * x1 % m
+                d0, d1 = y0 + y0, y1 + y1
+                z0, z1 = x0, x1
+            else:
+                (z0, z1), (w0, w1) = targets[i][target]
+                n0, n1 = w0 - y0, w1 - y1
+                d0, d1 = z0 - x0, z1 - x1
+            work[j] = (i, n0, n1, d0, d1, z0, z1)
+            norms[j] = (d0 * d0 + d1 * d1) % m
+        if 0 in norms:
+            work = [w for w, norm in zip(work, norms) if norm]
+            norms = [norm for norm in norms if norm]
+        slopes = [None] * len(work)
+        for j, ((i, n0, n1, d0, d1, z0, z1), ninv) in enumerate(zip(work, fq.batch_inv(norms))):
+            t0, t1 = n0 * d0, n1 * d1
+            slopes[j] = (i, (t0 + t1) % m * ninv % m,
+                         ((n0 + n1) * (d0 - d1) - t0 + t1) % m * ninv % m, z0, z1)
+        return slopes
+
+    def _lines(self, Q_aff):
+        """The lines of *Q_aff* alone (:meth:`_walk`).  Raises
+        ``ZeroDivisionError`` at a zero denominator, where the reference
+        doubles or loses ``R`` to the identity."""
+        (walked,) = self._walk([Q_aff])
+        if walked is None:
+            # codelint: ignore[RC301] -- mirrors Python division semantics
+            raise ZeroDivisionError("a Miller step of this twist point divides by zero")
+        return walked
 
     def prepare(self, Q_aff):
         """*Q_aff* (affine twist point) as a :class:`PreparedG2`, its lines
@@ -268,23 +330,36 @@ class PairingEngine:
         if Q_aff is None or isinstance(Q_aff, PreparedG2):
             return Q_aff
         try:
-            return PreparedG2(Q_aff, tuple(self._lines(Q_aff)))
+            return PreparedG2(Q_aff, self._lines(Q_aff))
         except ZeroDivisionError:
             # A degenerate step: the reference decides what it means.
             return PreparedG2(Q_aff, None)
 
+    def prepare_all(self, points):
+        """``[prepare(Q) for Q in points]``, the affine points walked in
+        lockstep (:meth:`_walk`).  A point whose walk met a zero denominator
+        falls back to its own :meth:`prepare`; the others keep their
+        lines."""
+        todo = [i for i, Q in enumerate(points)
+                if Q is not None and not isinstance(Q, PreparedG2)]
+        out = list(points)
+        for i, walked in zip(todo, self._walk([points[i] for i in todo])):
+            out[i] = self.prepare(points[i]) if walked is None else PreparedG2(points[i], walked)
+        return out
+
     def _miller_loops(self, pairs):
         """``prod_i miller_loop(P_i, Q_i)`` — the element the product of
         reference loops is — by one loop that squares ``f`` once a step for
-        all pairs and evaluates each pair's line at ``P_i`` with one
-        ``f2_scale``.  ``Q_i`` is an affine twist point or a prepared one."""
+        all pairs and evaluates each pair's line at ``P_i`` with one scaling
+        by ``xP``.  ``Q_i`` is an affine twist point, prepared here with the
+        other affine ones in lockstep, or a prepared one."""
         t = self.tower
-        scale = t.f2_scale
+        m = t._mod
         bn = self.curve.family == "bn"
         one = f = rest = self._one
         at, tables = [], []
-        for P, Q in pairs:
-            Q = None if P is None else self.prepare(Q)
+        prepared = self.prepare_all([None if P is None else Q for P, Q in pairs])
+        for (P, _), Q in zip(pairs, prepared):
             if Q is None:
                 continue
             if Q.lines is None:
@@ -295,11 +370,11 @@ class PairingEngine:
         for step in zip(*tables):
             if step[0][0] and f is not one:
                 f = f.square()
-            for (s, xP), (_, c, d) in zip(at, step):
+            for (s, xP), (_, (c0, c1), d) in zip(at, step):
                 if bn:
-                    f = f.mul_by_line(s, scale(c, xP), d, 0)
+                    f = f.mul_by_line(s, (c0 * xP % m, c1 * xP % m), d, 0)
                 else:
-                    f = f.mul_by_line(s, d, scale(c, xP), 1)
+                    f = f.mul_by_line(s, d, (c0 * xP % m, c1 * xP % m), 1)
         if self.curve.x_negative and not bn:
             f = f.conjugate()
         return f if rest is one else f * rest

@@ -26,7 +26,29 @@ from __future__ import annotations
 from repro.context import RUN
 from repro.curves.pairing import engine_for
 
-__all__ = ["batch_verify"]
+__all__ = ["batch_verify", "weighted_publics"]
+
+
+def weighted_publics(vk, weighted):
+    """``sum_i r_i * vk.fold_publics(publics_i)`` over the ``(r_i,
+    publics_i)`` of *weighted*, folded in ``Fr`` first:
+
+        ``(sum_i r_i) * ic[0] + sum_k (sum_i r_i * publics_i[k]) * ic[k + 1]``
+
+    — one scalar multiplication per ``ic`` point, whatever the batch size.
+    Every ``publics_i`` passes ``vk.check_publics`` first."""
+    fr = vk.curve.fr
+    coeffs = [0] * len(vk.ic)
+    for r, publics in weighted:
+        vk.check_publics(publics)
+        coeffs[0] += r
+        for k, x in enumerate(publics, 1):
+            coeffs[k] += r * x
+    acc = vk.curve.g1.infinity()
+    for c, point in zip(coeffs, vk.ic):
+        acc = acc + point * (c % fr.modulus)
+    return acc
+
 
 def batch_verify(vk, proofs_with_publics, rng):
     """Verify many proofs against one verifying key in a single check.
@@ -63,20 +85,15 @@ def batch_verify(vk, proofs_with_publics, rng):
 
         return batch_verify_parallel(vk, batch, rng, pool)
     curve = vk.curve
-    fr = curve.fr
     g1 = curve.g1
-
+    # 128-bit weights keep the folding cheap without weakening the check.
+    weights = [rng.getrandbits(128) | 1 for _ in batch]
+    acc_l = weighted_publics(vk, zip(weights, [publics for _, publics in batch]))
+    sum_r = sum(weights) % curve.fr.modulus
     pairs = []
-    sum_r = 0
-    acc_l = g1.infinity()
     acc_c = g1.infinity()
-    for proof, publics in batch:
-        # 128-bit weights keep the folding cheap without weakening the check.
-        r = rng.getrandbits(128) | 1
-        sum_r = fr.add(sum_r, r % fr.modulus)
-        vk_x = vk.fold_publics(publics)
+    for r, (proof, _) in zip(weights, batch):
         pairs.append((proof.a * r, proof.b))
-        acc_l = acc_l + vk_x * r
         acc_c = acc_c + proof.c * r
 
     # The fixed legs walk stored lines; a traced fold keeps the points (the

@@ -101,8 +101,8 @@ class VerifyingKey:
         check and kept on this object alone: not a field, so it is neither
         compared nor serialised, and ``dataclasses.replace`` starts without."""
         eng = engine_for(self.curve)
-        beta2, gamma2, delta2 = (
-            eng.prepare(q.to_affine()) for q in (self.beta2, self.gamma2, self.delta2))
+        beta2, gamma2, delta2 = eng.prepare_all(
+            [q.to_affine() for q in (self.beta2, self.gamma2, self.delta2)])
         return PreparedVerifyingKey(
             beta2, gamma2, delta2, eng.miller_loop(self.alpha1.to_affine(), beta2))
 

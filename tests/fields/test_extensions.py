@@ -93,6 +93,11 @@ class TestFp2:
         inv_cubed = tower.f2_pow(tower.f2_inv(a), 3)
         assert tower.f2_mul(inv_cubed, tower.f2_pow(a, 3)) == ONE2
 
+    def test_pow_rejects_negative_exponents(self, tower):
+        # A negative exponent used to leave the loop at once and return one.
+        with pytest.raises(ValueError, match="non-negative"):
+            tower.f2_pow((3, 5), -1)
+
     def test_scalar_mul(self, tower):
         r = random.Random(7)
         a = rand_fp2(tower, r)

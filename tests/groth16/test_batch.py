@@ -8,7 +8,7 @@ import pytest
 
 from repro.curves import BN128
 from repro.groth16 import generate_witness, prove, public_inputs, setup, verify
-from repro.groth16.batch import batch_verify
+from repro.groth16.batch import batch_verify, weighted_publics
 from repro.groth16.keys import Proof
 from tests.conftest import make_pow_circuit
 
@@ -45,6 +45,26 @@ class TestCompleteness:
         vk, items = batch_session
         for seed in range(5):
             assert batch_verify(vk, items, random.Random(seed))
+
+
+class TestWeightedPublics:
+    def test_fold_in_fr_is_the_weighted_per_proof_fold(self, batch_session):
+        vk, items = batch_session
+        rng = random.Random(8)
+        weighted = [(rng.getrandbits(128) | 1, publics) for _, publics in items]
+        weighted.append((BN128.fr.modulus + 3, items[0][1]))     # r_i >= r folds too
+        expected = BN128.g1.infinity()
+        for r, publics in weighted:
+            expected = expected + vk.fold_publics(publics) * r
+        assert weighted_publics(vk, weighted) == expected
+        assert weighted_publics(vk, []).is_infinity()
+
+    def test_every_publics_is_checked(self, batch_session):
+        vk, items = batch_session
+        publics = items[0][1]
+        for bad in ([], publics + publics, [publics[0] + BN128.fr.modulus]):
+            with pytest.raises(ValueError):
+                weighted_publics(vk, [(1, publics), (5, bad)])
 
 
 class TestSoundness:

@@ -19,6 +19,13 @@ recoder :func:`repro.msm.recode.digit_columns` the kernels use.
 routed through the coordinate adapter one field operation at a time, the
 comparator of the adapters' fused ``add_wave``.
 
+*The per-operation tower*: :func:`fp12_mul`, :func:`fp12_square`,
+:func:`fp12_mul_by_line` and :func:`fp12_cyclotomic_square` are the
+``Fp12`` kernels one ``Fp6`` / ``f2_*`` call per step, and :func:`lines`
+walks one twist point's Miller lines the same way — the comparators, in
+values and in traced primitive counts, of the fused ``Fp12`` kernels and of
+``PairingEngine._walk``.
+
 *The op counter*: :func:`count_ops` counts a group's coordinate-adapter
 multiplications, squarings and inversions over one call, run on the
 per-operation wave — the machine-independent cost of a kernel.
@@ -26,6 +33,7 @@ per-operation wave — the machine-independent cost of a kernel.
 
 from collections import Counter
 
+from repro.fields.extensions import Fp6, Fp12
 from repro.perf.trace import Tracer, tracing
 
 
@@ -238,3 +246,132 @@ def count_ops(group, fn, *args, **kwargs):
         type(ops).add_wave = fused
         for name, kernel in saved.items():
             setattr(ops, name, kernel)
+
+
+# -- the per-operation tower -------------------------------------------------------
+
+
+def fp6_scale_fp(a, k):
+    """Multiply every coefficient of the Fp6 *a* by the base-field integer *k*."""
+    t = a.tower
+    a = a.a
+    return Fp6(t, t.f2_scale(a[0], k), t.f2_scale(a[1], k), t.f2_scale(a[2], k))
+
+
+def fp6_mul_by_01(a, l0, l1):
+    """Multiply the Fp6 *a* by the sparse element ``l0 + l1*v`` (raw Fp2
+    pairs): 6 ``Fp2`` products where the dense product spends 9."""
+    t = a.tower
+    mul, add = t.f2_mul, t.f2_add
+    a0, a1, a2 = a.a
+    return Fp6(
+        t,
+        add(mul(a0, l0), t.f2_mul_xi(mul(a2, l1))),
+        add(mul(a0, l1), mul(a1, l0)),
+        add(mul(a1, l1), mul(a2, l0)),
+    )
+
+
+def fp12_mul(a, b):
+    # Karatsuba over the quadratic step: 3 Fp6 multiplications.
+    a0, a1 = a._lo(), a._hi()
+    b0, b1 = b._lo(), b._hi()
+    t0 = a0 * b0
+    t1 = a1 * b1
+    lo = t0 + t1.mul_by_v()
+    hi = (a0 + a1) * (b0 + b1) - t0 - t1
+    return Fp12(a.tower, lo.a, hi.a)
+
+
+def fp12_square(a):
+    # Complex squaring: 2 Fp6 multiplications.
+    a0, a1 = a._lo(), a._hi()
+    t = a0 * a1
+    lo = (a0 + a1) * (a0 + a1.mul_by_v()) - t - t.mul_by_v()
+    hi = t + t
+    return Fp12(a.tower, lo.a, hi.a)
+
+
+def fp12_mul_by_line(f, s, l0, l1, k):
+    """``f * (s + (l0 + l1*v) * v**k * w)``: 12 ``Fp2`` products."""
+    a0, a1 = f._lo(), f._hi()
+    x = fp6_mul_by_01(a0, l0, l1)
+    y = fp6_mul_by_01(a1, l0, l1).mul_by_v()          # w * w = v
+    if k:
+        x, y = x.mul_by_v(), y.mul_by_v()
+    lo = fp6_scale_fp(a0, s) + y
+    hi = fp6_scale_fp(a1, s) + x
+    return Fp12(f.tower, lo.a, hi.a)
+
+
+def fp12_cyclotomic_square(f):
+    """Granger–Scott squaring of a cyclotomic *f*: 9 ``Fp2`` squarings."""
+    t = f.tower
+    add, sub, sqr, mul_xi = t.f2_add, t.f2_sub, t.f2_sqr, t.f2_mul_xi
+    g0, g2, g4 = f.c0
+    g1, g3, g5 = f.c1
+
+    def fp4_square(a, b):
+        # (a + b*y)^2 with y^2 = xi
+        aa, bb = sqr(a), sqr(b)
+        return add(aa, mul_xi(bb)), sub(sub(sqr(add(a, b)), aa), bb)
+
+    def minus(sq, g):     # 3*sq - 2*g
+        d = sub(sq, g)
+        return add(add(d, d), sq)
+
+    def plus(sq, g):      # 3*sq + 2*g
+        s = add(sq, g)
+        return add(add(s, s), sq)
+
+    a_lo, a_hi = fp4_square(g0, g3)
+    b_lo, b_hi = fp4_square(g1, g4)
+    c_lo, c_hi = fp4_square(g2, g5)
+    return Fp12(
+        t,
+        (minus(a_lo, g0), minus(b_lo, g2), minus(c_lo, g4)),
+        (plus(mul_xi(c_hi), g1), plus(a_hi, g3), plus(b_hi, g5)),
+    )
+
+
+def lines(eng, Q_aff):
+    """Yield ``(square, c, d)`` for each line of the Miller loop of
+    *Q_aff*, one ``f2_*`` call a step and one ``f2_inv`` a line; raises
+    ``ZeroDivisionError`` where a denominator is zero."""
+    t = eng.tower
+    add, sub, mul, sqr, inv = t.f2_add, t.f2_sub, t.f2_mul, t.f2_sqr, t.f2_inv
+    bn = eng.curve.family == "bn"
+    # The M-type line's w^-1 and w^-3 are w^5 / xi and w^3 / xi.
+    xi_inv = t.xi_inv
+
+    def line(lam, x1, y1, x2):
+        """Coefficients of the line of slope *lam* through ``R = (x1,
+        y1)``, and ``R`` plus the line's point of abscissa *x2*."""
+        nu = sub(y1, mul(lam, x1))
+        x3 = sub(sub(sqr(lam), x1), x2)
+        cd = (lam, nu) if bn else (mul(lam, xi_inv), mul(nu, xi_inv))
+        return cd, x3, sub(mul(lam, sub(x1, x3)), y1)
+
+    def chord(x1, y1, x2, y2):
+        return mul(sub(y2, y1), inv(sub(x2, x1)))
+
+    xq, yq = x1, y1 = Q_aff
+    for bit in bin(eng.curve.ate_loop)[3:]:
+        x1_sq = sqr(x1)
+        tangent = mul(add(add(x1_sq, x1_sq), x1_sq), inv(add(y1, y1)))
+        cd, x1, y1 = line(tangent, x1, y1, x1)
+        yield (True, *cd)
+        if bit == "1":
+            cd, x1, y1 = line(chord(x1, y1, xq, yq), x1, y1, xq)
+            yield (False, *cd)
+    if bn:
+        # Frobenius seen from the twist: conjugate, then scale x by
+        # xi^((p-1)/3) and y by xi^((p-1)/2).
+        g1, _g2, gw = t.frobenius_constants
+        gy = mul(g1, gw)
+        conj = t.f2_conj
+        x2, y2 = mul(conj(xq), g1), mul(conj(yq), gy)
+        x3, y3 = mul(conj(x2), g1), t.f2_neg(mul(conj(y2), gy))
+        cd, x1, y1 = line(chord(x1, y1, x2, y2), x1, y1, x2)
+        yield (False, *cd)
+        yield (False, *line(chord(x1, y1, x3, y3), x1, y1, x3)[0])
