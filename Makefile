@@ -96,7 +96,9 @@ parallel-test:
 # fixed-base batch walk the traced table walk (four groups x 2^6..2^11
 # scalars; pk/vk bytes serial and pooled), the fused Fp12 kernels and the
 # lockstep line walk their per-operation oracles, the fast pairing its
-# reference element-for-element, Group.in_subgroup the [r]P ladder on a point of
+# reference element-for-element, the charged pairing trace the textbook
+# route's executed (tests/curves/test_pairing_charge.py: region tree,
+# counts, clock, memory events), Group.in_subgroup the [r]P ladder on a point of
 # every prime order dividing a cofactor, and Point.__mul__ its reference
 # on 500 examples a group.  Wider than the tier-1 run.
 kernel-test:

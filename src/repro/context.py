@@ -34,7 +34,8 @@ class RunContext:
     """One slot per instrument; ``None`` means it is detached."""
 
     __slots__ = (
-        "tracer",    # repro.perf.trace.Tracer; also pins kernels to the reference route
+        "tracer",    # repro.perf.trace.Tracer; pins the pinned sites to their reference
+                     # route; detached around a charged site's value (the pairing)
         "metrics",   # repro.obs.metrics.MetricsRegistry
         "spans",     # repro.obs.spans.SpanRecorder
         "tasks",     # repro.obs.worker.WorkerTelemetry

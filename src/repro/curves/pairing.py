@@ -1,41 +1,41 @@
 """Optimal ate pairings for BN254 and BLS12-381.
 
-Two formulations of one map, selected by the pinning rule (docs/KERNELS.md)
-and returning the same ``Fp12`` elements
-(``tests/curves/test_pairing_differential.py``):
+One formulation computes every value.  ``R`` stays in affine coordinates
+*on the twist* (``Fp2`` slope; the points walked together share one ``Fp``
+inversion a step), which depends on ``Q`` alone: :meth:`PairingEngine._walk`
+gives each step's line coefficients and :meth:`PairingEngine.prepare_all`
+keeps them (a verifying key's fixed G2 points are walked once).  One loop
+serves any number of pairs, squaring ``f`` once a step for all of them and
+multiplying it by the sparse line of the textbook loop on ``E(Fp12)``,
 
-- **Reference** — every traced run, and the oracle of the differential
-  tests.  The Miller loop runs on the *untwisted* image of G2 inside
-  ``E(Fp12)`` with affine coordinates, sharing each step's slope between the
-  point update and the line evaluation (the textbook formulation py_ecc also
-  uses), and the hard part of the final exponentiation is
-  ``f ** ((p^4 - p^2 + 1) / r)`` by square-and-multiply.  Easy to audit, and
-  its cost structure (big-integer multiplies dominating) is what the paper's
-  verifying-stage characterization and the modeled figures rest on.
-- **Fast** — every untraced run.  ``R`` stays in affine coordinates *on the
-  twist* (``Fp2`` slope; the points walked together share one ``Fp``
-  inversion a step), which depends on ``Q`` alone:
-  :meth:`PairingEngine._walk` gives each step's line coefficients and
-  :meth:`PairingEngine.prepare_all` keeps them (a verifying key's fixed G2
-  points are walked once).  One loop serves any number of pairs, squaring
-  ``f`` once a step for all of them and multiplying it by the exact sparse
-  line the reference evaluates,
+    ``-yP + (lam*xP) * w    + (y1 - lam*x1) * w^3``     (D-type, BN254)
+    ``-yP + (lam*xP) * w^-1 + (y1 - lam*x1) * w^-3``    (M-type, BLS12-381)
 
-      ``-yP + (lam*xP) * w    + (y1 - lam*x1) * w^3``     (D-type, BN254)
-      ``-yP + (lam*xP) * w^-1 + (y1 - lam*x1) * w^-3``    (M-type, BLS12-381)
+through :meth:`Fp12.mul_by_line`.  A step with a zero denominator (a chord
+through ``R = +-Q`` or a tangent at ``y = 0``, which no point of order ``r``
+meets) raises ``ZeroDivisionError``.  The hard part of the final
+exponentiation runs in the cyclotomic subgroup (Granger–Scott squaring,
+inversion by conjugation, exponentiation by the curve parameter ``z``)
+along the family decomposition of ``(p^4 - p^2 + 1) / r``,
 
-  through :meth:`Fp12.mul_by_line`; a ``Q`` whose walk meets a chord through
-  two points of equal ``x`` has no lines and that pair runs the reference,
-  so points outside the order-``r`` subgroup behave as they always did.  The
-  hard part runs in the cyclotomic subgroup (Granger–Scott squaring,
-  inversion by conjugation, exponentiation by the curve parameter ``z``)
-  along the family decomposition of the same exponent,
+    BN:    ``p^3 + (6z^2 + 1) p^2 + (-36z^3 - 18z^2 - 12z + 1) p``
+           ``+ (-36z^3 - 30z^2 - 18z - 2)``
+    BLS12: ``((z - 1)^2 / 3) (z + p) (z^2 + p^2 - 1) + 1``
 
-      BN:    ``p^3 + (6z^2 + 1) p^2 + (-36z^3 - 18z^2 - 12z + 1) p``
-             ``+ (-36z^3 - 30z^2 - 18z - 2)``
-      BLS12: ``((z - 1)^2 / 3) (z + p) (z^2 + p^2 - 1) + 1``
+which the constructor checks against ``(p^4 - p^2 + 1) / r`` as integers.
 
-  which the constructor checks against ``(p^4 - p^2 + 1) / r`` as integers.
+**Charging a reference** (docs/KERNELS.md).  The modeled verifying stage
+counts the textbook route instead: the Miller loop on the untwisted image of
+G2 inside ``E(Fp12)`` in affine coordinates, each step's slope shared
+between the point update and the line (the formulation py_ecc uses), and
+the hard part as ``f ** ((p^4 - p^2 + 1) / r)`` by square-and-multiply —
+big-integer multiplies dominating, as in the paper's Tables III–V.  Its
+counts depend on the loop's and the hard exponent's bits alone, so under a
+tracer each public call computes its value as above with the tracer
+detached, then charges the tracer that route's primitives.  The textbook
+route itself is ``tests/oracle.py``'s, and
+``tests/curves/test_pairing_charge.py`` holds the charged trace equal to it
+executed.
 
 Correctness is established by the bilinearity/non-degeneracy property tests
 in ``tests/curves/test_pairing.py`` plus the end-to-end Groth16 tests — a
@@ -44,18 +44,75 @@ non-degenerate bilinear map is precisely the interface Groth16 consumes.
 
 from __future__ import annotations
 
-from repro.context import RUN
-from repro.fields.extensions import Fp12
+from collections import Counter
+
+from repro.context import RUN, scoped
 
 __all__ = ["PairingEngine", "PreparedG2", "engine_for"]
+
+#: Each ``Fp12`` operation of the textbook route as ``(f2 products, f2
+#: additions, f2 subtractions, f2 inversions)``, the first three in
+#: :meth:`TowerParams._report` units: a product and a squaring are what
+#: their fused kernels report, the rest their ``Fp6`` / ``f2_*`` calls (an
+#: ``f2_neg`` or two ``f2_conj`` count as one addition).
+_FP12_OPS = {
+    "mul": (34, 27, 6, 0),
+    "square": (24, 21, 6, 0),
+    "add": (0, 6, 0, 0),
+    "sub": (0, 0, 6, 0),
+    "neg": (0, 6, 0, 0),
+    "conjugate": (0, 3, 0, 0),
+    "frobenius": (7, 3, 0, 0),
+    "inverse": (60, 29, 6, 1),
+}
+
+
+class _Tally(Counter):
+    """A ``Counter`` that takes a tracer's reports."""
+
+    def op(self, prim, n=1):
+        self[prim] += n
+
+
+def _tally(tower, ops, f2=(0, 0, 0, 0)):
+    """The primitives of *ops*, ``{Fp12 operation: count}``, plus *f2* work
+    in the same units, by the tower's report rule."""
+    products, adds, subs, inversions = (
+        extra + sum(n * _FP12_OPS[name][k] for name, n in ops.items())
+        for k, extra in enumerate(f2))
+    tally = _Tally()
+    tower._report(tally, products, adds, subs)
+    # f2_inv's guard (two squarings, a product, a subtraction), then its Fp
+    # tail: an inversion, two products and a negation.
+    tally.op(tower._sqr_tag, 2 * inversions)
+    tally.op(tower._mul_tag, 3 * inversions)
+    tally.op(tower._sub_tag, inversions)
+    tally.op(tower.fq._inv_tag, inversions)
+    tally.op(tower._add_tag, inversions)
+    return +tally
+
+
+def _charge(t, cost, n=1):
+    """Report *n* times the primitives *cost* to the tracer *t*."""
+    if n:
+        for prim, k in cost.items():
+            t.op(prim, k * n)
+
+
+def _untraced(fn, *args):
+    """``fn(*args)`` with the tracer detached: every value comes from the
+    one formulation, and a traced call charges the reference itself."""
+    if RUN.tracer is None:
+        return fn(*args)
+    with scoped("tracer", None):
+        return fn(*args)
 
 
 class PreparedG2:
     """An affine twist point with the lines of its Miller loop walked once
     (:meth:`PairingEngine.prepare`): 68 ``(square, c, d)`` steps on
-    BLS12-381, 102 on BN254.  ``lines`` is ``None`` where the walk met a
-    degenerate chord; such a pair runs the reference on ``point``.  Stands
-    where a G2 ``Point`` does in :meth:`PairingEngine.multi_pairing`."""
+    BLS12-381, 102 on BN254.  Stands where a G2 ``Point`` does in
+    :meth:`PairingEngine.multi_pairing`."""
 
     __slots__ = ("point", "lines")
 
@@ -80,8 +137,9 @@ class PairingEngine:
             raise ValueError(f"{curve.name}: r does not divide p^4 - p^2 + 1")
         self._hard_exponent = hard // r
         z = curve.parameter
+        bn = curve.family == "bn"
         # The decomposition the cyclotomic hard part walks (module docstring).
-        if curve.family == "bn":
+        if bn:
             decomposed = (
                 p**3
                 + (6 * z**2 + 1) * p**2
@@ -97,75 +155,44 @@ class PairingEngine:
                 f"{curve.name}: parameter {z} does not generate (p^4 - p^2 + 1) / r"
             )
         self._one = self.tower.fp12_one()
-
-    # -- embeddings ------------------------------------------------------------
-
-    def _fp12_scalar(self, c):
-        """Embed a base-field integer as an Fp12 element."""
-        z = (0, 0)
-        return Fp12(self.tower, ((c, 0), z, z), (z, z, z))
-
-    def embed_g1(self, P):
-        """Map an affine G1 point (ints) to ``E(Fp12)`` coordinates."""
-        x, y = P
-        return (self._fp12_scalar(x), self._fp12_scalar(y))
-
-    def untwist_g2(self, Q):
-        """Map an affine twist point (Fp2 pairs) to ``E(Fp12)``.
-
-        BN254 uses a D-type twist (``psi(x,y) = (x w^2, y w^3)``); BLS12-381
-        an M-type twist (``psi(x,y) = (x w^4 / xi, y w^3 / xi)``).  In the
-        tower basis ``w^2 = v`` these land on sparse Fp6 slots.
-        """
-        t = self.tower
-        xq, yq = Q
-        z = (0, 0)
-        if self.curve.family == "bn":
-            x12 = Fp12(t, (z, xq, z), (z, z, z))          # x * v
-            y12 = Fp12(t, (z, z, z), (z, yq, z))          # y * v * w
+        # The reference route's primitives (module docstring), from control
+        # data alone.  Per bit of the loop after the first, a tangent step (2
+        # square, 4 add, 6 sub, 3 mul, 1 inverse), then f * f * line; per set
+        # bit after it, a chord step (1 square, 9 sub, 3 mul, 1 inverse),
+        # then f * line.
+        loop = curve.ate_loop
+        tangents, chords = loop.bit_length() - 1, bin(loop).count("1") - 1
+        if bn:
+            # Two more chords, through Q's two Frobenius images, the second
+            # negated.
+            ops, untwist, chords = Counter(frobenius=4, neg=1), (0, 0, 0, 0), chords + 2
         else:
-            xi_inv = t.f2_inv(t.xi)
-            xs = t.f2_mul(xq, xi_inv)
-            ys = t.f2_mul(yq, xi_inv)
-            x12 = Fp12(t, (z, z, xs), (z, z, z))          # x/xi * v^2
-            y12 = Fp12(t, (z, z, z), (z, ys, z))          # y/xi * v * w
-        return (x12, y12)
+            # Untwisting Q scales it by 1 / xi; a negative x conjugates f.
+            ops, untwist = Counter(conjugate=int(curve.x_negative)), (2, 0, 0, 1)
+        ops.update(square=2 * tangents + chords, add=4 * tangents, sub=6 * tangents + 9 * chords,
+                   mul=5 * tangents + 4 * chords, inverse=tangents + chords)
+        self._loop_cost = _tally(self.tower, ops, untwist)
+        self._loop_cost["pairing_miller_loop"] = 1
+        # The easy part, f^((p^6 - 1)(p^2 + 1)), then square-and-multiply.
+        h = self._hard_exponent
+        self._final_exp_cost = _tally(self.tower, {
+            "conjugate": 1, "inverse": 1, "frobenius": 2,
+            "mul": 2 + bin(h).count("1"), "square": h.bit_length()})
+        self._final_exp_cost["pairing_final_exp"] = 1
+        self._product_cost = _tally(self.tower, {"mul": 1})
 
-    # -- affine steps in E(Fp12) --------------------------------------------------
+    # -- charging the reference ----------------------------------------------------
 
-    def _double_step(self, R, P):
-        """Return ``(2R, line_{R,R}(P))`` sharing the tangent slope."""
-        x1, y1 = R
-        xt, yt = P
-        x1_sq = x1.square()
-        num = x1_sq + x1_sq + x1_sq
-        den = y1 + y1
-        m = num * den.inverse()
-        x3 = m.square() - (x1 + x1)
-        y3 = m * (x1 - x3) - y1
-        line = m * (xt - x1) - (yt - y1)
-        return (x3, y3), line
+    def charge_miller_loops(self, t, pairs):
+        """Charge the tracer *t* the textbook product ``1 * miller_loop(P_1,
+        Q_1) * ...`` over the affine *pairs*: one ``Fp12`` product a pair,
+        and one reference loop a pair without the identity (``None``)."""
+        _charge(t, self._loop_cost, sum(P is not None and Q is not None for P, Q in pairs))
+        _charge(t, self._product_cost, len(pairs))
 
-    def _add_step(self, R, Q, P):
-        """Return ``(R + Q, line_{R,Q}(P))`` sharing the chord slope."""
-        x1, y1 = R
-        x2, y2 = Q
-        xt, yt = P
-        if x1 == x2:
-            if y1 == y2:
-                return self._double_step(R, P)
-            # Vertical line; R + Q is the identity.
-            return None, xt - x1
-        m = (y2 - y1) * (x2 - x1).inverse()
-        x3 = m.square() - x1 - x2
-        y3 = m * (x1 - x3) - y1
-        line = m * (xt - x1) - (yt - y1)
-        return (x3, y3), line
-
-    def _frobenius_point(self, R):
-        """Coordinate-wise Frobenius ``(x^p, y^p)`` — an endomorphism of E."""
-        x, y = R
-        return (x.frobenius(), y.frobenius())
+    def charge_final_exponentiation(self, t):
+        """Charge the tracer *t* one reference final exponentiation."""
+        _charge(t, self._final_exp_cost)
 
     # -- Miller loop -----------------------------------------------------------------
 
@@ -176,56 +203,24 @@ class PairingEngine:
         point (raw Fp2 pairs) or a :class:`PreparedG2`.  Returns 1 if either
         input is the identity.
         """
-        tracer = RUN.tracer
-        if tracer is None:
-            return self._miller_loops([(P_aff, Q_aff)])
-        if P_aff is None or Q_aff is None:
-            return self._one
-        tracer.op("pairing_miller_loop")
-        if isinstance(Q_aff, PreparedG2):
-            Q_aff = Q_aff.point
-        return self._reference_loop(P_aff, Q_aff)
-
-    def _reference_loop(self, P_aff, Q_aff):
-        """The textbook loop on ``E(Fp12)`` (module docstring)."""
-        P = self.embed_g1(P_aff)
-        Q = self.untwist_g2(Q_aff)
-        loop = self.curve.ate_loop
-        f = self._one
-        R = Q
-        for i in range(loop.bit_length() - 2, -1, -1):
-            R, line = self._double_step(R, P)
-            f = f * f * line
-            if (loop >> i) & 1:
-                R, line = self._add_step(R, Q, P)
-                f = f * line
-        if self.curve.family == "bn":
-            # Optimal ate for BN needs two Frobenius-twisted additions.
-            Q1 = self._frobenius_point(Q)
-            Q2 = self._frobenius_point(Q1)
-            nQ2 = (Q2[0], -Q2[1])
-            R, line = self._add_step(R, Q1, P)
-            f = f * line
-            _, line = self._add_step(R, nQ2, P)
-            f = f * line
-        elif self.curve.x_negative:
-            # BLS with negative x: conjugate f (valid up to final exp).
-            f = f.conjugate()
+        f = _untraced(self._miller_loops, [(P_aff, Q_aff)])
+        t = RUN.tracer
+        if t is not None and P_aff is not None and Q_aff is not None:
+            _charge(t, self._loop_cost)
         return f
-
-    # -- Miller loop on the twist (untraced runs) ----------------------------------------
 
     def _walk(self, points):
         """The lines of the Miller loop of each affine twist point in
         *points*, walked in lockstep: per point a tuple of ``(square, c, d)``
-        in loop order, or ``None`` once a step of its walk has a zero
-        denominator.  At ``P = (xP, yP)`` a line is ``-yP`` plus the ``Fp2``
-        coefficients ``c * xP`` and ``d`` in the slots of the module docstring
-        (``1/xi`` of the M-type twist folded into both); *square* says that
-        it is a tangent, before which ``f`` is squared.  Nothing here depends
-        on ``P``.  ``R`` stays affine on the twist; every step takes the
-        slopes of all live points at once (:meth:`_slopes`), then updates
-        each point and forms its line in flat ``Fp2`` steps."""
+        in loop order.  At ``P = (xP, yP)`` a line is ``-yP`` plus the
+        ``Fp2`` coefficients ``c * xP`` and ``d`` in the slots of the module
+        docstring (``1/xi`` of the M-type twist folded into both); *square*
+        says that it is a tangent, before which ``f`` is squared.  Nothing
+        here depends on ``P``.  ``R`` stays affine on the twist; every step
+        takes the slopes of all points at once (:meth:`_slopes`), then
+        updates each point and forms its line in flat ``Fp2`` steps."""
+        if not points:
+            return []
         t = self.tower
         m = t._mod
         bn = self.curve.family == "bn"
@@ -250,18 +245,9 @@ class PairingEngine:
             schedule += [1, 2]
         state = [(*xq, *yq) for xq, yq in points]   # R = (x0, x1, y0, y1)
         lines = [[None] * len(schedule) for _ in points]
-        live = list(range(len(points)))
         for k, target in enumerate(schedule):
-            if not live:
-                break
             square = target is None
-            slopes = self._slopes(live, state, targets, target)
-            if len(slopes) < len(live):
-                # A zero denominator: that point leaves the walk.
-                for i in set(live) - {i for i, *_ in slopes}:
-                    lines[i] = None
-                live = [i for i, *_ in slopes]
-            for i, l0, l1, z0, z1 in slopes:
+            for i, (l0, l1, z0, z1) in enumerate(self._slopes(state, targets, target)):
                 x0, x1, y0, y1 = state[i]
                 # nu = y - lam x; R' = (lam^2 - x - z, lam (x - x') - y).
                 ls = l0 + l1
@@ -277,23 +263,22 @@ class PairingEngine:
                     lines[i][k] = (square,
                                    ((l0 * i0 - l1 * i1) % m, (l0 * i1 + l1 * i0) % m),
                                    ((c0 * i0 - c1 * i1) % m, (c0 * i1 + c1 * i0) % m))
-        return [walked if walked is None else tuple(walked) for walked in lines]
+        return [tuple(walked) for walked in lines]
 
-    def _slopes(self, live, state, targets, target):
-        """``[(i, l0, l1, z0, z1)]``: the slope ``lam = l0 + l1 u`` of this
-        step of each live point ``i`` of :meth:`_walk` (``R = state[i]``),
-        and the abscissa ``z`` of the line's other point — the tangent's
-        ``3 x^2 / 2y`` at ``z = x`` when *target* is ``None``, else the chord
-        through ``targets[i][target]``.  ``lam = num * conj(den) /
-        norm(den)``, and the norms of all points' denominators are inverted
-        together (Montgomery's trick: one ``Fp`` inversion for every point).
-        A zero norm is a zero denominator — the tangent at ``y = 0`` or a
-        chord through two points of equal ``x`` (``R = +-Q``, impossible for
-        ``Q`` of order ``r``) — and leaves that point out."""
+    def _slopes(self, state, targets, target):
+        """``[(l0, l1, z0, z1)]``: the slope ``lam = l0 + l1 u`` of this step
+        of each point ``i`` of :meth:`_walk` (``R = state[i]``), and the
+        abscissa ``z`` of the line's other point — the tangent's ``3 x^2 /
+        2y`` at ``z = x`` when *target* is ``None``, else the chord through
+        ``targets[i][target]``.  ``lam = num * conj(den) / norm(den)``, and
+        the norms of all points' denominators are inverted together
+        (Montgomery's trick: one ``Fp`` inversion for every point).  A zero
+        norm is a zero denominator — the tangent at ``y = 0`` or a chord
+        through two points of equal ``x`` (``R = +-Q``, impossible for ``Q``
+        of order ``r``) — and raises ``ZeroDivisionError``."""
         fq, m = self.tower.fq, self.tower._mod
-        work, norms = [None] * len(live), [0] * len(live)
-        for j, i in enumerate(live):
-            x0, x1, y0, y1 = state[i]
+        work, norms = [None] * len(state), [0] * len(state)
+        for i, (x0, x1, y0, y1) in enumerate(state):
             if target is None:
                 n0, n1 = 3 * (x0 + x1) * (x0 - x1) % m, 6 * x0 * x1 % m
                 d0, d1 = y0 + y0, y1 + y1
@@ -302,69 +287,44 @@ class PairingEngine:
                 (z0, z1), (w0, w1) = targets[i][target]
                 n0, n1 = w0 - y0, w1 - y1
                 d0, d1 = z0 - x0, z1 - x1
-            work[j] = (i, n0, n1, d0, d1, z0, z1)
-            norms[j] = (d0 * d0 + d1 * d1) % m
-        if 0 in norms:
-            work = [w for w, norm in zip(work, norms) if norm]
-            norms = [norm for norm in norms if norm]
+            work[i] = (n0, n1, d0, d1, z0, z1)
+            norms[i] = (d0 * d0 + d1 * d1) % m
         slopes = [None] * len(work)
-        for j, ((i, n0, n1, d0, d1, z0, z1), ninv) in enumerate(zip(work, fq.batch_inv(norms))):
+        for i, ((n0, n1, d0, d1, z0, z1), ninv) in enumerate(zip(work, fq.batch_inv(norms))):
             t0, t1 = n0 * d0, n1 * d1
-            slopes[j] = (i, (t0 + t1) % m * ninv % m,
+            slopes[i] = ((t0 + t1) % m * ninv % m,
                          ((n0 + n1) * (d0 - d1) - t0 + t1) % m * ninv % m, z0, z1)
         return slopes
-
-    def _lines(self, Q_aff):
-        """The lines of *Q_aff* alone (:meth:`_walk`).  Raises
-        ``ZeroDivisionError`` at a zero denominator, where the reference
-        doubles or loses ``R`` to the identity."""
-        (walked,) = self._walk([Q_aff])
-        if walked is None:
-            # codelint: ignore[RC301] -- mirrors Python division semantics
-            raise ZeroDivisionError("a Miller step of this twist point divides by zero")
-        return walked
 
     def prepare(self, Q_aff):
         """*Q_aff* (affine twist point) as a :class:`PreparedG2`, its lines
         materialised; the identity and a prepared point come back as given."""
-        if Q_aff is None or isinstance(Q_aff, PreparedG2):
-            return Q_aff
-        try:
-            return PreparedG2(Q_aff, self._lines(Q_aff))
-        except ZeroDivisionError:
-            # A degenerate step: the reference decides what it means.
-            return PreparedG2(Q_aff, None)
+        return self.prepare_all([Q_aff])[0]
 
     def prepare_all(self, points):
         """``[prepare(Q) for Q in points]``, the affine points walked in
-        lockstep (:meth:`_walk`).  A point whose walk met a zero denominator
-        falls back to its own :meth:`prepare`; the others keep their
-        lines."""
+        lockstep (:meth:`_walk`)."""
         todo = [i for i, Q in enumerate(points)
                 if Q is not None and not isinstance(Q, PreparedG2)]
         out = list(points)
         for i, walked in zip(todo, self._walk([points[i] for i in todo])):
-            out[i] = self.prepare(points[i]) if walked is None else PreparedG2(points[i], walked)
+            out[i] = PreparedG2(points[i], walked)
         return out
 
     def _miller_loops(self, pairs):
-        """``prod_i miller_loop(P_i, Q_i)`` — the element the product of
-        reference loops is — by one loop that squares ``f`` once a step for
-        all pairs and evaluates each pair's line at ``P_i`` with one scaling
-        by ``xP``.  ``Q_i`` is an affine twist point, prepared here with the
-        other affine ones in lockstep, or a prepared one."""
+        """``prod_i miller_loop(P_i, Q_i)`` by one loop that squares ``f``
+        once a step for all pairs and evaluates each pair's line at ``P_i``
+        with one scaling by ``xP``.  ``Q_i`` is an affine twist point,
+        prepared here with the other affine ones in lockstep, or a prepared
+        one."""
         t = self.tower
         m = t._mod
         bn = self.curve.family == "bn"
-        one = f = rest = self._one
+        one = f = self._one
         at, tables = [], []
         prepared = self.prepare_all([None if P is None else Q for P, Q in pairs])
         for (P, _), Q in zip(pairs, prepared):
-            if Q is None:
-                continue
-            if Q.lines is None:
-                rest = rest * self._reference_loop(P, Q.point)
-            else:
+            if Q is not None:
                 at.append((t.fq.neg(P[1]), P[0]))
                 tables.append(Q.lines)
         for step in zip(*tables):
@@ -377,22 +337,24 @@ class PairingEngine:
                     f = f.mul_by_line(s, d, (c0 * xP % m, c1 * xP % m), 1)
         if self.curve.x_negative and not bn:
             f = f.conjugate()
-        return f if rest is one else f * rest
+        return f
 
     # -- final exponentiation -----------------------------------------------------------
 
     def final_exponentiation(self, f):
         """Map a Miller value to the order-r cyclotomic subgroup."""
-        tracer = RUN.tracer
-        if tracer is not None:
-            tracer.op("pairing_final_exp")
         if f.is_zero():
             # codelint: ignore[RC301] -- mirrors Python division semantics
             raise ZeroDivisionError("final exponentiation of zero (degenerate pairing input)")
+        g = _untraced(self._final_exponentiation, f)
+        t = RUN.tracer
+        if t is not None:
+            self.charge_final_exponentiation(t)
+        return g
+
+    def _final_exponentiation(self, f):
         f1 = f.conjugate() * f.inverse()              # f^(p^6 - 1)
         f2 = f1.frobenius().frobenius() * f1          # ... ^(p^2 + 1)
-        if tracer is not None:
-            return f2 ** self._hard_exponent          # ... ^((p^4 - p^2 + 1)/r)
         if self.curve.family == "bn":
             return self._hard_part_bn(f2)
         return self._hard_part_bls12(f2)
@@ -457,12 +419,11 @@ class PairingEngine:
         the standard verifier optimization (one final exp per proof).  A
         ``Q_i`` may be a :class:`PreparedG2`, and *f* a Miller value to
         multiply in first (a fixed pair's, computed once)."""
-        if RUN.tracer is None:
-            prod = self._miller_loops([(P.to_affine(), Q.to_affine()) for P, Q in pairs])
-        else:
-            prod = self._one
-            for P, Q in pairs:
-                prod = prod * self.miller_loop(P.to_affine(), Q.to_affine())
+        pairs = [(P.to_affine(), Q.to_affine()) for P, Q in pairs]
+        prod = _untraced(self._miller_loops, pairs)
+        t = RUN.tracer
+        if t is not None:
+            self.charge_miller_loops(t, pairs)
         if f is not None:
             prod = prod * f
         return self.final_exponentiation(prod)

@@ -290,19 +290,6 @@ class Fp12:
     def _hi(self):
         return Fp6(self.tower, *self.c1)
 
-    def __add__(self, other):
-        lo = self._lo() + other._lo()
-        hi = self._hi() + other._hi()
-        return Fp12(self.tower, lo.a, hi.a)
-
-    def __sub__(self, other):
-        lo = self._lo() - other._lo()
-        hi = self._hi() - other._hi()
-        return Fp12(self.tower, lo.a, hi.a)
-
-    def __neg__(self):
-        return Fp12(self.tower, (-self._lo()).a, (-self._hi()).a)
-
     # -- fused kernels ---------------------------------------------------------
     #
     # The hot operations of the pairing, each one function over the twelve
@@ -590,18 +577,6 @@ class Fp12:
             ((3 * A2 + 2 * a8) % m, (3 * A3 + 2 * a9) % m),
             ((3 * B2 + 2 * a10) % m, (3 * B3 + 2 * a11) % m),
         ))
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        acc = self.tower.fp12_one()
-        base = self
-        while e > 0:
-            if e & 1:
-                acc = acc * base
-            base = base.square()
-            e >>= 1
-        return acc
 
     def inverse(self):
         a0, a1 = self._lo(), self._hi()

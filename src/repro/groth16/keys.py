@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
+from repro.context import scoped
 from repro.curves.pairing import engine_for
 
 __all__ = ["ProvingKey", "VerifyingKey", "PreparedVerifyingKey", "Proof"]
@@ -97,14 +98,17 @@ class VerifyingKey:
 
     @cached_property
     def prepared(self):
-        """The :class:`PreparedVerifyingKey`, built by the first untraced
-        check and kept on this object alone: not a field, so it is neither
-        compared nor serialised, and ``dataclasses.replace`` starts without."""
+        """The :class:`PreparedVerifyingKey`, built by the first check and
+        kept on this object alone: not a field, so it is neither compared
+        nor serialised, and ``dataclasses.replace`` starts without.  Built
+        with the tracer detached: a traced check is charged the reference
+        route, which has no prepared form."""
         eng = engine_for(self.curve)
-        beta2, gamma2, delta2 = eng.prepare_all(
-            [q.to_affine() for q in (self.beta2, self.gamma2, self.delta2)])
-        return PreparedVerifyingKey(
-            beta2, gamma2, delta2, eng.miller_loop(self.alpha1.to_affine(), beta2))
+        with scoped("tracer", None):
+            beta2, gamma2, delta2 = eng.prepare_all(
+                [q.to_affine() for q in (self.beta2, self.gamma2, self.delta2)])
+            return PreparedVerifyingKey(
+                beta2, gamma2, delta2, eng.miller_loop(self.alpha1.to_affine(), beta2))
 
     def check_publics(self, publics):
         """Raise ``ValueError`` unless *publics* has one reduced ``Fr``

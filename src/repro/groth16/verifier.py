@@ -5,9 +5,9 @@ One small MSM over the public inputs and a four-term product of pairings:
     ``e(A, B) = e(alpha, beta) * e(vk_x, gamma) * e(C, delta)``
 
 checked as ``e(-A, B) * e(alpha, beta) * e(vk_x, gamma) * e(C, delta) == 1``
-with a single shared final exponentiation.  Untraced, the three terms that
-do not depend on the proof come from ``vk.prepared``; a traced run walks
-all four (the pinning rule, docs/KERNELS.md).
+with a single shared final exponentiation.  The value takes the three
+terms that do not depend on the proof from ``vk.prepared``; a traced run
+is charged four reference loops (docs/KERNELS.md, "Charging a reference").
 
 Constant work regardless of circuit size — which is why the paper's Fig. 5
 shows flat loads/stores, Fig. 6 a flat speedup, and the execution time is
@@ -18,7 +18,7 @@ opcodes, Table V).
 
 from __future__ import annotations
 
-from repro.context import RUN
+from repro.context import RUN, region, scoped
 from repro.curves.pairing import engine_for
 
 __all__ = ["verify"]
@@ -46,36 +46,34 @@ def verify(vk, proof, publics):
     if m is not None:
         m.inc("repro_groth16_verify_total")
     eng = engine_for(vk.curve)
-    if t is None:
-        # Only what depends on the proof: three legs of one shared loop, two
-        # over stored lines, times the stored Miller value of (alpha, beta).
-        fixed = vk.prepared
-        return eng.pairing_check(
-            [(-proof.a, proof.b), (vk.fold_publics(publics), fixed.gamma2),
-             (proof.c, fixed.delta2)],
-            fixed.alpha_beta)
-
-    with t.region("verify_parse_proof", parallel=False):
-        # Runtime startup: node + snarkjs module load, vkey/proof JSON parse.
-        # A modest stream, but against the stage's small instruction count
-        # it is what produces the 4-5 GB/s peak the paper's Table III shows.
-        rt = t.malloc(_RUNTIME_IMAGE_BYTES)
-        t.stream(rt, _RUNTIME_IMAGE_BYTES, ticks_per_kb=64, op_name="wasm_validate")
-        t.page_fault(1 + _RUNTIME_IMAGE_BYTES // 4096)
-        t.memcpy(t.malloc(proof.size_bytes()), 0, proof.size_bytes())
-        t.op("json_parse_field", 16)
-    with t.region("verify_prepare_inputs", parallel=True, items=max(len(publics), 1)):
+    if t is not None:
+        with t.region("verify_parse_proof", parallel=False):
+            # Runtime startup: node + snarkjs module load, vkey/proof JSON
+            # parse.  A modest stream, but against the stage's small
+            # instruction count it is what produces the 4-5 GB/s peak the
+            # paper's Table III shows.
+            rt = t.malloc(_RUNTIME_IMAGE_BYTES)
+            t.stream(rt, _RUNTIME_IMAGE_BYTES, ticks_per_kb=64, op_name="wasm_validate")
+            t.page_fault(1 + _RUNTIME_IMAGE_BYTES // 4096)
+            t.memcpy(t.malloc(proof.size_bytes()), 0, proof.size_bytes())
+            t.op("json_parse_field", 16)
+    with region("verify_prepare_inputs", parallel=True, items=max(len(publics), 1)):
         vk_x = vk.fold_publics(publics)
-    # The four Miller loops are independent (parallelizable); the shared
-    # final exponentiation is the serial tail.
-    with t.region("verify_miller_loops", parallel=True, items=4):
-        f = eng._one
-        for P, Q in [
-            (-proof.a, proof.b),
-            (vk.alpha1, vk.beta2),
-            (vk_x, vk.gamma2),
-            (proof.c, vk.delta2),
-        ]:
-            f = f * eng.miller_loop(P.to_affine(), Q.to_affine())
-    with t.region("verify_final_exp", parallel=False):
-        return eng.final_exponentiation(f).is_one()
+    # Only what depends on the proof: three legs of one shared loop, two over
+    # stored lines, times the stored Miller value of (alpha, beta).
+    fixed = vk.prepared
+    with scoped("tracer", None):
+        ok = eng.pairing_check(
+            [(-proof.a, proof.b), (vk_x, fixed.gamma2), (proof.c, fixed.delta2)],
+            fixed.alpha_beta)
+    if t is not None:
+        # The model's four Miller loops are independent (parallelizable); the
+        # shared final exponentiation is the serial tail.
+        with t.region("verify_miller_loops", parallel=True, items=4):
+            eng.charge_miller_loops(t, [
+                (P.to_affine(), Q.to_affine()) for P, Q in [
+                    (-proof.a, proof.b), (vk.alpha1, vk.beta2),
+                    (vk_x, vk.gamma2), (proof.c, vk.delta2)]])
+        with t.region("verify_final_exp", parallel=False):
+            eng.charge_final_exponentiation(t)
+    return ok

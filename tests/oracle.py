@@ -1,9 +1,10 @@
 """Oracles the fast routes are compared with.
 
-*The tracer* (docs/KERNELS.md, "The pinning rule"): every fast kernel has a
+*The tracer* (docs/KERNELS.md, "The pinning rule"): each pinned site has a
 textbook twin that the same public call runs under ``RUN.tracer``, so the
 reference value of a differential test is that call made under a throwaway
-tracer — no second entry point, no environment.
+tracer — no second entry point, no environment.  :func:`trace` is that call
+with the trace it leaves.
 
 *The ladder* (docs/KERNELS.md, "Membership by endomorphism"): ``[k]P`` by
 unreduced binary double-and-add with general additions.  ``Point.__mul__``
@@ -26,21 +27,46 @@ walks one twist point's Miller lines the same way — the comparators, in
 values and in traced primitive counts, of the fused ``Fp12`` kernels and of
 ``PairingEngine._walk``.
 
+*The textbook pairing*: :func:`miller_loop` (the affine loop on the
+untwisted image of G2 in ``E(Fp12)``), :func:`final_exponentiation` (the
+hard part by square-and-multiply), :func:`multi_pairing` and
+:func:`groth16_verify` (four loops, one final exponentiation) — the route a
+traced pairing call is charged (docs/KERNELS.md, "Charging a reference"),
+the comparator of the engine's values and, executed under a tracer
+(:func:`executed_pairing` for the protocol calls), of its traces.
+
 *The op counter*: :func:`count_ops` counts a group's coordinate-adapter
 multiplications, squarings and inversions over one call, run on the
 per-operation wave — the machine-independent cost of a kernel.
 """
 
 from collections import Counter
+from contextlib import contextmanager
 
+from repro.context import RUN
+from repro.curves.pairing import PairingEngine, PreparedG2, engine_for
 from repro.fields.extensions import Fp6, Fp12
 from repro.perf.trace import Tracer, tracing
 
 
 def reference(fn, *args):
-    """``fn(*args)`` as a traced run computes it."""
+    """``fn(*args)`` as a traced run computes it: the pinned sites' reference
+    route — ``msm_auto``'s Pippenger, the fixed-base table walk,
+    double-and-add, the inverting ``to_affine``, no pool.  A pairing call
+    computes the same way traced or not; its reference is
+    :func:`miller_loop` and :func:`final_exponentiation` below."""
     with tracing(Tracer()):
         return fn(*args)
+
+
+def trace(fn, *args):
+    """``(value, root, clock, mem_events)`` of ``fn(*args)`` under a fresh
+    tracer: what a traced run hands the analyses (``root`` compares as the
+    whole region tree with every region's counts)."""
+    tracer = Tracer()
+    with tracing(tracer):
+        value = fn(*args)
+    return value, tracer.root, tracer.clock, tracer.mem_events
 
 
 def ladder_mul(pt, k):
@@ -375,3 +401,200 @@ def lines(eng, Q_aff):
         cd, x1, y1 = line(chord(x1, y1, x2, y2), x1, y1, x2)
         yield (False, *cd)
         yield (False, *line(chord(x1, y1, x3, y3), x1, y1, x3)[0])
+
+
+# -- the textbook pairing -----------------------------------------------------------
+
+
+def fp12_add(a, b):
+    return Fp12(a.tower, (a._lo() + b._lo()).a, (a._hi() + b._hi()).a)
+
+
+def fp12_sub(a, b):
+    return Fp12(a.tower, (a._lo() - b._lo()).a, (a._hi() - b._hi()).a)
+
+
+def fp12_neg(a):
+    return Fp12(a.tower, (-a._lo()).a, (-a._hi()).a)
+
+
+def fp12_pow(f, e):
+    """``f ** e`` by square-and-multiply; a negative *e* inverts first."""
+    if e < 0:
+        return fp12_pow(f.inverse(), -e)
+    acc = f.tower.fp12_one()
+    base = f
+    while e > 0:
+        if e & 1:
+            acc = acc * base
+        base = base.square()
+        e >>= 1
+    return acc
+
+
+def fp12_scalar(tower, c):
+    """Embed a base-field integer as an Fp12 element."""
+    z = (0, 0)
+    return Fp12(tower, ((c, 0), z, z), (z, z, z))
+
+
+def embed_g1(eng, P):
+    """Map an affine G1 point (ints) to ``E(Fp12)`` coordinates."""
+    x, y = P
+    return (fp12_scalar(eng.tower, x), fp12_scalar(eng.tower, y))
+
+
+def untwist_g2(eng, Q):
+    """Map an affine twist point (Fp2 pairs) to ``E(Fp12)``.
+
+    BN254 uses a D-type twist (``psi(x,y) = (x w^2, y w^3)``); BLS12-381
+    an M-type twist (``psi(x,y) = (x w^4 / xi, y w^3 / xi)``).  In the
+    tower basis ``w^2 = v`` these land on sparse Fp6 slots.
+    """
+    t = eng.tower
+    xq, yq = Q
+    z = (0, 0)
+    if eng.curve.family == "bn":
+        x12 = Fp12(t, (z, xq, z), (z, z, z))          # x * v
+        y12 = Fp12(t, (z, z, z), (z, yq, z))          # y * v * w
+    else:
+        xi_inv = t.f2_inv(t.xi)
+        xs = t.f2_mul(xq, xi_inv)
+        ys = t.f2_mul(yq, xi_inv)
+        x12 = Fp12(t, (z, z, xs), (z, z, z))          # x/xi * v^2
+        y12 = Fp12(t, (z, z, z), (z, ys, z))          # y/xi * v * w
+    return (x12, y12)
+
+
+def double_step(R, P):
+    """Return ``(2R, line_{R,R}(P))`` sharing the tangent slope."""
+    x1, y1 = R
+    xt, yt = P
+    x1_sq = x1.square()
+    num = fp12_add(fp12_add(x1_sq, x1_sq), x1_sq)
+    den = fp12_add(y1, y1)
+    m = num * den.inverse()
+    x3 = fp12_sub(m.square(), fp12_add(x1, x1))
+    y3 = fp12_sub(m * fp12_sub(x1, x3), y1)
+    line = fp12_sub(m * fp12_sub(xt, x1), fp12_sub(yt, y1))
+    return (x3, y3), line
+
+
+def add_step(R, Q, P):
+    """Return ``(R + Q, line_{R,Q}(P))`` sharing the chord slope."""
+    x1, y1 = R
+    x2, y2 = Q
+    xt, yt = P
+    if x1 == x2:
+        if y1 == y2:
+            return double_step(R, P)
+        # Vertical line; R + Q is the identity.
+        return None, fp12_sub(xt, x1)
+    m = fp12_sub(y2, y1) * fp12_sub(x2, x1).inverse()
+    x3 = fp12_sub(fp12_sub(m.square(), x1), x2)
+    y3 = fp12_sub(m * fp12_sub(x1, x3), y1)
+    line = fp12_sub(m * fp12_sub(xt, x1), fp12_sub(yt, y1))
+    return (x3, y3), line
+
+
+def frobenius_point(R):
+    """Coordinate-wise Frobenius ``(x^p, y^p)`` — an endomorphism of E."""
+    x, y = R
+    return (x.frobenius(), y.frobenius())
+
+
+def miller_loop(eng, P_aff, Q_aff):
+    """The textbook Miller loop on ``E(Fp12)``: ``P_aff`` affine G1, ``Q_aff``
+    an affine twist point or a :class:`~repro.curves.pairing.PreparedG2`, 1
+    if either is the identity.  The route a traced ``eng.miller_loop`` is
+    charged, reporting to the tracer as it goes."""
+    if P_aff is None or Q_aff is None:
+        return eng.tower.fp12_one()
+    tracer = RUN.tracer
+    if tracer is not None:
+        tracer.op("pairing_miller_loop")
+    if isinstance(Q_aff, PreparedG2):
+        Q_aff = Q_aff.point
+    P = embed_g1(eng, P_aff)
+    Q = untwist_g2(eng, Q_aff)
+    loop = eng.curve.ate_loop
+    f = eng.tower.fp12_one()
+    R = Q
+    for i in range(loop.bit_length() - 2, -1, -1):
+        R, line = double_step(R, P)
+        f = f * f * line
+        if (loop >> i) & 1:
+            R, line = add_step(R, Q, P)
+            f = f * line
+    if eng.curve.family == "bn":
+        # Optimal ate for BN needs two Frobenius-twisted additions.
+        Q1 = frobenius_point(Q)
+        Q2 = frobenius_point(Q1)
+        nQ2 = (Q2[0], fp12_neg(Q2[1]))
+        R, line = add_step(R, Q1, P)
+        f = f * line
+        _, line = add_step(R, nQ2, P)
+        f = f * line
+    elif eng.curve.x_negative:
+        # BLS with negative x: conjugate f (valid up to final exp).
+        f = f.conjugate()
+    return f
+
+
+def miller_product(eng, pairs):
+    """``1 * miller_loop(P_1, Q_1) * ...`` over affine *pairs*, textbook."""
+    f = eng.tower.fp12_one()
+    for P, Q in pairs:
+        f = f * miller_loop(eng, P, Q)
+    return f
+
+
+def final_exponentiation(eng, f):
+    """``f ** ((p^12 - 1) / r)``: the easy part, then the hard exponent by
+    square-and-multiply — the route a traced ``eng.final_exponentiation``
+    is charged."""
+    tracer = RUN.tracer
+    if tracer is not None:
+        tracer.op("pairing_final_exp")
+    f1 = f.conjugate() * f.inverse()              # f^(p^6 - 1)
+    f2 = f1.frobenius().frobenius() * f1          # ... ^(p^2 + 1)
+    return fp12_pow(f2, eng._hard_exponent)       # ... ^((p^4 - p^2 + 1)/r)
+
+
+def multi_pairing(eng, pairs, f=None):
+    """``eng.multi_pairing(pairs, f)`` by the textbook route."""
+    prod = miller_product(eng, [(P.to_affine(), Q.to_affine()) for P, Q in pairs])
+    if f is not None:
+        prod = prod * f
+    return final_exponentiation(eng, prod)
+
+
+def groth16_verify(vk, proof, publics):
+    """Groth16's verdict by the textbook route: ``e(-A, B) e(alpha, beta)
+    e(vk_x, gamma) e(C, delta) == 1``, four loops of :func:`miller_loop`."""
+    return multi_pairing(engine_for(vk.curve), [
+        (-proof.a, proof.b), (vk.alpha1, vk.beta2),
+        (vk.fold_publics(publics), vk.gamma2), (proof.c, vk.delta2)]).is_one()
+
+
+@contextmanager
+def executed_pairing():
+    """Within, a traced call executes the textbook route where the engine
+    would charge it: :func:`miller_product` on the pairs
+    ``charge_miller_loops`` is handed, then :func:`final_exponentiation` of
+    that product (of one, when no product came first) — the trace a charged
+    call must equal."""
+    products = []
+
+    def loops(eng, _t, pairs):
+        products.append(miller_product(eng, pairs))
+
+    def final(eng, _t):
+        final_exponentiation(eng, products.pop() if products else eng.tower.fp12_one())
+
+    saved = PairingEngine.charge_miller_loops, PairingEngine.charge_final_exponentiation
+    PairingEngine.charge_miller_loops, PairingEngine.charge_final_exponentiation = loops, final
+    try:
+        yield
+    finally:
+        PairingEngine.charge_miller_loops, PairingEngine.charge_final_exponentiation = saved

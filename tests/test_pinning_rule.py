@@ -5,7 +5,9 @@ that has a faster twin keeps traced runs on the reference: same value from
 the same public call, different route.  One test per site — the value
 agrees, and the traced call shows the reference route's fingerprint (a
 kernel counter, a region name, an un-normalized ``Z``, a ``None`` pool)
-where the untraced one shows the fast route's.
+where the untraced one shows the fast route's.  The pairing is no longer
+pinned but charged ("Charging a reference"): its tests hold the traced
+call's trace equal to the textbook route's executed.
 """
 
 import random
@@ -23,6 +25,7 @@ from repro.parallel.pool import WorkerPool
 from repro.perf.trace import Tracer, tracing
 from repro.plonk.kzg import SRS
 from tests.conftest import make_pow_circuit
+from tests import oracle
 from tests.oracle import reference
 
 G1, G2 = BN128.g1, BN128.g2
@@ -152,29 +155,18 @@ def test_point_mul(group, monkeypatch):
     assert fast == ref and fast.to_affine() == ref.to_affine()
 
 
-def test_pairing_engine(monkeypatch):
+def test_pairing_engine():
+    # Charged, no longer pinned (docs/KERNELS.md, "Charging a reference"):
+    # the traced call computes by the one route, and its trace is the
+    # textbook route's executed.
     eng = PairingEngine(BN128)
-    fast_only = []
-    for attr in ("_miller_loops", "_hard_part_bn"):
-        original = getattr(PairingEngine, attr)
-
-        def spy(*args, _original=original, _attr=attr):
-            fast_only.append(_attr)
-            return _original(*args)
-
-        monkeypatch.setattr(PairingEngine, attr, spy)
     P, Q = (G1.generator * 3).to_affine(), (G2.generator * 7).to_affine()
-
-    f_ref, tracer, _ = traced(eng.miller_loop, P, Q)
-    e_ref = reference(eng.final_exponentiation, f_ref)
-    assert fast_only == []
-    assert tracer.total_counts()["pairing_miller_loop"] == 1
-
-    f_fast = eng.miller_loop(P, Q)
-    assert fast_only == ["_miller_loops"]
-    assert f_fast == f_ref
-    assert eng.final_exponentiation(f_fast) == e_ref
-    assert fast_only == ["_miller_loops", "_hard_part_bn"]
+    charged = oracle.trace(eng.miller_loop, P, Q)
+    assert charged == oracle.trace(oracle.miller_loop, eng, P, Q)
+    assert charged[0] == eng.miller_loop(P, Q)
+    f = charged[0]
+    assert oracle.trace(eng.final_exponentiation, f) == \
+        oracle.trace(oracle.final_exponentiation, eng, f)
 
 
 def test_traced_setup_and_prove_reach_no_wave():
@@ -196,21 +188,21 @@ def test_traced_setup_and_prove_reach_no_wave():
     assert ref == fast
 
 
-def test_traced_verify_never_meets_the_prepared_key():
-    # Four reference loops in their regions; the vk's memo (line tables and
-    # the stored Miller value) is neither read nor built under a tracer.
+def test_traced_verify_trace_is_the_oracles():
+    # Four reference loops charged in their region, whatever the value is
+    # computed from: the vk's memo (line tables and the stored Miller value)
+    # is built by the first check, traced or not, and charged to none.
     circuit, inputs = make_pow_circuit(BN128, 4)
     rng = random.Random(29)
     pk, vk = setup(BN128, circuit, rng)
     witness = generate_witness(circuit, inputs)
     proof, publics = prove(pk, circuit, witness, rng), public_inputs(circuit, witness)
     assert "prepared" not in vars(vk)
-    ok, tracer, _ = traced(verify, vk, proof, publics)
-    assert ok is True
-    assert tracer.total_counts()["pairing_miller_loop"] == 4
-    assert "verify_miller_loops" in region_names(tracer)
-    assert "prepared" not in vars(vk)
-    assert verify(vk, proof, publics) is True and "prepared" in vars(vk)
+    charged = oracle.trace(verify, vk, proof, publics)
+    assert charged[0] is True and "prepared" in vars(vk)
+    assert charged[1].counts == {} and charged[1].children[2].name == "verify_miller_loops"
+    with oracle.executed_pairing():
+        assert oracle.trace(verify, vk, proof, publics) == charged
 
 
 def test_active_pool():
