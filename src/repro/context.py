@@ -25,9 +25,10 @@ arithmetic core imports it and nothing else to be instrumented.
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import contextmanager, nullcontext
 
-__all__ = ["RUN", "RunContext", "region", "scoped"]
+__all__ = ["RUN", "RunContext", "Tally", "charge", "region", "scoped", "untraced"]
 
 
 class RunContext:
@@ -35,7 +36,7 @@ class RunContext:
 
     __slots__ = (
         "tracer",    # repro.perf.trace.Tracer; pins the pinned sites to their reference
-                     # route; detached around a charged site's value (the pairing)
+                     # route; detached around a charged site's value
         "metrics",   # repro.obs.metrics.MetricsRegistry
         "spans",     # repro.obs.spans.SpanRecorder
         "tasks",     # repro.obs.worker.WorkerTelemetry
@@ -85,3 +86,26 @@ def region(name, **kw):
     if t is None:
         return _NO_REGION
     return t.region(name, **kw)
+
+
+def untraced(fn, *args):
+    """``fn(*args)`` with the tracer detached: the value of a site that
+    charges its reference (docs/KERNELS.md, "Charging a reference")."""
+    if RUN.tracer is None:
+        return fn(*args)
+    with scoped("tracer", None):
+        return fn(*args)
+
+
+class Tally(Counter):
+    """A ``Counter`` that takes a tracer's reports, to read a formula's."""
+
+    def op(self, prim, n=1):
+        self[prim] += n
+
+
+def charge(t, cost, n=1):
+    """Report *n* times the primitives of the tally *cost* to *t*."""
+    if n:
+        for prim, k in cost.items():
+            t.op(prim, k * n)

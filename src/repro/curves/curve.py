@@ -18,10 +18,11 @@ control-flow share in the paper's Table V comes from.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import zip_longest
 from math import gcd
 
-from repro.context import RUN
+from repro.context import RUN, Tally, charge, scoped, untraced
 from repro.curves.endomorphism import decompose_scalar
 
 __all__ = ["FpOps", "Fp2Ops", "Group", "Point", "CurveSpec"]
@@ -299,6 +300,26 @@ class Group:
         k = rng.randrange(1, self.order)
         return self.generator * k
 
+    @cached_property
+    def cost(self):
+        """What one ``double``, ``add`` (``__add__``), ``add_doubling``
+        (``__add__`` of equal points), ``add_affine`` and inverting
+        ``to_affine`` report to a tracer: what charged sites charge.  Read on
+        points off the curve whose calls take every generic branch over any
+        odd ``p``: the counts depend on the branch, not on the values."""
+        one = self.ops.one
+        with scoped("tracer", None):
+            two = self.ops.add(one, one)
+        a, b = Point(self, one, one, one), Point(self, two, one, two)
+        calls = {"double": b.double, "add": lambda: a + b, "add_doubling": lambda: a + a,
+                 "add_affine": lambda: b.add_affine(one, one), "to_affine": b.to_affine}
+        costs = {}
+        with scoped("metrics", None):
+            for name, call in calls.items():
+                with scoped("tracer", Tally()) as costs[name]:
+                    call()
+        return costs
+
     def _admit(self, candidates, membership=True):
         """The first of *candidates* that is ``[eigen]`` on the generator —
         and, for *membership*, a sound membership test.
@@ -492,30 +513,34 @@ class Point:
         return self + (-other)
 
     def __mul__(self, k):
-        """``[k mod r]self``, *self* in the order-``r`` subgroup:
-        :meth:`_mul_wnaf`, and left-to-right double-and-add under a tracer
-        (the pinning rule, docs/KERNELS.md) or where that declines."""
+        """``[k mod r]self``, *self* in the order-``r`` subgroup, by
+        :meth:`_mul_wnaf`; a traced call is charged double-and-add
+        (docs/KERNELS.md, "Charging a reference")."""
         if not isinstance(k, int):
             return NotImplemented
-        k %= self.group.order
+        group = self.group
+        k %= group.order
         if k == 0 or self.is_infinity():
-            return self.group.infinity()
-        if RUN.tracer is None:
-            fast = self._mul_wnaf(k)
-            if fast is not None:
-                return fast
-        acc = self.group.infinity()
-        for bit in bin(k)[2:]:
-            acc = acc.double()
-            if bit == "1":
-                acc = acc + self
+            return group.infinity()
+        acc = untraced(self._mul_wnaf, k)
+        t = RUN.tracer
+        if t is not None:
+            self.charge_mul(t, k)
         return acc
+
+    def charge_mul(self, t, k):
+        """Charge *t* double-and-add of ``0 < k < r`` with general additions:
+        ``bits(k) - 1`` doublings, ``popcount(k) - 1`` additions."""
+        cost = self.group.cost
+        charge(t, cost["double"], k.bit_length() - 1)
+        charge(t, cost["add"], bin(k).count("1") - 1)
 
     __rmul__ = __mul__
 
     def _mul_wnaf(self, k):
         """``[k]self`` by width-4 wNAF over the odd multiples ``1, 3, 5, 7``,
-        or ``None`` when one of them is the identity (order 3, 5 or 7).
+        or by double-and-add when one of them is the identity (order 3, 5
+        or 7: toy groups only).
 
         One shared inversion (Montgomery's trick) makes the table affine, so
         every addition is mixed.  Where the group has a split record,
@@ -529,10 +554,15 @@ class Point:
         odd = [self]
         for _ in range(3):
             odd.append(odd[-1] + twice)
+        if any(pt.is_infinity() for pt in odd):
+            acc = group.infinity()
+            for bit in bin(k)[2:]:
+                acc = acc.double()
+                if bit == "1":
+                    acc = acc + self
+            return acc
         prefix = [ops.one]
         for pt in odd:
-            if ops.is_zero(pt.Z):
-                return None
             prefix.append(mul(prefix[-1], pt.Z))
         inv = ops.inv(prefix[-1])
         table = [None] * 4
@@ -565,19 +595,26 @@ class Point:
     # -- coordinates --------------------------------------------------------------------
 
     def to_affine(self):
-        """Return affine ``(x, y)`` raw coordinates, or ``None`` at infinity."""
+        """Return affine ``(x, y)`` raw coordinates, or ``None`` at infinity;
+        a traced call at ``Z == 1`` is charged the inversion all the same
+        (modeled stages count one per serialized point)."""
         if self.is_infinity():
             return None
         ops = self.group.ops
-        if self.Z == ops.one and RUN.tracer is None:
-            # Already normalized; traced runs still pay the conversion
-            # (the pinning rule, docs/KERNELS.md).
+        if self.Z == ops.one:
+            t = RUN.tracer
+            if t is not None:
+                self.charge_to_affine(t)
             return (self.X, self.Y)
         zinv = ops.inv(self.Z)
         zinv2 = ops.sqr(zinv)
         x = ops.mul(self.X, zinv2)
         y = ops.mul(self.Y, ops.mul(zinv2, zinv))
         return (x, y)
+
+    def charge_to_affine(self, t):
+        """Charge *t* one inverting conversion."""
+        charge(t, self.group.cost["to_affine"])
 
     def normalize(self):
         """Return the same point with ``Z == 1`` (or infinity unchanged)."""

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.context import RUN, scoped
+from repro.context import RUN, Tally, charge, untraced
 
 __all__ = ["PairingEngine", "PreparedG2", "engine_for"]
 
@@ -67,20 +67,13 @@ _FP12_OPS = {
 }
 
 
-class _Tally(Counter):
-    """A ``Counter`` that takes a tracer's reports."""
-
-    def op(self, prim, n=1):
-        self[prim] += n
-
-
 def _tally(tower, ops, f2=(0, 0, 0, 0)):
     """The primitives of *ops*, ``{Fp12 operation: count}``, plus *f2* work
     in the same units, by the tower's report rule."""
     products, adds, subs, inversions = (
         extra + sum(n * _FP12_OPS[name][k] for name, n in ops.items())
         for k, extra in enumerate(f2))
-    tally = _Tally()
+    tally = Tally()
     tower._report(tally, products, adds, subs)
     # f2_inv's guard (two squarings, a product, a subtraction), then its Fp
     # tail: an inversion, two products and a negation.
@@ -90,22 +83,6 @@ def _tally(tower, ops, f2=(0, 0, 0, 0)):
     tally.op(tower.fq._inv_tag, inversions)
     tally.op(tower._add_tag, inversions)
     return +tally
-
-
-def _charge(t, cost, n=1):
-    """Report *n* times the primitives *cost* to the tracer *t*."""
-    if n:
-        for prim, k in cost.items():
-            t.op(prim, k * n)
-
-
-def _untraced(fn, *args):
-    """``fn(*args)`` with the tracer detached: every value comes from the
-    one formulation, and a traced call charges the reference itself."""
-    if RUN.tracer is None:
-        return fn(*args)
-    with scoped("tracer", None):
-        return fn(*args)
 
 
 class PreparedG2:
@@ -187,12 +164,12 @@ class PairingEngine:
         """Charge the tracer *t* the textbook product ``1 * miller_loop(P_1,
         Q_1) * ...`` over the affine *pairs*: one ``Fp12`` product a pair,
         and one reference loop a pair without the identity (``None``)."""
-        _charge(t, self._loop_cost, sum(P is not None and Q is not None for P, Q in pairs))
-        _charge(t, self._product_cost, len(pairs))
+        charge(t, self._loop_cost, sum(P is not None and Q is not None for P, Q in pairs))
+        charge(t, self._product_cost, len(pairs))
 
     def charge_final_exponentiation(self, t):
         """Charge the tracer *t* one reference final exponentiation."""
-        _charge(t, self._final_exp_cost)
+        charge(t, self._final_exp_cost)
 
     # -- Miller loop -----------------------------------------------------------------
 
@@ -203,10 +180,10 @@ class PairingEngine:
         point (raw Fp2 pairs) or a :class:`PreparedG2`.  Returns 1 if either
         input is the identity.
         """
-        f = _untraced(self._miller_loops, [(P_aff, Q_aff)])
+        f = untraced(self._miller_loops, [(P_aff, Q_aff)])
         t = RUN.tracer
         if t is not None and P_aff is not None and Q_aff is not None:
-            _charge(t, self._loop_cost)
+            charge(t, self._loop_cost)
         return f
 
     def _walk(self, points):
@@ -346,7 +323,7 @@ class PairingEngine:
         if f.is_zero():
             # codelint: ignore[RC301] -- mirrors Python division semantics
             raise ZeroDivisionError("final exponentiation of zero (degenerate pairing input)")
-        g = _untraced(self._final_exponentiation, f)
+        g = untraced(self._final_exponentiation, f)
         t = RUN.tracer
         if t is not None:
             self.charge_final_exponentiation(t)
@@ -420,7 +397,7 @@ class PairingEngine:
         ``Q_i`` may be a :class:`PreparedG2`, and *f* a Miller value to
         multiply in first (a fixed pair's, computed once)."""
         pairs = [(P.to_affine(), Q.to_affine()) for P, Q in pairs]
-        prod = _untraced(self._miller_loops, pairs)
+        prod = untraced(self._miller_loops, pairs)
         t = RUN.tracer
         if t is not None:
             self.charge_miller_loops(t, pairs)

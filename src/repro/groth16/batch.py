@@ -101,9 +101,10 @@ def batch_verify(vk, proofs_with_publics, rng):
     pairs.append((-(vk.alpha1 * sum_r), fixed.beta2))
     pairs.append((-acc_l, fixed.gamma2))
     pairs.append((-acc_c, fixed.delta2))
-    if RUN.tracer is not None:
+    t = RUN.tracer
+    if t is not None:
         # The reference route loops over the vk's own points: a traced check
         # is charged their conversion too.
         for Q in (vk.beta2, vk.gamma2, vk.delta2):
-            Q.to_affine()
+            Q.charge_to_affine(t)
     return engine_for(curve).pairing_check(pairs)

@@ -21,7 +21,7 @@ Instrumented to match the stage's fingerprint in the paper:
 
 from __future__ import annotations
 
-from repro.context import RUN, region
+from repro.context import RUN, region, untraced
 from repro.groth16.keys import ProvingKey, VerifyingKey
 from repro.msm.fixed_base import FixedBaseTable
 from repro.qap.qap import column_evaluations_at, qap_domain
@@ -92,25 +92,25 @@ def setup(curve, circuit, rng):
         """Table sweep, fanned out through the worker pool when one is
         installed (untraced runs only); the committed points serialize
         identically either way."""
+        from repro.parallel.pool import active_pool
+
         scalars = list(scalars)
-        if t is None:
-            from repro.parallel.pool import active_pool
+        pool = active_pool()
+        if pool is not None and pool.enabled_for(len(scalars), "msm"):
+            from repro.parallel.kernels import fixed_base_mul_many
 
-            pool = active_pool()
-            if pool is not None and pool.enabled_for(len(scalars), "msm"):
-                from repro.parallel.kernels import fixed_base_mul_many
-
-                return fixed_base_mul_many(table, scalars, pool)
+            return fixed_base_mul_many(table, scalars, pool)
         return table.mul_many(scalars)
 
     def _mul_each(table, scalars):
-        """``_mul_many`` untraced.  Under a tracer, one ``mul`` a scalar
-        inside the caller's region: ``mul_many`` opens its own parallel
-        region, which would model the serial G2 section as parallel and
-        leave the L section's traffic outside the caller's scales."""
+        """``_mul_many``, a traced run's walks charged in the caller's
+        region: ``mul_many`` charges them in its own parallel region, which
+        would model the serial G2 section as parallel and leave the L
+        section's traffic outside the caller's scales."""
         if t is None:
             return _mul_many(table, scalars)
-        return [table.mul(k) for k in scalars]
+        table.charge_walks(t, scalars)
+        return untraced(table.mul_many, scalars)
 
     with region("setup_g1_commitments", parallel=True,
                 items=4 * len(u) + len(h_scalars),

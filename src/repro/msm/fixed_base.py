@@ -1,18 +1,18 @@
-"""Fixed-base scalar multiplication: a batch walk, and the traced table walk.
+"""Fixed-base scalar multiplication: one batch walk, charged a stored table.
 
 The trusted setup multiplies one base point by thousands of distinct
-scalars.  Untraced, :meth:`FixedBaseTable.mul_many` walks them all window
-by window in affine coordinates over rows it streams and drops
-(docs/KERNELS.md, "Fixed-base batch walk"); nothing is stored.  The stored
-table of ``(2^w - 1)`` multiples per w-bit window is the traced walk's
-alone (the pinning rule): its build and per-scalar walks are instrumented,
-so the large sequential table (why setup's loads dwarf its stores ~10x in
-Fig. 5: written once, read for every scalar) has a traced footprint.
+scalars.  :meth:`FixedBaseTable.mul_many` walks them all window by window
+in affine coordinates over rows it streams and drops (docs/KERNELS.md,
+"Fixed-base batch walk"); nothing is stored.  A traced call is *charged*
+the walk the model is calibrated on ("Charging a reference"): a stored
+table of ``(2^w - 1)`` affine multiples per w-bit window, built once, and a
+Jacobian walk over it a scalar — why setup's loads dwarf its stores ~10x in
+Fig. 5 (written once, read for every scalar).
 """
 
 from __future__ import annotations
 
-from repro.context import RUN
+from repro.context import RUN, charge, untraced
 from repro.msm.batch_affine import batch_affine_add
 from repro.msm.recode import digit_columns, signed_windows_len
 
@@ -34,9 +34,8 @@ class FixedBaseTable:
     base:
         A group :class:`~repro.curves.curve.Point`.
     width:
-        Window width in bits of the stored table the traced walk reads;
-        it is built under a tracer only, at construction or on the first
-        traced call.  The untraced batch walk sizes its own streamed rows.
+        Window width in bits of the stored table a traced call is charged;
+        the batch walk sizes its own streamed rows.
     bits:
         Scalar bit width to support (defaults to the group order's width);
         a reduced scalar that does not fit raises ``ValueError``.
@@ -55,33 +54,48 @@ class FixedBaseTable:
         self.width = width
         self.bits = bits or self.group.order.bit_length()
         self.n_windows = (self.bits + width - 1) // width
-        self._table = None
+        self._table_base = None  # the charged table's address, once charged
         if RUN.tracer is not None:
-            self._build(RUN.tracer)
+            self._charge_build(RUN.tracer)
 
-    def _build(self, t):
-        """Store the traced walk's table in *t*'s address space, once."""
-        if self._table is not None:
+    def _charge_build(self, t):
+        """Charge *t* the stored table's build, once a table: per window the
+        additions of rows ``d = 2 .. 2^w - 1`` (``d = 2`` doubles), their
+        ``2^w - 1`` inverting conversions, the addition giving the next
+        window's base (a doubling at width 1) and the row's store."""
+        if self._table_base is not None:
             return
-        group = self.group
-        per_window = (1 << self.width) - 1
-        point_bytes = self._point_bytes = 2 * group.ops.coord_bytes
+        cost, per_window = self.group.cost, (1 << self.width) - 1
+        point_bytes = self._point_bytes = 2 * self.group.ops.coord_bytes
         self._table_base = t.malloc(self.n_windows * per_window * point_bytes)
-        # table[k][d-1] holds (d * 2^(k*width)) * base, normalized to affine
-        # so the per-scalar walk uses cheap mixed additions.
-        table = []
-        window_base = self.base
+        adds = [cost["add_doubling"]] + [cost["add"]] * (per_window - 1)
+        window = adds[:-1] + [cost["to_affine"]] * per_window + adds[-1:]
         with t.region("fixed_base_table_build", parallel=True, items=self.n_windows):
             for _k in range(self.n_windows):
-                row = []
-                acc = group.infinity()
-                for _d in range(per_window):
-                    acc = acc + window_base
-                    row.append(acc)
-                table.append([p.to_affine() for p in row])
-                window_base = acc + window_base  # == 2^width * previous base
+                for formula in window:
+                    charge(t, formula)
+                # Every window's row is stored at the table's base, as calibrated.
                 t.mem_block(self._table_base, per_window * point_bytes, write=True)
-        self._table = table
+
+    def charge_walks(self, t, scalars):
+        """Charge *t* the build (once a table) and one stored-table walk a
+        scalar: per window a ``fixed_base_digit``, per non-zero digit its
+        entry's load and, after the first, one mixed addition."""
+        self._charge_build(t)
+        add, width, point_bytes = self.group.cost["add_affine"], self.width, self._point_bytes
+        mask = (1 << width) - 1
+        for scalar in scalars:
+            if RUN.deadline is not None:
+                RUN.deadline.check()
+            k, started = self._reduced(scalar), 0
+            for w in range(self.n_windows if k else 0):
+                t.op("fixed_base_digit")
+                digit = (k >> (w * width)) & mask
+                if digit:
+                    t.mem_load(self._table_base + (w * mask + digit - 1) * point_bytes,
+                               point_bytes)
+                    charge(t, add, started)  # the first entry lands on O for free
+                    started = 1
 
     def _reduced(self, scalar):
         """``scalar mod order``, which must fit the table's ``bits``."""
@@ -91,48 +105,33 @@ class FixedBaseTable:
         return k
 
     def mul(self, scalar):
-        """Return ``scalar * base``: ``base * k`` untraced, and under a
-        tracer at most ``n_windows`` additions from the stored table."""
-        # Cooperative deadline poll per scalar — one table walk is the
-        # kernel's smallest unit of work (a traced mul_many inherits it).
+        """Return ``scalar * base``: ``base * k``, charged one walk traced."""
         if RUN.deadline is not None:
             RUN.deadline.check()
         k = self._reduced(scalar)
+        point = untraced(self.base.__mul__, k)
         t = RUN.tracer
-        if t is None:
-            return self.base * k
-        self._build(t)
-        if k == 0:
-            return self.group.infinity()
-        mask = (1 << self.width) - 1
-        acc = self.group.infinity()
-        for w in range(self.n_windows):
-            digit = (k >> (w * self.width)) & mask
-            t.op("fixed_base_digit")
-            if digit:
-                entry = self._table[w][digit - 1]
-                addr = self._table_base + (w * mask + digit - 1) * self._point_bytes
-                t.mem_load(addr, self._point_bytes)
-                if entry is not None:
-                    acc = acc.add_affine(*entry)
-        return acc
+        if t is not None:
+            self.charge_walks(t, [k])
+        return point
 
     def mul_many(self, scalars):
-        """Multiply the base by every scalar.
+        """Multiply the base by every scalar (:meth:`_walk`), charged the
+        build and one walk a scalar in one parallel region traced."""
+        points = untraced(self._walk, scalars)
+        t = RUN.tracer
+        if t is not None:
+            self._charge_build(t)
+            with t.region("fixed_base_mul_many", parallel=True, items=len(scalars)):
+                self.charge_walks(t, scalars)
+        return points
 
-        Under a tracer: the per-scalar Jacobian walk of the stored table in
-        one parallel region (the pinning rule, docs/KERNELS.md).  Untraced:
-        the window-major batch walk — per window, the row ``d * 2^(w*j) *
+    def _walk(self, scalars):
+        """The window-major batch walk: per window, the row ``d * 2^(w*j) *
         base`` grows by doubling its length a wave at a time, every live
         accumulator adds the entry its signed digit selects in one wave
         behind one shared inversion, and the row is dropped; the products
-        are ``Z == 1`` by construction.
-        """
-        t = RUN.tracer
-        if t is not None:
-            self._build(t)
-            with t.region("fixed_base_mul_many", parallel=True, items=len(scalars)):
-                return [self.mul(k) for k in scalars]
+        are ``Z == 1`` by construction."""
         group, ops = self.group, self.group.ops
         neg = ops.neg
         out = [group.infinity() for _ in scalars]

@@ -1,11 +1,11 @@
-"""The fixed-base batch walk against the tracer's oracle (docs/KERNELS.md,
+"""The fixed-base batch walk against the stored-table walk (docs/KERNELS.md,
 "Fixed-base batch walk").
 
-An untraced ``FixedBaseTable.mul_many`` walks all scalars window by window
-in affine coordinates, and an untraced ``mul`` is ``base * k``; under a
-tracer both are the per-scalar Jacobian walk of the stored table, which is
-the reference here (``tests/oracle.py``).  The default matrix keeps tier-1
-short; the CI ``kernel-test`` job and ``make kernel-test`` set
+``FixedBaseTable.mul_many`` walks all scalars window by window in affine
+coordinates, and ``mul`` is ``base * k``, traced or not; the per-scalar
+Jacobian walk of a stored table, the route a traced call is charged, is the
+reference here (``tests/oracle.py::stored_walk``).  The default matrix
+keeps tier-1 short; the CI ``kernel-test`` job and ``make kernel-test`` set
 ``REPRO_KERNEL_FULL=1`` for four groups x 2^6..2^11 scalars.
 """
 
@@ -22,7 +22,7 @@ from repro.msm.recode import digit_columns, signed_windows_len
 from repro.obs.metrics import MetricsRegistry, collecting
 from repro.resilience.errors import StageTimeout
 from repro.resilience.retry import deadline_scope
-from tests.oracle import reference, signed_windows
+from tests.oracle import reference, signed_windows, stored_walk
 
 FULL = os.environ.get("REPRO_KERNEL_FULL") == "1"
 SIZES = tuple(2 ** i for i in range(6, 12)) if FULL else (0, 1, 2, 7, 33, 130)
@@ -57,18 +57,16 @@ def _scalars(order, n, seed):
 def _assert_walk_matches_reference(table, scalars):
     group = table.group
     fast = table.mul_many(scalars)
-    ref = reference(table.mul_many, scalars)
+    ref = [p.to_affine() for p in stored_walk(table, scalars)]
     assert len(fast) == len(scalars)
-    assert [p.to_affine() for p in fast] == [p.to_affine() for p in ref]
+    assert [p.to_affine() for p in fast] == ref
     for k, p in zip(scalars, fast):
         if k % group.order == 0:
             assert p.is_infinity()
         else:
             assert p.Z == group.ops.one
-    # Untraced ``mul`` is ``base * k``; the traced one walks the stored table.
-    singles = [table.mul(k) for k in scalars]
-    assert [p.to_affine() for p in singles] == \
-        [reference(table.mul, k).to_affine() for k in scalars]
+    # ``mul`` is ``base * k``: wNAF, GLV-split on these groups.
+    assert [table.mul(k).to_affine() for k in scalars] == ref
 
 
 @pytest.mark.parametrize("multiple", [1, 97], ids=["generator", "97G"])
@@ -202,6 +200,8 @@ class TestBits:
             table.mul_many([3, scalar])
         with pytest.raises(ValueError, match="does not fit"):
             reference(table.mul_many, [3, scalar])
+        with pytest.raises(ValueError, match="does not fit"):
+            stored_walk(table, [3, scalar])
 
     def test_restricted_bits_walk(self):
         group = BN128.g1

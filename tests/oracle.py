@@ -1,16 +1,26 @@
 """Oracles the fast routes are compared with.
 
-*The tracer* (docs/KERNELS.md, "The pinning rule"): each pinned site has a
-textbook twin that the same public call runs under ``RUN.tracer``, so the
-reference value of a differential test is that call made under a throwaway
-tracer — no second entry point, no environment.  :func:`trace` is that call
-with the trace it leaves.
+*The tracer* (docs/KERNELS.md, "The pinning rule"): each pinned site
+(``msm_auto``, ``active_pool``) has a textbook twin that the same public
+call runs under ``RUN.tracer``, so the reference value of a differential
+test is that call made under a throwaway tracer — no second entry point, no
+environment.  :func:`trace` is that call with the trace it leaves.
 
 *The ladder* (docs/KERNELS.md, "Membership by endomorphism"): ``[k]P`` by
 unreduced binary double-and-add with general additions.  ``Point.__mul__``
 reduces its scalar mod ``r`` and ``Group.in_subgroup`` no longer computes
 ``[r]P``; this is what both are checked against, and what certifies the
 rogue points built here as outside the subgroup — never the code under test.
+With the scalar reduced it is also the route a traced ``P * k`` is charged.
+
+*The stored-table walk*: :func:`build_table` and :func:`table_walk` are the
+fixed-base table of ``(2^w - 1)`` affine multiples a window and its
+per-scalar Jacobian walk, :func:`inverting_affine` the conversion that
+inverts whatever ``Z`` is — the routes a traced ``FixedBaseTable`` call and
+a traced conversion of a ``Z == 1`` point are charged (docs/KERNELS.md,
+"Charging a reference"), executed under a tracer by
+:func:`executed_curve_ops`; :func:`stored_walk` is the walk's value, the
+comparator of the batch walk.
 
 *The row recoder*: :func:`signed_windows` recodes one scalar into all of
 its signed window digits at once, the comparator of the streamed column
@@ -44,17 +54,20 @@ from collections import Counter
 from contextlib import contextmanager
 
 from repro.context import RUN
+from repro.curves.curve import Point
 from repro.curves.pairing import PairingEngine, PreparedG2, engine_for
 from repro.fields.extensions import Fp6, Fp12
+from repro.msm.fixed_base import FixedBaseTable
 from repro.perf.trace import Tracer, tracing
 
 
 def reference(fn, *args):
     """``fn(*args)`` as a traced run computes it: the pinned sites' reference
-    route — ``msm_auto``'s Pippenger, the fixed-base table walk,
-    double-and-add, the inverting ``to_affine``, no pool.  A pairing call
-    computes the same way traced or not; its reference is
-    :func:`miller_loop` and :func:`final_exponentiation` below."""
+    route — ``msm_auto``'s Pippenger, no pool.  A charged site (a pairing,
+    ``P * k``, ``to_affine``, ``FixedBaseTable``) computes the same value
+    traced or not; its comparators are :func:`ladder_mul`,
+    :func:`stored_walk`, :func:`miller_loop` and
+    :func:`final_exponentiation` below."""
     with tracing(Tracer()):
         return fn(*args)
 
@@ -77,6 +90,95 @@ def ladder_mul(pt, k):
         if bit == "1":
             acc = acc + pt
     return acc
+
+
+def inverting_affine(pt):
+    """``pt.to_affine()`` by the inversion, whatever ``Z`` is."""
+    if pt.is_infinity():
+        return None
+    ops = pt.group.ops
+    zinv = ops.inv(pt.Z)
+    zinv2 = ops.sqr(zinv)
+    return (ops.mul(pt.X, zinv2), ops.mul(pt.Y, ops.mul(zinv2, zinv)))
+
+
+def build_table(table, t):
+    """Build the stored table of the :class:`FixedBaseTable` *table* once,
+    reporting to the tracer *t*: ``table.rows[k][d-1]`` holds ``(d *
+    2^(k*width)) * base`` in affine coordinates, so a walk's additions are
+    mixed."""
+    if table._table_base is not None:
+        return
+    group = table.group
+    per_window = (1 << table.width) - 1
+    point_bytes = table._point_bytes = 2 * group.ops.coord_bytes
+    table._table_base = t.malloc(table.n_windows * per_window * point_bytes)
+    rows, window_base = [], table.base
+    with t.region("fixed_base_table_build", parallel=True, items=table.n_windows):
+        for _k in range(table.n_windows):
+            row, acc = [], group.infinity()
+            for _d in range(per_window):
+                acc = acc + window_base
+                row.append(acc)
+            rows.append([inverting_affine(p) for p in row])
+            window_base = acc + window_base  # == 2^width * previous base
+            t.mem_block(table._table_base, per_window * point_bytes, write=True)
+    table.rows = rows
+
+
+def table_walk(table, t, scalar):
+    """``scalar * table.base`` by one Jacobian walk of the stored table
+    (built first), reporting to the tracer *t*."""
+    k = table._reduced(scalar)
+    build_table(table, t)
+    acc = table.group.infinity()
+    if k == 0:
+        return acc
+    mask = (1 << table.width) - 1
+    for w in range(table.n_windows):
+        digit = (k >> (w * table.width)) & mask
+        t.op("fixed_base_digit")
+        if digit:
+            t.mem_load(table._table_base + (w * mask + digit - 1) * table._point_bytes,
+                       table._point_bytes)
+            entry = table.rows[w][digit - 1]
+            if entry is not None:
+                acc = acc.add_affine(*entry)
+    return acc
+
+
+def stored_walk(table, scalars):
+    """``[k * table.base for k in scalars]`` by the stored-table walk of an
+    untraced twin of *table*, a throwaway tracer taking its reports."""
+    twin, t = FixedBaseTable(table.base, table.width, table.bits), Tracer()
+    return [table_walk(twin, t, k) for k in scalars]
+
+
+@contextmanager
+def _swapped(*swaps):
+    """Set each ``(owner, name, value)`` of *swaps* for the duration."""
+    saved = [(owner, name, vars(owner)[name]) for owner, name, _ in swaps]
+    for owner, name, value in swaps:
+        setattr(owner, name, value)
+    try:
+        yield
+    finally:
+        for owner, name, value in saved:
+            setattr(owner, name, value)
+
+
+def executed_curve_ops():
+    """Within, a traced call executes the textbook route where a curve or
+    fixed-base site would charge it — :func:`ladder_mul` for
+    ``Point.charge_mul``, :func:`inverting_affine` for ``charge_to_affine``,
+    :func:`build_table` and :func:`table_walk` for ``FixedBaseTable``'s
+    charges: the trace a charged call must equal."""
+    return _swapped(
+        (Point, "charge_mul", lambda pt, _t, k: ladder_mul(pt, k)),
+        (Point, "charge_to_affine", lambda pt, _t: inverting_affine(pt)),
+        (FixedBaseTable, "_charge_build", build_table),
+        (FixedBaseTable, "charge_walks",
+         lambda table, t, scalars: [table_walk(table, t, k) for k in scalars]))
 
 
 def ladder(group, pt):
@@ -577,7 +679,6 @@ def groth16_verify(vk, proof, publics):
         (vk.fold_publics(publics), vk.gamma2), (proof.c, vk.delta2)]).is_one()
 
 
-@contextmanager
 def executed_pairing():
     """Within, a traced call executes the textbook route where the engine
     would charge it: :func:`miller_product` on the pairs
@@ -592,9 +693,5 @@ def executed_pairing():
     def final(eng, _t):
         final_exponentiation(eng, products.pop() if products else eng.tower.fp12_one())
 
-    saved = PairingEngine.charge_miller_loops, PairingEngine.charge_final_exponentiation
-    PairingEngine.charge_miller_loops, PairingEngine.charge_final_exponentiation = loops, final
-    try:
-        yield
-    finally:
-        PairingEngine.charge_miller_loops, PairingEngine.charge_final_exponentiation = saved
+    return _swapped((PairingEngine, "charge_miller_loops", loops),
+                    (PairingEngine, "charge_final_exponentiation", final))

@@ -1,13 +1,16 @@
 """The pinning rule, site by site (docs/KERNELS.md, "The pinning rule").
 
-Modeled figures are calibrated on the textbook algorithms, so every site
-that has a faster twin keeps traced runs on the reference: same value from
-the same public call, different route.  One test per site — the value
-agrees, and the traced call shows the reference route's fingerprint (a
-kernel counter, a region name, an un-normalized ``Z``, a ``None`` pool)
-where the untraced one shows the fast route's.  The pairing is no longer
-pinned but charged ("Charging a reference"): its tests hold the traced
-call's trace equal to the textbook route's executed.
+Modeled figures are calibrated on the textbook algorithms.  Two sites keep
+traced runs on the reference: same value from the same public call,
+different route.  One test per site — the value agrees, and the traced call
+shows the reference route's fingerprint (a kernel counter, a region name, a
+``None`` pool) where the untraced one shows the fast route's.  The pairing,
+``P * k``, ``to_affine`` and the fixed-base walk are no longer pinned but
+charged ("Charging a reference"): their tests hold the traced call's trace
+equal to the textbook route's executed (``tests/curves/test_*_charge.py``,
+``tests/msm/test_fixed_base_charge.py``), and the tests here hold what is
+left of them to the counter rule — a ``repro_*`` counter counts the route
+that executed, the trace the route charged.
 """
 
 import random
@@ -15,15 +18,12 @@ import random
 import pytest
 
 from repro import parallel
-from repro.curves import BN128, PairingEngine, Point
-from repro.curves import curve as curve_module
-from repro.curves.endomorphism import decompose_scalar
+from repro.curves import BN128, PairingEngine
 from repro.groth16 import generate_witness, prove, public_inputs, setup, verify
 from repro.msm import FixedBaseTable, msm_auto
 from repro.obs.metrics import MetricsRegistry, collecting
 from repro.parallel.pool import WorkerPool
 from repro.perf.trace import Tracer, tracing
-from repro.plonk.kzg import SRS
 from tests.conftest import make_pow_circuit
 from tests import oracle
 from tests.oracle import reference
@@ -64,95 +64,19 @@ def test_msm_auto(group):
 
 
 @pytest.mark.parametrize("group", [G1, G2], ids=["G1", "G2"])
-def test_fixed_base_mul_many(group):
-    one = group.ops.one
-    table = FixedBaseTable(group.generator, width=3)
-    scalars = [random.Random(23).randrange(group.order) for _ in range(6)] + [0]
-    fast = table.mul_many(scalars)
-    ref, tracer, _ = traced(table.mul_many, scalars)
-    assert ref == fast
-    assert fast[-1].is_infinity() and all(p.Z == one for p in fast[:-1])
-    # The walk the setup model is calibrated on: Jacobian sums, left as is.
-    assert all(p.Z != one for p in ref[:-1])
-    assert "fixed_base_mul_many" in region_names(tracer)
-
-
-@pytest.mark.parametrize("group", [G1, G2], ids=["G1", "G2"])
 def test_fixed_base_table_is_the_traced_walks(group):
-    # Untraced construction does no group or field work; a traced one
-    # builds the stored table, one inversion per affine entry (85 x 7).
+    # No construction computes a table.  A traced one is charged the build:
+    # one inversion per affine entry (85 x 7) in the trace, none counted.
     base = group.generator * 5
     with collecting(MetricsRegistry()) as registry:
         table = FixedBaseTable(base, width=3)
     assert registry.counter("repro_field_inv_total") == 0
-    assert table._table is None
+    assert table._table_base is None
     table, tracer, registry = traced(FixedBaseTable, base, 3)
     assert "fixed_base_table_build" in region_names(tracer)
-    assert table._table is not None
-    assert registry.counter("repro_field_inv_total") == 595
-
-
-def test_srs_generate_builds_the_table_traced_only(monkeypatch):
-    tables = []
-    original = FixedBaseTable.__init__
-
-    def spy(self, *args, **kwargs):
-        original(self, *args, **kwargs)
-        tables.append(self)
-
-    monkeypatch.setattr(FixedBaseTable, "__init__", spy)
-    fast = SRS.generate(BN128, 4, random.Random(37))
-    assert len(tables) == 1 and tables[0]._table is None
-    ref, tracer, _ = traced(SRS.generate, BN128, 4, random.Random(37))
-    assert len(tables) == 2 and tables[1]._table is not None
-    assert "fixed_base_table_build" in region_names(tracer)
-    assert ref.g1_powers == fast.g1_powers
-
-
-@pytest.mark.parametrize("group", [G1, G2], ids=["G1", "G2"])
-def test_to_affine(group):
-    point = (group.generator * 5).normalize()
-    assert point.Z == group.ops.one
-    with collecting(MetricsRegistry()) as fast_metrics:
-        fast = point.to_affine()
-    ref, tracer, ref_metrics = traced(point.to_affine)
-    assert ref == fast == (point.X, point.Y)
-    # Modeled stages count one inversion per serialized point, normalized
-    # or not; the untraced call returns the coordinates it already holds.
-    assert fast_metrics.counter("repro_field_inv_total") == 0
-    assert ref_metrics.counter("repro_field_inv_total") == 1
-    assert tracer.total_counts()[BN128.fq._inv_tag] == 1
-
-
-@pytest.mark.parametrize("group", [G1, G2], ids=["G1", "G2"])
-def test_point_mul(group, monkeypatch):
-    fast_only, splits = [], []
-    original = Point._mul_wnaf
-
-    def spy(self, k):
-        fast_only.append(k)
-        return original(self, k)
-
-    def split_spy(basis, r, k):
-        splits.append(k)
-        return decompose_scalar(basis, r, k)
-
-    monkeypatch.setattr(Point, "_mul_wnaf", spy)
-    monkeypatch.setattr(curve_module, "decompose_scalar", split_spy)
-    point = group.generator * 3
-    k = random.Random(31).randrange(group.order)
-    assert fast_only == [3] and splits == [3]
-    ref, tracer, _ = traced(point.__mul__, k)
-    # The traced ladder neither takes the wNAF route nor splits the scalar.
-    assert fast_only == [3] and splits == [3]
-    # The loop the modeled stages count: an addition a set bit and a
-    # doubling a bit, less the first of each (the accumulator is O).
-    counts = tracer.total_counts()
-    assert counts[group._add_tag] == bin(k).count("1") - 1
-    assert counts[group._dbl_tag] == k.bit_length() - 1
-    fast = point * k
-    assert fast_only == [3, k] and splits == [3, k]
-    assert fast == ref and fast.to_affine() == ref.to_affine()
+    assert tracer.total_counts()[BN128.fq._inv_tag] == 595
+    assert registry.counter("repro_field_inv_total") == 0
+    assert not hasattr(table, "_table")
 
 
 def test_pairing_engine():
@@ -169,22 +93,20 @@ def test_pairing_engine():
         oracle.trace(oracle.final_exponentiation, eng, f)
 
 
-def test_traced_setup_and_prove_reach_no_wave():
-    # Every batch-affine site (bucket rounds, cross-window fold, fixed-base
-    # walk) sits behind a pinned route, so a traced run counts no wave; the
-    # untraced twin runs them.
+def test_traced_prove_reaches_no_wave():
+    # The bucket kernel sits behind a pinned route, so a traced prove counts
+    # no wave; the fixed-base walk is charged, so a traced setup runs its
+    # waves like the untraced twin.
     circuit, inputs = make_pow_circuit(BN128, 4)
     witness = generate_witness(circuit, inputs)
-
-    def setup_and_prove():
-        pk, _vk = setup(BN128, circuit, random.Random(41))
-        return prove(pk, circuit, witness, random.Random(43))
-
-    ref, _tracer, ref_metrics = traced(setup_and_prove)
+    waves = "repro_msm_batch_affine_inversions_total"
+    (pk, _vk), _tracer, setup_metrics = traced(setup, BN128, circuit, random.Random(41))
+    assert setup_metrics.counter(waves) > 0
+    ref, _tracer, ref_metrics = traced(prove, pk, circuit, witness, random.Random(43))
     with collecting(MetricsRegistry()) as fast_metrics:
-        fast = setup_and_prove()
-    assert ref_metrics.counter("repro_msm_batch_affine_inversions_total") == 0
-    assert fast_metrics.counter("repro_msm_batch_affine_inversions_total") > 0
+        fast = prove(pk, circuit, witness, random.Random(43))
+    assert ref_metrics.counter(waves) == 0
+    assert fast_metrics.counter(waves) > 0
     assert ref == fast
 
 
