@@ -96,13 +96,14 @@ parallel-test:
 # fixed-base batch walk the oracle walk (four groups x 2^6..2^11
 # scalars; pk/vk bytes serial and pooled), the fused Fp12 kernels and the
 # lockstep line walk their per-operation oracles, the fast pairing its
-# reference element-for-element, the charged pairing, P * k, to_affine
-# and fixed-base traces the textbook routes executed
+# reference element-for-element, the charged pairing, P * k, to_affine,
+# fixed-base and bucket-method traces the textbook routes executed
 # (tests/curves/test_pairing_charge.py, tests/curves/test_curve_charge.py,
-# tests/msm/test_fixed_base_charge.py: region tree, counts, clock, memory
-# events), Group.in_subgroup the [r]P ladder on a point of every prime
-# order dividing a cofactor, and Point.__mul__ double-and-add on 500
-# examples a group.  Wider than the tier-1 run.
+# tests/msm/test_fixed_base_charge.py, tests/msm/test_pippenger_charge.py:
+# region tree, counts, clock, memory events), Group.in_subgroup the [r]P
+# ladder on a point of every prime order dividing a cofactor, and
+# Point.__mul__ double-and-add on 500 examples a group.  Wider than the
+# tier-1 run.
 kernel-test:
 	REPRO_KERNEL_FULL=1 PYTHONPATH=src pytest -x -q tests/msm tests/fields tests/curves
 

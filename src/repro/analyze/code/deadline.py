@@ -4,8 +4,8 @@ The resilience layer's deadline (``--timeout``, a served request's
 budget) is *cooperative*: a kernel that never calls ``Deadline.check()``
 cannot be timed out, so a runaway MSM or NTT defeats the chaos contract.  RC501 requires every
 public loop-bearing function in the configured hot modules to reach a
-``RUN.deadline`` poll — directly or through its callees (``msm_pippenger``
-polls once per window, so ``msm_auto`` inherits the property).
+``RUN.deadline`` poll — directly or through its callees (``msm_glv``'s
+kernel polls once per window, so ``msm_auto`` inherits the property).
 
 ========  ========  ====================================================
 RC501     error     public function in a hot module contains a loop but

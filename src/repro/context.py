@@ -35,8 +35,8 @@ class RunContext:
     """One slot per instrument; ``None`` means it is detached."""
 
     __slots__ = (
-        "tracer",    # repro.perf.trace.Tracer; pins the pinned sites to their reference
-                     # route; detached around a charged site's value
+        "tracer",    # repro.perf.trace.Tracer; keeps traced runs serial (no pool);
+                     # detached around a charged site's value
         "metrics",   # repro.obs.metrics.MetricsRegistry
         "spans",     # repro.obs.spans.SpanRecorder
         "tasks",     # repro.obs.worker.WorkerTelemetry

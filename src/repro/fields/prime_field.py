@@ -160,9 +160,13 @@ class PrimeField:
     def batch_inv(self, xs):
         """Invert every element of *xs* with Montgomery's trick.
 
-        Uses ``3(n-1)`` multiplications and a single inversion, the standard
-        way real provers amortize inversions.  Raises ``ZeroDivisionError``
-        if any element is zero.
+        Uses ``3n`` multiplications and a single inversion, the standard
+        way real provers amortize inversions; three of them are spare (the
+        first prefix product and the first output multiply by one, and the
+        last backward product is never read).  A traced setup counts all
+        ``3n`` (the modeled setup bandwidth of ``results/table3.txt`` is
+        calibrated on them), so the three stay.  Raises
+        ``ZeroDivisionError`` if any element is zero.
         """
         xs = list(xs)
         if not xs:

@@ -5,9 +5,6 @@ PipeZK and DistMSM accelerate).  Production code calls
 :func:`repro.msm.dispatch.msm_auto`, the one front door (which kernel runs,
 and why nothing selects it: docs/KERNELS.md); the kernels behind it are
 
-- :func:`repro.msm.pippenger.msm_pippenger` — windowed bucket method, the
-  reference every optimization is differentially gated against and the
-  kernel traced runs see,
 - :func:`repro.msm.glv.msm_glv` — GLV endomorphism split (G1 and G2)
   feeding half-width scalars to :func:`repro.msm.wnaf.msm_wnaf`, the
   signed-digit / batch-affine bucket kernel with one affine fold across its
@@ -16,13 +13,18 @@ and why nothing selects it: docs/KERNELS.md); the kernels behind it are
   ladder's last rung and the tests' oracle,
 - :class:`repro.msm.fixed_base.FixedBaseTable` — fixed-base multiples for the
   trusted setup, where thousands of scalars share one base point.
+
+A traced call is charged the textbook bucket method,
+:func:`repro.msm.pippenger.charge_pippenger`; the executed bucket method,
+the reference every kernel is differentially gated against, is
+``tests/oracle.py``'s ``msm_pippenger``.
 """
 
 from repro.msm.dispatch import msm_auto
 from repro.msm.fixed_base import FixedBaseTable
 from repro.msm.glv import msm_glv
 from repro.msm.naive import msm_naive
-from repro.msm.pippenger import msm_pippenger, optimal_window
+from repro.msm.pippenger import optimal_window
 from repro.msm.recode import signed_windows_len
 from repro.msm.wnaf import msm_wnaf, optimal_signed_window
 
@@ -31,7 +33,6 @@ __all__ = [
     "msm_auto",
     "msm_glv",
     "msm_naive",
-    "msm_pippenger",
     "msm_wnaf",
     "optimal_signed_window",
     "optimal_window",

@@ -23,8 +23,8 @@ The wave's field work is the coordinate adapter's fused ``add_wave``
 (:class:`~repro.curves.curve.FpOps` / ``Fp2Ops``): one method per
 coordinate field, inline arithmetic instead of a Python call per field
 operation, so the kernel serves G1 and G2 alike; ``Fp2`` inverts through
-norms.  No wave runs with a tracer attached (the bucket kernel is pinned,
-the fixed-base walk charged); one traced anyway reports the bigint
+norms.  No wave runs with a tracer attached (the bucket kernel and the
+fixed-base walk are charged); one traced anyway reports the bigint
 primitives of the per-operation wave it stands for.
 """
 

@@ -1,7 +1,8 @@
 """Baseline MSM: independent double-and-add per term.
 
-O(n * log r) group operations — the comparator for the Pippenger ablation
-test (``tests/paper/test_ablation_msm.py``).
+O(n * log r) group operations — the degrade ladder's last rung
+(:func:`repro.resilience.degrade.resilient_msm`) and the baseline of the
+bucket-method ablation test (``tests/paper/test_ablation_msm.py``).
 """
 
 from __future__ import annotations

@@ -1,9 +1,13 @@
-"""Pippenger (bucket-method) multi-scalar multiplication.
+"""Pippenger (bucket-method) multi-scalar multiplication, as charged.
 
-The proving-stage MSM kernel.  Scalars are cut into ``c``-bit windows; each
-window pass scatters points into ``2^c - 1`` buckets (mixed additions), folds
-the buckets with a running sum, and the window results are combined with
-``c`` doublings each.
+The modeled proving-stage MSM is the textbook bucket method: scalars are
+cut into ``c``-bit windows; each window pass scatters points into
+``2^c - 1`` Jacobian buckets (mixed additions), folds the buckets with a
+running sum, and the window results are combined with ``c`` doublings
+each.  Only ``tests/oracle.py`` executes it: a traced ``msm_auto``
+computes its value by the fast kernel and :func:`charge_pippenger` charges
+the bucket method's trace from the scalars' digits and the buckets they
+occupy (docs/KERNELS.md, "Charging a reference").
 
 Instrumentation notes (what the paper's analyses see):
 
@@ -17,10 +21,9 @@ Instrumentation notes (what the paper's analyses see):
 
 from __future__ import annotations
 
-from repro.context import RUN
-from repro.msm.terms import live_terms
+from repro.context import RUN, charge
 
-__all__ = ["msm_pippenger", "optimal_window"]
+__all__ = ["charge_pippenger", "optimal_window"]
 
 
 #: Modeled size of the prover's live heap (see the accumulation loop).
@@ -39,95 +42,66 @@ def optimal_window(n):
     return min(c, 16)
 
 
-def msm_pippenger(group, points, scalars, window=None):
-    """Compute ``sum_i scalars[i] * points[i]`` with the bucket method.
+def charge_pippenger(t, group, terms):
+    """Charge *t* the bucket method over the live ``(point, k mod r)``
+    *terms* (:func:`repro.msm.terms.live_terms`), reading only the scalars.
 
-    *points* are affine raw-coordinate tuples (``None`` entries and zero
-    scalars are skipped), *scalars* plain integers (reduced mod group order).
+    Per window a ``parallel`` ``msm_window`` region: the point array's
+    streaming read, per term an ``msm_digit`` and, for a non-zero digit, a
+    mixed addition into an occupied bucket and the bucket's and the heap
+    operand's memory events; then the fold's additions from the occupied
+    buckets.  Last, the Horner combine's doublings and additions.  Every
+    addition is the generic branch's but the fold's one structural
+    doubling (docs/KERNELS.md, "The ``H == 0`` rule").
     """
-    pairs = live_terms(group, points, scalars, window)
-    if not pairs:
-        return group.infinity()
-    c = window or optimal_window(len(pairs))
-    nbits = group.order.bit_length()
-    n_windows = (nbits + c - 1) // c
+    if not terms:
+        return
+    n, cost = len(terms), group.cost
+    add_affine = cost["add_affine"]
+    c = optimal_window(n)
+    n_windows = (group.order.bit_length() + c - 1) // c
     mask = (1 << c) - 1
-
-    m = RUN.metrics
-    if m is not None:
-        m.inc("repro_msm_pippenger_calls_total")
-        m.inc("repro_msm_windows_total", n_windows)
-        m.observe("repro_msm_points", len(pairs))
-    if RUN.faults is not None:
-        RUN.faults.check("msm:pippenger")
-
-    t = RUN.tracer
     point_bytes = 2 * group.ops.coord_bytes  # affine (x, y)
-    # Buckets hold Jacobian points: three coordinates.
-    bucket_bytes = 3 * (point_bytes // 2)
-    points_base = buckets_base = heap_base = 0
-    if t is not None:
-        points_base = t.aspace.alloc(len(pairs) * point_bytes)
-        buckets_base = t.aspace.alloc((mask) * bucket_bytes)
-        # The prover's live heap (witness values, coordinate temporaries,
-        # GC-scattered operands): bucket accumulation touches it with poor
-        # locality, which is where the proving stage's MPKI comes from
-        # (Table II) — the setup's streaming walk has no equivalent.
-        heap_base = t.aspace.alloc(_OPERAND_HEAP_BYTES)
-
-    window_sums = []
+    bucket_bytes = 3 * group.ops.coord_bytes  # Jacobian buckets
+    points_base = t.aspace.alloc(n * point_bytes)
+    buckets_base = t.aspace.alloc(mask * bucket_bytes)
+    # The prover's live heap (witness values, coordinate temporaries,
+    # GC-scattered operands): bucket accumulation touches it with poor
+    # locality, which is where the proving stage's MPKI comes from
+    # (Table II) — the setup's streaming walk has no equivalent.
+    heap_base = t.aspace.alloc(_OPERAND_HEAP_BYTES)
+    live = []  # whether each window's sum is finite
     for w in range(n_windows):
-        # Cooperative deadline poll between the (independent) window
-        # passes — the natural preemption point of the kernel.
         if RUN.deadline is not None:
             RUN.deadline.check()
-        shift = w * c
-        if t is None:
-            buckets = [None] * mask
-            for pt, k in pairs:
+        shift, occupied = w * c, set()
+        with t.region("msm_window", parallel=True, items=n):
+            t.mem_block(points_base, n * point_bytes, write=False)
+            for i, (_pt, k) in enumerate(terms):
+                t.op("msm_digit")
                 digit = (k >> shift) & mask
                 if digit:
-                    slot = buckets[digit - 1]
-                    buckets[digit - 1] = (
-                        group.point_unchecked(*pt) if slot is None else slot.add_affine(*pt)
-                    )
-            window_sums.append(_fold_buckets(group, buckets))
-        else:
-            with t.region("msm_window", parallel=True, items=len(pairs)):
-                # Streaming read of the point/scalar arrays once per window.
-                t.mem_block(points_base, len(pairs) * point_bytes, write=False)
-                buckets = [None] * mask
-                for i, (pt, k) in enumerate(pairs):
-                    digit = (k >> shift) & mask
-                    t.op("msm_digit")
-                    if digit:
-                        slot = buckets[digit - 1]
-                        buckets[digit - 1] = (
-                            group.point_unchecked(*pt) if slot is None else slot.add_affine(*pt)
-                        )
-                        addr = buckets_base + (digit - 1) * bucket_bytes
-                        t.mem_load(addr, bucket_bytes)
-                        t.mem_store(addr, bucket_bytes)
-                        t.mem_load(heap_base + ((i * n_windows + w) * 2654435761)
-                                   % _OPERAND_HEAP_BYTES, 32)
-                window_sums.append(_fold_buckets(group, buckets))
-
-    # Horner combine from the most significant window down (doubling the
-    # identity before the first add is a harmless no-op).
-    acc = group.infinity()
-    for ws in reversed(window_sums):
-        for _ in range(c):
-            acc = acc.double()
-        acc = acc + ws
-    return acc
-
-
-def _fold_buckets(group, buckets):
-    """Running-sum fold: ``sum_d d * bucket[d]`` in 2*(len-1) additions."""
-    running = group.infinity()
-    total = group.infinity()
-    for slot in reversed(buckets):
-        if slot is not None:
-            running = running + slot
-        total = total + running
-    return total
+                    if digit in occupied:
+                        charge(t, add_affine)
+                    else:
+                        occupied.add(digit)
+                    addr = buckets_base + (digit - 1) * bucket_bytes
+                    t.mem_load(addr, bucket_bytes)
+                    t.mem_store(addr, bucket_bytes)
+                    t.mem_load(heap_base + ((i * n_windows + w) * 2654435761)
+                               % _OPERAND_HEAP_BYTES, 32)
+            if occupied:
+                # Running sum from the top bucket down: one addition a
+                # further occupied bucket, one into the total a step below
+                # the top, where the total meets an equal running sum when
+                # the bucket just below the top is empty.
+                top = max(occupied)
+                doubling = top > 1 and top - 1 not in occupied
+                charge(t, cost["add_doubling"], doubling)
+                charge(t, cost["add"], len(occupied) - 2 + top - doubling)
+        live.append(bool(occupied))
+    # Horner from the top live window down: ``c`` doublings a window below
+    # it, and one addition a live one.
+    below = live[:max(w for w in range(n_windows) if live[w])]
+    charge(t, cost["double"], c * len(below))
+    charge(t, cost["add"], sum(below))

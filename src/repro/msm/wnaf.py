@@ -1,8 +1,9 @@
 """Signed-digit (wNAF-window) Pippenger MSM with batch-affine buckets.
 
-Three structural improvements over :func:`repro.msm.pippenger.msm_pippenger`,
-each pinned by the differential suite
-(``tests/msm/test_kernel_differential.py``):
+Three structural improvements over the textbook bucket method (unsigned
+windows, Jacobian buckets: what :func:`repro.msm.pippenger.charge_pippenger`
+charges a traced run and ``tests/oracle.py`` executes), each pinned by the
+differential suite (``tests/msm/test_kernel_differential.py``):
 
 - **signed digits** (:func:`repro.msm.recode.digit_columns`, streamed a
   window at a time): digits lie in ``[-(2^(c-1) - 1), 2^(c-1)]`` and a
@@ -101,8 +102,8 @@ def signed_bucket_msm(group, pairs, window=None, part=None):
         m.inc("repro_msm_windows_total", hi - lo)
         m.observe("repro_msm_points", len(pairs))
     if RUN.faults is not None:
-        # Same fault site as the reference kernel: chaos faults shipped at
-        # the MSM site fire regardless of which bucket kernel is active.
+        # The MSM's one fault site, named for the bucket method: chaos
+        # faults shipped at it fire in every serial or pooled MSM.
         RUN.faults.check("msm:pippenger")
 
     ops = group.ops
@@ -110,8 +111,7 @@ def signed_bucket_msm(group, pairs, window=None, part=None):
     windows = []  # the slice's affine buckets, one list a window
     columns = digit_columns((k for _pt, k in pairs), c, start=lo)
     for column in islice(columns, hi - lo):
-        # Cooperative deadline poll between the independent window passes,
-        # like the reference kernel.
+        # Cooperative deadline poll between the independent window passes.
         if RUN.deadline is not None:
             RUN.deadline.check()
         # Streamed, not listed: the accumulator files each point as it comes.

@@ -1,6 +1,6 @@
 """Process-global metrics registry: counters, gauges, fixed-bucket histograms.
 
-The hot kernels (Pippenger MSM, the NTT passes, field inversions, batch
+The hot kernels (the bucket MSM, the NTT passes, field inversions, batch
 verification) report coarse-grained facts here — calls, sizes, cache
 hits — so a profiled run can answer "how many transforms of which size did
 the proving stage issue?" without paying for a full trace.

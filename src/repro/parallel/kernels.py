@@ -1,6 +1,6 @@
 """Parent-side parallel kernels: chunk, ship, reassemble.
 
-Each kernel mirrors one serial hot path — Pippenger MSM, the iterative
+Each kernel mirrors one serial hot path — the bucket MSM, the iterative
 NTT, the setup's fixed-base sweeps, batch verification — by fanning
 chunks out through the installed :class:`~repro.parallel.pool.WorkerPool`
 and reassembling the partial

@@ -51,8 +51,8 @@ def msm_window_slice(payload):
     GLV split and signed recoding over *all* terms, so ``c`` and the window
     count agree across slices) on windows ``[j*n//k, (j+1)*n//k)`` only,
     and returns ``2^(c*lo)`` times their Horner sum as an affine tuple.
-    The kernel's ``msm:pippenger`` fault-site check is how a shipped chaos
-    fault fires in here.
+    The signed-digit kernel's ``msm:pippenger`` fault-site check is how a
+    shipped chaos fault fires in here.
     """
     from repro.msm.glv import msm_glv
 

@@ -21,7 +21,7 @@ package makes failure a modeled, observable event:
     Checksummed pickle payloads and the self-healing cell store behind
     the harness disk cache.
 :mod:`repro.resilience.degrade`
-    Graceful degradation: Pippenger→naive MSM fallback and batch-verify
+    Graceful degradation: front-door→naive MSM fallback and batch-verify
     bisection to the exact bad proof indices.
 :mod:`repro.resilience.chaos`
     The seeded chaos driver behind ``python -m repro chaos`` (imported

@@ -5,8 +5,8 @@ batch-affine accumulation, GLV decomposition, the ``msm_auto`` front door,
 and the lazy-reduction field paths underneath them — must be invisible in
 results: bit-identical MSM outputs across the kernel cross product, and
 byte-identical proof/pk/vk artifacts between a fast run (serial and
-pooled) and the reference run — the same workflow with every stage traced
-(the pinning rule; nothing else selects a kernel).
+pooled) and the traced run — the same workflow with every stage traced,
+serial by the pinning rule (nothing else selects a kernel).
 
 The default matrix is trimmed to keep tier-1 wall time sane; the CI
 ``kernel-test`` job sets ``REPRO_KERNEL_FULL=1`` to run the full grid —
@@ -24,11 +24,11 @@ from repro.curves import get_curve
 from repro.msm.dispatch import msm_auto
 from repro.msm.glv import msm_glv
 from repro.msm.naive import msm_naive
-from repro.msm.pippenger import msm_pippenger
+from repro.msm.pippenger import optimal_window
 from repro.msm.wnaf import msm_wnaf
 from repro.parallel.pool import WorkerPool
 from repro.perf.trace import Tracer, tracing
-from tests.oracle import affine_wave
+from tests.oracle import affine_wave, msm_pippenger
 
 FULL = os.environ.get("REPRO_KERNEL_FULL") == "1"
 
@@ -285,20 +285,26 @@ class TestDispatch:
             assert m.counter("repro_msm_glv_calls_total") == 1, group_name
             assert m.counter("repro_msm_glv_decompositions_total") == 61, group_name
             assert m.counter("repro_msm_wnaf_calls_total") == 1, group_name
-            assert m.counter("repro_msm_pippenger_calls_total") == 0
 
-    def test_traced_runs_stay_on_reference_kernel(self, monkeypatch):
+    def test_traced_runs_charge_the_reference_kernel(self, monkeypatch):
         # The analytical model must keep seeing the textbook kernel: under
-        # an active tracer msm_auto routes to msm_pippenger.
+        # an active tracer msm_auto runs the fast kernel, which the
+        # counters count, and is charged msm_pippenger's windows
+        # (tests/msm/test_pippenger_charge.py holds the whole trace).
         from repro.obs.metrics import MetricsRegistry, collecting
 
         monkeypatch.setenv("REPRO_MSM", "glv")
         group = _group("bn128.G1")
         points, scalars = _msm_inputs("bn128.G1", 64)
-        with collecting(MetricsRegistry()) as m, tracing(Tracer()):
-            msm_auto(group, points, scalars)
-        assert m.counter("repro_msm_pippenger_calls_total") == 1
-        assert m.counter("repro_msm_glv_calls_total") == 0
+        tracer = Tracer()
+        with collecting(MetricsRegistry()) as m, tracing(tracer):
+            value = msm_auto(group, points, scalars)
+        assert m.counter("repro_msm_glv_calls_total") == 1
+        assert m.counter("repro_msm_wnaf_calls_total") == 1
+        assert value == msm_pippenger(group, points, scalars)
+        windows = [r for r in tracer.iter_regions() if r.name == "msm_window"]
+        assert len(windows) == -(-group.order.bit_length() // optimal_window(61))
+        assert all(r.parallel and r.items == 61 for r in windows)
 
 
 PROVE_CELLS = ([(c, s) for c in ("bn128", "bls12_381") for s in SIZES]
@@ -306,8 +312,10 @@ PROVE_CELLS = ([(c, s) for c in ("bn128", "bls12_381") for s in SIZES]
 
 
 def _proven_workflow(curve, size, workers=None, traced=False):
-    """One full workflow: fast kernels by default, the reference kernels of
-    every stage with *traced* (a tracer per stage, as ``profile_run`` does)."""
+    """One full workflow, with *traced* a tracer per stage (as
+    ``profile_run`` does): its forks (the NTT's ``field.mul`` passes, the
+    QAP's lazy accumulation) take the traced route; the MSM computes by the
+    fast kernel either way, held to the reference kernel above."""
     from repro.harness.circuits import build_workload
     from repro.workflow import STAGES, Workflow
 

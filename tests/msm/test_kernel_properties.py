@@ -27,11 +27,10 @@ from repro.curves.endomorphism import decompose_scalar
 from repro.msm import batch_affine, glv
 from repro.msm.batch_affine import batch_affine_accumulate
 from repro.msm.glv import msm_glv
-from repro.msm.pippenger import msm_pippenger
 from repro.msm.recode import digit_columns, signed_windows_len
 from repro.msm.wnaf import optimal_signed_window
 from repro.obs import metrics
-from tests.oracle import cofactor_points, count_ops, signed_windows
+from tests.oracle import cofactor_points, count_ops, msm_pippenger, signed_windows
 
 R_BN = BN128.g1.order
 EDGE_SCALARS = [0, 1, 2, R_BN - 1, R_BN, R_BN + 1, 2 * R_BN - 1]

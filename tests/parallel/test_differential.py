@@ -20,7 +20,6 @@ from repro.circuit.compiler import compile_circuit
 from repro.curves import BN128, get_curve
 from repro.fields import BN254_FR
 from repro.msm.fixed_base import FixedBaseTable
-from repro.msm.pippenger import msm_pippenger
 from repro.parallel.kernels import (
     batch_verify_parallel,
     fixed_base_mul_many,
@@ -30,6 +29,7 @@ from repro.parallel.kernels import (
 from repro.parallel.pool import WorkerPool, using
 from repro.poly.domain import EvaluationDomain
 from repro.poly.ntt import transform_raw
+from tests.oracle import msm_pippenger
 
 FULL = os.environ.get("REPRO_PARALLEL_FULL") == "1"
 

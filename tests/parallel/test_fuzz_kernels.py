@@ -17,11 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.curves import BN128
 from repro.fields import BN254_FR
-from repro.msm import msm_naive, msm_pippenger
+from repro.msm import msm_naive
 from repro.parallel.kernels import msm_parallel, ntt_transform_parallel
 from repro.parallel.pool import WorkerPool
 from repro.poly.domain import EvaluationDomain
 from repro.poly.ntt import transform_raw
+from tests.oracle import msm_pippenger
 
 G1 = BN128.g1
 FR = BN254_FR

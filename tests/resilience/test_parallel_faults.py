@@ -14,7 +14,6 @@ import pytest
 
 from repro.curves import BN128
 from repro.fields import BN254_FR
-from repro.msm.pippenger import msm_pippenger
 from repro.parallel.kernels import msm_parallel, ntt_transform_parallel
 from repro.parallel.pool import WorkerPool
 from repro.poly.domain import EvaluationDomain
@@ -27,6 +26,7 @@ from repro.resilience.errors import (
 )
 from repro.resilience.faults import FaultSpec
 from repro.resilience.retry import RetryPolicy, with_retry
+from tests.oracle import msm_pippenger
 
 G1 = BN128.g1
 FR = BN254_FR

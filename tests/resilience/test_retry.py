@@ -142,14 +142,14 @@ class TestDeadline:
             assert RUN.deadline is None
 
     def test_kernel_polls_deadline(self):
-        # The MSM window loop must notice an already-expired deadline.
-        from repro.msm.pippenger import msm_pippenger
+        # The MSM front door must notice an already-expired deadline.
+        from repro.msm import msm_auto
 
         g = BN128.g1
         pts = [(g.generator * (i + 1)).to_affine() for i in range(4)]
         with deadline_scope(0.0, stage="proving"):
             with pytest.raises(StageTimeout):
-                msm_pippenger(g, pts, [1, 2, 3, 4])
+                msm_auto(g, pts, [1, 2, 3, 4])
 
 
 class TestStageExecution:

@@ -1,16 +1,14 @@
 """The pinning rule, site by site (docs/KERNELS.md, "The pinning rule").
 
-Modeled figures are calibrated on the textbook algorithms.  Two sites keep
-traced runs on the reference: same value from the same public call,
-different route.  One test per site — the value agrees, and the traced call
-shows the reference route's fingerprint (a kernel counter, a region name, a
-``None`` pool) where the untraced one shows the fast route's.  The pairing,
-``P * k``, ``to_affine`` and the fixed-base walk are no longer pinned but
-charged ("Charging a reference"): their tests hold the traced call's trace
-equal to the textbook route's executed (``tests/curves/test_*_charge.py``,
-``tests/msm/test_fixed_base_charge.py``), and the tests here hold what is
-left of them to the counter rule — a ``repro_*`` counter counts the route
-that executed, the trace the route charged.
+Modeled figures are calibrated on the textbook algorithms.  One site keeps
+traced runs on the reference: ``active_pool()`` is ``None`` under a tracer,
+so traced runs stay serial.  The MSM, the pairing, ``P * k``, ``to_affine``
+and the fixed-base walk are no longer pinned but charged ("Charging a
+reference"): their tests hold the traced call's trace equal to the textbook
+route's executed (``tests/curves/test_*_charge.py``,
+``tests/msm/test_*_charge.py``), and the tests here hold what is left of
+them to the counter rule — a ``repro_*`` counter counts the route that
+executed, the trace the route charged.
 """
 
 import random
@@ -50,17 +48,18 @@ def test_msm_auto(group):
     scalars = [r.randrange(group.order) for _ in points]
     with collecting(MetricsRegistry()) as fast_metrics:
         fast = msm_auto(group, points, scalars)
+    # Charged: the traced call runs the fast kernel, which the counters
+    # count like the untraced twin's, and its trace is the bucket method's,
+    # which no counter sees.
     ref, tracer, ref_metrics = traced(msm_auto, group, points, scalars)
     assert ref == fast and ref.to_affine() == fast.to_affine()
-    assert ref_metrics.counter("repro_msm_pippenger_calls_total") == 1
-    assert ref_metrics.counter("repro_msm_wnaf_calls_total") == 0
-    assert ref_metrics.counter("repro_msm_glv_decompositions_total") == 0
     assert "msm_window" in region_names(tracer)
-    assert fast_metrics.counter("repro_msm_pippenger_calls_total") == 0
-    assert fast_metrics.counter("repro_msm_wnaf_calls_total") == 1
-    # Both groups split: phi on G1, phi on the twist for G2.
-    assert fast_metrics.counter("repro_msm_glv_calls_total") == 1
-    assert fast_metrics.counter("repro_msm_glv_decompositions_total") == len(points)
+    for metrics in (ref_metrics, fast_metrics):
+        assert metrics.counter("repro_msm_wnaf_calls_total") == 1
+        # Both groups split: phi on G1, phi on the twist for G2.
+        assert metrics.counter("repro_msm_glv_calls_total") == 1
+        assert metrics.counter("repro_msm_glv_decompositions_total") == len(points)
+    assert ref_metrics.snapshot()["counters"] == fast_metrics.snapshot()["counters"]
 
 
 @pytest.mark.parametrize("group", [G1, G2], ids=["G1", "G2"])
@@ -93,10 +92,9 @@ def test_pairing_engine():
         oracle.trace(oracle.final_exponentiation, eng, f)
 
 
-def test_traced_prove_reaches_no_wave():
-    # The bucket kernel sits behind a pinned route, so a traced prove counts
-    # no wave; the fixed-base walk is charged, so a traced setup runs its
-    # waves like the untraced twin.
+def test_traced_runs_count_the_untraced_waves():
+    # The MSM and the fixed-base walk are charged, so a traced setup and a
+    # traced prove run their waves like the untraced twins.
     circuit, inputs = make_pow_circuit(BN128, 4)
     witness = generate_witness(circuit, inputs)
     waves = "repro_msm_batch_affine_inversions_total"
@@ -105,8 +103,7 @@ def test_traced_prove_reaches_no_wave():
     ref, _tracer, ref_metrics = traced(prove, pk, circuit, witness, random.Random(43))
     with collecting(MetricsRegistry()) as fast_metrics:
         fast = prove(pk, circuit, witness, random.Random(43))
-    assert ref_metrics.counter(waves) == 0
-    assert fast_metrics.counter(waves) > 0
+    assert ref_metrics.counter(waves) == fast_metrics.counter(waves) > 0
     assert ref == fast
 
 

@@ -146,7 +146,6 @@ class TestTelemetry:
         # Untraced runs dispatch MSMs through the optimized kernels
         # (docs/KERNELS.md): GLV on G1, signed-digit on G2.
         msm_calls = sum(counters.get(name, 0) for name in (
-            "repro_msm_pippenger_calls_total",
             "repro_msm_wnaf_calls_total",
             "repro_msm_glv_calls_total",
         ))
