@@ -100,12 +100,16 @@ parallel-test:
 # fixed-base and bucket-method traces the textbook routes executed
 # (tests/curves/test_pairing_charge.py, tests/curves/test_curve_charge.py,
 # tests/msm/test_fixed_base_charge.py, tests/msm/test_pippenger_charge.py:
-# region tree, counts, clock, memory events), Group.in_subgroup the [r]P
+# region tree, counts, clock, memory events), the charged NTT and QAP
+# column-walk traces the per-operation passes executed
+# (tests/poly/test_ntt_charge.py, tests/qap/test_column_charge.py: also
+# count order and the address-space cursor), Group.in_subgroup the [r]P
 # ladder on a point of every prime order dividing a cofactor, and
 # Point.__mul__ double-and-add on 500 examples a group.  Wider than the
 # tier-1 run.
 kernel-test:
-	REPRO_KERNEL_FULL=1 PYTHONPATH=src pytest -x -q tests/msm tests/fields tests/curves
+	REPRO_KERNEL_FULL=1 PYTHONPATH=src pytest -x -q tests/msm tests/fields tests/curves \
+		tests/poly tests/qap
 
 # Measured Fig. 6 (strong scaling) on real worker processes: per-stage
 # speedups, the Amdahl fit, and worker busy time, utilization, imbalance

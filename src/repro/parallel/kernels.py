@@ -157,9 +157,6 @@ def ntt_transform_parallel(field, values, root, pool):
 
     m = RUN.metrics
     if m is not None:
-        m.inc("repro_ntt_transforms_total")
-        m.inc("repro_ntt_butterflies_total", (n >> 1) * (n.bit_length() - 1))
-        m.observe("repro_ntt_size", n)
         m.inc("repro_parallel_ntt_total")
     spec, fault_ctx = _arm_site("ntt:transform")
     if RUN.deadline is not None:

@@ -66,10 +66,6 @@ class MachineSpec:
     #: siblings).  Length == max threads considered by the scaling model.
     thread_profile: tuple = ()
 
-    @property
-    def total_threads(self):
-        return len(self.thread_profile)
-
     def parallel_capacity(self, n_threads):
         """Aggregate throughput (in single-P-core units) of *n_threads*."""
         n = max(1, min(n_threads, len(self.thread_profile)))

@@ -46,9 +46,6 @@ class OpcodeMix:
         }
         return max(triples, key=triples.get)
 
-    def as_tuple(self):
-        return (self.compute_pct, self.control_pct, self.data_pct)
-
 
 def opcode_mix(tracer):
     """The stage's opcode-class percentages (summing to ~100)."""

@@ -54,16 +54,6 @@ class TopDownResult:
         }
         return max(vals, key=vals.get)
 
-    @property
-    def dominant_stall(self):
-        """The largest *stall* category (retiring excluded)."""
-        vals = {
-            "frontend": self.frontend,
-            "bad_speculation": self.bad_speculation,
-            "backend": self.backend,
-        }
-        return max(vals, key=vals.get)
-
     def as_dict(self):
         return {
             "frontend": self.frontend,

@@ -1,9 +1,15 @@
 """Iterative radix-2 number-theoretic transforms.
 
-This is the FFT kernel of the proving stage (snarkjs' ``fft`` module).  The
-kernels are instrumented as *parallel* regions: each butterfly pass is a
-data-parallel sweep, which is precisely the parallelism the paper's
-scalability analysis attributes to the proving stage.
+This is the FFT kernel of the proving stage (snarkjs' ``fft`` module).
+Every call computes its value by the raw-integer loop, :func:`transform_raw`
+(the worker pool's decimated kernel when one is installed, never under a
+tracer), and a traced call is then *charged* the per-operation passes
+(docs/KERNELS.md, "Charging a reference"): each butterfly pass a
+data-parallel region of ``n/2`` butterflies, one ``field.mul``,
+``field.add`` and ``field.sub`` each, which is precisely the parallelism the
+paper's scalability analysis attributes to the proving stage.  The scalings
+into and out of the transform are charged one ``field.mul`` an element.
+The passes executed live in ``tests/oracle.py``.
 
 Memory traffic is reported as per-pass strided bursts over the coefficient
 array — a faithful model of the streaming access pattern of an iterative
@@ -12,7 +18,8 @@ NTT, and the source of the proving stage's bandwidth demand in Table III.
 
 from __future__ import annotations
 
-from repro.context import RUN
+from repro.context import RUN, Tally, charge, scoped
+from repro.parallel.pool import active_pool
 
 __all__ = ["ntt", "intt", "coset_ntt", "coset_intt", "bit_reverse_permute",
            "transform_raw"]
@@ -22,7 +29,7 @@ __all__ = ["ntt", "intt", "coset_ntt", "coset_intt", "bit_reverse_permute",
 COEFF_BYTES = 32
 
 
-# codelint: ignore[RC501] -- serial reference permutation; the polled path is _transform
+# codelint: ignore[RC501] -- serial leaf of transform_raw; its callers poll before the transform
 def bit_reverse_permute(values):
     """In-place bit-reversal permutation of a power-of-two-length list."""
     n = len(values)
@@ -42,9 +49,8 @@ def bit_reverse_permute(values):
 def transform_raw(values, root, modulus):
     """Uninstrumented iterative Cooley–Tukey NTT over plain ints.
 
-    The worker-side kernel of the parallel backend and the untraced fast
-    path of :func:`_transform` share this loop; it mutates and returns
-    *values*.
+    The worker-side kernel of the parallel backend and the serial route of
+    :func:`_transform` share this loop; it mutates and returns *values*.
     """
     n = len(values)
     if n & (n - 1):
@@ -69,63 +75,68 @@ def transform_raw(values, root, modulus):
     return values
 
 
-def _transform(field, values, root, tracer_label):
+def _tally(*calls):
+    """What *calls* report to a tracer, read with a scratch tally."""
+    with scoped("tracer", Tally()) as tally:
+        for call in calls:
+            call(0, 0)
+    return tally
+
+
+def _charge_passes(t, field, n, label):
+    """Charge *t* the per-operation passes of a length-*n* transform: the
+    coefficient array allocated and an ``ntt_setup``, then per pass a
+    ``parallel`` ``<label>_pass`` region of ``n/2`` butterflies and one
+    streaming read and write of the array."""
+    butterfly = _tally(field.mul, field.add, field.sub)
+    butterfly.op("ntt_butterfly")
+    base = t.aspace.alloc(n * COEFF_BYTES)
+    t.op("ntt_setup")
+    length = 2
+    while length <= n:
+        with t.region(f"{label}_pass", parallel=True, items=n // length):
+            charge(t, butterfly, n >> 1)
+            t.mem_block(base, n * COEFF_BYTES, write=False)
+            t.mem_block(base, n * COEFF_BYTES, write=True)
+        length <<= 1
+
+
+def _charge_scale(t, field, name, n):
+    """Charge *t* one ``field.mul`` for each of *n* elements, in a
+    ``parallel`` region *name*."""
+    with t.region(name, parallel=True, items=n):
+        charge(t, _tally(field.mul), n)
+
+
+def _transform(field, values, root, label):
     """Core iterative Cooley–Tukey transform using the given n-th root."""
     n = len(values)
     if n & (n - 1):
         raise ValueError(f"NTT length must be a power of two, got {n}")
     if n <= 1:
         return values
-    t = RUN.tracer
-    if t is None:
-        # Parallel fast path: decimated sub-transforms in the worker pool
-        # (never under a tracer — the analytical model sees the serial
-        # algorithm).  The kernel replicates this function's metrics,
-        # fault-site and deadline behavior.
-        from repro.parallel.pool import active_pool
-
-        pool = active_pool()
-        if pool is not None and pool.enabled_for(n, "ntt"):
-            from repro.parallel.kernels import ntt_transform_parallel
-
-            return ntt_transform_parallel(field, values, root, pool)
     # One metrics check per transform — amortized over (n/2)·log2(n)
-    # butterflies, so the disabled path stays on the fast branch below.
+    # butterflies — whichever route runs it.
     m = RUN.metrics
     if m is not None:
         m.inc("repro_ntt_transforms_total")
         m.inc("repro_ntt_butterflies_total", (n >> 1) * (n.bit_length() - 1))
         m.observe("repro_ntt_size", n)
+    pool = active_pool()
+    if pool is not None and pool.enabled_for(n, "ntt"):
+        # The kernel arms this site's fault and polls the deadline itself
+        # (imported lazily: it pulls in the MSM stack).
+        from repro.parallel.kernels import ntt_transform_parallel
+
+        return ntt_transform_parallel(field, values, root, pool)
     if RUN.faults is not None:
         RUN.faults.check("ntt:transform")
     if RUN.deadline is not None:
         RUN.deadline.check()
-    r = field.modulus
-    if t is None:
-        # Untraced fast path: raw modular arithmetic.
-        return transform_raw(values, root, r)
-    base = t.aspace.alloc(n * COEFF_BYTES)
-    t.op("ntt_setup")
-    bit_reverse_permute(values)
-    # Precompute per-stage twiddle tables (real libraries cache these).
-    length = 2
-    while length <= n:
-        w_len = pow(root, n // length, r)
-        half = length >> 1
-        with t.region(f"{tracer_label}_pass", parallel=True, items=n // length):
-            for start in range(0, n, length):
-                w = 1
-                for k in range(start, start + half):
-                    u = values[k]
-                    v = field.mul(values[k + half], w)
-                    values[k] = field.add(u, v)
-                    values[k + half] = field.sub(u, v)
-                    w = w * w_len % r
-                    t.op("ntt_butterfly")
-            # One streaming read+write sweep of the whole array per pass.
-            t.mem_block(base, n * COEFF_BYTES, write=False)
-            t.mem_block(base, n * COEFF_BYTES, write=True)
-        length <<= 1
+    transform_raw(values, root, field.modulus)
+    t = RUN.tracer
+    if t is not None:
+        _charge_passes(t, field, n, label)
     return values
 
 
@@ -140,31 +151,31 @@ def intt(field, evals, domain):
     """Inverse transform: evaluations on the domain -> coefficients."""
     if len(evals) != domain.size:
         raise ValueError(f"expected {domain.size} evaluations, got {len(evals)}")
-    out = _transform(field, list(evals), domain.omega_inv, "intt")
-    n_inv = domain.n_inv
+    return _intt_scale(field, _transform(field, list(evals), domain.omega_inv, "intt"),
+                       domain.n_inv)
+
+
+def _intt_scale(field, values, n_inv):
+    """Scale every value by ``1/n`` (leaving the inverse transform)."""
     r = field.modulus
+    out = [v * n_inv % r for v in values]
     t = RUN.tracer
-    if t is None:
-        return [v * n_inv % r for v in out]
-    with t.region("intt_scale", parallel=True, items=len(out)):
-        return [field.mul(v, n_inv) for v in out]
+    if t is not None:
+        _charge_scale(t, field, "intt_scale", len(out))
+    return out
 
 
 def _coset_scale(field, values, g):
     """Scale ``values[i] *= g^i`` (entering/leaving the evaluation coset)."""
     r = field.modulus
-    t = RUN.tracer
     out = [0] * len(values)
     acc = 1
-    if t is None:
-        for i, v in enumerate(values):
-            out[i] = v * acc % r
-            acc = acc * g % r
-        return out
-    with t.region("coset_scale", parallel=True, items=len(values)):
-        for i, v in enumerate(values):
-            out[i] = field.mul(v, acc)
-            acc = acc * g % r
+    for i, v in enumerate(values):
+        out[i] = v * acc % r
+        acc = acc * g % r
+    t = RUN.tracer
+    if t is not None:
+        _charge_scale(t, field, "coset_scale", len(out))
     return out
 
 

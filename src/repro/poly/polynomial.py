@@ -35,11 +35,6 @@ class Polynomial:
         return cls(field, [1])
 
     @classmethod
-    def monomial(cls, field, degree, coeff=1):
-        """``coeff * x^degree``."""
-        return cls(field, [0] * degree + [coeff])
-
-    @classmethod
     def vanishing(cls, field, domain):
         """``Z(x) = x^n - 1`` for an evaluation domain."""
         return cls(field, [-1] + [0] * (domain.size - 1) + [1])
@@ -164,14 +159,3 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = f.add(f.mul(acc, x), c)
         return acc
-
-    def evaluate_domain(self, domain):
-        """Evaluate on a full domain via the NTT (pads/requires fit)."""
-        from repro.poly.ntt import ntt
-
-        if len(self.coeffs) > domain.size:
-            raise ValueError(
-                f"polynomial degree {self.degree} does not fit domain of size {domain.size}"
-            )
-        padded = list(self.coeffs) + [0] * (domain.size - len(self.coeffs))
-        return ntt(self.field, padded, domain)

@@ -16,13 +16,17 @@ Two consumers, two representations:
 - the **prover** needs the quotient ``h`` (:func:`compute_h`, three inverse
   NTTs plus a coset round trip — the FFT workload of the proving stage).
 
+Each computes its value one way, traced or not, and a traced call is
+charged the per-operation route (docs/KERNELS.md, "Charging a
+reference"): the column walk one ``field.mul`` and ``field.add`` a matrix
+entry, the transforms their butterfly passes (:mod:`repro.poly.ntt`).
 :func:`column_polynomials` materializes full coefficient forms for the
 test-suite's equivalence checks.
 """
 
 from __future__ import annotations
 
-from repro.context import RUN, region
+from repro.context import RUN, Tally, charge, region, scoped
 from repro.poly.domain import EvaluationDomain
 from repro.poly.ntt import coset_intt, coset_ntt, intt
 from repro.poly.polynomial import Polynomial
@@ -41,47 +45,35 @@ def column_evaluations_at(r1cs, domain, tau):
 
     Returns ``(u, v, w)`` — three lists indexed by wire — computed as
     ``u_i(tau) = sum_j A[j][i] * L_j(tau)`` from the Lagrange weights, the
-    way snarkjs' setup walks the constraint matrices once.
+    way snarkjs' setup walks the constraint matrices once.  Lazy reduction
+    (docs/KERNELS.md): exact integer products accumulate per column and
+    each wire is reduced once at the end.  A traced call is charged the
+    per-term walk, one ``field.mul`` and one ``field.add`` a matrix entry,
+    in a ``parallel`` ``qap_columns_at_tau`` region.
     """
     f = r1cs.fr
-    t = RUN.tracer
+    mod = f.modulus
     lag = domain.lagrange_at(tau)
     u = [0] * r1cs.n_wires
     v = [0] * r1cs.n_wires
     w = [0] * r1cs.n_wires
-
-    def _accumulate():
-        for j, cons in enumerate(r1cs.constraints):
-            lj = lag[j]
-            for wire, coeff in cons.a.items():
-                u[wire] = f.add(u[wire], f.mul(coeff, lj))
-            for wire, coeff in cons.b.items():
-                v[wire] = f.add(v[wire], f.mul(coeff, lj))
-            for wire, coeff in cons.c.items():
-                w[wire] = f.add(w[wire], f.mul(coeff, lj))
-
-    def _accumulate_lazy():
-        # Lazy reduction (docs/KERNELS.md): accumulate exact integer
-        # products per column and reduce each wire once at the end —
-        # identical results, one ``% p`` per wire instead of one per term.
-        mod = f.modulus
-        for j, cons in enumerate(r1cs.constraints):
-            lj = lag[j]
-            for wire, coeff in cons.a.items():
-                u[wire] += coeff * lj
-            for wire, coeff in cons.b.items():
-                v[wire] += coeff * lj
-            for wire, coeff in cons.c.items():
-                w[wire] += coeff * lj
-        for col in (u, v, w):
-            for i, x in enumerate(col):
-                col[i] = x % mod
-
-    if t is None:
-        _accumulate_lazy()
-    else:
+    for j, cons in enumerate(r1cs.constraints):
+        lj = lag[j]
+        for wire, coeff in cons.a.items():
+            u[wire] += coeff * lj
+        for wire, coeff in cons.b.items():
+            v[wire] += coeff * lj
+        for wire, coeff in cons.c.items():
+            w[wire] += coeff * lj
+    for col in (u, v, w):
+        for i, x in enumerate(col):
+            col[i] = x % mod
+    t = RUN.tracer
+    if t is not None:
         with t.region("qap_columns_at_tau", parallel=True, items=r1cs.n_constraints):
-            _accumulate()
+            with scoped("tracer", Tally()) as term:
+                f.add(0, f.mul(0, 0))
+            charge(t, term, r1cs.stats()["nonzeros"])
     return u, v, w
 
 

@@ -60,7 +60,7 @@ def _msm_inputs(group_name, n):
     key = (group_name, n)
     if key not in _INPUTS:
         group = _group(group_name)
-        r = random.Random(hash(key) & 0xFFFF)
+        r = random.Random(f"{group_name}:{n}")
         points = [(group.generator * r.randrange(1, 1 << 16)).to_affine()
                   for _ in range(n)]
         scalars = [r.randrange(2 * group.order) for _ in range(n)]

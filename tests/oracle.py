@@ -27,6 +27,16 @@ a traced conversion of a ``Z == 1`` point are charged (docs/KERNELS.md,
 :func:`executed_curve_ops`; :func:`stored_walk` is the walk's value, the
 comparator of the batch walk.
 
+*The per-operation passes*: :func:`transform_passes`, :func:`intt_scale`
+and :func:`coset_scale` are the NTT and its scalings one ``field.mul`` /
+``field.add`` / ``field.sub`` call per step, and
+:func:`column_evaluations_at` the QAP column walk one ``field.mul`` and
+``field.add`` a matrix entry — the routes a traced transform and a traced
+column walk are charged (docs/KERNELS.md, "Charging a reference"),
+executed under a tracer by :func:`executed_ntt` and
+:func:`executed_columns`; :func:`full_trace` is :func:`trace` with each
+region's count order and the address-space cursor.
+
 *The row recoder*: :func:`signed_windows` recodes one scalar into all of
 its signed window digits at once, the comparator of the streamed column
 recoder :func:`repro.msm.recode.digit_columns` the kernels use.
@@ -57,8 +67,9 @@ per-operation wave — the machine-independent cost of a kernel.
 
 from collections import Counter
 from contextlib import contextmanager
+from importlib import import_module
 
-from repro.context import RUN
+from repro.context import RUN, region
 from repro.curves.curve import Point
 from repro.curves.pairing import PairingEngine, PreparedG2, engine_for
 from repro.fields.extensions import Fp6, Fp12
@@ -68,13 +79,19 @@ from repro.msm.pippenger import _OPERAND_HEAP_BYTES, optimal_window
 from repro.msm.terms import live_terms
 from repro.perf.trace import Tracer, tracing
 
+# The modules, not the functions their packages export under the same name.
+ntt = import_module("repro.poly.ntt")
+groth16_setup = import_module("repro.groth16.setup")
+
 
 def reference(fn, *args):
     """``fn(*args)`` as a traced run computes it: no pool.  A charged site
-    (a pairing, ``P * k``, ``to_affine``, ``FixedBaseTable``, ``msm_auto``)
-    computes the same value traced or not; its comparators are
-    :func:`ladder_mul`, :func:`stored_walk`, :func:`msm_pippenger`,
-    :func:`miller_loop` and :func:`final_exponentiation` below."""
+    (a pairing, ``P * k``, ``to_affine``, ``FixedBaseTable``, ``msm_auto``,
+    the NTT, the QAP column walk) computes the same value traced or not;
+    its comparators are :func:`ladder_mul`, :func:`stored_walk`,
+    :func:`msm_pippenger`, :func:`miller_loop`,
+    :func:`final_exponentiation`, :func:`transform_passes` and
+    :func:`column_evaluations_at` below."""
     with tracing(Tracer()):
         return fn(*args)
 
@@ -87,6 +104,19 @@ def trace(fn, *args):
     with tracing(tracer):
         value = fn(*args)
     return value, tracer.root, tracer.clock, tracer.mem_events
+
+
+def full_trace(fn, *args):
+    """``(value, regions, clock, mem_events, cursor)`` of ``fn(*args)`` under
+    a fresh tracer: :func:`trace` with the region tree flattened depth-first
+    to ``(depth, name, parallel, items, load_scale, store_scale, counts)``,
+    each region's counts in report order, and the address-space cursor."""
+    tracer = Tracer()
+    with tracing(tracer):
+        value = fn(*args)
+    regions = [(r.depth, r.name, r.parallel, r.items, r.load_scale, r.store_scale,
+                tuple(r.counts.items())) for r in tracer.iter_regions()]
+    return value, regions, tracer.clock, tracer.mem_events, tracer.aspace._next
 
 
 def ladder_mul(pt, k):
@@ -247,6 +277,90 @@ def executed_msm():
     return _swapped((dispatch, "charge_pippenger",
                      lambda _t, group, terms: msm_pippenger(
                          group, [pt for pt, _k in terms], [k for _pt, k in terms])))
+
+
+def transform_passes(field, values, root, label):
+    """The iterative Cooley–Tukey transform of *values* (in place) by
+    per-operation passes, reporting to ``RUN.tracer`` (to a throwaway
+    tracer when none is installed): every butterfly one ``field.mul``,
+    ``field.add`` and ``field.sub`` — the route a traced NTT is charged."""
+    n = len(values)
+    if n & (n - 1):
+        raise ValueError(f"NTT length must be a power of two, got {n}")
+    if n <= 1:
+        return values
+    t = RUN.tracer if RUN.tracer is not None else Tracer()
+    r = field.modulus
+    base = t.aspace.alloc(n * ntt.COEFF_BYTES)
+    t.op("ntt_setup")
+    ntt.bit_reverse_permute(values)
+    length = 2
+    while length <= n:
+        w_len = pow(root, n // length, r)
+        half = length >> 1
+        with t.region(f"{label}_pass", parallel=True, items=n // length):
+            for start in range(0, n, length):
+                w = 1
+                for k in range(start, start + half):
+                    u = values[k]
+                    v = field.mul(values[k + half], w)
+                    values[k] = field.add(u, v)
+                    values[k + half] = field.sub(u, v)
+                    w = w * w_len % r
+                    t.op("ntt_butterfly")
+            # One streaming read+write sweep of the whole array per pass.
+            t.mem_block(base, n * ntt.COEFF_BYTES, write=False)
+            t.mem_block(base, n * ntt.COEFF_BYTES, write=True)
+        length <<= 1
+    return values
+
+
+def intt_scale(field, values, n_inv):
+    """``[v / n]`` one ``field.mul`` each, in an ``intt_scale`` region."""
+    with region("intt_scale", parallel=True, items=len(values)):
+        return [field.mul(v, n_inv) for v in values]
+
+
+def coset_scale(field, values, g):
+    """``[values[i] * g^i]`` one ``field.mul`` each, in a ``coset_scale``
+    region."""
+    out, acc = [0] * len(values), 1
+    with region("coset_scale", parallel=True, items=len(values)):
+        for i, v in enumerate(values):
+            out[i] = field.mul(v, acc)
+            acc = acc * g % field.modulus
+    return out
+
+
+def executed_ntt():
+    """Within, the transforms and their scalings run the per-operation
+    passes above where they would run the raw-integer loops and charge
+    them: the trace a charged call must equal."""
+    return _swapped((ntt, "_transform", transform_passes),
+                    (ntt, "_intt_scale", intt_scale),
+                    (ntt, "_coset_scale", coset_scale))
+
+
+def column_evaluations_at(r1cs, domain, tau):
+    """The QAP columns at *tau* by the eager per-term walk: one
+    ``field.mul`` and one ``field.add`` a matrix entry, in a
+    ``qap_columns_at_tau`` region — the route a traced
+    :func:`repro.qap.column_evaluations_at` is charged."""
+    f = r1cs.fr
+    lag = domain.lagrange_at(tau)
+    cols = [[0] * r1cs.n_wires for _ in range(3)]
+    with region("qap_columns_at_tau", parallel=True, items=r1cs.n_constraints):
+        for j, cons in enumerate(r1cs.constraints):
+            for col, row in zip(cols, (cons.a, cons.b, cons.c)):
+                for wire, coeff in row.items():
+                    col[wire] = f.add(col[wire], f.mul(coeff, lag[j]))
+    return tuple(cols)
+
+
+def executed_columns():
+    """Within, a traced ``groth16.setup`` walks the QAP columns by
+    :func:`column_evaluations_at` above where it would charge the walk."""
+    return _swapped((groth16_setup, "column_evaluations_at", column_evaluations_at))
 
 
 def ladder(group, pt):

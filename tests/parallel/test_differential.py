@@ -20,6 +20,7 @@ from repro.circuit.compiler import compile_circuit
 from repro.curves import BN128, get_curve
 from repro.fields import BN254_FR
 from repro.msm.fixed_base import FixedBaseTable
+from repro.obs.metrics import MetricsRegistry, collecting
 from repro.parallel.kernels import (
     batch_verify_parallel,
     fixed_base_mul_many,
@@ -28,7 +29,7 @@ from repro.parallel.kernels import (
 )
 from repro.parallel.pool import WorkerPool, using
 from repro.poly.domain import EvaluationDomain
-from repro.poly.ntt import transform_raw
+from repro.poly.ntt import ntt, transform_raw
 from tests.oracle import msm_pippenger
 
 FULL = os.environ.get("REPRO_PARALLEL_FULL") == "1"
@@ -54,7 +55,7 @@ def _msm_inputs(group_name, n):
     key = (group_name, n)
     if key not in _INPUTS:
         group = _group(group_name)
-        r = random.Random(hash(key) & 0xFFFF)
+        r = random.Random(f"{group_name}:{n}")
         points = [(group.generator * r.randrange(1, 1 << 16)).to_affine()
                   for _ in range(n)]
         scalars = [r.randrange(2 * group.order) for _ in range(n)]
@@ -115,6 +116,33 @@ class TestNTTDifferential:
         with WorkerPool(4, min_ntt=2) as pool:
             assert ntt_transform_parallel(FR, list(values), d.omega,
                                           pool) == serial
+
+
+class TestNTTMetrics:
+    """``_transform`` counts the ``repro_ntt_*`` metrics whichever route runs
+    it: a pooled transform too small to split (``n = 2``: one sub-transform)
+    and one the pool splits (``n = min_ntt``) count what the serial one
+    does; only a split counts ``repro_parallel_ntt_total``."""
+
+    @staticmethod
+    def ntt_metrics(registry):
+        snap = registry.snapshot()
+        return ({k: v for k, v in snap["counters"].items() if k.startswith("repro_ntt_")},
+                snap["histograms"].get("repro_ntt_size"))
+
+    @pytest.mark.parametrize("n", [2, 64])
+    def test_pooled_counts_the_serial_metrics(self, n):
+        d = EvaluationDomain(FR, n)
+        r = random.Random(n)
+        values = [FR.rand(r) for _ in range(n)]
+        with collecting(MetricsRegistry()) as serial:
+            expected = ntt(FR, values, d)
+        with WorkerPool(2, min_ntt=n) as pool, using(pool), \
+                collecting(MetricsRegistry()) as pooled:
+            assert ntt(FR, values, d) == expected
+        assert self.ntt_metrics(pooled) == self.ntt_metrics(serial)
+        assert serial.counter("repro_ntt_transforms_total") == 1
+        assert pooled.counter("repro_parallel_ntt_total") == (n > 2)
 
 
 class TestFixedBaseDifferential:

@@ -46,13 +46,11 @@ class TestClassification:
         td = TopDownResult(frontend=0.4, bad_speculation=0.1, backend=0.3,
                            retiring=0.2, cycles=1, detail={})
         assert td.classification == "frontend"
-        assert td.dominant_stall == "frontend"
 
-    def test_dominant_stall_excludes_retiring(self):
+    def test_classification_includes_retiring(self):
         td = TopDownResult(frontend=0.1, bad_speculation=0.05, backend=0.15,
                            retiring=0.7, cycles=1, detail={})
         assert td.classification == "retiring"
-        assert td.dominant_stall == "backend"
 
 
 class TestModelBehaviour:

@@ -35,7 +35,6 @@ class TestNormalization:
 
     def test_constructors(self):
         assert Polynomial.one(FR) == poly(1)
-        assert Polynomial.monomial(FR, 3, coeff=2) == poly(0, 0, 0, 2)
 
     def test_equality_and_hash(self):
         assert poly(1, 2) == poly(1, 2, 0)
@@ -123,18 +122,6 @@ class TestEvaluation:
 
     def test_evaluate_at_zero(self):
         assert rand_poly(4, 14).evaluate(0) == rand_poly(4, 14).coeffs[0]
-
-    def test_evaluate_domain_matches_horner(self):
-        d = EvaluationDomain(FR, 8)
-        p = rand_poly(6, 15)
-        evals = p.evaluate_domain(d)
-        for w, e in zip(d.elements(), evals):
-            assert p.evaluate(w) == e
-
-    def test_evaluate_domain_rejects_overflow(self):
-        d = EvaluationDomain(FR, 4)
-        with pytest.raises(ValueError):
-            rand_poly(4, 16).evaluate_domain(d)
 
 
 class TestInterpolation:
