@@ -4,8 +4,14 @@
 	chaos deep-profile drift-check parallel-test measured \
 	serve loadtest kernel-test bench-test plonk-ratio
 
-# Seeds for the chaos smoke (override: make chaos CHAOS_SEEDS="0 7 42").
+# Hypothesis seeds the fault machines run under (override: make chaos
+# CHAOS_SEEDS="0 7 42"); a failure replays with the same seed.
 CHAOS_SEEDS ?= 0 1 2 3
+
+# One fault machine (tests/resilience/test_workflow_machine.py,
+# tests/serve/test_service_machine.py) under one seed: $(call machine,NODE,SEED).
+machine = PYTHONPATH=src python -m pytest -q -p no:cacheprovider $(1) \
+	--hypothesis-seed=$(2)
 
 # Ledger for the telemetry targets (override on the command line).
 PROFILE_LEDGER ?= results/runs/profile.jsonl
@@ -77,8 +83,8 @@ drift-check:
 
 # Full serial<->parallel differential matrix, every other suite a pool
 # change touches (faults, worker telemetry and its overhead, the run
-# context, the pinning rule), plus the chaos-under-workers seeds
-# (docs/PARALLELISM.md).  Wider than the tier-1 run: sizes 2^6..2^10,
+# context, the pinning rule), plus the pooled workflow fault machine under
+# three seeds: faults inside workers end typed (docs/PARALLELISM.md).  Wider than the tier-1 run: sizes 2^6..2^10,
 # workers {1,2,3,4}, both curves.
 parallel-test:
 	REPRO_PARALLEL_FULL=1 PYTHONPATH=src pytest -x -q tests/parallel \
@@ -86,8 +92,8 @@ parallel-test:
 		tests/obs/test_worker_telemetry.py tests/obs/test_worker_overhead.py \
 		tests/test_context.py tests/test_pinning_rule.py
 	@for seed in 0 1 2; do \
-		PYTHONPATH=src python -m repro chaos --seed $$seed --faults 3 \
-			--size 64 --workers 2 || exit 1; \
+		$(call machine,tests/resilience/test_workflow_machine.py::TestPooledWorkflowMachine,$$seed) \
+			|| exit 1; \
 	done
 
 # Full kernel differential matrix (docs/KERNELS.md): every MSM kernel and
@@ -128,25 +134,28 @@ serve:
 	PYTHONPATH=src python -m repro loadtest --size 64 --rps $(SERVE_RPS) \
 		--duration $(SERVE_DURATION)
 
-# Open-loop load smoke, then the same load with a seeded fault plan armed
-# inside the live service: p50/p95/p99 and the phase breakdown (the ledger
-# service block; --ledger PATH keeps it); every request must resolve typed
-# with phases that add up, faults or not.
+# Open-loop load smoke: p50/p95/p99 and the phase breakdown (the ledger
+# service block; --ledger PATH keeps it), every request typed with phases
+# that add up.  Then the service fault machine, serial and pool-backed,
+# under three seeds: the same gates under faults, crashes and drains.
 LOAD_RPS ?= 16
 LOAD_DURATION ?= 3
 loadtest:
 	PYTHONPATH=src python -m repro loadtest --rps $(LOAD_RPS) \
 		--duration $(LOAD_DURATION) --size 32
 	@for seed in 0 1 2; do \
-		PYTHONPATH=src python -m repro loadtest --faults 4 --seed $$seed \
-			--size 32 --rps $(LOAD_RPS) --duration 1.5 || exit 1; \
+		$(call machine,tests/serve/test_service_machine.py::TestServiceMachine,$$seed) \
+			|| exit 1; \
+		$(call machine,tests/serve/test_service_machine.py::TestPooledServiceMachine,$$seed) \
+			|| exit 1; \
 	done
 	PYTHONPATH=src pytest -x -q tests/serve
 
+# The workflow fault machine under each seed, then the resilience suite.
 chaos:
 	@for seed in $(CHAOS_SEEDS); do \
-		PYTHONPATH=src python -m repro chaos --seed $$seed --faults 4 \
-			--size 32 || exit 1; \
+		$(call machine,tests/resilience/test_workflow_machine.py::TestWorkflowMachine,$$seed) \
+			|| exit 1; \
 	done
 	PYTHONPATH=src pytest -x -q tests/resilience \
 		tests/harness/test_cache_integrity.py

@@ -2,7 +2,7 @@
 
 The resilience layer's deadline (``--timeout``, a served request's
 budget) is *cooperative*: a kernel that never calls ``Deadline.check()``
-cannot be timed out, so a runaway MSM or NTT defeats the chaos contract.  RC501 requires every
+cannot be timed out, so a runaway MSM or NTT defeats the typed-failure contract.  RC501 requires every
 public loop-bearing function in the configured hot modules to reach a
 ``RUN.deadline`` poll — directly or through its callees (``msm_glv``'s
 kernel polls once per window, so ``msm_auto`` inherits the property).

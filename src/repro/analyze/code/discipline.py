@@ -1,6 +1,6 @@
 """RC3xx error-discipline: every stage-reachable failure ends typed.
 
-The PR 3 chaos contract: anything the workflow can raise must be a
+The typed-failure contract: anything the workflow can raise must be a
 ``repro.resilience.errors`` taxonomy leaf (so the retry policy can
 classify it and the CLI can print a stable ``error[<code>]:`` line) or a
 plain ``ValueError``/``TypeError`` input guard.

@@ -76,7 +76,8 @@ class CodelintConfig:
 
     #: Modules exempt from RC3xx error-discipline: telemetry/modeling
     #: infrastructure whose install-time guards are programmer errors,
-    #: not pipeline failures (the chaos contract covers the pipeline).
+    #: not pipeline failures (the typed-failure contract covers the
+    #: pipeline).
     error_exempt_modules: tuple = ("repro.obs.*", "repro.perf.*")
 
     #: Exception classes stage-reachable code may raise besides the

@@ -172,13 +172,6 @@ OPTIONS = {
                        help="traffic duration"),
     "--mix": dict(type=_traffic_mix, default="prove:verify",
                   help="traffic mix, e.g. prove:verify or prove=3,verify=1"),
-    "--faults": dict(type=_POSITIVE_INT, metavar="N",
-                     help="number of faults in the seeded schedule "
-                          "(loadtest: armed once the service has started; "
-                          "unset runs without faults)"),
-    "--max-attempts": dict(type=_POSITIVE_INT, default=3,
-                           help="retry budget per stage (loadtest: per "
-                                "request, with --faults)"),
     # output
     "--json": dict(_FLAG, dest="as_json",
                    help="print the machine-readable record or report "
@@ -502,51 +495,19 @@ def cmd_deep_profile(args, out=print):
     return 0 if verdict.ok else 1
 
 
-def cmd_chaos(args, out=print):
-    from repro.resilience.chaos import run_chaos
-
-    report = run_chaos(
-        seed=args.seed, n_faults=args.faults, curve=args.curve,
-        size=args.size, workload=args.workload,
-        max_attempts=args.max_attempts, workers=args.workers,
-    )
-    out(report.to_json(indent=2) if args.as_json else report.render_text())
-    # 0: the resilience contract held (recovered, or failed *typed*);
-    # 1: a bare exception escaped or the proof was silently rejected.
-    return 0 if report.acceptable else 1
-
-
 def cmd_loadtest(args, out=print):
     import asyncio
     import signal
-    from contextlib import nullcontext
 
     from repro.obs import format as obs_format
     from repro.obs import ledger, metrics
-    from repro.resilience import faults
-    from repro.resilience.retry import RetryPolicy
-    from repro.serve import (
-        SERVE_SITES,
-        CircuitBreaker,
-        ProvingService,
-        run_loadtest,
-    )
+    from repro.serve import ProvingService, run_loadtest
 
     registry = metrics.MetricsRegistry()
-    policy, plan = {}, None
-    if args.faults is not None:
-        # Backoff is recorded, not slept, and the breaker recloses fast,
-        # so one seed replays one fault story in a short run.
-        policy = dict(retry=RetryPolicy(max_attempts=args.max_attempts,
-                                        seed=args.seed, sleep=None),
-                      breaker=CircuitBreaker(cooldown_s=0.05))
-        plan = faults.schedule(
-            args.seed, args.faults,
-            sites=SERVE_SITES + ("msm:pippenger", "ntt:transform"))
     service = ProvingService(
         curve=args.curve, size=args.size, workload=args.workload,
         workers=args.workers, default_deadline_s=args.deadline,
-        seed=args.seed, **policy)
+        seed=args.seed)
 
     # Text mode narrates the service's life; --json keeps stdout one
     # JSON document.
@@ -569,11 +530,8 @@ def cmd_loadtest(args, out=print):
             f"max_inflight={service.max_inflight}"
             + (f" deadline={args.deadline}s" if args.deadline else "")
             + " (SIGTERM drains)")
-        # Armed after start(): the warm-up setup and proof are not the
-        # target, the serving window is.
-        armed = faults.injecting(plan) if plan is not None else nullcontext()
         try:
-            with metrics.collecting(registry), armed:
+            with metrics.collecting(registry):
                 # A signal ends the arrival schedule; admitted requests
                 # still resolve and land in the report.
                 return await run_loadtest(
@@ -598,12 +556,9 @@ def cmd_loadtest(args, out=print):
         metrics=registry.snapshot(),
         label=args.label,
         service=load.to_service_block(),
-        faults=None if plan is None else [spec.to_dict() for spec in plan],
     )
-    obs_format.emit_record(record, args.as_json, out, render=[
-        load.render_text,
-        None if plan is None else lambda: "\n".join(faults.render_plan(plan)),
-    ])
+    obs_format.emit_record(record, args.as_json, out,
+                           render=[load.render_text])
     if args.request_trace:
         from repro.perf.export import requests_to_spans, spans_to_chrome_trace
 
@@ -714,21 +669,14 @@ VERBS = {
         cmd_deep_profile,
         [*_cell(8), "--top", "--no-alloc", "--collapsed", "--speedscope",
          "--no-artifacts", *_RECORD]),
-    "chaos": Verb(
-        "run the pipeline under a seeded fault schedule; exit 0 iff every "
-        "fault ends typed (docs/ROBUSTNESS.md)",
-        cmd_chaos,
-        [*_cell(32), opt("--faults", 4), "--max-attempts", "--workers",
-         "--json"]),
     "loadtest": Verb(
         "open-loop load against the proving service: latency "
-        "percentiles, shedding, phase breakdown; --faults N arms a "
-        "seeded fault plan; SIGTERM drains in-flight jobs; exit 1 on any "
-        "request that resolves untyped or whose phases do not add up "
-        "(docs/SERVING.md)",
+        "percentiles, shedding, phase breakdown; SIGTERM drains in-flight "
+        "jobs; exit 1 on any request that resolves untyped or whose "
+        "phases do not add up (docs/SERVING.md)",
         cmd_loadtest,
         [*_cell(32), "--workers", "--deadline", "--rps", "--duration",
-         "--mix", "--faults", "--max-attempts", *_RECORD,
+         "--mix", *_RECORD,
          "--request-trace"]),
 }
 

@@ -102,8 +102,8 @@ def signed_bucket_msm(group, pairs, window=None, part=None):
         m.inc("repro_msm_windows_total", hi - lo)
         m.observe("repro_msm_points", len(pairs))
     if RUN.faults is not None:
-        # The MSM's one fault site, named for the bucket method: chaos
-        # faults shipped at it fire in every serial or pooled MSM.
+        # The MSM's one fault site, named for the bucket method: faults
+        # armed (or shipped to a worker) at it fire in every MSM.
         RUN.faults.check("msm:pippenger")
 
     ops = group.ops

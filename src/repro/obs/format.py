@@ -19,22 +19,17 @@ __all__ = [
 ]
 
 
-def emit_record(record, as_json, out, render=None):
+def emit_record(record, as_json, out, render):
     """Print *record* as indented JSON when *as_json*, else the verb's
-    human rendering (*render* is a zero-argument callable returning the
-    report text; several chunks may be passed as a list of callables)."""
+    human rendering: *render* lists zero-argument callables, each
+    returning one chunk of the report text, printed a blank line apart."""
     if as_json:
         out(json.dumps(record, indent=2, sort_keys=True))
         return
-    renders = render if isinstance(render, (list, tuple)) else [render]
-    first = True
-    for r in renders:
-        if r is None:
-            continue
-        if not first:
+    for i, chunk in enumerate(render):
+        if i:
             out("")
-        out(r())
-        first = False
+        out(chunk())
 
 
 def write_artifact(path, content, out, label, quiet=False):

@@ -28,14 +28,12 @@ worked example::
       "profile": {...DeepProfiler.to_profile_block()...,
                   "drift": {...DriftReport.to_dict()...}} | null,
       "workers": {...WorkerTelemetry.to_workers_block()...} | null,
-      "service": {...LoadReport.to_service_block()...} | null,
-      "faults": [ {"site", "kind", "hit", "fired"}, ... ] | null
+      "service": {...LoadReport.to_service_block()...} | null
     }
 
 Every block is ``null`` unless the run that wrote the record produced it;
 ``profile.drift`` is ``deep-profile``'s model-drift verdict on that
-profile, and ``faults`` is the plan ``loadtest --faults`` armed, each
-spec's ``fired`` flag read after the run.
+profile.
 """
 
 from __future__ import annotations
@@ -73,8 +71,7 @@ class Ledger:
 
 
 def make_record(kind, curve, size, workload, stages, seed=None, metrics=None,
-                label=None, profile=None, workers=None, service=None,
-                faults=None):
+                label=None, profile=None, workers=None, service=None):
     """Assemble one record (shape in the module docstring).
 
     *stages* is a list of stage dicts (``StageResult.to_record()`` shape);
@@ -84,9 +81,7 @@ def make_record(kind, curve, size, workload, stages, seed=None, metrics=None,
     :meth:`~repro.obs.worker.WorkerTelemetry.to_workers_block` (``None``
     for serial or untelemetered runs); *service* a
     :meth:`~repro.serve.loadgen.LoadReport.to_service_block` (``None``
-    for runs that did not go through the proving service); *faults* the
-    armed plan as :meth:`~repro.resilience.faults.FaultSpec.to_dict` s
-    (``None`` for runs without injected faults).
+    for runs that did not go through the proving service).
     """
     fp = machine_fingerprint()
     return {
@@ -106,5 +101,4 @@ def make_record(kind, curve, size, workload, stages, seed=None, metrics=None,
         "profile": profile,
         "workers": workers,
         "service": service,
-        "faults": faults,
     }

@@ -142,19 +142,11 @@ def _sub_count(workers, n):
 def ntt_transform_parallel(field, values, root, pool):
     """Decimated parallel NTT; returns a new list equal to the serial
     transform of *values* under *root* (exact modular arithmetic, so the
-    ints are identical)."""
-    n = len(values)
+    ints are identical).  *values* is a power-of-two length of at least
+    4 and *pool* has two workers or more, so it splits
+    (``poly.ntt._transform`` routes nothing smaller here)."""
     r = field.modulus
-    k = _sub_count(pool.workers, n)
-    if k < 2:
-        from repro.poly.ntt import transform_raw
-
-        if RUN.faults is not None:
-            RUN.faults.check("ntt:transform")
-        if RUN.deadline is not None:
-            RUN.deadline.check()
-        return transform_raw(list(values), root, r)
-
+    k = _sub_count(pool.workers, len(values))
     m = RUN.metrics
     if m is not None:
         m.inc("repro_parallel_ntt_total")

@@ -20,7 +20,7 @@ kernels), and anything else as
 
 Context shipped with each task (the ``ctx`` dict) carries what a worker
 cannot inherit: the remaining seconds of the parent's cooperative
-:class:`~repro.resilience.retry.Deadline`, and — for chaos runs — a due
+:class:`~repro.resilience.retry.Deadline`, and — when faults are armed — a due
 :class:`~repro.resilience.faults.FaultSpec` so the fault actually fires
 *inside* the worker (see ``FaultInjector.arm``).
 

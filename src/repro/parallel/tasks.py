@@ -52,7 +52,7 @@ def msm_window_slice(payload):
     count agree across slices) on windows ``[j*n//k, (j+1)*n//k)`` only,
     and returns ``2^(c*lo)`` times their Horner sum as an affine tuple.
     The signed-digit kernel's ``msm:pippenger`` fault-site check is how a
-    shipped chaos fault fires in here.
+    shipped fault fires in here.
     """
     from repro.msm.glv import msm_glv
 
@@ -67,7 +67,7 @@ def msm_window_slice(payload):
 def ntt_sub(payload):
     """One decimated sub-transform: NTT of ``x[j::k]`` under root ``w^k``.
 
-    Checks the ``ntt:transform`` fault site (shipped chaos faults fire
+    Checks the ``ntt:transform`` fault site (shipped faults fire
     here) and the cooperative deadline, then runs the raw serial kernel.
     """
     from repro.poly.ntt import transform_raw

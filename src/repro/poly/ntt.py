@@ -123,7 +123,9 @@ def _transform(field, values, root, label):
         m.inc("repro_ntt_butterflies_total", (n >> 1) * (n.bit_length() - 1))
         m.observe("repro_ntt_size", n)
     pool = active_pool()
-    if pool is not None and pool.enabled_for(n, "ntt"):
+    # The pool splits a transform into sub-transforms of length >= 2, so
+    # one shorter than 4 stays on the serial route below.
+    if n >= 4 and pool is not None and pool.enabled_for(n, "ntt"):
         # The kernel arms this site's fault and polls the deadline itself
         # (imported lazily: it pulls in the MSM stack).
         from repro.parallel.kernels import ntt_transform_parallel

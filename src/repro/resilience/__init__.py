@@ -10,9 +10,9 @@ package makes failure a modeled, observable event:
     ``ArtifactCorruption``, ``ResourceExhausted``, terminal
     ``StageError`` — and the ``is_retryable`` policy line.
 :mod:`repro.resilience.faults`
-    Deterministic seeded fault injection behind a ``RUN.faults is None``
-    guard (the run context, docs/ARCHITECTURE.md), with sites at every
-    stage boundary and in the MSM/NTT/serialize hot paths.
+    Deterministic fault injection behind a ``RUN.faults is None`` guard
+    (the run context, docs/ARCHITECTURE.md), with sites at every stage
+    boundary and in the MSM/NTT/serialize hot paths.
 :mod:`repro.resilience.retry`
     Exponential backoff with seeded jitter, the one retry loop
     ``with_retry`` (a ``Workflow`` given ``retry=`` runs each stage
@@ -23,9 +23,10 @@ package makes failure a modeled, observable event:
 :mod:`repro.resilience.degrade`
     Graceful degradation: front-door→naive MSM fallback and batch-verify
     bisection to the exact bad proof indices.
-:mod:`repro.resilience.chaos`
-    The seeded chaos driver behind ``python -m repro chaos`` (imported
-    explicitly — it pulls in the whole pipeline).
+Two hypothesis state machines under ``tests/`` are the fault harness:
+one drives ``Workflow.run_stage`` with a retry policy and the artifact
+round trips, the other the proving service; both arm faults at these
+sites and check that every one ends recovered or typed.
 
 Every recovery action increments a ``repro_resilience_*`` counter in the
 :mod:`repro.obs.metrics` registry, so retries, fallbacks, evictions and
@@ -51,7 +52,7 @@ from repro.resilience.errors import (
     classify,
     is_retryable,
 )
-from repro.resilience.faults import FaultInjector, FaultSpec, injecting, schedule
+from repro.resilience.faults import FaultInjector, FaultSpec, injecting
 from repro.resilience.retry import Deadline, RetryPolicy, with_retry
 
 __all__ = [
@@ -74,7 +75,6 @@ __all__ = [
     "is_retryable",
     "read_checksummed",
     "resilient_msm",
-    "schedule",
     "with_retry",
     "write_checksummed",
 ]

@@ -46,7 +46,7 @@ report crisply — has one class here, so callers can build policy on
     as ``__cause__``/:attr:`fault`.
 
 ``classify`` names the taxonomy class of any exception (for metrics and
-chaos reports); ``is_retryable`` is the single source of truth for what the
+job results); ``is_retryable`` is the single source of truth for what the
 retry loop may re-attempt.
 """
 
@@ -155,8 +155,8 @@ class StageError(ReproError):
     """A pipeline stage failed for good.
 
     Raised by the retry wrapper after the last attempt; :attr:`fault` is
-    the underlying taxonomy error (also chained as ``__cause__``) so chaos
-    reports and tests can assert on the original failure class.
+    the underlying taxonomy error (also chained as ``__cause__``) so
+    callers and tests can assert on the original failure class.
     """
 
     code = "stage"

@@ -1,10 +1,9 @@
-"""Deterministic, seeded fault injection.
+"""Deterministic fault injection.
 
-The chaos machinery of the resilience layer: a :class:`FaultInjector`
-installed as ``RUN.faults`` (the run context, docs/ARCHITECTURE.md) arms a
-*plan* of :class:`FaultSpec` entries, and instrumented **sites** — every
-stage boundary plus the MSM/NTT/serialize hot paths — ask it whether to
-fail:
+A :class:`FaultInjector` installed as ``RUN.faults`` (the run context,
+docs/ARCHITECTURE.md) arms a *plan* of :class:`FaultSpec` entries, and
+instrumented **sites** — every stage boundary plus the MSM/NTT/serialize
+hot paths — ask it whether to fail:
 
     if RUN.faults is not None:
         RUN.faults.check("msm:pippenger")
@@ -13,14 +12,12 @@ A disabled site costs one attribute load and an ``is None`` test,
 so production runs pay nothing.  Each spec names a site, a fault kind from
 the :mod:`repro.resilience.errors` taxonomy, and the 1-based invocation of
 that site at which it fires; it fires **once** and is then consumed, which
-is what makes retry-based recovery observable.  Plans are either authored
-explicitly or derived from a seed with :func:`schedule`, so a chaos run is
-reproducible end to end (``python -m repro chaos --seed 0 --faults 4``).
+is what makes retry-based recovery observable.  The fault machines under
+``tests/`` (docs/ROBUSTNESS.md) arm specs step by step and check that
+every one ends recovered or typed.
 """
 
 from __future__ import annotations
-
-import random
 
 from repro.context import RUN, scoped
 from repro.resilience.errors import (
@@ -31,17 +28,13 @@ from repro.resilience.errors import (
 )
 
 __all__ = [
-    "ALL_SITES",
     "FaultInjector",
     "FaultSpec",
     "KINDS",
-    "PIPELINE_SITES",
-    "ROUNDTRIP_SITES",
+    "SITES",
     "fire",
     "injecting",
     "make_fault",
-    "render_plan",
-    "schedule",
 ]
 
 #: Fault kind -> taxonomy class raised at the site.
@@ -52,10 +45,11 @@ KINDS = {
     "oom": ResourceExhausted,
 }
 
-#: Sites exercised by one five-stage pipeline run (what :func:`schedule`
-#: draws from by default; its hit numbers are all reached by a run that
-#: does not fail first).  ``run_chaos`` adds :data:`ROUNDTRIP_SITES`.
-PIPELINE_SITES = (
+#: Every instrumented site of the pipeline and its artifacts: the stage
+#: boundaries (checked once per attempt), the MSM and NTT kernels, and the
+#: serialization sites, each checked by ``*_to_bytes`` and again by
+#: ``*_from_bytes``.  The service adds ``SERVE_SITES`` (repro.serve).
+SITES = (
     "stage:compile",
     "stage:setup",
     "stage:witness",
@@ -63,18 +57,10 @@ PIPELINE_SITES = (
     "stage:verifying",
     "msm:pippenger",
     "ntt:transform",
+    "serialize:proof",
+    "serialize:vk",
+    "serialize:pk",
 )
-
-#: The proof/vk serialization sites: each round-trip (``*_to_bytes`` then
-#: ``*_from_bytes``) checks its site twice.
-ROUNDTRIP_SITES = ("serialize:proof", "serialize:vk")
-
-#: Every instrumented site of the pipeline and its artifacts, including
-#: ``serialize:pk``, which only an explicit proving-key round-trip reaches.
-ALL_SITES = PIPELINE_SITES + ROUNDTRIP_SITES + ("serialize:pk",)
-
-#: Highest trigger hit :func:`schedule` draws for a non-stage site.
-MAX_HIT = 2
 
 
 class FaultSpec:
@@ -91,10 +77,6 @@ class FaultSpec:
         self.kind = kind
         self.hit = hit
         self.fired = False
-
-    def to_dict(self):
-        return {"site": self.site, "kind": self.kind, "hit": self.hit,
-                "fired": self.fired}
 
     def __repr__(self):
         state = "fired" if self.fired else "armed"
@@ -156,46 +138,6 @@ def fire(spec):
     if m is not None:
         m.inc("repro_resilience_faults_injected_total")
     return make_fault(spec)
-
-
-def schedule(seed, n_faults, sites=PIPELINE_SITES):
-    """Derive a deterministic *n_faults*-entry plan from *seed*.
-
-    Sites and kinds are drawn uniformly and the trigger hit from
-    ``1..MAX_HIT``, with no ``(site, hit)`` pair drawn twice — two specs
-    on one pair would fire only once between them — so repeated chaos
-    runs with one seed replay the exact same failure story.
-    """
-    # Stage boundaries are checked once per attempt; deeper hits would
-    # never trigger without a preceding retry, so pin them to hit 1.
-    pairs = sum(1 if site.startswith("stage:") else MAX_HIT
-                for site in set(sites))
-    if n_faults > pairs:
-        raise ValueError(f"{n_faults} faults need {n_faults} distinct "
-                         f"(site, hit) pairs; the sites offer {pairs}")
-    rng = random.Random(f"chaos:{seed}")
-    kinds = sorted(KINDS)
-    plan, taken = [], set()
-    while len(plan) < n_faults:
-        site = rng.choice(list(sites))
-        hit = 1 if site.startswith("stage:") else rng.randrange(1, MAX_HIT + 1)
-        if (site, hit) in taken:
-            continue
-        taken.add((site, hit))
-        plan.append(FaultSpec(site, rng.choice(kinds), hit=hit))
-    return plan
-
-
-def render_plan(plan):
-    """Text lines of *plan*: a count line, then one line per spec with its
-    fired flag (the ``chaos`` and ``loadtest --faults`` reports)."""
-    fired = sum(1 for spec in plan if spec.fired)
-    lines = [f"plan: {len(plan)} fault(s), {fired} fired"]
-    for spec in plan:
-        state = "fired  " if spec.fired else "pending"
-        lines.append(f"  [{state}] {spec.kind:9s} at {spec.site} "
-                     f"(hit {spec.hit})")
-    return lines
 
 
 def injecting(plan_or_injector):

@@ -2,9 +2,9 @@
 
 :class:`RetryPolicy` is exponential backoff with **deterministic** seeded
 jitter — two runs with the same seed sleep the same schedule, keeping
-chaos runs reproducible.  :func:`with_retry` is the one retry loop: a
+fault runs reproducible.  :func:`with_retry` is the one retry loop: a
 ``Workflow`` given ``retry=`` runs each stage attempt through it, and the
-chaos driver its serialization round-trip.
+workflow fault machine (tests/resilience) its serialization round trips.
 
 :class:`Deadline` is a cooperative time budget: the hot kernels (MSM
 window loop, NTT transforms) poll ``RUN.deadline`` between parallel
@@ -67,7 +67,7 @@ class RetryPolicy:
 
     def backoff(self, attempt):
         """Sleep the computed delay (no-op when constructed with
-        ``sleep=None``, as the test suite and chaos CLI do)."""
+        ``sleep=None``, as the test suite does)."""
         d = self.delay(attempt)
         if self._sleep is not None and d > 0:
             self._sleep(d)

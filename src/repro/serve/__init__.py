@@ -5,8 +5,7 @@ The serving layer in front of the measured pipeline: bounded admission
 deadlines, retry + circuit breaking over the worker pool, coalesced
 batch verification with poisoned-member isolation, and graceful drain.
 :mod:`~repro.serve.loadgen` drives it open-loop for the ``loadtest``
-CLI verb (SIGTERM drains); ``loadtest --faults N`` arms a seeded fault
-plan while the traffic flows.  See docs/SERVING.md.
+CLI verb (SIGTERM drains).  See docs/SERVING.md.
 """
 
 from repro.serve.breaker import CircuitBreaker

@@ -18,8 +18,8 @@ mode switch instead:
     the breaker, another crash re-opens it, and a probe that ends in
     neither (a timeout, a non-crash fault) is released for the next job.
 
-The clock is injectable so tests (and the deterministic chaos driver)
-can step time instead of sleeping.
+The clock is injectable so tests (the service fault machine among
+them) can step time instead of sleeping.
 """
 
 from __future__ import annotations

@@ -12,8 +12,7 @@ lateness (``JobResult.late_s``) is part of it and is reported beside it.
 
 The generator is fully seeded — the prove/verify interleaving and the
 choice of poisoned verify payloads replay bit-identically for one seed —
-so the suite can assert on exact request stories, also with a seeded
-fault plan armed around the run (``loadtest --faults``).
+so the suite can assert on exact request stories.
 
 :class:`LoadReport` aggregates the terminal
 :class:`~repro.serve.jobs.JobResult`\\ s into the latency/throughput/

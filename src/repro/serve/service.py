@@ -81,9 +81,8 @@ from repro.workflow import STAGES, Workflow, run_body
 
 __all__ = ["ARTIFACT_CACHE", "ProvingService", "SERVE_SITES"]
 
-#: Fault-injection sites checked by the service's compute body
-#: (``loadtest --faults`` draws its schedule from these plus the kernel
-#: sites that prove/verify reach naturally).
+#: Fault-injection sites checked by the service's compute body (the
+#: service fault machine arms these and the kernel sites a prove reaches).
 SERVE_SITES = ("serve:prove", "serve:verify")
 
 #: Queue sentinel that stops the executor loops.

@@ -48,7 +48,7 @@ class TestMakeRecord:
         assert rec["profile"] is None  # unprofiled runs carry no block
         assert rec["workers"] is None  # serial runs carry no workers block
         assert rec["service"] is None  # non-serving runs carry no block
-        assert rec["faults"] is None  # runs without injected faults neither
+        assert "faults" not in rec  # fault plans live in the fault machines
         json.dumps(rec)  # must be JSON-serializable as-is
 
     def test_record_carries_profile_block(self):
@@ -87,21 +87,6 @@ class TestMakeRecord:
         assert rec["schema"] == 7
         assert rec["service"] == block
         json.dumps(rec)
-
-    def test_record_carries_faults_block(self):
-        """v6: the armed plan, each spec with its fired flag, replaces the
-        v5 ``capacity`` block."""
-        plan = [{"site": "serve:prove", "kind": "transient", "hit": 1,
-                 "fired": True},
-                {"site": "ntt:transform", "kind": "oom", "hit": 2,
-                 "fired": False}]
-        rec = make_record(
-            kind="loadtest", curve="bn128", size=32,
-            workload="exponentiate", seed=0, stages=[], faults=plan,
-        )
-        assert rec["faults"] == plan
-        assert "capacity" not in rec
-        assert json.loads(json.dumps(rec))["faults"] == plan
 
     def test_v1_through_v3_records_still_load(self, tmp_path):
         """Pre-upgrade lines — v1 (no profile field, no lifted per-stage

@@ -24,11 +24,11 @@ class TestParser:
             build_parser().parse_args(
                 ["run", "fig6", "--measured", "--workers", raw])
 
-    def test_prove_and_chaos_take_single_worker_count(self):
+    def test_prove_and_loadtest_take_single_worker_count(self):
         assert build_parser().parse_args(
             ["prove", "--workers", "2"]).workers == 2
         assert build_parser().parse_args(
-            ["chaos", "--workers", "4"]).workers == 4
+            ["loadtest", "--workers", "4"]).workers == 4
 
 
 class TestCommands:
@@ -89,11 +89,3 @@ class TestCommands:
         assert out == ""
         err = capsys.readouterr().err
         assert err.startswith("error[value]: ") and message in err
-
-    def test_chaos_with_workers_is_acceptable(self):
-        code, out = run_cli([
-            "chaos", "--seed", "0", "--faults", "2", "--size", "64",
-            "--workers", "2",
-        ])
-        assert code == 0
-        assert "outcome:" in out

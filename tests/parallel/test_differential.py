@@ -93,8 +93,9 @@ class TestNTTDifferential:
         r = random.Random(n)
         values = [FR.rand(r) for _ in range(n)]
         serial = transform_raw(list(values), d.omega, FR.modulus)
-        with WorkerPool(workers, min_ntt=2) as pool:
-            par = ntt_transform_parallel(FR, list(values), d.omega, pool)
+        # Through the front door: one worker is the no-pool baseline.
+        with WorkerPool(workers, min_ntt=2) as pool, using(pool):
+            par = ntt(FR, values, d)
         assert par == serial
 
     def test_inverse_root_too(self):
@@ -120,9 +121,10 @@ class TestNTTDifferential:
 
 class TestNTTMetrics:
     """``_transform`` counts the ``repro_ntt_*`` metrics whichever route runs
-    it: a pooled transform too small to split (``n = 2``: one sub-transform)
-    and one the pool splits (``n = min_ntt``) count what the serial one
-    does; only a split counts ``repro_parallel_ntt_total``."""
+    it: a pooled transform too small to split (``n = 2``), which stays on
+    the serial route and maps nothing, and one the pool splits
+    (``n = min_ntt``) count what the serial one does; only a split counts
+    ``repro_parallel_ntt_total``."""
 
     @staticmethod
     def ntt_metrics(registry):
@@ -137,12 +139,17 @@ class TestNTTMetrics:
         values = [FR.rand(r) for _ in range(n)]
         with collecting(MetricsRegistry()) as serial:
             expected = ntt(FR, values, d)
+        maps = []
         with WorkerPool(2, min_ntt=n) as pool, using(pool), \
                 collecting(MetricsRegistry()) as pooled:
+            real_map = pool.map
+            pool.map = lambda *args, **kw: (maps.append(args[0])
+                                            or real_map(*args, **kw))
             assert ntt(FR, values, d) == expected
         assert self.ntt_metrics(pooled) == self.ntt_metrics(serial)
         assert serial.counter("repro_ntt_transforms_total") == 1
         assert pooled.counter("repro_parallel_ntt_total") == (n > 2)
+        assert maps == (["ntt_sub"] if n > 2 else [])
 
 
 class TestFixedBaseDifferential:

@@ -11,15 +11,10 @@ from repro.resilience.errors import (
     TransientFault,
 )
 from repro.resilience.faults import (
-    ALL_SITES,
-    MAX_HIT,
-    PIPELINE_SITES,
     FaultInjector,
     FaultSpec,
     fire,
     injecting,
-    render_plan,
-    schedule,
 )
 
 
@@ -98,49 +93,6 @@ class TestInjector:
         assert reg.counter("repro_resilience_faults_injected_total") == 1
 
 
-class TestSchedule:
-    def test_deterministic_from_seed(self):
-        a = schedule(7, 5)
-        b = schedule(7, 5)
-        assert [(s.site, s.kind, s.hit) for s in a] == \
-               [(s.site, s.kind, s.hit) for s in b]
-
-    def test_different_seeds_differ(self):
-        a = [(s.site, s.kind, s.hit) for s in schedule(0, 8)]
-        b = [(s.site, s.kind, s.hit) for s in schedule(1, 8)]
-        assert a != b
-
-    def test_stage_sites_pinned_to_first_hit(self):
-        # Stage boundaries are checked once per attempt; a hit > 1 would
-        # require a preceding retry and could never fire in a clean run.
-        plan = schedule(3, 9)
-        for spec in plan:
-            if spec.site.startswith("stage:"):
-                assert spec.hit == 1
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_never_repeats_a_site_hit_pair(self, seed):
-        # Two specs on one (site, hit) would fire only once between them.
-        for sites, n in ((PIPELINE_SITES, 9), (ALL_SITES, 13)):
-            pairs = [(s.site, s.hit) for s in schedule(seed, n, sites=sites)]
-            assert len(set(pairs)) == len(pairs)
-
-    def test_full_plan_covers_every_pair(self):
-        # 5 stage sites at hit 1, msm and ntt at hits 1 and 2.
-        pairs = {(s.site, s.hit) for s in schedule(0, 9)}
-        assert pairs == (
-            {(site, 1) for site in PIPELINE_SITES}
-            | {("msm:pippenger", 2), ("ntt:transform", 2)})
-
-    def test_more_faults_than_pairs_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            schedule(0, 10)
-
-    def test_hits_stay_within_max_hit(self):
-        for spec in schedule(5, 13, sites=ALL_SITES):
-            assert 1 <= spec.hit <= MAX_HIT
-
-
 class TestInjectingContext:
     def test_installs_and_clears_current(self):
         assert RUN.faults is None
@@ -153,27 +105,3 @@ class TestInjectingContext:
             with injecting([FaultSpec("x", "transient")]) as inj:
                 inj.check("x")
         assert RUN.faults is None
-
-
-class TestRenderPlan:
-    def test_count_line_then_one_line_per_spec(self):
-        plan = [FaultSpec("serve:prove", "transient", hit=1),
-                FaultSpec("ntt:transform", "oom", hit=2)]
-        assert render_plan(plan) == [
-            "plan: 2 fault(s), 0 fired",
-            "  [pending] transient at serve:prove (hit 1)",
-            "  [pending] oom       at ntt:transform (hit 2)",
-        ]
-
-    def test_fired_flags_are_read_at_render_time(self):
-        inj = FaultInjector([FaultSpec("stage:setup", "transient"),
-                             FaultSpec("stage:proving", "transient")])
-        with pytest.raises(TransientFault):
-            inj.check("stage:setup")
-        lines = render_plan(inj.plan)
-        assert lines[0] == "plan: 2 fault(s), 1 fired"
-        assert lines[1].startswith("  [fired  ] transient at stage:setup")
-        assert lines[2].startswith("  [pending] transient at stage:proving")
-
-    def test_empty_plan(self):
-        assert render_plan([]) == ["plan: 0 fault(s), 0 fired"]

@@ -4,8 +4,9 @@ PR 3's contract — never a pickled traceback, always a taxonomy error —
 extended across the process boundary: a fault spec due at a kernel site
 is shipped into the worker, fires there, and the parent re-raises the
 matching typed error with the spec marked fired (exactly once, like the
-serial cadence).  Retry policies and seeded chaos then compose with the
-pool unchanged.
+serial cadence).  Retry policies then compose with the pool unchanged.
+Whole pipelines under faults on a pool are ``PooledWorkflowMachine``'s
+(tests/resilience/test_workflow_machine.py).
 """
 
 import random
@@ -18,7 +19,6 @@ from repro.parallel.kernels import msm_parallel, ntt_transform_parallel
 from repro.parallel.pool import WorkerPool
 from repro.poly.domain import EvaluationDomain
 from repro.resilience import faults
-from repro.resilience.chaos import run_chaos
 from repro.resilience.errors import (
     StageTimeout,
     TransientFault,
@@ -112,20 +112,3 @@ class TestRetryInterop:
         with pytest.raises(WorkerCrash):
             with_retry(crashing, policy)
         assert len(calls) == 1  # deterministic bugs burn no retry budget
-
-
-class TestChaosWithWorkers:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_seeded_chaos_is_acceptable_under_workers(self, seed):
-        report = run_chaos(seed=seed, n_faults=3, size=64, workers=2)
-        assert report.acceptable, (
-            f"seed {seed} with workers broke the contract: "
-            f"{report.status} ({report.error})")
-
-    def test_chaos_with_workers_matches_contract_on_kernel_site(self):
-        # Pin one fault to the worker-side MSM site explicitly.
-        plan = [FaultSpec("msm:pippenger", "transient", hit=1)]
-        report = run_chaos(seed=0, size=64, plan=plan, workers=2)
-        assert report.acceptable
-        assert report.status == "recovered"  # transient faults retry away
-        assert plan[0].fired

@@ -1,6 +1,6 @@
 """Load-generator tests: mix parsing, open-loop accounting, the ledger
 service block, determinism of the seeded request story, the
-``loadtest`` exit gate, and the service ``loadtest --faults`` builds."""
+``loadtest`` exit gate, and the service the verb builds."""
 
 import asyncio
 import json
@@ -10,10 +10,8 @@ import pytest
 
 from repro.cli import main
 from repro.obs.ledger import make_record
-from repro.resilience import faults
 from repro.resilience.retry import RetryPolicy
 from repro.serve import (
-    SERVE_SITES,
     CircuitBreaker,
     ProvingService,
     parse_mix,
@@ -21,9 +19,6 @@ from repro.serve import (
 )
 from repro.serve.jobs import Job, JobResult
 from repro.serve.loadgen import LoadReport, _dist, percentile
-
-#: The sites ``loadtest --faults`` draws its schedule from.
-SITES = SERVE_SITES + ("msm:pippenger", "ntt:transform")
 
 
 def fast_service(**kwargs):
@@ -346,11 +341,11 @@ class TestViolations:
 
 
 class TestLoadtestService:
-    """Without ``--faults`` the verb builds the service it always built;
-    with it, the seeded no-sleep retry policy and the fast breaker."""
+    """The verb serves with the service's own retry policy and breaker:
+    it sleeps its backoff, and the record carries no fault plan."""
 
     @staticmethod
-    def built_service(monkeypatch, *argv):
+    def built_service(monkeypatch):
         built = []
         init = ProvingService.__init__
 
@@ -361,23 +356,14 @@ class TestLoadtestService:
         monkeypatch.setattr(ProvingService, "__init__", capture)
         lines = []
         code = main(["loadtest", "--size", "8", "--rps", "10", "--duration",
-                     "0.2", "--json", *argv], out=lines.append)
+                     "0.2", "--json"], out=lines.append)
         assert code == 0, lines
         (service,) = built
         return service, json.loads(lines[0])
 
-    def test_without_faults_the_service_is_unchanged(self, monkeypatch):
+    def test_the_verb_builds_the_default_service(self, monkeypatch):
         service, record = self.built_service(monkeypatch)
         assert service.retry.sleeps
         assert service.retry.max_attempts == 3
         assert service.breaker.cooldown_s == CircuitBreaker().cooldown_s
-        assert record["faults"] is None
-
-    def test_faults_arm_the_seeded_retry_and_fast_breaker(self, monkeypatch):
-        service, record = self.built_service(
-            monkeypatch, "--faults", "2", "--max-attempts", "4")
-        assert not service.retry.sleeps
-        assert service.retry.max_attempts == 4
-        assert service.breaker.cooldown_s == 0.05
-        assert [spec["site"] for spec in record["faults"]] == [
-            spec.site for spec in faults.schedule(0, 2, sites=SITES)]
+        assert "faults" not in record

@@ -78,7 +78,7 @@ class TestVerbLists:
                                  "SKILL.md") == set(VERBS)
 
     def test_parser_and_list_are_generated_from_the_verb_table(self):
-        assert len(VERBS) == 10
+        assert len(VERBS) == 9
         assert list(verb_parsers()) == list(VERBS)
         _, out = run_cli(["list"])
         for name, verb in VERBS.items():
@@ -108,28 +108,25 @@ class TestOptionTable:
                             re.sub(r" \(default: [^)]*\)$", "", action.help))
                 assert seen.setdefault(name, declared) == declared, \
                     (verb, name)
-        assert len(seen) == len(OPTIONS) == 29
+        assert len(seen) == len(OPTIONS) == 27
 
     def test_exposed_option_count(self):
         exposed = sum(
             not isinstance(action, argparse._HelpAction)
             for parser in verb_parsers().values()
             for action in parser._actions)
-        assert exposed <= 98
+        assert exposed <= 55
 
     def test_verbs_pass_their_own_defaults_as_data(self):
         sizes = {verb: parser.get_default("size")
                  for verb, parser in verb_parsers().items()
                  if parser.get_default("size") is not None}
-        assert sizes == {"profile": 64, "deep-profile": 8, "chaos": 32,
-                         "loadtest": 32}
+        assert sizes == {"profile": 64, "deep-profile": 8, "loadtest": 32}
         # run's cells are unset: the traced sweep and each measured
         # artifact (repro.harness.measured) keep their own defaults.
         run = build_parser().parse_args(["run", "fig6", "--measured"])
         assert (run.curve, run.size, run.workers) == (None, None, None)
-        loadtest = build_parser().parse_args(["loadtest"])
-        assert (loadtest.rps, loadtest.faults) == (8.0, None)
-        assert build_parser().parse_args(["chaos"]).faults == 4
+        assert build_parser().parse_args(["loadtest"]).rps == 8.0
 
     @staticmethod
     def option_names(verb):
@@ -138,16 +135,10 @@ class TestOptionTable:
                 if action.option_strings
                 and not isinstance(action, argparse._HelpAction)}
 
-    def test_chaos_is_pipeline_only(self):
-        assert self.option_names("chaos") == {
-            "--curve", "--size", "--workload", "--seed", "--faults",
-            "--max-attempts", "--workers", "--json"}
-
-    def test_loadtest_carries_the_fault_options(self):
-        assert {"--faults", "--max-attempts"} <= self.option_names("loadtest")
-        args = build_parser().parse_args(
-            ["loadtest", "--faults", "3", "--max-attempts", "5"])
-        assert (args.faults, args.max_attempts) == (3, 5)
+    def test_loadtest_takes_no_fault_options(self):
+        # Fault runs are the fault machines' (docs/ROBUSTNESS.md).
+        assert not {"--faults", "--max-attempts"} & \
+            self.option_names("loadtest")
 
     def test_every_list_option_is_the_many_form(self):
         many = {(verb, entry[0])

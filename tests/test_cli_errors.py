@@ -102,12 +102,6 @@ class TestArgumentErrors:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
 
-    def test_chaos_zero_faults_rejected(self):
-        result = run_cli("chaos", "--faults", "0")
-        assert result.returncode == 2
-        assert "positive" in result.stderr
-        assert "Traceback" not in result.stderr
-
     def test_run_bad_size_is_typed(self):
         result = run_cli("run", "fig4", "--size", "0", "--curve", "bn128")
         assert result.returncode == 2
@@ -153,6 +147,8 @@ class TestArgumentErrors:
         ("serve",), ("serve", "--max-queue", "4"),
         ("loadtest", "--max-inflight", "8"),
         ("loadtest", "--bad-verify-pct", "10"), ("report",),
+        ("chaos",), ("chaos", "--seed", "0", "--faults", "4"),
+        ("loadtest", "--faults", "1"), ("loadtest", "--max-attempts", "3"),
     ])
     def test_deleted_verb_and_flags_are_usage_errors(self, gone):
         result = run_cli(*gone)
@@ -197,23 +193,6 @@ class TestArgumentErrors:
                          env_extra={"REPRO_WORKERS": value})
         assert result.returncode == 0, (result.stdout, result.stderr)
         assert "REPRO_WORKERS" not in result.stderr
-
-
-class TestChaosVerb:
-    def test_smoke_run_is_acceptable(self):
-        result = run_cli("chaos", "--seed", "0", "--faults", "3",
-                         "--size", "16")
-        assert result.returncode == 0, (result.stdout, result.stderr)
-        assert "outcome:" in result.stdout
-        assert "Traceback" not in result.stderr
-
-    def test_json_report_parses(self):
-        result = run_cli("chaos", "--seed", "1", "--faults", "2",
-                         "--size", "16", "--json")
-        assert result.returncode == 0, (result.stdout, result.stderr)
-        report = json.loads(result.stdout)
-        assert report["status"] in ("recovered", "stage-failed",
-                                    "typed-failure")
 
 
 class TestRunResumes:
@@ -268,7 +247,7 @@ class TestLoadtestVerb:
         assert result.returncode == 0, (result.stdout, result.stderr)
         record = json.loads(result.stdout)
         assert record["schema"] == 7
-        assert record["faults"] is None
+        assert "faults" not in record
         block = record["service"]
         assert block["requests"]["sent"] >= 1
         assert block["requests"]["unresolved"] == 0
@@ -312,36 +291,6 @@ class TestLoadtestVerb:
         result = run_cli("loadtest", "--rps", bad)
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
-
-
-class TestChaosUnderLoad:
-    def test_smoke_run_is_all_typed(self):
-        result = run_cli("loadtest", "--faults", "3", "--seed", "0",
-                         "--size", "8", "--rps", "20", "--duration", "0.5",
-                         "--json")
-        assert result.returncode == 0, (result.stdout, result.stderr)
-        record = json.loads(result.stdout)
-        assert [set(spec) for spec in record["faults"]] == \
-            [{"site", "kind", "hit", "fired"}] * 3
-        assert record["service"]["violations"] == []
-        assert record["service"]["requests"]["unresolved"] == 0
-
-    def test_text_report_shows_the_plan(self):
-        result = run_cli("loadtest", "--faults", "2", "--seed", "1",
-                         "--size", "8", "--rps", "10", "--duration", "0.5")
-        assert result.returncode == 0, (result.stdout, result.stderr)
-        assert "plan: 2 fault(s)" in result.stdout
-        specs = [line for line in result.stdout.splitlines()
-                 if line.startswith("  [")]
-        assert len(specs) == 2  # one line per spec, fired or pending
-        assert "VIOLATION" not in result.stdout
-
-    def test_text_report_shows_outcome(self):
-        result = run_cli("loadtest", "--faults", "2", "--seed", "1",
-                         "--size", "8", "--rps", "10", "--duration", "0.5")
-        assert result.returncode == 0, (result.stdout, result.stderr)
-        assert "loadtest: 5 requests" in result.stdout
-        assert "unresolved=0" in result.stdout
 
 
 class TestLoadtestDrain:
