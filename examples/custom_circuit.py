@@ -15,6 +15,7 @@ from repro.circuit import CircuitBuilder, compile_circuit, gadgets
 from repro.curves import get_curve
 from repro.groth16 import generate_witness, prove, public_inputs, setup, verify
 from repro.perf.analysis import analyze_stage
+from repro.perf.cache import LLCModel
 from repro.perf.trace import Tracer, tracing
 
 
@@ -58,7 +59,7 @@ def main():
     print("under-age witness rejected by the constraint system")
 
     # -- characterize this circuit's proving stage ---------------------------
-    tracer = Tracer(label="credential/proving")
+    tracer = Tracer(label="credential/proving", mem_events=LLCModel())
     with tracing(tracer):
         prove(pk, circuit, witness, rng)
     profile = analyze_stage(tracer, stage="proving", curve="bn128",

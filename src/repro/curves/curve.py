@@ -87,7 +87,7 @@ class FpOps:
         infinity, so no denominator is zero.
         """
         fq = self.fq
-        m = fq._mod
+        m = fq.modulus
         out = [None] * len(ps)
         work = []  # (slot, slope numerator, denominator), both unreduced
         for i, (p, q) in enumerate(zip(ps, qs)):
@@ -165,7 +165,7 @@ class Fp2Ops:
         is one ``Fp`` batch inversion of the denominators' norms.
         """
         fq = self.tower.fq
-        m = fq._mod
+        m = fq.modulus
         out = [None] * len(ps)
         work = []  # (slot, slope numerator, denominator), both unreduced
         for i, (p, q) in enumerate(zip(ps, qs)):

@@ -51,7 +51,7 @@ class TowerParams:
         self.xi = (xi[0] % p, xi[1] % p)
         # Hot-path copies for the flat kernels below.
         self._p = p
-        self._mod = fq._mod
+        self._mod = fq.modulus
         self._add_tag, self._sub_tag = fq._add_tag, fq._sub_tag
         self._mul_tag, self._sqr_tag = fq._mul_tag, fq._sqr_tag
         # ``(g1, g2, gw)`` with ``g1 = xi^((p-1)/3)``, ``g2 = g1^2``,
@@ -67,10 +67,10 @@ class TowerParams:
     # -- raw Fp2 kernels (tuples of ints) ----------------------------------------
     #
     # Exact integers are combined first and reduced once per output
-    # component against ``fq._mod`` (an ``mpz`` under REPRO_BIGINT=gmpy2),
-    # beta = -1 folded into a subtraction.  One tracer guard per kernel
-    # reports the primitives of the per-operation ``PrimeField``
-    # formulation it stands for — ``lincomb``'s rule.
+    # component against ``fq.modulus``, beta = -1 folded into a
+    # subtraction.  One tracer guard per kernel reports the primitives of
+    # the per-operation ``PrimeField`` formulation it stands for —
+    # ``lincomb``'s rule.
 
     def _report(self, t, products, adds=0, subs=0, scales=0):
         # The primitives of *products* ``f2_mul`` (a Karatsuba product with
@@ -295,10 +295,10 @@ class Fp12:
     # The hot operations of the pairing, each one function over the twelve
     # integers: every ``Fp2`` product an exact Karatsuba integer pair, the
     # ``Fp6``/``Fp12`` formulas combined on those, and one ``% m`` a
-    # coefficient of the result (``m = tower._mod``, an ``mpz`` under
-    # REPRO_BIGINT=gmpy2).  One tracer guard per kernel reports the
-    # primitives of the per-operation formulation it replaces
-    # (``tests/oracle.py``), counted in ``f2_*`` calls — ``lincomb``'s rule.
+    # coefficient of the result (``m = tower._mod``).  One tracer guard per
+    # kernel reports the primitives of the per-operation formulation it
+    # replaces (``tests/oracle.py``), counted in ``f2_*`` calls —
+    # ``lincomb``'s rule.
     # In an Fp6 product ``(P0 + P1 v + P2 v^2)(Q0 + Q1 v + Q2 v^2)`` (Karatsuba:
     # ``P0 Q0``, ``P1 Q1``, ``P2 Q2`` and three products of sums) the pair
     # ``vk0, vk1`` holds ``Pk Qk``, ``s, u`` the two integer products of the

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numbers
 
 from repro.context import RUN
-from repro.fields import bigint
 
 __all__ = ["PrimeField"]
 
@@ -36,7 +35,7 @@ class PrimeField:
     """
 
     __slots__ = (
-        "modulus", "name", "bits", "limbs", "nbytes", "_mod",
+        "modulus", "name", "bits", "limbs", "nbytes",
         "_add_tag", "_sub_tag", "_mul_tag", "_sqr_tag", "_inv_tag", "_neg_tag",
     )
 
@@ -44,10 +43,6 @@ class PrimeField:
         if modulus < 3 or modulus % 2 == 0:
             raise ValueError(f"{name}: modulus must be an odd prime, got {modulus}")
         self.modulus = modulus
-        # The modulus in the active bigint backend's native type
-        # (``REPRO_BIGINT=gmpy2`` lifts it to ``mpz`` so the hot ``%`` runs
-        # in GMP; the default backend keeps a plain int — zero overhead).
-        self._mod = bigint.wrap_modulus(modulus)
         self.name = name
         self.bits = modulus.bit_length()
         self.limbs = (self.bits + 63) // 64
@@ -99,14 +94,14 @@ class PrimeField:
         t = RUN.tracer
         if t is not None:
             t.op(self._mul_tag)
-        return a * b % self._mod
+        return a * b % self.modulus
 
     def sqr(self, a):
         """Return ``a^2 mod p``."""
         t = RUN.tracer
         if t is not None:
             t.op(self._sqr_tag)
-        return a * a % self._mod
+        return a * a % self.modulus
 
     def inv(self, a):
         """Return the multiplicative inverse of ``a`` (raises on zero).
@@ -125,11 +120,11 @@ class PrimeField:
         m = RUN.metrics
         if m is not None:
             m.inc("repro_field_inv_total")
-        return bigint.invmod(a, self._mod)
+        return pow(a, -1, self.modulus)
 
     def reduce(self, a):
         """Map an arbitrary integer into ``[0, p)``."""
-        return a % self._mod
+        return a % self.modulus
 
     def lincomb(self, pairs, const=0):
         """Return ``(const + sum(c * v for c, v in pairs)) mod p`` lazily.
@@ -153,7 +148,7 @@ class PrimeField:
             if n:
                 t.op(self._mul_tag, n)
                 t.op(self._add_tag, n)
-        return acc % self._mod
+        return acc % self.modulus
 
     # -- batch helpers ---------------------------------------------------------
 
@@ -258,8 +253,7 @@ class PrimeField:
         """Raise ``ValueError`` unless *values* holds *count* public inputs,
         each a reduced element: an integer in ``[0, p)``, ``bool`` excluded.
 
-        Any ``numbers.Integral`` counts as an integer, so the ``mpz`` values
-        the gmpy2 backend's reductions return pass.  The verifiers' guard:
+        Any ``numbers.Integral`` counts as an integer.  The verifiers' guard:
         a verifier that reduced ``x + p`` instead would accept a proof for
         ``x`` under it.
         """

@@ -2,8 +2,9 @@
 
 :func:`profile_run` drives one (curve, size) cell of the paper's sweep:
 build the exponentiation circuit, run the five workflow stages each under a
-fresh tracer, and reduce every trace to a
-:class:`~repro.perf.analysis.StageProfile`.
+fresh tracer whose memory events feed an LLC model
+(:class:`~repro.perf.cache.LLCModel`) as they happen, and reduce every
+trace to a :class:`~repro.perf.analysis.StageProfile`.
 
 Profiles are cached in-process and (by default) on disk under
 ``.repro_cache/``.  The cache key is the full workload cell **plus** a
@@ -42,6 +43,7 @@ from repro.context import RUN
 from repro.curves import get_curve
 from repro.harness.circuits import build_workload
 from repro.perf.analysis import analyze_stage
+from repro.perf.cache import LLCModel
 from repro.perf.trace import Tracer
 from repro.resilience.checkpoint import CellStore
 from repro.workflow import STAGES, Workflow
@@ -125,7 +127,8 @@ def profile_run(curve_name, size, seed=0, workload="exponentiate"):
     wf = Workflow(curve, builder, inputs, seed=seed)
     profiles = {}
     for stage in STAGES:
-        tracer = Tracer(label=f"{curve_name}/{size}/{stage}")
+        tracer = Tracer(label=f"{curve_name}/{size}/{stage}",
+                        mem_events=LLCModel())
         result = wf.run_stage(stage, tracer)
         profiles[stage] = analyze_stage(
             tracer, stage=stage, curve=curve_name, size=size,

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.perf.bandwidth import BandwidthProfile, bandwidth_profile
-from repro.perf.cache import DEFAULT_CAPACITY_SCALE, simulate_llc
 from repro.perf.costmodel import aggregate_tracer
 from repro.perf.cpu import ALL_CPUS
 from repro.perf.functions import function_hotspots
@@ -67,18 +66,18 @@ class StageProfile:
         )
 
 
-def analyze_stage(tracer, stage, curve, size, elapsed=0.0,
-                  cpus=ALL_CPUS, capacity_scale=DEFAULT_CAPACITY_SCALE):
-    """Run the full four-analysis framework over one stage trace."""
+def analyze_stage(tracer, stage, curve, size, elapsed=0.0):
+    """Run the full four-analysis framework over one stage trace, whose
+    memory events went to an :class:`~repro.perf.cache.LLCModel`."""
     summary = aggregate_tracer(tracer)
     mix = opcode_mix(tracer)
     hotspots = function_hotspots(tracer)
 
     per_cpu = {}
     traffic_for_split = 0.0
-    for spec in cpus:
-        stats, timeline = simulate_llc(tracer, spec, capacity_scale)
-        bw = bandwidth_profile(timeline, tracer.clock, spec)
+    for spec, llc in zip(ALL_CPUS, tracer.mem_events.caches):
+        stats = llc.stats
+        bw = bandwidth_profile(llc.bins, tracer.clock, spec)
         td = topdown_analysis(summary, stats, spec)
         traffic = stats.traffic_bytes(spec.line_bytes)
         per_cpu[spec.name] = CpuView(

@@ -1,9 +1,9 @@
 """DRAM bandwidth-utilization model (the paper's Table III).
 
 VTune reports maximum memory bandwidth by sampling DRAM traffic over time
-windows.  The equivalent here: the cache simulator yields a timeline of
-``(instruction_clock, dram_bytes)`` miss/writeback samples; this module bins
-the timeline into fixed windows of the instruction clock, converts window
+windows.  The equivalent here: each simulated LLC (:mod:`repro.perf.cache`)
+adds its miss-fill bytes to the window ``clock // DEFAULT_WINDOW_TICKS`` of
+the instruction clock as the misses happen; this module converts window
 width to seconds through the machine's frequency and a nominal IPC, and
 reports the peak (capped at the machine's physical channel bandwidth, since
 a real machine cannot exceed it — the cap is what makes the proving stage
@@ -41,39 +41,29 @@ class BandwidthProfile:
     saturated: bool  # True when the peak hit the physical channel limit
 
 
-def bandwidth_profile(timeline, total_clock, spec,
-                      window_ticks=DEFAULT_WINDOW_TICKS):
-    """Compute the bandwidth profile of a miss-traffic *timeline*.
+def bandwidth_profile(bins, total_clock, spec):
+    """Compute the bandwidth profile of per-window miss traffic.
 
     Parameters
     ----------
-    timeline:
-        ``[(clock, dram_bytes), ...]`` from
-        :func:`repro.perf.cache.simulate_llc` (any order).
+    bins:
+        ``{window: dram_bytes}``, a :class:`~repro.perf.cache.CacheSim`'s
+        ``bins`` (windows of ``DEFAULT_WINDOW_TICKS`` clock ticks).
     total_clock:
         The tracer's final instruction clock (defines the run's duration).
     spec:
         The :class:`~repro.perf.cpu.MachineSpec` (frequency and channel cap).
-    window_ticks:
-        Bin width in clock ticks.
     """
-    if total_clock <= 0 or not timeline:
+    if total_clock <= 0 or not bins:
         return BandwidthProfile(0.0, 0.0, 0.0, 0, False)
-    bins = {}
-    total = 0.0
-    for clock, nbytes in timeline:
-        bins[clock // window_ticks] = bins.get(clock // window_ticks, 0.0) + nbytes
-        total += nbytes
-    window_seconds = window_ticks * CYCLES_PER_TICK / (spec.freq_ghz * 1e9)
-    peak_bytes = max(bins.values())
-    raw_max = peak_bytes / window_seconds / 1e9
+    total = float(sum(bins.values()))
+    window_seconds = DEFAULT_WINDOW_TICKS * CYCLES_PER_TICK / (spec.freq_ghz * 1e9)
+    raw_max = max(bins.values()) / window_seconds / 1e9
     cap = spec.mem_bw_gbps
-    max_gbps = min(raw_max, cap)
-    duration = max(total_clock, 1) * CYCLES_PER_TICK / (spec.freq_ghz * 1e9)
-    mean_gbps = min(total / duration / 1e9, cap)
+    duration = total_clock * CYCLES_PER_TICK / (spec.freq_ghz * 1e9)
     return BandwidthProfile(
-        max_gbps=max_gbps,
-        mean_gbps=mean_gbps,
+        max_gbps=min(raw_max, cap),
+        mean_gbps=min(total / duration / 1e9, cap),
         total_bytes=total,
         n_windows=len(bins),
         saturated=raw_max >= cap,

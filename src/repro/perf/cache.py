@@ -1,12 +1,16 @@
-"""Set-associative cache simulation over the traced address stream.
+"""Set-associative LLC model fed the traced address stream as it happens.
 
-This stands in for ``perf``'s LLC miss counters (the paper's Table II).  The
-simulator replays the tracer's memory events — single accesses and
-sequential bursts, each counted once — through an LRU set-associative
-cache configured from a :class:`~repro.perf.cpu.MachineSpec`'s LLC geometry.
+This stands in for ``perf``'s LLC miss counters (the paper's Table II).
+:class:`LLCModel` is what a profiled stage's :class:`~repro.perf.trace.
+Tracer` appends its memory events to (single accesses and sequential
+bursts, each counted once): it decodes each event once and drives one LRU
+set-associative :class:`CacheSim` per CPU of Table I, configured from its
+:class:`~repro.perf.cpu.MachineSpec`'s LLC geometry.  Each cache bins its
+DRAM bytes by bandwidth window as the misses happen, so nothing holds the
+stream.
 
 Because the harness runs scaled-down circuit sizes, the simulated LLC is
-shrunk by the same ``capacity_scale`` factor (an established trace-driven-
+shrunk by ``DEFAULT_CAPACITY_SCALE`` (an established trace-driven-
 simulation practice: shrink the cache with the working set so capacity
 behaviour is preserved).  MPKI is reported against the cost-model-expanded
 instruction count, exactly as the paper computes it
@@ -17,9 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["CacheSim", "CacheStats", "simulate_llc", "DEFAULT_CAPACITY_SCALE"]
+from repro.perf.bandwidth import DEFAULT_WINDOW_TICKS
+from repro.perf.cpu import ALL_CPUS
 
-#: Default shrink factor applied to the physical LLC so that the harness's
+__all__ = ["CacheSim", "CacheStats", "LLCModel", "DEFAULT_CAPACITY_SCALE"]
+
+#: Shrink factor applied to the physical LLC so that the harness's
 #: scaled-down workloads exercise capacity behaviour (see module docstring).
 DEFAULT_CAPACITY_SCALE = 64
 
@@ -60,15 +67,14 @@ class CacheStats:
 
 
 class CacheSim:
-    """An LRU set-associative cache.
+    """An LRU set-associative cache and its miss bytes per bandwidth window.
 
-    Parameters
-    ----------
-    size_bytes / assoc / line_bytes:
-        Geometry.  ``size_bytes`` is rounded down to a whole number of sets.
-
-    The per-set LRU state is a plain list ordered oldest-first; associativity
-    is small (12-16) so list operations beat fancier structures in CPython.
+    ``size_bytes`` is rounded down to a power-of-two number of sets.  Each
+    set is one dict ``line -> dirty`` whose insertion order is the recency
+    order: a hit moves the line to the end, a miss in a full set evicts the
+    first.  ``bins`` maps ``clock // DEFAULT_WINDOW_TICKS`` to the miss-fill
+    bytes of that window (what :func:`~repro.perf.bandwidth.
+    bandwidth_profile` reads).
     """
 
     def __init__(self, size_bytes, assoc, line_bytes=64):
@@ -81,96 +87,66 @@ class CacheSim:
         while n_sets & (n_sets - 1):
             n_sets &= n_sets - 1
         self.n_sets = n_sets
-        self._sets = [dict() for _ in range(n_sets)]  # line -> dirty flag
-        self._tick = 0
-        self._lru = [dict() for _ in range(n_sets)]   # line -> last-use tick
+        self._sets = [dict() for _ in range(n_sets)]
         self.stats = CacheStats()
+        self.bins = {}
 
-    def access(self, addr, size, is_write):
-        """A single (random) access to ``[addr, addr+size)``; returns the
-        number of line misses."""
+    @classmethod
+    def scaled(cls, spec):
+        """*spec*'s LLC shrunk by ``DEFAULT_CAPACITY_SCALE``."""
+        return cls(spec.llc_kib * 1024 // DEFAULT_CAPACITY_SCALE,
+                   spec.llc_assoc, spec.line_bytes)
+
+    def access(self, addr, size, is_write, burst=False, window=0):
+        """Touch every line of ``[addr, addr+size)`` once; returns the
+        number of line misses.  A single access (``burst=False``) that
+        loads counts its misses as random load misses; *window* is the
+        bandwidth window the miss bytes land in."""
         lb = self.line_bytes
         first = addr // lb
-        last = (addr + max(size, 1) - 1) // lb
-        misses = 0
-        for line in range(first, last + 1):
-            misses += self._touch(line, is_write)
-        if misses and not is_write:
-            self.stats.random_load_misses += misses
-        return misses
-
-    def _touch(self, line, is_write):
+        n_lines = (addr + size - 1) // lb - first + 1 if size > 1 else 1
+        sets, mask, assoc = self._sets, self.n_sets - 1, self.assoc
+        misses = writebacks = 0
+        for line in range(first, first + n_lines):
+            ways = sets[line & mask]
+            dirty = ways.pop(line, None)
+            if dirty is None:
+                misses += 1
+                if len(ways) >= assoc and ways.pop(next(iter(ways))):
+                    writebacks += 1
+                dirty = False
+            ways[line] = dirty or is_write
         st = self.stats
-        idx = line & (self.n_sets - 1)
-        ways = self._sets[idx]
-        lru = self._lru[idx]
-        self._tick += 1
         if is_write:
-            st.store_accesses += 1
+            st.store_accesses += n_lines
+            st.store_misses += misses
         else:
-            st.load_accesses += 1
-        if line in ways:
-            lru[line] = self._tick
-            if is_write:
-                ways[line] = True
-            return 0
-        # Miss: fill, evicting LRU if needed.
-        if is_write:
-            st.store_misses += 1
-        else:
-            st.load_misses += 1
-        if len(ways) >= self.assoc:
-            victim = min(lru, key=lru.get)
-            if ways.pop(victim):
-                st.writebacks += 1
-            del lru[victim]
-        ways[line] = is_write
-        lru[line] = self._tick
-        return 1
-
-    def replay(self, events, on_miss=None):
-        """Replay a tracer's memory-event list.
-
-        *events* are the tuples documented in :mod:`repro.perf.trace`.
-        ``on_miss(clock, bytes)`` is invoked per event with the DRAM bytes it
-        generated (used by the bandwidth model to build a traffic timeline).
-        """
-        lb = self.line_bytes
-        for ev in events:
-            kind, a, b, clock = ev
-            if kind == "L":
-                misses = self.access(a, b, False)
-            elif kind == "S":
-                misses = self.access(a, b, True)
-            elif kind == "LB":
-                misses = self._burst(a, b, False)
-            elif kind == "SB":
-                misses = self._burst(a, b, True)
-            else:  # pragma: no cover - event kinds are fixed by the tracer
-                raise ValueError(f"unknown memory event kind {kind!r}")
-            if on_miss is not None and misses:
-                on_miss(clock, misses * lb)
-        return self.stats
-
-    def _burst(self, base, nbytes, is_write):
-        """Sequential sweep: one access per cache line."""
-        lb = self.line_bytes
-        first = base // lb
-        last = (base + nbytes - 1) // lb
-        misses = 0
-        for line in range(first, last + 1):
-            misses += self._touch(line, is_write)
+            st.load_accesses += n_lines
+            st.load_misses += misses
+            if not burst:
+                st.random_load_misses += misses
+        if misses:
+            st.writebacks += writebacks
+            self.bins[window] = self.bins.get(window, 0) + misses * lb
         return misses
 
 
-def simulate_llc(tracer, spec, capacity_scale=DEFAULT_CAPACITY_SCALE):
-    """Replay *tracer*'s memory events through *spec*'s (scaled) LLC.
+class LLCModel:
+    """The scaled LLC of every CPU in ``ALL_CPUS``, fed one memory event at
+    a time through :meth:`append` — the call a :class:`~repro.perf.trace.
+    Tracer` makes on its memory-event target.  ``caches[i]`` is
+    ``ALL_CPUS[i]``'s :class:`CacheSim`, unless a test passes its own
+    *caches*."""
 
-    Returns ``(CacheStats, traffic_timeline)`` where the timeline is a list
-    of ``(clock, dram_bytes)`` samples for the bandwidth model.
-    """
-    size = max(spec.llc_kib * 1024 // capacity_scale, spec.llc_assoc * spec.line_bytes)
-    sim = CacheSim(size, spec.llc_assoc, spec.line_bytes)
-    timeline = []
-    sim.replay(tracer.mem_events, on_miss=lambda clock, b: timeline.append((clock, b)))
-    return sim.stats, timeline
+    def __init__(self, caches=None):
+        self.caches = caches or [CacheSim.scaled(spec) for spec in ALL_CPUS]
+
+    def append(self, event):
+        """Run one ``(kind, addr, size, clock)`` event (the tuples
+        documented in :mod:`repro.perf.trace`) through every cache."""
+        kind, addr, size, clock = event
+        is_write = kind[0] == "S"
+        burst = len(kind) == 2
+        window = clock // DEFAULT_WINDOW_TICKS
+        for cache in self.caches:
+            cache.access(addr, size, is_write, burst, window)

@@ -14,8 +14,12 @@ Design constraints honoured here:
   ``RUN.tracer is None`` so that untraced runs (correctness tests, plain
   proving) stay fast.
 - **Bounded event volume.**  Per-primitive *counts* are aggregated in place;
-  only memory accesses produce an event list, and streaming kernels emit
-  *burst* descriptors (sequential runs) instead of one event per line.
+  only memory accesses produce events, and streaming kernels emit *burst*
+  descriptors (sequential runs) instead of one event per line.  Each event
+  is appended to the tracer's memory-event target as it happens: a list by
+  default (what the tests compare), the LLC model
+  (:class:`repro.perf.cache.LLCModel`) in a profiled run, which folds each
+  event into its caches and stores none.
 - **Single source of truth for ordering.**  The tracer keeps an instruction
   clock (one tick per reported primitive).  Memory events are stamped with
   the clock so the bandwidth model can window traffic over "time".
@@ -120,14 +124,16 @@ class Tracer:
 
     - :attr:`root` — the region tree with per-region primitive counts
       (code analysis, top-down analysis, scalability analysis),
-    - :attr:`mem_events` — the stamped address stream (memory analysis),
+    - :attr:`mem_events` — the target of the stamped address stream
+      (memory analysis): *mem_events*, anything with an ``append``, or a
+      new list,
     - :attr:`clock` — total primitives reported (normalization).
     """
 
-    def __init__(self, label=""):
+    def __init__(self, label="", mem_events=None):
         self.label = label
         self.clock = 0
-        self.mem_events = []
+        self.mem_events = [] if mem_events is None else mem_events
         self.root = RegionRecord(name="<root>", parallel=False, depth=0)
         self._stack = [self.root]
         self._top_counts = self.root.counts
@@ -153,8 +159,8 @@ class Tracer:
     def mem_block(self, base, nbytes, write=False):
         """Report a sequential sweep over ``[base, base+nbytes)``.
 
-        Bursts keep the event list small for streaming kernels: the cache
-        simulator expands a burst into one access per cache line.
+        Bursts keep the event count small for streaming kernels: the cache
+        model expands a burst into one access per cache line.
         """
         if nbytes <= 0:
             return

@@ -33,10 +33,19 @@ from repro.perf.trace import Tracer
 from repro.resilience.errors import StageError, StageOrderError
 from repro.resilience.retry import deadline_scope, with_retry
 
-__all__ = ["STAGES", "StageResult", "Workflow", "run_body"]
+__all__ = ["NEEDS", "STAGES", "StageResult", "Workflow", "run_body"]
 
 #: Canonical stage order (Fig. 1).
 STAGES = ("compile", "setup", "witness", "proving", "verifying")
+
+#: The artifacts each stage reads: ``(stage that makes it, attribute)``.
+NEEDS = {
+    "compile": (),
+    "setup": (("compile", "circuit"),),
+    "witness": (("compile", "circuit"),),
+    "proving": (("setup", "pk"), ("witness", "witness")),
+    "verifying": (("proving", "proof"),),
+}
 
 
 @dataclass
@@ -189,32 +198,23 @@ class Workflow:
         return self.circuit
 
     def _stage_setup(self):
-        self._require("compile", self.circuit)
         rng = random.Random(f"setup:{self.seed}")
         self.pk, self.vk = groth16.setup(self.curve, self.circuit, rng)
         return (self.pk, self.vk)
 
     def _stage_witness(self):
-        self._require("compile", self.circuit)
         self.witness = groth16.generate_witness(self.circuit, self.inputs)
         return self.witness
 
     def _stage_proving(self):
-        self._require("setup", self.pk)
-        self._require("witness", self.witness)
         rng = random.Random(f"prove:{self.seed}")
         self.proof = groth16.prove(self.pk, self.circuit, self.witness, rng)
         return self.proof
 
     def _stage_verifying(self):
-        self._require("proving", self.proof)
         self.accepted = groth16.verify(
             self.vk, self.proof, groth16.public_inputs(self.circuit, self.witness))
         return self.accepted
-
-    def _require(self, stage, artifact):
-        if artifact is None:
-            raise StageOrderError(f"stage {stage!r} must run first")
 
     # -- drivers -------------------------------------------------------------------
 
@@ -222,6 +222,9 @@ class Workflow:
         """Execute one stage through :func:`run_body` (fault site
         ``stage:<name>``, the workflow's pool, optionally *tracer*);
         returns a :class:`StageResult` (also recorded in :attr:`results`).
+        A stage whose input artifacts (:data:`NEEDS`) are missing raises
+        :class:`~repro.resilience.errors.StageOrderError` before any
+        attempt, with or without a policy.
 
         When the workflow was given a *retry* policy the attempts run
         through :func:`~repro.resilience.retry.with_retry`, and a give-up
@@ -234,6 +237,9 @@ class Workflow:
             impl = getattr(self, f"_stage_{stage}")
         except AttributeError:
             raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}") from None
+        for needed, name in NEEDS[stage]:
+            if getattr(self, name) is None:
+                raise StageOrderError(f"stage {needed!r} must run first")
         start = time.perf_counter()
         attempts = 0
 

@@ -5,8 +5,8 @@ component instead of routing every base-field step through ``PrimeField``.
 These tests pin the two halves of that contract:
 
 - **values** — hypothesis properties on both towers against a schoolbook
-  reference written here on plain integers, edge operands, canonical
-  outputs, and int/``mpz`` parity when gmpy2 is importable;
+  reference written here on plain integers, edge operands and canonical
+  outputs;
 - **traced counts** — literal ``Counter`` + clock pins captured on the
   nested formulation (the commit before the flat rewrite) for each kernel,
   one G2 ``double`` / ``add_affine`` and one pairing per curve.  Nothing
@@ -140,30 +140,6 @@ class TestBetaIsMinusOne:
     @both_towers
     def test_shipped_towers(self, tower):
         assert tower.beta == tower.fq.modulus - 1
-
-
-@both_towers
-class TestBackendParity:
-    def test_mpz_operands_agree_with_int(self, tower):
-        """What ``REPRO_BIGINT=gmpy2`` feeds the kernels: ``mpz`` residues
-        from earlier reductions mixed with plain ints."""
-        gmpy2 = pytest.importorskip("gmpy2")
-        p = tower.fq.modulus
-        lifted = TowerParams(PrimeField(p, "lifted"), beta=-1, xi=tower.xi)
-        lifted._mod = lifted.fq._mod = gmpy2.mpz(p)
-        for a in edge_operands(p) + [(p // 3, p // 7)]:
-            za = (gmpy2.mpz(a[0]), a[1])
-            for b in edge_operands(p) + [(p // 5, p - 2)]:
-                zb = (b[0], gmpy2.mpz(b[1]))
-                assert lifted.f2_mul(za, zb) == tower.f2_mul(a, b)
-                assert lifted.f2_add(za, zb) == tower.f2_add(a, b)
-                assert lifted.f2_sub(za, zb) == tower.f2_sub(a, b)
-            assert lifted.f2_sqr(za) == tower.f2_sqr(a)
-            assert lifted.f2_mul_xi(za) == tower.f2_mul_xi(a)
-            assert lifted.f2_neg(za) == tower.f2_neg(a)
-            assert hash(lifted.f2_sqr(za)) == hash(tower.f2_sqr(a))
-            if a != (0, 0):
-                assert lifted.f2_inv(za) == tower.f2_inv(a)
 
 
 # -- traced counts -----------------------------------------------------------------

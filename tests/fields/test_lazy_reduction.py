@@ -1,11 +1,11 @@
-"""Lazy-reduction and bigint-backend invariants (docs/KERNELS.md).
+"""Lazy-reduction invariants (docs/KERNELS.md).
 
 The kernel speed campaign moved the field accumulation hot loops (R1CS row
 evaluation, frozen witness combinations, QAP column sums) onto :meth:`PrimeField.lincomb`, which sums exact integer
 products and reduces once.  Exactness of Python integers makes that
 *provably* identical to the per-term ``%`` loop — these tests pin it
 anyway, together with the traced-op-count equivalence the cost model
-relies on and the graceful-degradation contract of ``REPRO_BIGINT``.
+relies on.
 """
 
 import random
@@ -13,7 +13,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fields import BN254_FR, bigint
+from repro.fields import BN254_FR
 from repro.fields.prime_field import PrimeField
 
 FR = BN254_FR
@@ -75,46 +75,6 @@ class TestLincomb:
         pairs = [(i, i + 1) for i in range(10)]
         assert (FR.lincomb((c, v) for c, v in pairs)
                 == FR.lincomb(list(pairs)))
-
-
-class TestBigintBackend:
-    def test_python_backend_active(self):
-        # gmpy2 is not installed in this environment; the flag must have
-        # degraded gracefully at import.
-        assert bigint.BACKEND in ("python", "gmpy2")
-
-    def test_select_backend_fallback(self):
-        label, wrap, invert = bigint.select_backend("python")
-        assert label == "python" and wrap is int and invert is None
-        # Unknown names degrade to python, never raise.
-        label, wrap, _ = bigint.select_backend("weird-backend")
-        assert label == "python" and wrap is int
-        # gmpy2 resolves iff importable; either way the call succeeds.
-        label, wrap, invert = bigint.select_backend("gmpy2")
-        if label == "gmpy2":
-            assert invert is not None
-        else:
-            assert wrap is int and invert is None
-
-    @settings(max_examples=100, deadline=None)
-    @given(a=st.integers(min_value=1, max_value=(1 << 256) - 1))
-    def test_invmod_agrees_with_builtin(self, a):
-        p = FR.modulus
-        a = a % p or 1
-        assert bigint.invmod(a, p) == pow(a, -1, p)
-
-    def test_wrapped_modulus_arithmetic_is_bit_identical(self):
-        m = bigint.wrap_modulus(FR.modulus)
-        assert m == FR.modulus
-        assert (123456789 * 987654321) % m == (123456789 * 987654321) % FR.modulus
-
-    def test_field_ops_unchanged_by_backend(self):
-        r = random.Random(3)
-        for _ in range(50):
-            a, b = r.randrange(FR.modulus), r.randrange(1, FR.modulus)
-            assert FR.mul(a, b) == a * b % FR.modulus
-            assert FR.mul(FR.inv(b), b) == 1
-            assert FR.mul(FR.sqr(FR.sqr(a)), a) == pow(a, 5, FR.modulus)
 
 
 class TestEvalLcLazyReduction:

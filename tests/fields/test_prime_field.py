@@ -223,7 +223,8 @@ class TestSmallOperands:
 
 
 class _Residue:
-    """An integral type that is not ``int``, as gmpy2's ``mpz`` is."""
+    """An integral type that is not ``int``, as a caller's ``numpy.int64``
+    or ``gmpy2.mpz`` is."""
 
     def __init__(self, v):
         self.v = v
@@ -245,7 +246,7 @@ class TestCheckPublics:
         field.check_publics([0, 1, field.modulus - 1], 3)
 
     def test_accepts_any_integral_type(self, field):
-        """The gmpy2 backend's reductions return ``mpz``, not ``int``."""
+        """Publics come from outside: any ``numbers.Integral`` in range passes."""
         field.check_publics([_Residue(5), _Residue(field.modulus - 1)], 2)
         with pytest.raises(ValueError, match=r"public inputs\[0\] is not"):
             field.check_publics([_Residue(field.modulus)], 1)

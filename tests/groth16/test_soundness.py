@@ -117,16 +117,6 @@ class TestSingleFieldMutations:
             batch_verify(vk, batch, random.Random(0))
         assert batch_verify(vk, batch[:1], random.Random(0)) is True
 
-    def test_mpz_publics_verify(self, session):
-        """``mpz`` publics, as the gmpy2 backend's witness generator
-        returns them, pass the range check and verify."""
-        gmpy2 = pytest.importorskip("gmpy2")
-        curve, vk, proof, _, publics = session
-        lifted = [gmpy2.mpz(v) for v in publics]
-        curve.fr.check_publics(lifted, len(publics))
-        assert verify(vk, proof, lifted) is True
-        assert batch_verify(vk, [(proof, lifted)], random.Random(0)) is True
-
     @pytest.mark.parametrize("which", VK_MUTATIONS)
     def test_verifying_key(self, session, which):
         _, vk, proof, other, publics = session

@@ -113,11 +113,12 @@ class TestFailedCellIsNotCached:
                profiles.keys()
 
     def test_profiles_count_each_memory_event_once(self, cache_dir):
-        # A profile's LLC counters are the simulator's, unscaled: replaying
-        # the same stage's trace gives the same numbers on every CPU.
+        # A profile's LLC counters are the model's, unscaled: the same
+        # stage's stored trace, fed to a model, gives the same numbers on
+        # every CPU.
         from repro.curves import get_curve
         from repro.harness.circuits import build_exponentiate
-        from repro.perf.cache import simulate_llc
+        from repro.perf.cache import LLCModel
         from repro.perf.cpu import ALL_CPUS
         from repro.perf.trace import Tracer
         from repro.workflow import Workflow
@@ -127,8 +128,11 @@ class TestFailedCellIsNotCached:
         builder, inputs = build_exponentiate(curve, CELL["size"])
         tracers = {stage: Tracer() for stage in runner.STAGES}
         Workflow(curve, builder, inputs, seed=0).run_all(tracers)
-        for spec in ALL_CPUS:
-            stats, _ = simulate_llc(tracers["proving"], spec)
+        model = LLCModel()
+        for event in tracers["proving"].mem_events:
+            model.append(event)
+        for spec, llc in zip(ALL_CPUS, model.caches):
+            stats = llc.stats
             view = profiles["proving"].view(spec.name)
             assert view.llc_load_misses == stats.load_misses
             assert view.llc_store_misses == stats.store_misses
@@ -146,3 +150,33 @@ class TestFailedCellIsNotCached:
         assert err.startswith("error[resources]:") and "\n" not in err
         assert runner._MEMO == {}
         assert glob.glob(str(cache_dir / "*")) == []
+
+
+def test_no_traced_cell_keeps_the_stream(monkeypatch):
+    # Every stage's memory events went to the LLC model as they happened:
+    # no tracer holds a list, and the model holds only its caches' resident
+    # lines and one byte count per bandwidth window.
+    from repro.perf.bandwidth import DEFAULT_WINDOW_TICKS
+    from repro.perf.cache import LLCModel
+    from repro.workflow import Workflow
+
+    made = []
+
+    class Recorded(Workflow):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(runner, "_MEMO", {})
+    monkeypatch.setenv("REPRO_CACHE", "0")
+    monkeypatch.setattr(runner, "Workflow", Recorded)
+    runner.profile_run("bn128", 64)
+    (wf,) = made
+    assert set(wf.results) == set(runner.STAGES)
+    for result in wf.results.values():
+        model = result.tracer.mem_events
+        assert type(model) is LLCModel
+        assert vars(model).keys() == {"caches"}
+        for llc in model.caches:
+            assert sum(map(len, llc._sets)) <= llc.n_sets * llc.assoc
+            assert len(llc.bins) <= result.tracer.clock // DEFAULT_WINDOW_TICKS + 1

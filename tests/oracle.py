@@ -60,6 +60,12 @@ traced pairing call is charged (docs/KERNELS.md, "Charging a reference"),
 the comparator of the engine's values and, executed under a tracer
 (:func:`executed_pairing` for the protocol calls), of its traces.
 
+*The tick LRU*: :class:`TickLRU` is the set-associative LLC as a tick
+stamp per line and a ``min`` scan for the victim, replaying a stored
+event list — the comparator of :class:`repro.perf.cache.LLCModel`'s
+insertion-ordered sets fed as events happen; :func:`tick_llc` is its
+stats and per-window miss bytes.
+
 *The op counter*: :func:`count_ops` counts a group's coordinate-adapter
 multiplications, squarings and inversions over one call, run on the
 per-operation wave — the machine-independent cost of a kernel.
@@ -77,6 +83,8 @@ from repro.msm import dispatch
 from repro.msm.fixed_base import FixedBaseTable
 from repro.msm.pippenger import _OPERAND_HEAP_BYTES, optimal_window
 from repro.msm.terms import live_terms
+from repro.perf.bandwidth import DEFAULT_WINDOW_TICKS
+from repro.perf.cache import CacheStats
 from repro.perf.trace import Tracer, tracing
 
 # The modules, not the functions their packages export under the same name.
@@ -877,3 +885,103 @@ def executed_pairing():
 
     return _swapped((PairingEngine, "charge_miller_loops", loops),
                     (PairingEngine, "charge_final_exponentiation", final))
+
+
+class TickLRU:
+    """An LRU set-associative cache: per set a ``line -> dirty`` dict and a
+    ``line -> last-use tick`` dict, the victim the minimum tick."""
+
+    def __init__(self, size_bytes, assoc, line_bytes=64):
+        if size_bytes < assoc * line_bytes:
+            size_bytes = assoc * line_bytes
+        self.line_bytes = line_bytes
+        self.assoc = assoc
+        n_sets = max(1, size_bytes // (assoc * line_bytes))
+        while n_sets & (n_sets - 1):
+            n_sets &= n_sets - 1
+        self.n_sets = n_sets
+        self._sets = [dict() for _ in range(n_sets)]  # line -> dirty flag
+        self._tick = 0
+        self._lru = [dict() for _ in range(n_sets)]   # line -> last-use tick
+        self.stats = CacheStats()
+
+    def access(self, addr, size, is_write):
+        """A single (random) access to ``[addr, addr+size)``; returns the
+        number of line misses."""
+        lb = self.line_bytes
+        first = addr // lb
+        last = (addr + max(size, 1) - 1) // lb
+        misses = 0
+        for line in range(first, last + 1):
+            misses += self._touch(line, is_write)
+        if misses and not is_write:
+            self.stats.random_load_misses += misses
+        return misses
+
+    def _touch(self, line, is_write):
+        st = self.stats
+        idx = line & (self.n_sets - 1)
+        ways = self._sets[idx]
+        lru = self._lru[idx]
+        self._tick += 1
+        if is_write:
+            st.store_accesses += 1
+        else:
+            st.load_accesses += 1
+        if line in ways:
+            lru[line] = self._tick
+            if is_write:
+                ways[line] = True
+            return 0
+        if is_write:
+            st.store_misses += 1
+        else:
+            st.load_misses += 1
+        if len(ways) >= self.assoc:
+            victim = min(lru, key=lru.get)
+            if ways.pop(victim):
+                st.writebacks += 1
+            del lru[victim]
+        ways[line] = is_write
+        lru[line] = self._tick
+        return 1
+
+    def replay(self, events, on_miss=None):
+        """Replay a stored memory-event list; ``on_miss(clock, bytes)`` is
+        called per event with the DRAM bytes it generated."""
+        lb = self.line_bytes
+        for kind, a, b, clock in events:
+            if kind == "L":
+                misses = self.access(a, b, False)
+            elif kind == "S":
+                misses = self.access(a, b, True)
+            elif kind == "LB":
+                misses = self._burst(a, b, False)
+            elif kind == "SB":
+                misses = self._burst(a, b, True)
+            else:
+                raise ValueError(f"unknown memory event kind {kind!r}")
+            if on_miss is not None and misses:
+                on_miss(clock, misses * lb)
+        return self.stats
+
+    def _burst(self, base, nbytes, is_write):
+        """Sequential sweep: one access per cache line."""
+        lb = self.line_bytes
+        misses = 0
+        for line in range(base // lb, (base + nbytes - 1) // lb + 1):
+            misses += self._touch(line, is_write)
+        return misses
+
+
+def tick_llc(events, size_bytes, assoc, line_bytes=64):
+    """``(CacheStats, {window: bytes})`` of *events* replayed through a
+    :class:`TickLRU`, the miss timeline binned by ``DEFAULT_WINDOW_TICKS``."""
+    bins = {}
+
+    def on_miss(clock, nbytes):
+        window = clock // DEFAULT_WINDOW_TICKS
+        bins[window] = bins.get(window, 0) + nbytes
+
+    cache = TickLRU(size_bytes, assoc, line_bytes)
+    return cache.replay(events, on_miss), bins

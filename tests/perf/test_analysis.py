@@ -3,6 +3,7 @@
 import pytest
 
 from repro.perf.analysis import analyze_stage
+from repro.perf.cache import LLCModel
 from repro.perf.cpu import ALL_CPUS, get_cpu
 from repro.perf.functions import FUNCTION_DESCRIPTIONS, function_hotspots
 from repro.perf.opcodes import opcode_mix
@@ -10,7 +11,7 @@ from repro.perf.trace import Tracer
 
 
 def make_traced_workload():
-    tr = Tracer()
+    tr = Tracer(mem_events=LLCModel())
     tr.op("malloc", 50)
     with tr.region("kernel", parallel=True):
         tr.op("bigint_mul_4", 5000)

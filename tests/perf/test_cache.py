@@ -1,15 +1,26 @@
-"""Cache-simulator tests: hit/miss/eviction behaviour and invariants."""
+"""Cache-model tests: hit/miss/eviction behaviour, invariants, and equality
+with the tick-LRU oracle that replays a stored stream."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.perf.cache import CacheSim, CacheStats, simulate_llc
-from repro.perf.cpu import I7_8650U, I9_13900K
+from repro.perf.bandwidth import DEFAULT_WINDOW_TICKS
+from repro.perf.cache import CacheSim, CacheStats, LLCModel
+from repro.perf.cpu import ALL_CPUS
 from repro.perf.trace import Tracer
+from tests.oracle import tick_llc
 
 
 def small_cache(lines=8, assoc=2):
     return CacheSim(size_bytes=lines * 64, assoc=assoc, line_bytes=64)
+
+
+def feed(cache, events):
+    """A model of the one *cache*, fed *events*."""
+    model = LLCModel([cache])
+    for event in events:
+        model.append(event)
+    return cache
 
 
 class TestBasics:
@@ -32,8 +43,8 @@ class TestBasics:
 
     def test_random_load_misses_tracked(self):
         c = small_cache()
-        c.access(0, 8, False)        # random load miss
-        c._burst(4096, 128, False)  # burst misses are not "random"
+        c.access(0, 8, False)                    # random load miss
+        c.access(4096, 128, False, burst=True)   # burst misses are not "random"
         assert c.stats.random_load_misses == 1
         assert c.stats.load_misses == 3
 
@@ -64,6 +75,15 @@ class TestEviction:
         c.access(128, 8, False)        # evicts the dirty line
         assert c.stats.writebacks == 1
 
+    def test_a_load_hit_keeps_the_line_dirty(self):
+        c = CacheSim(size_bytes=2 * 64, assoc=2)
+        c.access(0, 8, True)           # dirty
+        c.access(0, 8, False)          # a load hit: still dirty, now MRU
+        c.access(64, 8, False)
+        c.access(128, 8, False)        # evicts line 1, clean
+        c.access(192, 8, False)        # evicts line 0, dirty
+        assert c.stats.writebacks == 1
+
     def test_clean_eviction_no_writeback(self):
         c = CacheSim(size_bytes=2 * 64, assoc=2)
         c.access(0, 8, False)
@@ -86,35 +106,34 @@ class TestEviction:
         assert c.stats.load_misses == 32
 
 
-class TestReplay:
+class TestModel:
     def test_event_kinds(self):
-        c = small_cache(lines=64, assoc=4)
-        events = [
+        c = feed(small_cache(lines=64, assoc=4), [
             ("L", 0, 8, 0),
             ("S", 64, 8, 1),
             ("LB", 4096, 256, 2),
             ("SB", 8192, 256, 3),
-        ]
-        stats = c.replay(events)
-        assert stats.load_misses == 1 + 4
-        assert stats.store_misses == 1 + 4
+        ])
+        assert c.stats.load_misses == 1 + 4
+        assert c.stats.store_misses == 1 + 4
+        assert c.stats.random_load_misses == 1
 
-    def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError):
-            small_cache().replay([("X", 0, 8, 0)])
+    def test_miss_bytes_binned_by_window(self):
+        c = feed(small_cache(lines=64, assoc=4),
+                 [("LB", 0, 256, 42), ("L", 4096, 8, 2 * DEFAULT_WINDOW_TICKS)])
+        assert c.bins == {0: 256, 2: 64}
 
-    def test_on_miss_timeline(self):
-        c = small_cache(lines=64, assoc=4)
-        seen = []
-        c.replay([("LB", 0, 256, 42)], on_miss=lambda clk, b: seen.append((clk, b)))
-        assert seen == [(42, 256)]
+    def test_hits_add_no_bytes(self):
+        c = feed(small_cache(lines=64, assoc=4),
+                 [("L", 0, 8, 0), ("L", 0, 8, DEFAULT_WINDOW_TICKS)])
+        assert c.bins == {0: 64}
 
-    def test_on_miss_skipped_for_hits(self):
-        c = small_cache(lines=64, assoc=4)
-        seen = []
-        events = [("L", 0, 8, 0), ("L", 0, 8, 1)]
-        c.replay(events, on_miss=lambda clk, b: seen.append(clk))
-        assert seen == [0]
+    def test_default_caches_are_the_scaled_cpus(self):
+        # Each LLC shrunk 64x, its sets rounded down to a power of two (the
+        # i9's 768 to 512).
+        caches = LLCModel().caches
+        assert {spec.name: (c.n_sets, c.assoc) for spec, c in zip(ALL_CPUS, caches)} \
+            == {"i7-8650U": (128, 16), "i5-11400": (256, 12), "i9-13900K": (512, 12)}
 
 
 class TestStats:
@@ -128,22 +147,26 @@ class TestStats:
         assert s.traffic_bytes(64) == 4 * 64
 
 
-class TestSimulateLLC:
-    def test_capacity_scaling(self):
-        tr = Tracer()
-        # Stream 1 MiB twice: with a small scaled cache the second pass
-        # must also miss; with the full cache it hits.
-        tr.mem_block(0, 1 << 20)
-        tr.mem_block(0, 1 << 20)
-        small_stats, _ = simulate_llc(tr, I7_8650U, capacity_scale=256)
-        big_stats, _ = simulate_llc(tr, I9_13900K, capacity_scale=1)
-        assert small_stats.load_misses > big_stats.load_misses
+def traced(*blocks):
+    """The CPUs' caches after a tracer fed the model *blocks* loads."""
+    tr = Tracer(mem_events=LLCModel())
+    for base, nbytes in blocks:
+        tr.mem_block(base, nbytes)
+    return {spec.name: c for spec, c in zip(ALL_CPUS, tr.mem_events.caches)}
 
-    def test_timeline_total_matches_traffic(self):
-        tr = Tracer()
-        tr.mem_block(0, 4096)
-        stats, timeline = simulate_llc(tr, I9_13900K)
-        assert sum(b for _, b in timeline) == stats.misses * 64
+
+class TestScaledCpus:
+    def test_capacity_scaling(self):
+        # Stream 256 KiB twice: the i7's 128 KiB scaled LLC misses on the
+        # second pass too; the i9's 384 KiB one keeps it all.
+        caches = traced((0, 256 << 10), (0, 256 << 10))
+        lines = (256 << 10) // 64
+        assert caches["i7-8650U"].stats.load_misses == 2 * lines
+        assert caches["i9-13900K"].stats.load_misses == lines
+
+    def test_bins_total_matches_traffic(self):
+        for c in traced((0, 4096)).values():
+            assert sum(c.bins.values()) == c.stats.misses * 64
 
 
 @given(
@@ -163,3 +186,50 @@ def test_invariants_property(addrs):
     for a in addrs:
         c2.access(a, 8, a % 3 == 0)
     assert c2.stats == s
+
+
+#: A tiny geometry: ``(size_bytes, assoc)`` of 1-4 sets and 1-4 ways.
+geometries = st.tuples(st.integers(1, 4), st.integers(1, 4)).map(
+    lambda g: (g[0] * g[1] * 64, g[1]))
+
+#: One event: ``(kind, addr, size, clock step)``.  Addresses span 32 lines,
+#: more than the largest geometry holds, so sets collide and evict.
+steps = st.tuples(st.sampled_from(["L", "S", "LB", "SB"]),
+                  st.integers(0, 32 * 64 - 1), st.integers(1, 300),
+                  st.integers(0, DEFAULT_WINDOW_TICKS))
+
+
+@given(geoms=st.lists(geometries, min_size=1, max_size=3),
+       drawn=st.lists(steps, max_size=120))
+@settings(max_examples=200, deadline=None)
+def test_model_equals_the_tick_lru(geoms, drawn):
+    events, clock = [], 0
+    for kind, addr, size, step in drawn:
+        clock += step
+        events.append((kind, addr, size, clock))
+    caches = [CacheSim(size, assoc) for size, assoc in geoms]
+    model = LLCModel(caches)
+    for event in events:
+        model.append(event)
+    for (size, assoc), cache in zip(geoms, caches):
+        stats, bins = tick_llc(events, size, assoc)
+        assert cache.stats == stats
+        assert cache.bins == bins
+
+
+def test_model_equals_the_tick_lru_on_each_cpu():
+    from repro.curves import BN128
+    from repro.harness.circuits import build_exponentiate
+    from repro.workflow import Workflow
+
+    wf = Workflow(BN128, *build_exponentiate(BN128, 16), seed=0)
+    for stage in ("compile", "setup", "witness"):
+        wf.run_stage(stage)
+    events = wf.run_stage("proving", Tracer()).tracer.mem_events
+    model = LLCModel()
+    for event in events:
+        model.append(event)
+    for spec, cache in zip(ALL_CPUS, model.caches):
+        stats, bins = tick_llc(events, spec.llc_kib * 1024 // 64, spec.llc_assoc)
+        assert cache.stats == stats
+        assert cache.bins == bins

@@ -7,8 +7,10 @@ import pytest
 
 from repro.curves import BN128
 from repro.harness.circuits import build_exponentiate
-from repro.perf.analysis import analyze_stage
+from repro.perf.cache import CacheSim, LLCModel
+from repro.perf.costmodel import aggregate_tracer
 from repro.perf.cpu import MachineSpec, _profile
+from repro.perf.topdown import topdown_analysis
 from repro.perf.trace import Tracer
 from repro.workflow import Workflow
 
@@ -30,6 +32,16 @@ def custom_cpu(**overrides):
     return MachineSpec(**base)
 
 
+def view(tracer, spec):
+    """``(CacheStats, TopDownResult)`` of *tracer*'s stored events on
+    *spec*: its scaled LLC fed the events, then the top-down model."""
+    llc = CacheSim.scaled(spec)
+    model = LLCModel([llc])
+    for event in tracer.mem_events:
+        model.append(event)
+    return llc.stats, topdown_analysis(aggregate_tracer(tracer), llc.stats, spec)
+
+
 class TestHypotheticalMachines:
     @pytest.fixture(scope="class")
     def tracer(self):
@@ -42,33 +54,21 @@ class TestHypotheticalMachines:
         return t
 
     def test_giant_frontend_removes_fe_boundness(self, tracer):
-        tiny = custom_cpu(fe_capacity_bytes=4 * 1024)
-        huge = custom_cpu(fe_capacity_bytes=16 * 1024 * 1024)
-        p_tiny = analyze_stage(tracer, "witness", "bn128", 64, cpus=[tiny])
-        p_huge = analyze_stage(tracer, "witness", "bn128", 64, cpus=[huge])
-        assert p_tiny.view("custom").topdown.frontend > 0.3
-        assert p_huge.view("custom").topdown.frontend == 0.0
+        _, td_tiny = view(tracer, custom_cpu(fe_capacity_bytes=4 * 1024))
+        _, td_huge = view(tracer, custom_cpu(fe_capacity_bytes=16 * 1024 * 1024))
+        assert td_tiny.frontend > 0.3
+        assert td_huge.frontend == 0.0
 
     def test_perfect_ooo_reduces_backend(self, tracer):
-        leaky = custom_cpu(dep_sensitivity=1.0)
-        perfect = custom_cpu(dep_sensitivity=0.0)
-        td_leaky = analyze_stage(tracer, "witness", "bn128", 64,
-                                 cpus=[leaky]).view("custom").topdown
-        td_perfect = analyze_stage(tracer, "witness", "bn128", 64,
-                                   cpus=[perfect]).view("custom").topdown
+        _, td_leaky = view(tracer, custom_cpu(dep_sensitivity=1.0))
+        _, td_perfect = view(tracer, custom_cpu(dep_sensitivity=0.0))
         assert td_perfect.backend < td_leaky.backend
 
     def test_bigger_cache_never_increases_misses(self, tracer):
-        small = custom_cpu(llc_kib=1024)
-        big = custom_cpu(llc_kib=64 * 1024)
-        m_small = analyze_stage(tracer, "witness", "bn128", 64,
-                                cpus=[small]).view("custom").llc_load_misses
-        m_big = analyze_stage(tracer, "witness", "bn128", 64,
-                              cpus=[big]).view("custom").llc_load_misses
-        assert m_big <= m_small
+        small, _ = view(tracer, custom_cpu(llc_kib=1024))
+        big, _ = view(tracer, custom_cpu(llc_kib=64 * 1024))
+        assert big.load_misses <= small.load_misses
 
     def test_oracle_predictor_removes_bad_speculation(self, tracer):
-        oracle = custom_cpu(mispred_scale=0.0)
-        td = analyze_stage(tracer, "witness", "bn128", 64,
-                           cpus=[oracle]).view("custom").topdown
+        _, td = view(tracer, custom_cpu(mispred_scale=0.0))
         assert td.bad_speculation == 0.0

@@ -113,6 +113,26 @@ class TestMemoryEvents:
         tr.stream(0, 1024, write=True)
         assert tr.mem_events[0][0] == "SB"
 
+    def test_events_go_to_the_given_target(self):
+        class Target:
+            def __init__(self):
+                self.seen = []
+
+            def append(self, event):
+                self.seen.append(event)
+
+        def emit(tr):
+            tr.op("x", 3)
+            tr.mem_load(64, 8)
+            tr.malloc(100)
+            tr.memcpy(0x1000, 0x2000, 256)
+            tr.stream(0x4000, 1024, write=True)
+            return tr
+
+        listed = emit(Tracer()).mem_events
+        target = emit(Tracer(mem_events=Target())).mem_events
+        assert target.seen == listed and len(listed) == 5
+
     def test_malloc_returns_distinct_addresses(self):
         tr = Tracer()
         a = tr.malloc(100)

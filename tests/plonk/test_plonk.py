@@ -246,14 +246,6 @@ class TestSoundness:
                          unreduced(publics, curve.fr.modulus, how))
         assert plonk_verify(pre, proof, publics)
 
-    def test_mpz_publics_verify(self, session):
-        """``mpz`` publics, as the gmpy2 backend's witness generator
-        returns them, pass the range check."""
-        gmpy2 = pytest.importorskip("gmpy2")
-        curve, circuit, pre, witness, proof = session
-        publics = [gmpy2.mpz(v) for v in public_inputs(circuit, witness)]
-        assert plonk_verify(pre, proof, publics)
-
 
 class TestCopyConstraints:
     def test_copy_constraint_violation_unprovable(self, monkeypatch):

@@ -14,6 +14,7 @@ from repro.circuit import CircuitBuilder, compile_circuit, gadgets
 from repro.curves import BN128
 from repro.groth16 import generate_witness
 from repro.perf.analysis import analyze_stage
+from repro.perf.cache import LLCModel
 from repro.perf.trace import Tracer, tracing
 from repro.plonk import plonk_prove, plonk_setup
 
@@ -26,7 +27,7 @@ def plonk_profile():
     rng = random.Random(17)
     pre = plonk_setup(BN128, circuit, rng)
     witness = generate_witness(circuit, {"x": 3})
-    tracer = Tracer(label="plonk/prove")
+    tracer = Tracer(label="plonk/prove", mem_events=LLCModel())
     with tracing(tracer):
         plonk_prove(pre, witness, rng)
     return analyze_stage(tracer, stage="plonk_prove", curve="bn128",

@@ -230,12 +230,17 @@ class TestStageExecution:
         assert not any("retries" in name or "giveups" in name
                        for name in reg.snapshot()["counters"])
 
-    def test_order_error_is_wrapped_after_one_attempt(self):
+    def test_order_error_is_raised_before_any_attempt(self):
+        # Checked before the retry ladder: the bare error a run without a
+        # policy raises, no attempt, no give-up.
         wf = _workflow(retry=_no_sleep_policy())
-        with pytest.raises(StageError) as info:
-            wf.run_stage("proving")
-        assert isinstance(info.value.fault, StageOrderError)
-        assert info.value.attempts == 1
+        plan = [FaultSpec("stage:proving", "transient", hit=1)]
+        with metrics.collecting() as reg, faults.injecting(plan):
+            with pytest.raises(StageOrderError, match="setup"):
+                wf.run_stage("proving")
+        assert not plan[0].fired
+        assert reg.counter("repro_resilience_giveups_total") == 0
+        assert "proving" not in wf.results
 
     def test_without_retry_faults_propagate_raw(self):
         wf = _workflow()

@@ -15,7 +15,8 @@ after every step:
 - ``repro_resilience_faults_injected_total`` is the number of fired
   specs, ``repro_resilience_retries_total`` the number of retryable
   faults the retry ladder absorbed, ``repro_resilience_giveups_total``
-  the number of steps that raised, and
+  the number of steps that raised out of the retry ladder (an order
+  error is raised before it), and
   ``repro_resilience_msm_fallbacks_total`` the number of transient MSM
   faults the prover degraded around instead.
 
@@ -63,7 +64,7 @@ SIZE = 8
 #: the workers.
 LOW = dict(min_msm=2, min_ntt=4, min_batch=2)
 
-#: Artifact attributes each stage needs (``Workflow._require``).
+#: Artifact attributes each stage needs (``repro.workflow.NEEDS``).
 NEEDS = {"compile": (), "setup": ("circuit",), "witness": ("circuit",),
          "proving": ("pk", "witness"), "verifying": ("proof",)}
 
@@ -128,10 +129,10 @@ class WorkflowMachine(RuleBasedStateMachine):
         degraded = sum(spec.site == "msm:pippenger"
                        and spec.kind == "transient" for spec in fired)
         lost = len(fired) - degraded
-        ended_by_fault = error is not None \
-            and not isinstance(final, StageOrderError)
-        self.expected["retries"] += lost - ended_by_fault
-        self.expected["giveups"] += error is not None
+        # An order error is raised before the retry ladder: no give-up.
+        gave_up = error is not None and not isinstance(error, StageOrderError)
+        self.expected["retries"] += lost - gave_up
+        self.expected["giveups"] += gave_up
         self.expected["msm_fallbacks"] += degraded
         return value, error, fired
 
@@ -171,11 +172,9 @@ class WorkflowMachine(RuleBasedStateMachine):
         missing = self._out_of_order()
         stage = stage if stage in missing else missing[0]
         _, error, fired = self._call(lambda: self.wf.run_stage(stage))
-        # The order error, unless an armed fault at the stage boundary
-        # ended the attempts first.
-        assert isinstance(error, StageError) and error.stage == stage
-        assert isinstance(error.fault, StageOrderError) or fired
-        self.log.append(("order", stage, classify(error.fault)))
+        # The bare order error, before any attempt: no armed fault fires.
+        assert isinstance(error, StageOrderError) and not fired
+        self.log.append(("order", stage, classify(error)))
 
     @precondition(lambda self: self.wf.pk is not None)
     @rule(name=st.sampled_from(sorted(CODECS)))
@@ -328,11 +327,13 @@ def test_a_stage_out_of_order_raises_the_order_error(stage):
     assert m.registry.counter("repro_resilience_retries_total") == 0
 
 
-def test_a_boundary_fault_before_the_order_error_is_retried():
+def test_the_order_error_comes_before_a_boundary_fault():
     m = replay(WorkflowMachine(), arm("stage:proving"),
                ("run_out_of_order", dict(stage="proving")))
     assert m.log[-1] == ("order", "proving", "order")
-    assert m.registry.counter("repro_resilience_retries_total") == 1
+    assert not m.injector.plan[0].fired
+    assert m.registry.counter("repro_resilience_retries_total") == 0
+    assert m.registry.counter("repro_resilience_giveups_total") == 0
 
 
 def test_a_rejected_run_breaks_the_contract(monkeypatch):

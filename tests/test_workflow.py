@@ -57,6 +57,22 @@ class TestStageOrder:
             make_workflow().run_stage("setup")
         assert exc_info.value.one_line().startswith("error[order]:")
 
+    @pytest.mark.parametrize("stage", STAGES[1:])
+    def test_order_error_reads_the_same_with_or_without_a_policy(self, stage):
+        from repro.resilience.errors import StageOrderError
+        from repro.resilience.retry import RetryPolicy
+
+        lines = []
+        for retry in (None, RetryPolicy(sleep=None)):
+            wf = Workflow(BN128, *build_exponentiate(BN128, 8), retry=retry)
+            with metrics.collecting() as reg:
+                with pytest.raises(StageOrderError) as exc_info:
+                    wf.run_stage(stage)
+            assert reg.counter("repro_resilience_giveups_total") == 0
+            lines.append(exc_info.value.one_line())
+        assert lines[0] == lines[1]
+        assert lines[0].startswith("error[order]: stage ")
+
 
 class TestArtifacts:
     def test_artifact_flow(self):
