@@ -37,12 +37,11 @@ KINDS = ("prove", "verify")
 
 #: The additive latency phases of one request, in lifecycle order:
 #: ``admission`` (submit-time checks), ``queue_wait`` (enqueued, not yet
-#: picked up), ``coalesce_delay`` (verify only: dequeued, waiting for the
-#: batch window to close), ``retry_backoff`` (async backoff between
-#: attempts), ``compute`` (on the compute thread, including the executor
-#: hop), ``settle`` (resolution bookkeeping and anything unmarked).
-PHASES = ("admission", "queue_wait", "coalesce_delay", "retry_backoff",
-          "compute", "settle")
+#: picked up; a verify's batch is taken at that moment, so nothing waits
+#: for co-riders), ``retry_backoff`` (async backoff between attempts),
+#: ``compute`` (on the compute thread, including the executor hop),
+#: ``settle`` (resolution bookkeeping and anything unmarked).
+PHASES = ("admission", "queue_wait", "retry_backoff", "compute", "settle")
 
 #: Tolerance (seconds) on the phase-accounting invariant: ``total_s`` is
 #: read off the closed phase clock, so only float rounding separates it
@@ -102,9 +101,9 @@ class JobResult:
     @property
     def queue_wait_s(self):
         """Seconds from admission to execution start, read off the phase
-        clock: ``admission + queue_wait + coalesce_delay`` (0 untracked)."""
-        return sum(self.phases.get(p, 0.0)
-                   for p in ("admission", "queue_wait", "coalesce_delay"))
+        clock: ``admission + queue_wait`` (0 untracked)."""
+        phases = self.phases
+        return phases.get("admission", 0.0) + phases.get("queue_wait", 0.0)
 
     @property
     def resolved_typed(self):

@@ -29,8 +29,11 @@ hangs:
   serial path until a cooldown probe proves the pool healthy again (a
   pool attempt that ends in neither verdict — a timeout, another fault —
   hands the probe back).
-- **Verify coalescing** — verify requests arriving within a small window
-  are batched into one folded check; a failing batch is bisected
+- **Verify coalescing** — the verify loop takes the next request plus
+  whatever else is already queued (up to ``max_batch``), with no timer: a
+  lone verify goes straight to the compute thread, and under load a batch
+  is what queued while that thread was busy.  The batch is one folded
+  check; a failing batch is bisected
   (:func:`~repro.resilience.degrade.batch_verify_bisect`) so exactly the
   poisoned members resolve ``accepted=False``.
 - **Graceful drain** — :meth:`ProvingService.drain` stops admission,
@@ -41,11 +44,11 @@ hangs:
   marks the job's phase clock (:meth:`~repro.serve.jobs.Job.mark`), so
   each :class:`JobResult` carries an *additive* latency breakdown over
   :data:`~repro.serve.jobs.PHASES` (``admission -> queue_wait ->
-  coalesce_delay -> retry_backoff -> compute -> settle``).  The phases
-  partition the request's lifetime, so they sum to ``total_s`` on every
-  resolution path, and ``loadtest`` exits 1 on any request where they do
-  not.  The ``JobResult`` is the one capture of a request's timing: the
-  metrics registry gets counters and the queue-depth gauge, no latency
+  retry_backoff -> compute -> settle``).  The phases partition the
+  request's lifetime, so they sum to ``total_s`` on every resolution
+  path, and ``loadtest`` exits 1 on any request where they do not.  The
+  ``JobResult`` is the one capture of a request's timing: the metrics
+  registry gets counters and the queue-depth gauge, no latency
   histograms, and the load report and request trace read the results.
 
 Execution model: one dedicated compute thread (the GIL makes CPU-bound
@@ -117,14 +120,15 @@ class ProvingService:
         when not given).
     breaker:
         :class:`CircuitBreaker` guarding the worker pool.
-    batch_window_s / max_batch:
-        Verify-coalescing window and batch-size cap.
+    max_batch:
+        Cap on a verify batch: the verify loop takes at most this many
+        of the requests queued when it picks one up.
     """
 
     def __init__(self, curve="bn128", size=64, workload="exponentiate",
                  workers=None, max_queue=16, max_inflight=64,
                  default_deadline_s=None, retry=None, breaker=None,
-                 batch_window_s=0.005, max_batch=8, seed=0):
+                 max_batch=8, seed=0):
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if max_inflight < 1:
@@ -139,7 +143,6 @@ class ProvingService:
         self.max_queue = max_queue
         self.max_inflight = max_inflight
         self.default_deadline_s = default_deadline_s
-        self.batch_window_s = batch_window_s
         self.max_batch = max_batch
         self.retry = retry or RetryPolicy(max_attempts=3, seed=seed)
         self.breaker = breaker or CircuitBreaker()
@@ -182,8 +185,7 @@ class ProvingService:
         self._verify_q = asyncio.Queue()
         self._tasks = [
             loop.create_task(self._loop(self._prove_q)),
-            loop.create_task(self._loop(self._verify_q, self.batch_window_s,
-                                        self.max_batch))]
+            loop.create_task(self._loop(self._verify_q, self.max_batch))]
         self._draining = False
         self._started = True
         return self
@@ -343,32 +345,23 @@ class ProvingService:
 
     # -- execution ----------------------------------------------------------------
 
-    async def _loop(self, queue, window_s=0.0, max_batch=1):
-        """Take the next job plus whatever else arrives within *window_s*
-        (up to *max_batch* in all) and run them as one batch."""
-        loop = asyncio.get_running_loop()
+    async def _loop(self, queue, max_batch=1):
+        """Take the next job plus whatever else is already queued (up to
+        *max_batch* in all) and run them as one batch; nothing waits for
+        co-riders, so a batch is what queued while the last one ran."""
         while True:
             job = await queue.get()
             if job is _STOP:
                 return
             job.mark("queue_wait")
             batch = [job]
-            end = loop.time() + window_s
-            while len(batch) < max_batch and (left := end - loop.time()) > 0:
-                try:
-                    nxt = await asyncio.wait_for(queue.get(), left)
-                except asyncio.TimeoutError:
-                    break
+            while len(batch) < max_batch and not queue.empty():
+                nxt = queue.get_nowait()
                 if nxt is _STOP:
                     queue.put_nowait(_STOP)
                     break
                 nxt.mark("queue_wait")
                 batch.append(nxt)
-            if max_batch > 1:
-                # Dequeue to the window's close is the coalescing cost
-                # (the batch leader pays the full window; the last joiner ~0).
-                for member in batch:
-                    member.mark("coalesce_delay")
             await self._execute(job.kind, batch)
 
     async def _execute(self, kind, batch):

@@ -192,8 +192,7 @@ class TestRequestTrace:
         retried = JobResult(request_id=2, kind="verify", status="ok",
                             attempts=3, batched=2, total_s=0.050,
                             start_s=0.015,
-                            phases={"admission": 0.001, "queue_wait": 0.002,
-                                    "coalesce_delay": 0.010,
+                            phases={"admission": 0.001, "queue_wait": 0.012,
                                     "retry_backoff": 0.007,
                                     "compute": 0.028, "settle": 0.002})
         shed = JobResult(request_id=-3, kind="prove", status="shed",
@@ -227,10 +226,11 @@ class TestRequestTrace:
         end = subs[-1]["ts"] + subs[-1]["dur"]
         assert end == pytest.approx(p["ts"] + p["dur"])
 
-    def test_retry_and_coalesce_phases_render(self):
-        names = [e["name"] for e in bars(self.doc())]
-        assert "coalesce_delay" in names
-        assert "retry_backoff" in names
+    def test_retry_phase_and_batch_size_render(self):
+        doc = self.doc()
+        assert "retry_backoff" in [e["name"] for e in bars(doc)]
+        verify = next(e for e in bars(doc) if e["name"] == "verify #2 [ok]")
+        assert verify["args"]["batched"] == 2
 
     def test_lane_metadata_names(self):
         doc = self.doc()

@@ -10,33 +10,10 @@ import pytest
 
 from repro.cli import main
 from repro.obs.ledger import make_record
-from repro.resilience.retry import RetryPolicy
-from repro.serve import (
-    CircuitBreaker,
-    ProvingService,
-    parse_mix,
-    run_loadtest,
-)
+from repro.serve import CircuitBreaker, ProvingService, parse_mix, run_loadtest
 from repro.serve.jobs import Job, JobResult
 from repro.serve.loadgen import LoadReport, _dist, percentile
-
-
-def fast_service(**kwargs):
-    kwargs.setdefault("size", 8)
-    kwargs.setdefault("retry", RetryPolicy(max_attempts=3, sleep=None))
-    kwargs.setdefault("breaker", CircuitBreaker(cooldown_s=0.01))
-    return ProvingService(**kwargs)
-
-
-def run_load(service, **kwargs):
-    async def main():
-        await service.start()
-        try:
-            return await run_loadtest(service, **kwargs)
-        finally:
-            await service.drain()
-
-    return asyncio.run(main())
+from tests.serve.conftest import BURST, fast_service, run_load
 
 
 class TestParseMix:
@@ -133,9 +110,9 @@ class TestLoadReport:
 
     def test_shed_requests_are_typed_admission(self):
         svc = fast_service(max_queue=1, max_inflight=2)
-        report = run_load(svc, rps=60, duration_s=0.5, seed=2)
+        report = run_load(svc, seed=2, **BURST)
         shed = [r for r in report.results if r.status == "shed"]
-        assert shed, "a 1-deep queue at 60 rps must shed"
+        assert shed, "a 1-deep queue under a burst of ten must shed"
         assert all(r.error_code == "admission" for r in shed)
         assert all(r.error.startswith("error[admission]:") for r in shed)
         assert report.to_service_block()["shed_rate"] > 0

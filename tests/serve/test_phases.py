@@ -14,28 +14,10 @@ import pytest
 from repro.obs import metrics
 from repro.resilience import faults
 from repro.resilience.faults import FaultSpec
-from repro.resilience.retry import RetryPolicy
-from repro.serve import CircuitBreaker, PHASES, ProvingService, run_loadtest
+from repro.serve import CircuitBreaker, PHASES
 from repro.serve.jobs import PHASE_TOLERANCE_S, Job, JobResult
+from tests.serve.conftest import BURST, fast_service, run_load
 from tests.serve.test_service import crash_verify_under_pool
-
-
-def fast_service(**kwargs):
-    kwargs.setdefault("size", 8)
-    kwargs.setdefault("retry", RetryPolicy(max_attempts=3, sleep=None))
-    kwargs.setdefault("breaker", CircuitBreaker(cooldown_s=0.01))
-    return ProvingService(**kwargs)
-
-
-def run_load(service, **kwargs):
-    async def main():
-        await service.start()
-        try:
-            return await run_loadtest(service, **kwargs)
-        finally:
-            await service.drain()
-
-    return asyncio.run(main())
 
 
 def assert_consistent(results):
@@ -66,7 +48,7 @@ class TestResolutionPaths:
 
     def test_shed_results_are_untracked_by_design(self):
         svc = fast_service(max_queue=1, max_inflight=2)
-        report = run_load(svc, rps=60, duration_s=0.5, seed=2)
+        report = run_load(svc, seed=2, **BURST)
         shed = [r for r in report.results if r.status == "shed"]
         assert shed
         for r in shed:
@@ -120,14 +102,13 @@ class TestResolutionPaths:
         assert "retry_backoff" in result.phases
 
     def test_coalesced_bisected_batch_stays_consistent(self):
-        svc = fast_service(batch_window_s=0.05, max_batch=8)
-        report = run_load(svc, rps=40, duration_s=0.5, seed=4,
-                          mix={"verify": 1}, bad_verify_pct=30)
+        svc = fast_service(max_batch=8)
+        report = run_load(svc, seed=4, mix={"verify": 1}, bad_verify_pct=30,
+                          **BURST)
         assert report.rejected > 0
         batched = [r for r in report.results if r.batched > 1]
-        assert batched, "a 50ms window at 40 rps must coalesce"
+        assert batched, "a burst of ten verifies must coalesce"
         assert_consistent(report.results)
-        assert any(r.phases.get("coalesce_delay", 0.0) > 0 for r in batched)
 
     def test_drain_flushed_jobs_stay_consistent(self):
         async def main():
@@ -203,7 +184,7 @@ class TestTelemetry:
         """The results are the one capture of a request's timing: the
         registry gets the service's counters and no duration series."""
         registry = metrics.MetricsRegistry()
-        svc = fast_service(batch_window_s=0.02)
+        svc = fast_service()
         with metrics.collecting(registry):
             report = run_load(svc, rps=20, duration_s=0.4, seed=5)
         assert report.ok > 0

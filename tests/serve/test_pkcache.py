@@ -9,20 +9,8 @@ import random
 import pytest
 
 from repro.obs import metrics
-from repro.resilience.retry import RetryPolicy
-from repro.serve import (
-    ARTIFACT_CACHE,
-    CircuitBreaker,
-    PKCache,
-    ProvingService,
-)
-
-
-def fast_service(**kwargs):
-    kwargs.setdefault("size", 8)
-    kwargs.setdefault("retry", RetryPolicy(max_attempts=3, sleep=None))
-    kwargs.setdefault("breaker", CircuitBreaker(cooldown_s=0.01))
-    return ProvingService(**kwargs)
+from repro.serve import ARTIFACT_CACHE, PKCache
+from tests.serve.conftest import fast_service
 
 
 def started(svc):

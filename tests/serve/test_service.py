@@ -24,15 +24,9 @@ from repro.resilience.errors import (
 )
 from repro.resilience.faults import FaultSpec
 from repro.resilience.retry import RetryPolicy
-from repro.serve import CircuitBreaker, ProvingService
+from repro.serve import CircuitBreaker
 from tests.conftest import UNREDUCED, unreduced
-
-
-def fast_service(**kwargs):
-    kwargs.setdefault("size", 8)
-    kwargs.setdefault("retry", RetryPolicy(max_attempts=3, sleep=None))
-    kwargs.setdefault("breaker", CircuitBreaker(cooldown_s=0.01))
-    return ProvingService(**kwargs)
+from tests.serve.conftest import fast_service
 
 
 def run(coro):
@@ -198,8 +192,7 @@ class TestDeadlines:
 
     def test_verify_member_deadline_isolated_from_batch(self):
         async def main():
-            async with fast_service(batch_window_s=0.05,
-                                    max_batch=4) as svc:
+            async with fast_service(max_batch=4) as svc:
                 doomed = svc.submit_nowait("verify", deadline_s=1e-6)
                 healthy = svc.submit_nowait("verify")
                 return await asyncio.gather(doomed, healthy)
@@ -371,7 +364,7 @@ class TestRetriesAndBreaker:
 
         async def main():
             async with fast_service(
-                    workers=2, batch_window_s=0.1, max_batch=8,
+                    workers=2, max_batch=8,
                     breaker=CircuitBreaker(threshold=1,
                                            cooldown_s=60.0)) as svc:
                 return await asyncio.gather(
@@ -436,7 +429,7 @@ class TestRetriesAndBreaker:
 class TestCoalescing:
     def test_verify_requests_coalesce_into_one_batch(self):
         async def main():
-            async with fast_service(batch_window_s=0.1, max_batch=8) as svc:
+            async with fast_service(max_batch=8) as svc:
                 futures = [svc.submit_nowait("verify") for _ in range(4)]
                 return await asyncio.gather(*futures)
 
@@ -446,7 +439,7 @@ class TestCoalescing:
 
     def test_bisect_isolates_poisoned_members(self):
         async def main():
-            async with fast_service(batch_window_s=0.1, max_batch=8) as svc:
+            async with fast_service(max_batch=8) as svc:
                 futures = [
                     svc.submit_nowait("verify",
                                       payload=svc.verify_payload(bad=(i == 2)))
@@ -463,12 +456,77 @@ class TestCoalescing:
 
     def test_batch_cap_respected(self):
         async def main():
-            async with fast_service(batch_window_s=0.1, max_batch=2) as svc:
+            async with fast_service(max_batch=2) as svc:
                 futures = [svc.submit_nowait("verify") for _ in range(5)]
                 return await asyncio.gather(*futures)
 
         results = run(main())
         assert all(r.batched <= 2 for r in results)
+
+    def test_lone_verify_goes_straight_to_compute(self, monkeypatch):
+        """With the event loop's clock stopped no timed wait can end, so a
+        lone verify that still reaches the compute thread waited on none."""
+        async def main():
+            async with fast_service() as svc:
+                handed = asyncio.Event()
+                submit = svc._executor.submit
+
+                def watch(fn, *args):
+                    if fn == svc._compute:
+                        handed.set()
+                    return submit(fn, *args)
+
+                monkeypatch.setattr(svc._executor, "submit", watch)
+                loop = asyncio.get_running_loop()
+                with monkeypatch.context() as clock:
+                    now = loop.time()
+                    clock.setattr(loop, "time", lambda: now)
+                    future = svc.submit_nowait("verify")
+                    for _ in range(10):
+                        if handed.is_set():
+                            break
+                        await asyncio.sleep(0)
+                    reached = handed.is_set()
+                return reached, await future
+
+        reached, result = run(main())
+        assert reached, "the lone verify waited for co-riders"
+        assert (result.status, result.accepted, result.batched) == (
+            "ok", True, 1)
+
+    def test_batches_form_from_what_queued_while_compute_was_busy(self):
+        """A verify holds the compute thread; the verifies that queue
+        meanwhile run, once it is released, in batches of ``max_batch``.
+        (The two waits' timeouts only keep a broken service from hanging
+        the suite.)"""
+        release = threading.Event()
+        batches = []
+
+        async def main():
+            async with fast_service(max_batch=3) as svc:
+                loop = asyncio.get_running_loop()
+                entered = asyncio.Event()
+
+                def held(kind, jobs, use_pool, seed):
+                    if not batches:
+                        loop.call_soon_threadsafe(entered.set)
+                        release.wait(60)
+                    batches.append([job.request_id for job in jobs])
+                    return [{"accepted": True} for _ in jobs]
+
+                svc._compute = held
+                first = svc.submit_nowait("verify")
+                await asyncio.wait_for(entered.wait(), 60)
+                queued = [svc.submit_nowait("verify") for _ in range(6)]
+                release.set()
+                return await asyncio.gather(first, *queued)
+
+        results = run(main())
+        assert batches == [[1], [2, 3, 4], [5, 6, 7]]
+        size = {rid: len(batch) for batch in batches for rid in batch}
+        for r in results:
+            assert (r.status, r.accepted) == ("ok", True)
+            assert r.batched == size[r.request_id]
 
 
 class TestDrain:
