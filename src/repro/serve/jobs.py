@@ -40,8 +40,12 @@ KINDS = ("prove", "verify")
 #: picked up; a verify's batch is taken at that moment, so nothing waits
 #: for co-riders), ``retry_backoff`` (async backoff between attempts),
 #: ``compute`` (on the compute thread, including the executor hop),
-#: ``settle`` (resolution bookkeeping and anything unmarked).
-PHASES = ("admission", "queue_wait", "retry_backoff", "compute", "settle")
+#: ``settle`` (resolution bookkeeping and anything unmarked).  No mark
+#: reaches ``coalesce_delay`` since the verify loop lost its batch window,
+#: so it reads 0; it stays in place only while the benchmark's
+#: ``serve.phase.coalesce_delay_s`` row and its test read this tuple.
+PHASES = ("admission", "queue_wait", "coalesce_delay", "retry_backoff",
+          "compute", "settle")
 
 #: Tolerance (seconds) on the phase-accounting invariant: ``total_s`` is
 #: read off the closed phase clock, so only float rounding separates it
@@ -102,8 +106,7 @@ class JobResult:
     def queue_wait_s(self):
         """Seconds from admission to execution start, read off the phase
         clock: ``admission + queue_wait`` (0 untracked)."""
-        phases = self.phases
-        return phases.get("admission", 0.0) + phases.get("queue_wait", 0.0)
+        return sum(self.phases.get(p, 0.0) for p in ("admission", "queue_wait"))
 
     @property
     def resolved_typed(self):
