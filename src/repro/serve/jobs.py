@@ -106,7 +106,8 @@ class JobResult:
     def queue_wait_s(self):
         """Seconds from admission to execution start, read off the phase
         clock: ``admission + queue_wait`` (0 untracked)."""
-        return sum(self.phases.get(p, 0.0) for p in ("admission", "queue_wait"))
+        return sum(self.phases.get(p, 0.0)
+                   for p in ("admission", "queue_wait"))
 
     @property
     def resolved_typed(self):
