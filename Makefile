@@ -28,10 +28,11 @@ lint:
 	PYTHONPATH=src python -m repro lint
 	PYTHONPATH=src python -m repro lint --curve bls12_381
 
-# Codebase invariant lints (docs/CODELINT.md): worker-safety, determinism,
-# error-discipline, guard-idiom, and deadline-poll checks over src/repro.
+# Codebase invariant lints (tools/codelint/README.md): worker-safety,
+# determinism, error-discipline, guard-idiom, and deadline-poll checks
+# over src/repro.  A repository tool, not part of the package.
 codelint:
-	PYTHONPATH=src python -m repro codelint
+	python -m tools.codelint
 
 # The benchmark's own tests (bench/README.md).  Not part of tier-1
 # (testpaths = ["tests"]): the traced pass rebinds program names by string,

@@ -29,7 +29,9 @@ ZK403     info      QAP power-of-two domain mostly padding
 Entry points: :func:`analyze` (library),
 ``compile_circuit(builder, check=True)`` (raises
 :class:`CircuitAnalysisError` on error-severity findings), and
-``python -m repro lint`` (CLI over every built-in circuit).
+``python -m repro lint`` (CLI over every built-in circuit).  The linter
+of the repository's own source is not part of this package: it is the
+repository tool ``tools/codelint`` (``python -m tools.codelint``).
 """
 
 from repro.analyze.analyzer import PASSES, analyze

@@ -5,9 +5,7 @@ Every analysis pass emits :class:`Diagnostic` records — severity, a stable
 and a suggested fix — and the analyzer collects them into an
 :class:`AnalysisReport` with text and JSON renderers.
 
-There is no global suppression and no baseline: a finding is fixed, or
-(for the codebase analyzer) silenced on its line with a
-``# codelint: ignore[CODE] -- reason`` comment.
+There is no suppression and no baseline: a finding is fixed.
 """
 
 from __future__ import annotations
@@ -51,11 +49,9 @@ class Diagnostic:
     """One analyzer finding.
 
     ``code`` is stable across releases (``ZK1xx`` structural, ``ZK2xx``
-    constraint coverage, ``ZK3xx`` redundancy, ``ZK4xx`` cost for the
-    circuit analyzer; ``RC1xx``–``RC5xx`` for the codebase analyzer);
-    tools may match on it.  ``wire`` / ``constraint`` locate circuit
-    findings, ``line`` / ``symbol`` locate source findings;
-    ``suggestion`` says how to fix or silence it.
+    constraint coverage, ``ZK3xx`` redundancy, ``ZK4xx`` cost); tools
+    may match on it.  ``wire`` / ``constraint`` locate the finding;
+    ``suggestion`` says how to fix it.
     """
 
     code: str
@@ -64,8 +60,6 @@ class Diagnostic:
     wire: int | None = None
     constraint: int | None = None
     suggestion: str | None = None
-    line: int | None = None
-    symbol: str | None = None
 
     def location(self):
         """Human-readable location fragment (may be empty)."""
@@ -74,8 +68,6 @@ class Diagnostic:
             parts.append(f"constraint {self.constraint}")
         if self.wire is not None:
             parts.append(f"wire {self.wire}")
-        if self.line is not None:
-            parts.append(f"line {self.line}")
         return ", ".join(parts)
 
     def format(self):
@@ -93,10 +85,6 @@ class Diagnostic:
             d["wire"] = self.wire
         if self.constraint is not None:
             d["constraint"] = self.constraint
-        if self.line is not None:
-            d["line"] = self.line
-        if self.symbol is not None:
-            d["symbol"] = self.symbol
         if self.suggestion:
             d["suggestion"] = self.suggestion
         return d
@@ -107,7 +95,6 @@ class Diagnostic:
             self.code,
             self.constraint if self.constraint is not None else -1,
             self.wire if self.wire is not None else -1,
-            self.line if self.line is not None else -1,
         )
 
 
@@ -149,19 +136,11 @@ class AnalysisReport:
     # -- renderers ---------------------------------------------------------------
 
     def render(self):
-        """Multi-line text rendering, clean units included."""
-        if "n_constraints" in self.stats or "n_wires" in self.stats \
-                or not self.stats:
-            head = (
-                f"{self.circuit}: {self.stats.get('n_constraints', '?')} constraints, "
-                f"{self.stats.get('n_wires', '?')} wires"
-            )
-        else:
-            # Non-circuit units (source modules) carry their own stats;
-            # render whatever numeric shape facts they provide.
-            parts = [f"{v} {k}" for k, v in self.stats.items()
-                     if isinstance(v, (int, float))]
-            head = f"{self.circuit}: {', '.join(parts)}" if parts else self.circuit
+        """Multi-line text rendering, clean circuits included."""
+        head = (
+            f"{self.circuit}: {self.stats.get('n_constraints', '?')} constraints, "
+            f"{self.stats.get('n_wires', '?')} wires"
+        )
         if not self.diagnostics:
             return f"{head} -- clean"
         lines = [f"{head} -- {self.summary()}"]
@@ -182,22 +161,19 @@ class AnalysisReport:
         }
 
 
-def render_reports(reports, noun="circuit", skip_clean=False):
-    """Text rendering of several reports plus a totals line — the one
-    renderer behind both ``repro lint`` (*noun* ``circuit``) and
-    ``repro codelint`` (*noun* ``module``, where clean units are elided
-    with *skip_clean*)."""
-    lines = [r.render() for r in reports if r.diagnostics or not skip_clean]
+def render_reports(reports):
+    """Text rendering of several reports plus a totals line (``repro
+    lint``)."""
+    lines = [r.render() for r in reports]
     n_err = sum(len(r.errors()) for r in reports)
     n_warn = sum(len(r.warnings()) for r in reports)
     lines.append(
-        f"{len(reports)} {noun}(s) analyzed: "
+        f"{len(reports)} circuit(s) analyzed: "
         f"{n_err} error(s), {n_warn} warning(s)"
     )
     return "\n".join(lines)
 
 
 def reports_to_json(reports):
-    """JSON rendering shared by ``repro lint --json`` and
-    ``repro codelint --json``."""
+    """JSON rendering (``repro lint --json``)."""
     return json.dumps({"reports": [r.to_dict() for r in reports]}, indent=2)

@@ -603,19 +603,6 @@ def cmd_lint(args, out=print):
     return 1 if failed else 0
 
 
-def cmd_codelint(args, out=print):
-    from repro.analyze import render_reports, reports_to_json
-    from repro.analyze.code import analyze_code
-
-    reports = analyze_code()
-    if args.as_json:
-        out(reports_to_json(reports))
-    else:
-        out(render_reports(reports, noun="module", skip_clean=True))
-    failed = any(r.diagnostics for r in reports)
-    return 1 if failed else 0
-
-
 # -- the verb table ------------------------------------------------------------------
 
 
@@ -650,11 +637,6 @@ VERBS = {
         "statically analyze the built-in circuits for soundness and cost "
         "smells; exit 1 on any error or warning (docs/ANALYZER.md)",
         cmd_lint, ["--circuit", "--curve", "--json"]),
-    "codelint": Verb(
-        "statically analyze the codebase itself (worker-safety, "
-        "determinism, error discipline, guards, deadline polls); exit 1 "
-        "on any finding (docs/CODELINT.md)",
-        cmd_codelint, ["--json"]),
     "profile": Verb(
         "run the five stages under runtime telemetry: span tree, metrics "
         "and a fingerprinted run record (docs/OBSERVABILITY.md)",

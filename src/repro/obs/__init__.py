@@ -21,8 +21,8 @@ Modules
 :mod:`repro.obs.fingerprint`
     Machine fingerprint (CPU model, cores, Python) and git revision.
 :mod:`repro.obs.ledger`
-    Append-only JSONL run ledger (written only where ``--ledger`` names
-    a file).
+    The run record of the JSONL run ledger (appended only where
+    ``--ledger`` names a file, by :func:`repro.obs.format.append_record`).
 :mod:`repro.obs.worker`
     Cross-process worker telemetry: the parent-side collector that the
     :class:`~repro.parallel.pool.WorkerPool` feeds per-task telemetry
@@ -38,13 +38,12 @@ ledger record schema.
 """
 
 from repro.obs.fingerprint import git_revision, machine_fingerprint
-from repro.obs.ledger import Ledger, make_record
+from repro.obs.ledger import make_record
 from repro.obs.metrics import MetricsRegistry, collecting
 from repro.obs.spans import Span, recording, render_spans, span
 from repro.obs.worker import WorkerTelemetry, collecting_tasks
 
 __all__ = [
-    "Ledger",
     "MetricsRegistry",
     "Span",
     "WorkerTelemetry",

@@ -46,11 +46,14 @@ def write_artifact(path, content, out, label, quiet=False):
 
 
 def append_record(record, path, out, quiet=False):
-    """Append *record* to the JSONL ledger at *path* (the verbs' shared
-    ledger convention) and report it; returns *path*."""
-    from repro.obs import ledger
-
-    ledger.Ledger(path).append(record)
+    """Append *record* to the JSONL ledger at *path* as one sorted JSON
+    line (creating parent directories on first write) and report it;
+    returns *path*."""
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(path, "a") as f:
+        f.write(json.dumps(record, sort_keys=True) + "\n")
     if not quiet:
         out(f"ledger: appended 1 record to {path}")
     return path

@@ -6,8 +6,8 @@ fingerprint (Table I style), git revision, the (curve, size, workload)
 cell, the per-stage span tree, and a metrics snapshot, so records from
 different machines or commits stay comparable.  Recording is explicit:
 a verb builds its record with :func:`make_record`, prints it under
-``--json``, and appends it (:meth:`Ledger.append`) only where
-``--ledger PATH`` names a file; nothing is written ambiently.
+``--json``, and appends it (:func:`repro.obs.format.append_record`) only
+where ``--ledger PATH`` names a file; nothing is written ambiently.
 
 Record shape (``SCHEMA_VERSION`` 7) — this is the one description; the
 modules that build a block point here, and ``docs/OBSERVABILITY.md`` has a
@@ -38,36 +38,16 @@ profile.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 from repro.obs.fingerprint import fingerprint_id, git_revision, machine_fingerprint
 
 __all__ = [
-    "Ledger",
     "SCHEMA_VERSION",
     "make_record",
 ]
 
 SCHEMA_VERSION = 7
-
-
-class Ledger:
-    """One append-only JSONL file of run records."""
-
-    def __init__(self, path):
-        self.path = path
-
-    def append(self, record):
-        """Append *record* as one JSON line (creating parent directories
-        on first write); returns the record."""
-        parent = os.path.dirname(self.path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(self.path, "a") as f:
-            f.write(json.dumps(record, sort_keys=True) + "\n")
-        return record
 
 
 def make_record(kind, curve, size, workload, stages, seed=None, metrics=None,

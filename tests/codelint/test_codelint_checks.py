@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analyze.code import CodelintConfig, analyze_code
+from tools.codelint import CodelintConfig, analyze_code
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -27,8 +27,8 @@ def findings():
     reports = analyze_code(FIXTURES, config=CONFIG)
     out = {}
     for r in reports:
-        for d in r.diagnostics:
-            out.setdefault((r.circuit, d.code), []).append(d)
+        for f in r.findings:
+            out.setdefault((r.module, f.code), []).append(f)
     return out
 
 
@@ -117,8 +117,8 @@ class TestDeadlinePoll:
         # Without the hot_modules override nothing in the fixture tree
         # is a hot module, so RC501 stays silent.
         reports = analyze_code(FIXTURES, config=CodelintConfig())
-        assert not any(d.code == "RC501"
-                       for r in reports for d in r.diagnostics)
+        assert not any(f.code == "RC501"
+                       for r in reports for f in r.findings)
 
 
 class TestReportShape:

@@ -3,21 +3,21 @@ machinery that makes that statement meaningful must hold."""
 
 import textwrap
 
-from repro.analyze.code import (
+from tools.codelint import (
     CodeIndex,
     CodelintConfig,
     analyze_code,
     default_root,
     load_tree,
 )
-from repro.analyze.code.model import parse_suppressions
+from tools.codelint.model import parse_suppressions
 
 
 class TestSelfLint:
     def test_src_repro_has_zero_unsuppressed_findings(self):
         reports = analyze_code()
-        dirty = {r.circuit: [d.format() for d in r.diagnostics]
-                 for r in reports if r.diagnostics}
+        dirty = {r.module: [f.format() for f in r.findings]
+                 for r in reports if r.findings}
         assert dirty == {}, f"codelint regressions: {dirty}"
 
     def test_default_root_is_the_package(self):
@@ -25,12 +25,12 @@ class TestSelfLint:
 
     def test_reports_cover_every_module(self):
         reports = analyze_code()
-        names = [r.circuit for r in reports]
+        names = [r.module for r in reports]
         assert "repro.workflow" in names
         assert "repro.parallel.pool" in names
         assert names == sorted(names)
         for r in reports:
-            assert r.stats["lines"] > 0
+            assert r.lines > 0
 
 
 class TestSuppressions:
@@ -42,8 +42,8 @@ class TestSuppressions:
                     raise RuntimeError("x")  # codelint: ignore[RC301] -- test
         """))
         reports = analyze_code(str(mod))
-        assert not any(d.code == "RC301"
-                       for r in reports for d in r.diagnostics)
+        assert not any(f.code == "RC301"
+                       for r in reports for f in r.findings)
 
     def test_comment_on_line_above_suppresses(self, tmp_path):
         mod = tmp_path / "sup.py"
@@ -54,8 +54,8 @@ class TestSuppressions:
                     raise RuntimeError("x")
         """))
         reports = analyze_code(str(mod))
-        assert not any(d.code == "RC301"
-                       for r in reports for d in r.diagnostics)
+        assert not any(f.code == "RC301"
+                       for r in reports for f in r.findings)
 
     def test_wrong_code_does_not_suppress(self, tmp_path):
         mod = tmp_path / "sup.py"
@@ -65,8 +65,8 @@ class TestSuppressions:
                     raise RuntimeError("x")  # codelint: ignore[RC999]
         """))
         reports = analyze_code(str(mod))
-        assert any(d.code == "RC301"
-                   for r in reports for d in r.diagnostics)
+        assert any(f.code == "RC301"
+                   for r in reports for f in r.findings)
 
     def test_parse_suppressions_multiple_codes(self):
         lines = ["x = 1  # codelint: ignore[RC103, RC501] -- both"]
@@ -91,6 +91,14 @@ class TestCodeIndex:
         roots = index.stage_roots()
         assert "repro.workflow.Workflow.run_stage" in roots
         assert "repro.workflow.Workflow._stage_proving" in roots
+
+    def test_src_never_imports_the_tool(self):
+        index = CodeIndex(load_tree(default_root()), CodelintConfig())
+        imports = {target for fn in index.functions.values()
+                   for target in fn.aliases.values()}
+        for aliases in index.module_aliases.values():
+            imports.update(aliases.values())
+        assert not {t for t in imports if t.split(".")[0] == "tools"}
 
     def test_taxonomy_subclasses_resolve_transitively(self):
         index = CodeIndex(load_tree(default_root()), CodelintConfig())

@@ -3,8 +3,14 @@
 import json
 
 from repro.obs import fingerprint
-from repro.obs.ledger import Ledger, make_record
+from repro.obs.format import append_record
+from repro.obs.ledger import make_record
 from tests.conftest import read_jsonl
+
+
+def append(path, record):
+    """Append through the verbs' ledger writer, with no report line."""
+    return append_record(record, str(path), out=print, quiet=True)
 
 
 class TestFingerprint:
@@ -99,12 +105,10 @@ class TestMakeRecord:
         v2 = dict(v1, schema=2, ts=2.0, profile=None)
         v3 = dict(v2, schema=3, ts=3.0, workers=None)
         path = tmp_path / "mixed.jsonl"
-        led = Ledger(str(path))
-        led.append(v1)
-        led.append(v2)
-        led.append(v3)
-        led.append(make_record(kind="profile", curve="bn128", size=64,
-                               workload="exponentiate", seed=0, stages=[]))
+        for record in (v1, v2, v3, make_record(
+                kind="profile", curve="bn128", size=64,
+                workload="exponentiate", seed=0, stages=[])):
+            append(path, record)
         records = read_jsonl(path)
         assert [r["schema"] for r in records] == [1, 2, 3, 7]
         assert "profile" not in records[0]
@@ -118,12 +122,11 @@ class TestMakeRecord:
 class TestLedgerFile:
     def test_append_and_read_round_trip(self, tmp_path):
         path = tmp_path / "runs" / "led.jsonl"  # parent dir created lazily
-        led = Ledger(str(path))
         for i in range(3):
-            assert led.append({"schema": 1, "i": i}) == {"schema": 1, "i": i}
+            assert append(path, {"schema": 1, "i": i}) == str(path)
         assert [r["i"] for r in read_jsonl(path)] == [0, 1, 2]
 
     def test_one_sorted_json_line_per_record(self, tmp_path):
         path = tmp_path / "led.jsonl"
-        Ledger(str(path)).append({"b": 1, "a": {"d": 2, "c": 3}})
+        append(path, {"b": 1, "a": {"d": 2, "c": 3}})
         assert path.read_text() == '{"a": {"c": 3, "d": 2}, "b": 1}\n'

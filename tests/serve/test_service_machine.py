@@ -15,8 +15,9 @@ of the step has resolved:
 - submit a request whose deadline expires before it runs;
 - arm a fault at ``SERVE_SITES`` or at the MSM/NTT kernels;
 - make the next pool jobs die with a ``WorkerCrash``, and advance the
-  breaker's clock past its cooldown (pool-backed machine only, which
-  also starts with its breaker open or closed);
+  breaker's clock past its cooldown, sending the half-open probe into a
+  fault or leaving it to the next request (pool-backed machine only,
+  which also starts with its breaker open or closed);
 - drain, with requests still queued, then start again.
 
 The contract, on every resolution: the result is typed
@@ -237,19 +238,30 @@ class ServiceMachine(RuleBasedStateMachine):
         self.injector.plan.append(faults.FaultSpec(site, kind, hit=hit))
         self.log.append(("arm", site, kind, hit))
 
-    @precondition(lambda self: self.workers and not self.crashes)
+    @precondition(lambda self: self.workers and not self.crashes
+                  and self.svc.breaker.state == "closed")
     @rule(n=st.integers(1, 3))
     def crash(self, n):
-        """The next *n* attempts on the pool die with a ``WorkerCrash``."""
+        """The next *n* attempts on the pool die with a ``WorkerCrash``.
+        Only while the breaker is closed: an open one sends no job to the
+        pool, so crashes armed then would wait for the half-open probe and
+        take it from the fault :meth:`advance_clock` sends it into."""
         self.crashes += n
         self.log.append(("crash", n))
 
     @precondition(lambda self: self.svc.breaker.state == "open")
-    @rule()
-    def advance_clock(self):
-        """Let the open breaker's cooldown pass: the next pool job probes."""
+    @rule(fault=st.sampled_from((None,) + tuple(sorted(faults.KINDS))))
+    def advance_clock(self, fault):
+        """Let the open breaker's cooldown pass: the next pool job probes.
+        With a *fault*, that probe is sent at once: a prove the fault hits
+        at ``serve:prove``, an end that is neither verdict, so the breaker
+        must hand the probe back (the contract checks it after the step).
+        """
         self.now += COOLDOWN_S
         self.log.append(("clock", self.svc.breaker.state))
+        if fault is not None:
+            self.arm("serve:prove", fault, 1)
+            self.submit_prove(1)
 
     @rule(queued=st.integers(0, 2), timeout=st.sampled_from((None, 0.0)))
     def drain(self, queued, timeout):
@@ -370,7 +382,7 @@ def test_a_drain_resolves_every_queued_request(timeout):
 
 def test_crashes_trip_the_breaker_and_a_probe_recloses_it():
     m = replay(PooledServiceMachine(), ("crash", dict(n=2)), prove(),
-               ("advance_clock", {}), prove())
+               ("advance_clock", dict(fault=None)), prove())
     # Two crashes trip the breaker, the third attempt runs degraded, and
     # after the cooldown the next prove probes the pool and closes it.
     assert m.log[1][1] == (("ok", None, None),)
@@ -378,13 +390,14 @@ def test_crashes_trip_the_breaker_and_a_probe_recloses_it():
     assert m.svc.breaker.trips == 1 and m.svc.breaker.state == "closed"
 
 
-@pytest.mark.parametrize("kind", ["transient", "timeout", "oom"])
+@pytest.mark.parametrize("kind", sorted(faults.KINDS))
 def test_a_probe_that_ends_without_a_verdict_is_handed_back(kind):
     # The half-open probe's attempt ends in a fault that is neither a
     # success nor a crash: the contract's probe check needs the slot back.
     m = replay(PooledServiceMachine(), ("crash", dict(n=2)), prove(),
-               ("advance_clock", {}), arm("serve:prove", kind), prove())
+               ("advance_clock", dict(fault=kind)))
     assert m.injector.plan[0].fired
+    assert m.log[2] == ("clock", "half-open")
 
 
 def test_kernel_faults_fire_inside_the_workers():

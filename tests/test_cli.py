@@ -78,7 +78,7 @@ class TestVerbLists:
                                  "SKILL.md") == set(VERBS)
 
     def test_parser_and_list_are_generated_from_the_verb_table(self):
-        assert len(VERBS) == 9
+        assert len(VERBS) == 8
         assert list(verb_parsers()) == list(VERBS)
         _, out = run_cli(["list"])
         for name, verb in VERBS.items():

@@ -142,7 +142,8 @@ class TestArgumentErrors:
         ("lint", "--suppress", "ZK403"), ("lint", "--baseline", "b.json"),
         ("lint", "--write-baseline", "b.json"), ("codelint", "--root", "src"),
         ("codelint", "--checks", "errors"), ("codelint", "--all-modules"),
-        ("codelint", "--hot-modules", "repro.msm.*"),
+        ("codelint", "--hot-modules", "repro.msm.*"), ("codelint",),
+        ("codelint", "--json"),
         ("prove", "--x", "5"), ("run", "fig6", "--measured", "--repeats", "2"),
         ("serve",), ("serve", "--max-queue", "4"),
         ("loadtest", "--max-inflight", "8"),

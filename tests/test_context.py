@@ -9,7 +9,6 @@ from contextlib import ExitStack
 
 import pytest
 
-from repro.analyze.code import CodeIndex, CodelintConfig, default_root, load_tree
 from repro.circuit import CircuitBuilder, compile_circuit, gadgets
 from repro.context import RUN, RunContext, region
 from repro.curves import BN128
@@ -23,6 +22,7 @@ from repro.plonk import plonk_prove, plonk_setup, plonk_verify
 from repro.resilience.errors import PoolStateError
 from repro.resilience.faults import injecting
 from repro.resilience.retry import deadline_scope
+from tools.codelint import CodeIndex, CodelintConfig, default_root, load_tree
 
 #: field -> (installer, the error a second install raises; ``None``: it nests).
 INSTALLERS = {

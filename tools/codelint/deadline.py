@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import ast
 
-from repro.analyze.code.graph import match_any
-from repro.analyze.diagnostics import ERROR, Diagnostic
+from tools.codelint.graph import match_any
+from tools.codelint.model import ERROR, Finding
 
 __all__ = ["check_deadline_polls"]
 
@@ -67,7 +67,7 @@ def _polls(index, fn, seen):
 
 
 def check_deadline_polls(index):
-    """Yield ``(module_name, Diagnostic)`` for the RC5xx family."""
+    """Yield ``(module_name, Finding)`` for the RC5xx family."""
     hot = index.config.hot_modules
     for qual in sorted(index.functions):
         fn = index.functions[qual]
@@ -77,7 +77,7 @@ def check_deadline_polls(index):
             continue
         if _polls(index, fn, set()):
             continue
-        yield fn.module, Diagnostic(
+        yield fn.module, Finding(
             code="RC501", severity=ERROR,
             message=f"hot-path function {fn.name!r} loops but never "
                     f"polls the cooperative Deadline; a stage timeout "

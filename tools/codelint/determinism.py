@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import ast
 
-from repro.analyze.code.graph import dotted_name, match_any
-from repro.analyze.diagnostics import ERROR, WARNING, Diagnostic
+from tools.codelint.graph import dotted_name, match_any
+from tools.codelint.model import ERROR, WARNING, Finding
 
 __all__ = ["check_determinism"]
 
@@ -62,7 +62,7 @@ def external_target(index, fn, name):
 
 
 def check_determinism(index):
-    """Yield ``(module_name, Diagnostic)`` for the RC2xx family."""
+    """Yield ``(module_name, Finding)`` for the RC2xx family."""
     scope = index.stage_reachable() | index.worker_reachable()
     cfg = index.config
     for qual in sorted(scope):
@@ -77,7 +77,7 @@ def check_determinism(index):
                 continue
             target = external_target(index, fn, name)
             if target in _GLOBAL_RNG:
-                yield fn.module, Diagnostic(
+                yield fn.module, Finding(
                     code="RC201", severity=ERROR,
                     message=f"{fn.name!r} draws from the process-global "
                             f"RNG ({target}); results depend on call "
@@ -87,7 +87,7 @@ def check_determinism(index):
                 )
             elif target == "random.Random" and not node.args \
                     and not node.keywords:
-                yield fn.module, Diagnostic(
+                yield fn.module, Finding(
                     code="RC201", severity=ERROR,
                     message=f"{fn.name!r} constructs random.Random() "
                             f"without a seed",
@@ -95,7 +95,7 @@ def check_determinism(index):
                     suggestion="derive the seed from the workflow seed",
                 )
             elif target == "random.SystemRandom":
-                yield fn.module, Diagnostic(
+                yield fn.module, Finding(
                     code="RC201", severity=ERROR,
                     message=f"{fn.name!r} uses SystemRandom (OS entropy, "
                             f"unreproducible by construction)",
@@ -104,7 +104,7 @@ def check_determinism(index):
                 )
             elif target in _WALLCLOCK and \
                     not match_any(fn.module, cfg.wallclock_modules):
-                yield fn.module, Diagnostic(
+                yield fn.module, Finding(
                     code="RC202", severity=ERROR,
                     message=f"{fn.name!r} reads the wall clock / ambient "
                             f"entropy ({target}) on a proof-reachable "
@@ -115,7 +115,7 @@ def check_determinism(index):
                 )
             elif target in _MEASURE_CLOCKS and \
                     not match_any(fn.module, cfg.clock_modules):
-                yield fn.module, Diagnostic(
+                yield fn.module, Finding(
                     code="RC203", severity=WARNING,
                     message=f"{fn.name!r} reads {target} outside the "
                             f"sanctioned clock modules; timing belongs "

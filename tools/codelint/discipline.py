@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import ast
 
-from repro.analyze.code.graph import dotted_name, match_any
-from repro.analyze.diagnostics import ERROR, Diagnostic
+from tools.codelint.graph import dotted_name, match_any
+from tools.codelint.model import ERROR, Finding
 
 __all__ = ["check_error_discipline"]
 
@@ -54,7 +54,7 @@ def _allowed_leaves(index):
 
 
 def check_error_discipline(index):
-    """Yield ``(module_name, Diagnostic)`` for the RC3xx family."""
+    """Yield ``(module_name, Finding)`` for the RC3xx family."""
     allowed = _allowed_leaves(index)
     exempt = index.config.error_exempt_modules
     for qual in sorted(index.stage_reachable()):
@@ -82,7 +82,7 @@ def check_error_discipline(index):
             if leaf in allowed:
                 continue
             if leaf in _BROAD:
-                yield fn.module, Diagnostic(
+                yield fn.module, Finding(
                     code="RC302", severity=ERROR,
                     message=f"{fn.name!r} raises bare {leaf} on a "
                             f"stage-reachable path; the retry policy "
@@ -91,7 +91,7 @@ def check_error_discipline(index):
                     suggestion="raise a repro.resilience.errors leaf",
                 )
             elif leaf in _UNTYPED_BUILTINS or resolved in index.classes:
-                yield fn.module, Diagnostic(
+                yield fn.module, Finding(
                     code="RC301", severity=ERROR,
                     message=f"{fn.name!r} raises untyped {leaf} on a "
                             f"stage-reachable path; every workflow "

@@ -24,7 +24,7 @@ from __future__ import annotations
 import ast
 import re
 
-from repro.analyze.diagnostics import ERROR, Diagnostic
+from tools.codelint.model import ERROR, Finding
 
 __all__ = ["check_guard_idiom"]
 
@@ -193,7 +193,7 @@ def _slot_uses(index, fn):
 
 
 def check_guard_idiom(index):
-    """Yield ``(module_name, Diagnostic)`` for the RC4xx family."""
+    """Yield ``(module_name, Finding)`` for the RC4xx family."""
     for qual in sorted(index.functions):
         fn = index.functions[qual]
         if fn.nested:
@@ -201,7 +201,7 @@ def check_guard_idiom(index):
         for node, key, parents, slot in _slot_uses(index, fn):
             if _guarded(node, key, parents, fn.node):
                 continue
-            yield fn.module, Diagnostic(
+            yield fn.module, Finding(
                 code="RC401", severity=ERROR,
                 message=f"{fn.name!r} uses run-context field RUN.{slot} "
                         f"without an 'is None' guard; the field is None "
@@ -224,7 +224,7 @@ def check_guard_idiom(index):
             else:
                 continue
             if not _NAME_RE.match(literal):
-                yield fn.module, Diagnostic(
+                yield fn.module, Finding(
                     code="RC402", severity=ERROR,
                     message=f"metric name {literal!r} does not match "
                             f"repro_<subsystem>_<name> "

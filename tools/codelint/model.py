@@ -1,15 +1,17 @@
-"""Source model of the codebase analyzer: modules, suppressions, config.
+"""Source model of the codebase analyzer: modules, suppressions, config,
+and the finding/report records the checks produce.
 
-The code analyzer (docs/CODELINT.md) never *imports* the code it checks —
-every module is parsed into an AST and analyzed purely statically, so
-seeded-violation fixtures and the live tree go through the identical path.
+The code analyzer (tools/codelint/README.md) never *imports* the code it
+checks — every module is parsed into an AST and analyzed purely
+statically, so seeded-violation fixtures and the live tree go through the
+identical path.
 
 Inline suppressions mirror ``noqa``/circomspect: a comment
 
     ``# codelint: ignore[RC103] -- per-process cache, never shared``
 
-trailing the line a diagnostic is anchored to — or standing alone on the
-line directly above it — drops that diagnostic (the ``-- reason`` tail
+trailing the line a finding is anchored to — or standing alone on the
+line directly above it — drops that finding (the ``-- reason`` tail
 is free-form and encouraged).  Several codes may be listed
 (``ignore[RC103,RC501]``); an empty list is invalid, never a wildcard —
 suppressions are always explicit about what they silence.
@@ -23,16 +25,63 @@ import re
 from dataclasses import dataclass, field
 
 __all__ = [
+    "ERROR",
+    "WARNING",
     "CodelintConfig",
+    "Finding",
+    "ModuleReport",
     "SourceModule",
     "load_tree",
     "parse_suppressions",
 ]
 
+#: Finding severities; any finding of either fails the lint.
+ERROR = "error"
+WARNING = "warning"
+
 #: ``# codelint: ignore[RC101,RC202]`` with an optional ``-- reason`` tail.
 _SUPPRESS_RE = re.compile(
     r"#\s*codelint:\s*ignore\[([A-Z]+[0-9]+(?:\s*,\s*[A-Z]+[0-9]+)*)\]"
 )
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One check result: a stable ``RCxxx`` code anchored to a source
+    line of the function ``symbol`` (a dotted qualname), with a fix."""
+
+    code: str
+    severity: str
+    message: str
+    line: int
+    symbol: str
+    suggestion: str
+
+    def format(self):
+        """One-line rendering: ``RC401 error [line 12]: message (fix)``."""
+        return (f"{self.code} {self.severity} [line {self.line}]: "
+                f"{self.message} ({self.suggestion})")
+
+    def sort_key(self):
+        return (self.severity != ERROR, self.code, self.line)
+
+
+@dataclass
+class ModuleReport:
+    """The findings of one module, sorted errors first, plus its size."""
+
+    module: str
+    lines: int
+    functions: int
+    findings: list = field(default_factory=list)
+
+    def render(self):
+        """The module's heading line and one indented line a finding."""
+        n_err = sum(f.severity == ERROR for f in self.findings)
+        head = (f"{self.module}: {self.functions} functions, {self.lines} "
+                f"lines -- {n_err} error(s), "
+                f"{len(self.findings) - n_err} warning(s)")
+        return "\n".join([head] + [f"  {f.format()}" for f in self.findings])
 
 
 @dataclass(frozen=True)

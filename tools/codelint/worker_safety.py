@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import ast
 
-from repro.analyze.code.graph import FunctionInfo, dotted_name
-from repro.analyze.diagnostics import ERROR, WARNING, Diagnostic
+from tools.codelint.graph import FunctionInfo, dotted_name
+from tools.codelint.model import ERROR, WARNING, Finding
 
 __all__ = ["check_worker_safety"]
 
@@ -125,7 +125,7 @@ def _global_writes(index, fn):
 
 
 def check_worker_safety(index):
-    """Yield ``(module_name, Diagnostic)`` for the RC1xx family."""
+    """Yield ``(module_name, Finding)`` for the RC1xx family."""
     # RC101/RC102/RC104 on the registry entries themselves.
     task_fns = []
     for mod_name, registry in index.task_registries.items():
@@ -141,7 +141,7 @@ def check_worker_safety(index):
                 qual = index.resolve_name(probe, name)
             info = index.functions.get(qual) if qual else None
             if info is None or info.cls is not None or info.nested:
-                yield mod_name, Diagnostic(
+                yield mod_name, Finding(
                     code="RC101", severity=ERROR,
                     message=f"worker task {label!r} is not a module-level "
                             f"function (fork workers dispatch by reference; "
@@ -153,7 +153,7 @@ def check_worker_safety(index):
             task_fns.append(info)
             reason = _signature_violation(info.node.args)
             if reason is not None:
-                yield info.module, Diagnostic(
+                yield info.module, Finding(
                     code="RC102", severity=ERROR,
                     message=f"worker task {info.name!r} {reason}; the "
                             f"envelope calls tasks as fn(payload) with "
@@ -164,7 +164,7 @@ def check_worker_safety(index):
             for default in (info.node.args.defaults
                             + [d for d in info.node.args.kw_defaults if d]):
                 if _mutable_default(default):
-                    yield info.module, Diagnostic(
+                    yield info.module, Finding(
                         code="RC104", severity=WARNING,
                         message=f"worker task {info.name!r} has a mutable "
                                 f"default argument (shared across calls "
@@ -179,7 +179,7 @@ def check_worker_safety(index):
         if fn is None:
             continue
         for lineno, description in _global_writes(index, fn):
-            yield fn.module, Diagnostic(
+            yield fn.module, Finding(
                 code="RC103", severity=ERROR,
                 message=f"worker-reachable function {fn.name!r} "
                         f"{description}; forked tasks must not touch "
